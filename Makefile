@@ -36,11 +36,14 @@ verify-sampling:
 # within one assessment window for all three managed kinds (coalloc,
 # codelayout, swprefetch — the latter's polluting site set under the
 # pressured geometry), and the prefetch-injection ablation never
-# regresses the passive baseline while improving >= 3 workloads. All
-# three tests also run under `make test`; this is the focused, verbose
-# gate wired into `make ci`.
+# regresses the passive baseline while improving >= 3 workloads.
+# TestOptKindsPinned (opt_pin_test.go) pins what the codelayout and
+# swprefetch kinds decide — cycles, counters, KindStats and the
+# decision-log hash of four cells — against
+# testdata/goldens/opt_kinds.json. All four tests also run under `make
+# test`; this is the focused, verbose gate wired into `make ci`.
 verify-opt:
-	$(GO) test -run 'TestOptCoallocByteIdentical|TestOptRevertBadDecision|TestSwPrefetchAblation' -v .
+	$(GO) test -run 'TestOptCoallocByteIdentical|TestOptRevertBadDecision|TestSwPrefetchAblation|TestOptKindsPinned' -v .
 
 # Race check on the packages the parallel engine fans runs out of:
 # the engine itself (and its determinism sweep), the workload

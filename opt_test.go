@@ -129,10 +129,10 @@ func TestOptRevertBadDecision(t *testing.T) {
 	})
 
 	t.Run("swprefetch", func(t *testing.T) {
-		ks, log, err := bench.SwPrefetchRevertData(bench.ExpOptions{Seed: 1, Jobs: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
+		// The scenario bench.SwPrefetchRevertData runs, shared with
+		// TestOptKindsPinned (opt_pin_test.go) so it executes once.
+		run := runOptPinCell(t, "db/swprefetch-badinject")
+		ks, log := run.entry.Opt, run.log
 		if ks.Reverts < 1 {
 			t.Errorf("injected polluting site set never reverted: %+v\nlog:\n%s", ks, strings.Join(log, "\n"))
 		}
@@ -165,10 +165,10 @@ func TestOptRevertBadDecision(t *testing.T) {
 	})
 
 	t.Run("codelayout", func(t *testing.T) {
-		ks, log, err := bench.CodeLayoutRevertData(bench.ExpOptions{Seed: 1, Jobs: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
+		// The scenario bench.CodeLayoutRevertData runs, shared with
+		// TestOptKindsPinned (opt_pin_test.go) so it executes once.
+		run := runOptPinCell(t, "db/codelayout-badpad")
+		ks, log := run.entry.Opt, run.log
 		if ks.Reverts < 1 {
 			t.Errorf("injected conflict layout never reverted: %+v\nlog:\n%s", ks, strings.Join(log, "\n"))
 		}
