@@ -75,7 +75,7 @@ func main() {
 	cfg := bench.RunConfig{
 		HeapFactor: *heapf,
 		Heap:       *heapBytes,
-		Monitoring: *monitoring || *coalloc || *codelayout || *swprefetch,
+		Monitoring: *monitoring,
 		Interval:   *interval,
 		Coalloc:    *coalloc,
 		CodeLayout: *codelayout,
@@ -134,7 +134,7 @@ func main() {
 	for _, k := range res.Opt {
 		fmt.Printf("opt         %s: %d decisions, %d reverts\n", k.Kind, k.Decisions, k.Reverts)
 	}
-	if cfg.Monitoring {
+	if res.Config.Monitoring {
 		ms := res.MonitorStats
 		fmt.Printf("monitor     %d polls, %d samples (%d dropped), %d cycles\n",
 			ms.Polls, ms.SamplesDecoded, ms.SamplesDropped, ms.MonitorCycles)
@@ -152,20 +152,13 @@ func main() {
 			for _, d := range sys.Policy.Decisions() {
 				fmt.Printf("  %-24s %-9s pairs=%d reverts=%d\n", d.Field.QualifiedName(), d.Mode, d.Pairs, d.Reverts)
 			}
-			for _, e := range sys.Policy.Events() {
-				fmt.Printf("  %s\n", e)
-			}
 		}
-		if sys.CodeLayout != nil {
-			fmt.Println("code layout log:")
-			for _, l := range sys.CodeLayout.Log() {
-				fmt.Printf("  %s\n", l)
-			}
-		}
-		if sys.SwPrefetch != nil {
-			fmt.Println("software prefetch log:")
-			for _, l := range sys.SwPrefetch.Log() {
-				fmt.Printf("  %s\n", l)
+		if sys.OptManager != nil {
+			for _, op := range sys.OptManager.Optimizations() {
+				fmt.Printf("%s decision log:\n", op.Kind())
+				for _, l := range op.Log() {
+					fmt.Printf("  %s\n", l)
+				}
 			}
 		}
 		if sys.AOS != nil {

@@ -35,7 +35,7 @@ func main() {
 	}
 
 	fmt.Println("\npolicy decision log:")
-	for _, e := range sys.Policy.Events() {
+	for _, e := range sys.Policy.Log() {
 		fmt.Printf("  %s\n", e)
 	}
 

@@ -307,11 +307,11 @@ func (cfg RunConfig) Resolve(minHeap uint64, hotField string) core.Options {
 	}
 	if cfg.CodeLayout {
 		opts.Optimizations = append(opts.Optimizations,
-			core.OptimizationConfig{Kind: opt.KindCodeLayout, CodeLayout: cfg.CodeLayoutConfig})
+			core.OptimizationConfig{Kind: opt.KindCodeLayout, Config: cfg.CodeLayoutConfig})
 	}
 	if cfg.SwPrefetch {
 		opts.Optimizations = append(opts.Optimizations,
-			core.OptimizationConfig{Kind: opt.KindSwPrefetch, SwPrefetch: cfg.SwPrefetchConfig})
+			core.OptimizationConfig{Kind: opt.KindSwPrefetch, Config: cfg.SwPrefetchConfig})
 	}
 	if cfg.CacheConfig != nil {
 		opts.Cache = *cfg.CacheConfig

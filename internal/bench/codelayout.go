@@ -43,8 +43,7 @@ type CodeLayoutRow struct {
 	PassiveRate float64 // L1I miss rate, monitored but never relocated
 	ActiveRate  float64 // L1I miss rate with hot/cold layout active
 	Improvement float64 // fraction of the passive miss rate removed
-	Layouts     int     // layout epochs the active run applied
-	Decisions   uint64  // managed decisions (includes conflict layouts)
+	Decisions   uint64  // layouts the active run applied (includes conflict layouts)
 	Reverts     uint64  // decisions the assessment loop took back
 }
 
@@ -101,7 +100,6 @@ func CodeLayoutData(o ExpOptions) ([]CodeLayoutRow, error) {
 			PassiveRate: pr,
 			ActiveRate:  ar,
 			Improvement: imp,
-			Layouts:     cells[i].active.Sys().CodeLayout.Epoch(),
 			Decisions:   ks.Decisions,
 			Reverts:     ks.Reverts,
 		}
@@ -149,7 +147,7 @@ func CodeLayoutRevertData(o ExpOptions) (opt.KindStats, []string, error) {
 		return opt.KindStats{}, nil, err
 	}
 	res := h.Result()
-	return optKindStats(res, opt.KindCodeLayout), h.Sys().CodeLayout.Log(), nil
+	return optKindStats(res, opt.KindCodeLayout), h.Sys().OptLog(opt.KindCodeLayout), nil
 }
 
 // CodeLayoutExp renders the code-layout experiment: the
@@ -178,7 +176,7 @@ func CodeLayoutExp(o ExpOptions) (string, error) {
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%-11s %12.5f %12.5f %9.1f%% %8d %10d %8d\n",
 			r.Program, r.PassiveRate, r.ActiveRate, 100*r.Improvement,
-			r.Layouts, r.Decisions, r.Reverts)
+			r.Decisions, r.Decisions, r.Reverts)
 		if r.Improvement > 0 {
 			improved++
 		}

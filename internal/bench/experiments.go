@@ -1107,7 +1107,7 @@ func Fig8Data(opt ExpOptions) (*stats.Series, []string, error) {
 	sys := h.Sys()
 	for _, fc := range sys.Monitor.HotFields() {
 		if fc.Field.QualifiedName() == "String::value" {
-			return &fc.RateSeries, sys.Policy.Events(), nil
+			return &fc.RateSeries, sys.Policy.Log(), nil
 		}
 	}
 	return nil, nil, fmt.Errorf("fig8: String::value received no samples")

@@ -37,8 +37,7 @@ type SwPrefetchRow struct {
 	Improvement   float64 // fraction of passive cycles removed
 	SwPrefetches  uint64  // software prefetches the active run issued
 	SwHits        uint64  // demand accesses that hit an injected line
-	Injections    int     // injection epochs the active run applied
-	Decisions     uint64  // managed decisions (includes polluting injections)
+	Decisions     uint64  // injections the active run applied (includes polluting ones)
 	Reverts       uint64  // decisions the assessment loop took back
 }
 
@@ -87,7 +86,6 @@ func SwPrefetchData(o ExpOptions) ([]SwPrefetchRow, error) {
 			Improvement:   imp,
 			SwPrefetches:  active.Cache.SwPrefetches,
 			SwHits:        active.Cache.SwPrefetchHits,
-			Injections:    cells[i].active.Sys().SwPrefetch.Epoch(),
 			Decisions:     ks.Decisions,
 			Reverts:       ks.Reverts,
 		}
@@ -147,7 +145,7 @@ func SwPrefetchRevertData(o ExpOptions) (opt.KindStats, []string, error) {
 		return opt.KindStats{}, nil, err
 	}
 	res := h.Result()
-	return optKindStats(res, opt.KindSwPrefetch), h.Sys().SwPrefetch.Log(), nil
+	return optKindStats(res, opt.KindSwPrefetch), h.Sys().OptLog(opt.KindSwPrefetch), nil
 }
 
 // SwPrefetchExp renders the prefetch-injection experiment: the
@@ -175,7 +173,7 @@ func SwPrefetchExp(o ExpOptions) (string, error) {
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%-11s %14d %14d %8.2f%% %10d %9d %8d %10d %8d\n",
 			r.Program, r.PassiveCycles, r.ActiveCycles, 100*r.Improvement,
-			r.SwPrefetches, r.SwHits, r.Injections, r.Decisions, r.Reverts)
+			r.SwPrefetches, r.SwHits, r.Decisions, r.Decisions, r.Reverts)
 		if r.Improvement > 0 {
 			improved++
 		}

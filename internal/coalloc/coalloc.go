@@ -142,22 +142,6 @@ type Policy struct {
 	obs *obs.Observer
 }
 
-// New builds a policy and registers it as a monitor observer so its
-// state machine advances after every collector-thread poll.
-func New(mon *monitor.Monitor, cfg Config) *Policy {
-	if cfg.GapBytes == 0 {
-		cfg.GapBytes = 128
-	}
-	p := &Policy{
-		cfg:     cfg,
-		mon:     mon,
-		byClass: make(map[int]*fieldState),
-		fields:  make(map[int]*fieldState),
-	}
-	mon.AddObserver(p.observe)
-	return p
-}
-
 // SetObserver attaches the observability layer: decision counts are
 // registered and every placement decision is traced. Passing nil
 // detaches.
@@ -256,9 +240,8 @@ func (p *Policy) CoallocationPerformed(f *classfile.Field, gap uint64) {
 }
 
 // sortedFields returns the field states in field-ID order. The state
-// machine below logs (and in the intervention case, mutates) as it
-// walks the states, so walking the map directly would leak map
-// iteration order into the event log.
+// machine (optimization.go) logs as it walks the states, so walking the
+// map directly would leak map iteration order into the decision log.
 func (p *Policy) sortedFields() []*fieldState {
 	out := make([]*fieldState, 0, len(p.fields))
 	for _, st := range p.fields {
@@ -266,116 +249,6 @@ func (p *Policy) sortedFields() []*fieldState {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].field.ID < out[j].field.ID })
 	return out
-}
-
-// observe advances the policy after each monitor poll.
-func (p *Policy) observe(now uint64) {
-	// Activate newly hot fields.
-	for _, fc := range p.mon.HotFields() {
-		f := fc.Field
-		st := p.fields[f.ID]
-		if st == nil {
-			st = &fieldState{field: f}
-			p.fields[f.ID] = st
-		}
-		if st.mode == modeIdle && fc.Samples >= p.cfg.MinSamples {
-			cur := p.byClass[f.Class.ID]
-			top := cur == nil || p.mon.FieldMisses(f) > p.mon.FieldMisses(cur.field)
-			if top || p.cfg.Ranked {
-				st.mode = modeActive
-				st.gap = p.cfg.Gap
-				st.baselineRate = tailMean(&fc.RateSeries, p.cfg.EvalPeriods)
-				st.activatedAt = fc.RateSeries.Len()
-				if top {
-					p.byClass[f.Class.ID] = st
-				}
-				p.logf(now, "activate %s (gap %d, baseline rate %.0f misses/Mcycle)",
-					f.QualifiedName(), st.gap, st.baselineRate)
-				p.decided(now, f, st.gap, obs.DecisionActivate)
-			}
-		}
-	}
-
-	// Figure 8 manual intervention: force the pathological gap. The
-	// intervention stays pending until at least one active placement
-	// exists to apply it to.
-	if p.cfg.GapAtCycle > 0 && !p.intervened && now >= p.cfg.GapAtCycle {
-		for _, st := range p.sortedFields() {
-			if st.mode == modeActive && st.gap == 0 {
-				p.intervened = true
-				st.gap = p.cfg.GapBytes
-				if fc := p.mon.Field(st.field); fc != nil {
-					st.baselineRate = tailMean(&fc.RateSeries, p.cfg.EvalPeriods)
-					st.activatedAt = fc.RateSeries.Len()
-					st.abMarkAdj = fc.AdjacentSamples
-					st.abMarkGap = fc.GappedSamples
-				}
-				p.logf(now, "manual intervention: %d-byte gap forced for %s",
-					st.gap, st.field.QualifiedName())
-				p.decided(now, st.field, st.gap, obs.DecisionIntervene)
-			}
-		}
-	}
-
-	if !p.cfg.RevertEnabled {
-		return
-	}
-	for _, st := range p.sortedFields() {
-		if st.mode != modeActive {
-			continue
-		}
-		fc := p.mon.Field(st.field)
-		if fc == nil {
-			continue
-		}
-		// A/B assessment between placement variants, over the window
-		// since the last placement change.
-		dAdj := fc.AdjacentSamples - st.abMarkAdj
-		dGap := fc.GappedSamples - st.abMarkGap
-		if st.gap > 0 && st.pairsAdj > 0 && st.pairsGapped > 0 &&
-			dAdj+dGap >= p.cfg.MinABSamples {
-			// Laplace smoothing: a well-placed pair population often
-			// produces zero samples (its child accesses hit — that is
-			// the point of co-allocation), and an absent denominator
-			// must not mask the signal.
-			perAdj := (float64(dAdj) + 0.5) / float64(st.pairsAdj)
-			perGap := float64(dGap) / float64(st.pairsGapped)
-			if perGap > perAdj*p.cfg.ABRatio {
-				st.gap = 0
-				st.reverts++
-				st.abMarkAdj = fc.AdjacentSamples
-				st.abMarkGap = fc.GappedSamples
-				p.logf(now, "revert %s: gapped pairs draw %.4f sampled misses/pair vs %.4f for adjacent — switching back to adjacent placement",
-					st.field.QualifiedName(), perGap, perAdj)
-				p.decided(now, st.field, 0, obs.DecisionRevertAB)
-				continue
-			}
-		}
-		// Rate-based fallback for gapped placements whose A/B
-		// comparison has no adjacent population (gap configured from
-		// the start): a gross rate regression drops the gap. Adjacent
-		// placements are never reverted on rate alone — a raw
-		// before/after rate comparison cannot distinguish a bad
-		// placement from a program phase change, and the paper reports
-		// no case where undoing a plain co-allocation was needed.
-		if st.gap == 0 || st.pairsGapped == 0 {
-			continue
-		}
-		elapsed := fc.RateSeries.Len() - st.activatedAt
-		if elapsed < p.cfg.EvalPeriods {
-			continue
-		}
-		current := tailMean(&fc.RateSeries, p.cfg.EvalPeriods)
-		if st.baselineRate > 0 && current > st.baselineRate*p.cfg.RegressionFactor {
-			st.reverts++
-			st.gap = 0
-			p.logf(now, "revert %s: rate %.0f vs baseline %.0f misses/Mcycle — dropping gap",
-				st.field.QualifiedName(), current, st.baselineRate)
-			p.decided(now, st.field, 0, obs.DecisionRevertRate)
-			st.baselineRate = current
-			st.activatedAt = fc.RateSeries.Len()
-		}
-	}
 }
 
 // tailMean averages the last n values of a series (its recent rate).
@@ -394,8 +267,8 @@ func (p *Policy) logf(now uint64, format string, args ...any) {
 	p.events = append(p.events, fmt.Sprintf("[cycle %d] %s", now, fmt.Sprintf(format, args...)))
 }
 
-// Events returns the decision log.
-func (p *Policy) Events() []string { return p.events }
+// Log implements opt.Optimization: the decision log.
+func (p *Policy) Log() []string { return p.events }
 
 // Decision describes a field's current placement state.
 type Decision struct {

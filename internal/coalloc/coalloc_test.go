@@ -95,7 +95,7 @@ func TestPolicyActivatesHotField(t *testing.T) {
 		Coalloc:          true,
 	})
 	if sys.CoallocPairs() == 0 {
-		t.Fatalf("no pairs placed; events: %v", sys.Policy.Events())
+		t.Fatalf("no pairs placed; events: %v", sys.Policy.Log())
 	}
 	var active bool
 	for _, d := range sys.Policy.Decisions() {
@@ -150,7 +150,7 @@ func TestPolicyRevertsForcedGap(t *testing.T) {
 		t.Fatal(err)
 	}
 	var intervened, reverted bool
-	for _, e := range sys.Policy.Events() {
+	for _, e := range sys.Policy.Log() {
 		if strings.Contains(e, "manual intervention") {
 			intervened = true
 		}
@@ -159,10 +159,10 @@ func TestPolicyRevertsForcedGap(t *testing.T) {
 		}
 	}
 	if !intervened {
-		t.Fatalf("intervention never fired; events: %v", sys.Policy.Events())
+		t.Fatalf("intervention never fired; events: %v", sys.Policy.Log())
 	}
 	if !reverted {
-		t.Fatalf("poor placement not reverted; events: %v", sys.Policy.Events())
+		t.Fatalf("poor placement not reverted; events: %v", sys.Policy.Log())
 	}
 	// After the revert the hot field must be back on adjacent placement.
 	for _, d := range sys.Policy.Decisions() {

@@ -1,39 +1,51 @@
 package coalloc
 
 import (
+	"hpmvm/internal/gc/genms"
 	"hpmvm/internal/monitor"
 	"hpmvm/internal/obs"
 	"hpmvm/internal/opt"
 )
 
-// This file ports the policy onto the generic online-optimization
-// framework: Policy implements opt.Optimization so the opt.Manager can
-// drive it instead of a privately registered monitor observer.
+// This file is the policy's state machine, driven by the opt.Manager
+// through the opt.Optimization interface. Each monitor poll runs three
+// phases in a fixed order, and the golden corpus pins every decision,
+// log line and obs event they produce:
 //
-// Byte-identity contract: driven by the manager, the policy must make
-// exactly the decisions observe() makes, in the same order, with the
-// same log lines and obs events — the golden corpus pins this. The
-// port splits observe()'s three phases onto the interface:
+//   - Analyze scans the hot fields for activations and, once
+//     GapAtCycle has passed, the active fields for the Figure 8
+//     intervention — without enacting either. Activations proposed
+//     earlier in the same poll are visible to later candidates through
+//     an overlay of the per-class hottest-field table, so deferring the
+//     mutation to Apply changes no outcome.
+//   - Apply enacts one activation or intervention.
+//   - OpenDecisions/Assess/Revert judge every active field in field-ID
+//     order: the A/B comparison first (a revert ends that field's
+//     assessment for the poll), then the rate-based fallback.
 //
-//   - Analyze replicates the activation scan and the Figure 8
-//     intervention scan without enacting them. Decisions that
-//     observe() would take in one pass over mutating state are
-//     precomputed against an overlay (the per-class hottest-field
-//     table updated by earlier activations in the same poll), so
-//     deferring the mutation to Apply cannot change any outcome.
-//   - Apply performs the exact mutations observe() performed inline.
-//   - OpenDecisions/Assess/Revert reproduce the revert loop: every
-//     active field in field-ID order, A/B comparison first (a revert
-//     ends that field's assessment for the poll), then the rate-based
-//     fallback.
-//
-// Analyze still creates idle fieldState entries for sampled fields:
-// observe() did, and those entries are part of the snapshot format.
+// Analyze creates idle fieldState entries for sampled fields; those
+// entries are part of the snapshot format.
 var _ opt.Optimization = (*Policy)(nil)
 
-// NewPolicy builds a policy for the opt.Manager to drive: identical to
-// New, except no monitor observer is registered (the manager observes
-// the monitor and calls the Optimization methods itself).
+func init() {
+	opt.Register(opt.Describe(opt.KindCoalloc, snapComponent, opt.Requirements{NeedsGenMS: true},
+		DefaultConfig, func(c Config) Config { return c }, newManaged))
+}
+
+// newManaged builds the policy for an opt.Manager and makes it the
+// GenMS collector's placement advisor.
+func newManaged(env opt.Env, cfg Config) *Policy {
+	p := NewPolicy(env.Monitor, cfg)
+	if ms, ok := env.VM.Collector.(*genms.Collector); ok {
+		ms.SetAdvisor(p)
+		env.Monitor.SetClassifier(ms.ClassifyAddr)
+	}
+	return p
+}
+
+// NewPolicy builds a policy for an opt.Manager to drive: the manager
+// observes the monitor and calls the Optimization methods; the policy
+// registers no observer of its own.
 func NewPolicy(mon *monitor.Monitor, cfg Config) *Policy {
 	if cfg.GapBytes == 0 {
 		cfg.GapBytes = 128
@@ -51,7 +63,7 @@ func (p *Policy) Kind() string { return opt.KindCoalloc }
 
 // MonitorWindow implements opt.Optimization. The policy assesses on
 // every poll: its A/B comparison gates itself on attributed sample
-// counts rather than elapsed polls, exactly as observe() did.
+// counts rather than elapsed polls.
 func (p *Policy) MonitorWindow() uint64 { return 0 }
 
 // activation carries one pending activation from Analyze to Apply.
@@ -67,13 +79,13 @@ type intervention struct {
 }
 
 // Analyze implements opt.Optimization: the activation scan and the
-// intervention scan of observe(), computed without side effects beyond
-// fieldState bookkeeping entries.
+// intervention scan, computed without side effects beyond fieldState
+// bookkeeping entries.
 func (p *Policy) Analyze(now uint64) []opt.Proposal {
 	var out []opt.Proposal
 	// Overlay of byClass assignments made by activations proposed this
-	// poll: observe() updated p.byClass mid-scan, so a later field of
-	// the same class compared against the earlier activation's misses.
+	// poll: a later field of the same class competes against the
+	// earlier activation's misses, not the pre-poll table.
 	var overlay map[int]*fieldState
 	pending := map[int]bool{}
 	for _, fc := range p.mon.HotFields() {
@@ -107,9 +119,10 @@ func (p *Policy) Analyze(now uint64) []opt.Proposal {
 		}
 	}
 
-	// Figure 8 intervention scan. observe() ran it after the activation
-	// phase, so fields activated this poll are eligible too when the
-	// configured activation gap is zero.
+	// Figure 8 intervention scan. It follows the activation phase, so
+	// fields activated this poll are eligible too when the configured
+	// activation gap is zero. The intervention stays pending until at
+	// least one active placement exists to apply it to.
 	if p.cfg.GapAtCycle > 0 && !p.intervened && now >= p.cfg.GapAtCycle {
 		for _, st := range p.sortedFields() {
 			eligible := st.mode == modeActive && st.gap == 0
@@ -129,8 +142,10 @@ func (p *Policy) Analyze(now uint64) []opt.Proposal {
 	return out
 }
 
-// Apply implements opt.Optimization: the mutations observe() performed
-// inline for an activation or intervention, verbatim.
+// Apply implements opt.Optimization: enact one activation or the
+// Figure 8 manual intervention ("we then instructed the GC manually to
+// place one cache line of empty space between the String and the char[]
+// objects").
 func (p *Policy) Apply(now uint64, pr opt.Proposal) {
 	switch a := pr.State.(type) {
 	case *activation:
@@ -162,26 +177,20 @@ func (p *Policy) Apply(now uint64, pr opt.Proposal) {
 }
 
 // OpenDecisions implements opt.Optimization: every active field in
-// field-ID order — the exact iteration of observe()'s revert loop
-// (inactive states are skipped there too).
+// field-ID order.
 func (p *Policy) OpenDecisions() []*opt.Decision {
 	var out []*opt.Decision
 	for _, st := range p.sortedFields() {
 		if st.mode != modeActive {
 			continue
 		}
-		out = append(out, &opt.Decision{
-			Target: st.field.ID,
-			Label:  st.field.QualifiedName(),
-			State:  st,
-		})
+		out = append(out, &opt.Decision{Target: st.field.ID, State: st})
 	}
 	return out
 }
 
-// Assess implements opt.Optimization: the per-field judgment of
-// observe()'s revert loop. A bad A/B verdict suppresses the rate
-// fallback for that field this poll, matching observe()'s continue.
+// Assess implements opt.Optimization: the per-field judgment. A bad
+// A/B verdict suppresses the rate fallback for that field this poll.
 func (p *Policy) Assess(now uint64, d *opt.Decision) opt.Assessment {
 	keep := opt.Assessment{Verdict: opt.VerdictKeep}
 	if !p.cfg.RevertEnabled {
@@ -192,10 +201,16 @@ func (p *Policy) Assess(now uint64, d *opt.Decision) opt.Assessment {
 	if fc == nil {
 		return keep
 	}
+	// A/B assessment between placement variants, over the window since
+	// the last placement change.
 	dAdj := fc.AdjacentSamples - st.abMarkAdj
 	dGap := fc.GappedSamples - st.abMarkGap
 	if st.gap > 0 && st.pairsAdj > 0 && st.pairsGapped > 0 &&
 		dAdj+dGap >= p.cfg.MinABSamples {
+		// Laplace smoothing: a well-placed pair population often
+		// produces zero samples (its child accesses hit — that is the
+		// point of co-allocation), and an absent denominator must not
+		// mask the signal.
 		perAdj := (float64(dAdj) + 0.5) / float64(st.pairsAdj)
 		perGap := float64(dGap) / float64(st.pairsGapped)
 		if perGap > perAdj*p.cfg.ABRatio {
@@ -207,6 +222,13 @@ func (p *Policy) Assess(now uint64, d *opt.Decision) opt.Assessment {
 			}
 		}
 	}
+	// Rate-based fallback for gapped placements whose A/B comparison
+	// has no adjacent population (gap configured from the start): a
+	// gross rate regression drops the gap. Adjacent placements are never
+	// reverted on rate alone — a raw before/after rate comparison cannot
+	// distinguish a bad placement from a program phase change, and the
+	// paper reports no case where undoing a plain co-allocation was
+	// needed.
 	if st.gap == 0 || st.pairsGapped == 0 {
 		return keep
 	}
@@ -226,8 +248,9 @@ func (p *Policy) Assess(now uint64, d *opt.Decision) opt.Assessment {
 	return keep
 }
 
-// Revert implements opt.Optimization: the revert mutations of
-// observe(), selected by the assessment's reason code.
+// Revert implements opt.Optimization: switch the field back to
+// adjacent placement, with the bookkeeping the assessment's reason code
+// calls for.
 func (p *Policy) Revert(now uint64, d *opt.Decision, a opt.Assessment) {
 	st := d.State.(*fieldState)
 	fc := p.mon.Field(st.field)

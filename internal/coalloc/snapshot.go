@@ -68,9 +68,9 @@ func (p *Policy) Restore(st snap.ComponentState) error {
 	}
 	u := p.mon.Universe()
 	r := snap.NewReader(st.Data)
-	nFields := r.U64()
+	nFields := r.Count(80)
 	fields := make(map[int]*fieldState, nFields)
-	for i := uint64(0); i < nFields && r.Err() == nil; i++ {
+	for i := 0; i < nFields; i++ {
 		id := int(r.I64())
 		fs := &fieldState{}
 		fs.mode = fieldMode(r.I64())
@@ -91,18 +91,15 @@ func (p *Policy) Restore(st snap.ComponentState) error {
 		fs.field = u.Field(id)
 		fields[id] = fs
 	}
-	nClasses := r.U64()
 	type classEntry struct{ classID, fieldID int }
-	classEntries := make([]classEntry, 0, nClasses)
-	for i := uint64(0); i < nClasses && r.Err() == nil; i++ {
-		ce := classEntry{classID: int(r.I64()), fieldID: int(r.I64())}
-		classEntries = append(classEntries, ce)
+	classEntries := make([]classEntry, r.Count(16))
+	for i := range classEntries {
+		classEntries[i] = classEntry{classID: int(r.I64()), fieldID: int(r.I64())}
 	}
 	intervened := r.Bool()
-	nEvents := r.U64()
-	events := make([]string, 0, nEvents)
-	for i := uint64(0); i < nEvents && r.Err() == nil; i++ {
-		events = append(events, r.String())
+	events := make([]string, r.Count(8))
+	for i := range events {
+		events[i] = r.String()
 	}
 	if err := r.Close(); err != nil {
 		return err

@@ -81,52 +81,20 @@ func (o Options) Canonical() Options {
 		mcfg.TrackFields = c.TrackFields
 		c.MonitorConfig = &mcfg
 	}
-	// Fold the optimization list: a coalloc-kind entry collapses into
-	// the legacy Coalloc switch (the two spellings wire identical
-	// systems, so they must hash identically), codelayout and swprefetch
-	// entries get their config materialized with defaults resolved, and the
-	// remainder — including unknown kinds, which still perturb the
-	// hash — sorts by kind. Idempotent by construction.
-	if len(c.Optimizations) > 0 {
-		rest := make([]OptimizationConfig, 0, len(c.Optimizations))
-		for _, e := range c.Optimizations {
-			switch e.Kind {
-			case opt.KindCoalloc:
-				c.Coalloc = true
-				if e.Coalloc != nil && c.CoallocConfig == nil {
-					c.CoallocConfig = e.Coalloc
-				}
-			case opt.KindCodeLayout:
-				cl := opt.DefaultCodeLayoutConfig()
-				if e.CodeLayout != nil {
-					cl = *e.CodeLayout
-				}
-				cl = cl.WithDefaults()
-				e.CodeLayout = &cl
-				rest = append(rest, e)
-			case opt.KindSwPrefetch:
-				sp := opt.DefaultSwPrefetchConfig()
-				if e.SwPrefetch != nil {
-					sp = *e.SwPrefetch
-				}
-				sp = sp.WithDefaults()
-				e.SwPrefetch = &sp
-				rest = append(rest, e)
-			default:
-				rest = append(rest, e)
-			}
+	// The managed list hashes with every config resolved through its
+	// kind's descriptor and sorted by kind — unknown kinds stay in and
+	// still perturb the hash. A resolved coalloc entry is carried in the
+	// legacy Coalloc/CoallocConfig fields, never in the list: the two
+	// spellings wire identical systems, so they must hash identically,
+	// and every recorded fingerprint spells it the legacy way.
+	managed, _ := c.managedOptimizations()
+	c.Coalloc, c.CoallocConfig, c.Optimizations = false, nil, nil
+	for _, e := range managed {
+		if ccfg, ok := e.Config.(coalloc.Config); ok && e.Kind == opt.KindCoalloc {
+			c.Coalloc, c.CoallocConfig = true, &ccfg
+		} else {
+			c.Optimizations = append(c.Optimizations, e)
 		}
-		if len(rest) == 0 {
-			rest = nil
-		}
-		sort.SliceStable(rest, func(i, j int) bool { return rest[i].Kind < rest[j].Kind })
-		c.Optimizations = rest
-	}
-	if !c.Coalloc {
-		c.CoallocConfig = nil
-	} else if c.CoallocConfig == nil {
-		ccfg := coalloc.DefaultConfig()
-		c.CoallocConfig = &ccfg
 	}
 	if !c.Adaptive {
 		c.AOSConfig = nil
@@ -141,8 +109,9 @@ func (o Options) Canonical() Options {
 // the canonical form. It is reflection-driven over the Options struct
 // (minus canonicalIgnored), so adding a field to Options automatically
 // includes it in the key; field types the serializer cannot order
-// deterministically (funcs, channels, interfaces) panic, forcing a
-// conscious decision instead of a silently unstable key.
+// deterministically (funcs, channels) panic, forcing a conscious
+// decision instead of a silently unstable key. An interface value (an
+// optimization entry's Config) serializes as the value it holds.
 func (o Options) CanonicalString() string {
 	return canonicalString(o.Canonical())
 }
@@ -225,7 +194,7 @@ func (o Options) PrefixFingerprint() string {
 // appendCanonical serializes one value deterministically.
 func appendCanonical(b *strings.Builder, name string, v reflect.Value) {
 	switch v.Kind() {
-	case reflect.Pointer:
+	case reflect.Pointer, reflect.Interface:
 		if v.IsNil() {
 			fmt.Fprintf(b, "%s=nil;", name)
 			return

@@ -16,16 +16,16 @@ import (
 // in CI; `go test -fuzz=FuzzCanonical ./internal/core` explores
 // further.
 func FuzzCanonical(f *testing.F) {
-	f.Add(uint8(0), uint64(0), false, uint64(0), uint8(0), false, false, int64(0), "", false, 0, false, uint32(0), false, uint32(0))
-	f.Add(uint8(1), uint64(12<<20), true, uint64(1000), uint8(1), false, false, int64(7), "String::value", true, 128, true, uint32(0), true, uint32(0))
-	f.Add(uint8(0), uint64(8<<20), true, uint64(0), uint8(2), true, true, int64(-3), "Node::next", false, 0, true, uint32(4096), false, uint32(4))
-	f.Add(uint8(2), uint64(1), true, uint64(25_000), uint8(9), true, false, int64(1<<40), "a::b", true, -5, false, uint32(1), true, uint32(63))
+	f.Add(uint8(0), uint64(0), false, uint64(0), uint8(0), false, false, int64(0), "", false, 0, false, uint32(0), false, uint32(0), false)
+	f.Add(uint8(1), uint64(12<<20), true, uint64(1000), uint8(1), false, false, int64(7), "String::value", true, 128, true, uint32(0), true, uint32(0), true)
+	f.Add(uint8(0), uint64(8<<20), true, uint64(0), uint8(2), true, true, int64(-3), "Node::next", false, 0, true, uint32(4096), false, uint32(4), true)
+	f.Add(uint8(2), uint64(1), true, uint64(25_000), uint8(9), true, false, int64(1<<40), "a::b", true, -5, false, uint32(1), true, uint32(63), false)
 
 	f.Fuzz(func(t *testing.T, collector uint8, heap uint64, monitoring bool,
 		interval uint64, event uint8, coalloc, adaptive bool, seed int64,
 		track string, observe bool, traceCap int,
 		codeLayout bool, icacheSize uint32,
-		swPrefetch bool, spDistance uint32) {
+		swPrefetch bool, spDistance uint32, byValue bool) {
 		o := Options{
 			Collector:        CollectorKind(collector % 2),
 			HeapLimit:        heap,
@@ -41,21 +41,26 @@ func FuzzCanonical(f *testing.F) {
 		if track != "" {
 			o.TrackFields = []string{track}
 		}
+		// An entry's config travels as nil (zero tuning input), as a
+		// pointer, or — byValue — as a value: three spellings of one
+		// configuration.
 		if codeLayout {
-			var cfg *opt.CodeLayoutConfig
-			if icacheSize != 0 {
-				cfg = &opt.CodeLayoutConfig{ICacheSize: int(icacheSize)}
+			e := OptimizationConfig{Kind: opt.KindCodeLayout}
+			if cfg := (opt.CodeLayoutConfig{ICacheSize: int(icacheSize)}); icacheSize != 0 && byValue {
+				e.Config = cfg
+			} else if icacheSize != 0 {
+				e.Config = &cfg
 			}
-			o.Optimizations = append(o.Optimizations,
-				OptimizationConfig{Kind: opt.KindCodeLayout, CodeLayout: cfg})
+			o.Optimizations = append(o.Optimizations, e)
 		}
 		if swPrefetch {
-			var cfg *opt.SwPrefetchConfig
-			if spDistance != 0 {
-				cfg = &opt.SwPrefetchConfig{Distance: int(spDistance)}
+			e := OptimizationConfig{Kind: opt.KindSwPrefetch}
+			if cfg := (opt.SwPrefetchConfig{Distance: int(spDistance)}); spDistance != 0 && byValue {
+				e.Config = cfg
+			} else if spDistance != 0 {
+				e.Config = &cfg
 			}
-			o.Optimizations = append(o.Optimizations,
-				OptimizationConfig{Kind: opt.KindSwPrefetch, SwPrefetch: cfg})
+			o.Optimizations = append(o.Optimizations, e)
 		}
 
 		// Canonicalization is idempotent: a canonical form is its own
@@ -116,6 +121,21 @@ func FuzzCanonical(f *testing.F) {
 				t.Fatalf("coalloc-kind entry hashes differently from the legacy Coalloc switch:\n legacy %s\n entry  %s",
 					o.CanonicalString(), folded.CanonicalString())
 			}
+		}
+
+		// Entry order and the config's spelling (nil ≡ the kind's
+		// explicit defaults, value ≡ pointer) never reach the key.
+		respelled := o
+		respelled.Optimizations = nil
+		for i := len(o.Optimizations) - 1; i >= 0; i-- {
+			e := o.Optimizations[i]
+			d, _ := opt.Lookup(e.Kind)
+			e.Config, _ = d.Resolve(e.Config)
+			respelled.Optimizations = append(respelled.Optimizations, e)
+		}
+		if respelled.Fingerprint() != fp {
+			t.Fatalf("reordered, defaults-resolved optimization list hashes differently:\n given     %s\n respelled %s",
+				o.CanonicalString(), respelled.CanonicalString())
 		}
 
 		// An empty (non-nil) list is the absence of the framework.

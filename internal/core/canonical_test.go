@@ -200,26 +200,48 @@ func TestCanonicalOptimizationsEquivalence(t *testing.T) {
 			Options{Monitoring: true, Optimizations: []OptimizationConfig{{Kind: opt.KindCoalloc}}}},
 		{"legacy CoallocConfig vs entry config",
 			Options{Monitoring: true, Coalloc: true, CoallocConfig: &ccfg},
-			Options{Monitoring: true, Optimizations: []OptimizationConfig{{Kind: opt.KindCoalloc, Coalloc: &ccfg}}}},
+			Options{Monitoring: true, Optimizations: []OptimizationConfig{{Kind: opt.KindCoalloc, Config: &ccfg}}}},
 		{"both spellings at once vs one",
 			Options{Monitoring: true, Coalloc: true,
 				Optimizations: []OptimizationConfig{{Kind: opt.KindCoalloc}}},
 			Options{Monitoring: true, Coalloc: true}},
 		{"nil vs default codelayout config",
 			Options{Monitoring: true, Optimizations: []OptimizationConfig{{Kind: opt.KindCodeLayout}}},
-			Options{Monitoring: true, Optimizations: []OptimizationConfig{{Kind: opt.KindCodeLayout, CodeLayout: &clDef}}}},
+			Options{Monitoring: true, Optimizations: []OptimizationConfig{{Kind: opt.KindCodeLayout, Config: &clDef}}}},
 		{"default vs defaults-resolved codelayout config",
-			Options{Monitoring: true, Optimizations: []OptimizationConfig{{Kind: opt.KindCodeLayout, CodeLayout: &clDef}}},
-			Options{Monitoring: true, Optimizations: []OptimizationConfig{{Kind: opt.KindCodeLayout, CodeLayout: &clRes}}}},
+			Options{Monitoring: true, Optimizations: []OptimizationConfig{{Kind: opt.KindCodeLayout, Config: &clDef}}},
+			Options{Monitoring: true, Optimizations: []OptimizationConfig{{Kind: opt.KindCodeLayout, Config: &clRes}}}},
+		{"zero fields vs their defaults in a codelayout config",
+			Options{Monitoring: true, Optimizations: []OptimizationConfig{{Kind: opt.KindCodeLayout, Config: &clDef}}},
+			Options{Monitoring: true, Optimizations: []OptimizationConfig{{Kind: opt.KindCodeLayout,
+				Config: opt.CodeLayoutConfig{HotMethods: clDef.HotMethods, MinSamples: clDef.MinSamples}}}}},
+		{"config by value vs by pointer",
+			Options{Monitoring: true, Optimizations: []OptimizationConfig{{Kind: opt.KindCodeLayout, Config: clDef}}},
+			Options{Monitoring: true, Optimizations: []OptimizationConfig{{Kind: opt.KindCodeLayout, Config: &clDef}}}},
+		{"untyped nil vs nil pointer config",
+			Options{Monitoring: true, Optimizations: []OptimizationConfig{{Kind: opt.KindSwPrefetch}}},
+			Options{Monitoring: true, Optimizations: []OptimizationConfig{{Kind: opt.KindSwPrefetch, Config: (*opt.SwPrefetchConfig)(nil)}}}},
+		{"zero fields vs their defaults in a swprefetch config",
+			Options{Monitoring: true, Optimizations: []OptimizationConfig{{Kind: opt.KindSwPrefetch}}},
+			Options{Monitoring: true, Optimizations: []OptimizationConfig{{Kind: opt.KindSwPrefetch,
+				Config: opt.SwPrefetchConfig{MinSamples: spDef.MinSamples}}}}},
 		{"nil vs default swprefetch config",
 			Options{Monitoring: true, Optimizations: []OptimizationConfig{{Kind: opt.KindSwPrefetch}}},
-			Options{Monitoring: true, Optimizations: []OptimizationConfig{{Kind: opt.KindSwPrefetch, SwPrefetch: &spDef}}}},
+			Options{Monitoring: true, Optimizations: []OptimizationConfig{{Kind: opt.KindSwPrefetch, Config: &spDef}}}},
 		{"default vs defaults-resolved swprefetch config",
-			Options{Monitoring: true, Optimizations: []OptimizationConfig{{Kind: opt.KindSwPrefetch, SwPrefetch: &spDef}}},
-			Options{Monitoring: true, Optimizations: []OptimizationConfig{{Kind: opt.KindSwPrefetch, SwPrefetch: &spRes}}}},
+			Options{Monitoring: true, Optimizations: []OptimizationConfig{{Kind: opt.KindSwPrefetch, Config: &spDef}}},
+			Options{Monitoring: true, Optimizations: []OptimizationConfig{{Kind: opt.KindSwPrefetch, Config: &spRes}}}},
 		{"nil vs empty optimization list",
 			Options{Seed: 5},
 			Options{Seed: 5, Optimizations: []OptimizationConfig{}}},
+		{"coalloc entry config by value vs legacy pointer",
+			Options{Monitoring: true, Coalloc: true, CoallocConfig: &ccfg},
+			Options{Monitoring: true, Optimizations: []OptimizationConfig{{Kind: opt.KindCoalloc, Config: ccfg}}}},
+		{"entry order is canonicalized across three kinds",
+			Options{Monitoring: true, Optimizations: []OptimizationConfig{
+				{Kind: opt.KindSwPrefetch}, {Kind: opt.KindCodeLayout}, {Kind: opt.KindCoalloc}}},
+			Options{Monitoring: true, Coalloc: true, Optimizations: []OptimizationConfig{
+				{Kind: opt.KindCodeLayout}, {Kind: opt.KindSwPrefetch}}}},
 		{"entry order is canonicalized",
 			Options{Monitoring: true, Optimizations: []OptimizationConfig{
 				{Kind: opt.KindCodeLayout}, {Kind: opt.KindCoalloc}}},
@@ -243,17 +265,21 @@ func TestCanonicalOptimizationsEquivalence(t *testing.T) {
 		{"codelayout tuning",
 			Options{Monitoring: true, Optimizations: []OptimizationConfig{{Kind: opt.KindCodeLayout}}},
 			Options{Monitoring: true, Optimizations: []OptimizationConfig{{Kind: opt.KindCodeLayout,
-				CodeLayout: &opt.CodeLayoutConfig{ICacheSize: 2 << 10}}}}},
+				Config: &opt.CodeLayoutConfig{ICacheSize: 2 << 10}}}}},
 		{"swprefetch presence",
 			Options{Monitoring: true},
 			Options{Monitoring: true, Optimizations: []OptimizationConfig{{Kind: opt.KindSwPrefetch}}}},
 		{"swprefetch tuning",
 			Options{Monitoring: true, Optimizations: []OptimizationConfig{{Kind: opt.KindSwPrefetch}}},
 			Options{Monitoring: true, Optimizations: []OptimizationConfig{{Kind: opt.KindSwPrefetch,
-				SwPrefetch: &opt.SwPrefetchConfig{Distance: 4}}}}},
+				Config: &opt.SwPrefetchConfig{Distance: 4}}}}},
 		{"swprefetch vs codelayout entry",
 			Options{Monitoring: true, Optimizations: []OptimizationConfig{{Kind: opt.KindSwPrefetch}}},
 			Options{Monitoring: true, Optimizations: []OptimizationConfig{{Kind: opt.KindCodeLayout}}}},
+		{"a config of another kind's type still perturbs the hash",
+			Options{Monitoring: true, Optimizations: []OptimizationConfig{{Kind: opt.KindSwPrefetch}}},
+			Options{Monitoring: true, Optimizations: []OptimizationConfig{{Kind: opt.KindSwPrefetch,
+				Config: opt.CodeLayoutConfig{}}}}},
 		{"unknown kinds still perturb the hash",
 			Options{Monitoring: true},
 			Options{Monitoring: true, Optimizations: []OptimizationConfig{{Kind: "future"}}}},

@@ -85,13 +85,13 @@ type Options struct {
 	Coalloc       bool
 	CoallocConfig *coalloc.Config // optional overrides
 
-	// Optimizations selects managed online optimizations by kind
-	// (opt.KindCoalloc, opt.KindCodeLayout, opt.KindSwPrefetch), each
-	// with an optional
-	// per-kind config. The legacy Coalloc switch is shorthand for (and
-	// mutually exclusive with) a coalloc-kind entry; the two spellings
-	// canonicalize — and therefore fingerprint — identically. Every
-	// entry requires Monitoring (the pipeline consumes HPM samples).
+	// Optimizations selects managed online optimizations by kind (any
+	// kind registered with package opt), each with an optional config of
+	// the kind's own type. The legacy Coalloc switch is shorthand for
+	// (and mutually exclusive with) a coalloc-kind entry; the two
+	// spellings canonicalize — and therefore fingerprint — identically.
+	// Every entry requires Monitoring (the pipeline consumes HPM
+	// samples).
 	Optimizations []OptimizationConfig
 
 	// Adaptive enables the AOS sampler for recompilation (plan
@@ -142,11 +142,9 @@ type System struct {
 	AOS     *aos.AOS
 
 	// OptManager drives the managed optimizations (non-nil iff any are
-	// configured); CodeLayout and SwPrefetch are the code-layout and
-	// prefetch-injection optimizations when enabled.
+	// configured). Policy, above, is the managed co-allocation policy
+	// when that kind is among them.
 	OptManager *opt.Manager
-	CodeLayout *opt.CodeLayout
-	SwPrefetch *opt.SwPrefetch
 
 	GenMS   *genms.Collector
 	GenCopy *gencopy.Collector
@@ -264,44 +262,19 @@ func NewSystemOpts(u *classfile.Universe, opts Options) (*System, error) {
 		mcfg.TrackFields = opts.TrackFields
 		s.Monitor = monitor.New(s.VM, s.Module, mcfg)
 
-		if optcfgs := opts.effectiveOptimizations(); len(optcfgs) > 0 {
-			// The manager registers its monitor observer at exactly the
-			// point the pre-framework coalloc.New registered its own —
-			// monitor observer order is part of the byte-identity
-			// contract the golden corpus pins.
+		// The manager observes the monitor before any optimization is
+		// built: monitor observers run in registration order, and that
+		// order is part of the byte-identity contract the golden corpus
+		// pins.
+		if managed, _ := opts.managedOptimizations(); len(managed) > 0 {
 			s.OptManager = opt.NewManager(s.Monitor)
-			for _, oc := range optcfgs {
-				switch oc.Kind {
-				case opt.KindCoalloc:
-					ccfg := coalloc.DefaultConfig()
-					if oc.Coalloc != nil {
-						ccfg = *oc.Coalloc
-					}
-					s.Policy = coalloc.NewPolicy(s.Monitor, ccfg)
-					s.OptManager.Register(s.Policy)
-					if s.GenMS != nil {
-						s.GenMS.SetAdvisor(s.Policy)
-						s.Monitor.SetClassifier(s.GenMS.ClassifyAddr)
-					}
-				case opt.KindCodeLayout:
-					clcfg := opt.DefaultCodeLayoutConfig()
-					if oc.CodeLayout != nil {
-						clcfg = *oc.CodeLayout
-					}
-					clcfg = clcfg.WithDefaults()
-					s.VM.Hier.EnableICache(clcfg.ICacheSize, clcfg.ICacheAssoc)
-					s.VM.CPU.SetIFetch(s.VM.Hier.IFetch, opts.Cache.LineSize)
-					s.CodeLayout = opt.NewCodeLayout(s.VM, s.Monitor, clcfg)
-					s.OptManager.Register(s.CodeLayout)
-				case opt.KindSwPrefetch:
-					spcfg := opt.DefaultSwPrefetchConfig()
-					if oc.SwPrefetch != nil {
-						spcfg = *oc.SwPrefetch
-					}
-					spcfg = spcfg.WithDefaults()
-					s.VM.Hier.EnableSwPrefetch(s.VM.CPU, spcfg.IssueCycles)
-					s.SwPrefetch = opt.NewSwPrefetch(s.VM, s.Monitor, spcfg)
-					s.OptManager.Register(s.SwPrefetch)
+			env := opt.Env{VM: s.VM, Monitor: s.Monitor}
+			for _, e := range managed {
+				d, _ := opt.Lookup(e.Kind)
+				op := d.New(env, e.Config)
+				s.OptManager.Register(op)
+				if p, ok := op.(*coalloc.Policy); ok {
+					s.Policy = p
 				}
 			}
 		}
@@ -547,4 +520,17 @@ func (s *System) OptStats() []opt.KindStats {
 		return nil
 	}
 	return s.OptManager.Stats()
+}
+
+// OptLog returns the decision log of the managed optimization of the
+// given kind (nil when that kind is not configured).
+func (s *System) OptLog(kind string) []string {
+	if s.OptManager != nil {
+		for _, op := range s.OptManager.Optimizations() {
+			if op.Kind() == kind {
+				return op.Log()
+			}
+		}
+	}
+	return nil
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"hpmvm/internal/coalloc"
 	"hpmvm/internal/hw/cache"
 	"hpmvm/internal/monitor"
 	"hpmvm/internal/opt"
@@ -19,45 +18,68 @@ import (
 var ErrBadOptions = errors.New("invalid options")
 
 // OptimizationConfig selects one managed online optimization by kind,
-// with an optional per-kind tuning config (nil selects the kind's
-// defaults). Exactly the config matching Kind may be set.
+// with an optional tuning config.
 type OptimizationConfig struct {
-	// Kind is the optimization name: opt.KindCoalloc,
-	// opt.KindCodeLayout or opt.KindSwPrefetch.
+	// Kind is the name of a kind registered with package opt
+	// (opt.KindCoalloc, ...).
 	Kind string
-	// Coalloc tunes a coalloc-kind entry.
-	Coalloc *coalloc.Config
-	// CodeLayout tunes a codelayout-kind entry.
-	CodeLayout *opt.CodeLayoutConfig
-	// SwPrefetch tunes a swprefetch-kind entry.
-	SwPrefetch *opt.SwPrefetchConfig
+	// Config tunes the entry: nil selects the kind's defaults, otherwise
+	// it is a value of (or pointer to) the config type the kind's
+	// opt.Descriptor declares. Canonical forms carry the resolved value.
+	Config any
 }
 
-// effectiveOptimizations resolves the two configuration spellings into
-// the list NewSystemOpts wires: the legacy Coalloc switch and a
-// coalloc-kind entry merge into one leading coalloc entry (the policy
-// always registers first, preserving the pre-framework observer
-// order), and the remaining entries follow sorted by kind.
-func (o Options) effectiveOptimizations() []OptimizationConfig {
-	hasCoalloc := o.Coalloc
-	coallocCfg := o.CoallocConfig
-	var rest []OptimizationConfig
-	for _, e := range o.Optimizations {
-		if e.Kind == opt.KindCoalloc {
-			hasCoalloc = true
-			if e.Coalloc != nil {
-				coallocCfg = e.Coalloc
-			}
+// managedOptimizations resolves Options into the list of optimizations
+// the system manages, in registration order (sorted by kind), each
+// entry's Config resolved to a value of its kind's config type. It is
+// the one place the legacy Coalloc/CoallocConfig switch folds into the
+// list — as a leading coalloc-kind entry — and the one place entries
+// are checked against the kind registry; Validate, Canonical and
+// NewSystemOpts all go through it. The list is total: Canonical must
+// hash invalid options too, so an offending entry is kept unresolved
+// (a duplicate is dropped) and the first offence is returned as an
+// error wrapping ErrBadOptions.
+func (o Options) managedOptimizations() ([]OptimizationConfig, error) {
+	var firstErr error
+	bad := func(format string, args ...any) {
+		if firstErr == nil {
+			firstErr = fmt.Errorf("core: %w: %s", ErrBadOptions, fmt.Sprintf(format, args...))
+		}
+	}
+	entries := o.Optimizations
+	if o.Coalloc {
+		entries = append([]OptimizationConfig{{Kind: opt.KindCoalloc, Config: o.CoallocConfig}}, entries...)
+	} else if o.CoallocConfig != nil {
+		bad("CoallocConfig set without Coalloc")
+	}
+	list := make([]OptimizationConfig, 0, len(entries))
+	seen := make(map[string]bool, len(entries))
+	for _, e := range entries {
+		if seen[e.Kind] {
+			bad("optimization kind %q configured twice (the legacy Coalloc switch counts as a coalloc entry)", e.Kind)
 			continue
 		}
-		rest = append(rest, e)
+		seen[e.Kind] = true
+		d, known := opt.Lookup(e.Kind)
+		if !known {
+			bad("unknown optimization kind %q", e.Kind)
+		} else if cfg, err := d.Resolve(e.Config); err != nil {
+			bad("%v", err)
+		} else {
+			e.Config = cfg
+			switch {
+			case !o.Monitoring:
+				bad("the %s optimization requires Monitoring (the pipeline consumes HPM samples)", e.Kind)
+			case d.NeedsGenMS && o.Collector != GenMS:
+				bad("the %s optimization requires the GenMS collector", e.Kind)
+			case d.ExactOnly && o.Sampling != nil:
+				bad("the %s optimization is not supported in sampled mode (it changes a cost model mid-run)", e.Kind)
+			}
+		}
+		list = append(list, e)
 	}
-	sort.SliceStable(rest, func(i, j int) bool { return rest[i].Kind < rest[j].Kind })
-	var out []OptimizationConfig
-	if hasCoalloc {
-		out = append(out, OptimizationConfig{Kind: opt.KindCoalloc, Coalloc: coallocCfg})
-	}
-	return append(out, rest...)
+	sort.SliceStable(list, func(i, j int) bool { return list[i].Kind < list[j].Kind })
+	return list, firstErr
 }
 
 // Option is a functional setting applied by NewSystemWith. Options
@@ -106,46 +128,6 @@ func WithMonitorConfig(cfg monitor.Config) Option {
 // monitoring and the GenMS collector (validated).
 func WithCoalloc() Option {
 	return func(o *Options) { o.Coalloc = true }
-}
-
-// WithCoallocConfig enables co-allocation with explicit policy tuning.
-func WithCoallocConfig(cfg coalloc.Config) Option {
-	return func(o *Options) {
-		o.Coalloc = true
-		o.CoallocConfig = &cfg
-	}
-}
-
-// WithCodeLayout enables the hot/cold code-layout optimization.
-// Requires monitoring (validated).
-func WithCodeLayout() Option {
-	return func(o *Options) {
-		o.Optimizations = append(o.Optimizations, OptimizationConfig{Kind: opt.KindCodeLayout})
-	}
-}
-
-// WithCodeLayoutConfig enables code layout with explicit tuning.
-func WithCodeLayoutConfig(cfg opt.CodeLayoutConfig) Option {
-	return func(o *Options) {
-		o.Optimizations = append(o.Optimizations,
-			OptimizationConfig{Kind: opt.KindCodeLayout, CodeLayout: &cfg})
-	}
-}
-
-// WithSwPrefetch enables the software prefetch-injection optimization.
-// Requires monitoring (validated).
-func WithSwPrefetch() Option {
-	return func(o *Options) {
-		o.Optimizations = append(o.Optimizations, OptimizationConfig{Kind: opt.KindSwPrefetch})
-	}
-}
-
-// WithSwPrefetchConfig enables prefetch injection with explicit tuning.
-func WithSwPrefetchConfig(cfg opt.SwPrefetchConfig) Option {
-	return func(o *Options) {
-		o.Optimizations = append(o.Optimizations,
-			OptimizationConfig{Kind: opt.KindSwPrefetch, SwPrefetch: &cfg})
-	}
 }
 
 // WithAdaptive enables the AOS sampler (plan recording mode).
@@ -198,12 +180,6 @@ func (o Options) Validate() error {
 	if o.Collector != GenMS && o.Collector != GenCopy {
 		return fmt.Errorf("core: %w: unknown collector kind %d", ErrBadOptions, int(o.Collector))
 	}
-	if o.Coalloc && !o.Monitoring {
-		return fmt.Errorf("core: %w: Coalloc requires Monitoring (the policy consumes HPM samples)", ErrBadOptions)
-	}
-	if o.Coalloc && o.Collector == GenCopy {
-		return fmt.Errorf("core: %w: Coalloc requires the GenMS collector (GenCopy cannot co-allocate)", ErrBadOptions)
-	}
 	if o.Event < 0 || o.Event >= cache.NumEventKinds {
 		return fmt.Errorf("core: %w: unknown hardware event kind %d", ErrBadOptions, int(o.Event))
 	}
@@ -213,66 +189,11 @@ func (o Options) Validate() error {
 	if o.MonitorConfig != nil && !o.Monitoring {
 		return fmt.Errorf("core: %w: MonitorConfig set without Monitoring", ErrBadOptions)
 	}
-	if o.CoallocConfig != nil && !o.Coalloc {
-		return fmt.Errorf("core: %w: CoallocConfig set without Coalloc", ErrBadOptions)
-	}
 	if o.AOSConfig != nil && !o.Adaptive {
 		return fmt.Errorf("core: %w: AOSConfig set without Adaptive", ErrBadOptions)
 	}
-	seen := make(map[string]bool, len(o.Optimizations))
-	for i, e := range o.Optimizations {
-		if seen[e.Kind] {
-			return fmt.Errorf("core: %w: duplicate optimization kind %q", ErrBadOptions, e.Kind)
-		}
-		seen[e.Kind] = true
-		switch e.Kind {
-		case opt.KindCoalloc:
-			if e.CodeLayout != nil {
-				return fmt.Errorf("core: %w: coalloc optimization entry carries a CodeLayout config", ErrBadOptions)
-			}
-			if e.SwPrefetch != nil {
-				return fmt.Errorf("core: %w: coalloc optimization entry carries a SwPrefetch config", ErrBadOptions)
-			}
-			if o.Coalloc {
-				return fmt.Errorf("core: %w: both the legacy Coalloc switch and a coalloc optimization entry are set", ErrBadOptions)
-			}
-			if !o.Monitoring {
-				return fmt.Errorf("core: %w: the coalloc optimization requires Monitoring (the policy consumes HPM samples)", ErrBadOptions)
-			}
-			if o.Collector == GenCopy {
-				return fmt.Errorf("core: %w: the coalloc optimization requires the GenMS collector (GenCopy cannot co-allocate)", ErrBadOptions)
-			}
-		case opt.KindCodeLayout:
-			if e.Coalloc != nil {
-				return fmt.Errorf("core: %w: codelayout optimization entry carries a Coalloc config", ErrBadOptions)
-			}
-			if e.SwPrefetch != nil {
-				return fmt.Errorf("core: %w: codelayout optimization entry carries a SwPrefetch config", ErrBadOptions)
-			}
-			if !o.Monitoring {
-				return fmt.Errorf("core: %w: the codelayout optimization requires Monitoring (hotness comes from HPM samples)", ErrBadOptions)
-			}
-			if o.Sampling != nil {
-				return fmt.Errorf("core: %w: the codelayout optimization is not supported in sampled mode (relocation changes the fetch cost model mid-run)", ErrBadOptions)
-			}
-		case opt.KindSwPrefetch:
-			if e.Coalloc != nil {
-				return fmt.Errorf("core: %w: swprefetch optimization entry carries a Coalloc config", ErrBadOptions)
-			}
-			if e.CodeLayout != nil {
-				return fmt.Errorf("core: %w: swprefetch optimization entry carries a CodeLayout config", ErrBadOptions)
-			}
-			if !o.Monitoring {
-				return fmt.Errorf("core: %w: the swprefetch optimization requires Monitoring (strides come from sampled miss addresses)", ErrBadOptions)
-			}
-			if o.Sampling != nil {
-				return fmt.Errorf("core: %w: the swprefetch optimization is not supported in sampled mode (injected prefetches change the access cost model mid-run)", ErrBadOptions)
-			}
-		default:
-			return fmt.Errorf("core: %w: unknown optimization kind %q (entry %d)", ErrBadOptions, e.Kind, i)
-		}
-	}
-	return nil
+	_, err := o.managedOptimizations()
+	return err
 }
 
 // withDefaults resolves zero values to their documented defaults. It

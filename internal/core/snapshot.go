@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"hpmvm/internal/obs"
+	"hpmvm/internal/opt"
 	"hpmvm/internal/snap"
 )
 
@@ -87,14 +88,13 @@ func (s *System) components() []component {
 	if s.Monitor != nil {
 		list = append(list, component{"monitor", s.Monitor})
 	}
-	if s.Policy != nil {
-		list = append(list, component{"coalloc", s.Policy})
-	}
-	if s.CodeLayout != nil {
-		list = append(list, component{"opt/codelayout", s.CodeLayout})
-	}
-	if s.SwPrefetch != nil {
-		list = append(list, component{"opt/swprefetch", s.SwPrefetch})
+	if s.OptManager != nil {
+		for _, op := range s.OptManager.Optimizations() {
+			if c, ok := op.(snap.Checkpointable); ok {
+				d, _ := opt.Lookup(op.Kind())
+				list = append(list, component{d.Component, c})
+			}
+		}
 	}
 	if s.AOS != nil {
 		list = append(list, component{"vm/aos", s.AOS})

@@ -46,7 +46,7 @@ func snapConfigs() map[string]core.Options {
 		"genms-monitoring-swprefetch": {HeapLimit: 8 << 20,
 			Monitoring: true, SamplingInterval: 500, Observe: true,
 			Optimizations: []core.OptimizationConfig{{Kind: opt.KindSwPrefetch,
-				SwPrefetch: &opt.SwPrefetchConfig{MinSamples: 1, EvalPeriods: 1, MinConfidence: 2}}}},
+				Config: &opt.SwPrefetchConfig{MinSamples: 1, EvalPeriods: 1, MinConfidence: 2}}}},
 	}
 }
 

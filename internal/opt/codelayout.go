@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"sort"
 
-	"hpmvm/internal/hw/cache"
 	"hpmvm/internal/hw/cpu"
-	"hpmvm/internal/monitor"
 	"hpmvm/internal/obs"
 	"hpmvm/internal/snap"
 	"hpmvm/internal/vm/runtime"
@@ -33,37 +31,17 @@ import (
 // padded onto the same cache way — to exercise the revert path
 // (Figure 7's bad-decision experiment, transplanted to code layout).
 type CodeLayout struct {
-	cfg  CodeLayoutConfig
-	vm   *runtime.VM
-	mon  *monitor.Monitor
-	hier *cache.Hierarchy
+	guarded
+	cfg CodeLayoutConfig
+	vm  *runtime.VM
 
 	// samples holds interval-weighted sample counts per method ID (the
-	// hotness ranking); seen counts raw sink deliveries (the MinSamples
-	// gate).
+	// hotness ranking).
 	samples map[int]uint64
-	seen    uint64
-
-	// history records the cumulative L1I (fetches, misses) counters at
-	// each poll; rate-over-window queries difference its tail.
-	history []ipoint
 
 	// lastLayout is the hot set most recently laid out, in layout
 	// order; a new layout is proposed only when the hot *set* changes.
 	lastLayout []int
-
-	open      *Decision
-	epoch     int
-	decisions uint64
-	reverts   uint64
-	badDone   bool
-
-	log []string
-}
-
-// ipoint is one poll's cumulative instruction-cache counters.
-type ipoint struct {
-	fetches, misses uint64
 }
 
 // CodeLayoutConfig parameterizes the code-layout optimization,
@@ -130,25 +108,21 @@ func DefaultCodeLayoutConfig() CodeLayoutConfig {
 // default build — and fingerprint — identically.
 func (c CodeLayoutConfig) WithDefaults() CodeLayoutConfig {
 	d := DefaultCodeLayoutConfig()
-	if c.ICacheSize == 0 {
-		c.ICacheSize = d.ICacheSize
-	}
-	if c.ICacheAssoc == 0 {
-		c.ICacheAssoc = d.ICacheAssoc
-	}
-	if c.EvalPeriods == 0 {
-		c.EvalPeriods = d.EvalPeriods
-	}
-	if c.RegressionFactor == 0 {
-		c.RegressionFactor = d.RegressionFactor
-	}
-	if c.MinMissRate == 0 {
-		c.MinMissRate = d.MinMissRate
-	}
-	if c.MaxReverts == 0 {
-		c.MaxReverts = d.MaxReverts
-	}
+	orDefault(&c.ICacheSize, d.ICacheSize)
+	orDefault(&c.ICacheAssoc, d.ICacheAssoc)
+	orDefault(&c.EvalPeriods, d.EvalPeriods)
+	orDefault(&c.RegressionFactor, d.RegressionFactor)
+	orDefault(&c.MinMissRate, d.MinMissRate)
+	orDefault(&c.MaxReverts, d.MaxReverts)
 	return c
+}
+
+// orDefault resolves a zero config field to its default.
+func orDefault[T comparable](v *T, d T) {
+	var zero T
+	if *v == zero {
+		*v = d
+	}
 }
 
 // layoutPlan is the Analyze→Apply payload: which methods to relocate
@@ -158,25 +132,34 @@ type layoutPlan struct {
 	conflict bool
 }
 
-// layoutState is the per-decision payload consulted by Assess/Revert.
-type layoutState struct {
-	baseline float64 // L1I miss rate over EvalPeriods polls pre-apply
-	conflict bool
+func init() {
+	Register(Describe(KindCodeLayout, codeLayoutComponent, Requirements{ExactOnly: true},
+		DefaultCodeLayoutConfig, CodeLayoutConfig.WithDefaults, NewCodeLayout))
 }
 
-// NewCodeLayout builds the optimization over a VM whose hierarchy has
-// the instruction cache enabled, registers its sample sink with the
-// monitor, and returns it ready for Manager.Register.
-func NewCodeLayout(vm *runtime.VM, mon *monitor.Monitor, cfg CodeLayoutConfig) *CodeLayout {
+// NewCodeLayout switches on the instruction-cache model the config
+// asks for, builds the optimization over it, registers its sample sink
+// with the monitor, and returns it ready for Manager.Register.
+func NewCodeLayout(env Env, cfg CodeLayoutConfig) *CodeLayout {
 	cfg = cfg.WithDefaults()
+	hier := env.VM.Hier
+	hier.EnableICache(cfg.ICacheSize, cfg.ICacheAssoc)
+	env.VM.CPU.SetIFetch(hier.IFetch, hier.Config().LineSize)
 	c := &CodeLayout{
+		guarded: guarded{mon: env.Monitor, p: guardParams{
+			MinSamples:       cfg.MinSamples,
+			EvalPeriods:      cfg.EvalPeriods,
+			RegressionFactor: cfg.RegressionFactor,
+			MinMissRate:      cfg.MinMissRate,
+			MaxReverts:       cfg.MaxReverts,
+			BadAtCycle:       cfg.BadPadAtCycle,
+			Passive:          cfg.Passive,
+		}},
 		cfg:     cfg,
-		vm:      vm,
-		mon:     mon,
-		hier:    vm.Hier,
+		vm:      env.VM,
 		samples: make(map[int]uint64),
 	}
-	mon.AddSink(func(pc, dataAddr uint64, methodID int, interval uint64) {
+	env.Monitor.AddSink(func(pc, dataAddr uint64, methodID int, interval uint64) {
 		c.samples[methodID] += interval
 		c.seen++
 	})
@@ -186,64 +169,30 @@ func NewCodeLayout(vm *runtime.VM, mon *monitor.Monitor, cfg CodeLayoutConfig) *
 // Kind implements Optimization.
 func (c *CodeLayout) Kind() string { return KindCodeLayout }
 
-// MonitorWindow implements Optimization: a layout is first assessed
-// EvalPeriods polls after it was applied.
-func (c *CodeLayout) MonitorWindow() uint64 { return c.cfg.EvalPeriods }
-
 // Analyze implements Optimization. Every poll it records the
-// instruction-cache counters (the rate history assessment differences);
-// when no decision is open and the hot set changed, it proposes one
-// layout.
+// instruction-cache counters (the L1I miss rate is both the verdict
+// and the floor rate); when the guards pass and the hot set changed, it
+// proposes one layout.
 func (c *CodeLayout) Analyze(now uint64) []Proposal {
-	ist := c.hier.IStats()
-	c.history = append(c.history, ipoint{ist.Fetches, ist.Misses})
-
-	if c.cfg.Passive || c.open != nil || c.seen < c.cfg.MinSamples {
+	ist := c.vm.Hier.IStats()
+	c.record(ist.Fetches, ist.Misses, ist.Misses)
+	inject, ok := c.gate(now)
+	if !ok {
 		return nil
-	}
-	if uint64(len(c.history)) < c.cfg.EvalPeriods+1 {
-		return nil // no baseline window yet
 	}
 	hot := c.hotOrder()
 	if len(hot) == 0 {
 		return nil
 	}
-	if c.cfg.MaxReverts >= 0 && c.reverts >= uint64(c.cfg.MaxReverts) {
-		return nil // backed off: layout has been reverted too often here
-	}
-	if uint64(len(c.history)) < 2*c.cfg.EvalPeriods+1 {
-		return nil
-	}
-	short := c.rateOver(c.cfg.EvalPeriods)
-	// Warmup guard: while cold-start misses dominate, the rate declines
-	// steeply and a baseline captured now would overstate steady state,
-	// masking a bad layout at assessment. Propose only once the recent
-	// window is within 20% of the longer one. The bad-decision injection
-	// waits it out too — its scenario is a bad call in steady state,
-	// judged against an honest baseline.
-	if long := c.rateOver(2 * c.cfg.EvalPeriods); short < long*0.8 {
-		return nil
-	}
-	if c.cfg.BadPadAtCycle != 0 && now >= c.cfg.BadPadAtCycle && !c.badDone {
-		return []Proposal{{
-			Target: c.epoch,
-			Label:  fmt.Sprintf("conflict layout of %d hot methods", len(hot)),
-			Code:   obs.DecisionIntervene,
-			State:  &layoutPlan{methods: hot, conflict: true},
-		}}
-	}
-	if short < c.cfg.MinMissRate {
-		return nil // no instruction-cache pressure: relocating would only cost
+	if inject {
+		return c.propose(fmt.Sprintf("conflict layout of %d hot methods", len(hot)),
+			obs.DecisionIntervene, &layoutPlan{methods: hot, conflict: true})
 	}
 	if sameSet(hot, c.lastLayout) {
 		return nil
 	}
-	return []Proposal{{
-		Target: c.epoch,
-		Label:  fmt.Sprintf("packed layout of %d hot methods", len(hot)),
-		Code:   obs.DecisionActivate,
-		State:  &layoutPlan{methods: hot},
-	}}
+	return c.propose(fmt.Sprintf("packed layout of %d hot methods", len(hot)),
+		obs.DecisionActivate, &layoutPlan{methods: hot})
 }
 
 // Apply implements Optimization: relocate the plan's methods at the
@@ -254,26 +203,18 @@ func (c *CodeLayout) Apply(now uint64, p Proposal) {
 	if plan.conflict {
 		c.applyConflict(plan.methods)
 	} else {
-		pads := make([]int, len(plan.methods))
-		if err := c.vm.RelocateMethods(plan.methods, pads); err != nil {
-			panic(fmt.Sprintf("opt: codelayout relocation failed: %v", err))
-		}
+		c.pack(plan.methods)
 	}
-	baseline := c.rateOver(c.cfg.EvalPeriods)
-	c.open = &Decision{
-		Target:      p.Target,
-		Label:       p.Label,
-		AppliedAt:   now,
-		AppliedPoll: c.mon.Stats().Polls,
-		State:       &layoutState{baseline: baseline, conflict: plan.conflict},
-	}
-	c.epoch++
-	c.decisions++
 	c.lastLayout = append([]int(nil), plan.methods...)
-	if plan.conflict {
-		c.badDone = true
-	}
+	baseline := c.opened(p, plan.conflict)
 	c.logf(now, "layout #%d: %s (baseline L1I miss rate %.5f)", p.Target, p.Label, baseline)
+}
+
+// pack relocates the methods back-to-back.
+func (c *CodeLayout) pack(methods []int) {
+	if err := c.vm.RelocateMethods(methods, make([]int, len(methods))); err != nil {
+		panic(fmt.Sprintf("opt: codelayout relocation failed: %v", err))
+	}
 }
 
 // applyConflict relocates the methods one at a time, padding each onto
@@ -297,27 +238,14 @@ func (c *CodeLayout) applyConflict(methods []int) {
 	}
 }
 
-// OpenDecisions implements Optimization: at most one layout is
-// monitored at a time.
-func (c *CodeLayout) OpenDecisions() []*Decision {
-	if c.open == nil {
-		return nil
-	}
-	return []*Decision{c.open}
-}
-
 // Assess implements Optimization: compare the L1I miss rate over the
-// assessment window against the pre-layout baseline. A kept decision
-// closes — layouts are judged once, like the paper's Figure-7 window.
+// assessment window against the pre-layout baseline.
 func (c *CodeLayout) Assess(now uint64, d *Decision) Assessment {
-	st := d.State.(*layoutState)
-	cur := c.rateOver(c.cfg.EvalPeriods)
-	if st.baseline > 0 && cur > st.baseline*c.cfg.RegressionFactor {
-		return Assessment{Verdict: VerdictBad, Reason: obs.DecisionRevertRate, A: cur, B: st.baseline}
+	a := c.verdict()
+	if a.Verdict == VerdictKeep {
+		c.logf(now, "layout #%d kept (L1I miss rate %.5f, baseline %.5f)", d.Target, a.A, a.B)
 	}
-	c.open = nil
-	c.logf(now, "layout #%d kept (L1I miss rate %.5f, baseline %.5f)", d.Target, cur, st.baseline)
-	return Assessment{Verdict: VerdictKeep, A: cur, B: st.baseline}
+	return a
 }
 
 // Revert implements Optimization: undo a bad layout by re-packing the
@@ -328,30 +256,11 @@ func (c *CodeLayout) Revert(now uint64, d *Decision, a Assessment) {
 	if len(hot) == 0 {
 		hot = append([]int(nil), c.lastLayout...)
 	}
-	pads := make([]int, len(hot))
-	if err := c.vm.RelocateMethods(hot, pads); err != nil {
-		panic(fmt.Sprintf("opt: codelayout revert relocation failed: %v", err))
-	}
+	c.pack(hot)
 	c.lastLayout = hot
-	c.reverts++
-	c.open = nil
+	c.reverted()
 	c.logf(now, "layout #%d reverted (L1I miss rate %.5f vs baseline %.5f): repacked %d methods",
 		d.Target, a.A, a.B, len(hot))
-}
-
-// Stats implements Optimization.
-func (c *CodeLayout) Stats() Stats {
-	return Stats{Decisions: c.decisions, Reverts: c.reverts}
-}
-
-// Log returns the decision log ("[cycle N] ..." lines).
-func (c *CodeLayout) Log() []string { return c.log }
-
-// Epoch returns how many layouts have been applied.
-func (c *CodeLayout) Epoch() int { return c.epoch }
-
-func (c *CodeLayout) logf(now uint64, format string, args ...any) {
-	c.log = append(c.log, fmt.Sprintf("[cycle %d] %s", now, fmt.Sprintf(format, args...)))
 }
 
 // hotOrder returns the sampled methods hottest-first (ties broken by
@@ -392,22 +301,6 @@ func (c *CodeLayout) hotOrder() []int {
 	return fit
 }
 
-// rateOver returns the L1I miss rate over the last k polls of history
-// (0 when the window saw no fetches).
-func (c *CodeLayout) rateOver(k uint64) float64 {
-	n := uint64(len(c.history))
-	if n < k+1 || k == 0 {
-		return 0
-	}
-	a, b := c.history[n-1-k], c.history[n-1]
-	dF := b.fetches - a.fetches
-	dM := b.misses - a.misses
-	if dF == 0 {
-		return 0
-	}
-	return float64(dM) / float64(dF)
-}
-
 // sameSet reports whether two method-ID lists contain the same IDs
 // (order-insensitively) — layout order shuffles within a stable hot
 // set do not justify another relocation.
@@ -428,21 +321,20 @@ func sameSet(a, b []int) bool {
 }
 
 // Snapshot/Restore implement snap.Checkpointable. Everything the
-// decision loop consults is serialized: the hotness accounting, the
-// per-poll I-cache history, the layout bookkeeping and the open
-// decision — a restored system assesses and relocates exactly like the
-// origin (the code space itself is rebuilt by the VM's recompile-log
-// replay, including pads).
+// decision loop consults is serialized: the guard state, the hotness
+// accounting and the layout bookkeeping — a restored system assesses
+// and relocates exactly like the origin (the code space itself is
+// rebuilt by the VM's recompile-log replay, including pads).
 
 const (
 	codeLayoutComponent = "opt/codelayout"
-	codeLayoutVersion   = 1
+	codeLayoutVersion   = 2
 )
 
 // Snapshot serializes the optimization state.
 func (c *CodeLayout) Snapshot() snap.ComponentState {
 	var w snap.Writer
-	w.U64(c.seen)
+	c.encode(&w)
 	ids := make([]int, 0, len(c.samples))
 	for id := range c.samples {
 		ids = append(ids, id)
@@ -453,32 +345,9 @@ func (c *CodeLayout) Snapshot() snap.ComponentState {
 		w.I64(int64(id))
 		w.U64(c.samples[id])
 	}
-	w.U64(uint64(len(c.history)))
-	for _, p := range c.history {
-		w.U64(p.fetches)
-		w.U64(p.misses)
-	}
 	w.U64(uint64(len(c.lastLayout)))
 	for _, id := range c.lastLayout {
 		w.I64(int64(id))
-	}
-	w.U64(uint64(c.epoch))
-	w.U64(c.decisions)
-	w.U64(c.reverts)
-	w.Bool(c.badDone)
-	w.Bool(c.open != nil)
-	if c.open != nil {
-		st := c.open.State.(*layoutState)
-		w.I64(int64(c.open.Target))
-		w.String(c.open.Label)
-		w.U64(c.open.AppliedAt)
-		w.U64(c.open.AppliedPoll)
-		w.F64(st.baseline)
-		w.Bool(st.conflict)
-	}
-	w.U64(uint64(len(c.log)))
-	for _, l := range c.log {
-		w.String(l)
 	}
 	return snap.ComponentState{Component: codeLayoutComponent, Version: codeLayoutVersion, Data: w.Bytes()}
 }
@@ -489,59 +358,22 @@ func (c *CodeLayout) Restore(st snap.ComponentState) error {
 		return err
 	}
 	r := snap.NewReader(st.Data)
-	seen := r.U64()
-	nSamples := r.U64()
+	gs := decodeGuardState(r)
+	nSamples := r.Count(16)
 	samples := make(map[int]uint64, nSamples)
-	for i := uint64(0); i < nSamples && r.Err() == nil; i++ {
+	for i := 0; i < nSamples; i++ {
 		id := int(r.I64())
 		samples[id] = r.U64()
 	}
-	nHist := r.U64()
-	history := make([]ipoint, 0, nHist)
-	for i := uint64(0); i < nHist && r.Err() == nil; i++ {
-		var p ipoint
-		p.fetches = r.U64()
-		p.misses = r.U64()
-		history = append(history, p)
-	}
-	nLayout := r.U64()
-	lastLayout := make([]int, 0, nLayout)
-	for i := uint64(0); i < nLayout && r.Err() == nil; i++ {
-		lastLayout = append(lastLayout, int(r.I64()))
-	}
-	epoch := int(r.U64())
-	decisions := r.U64()
-	reverts := r.U64()
-	badDone := r.Bool()
-	var open *Decision
-	if r.Bool() {
-		open = &Decision{}
-		open.Target = int(r.I64())
-		open.Label = r.String()
-		open.AppliedAt = r.U64()
-		open.AppliedPoll = r.U64()
-		ls := &layoutState{}
-		ls.baseline = r.F64()
-		ls.conflict = r.Bool()
-		open.State = ls
-	}
-	nLog := r.U64()
-	log := make([]string, 0, nLog)
-	for i := uint64(0); i < nLog && r.Err() == nil; i++ {
-		log = append(log, r.String())
+	lastLayout := make([]int, r.Count(8))
+	for i := range lastLayout {
+		lastLayout[i] = int(r.I64())
 	}
 	if err := r.Close(); err != nil {
 		return err
 	}
-	c.seen = seen
+	c.guardState = gs
 	c.samples = samples
-	c.history = history
 	c.lastLayout = lastLayout
-	c.epoch = epoch
-	c.decisions = decisions
-	c.reverts = reverts
-	c.badDone = badDone
-	c.open = open
-	c.log = log
 	return nil
 }

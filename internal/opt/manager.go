@@ -24,10 +24,10 @@ type Manager struct {
 	opts []Optimization
 }
 
-// NewManager creates a manager observing mon's poll ticks. The caller
-// must register it at the same wiring point the pre-framework
-// co-allocation policy attached its observer (order of monitor
-// observers is part of the byte-identity contract).
+// NewManager creates a manager observing mon's poll ticks. Monitor
+// observers run in registration order and that order is part of the
+// byte-identity contract the golden corpus pins, so the caller creates
+// the manager right after the monitor, before anything else observes it.
 func NewManager(mon *monitor.Monitor) *Manager {
 	m := &Manager{mon: mon}
 	mon.AddObserver(m.observe)

@@ -15,12 +15,20 @@
 // optimization's monitoring window, and reverts decisions the
 // assessment flags as regressions.
 //
-// Two implementations exist: the ported co-allocation policy
-// (coalloc.Policy implements Optimization byte-identically to its
-// pre-framework behaviour — the golden corpus pins this) and the
-// hot/cold code-layout optimization in this package (codelayout.go),
-// which relocates hot compiled methods onto adjacent instruction-cache
-// lines.
+// Three kinds ship: the ported co-allocation policy (coalloc.Policy
+// implements Optimization; the golden corpus pins its behaviour), the
+// hot/cold code-layout optimization (codelayout.go), which relocates
+// hot compiled methods onto adjacent instruction-cache lines, and
+// software prefetch injection at strided miss sites (swprefetch.go).
+//
+// A kind presents itself to the rest of the system through one
+// Descriptor (kind.go) registered next to its implementation;
+// internal/core derives validation, canonicalization, wiring and the
+// snapshot component list from the registry and names no kind itself.
+// Kinds that keep a single decision open and verify it against a
+// before/after rate embed the guarded-decision helper (guard.go) and
+// supply only what is their own: what to decide and how to enact and
+// undo it.
 package opt
 
 // Kind names for the shipped optimizations.
@@ -64,10 +72,6 @@ type Proposal struct {
 type Decision struct {
 	// Target mirrors the proposal's Target.
 	Target int
-	// Label is a human-readable description.
-	Label string
-	// AppliedAt is the simulated cycle Apply ran at.
-	AppliedAt uint64
 	// AppliedPoll is the monitor poll count when Apply ran; the
 	// manager gates assessment on polls-since-apply reaching the
 	// optimization's MonitorWindow.
@@ -151,4 +155,6 @@ type Optimization interface {
 	Revert(now uint64, d *Decision, a Assessment)
 	// Stats reports the decision/revert counters.
 	Stats() Stats
+	// Log returns the decision log ("[cycle N] ..." lines).
+	Log() []string
 }

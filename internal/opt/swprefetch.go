@@ -2,10 +2,9 @@ package opt
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
-	"hpmvm/internal/hw/cache"
-	"hpmvm/internal/monitor"
 	"hpmvm/internal/obs"
 	"hpmvm/internal/snap"
 	"hpmvm/internal/vm/runtime"
@@ -43,34 +42,19 @@ import (
 // line's own set) to exercise the revert path — Figure 7's
 // bad-decision experiment, transplanted to prefetch injection.
 type SwPrefetch struct {
-	cfg  SwPrefetchConfig
-	vm   *runtime.VM
-	mon  *monitor.Monitor
-	hier *cache.Hierarchy
+	guarded
+	cfg SwPrefetchConfig
+	vm  *runtime.VM
 
 	// streams is the per-PC stride detector table, bounded at
-	// MaxStreams with least-seen eviction; seen counts raw sink
-	// deliveries (the MinSamples gate).
+	// MaxStreams with least-seen eviction.
 	streams map[uint64]*swStream
-	seen    uint64
-
-	// history records the cumulative data-cache counters at each poll;
-	// rate-over-window queries difference its tail.
-	history []dpoint
 
 	// installed is the currently injected site set (PC → prefetch
 	// delta in bytes) with the owning method of each site; a new
 	// injection is proposed only when the confident set changes.
 	installed   map[uint64]int64
 	siteMethods map[uint64]int
-
-	open      *Decision
-	epoch     int
-	decisions uint64
-	reverts   uint64
-	badDone   bool
-
-	log []string
 }
 
 // swStream is one detector entry: the last sampled miss address at a
@@ -81,11 +65,6 @@ type swStream struct {
 	conf     int
 	seen     uint64
 	methodID int
-}
-
-// dpoint is one poll's cumulative data-cache counters.
-type dpoint struct {
-	accesses, misses, cycles uint64
 }
 
 // minStrideGCD is the smallest common divisor the detector accepts as
@@ -163,66 +142,54 @@ func DefaultSwPrefetchConfig() SwPrefetchConfig {
 // identically.
 func (c SwPrefetchConfig) WithDefaults() SwPrefetchConfig {
 	d := DefaultSwPrefetchConfig()
-	if c.MinConfidence == 0 {
-		c.MinConfidence = d.MinConfidence
-	}
-	if c.MaxSites == 0 {
-		c.MaxSites = d.MaxSites
-	}
-	if c.Distance == 0 {
-		c.Distance = d.Distance
-	}
-	if c.MaxStreams == 0 {
-		c.MaxStreams = d.MaxStreams
-	}
-	if c.IssueCycles == 0 {
-		c.IssueCycles = d.IssueCycles
-	}
-	if c.EvalPeriods == 0 {
-		c.EvalPeriods = d.EvalPeriods
-	}
-	if c.RegressionFactor == 0 {
-		c.RegressionFactor = d.RegressionFactor
-	}
-	if c.MinMissRate == 0 {
-		c.MinMissRate = d.MinMissRate
-	}
-	if c.MaxReverts == 0 {
-		c.MaxReverts = d.MaxReverts
-	}
+	orDefault(&c.MinConfidence, d.MinConfidence)
+	orDefault(&c.MaxSites, d.MaxSites)
+	orDefault(&c.Distance, d.Distance)
+	orDefault(&c.MaxStreams, d.MaxStreams)
+	orDefault(&c.IssueCycles, d.IssueCycles)
+	orDefault(&c.EvalPeriods, d.EvalPeriods)
+	orDefault(&c.RegressionFactor, d.RegressionFactor)
+	orDefault(&c.MinMissRate, d.MinMissRate)
+	orDefault(&c.MaxReverts, d.MaxReverts)
 	return c
 }
 
-// swPlan is the Analyze→Apply payload: the site set to install and
-// whether it is the deliberate polluting injection.
+// swPlan is a site set to install: the Analyze→Apply payload (bad marks
+// the deliberate polluting injection), and — as the open decision's
+// State — the set that was live before it, which Revert reinstalls.
 type swPlan struct {
 	sites   map[uint64]int64
 	methods map[uint64]int
 	bad     bool
 }
 
-// swDecState is the per-decision payload consulted by Assess/Revert.
-type swDecState struct {
-	baseline    float64 // cycles/access over EvalPeriods polls pre-apply
-	prev        map[uint64]int64
-	prevMethods map[uint64]int
-	bad         bool
+func init() {
+	Register(Describe(KindSwPrefetch, swPrefetchComponent, Requirements{ExactOnly: true},
+		DefaultSwPrefetchConfig, SwPrefetchConfig.WithDefaults, NewSwPrefetch))
 }
 
-// NewSwPrefetch builds the optimization over a VM whose hierarchy has
-// software prefetching enabled (cache.Hierarchy.EnableSwPrefetch),
-// registers its sample sink with the monitor and its site-invalidation
-// hook with the VM, and returns it ready for Manager.Register.
-func NewSwPrefetch(vm *runtime.VM, mon *monitor.Monitor, cfg SwPrefetchConfig) *SwPrefetch {
+// NewSwPrefetch switches on the hierarchy's software-prefetch model,
+// builds the optimization over it, registers its sample sink with the
+// monitor and its site-invalidation hook with the VM, and returns it
+// ready for Manager.Register.
+func NewSwPrefetch(env Env, cfg SwPrefetchConfig) *SwPrefetch {
 	cfg = cfg.WithDefaults()
+	env.VM.Hier.EnableSwPrefetch(env.VM.CPU, cfg.IssueCycles)
 	s := &SwPrefetch{
+		guarded: guarded{mon: env.Monitor, p: guardParams{
+			MinSamples:       cfg.MinSamples,
+			EvalPeriods:      cfg.EvalPeriods,
+			RegressionFactor: cfg.RegressionFactor,
+			MinMissRate:      cfg.MinMissRate,
+			MaxReverts:       cfg.MaxReverts,
+			BadAtCycle:       cfg.BadInjectAtCycle,
+			Passive:          cfg.Passive,
+		}},
 		cfg:     cfg,
-		vm:      vm,
-		mon:     mon,
-		hier:    vm.Hier,
+		vm:      env.VM,
 		streams: make(map[uint64]*swStream),
 	}
-	mon.AddSink(func(pc, dataAddr uint64, methodID int, interval uint64) {
+	env.Monitor.AddSink(func(pc, dataAddr uint64, methodID int, interval uint64) {
 		s.seen++
 		if dataAddr != 0 {
 			s.observe(pc, dataAddr, methodID)
@@ -232,7 +199,7 @@ func NewSwPrefetch(vm *runtime.VM, mon *monitor.Monitor, cfg SwPrefetchConfig) *
 	// stack) but new invocations run the fresh body, so sites keyed on
 	// the old body's PCs decay into dead issue cost. Drop the method's
 	// sites and detector streams and reinstall the remainder.
-	vm.OnRecompile(func(methodID int) { s.dropMethod(methodID) })
+	env.VM.OnRecompile(func(methodID int) { s.dropMethod(methodID) })
 	return s
 }
 
@@ -323,100 +290,42 @@ func (s *SwPrefetch) dropMethod(methodID int) {
 // Kind implements Optimization.
 func (s *SwPrefetch) Kind() string { return KindSwPrefetch }
 
-// MonitorWindow implements Optimization: an injection is first
-// assessed EvalPeriods polls after it was applied.
-func (s *SwPrefetch) MonitorWindow() uint64 { return s.cfg.EvalPeriods }
-
 // Analyze implements Optimization. Every poll it records the data-cache
-// counters (the rate history assessment differences); when no decision
-// is open and the confident site set changed, it proposes one
-// injection.
+// counters (cycles-per-access is the verdict rate, the L1D miss rate
+// the floor); when the guards pass and the confident site set changed,
+// it proposes one injection.
 func (s *SwPrefetch) Analyze(now uint64) []Proposal {
-	cst := s.hier.Stats()
-	s.history = append(s.history, dpoint{cst.Accesses, cst.L1Misses, cst.Cycles})
-
-	if s.cfg.Passive || s.open != nil || s.seen < s.cfg.MinSamples {
+	cst := s.vm.Hier.Stats()
+	s.record(cst.Accesses, cst.Cycles, cst.L1Misses)
+	inject, ok := s.gate(now)
+	if !ok {
 		return nil
 	}
-	if uint64(len(s.history)) < s.cfg.EvalPeriods+1 {
-		return nil // no baseline window yet
-	}
-	if s.cfg.MaxReverts >= 0 && s.reverts >= uint64(s.cfg.MaxReverts) {
-		return nil // backed off: injection has been reverted too often here
-	}
-	if uint64(len(s.history)) < 2*s.cfg.EvalPeriods+1 {
-		return nil
-	}
-	short := s.cpaOver(s.cfg.EvalPeriods)
-	// Warmup guard: while cold-start misses dominate, cycles-per-access
-	// declines steeply and a baseline captured now would overstate
-	// steady state, masking a bad injection at assessment. Propose only
-	// once the recent window is within 20% of the longer one. The
-	// bad-decision injection waits it out too — its scenario is a bad
-	// call in steady state, judged against an honest baseline.
-	if long := s.cpaOver(2 * s.cfg.EvalPeriods); short < long*0.8 {
-		return nil
-	}
-	if s.cfg.BadInjectAtCycle != 0 && now >= s.cfg.BadInjectAtCycle && !s.badDone {
-		if plan := s.pollutingPlan(); plan != nil {
-			return []Proposal{{
-				Target: s.epoch,
-				Label:  fmt.Sprintf("polluting injection at %d sites", len(plan.sites)),
-				Code:   obs.DecisionIntervene,
-				State:  plan,
-			}}
+	if inject {
+		plan := s.pollutingPlan()
+		if plan == nil {
+			return nil
 		}
-		return nil
-	}
-	if rate := s.missRateOver(s.cfg.EvalPeriods); rate < s.cfg.MinMissRate {
-		return nil // no data-cache pressure: issuing would only cost
+		return s.propose(fmt.Sprintf("polluting injection at %d sites", len(plan.sites)),
+			obs.DecisionIntervene, plan)
 	}
 	plan := s.confidentPlan()
-	if plan == nil || sameSites(plan.sites, s.installed) {
+	if plan == nil || maps.Equal(plan.sites, s.installed) {
 		return nil
 	}
-	return []Proposal{{
-		Target: s.epoch,
-		Label:  fmt.Sprintf("prefetch injection at %d strided sites", len(plan.sites)),
-		Code:   obs.DecisionActivate,
-		State:  plan,
-	}}
+	return s.propose(fmt.Sprintf("prefetch injection at %d strided sites", len(plan.sites)),
+		obs.DecisionActivate, plan)
 }
 
 // confidentPlan builds the site set from detector streams at or above
-// MinConfidence, hottest-first, capped at MaxSites. Each site's delta
-// is stride × Distance; sites whose delta can never survive the
-// page-boundary clamp are skipped.
+// MinConfidence. Each site's delta is stride × Distance; sites whose
+// delta can never survive the page-boundary clamp are skipped.
 func (s *SwPrefetch) confidentPlan() *swPlan {
-	pageSize := int64(s.hier.Config().PageSize)
-	pcs := make([]uint64, 0, len(s.streams))
-	for pc, st := range s.streams {
-		if st.conf >= s.cfg.MinConfidence && st.stride != 0 {
-			if d := st.stride * int64(s.cfg.Distance); abs64(d) < uint64(pageSize) {
-				pcs = append(pcs, pc)
-			}
-		}
-	}
-	if len(pcs) == 0 {
-		return nil
-	}
-	sort.Slice(pcs, func(i, j int) bool {
-		si, sj := s.streams[pcs[i]], s.streams[pcs[j]]
-		if si.seen != sj.seen {
-			return si.seen > sj.seen
-		}
-		return pcs[i] < pcs[j]
+	pageSize := uint64(s.vm.Hier.Config().PageSize)
+	return s.plan(false, func(st *swStream) (int64, bool) {
+		d := st.stride * int64(s.cfg.Distance)
+		return d, st.conf >= s.cfg.MinConfidence && st.stride != 0 && abs64(d) < pageSize
 	})
-	if len(pcs) > s.cfg.MaxSites {
-		pcs = pcs[:s.cfg.MaxSites]
-	}
-	plan := &swPlan{sites: make(map[uint64]int64, len(pcs)), methods: make(map[uint64]int, len(pcs))}
-	for _, pc := range pcs {
-		st := s.streams[pc]
-		plan.sites[pc] = st.stride * int64(s.cfg.Distance)
-		plan.methods[pc] = st.methodID
-	}
-	return plan
 }
 
 // pollutingPlan targets the hottest sampled PCs with a delta of
@@ -424,9 +333,19 @@ func (s *SwPrefetch) confidentPlan() *swPlan {
 // demand line's own set, so every access evicts the line it just
 // fetched — pure issue cost plus guaranteed pollution.
 func (s *SwPrefetch) pollutingPlan() *swPlan {
+	delta := -int64(s.vm.Hier.Config().L1Size)
+	return s.plan(true, func(*swStream) (int64, bool) { return delta, true })
+}
+
+// plan builds a site set over the detector streams delta accepts,
+// hottest first (ties broken by PC), capped at MaxSites; nil when no
+// stream qualifies.
+func (s *SwPrefetch) plan(bad bool, delta func(*swStream) (int64, bool)) *swPlan {
 	pcs := make([]uint64, 0, len(s.streams))
-	for pc := range s.streams {
-		pcs = append(pcs, pc)
+	for pc, st := range s.streams {
+		if _, ok := delta(st); ok {
+			pcs = append(pcs, pc)
+		}
 	}
 	if len(pcs) == 0 {
 		return nil
@@ -441,11 +360,11 @@ func (s *SwPrefetch) pollutingPlan() *swPlan {
 	if len(pcs) > s.cfg.MaxSites {
 		pcs = pcs[:s.cfg.MaxSites]
 	}
-	delta := -int64(s.hier.Config().L1Size)
-	plan := &swPlan{sites: make(map[uint64]int64, len(pcs)), methods: make(map[uint64]int, len(pcs)), bad: true}
+	plan := &swPlan{sites: make(map[uint64]int64, len(pcs)), methods: make(map[uint64]int, len(pcs)), bad: bad}
 	for _, pc := range pcs {
-		plan.sites[pc] = delta
-		plan.methods[pc] = s.streams[pc].methodID
+		st := s.streams[pc]
+		plan.sites[pc], _ = delta(st)
+		plan.methods[pc] = st.methodID
 	}
 	return plan
 }
@@ -454,25 +373,10 @@ func (s *SwPrefetch) pollutingPlan() *swPlan {
 // the VM's recompile hook and open the decision for assessment.
 func (s *SwPrefetch) Apply(now uint64, p Proposal) {
 	plan := p.State.(*swPlan)
-	baseline := s.cpaOver(s.cfg.EvalPeriods)
-	s.open = &Decision{
-		Target:      p.Target,
-		Label:       p.Label,
-		AppliedAt:   now,
-		AppliedPoll: s.mon.Stats().Polls,
-		State: &swDecState{
-			baseline:    baseline,
-			prev:        s.installed,
-			prevMethods: s.siteMethods,
-			bad:         plan.bad,
-		},
-	}
+	prev := &swPlan{sites: s.installed, methods: s.siteMethods}
 	s.install(plan.sites, plan.methods)
-	s.epoch++
-	s.decisions++
-	if plan.bad {
-		s.badDone = true
-	}
+	baseline := s.opened(p, plan.bad)
+	s.open.State = prev
 	s.logf(now, "injection #%d: %s (baseline %.4f cycles/access)", p.Target, p.Label, baseline)
 }
 
@@ -480,119 +384,28 @@ func (s *SwPrefetch) Apply(now uint64, p Proposal) {
 // set. Maps are copied so later bookkeeping never mutates a plan or a
 // decision's revert payload.
 func (s *SwPrefetch) install(sites map[uint64]int64, methods map[uint64]int) {
-	ns := make(map[uint64]int64, len(sites))
-	for pc, d := range sites {
-		ns[pc] = d
-	}
-	nm := make(map[uint64]int, len(methods))
-	for pc, id := range methods {
-		nm[pc] = id
-	}
-	s.installed = ns
-	s.siteMethods = nm
-	s.vm.InstallPrefetchSites(ns)
-}
-
-// OpenDecisions implements Optimization: at most one injection is
-// monitored at a time.
-func (s *SwPrefetch) OpenDecisions() []*Decision {
-	if s.open == nil {
-		return nil
-	}
-	return []*Decision{s.open}
+	s.installed, s.siteMethods = maps.Clone(sites), maps.Clone(methods)
+	s.vm.InstallPrefetchSites(s.installed)
 }
 
 // Assess implements Optimization: compare cycles-per-access over the
-// assessment window against the pre-injection baseline. A kept
-// decision closes — injections are judged once, like the paper's
-// Figure-7 window.
+// assessment window against the pre-injection baseline.
 func (s *SwPrefetch) Assess(now uint64, d *Decision) Assessment {
-	st := d.State.(*swDecState)
-	cur := s.cpaOver(s.cfg.EvalPeriods)
-	if st.baseline > 0 && cur > st.baseline*s.cfg.RegressionFactor {
-		return Assessment{Verdict: VerdictBad, Reason: obs.DecisionRevertRate, A: cur, B: st.baseline}
+	a := s.verdict()
+	if a.Verdict == VerdictKeep {
+		s.logf(now, "injection #%d kept (%.4f cycles/access, baseline %.4f)", d.Target, a.A, a.B)
 	}
-	s.open = nil
-	s.logf(now, "injection #%d kept (%.4f cycles/access, baseline %.4f)", d.Target, cur, st.baseline)
-	return Assessment{Verdict: VerdictKeep, A: cur, B: st.baseline}
+	return a
 }
 
 // Revert implements Optimization: reinstall the site set that was live
 // before the bad injection.
 func (s *SwPrefetch) Revert(now uint64, d *Decision, a Assessment) {
-	st := d.State.(*swDecState)
-	s.install(st.prev, st.prevMethods)
-	s.reverts++
-	s.open = nil
+	prev := d.State.(*swPlan)
+	s.install(prev.sites, prev.methods)
+	s.reverted()
 	s.logf(now, "injection #%d reverted (%.4f vs baseline %.4f cycles/access): restored %d sites",
-		d.Target, a.A, a.B, len(st.prev))
-}
-
-// Stats implements Optimization.
-func (s *SwPrefetch) Stats() Stats {
-	return Stats{Decisions: s.decisions, Reverts: s.reverts}
-}
-
-// Log returns the decision log ("[cycle N] ..." lines).
-func (s *SwPrefetch) Log() []string { return s.log }
-
-// Epoch returns how many injections have been applied.
-func (s *SwPrefetch) Epoch() int { return s.epoch }
-
-// Sites returns the currently installed site set (PC → delta), for
-// tests and reporting.
-func (s *SwPrefetch) Sites() map[uint64]int64 {
-	out := make(map[uint64]int64, len(s.installed))
-	for pc, d := range s.installed {
-		out[pc] = d
-	}
-	return out
-}
-
-func (s *SwPrefetch) logf(now uint64, format string, args ...any) {
-	s.log = append(s.log, fmt.Sprintf("[cycle %d] %s", now, fmt.Sprintf(format, args...)))
-}
-
-// cpaOver returns cycles-per-access over the last k polls of history
-// (0 when the window saw no accesses).
-func (s *SwPrefetch) cpaOver(k uint64) float64 {
-	n := uint64(len(s.history))
-	if n < k+1 || k == 0 {
-		return 0
-	}
-	a, b := s.history[n-1-k], s.history[n-1]
-	dA := b.accesses - a.accesses
-	if dA == 0 {
-		return 0
-	}
-	return float64(b.cycles-a.cycles) / float64(dA)
-}
-
-// missRateOver returns the L1D miss rate over the last k polls.
-func (s *SwPrefetch) missRateOver(k uint64) float64 {
-	n := uint64(len(s.history))
-	if n < k+1 || k == 0 {
-		return 0
-	}
-	a, b := s.history[n-1-k], s.history[n-1]
-	dA := b.accesses - a.accesses
-	if dA == 0 {
-		return 0
-	}
-	return float64(b.misses-a.misses) / float64(dA)
-}
-
-// sameSites reports whether two site maps are identical.
-func sameSites(a, b map[uint64]int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for pc, d := range a {
-		if bd, ok := b[pc]; !ok || bd != d {
-			return false
-		}
-	}
-	return true
+		d.Target, a.A, a.B, len(prev.sites))
 }
 
 func sameSign(a, b int64) bool {
@@ -614,15 +427,15 @@ func gcd64(a, b uint64) uint64 {
 }
 
 // Snapshot/Restore implement snap.Checkpointable. Everything the
-// decision loop consults is serialized: the detector table, the
-// per-poll data-cache history, the site bookkeeping and the open
-// decision. The hierarchy's live site table is cache state and travels
-// in the hw/cache component, which restores before this one — so
-// Restore only rebuilds the optimization's own view.
+// decision loop consults is serialized: the guard state, the detector
+// table, the site bookkeeping and the open decision's revert payload.
+// The hierarchy's live site table is cache state and travels in the
+// hw/cache component, which restores before this one — so Restore only
+// rebuilds the optimization's own view.
 
 const (
 	swPrefetchComponent = "opt/swprefetch"
-	swPrefetchVersion   = 1
+	swPrefetchVersion   = 2
 )
 
 func encodeSites(w *snap.Writer, sites map[uint64]int64, methods map[uint64]int) {
@@ -640,10 +453,10 @@ func encodeSites(w *snap.Writer, sites map[uint64]int64, methods map[uint64]int)
 }
 
 func decodeSites(r *snap.Reader) (map[uint64]int64, map[uint64]int) {
-	n := r.U64()
+	n := r.Count(24)
 	sites := make(map[uint64]int64, n)
 	methods := make(map[uint64]int, n)
-	for i := uint64(0); i < n && r.Err() == nil; i++ {
+	for i := 0; i < n; i++ {
 		pc := r.U64()
 		sites[pc] = r.I64()
 		methods[pc] = int(r.I64())
@@ -654,7 +467,7 @@ func decodeSites(r *snap.Reader) (map[uint64]int64, map[uint64]int) {
 // Snapshot serializes the optimization state.
 func (s *SwPrefetch) Snapshot() snap.ComponentState {
 	var w snap.Writer
-	w.U64(s.seen)
+	s.encode(&w)
 	pcs := make([]uint64, 0, len(s.streams))
 	for pc := range s.streams {
 		pcs = append(pcs, pc)
@@ -670,31 +483,10 @@ func (s *SwPrefetch) Snapshot() snap.ComponentState {
 		w.U64(st.seen)
 		w.I64(int64(st.methodID))
 	}
-	w.U64(uint64(len(s.history)))
-	for _, p := range s.history {
-		w.U64(p.accesses)
-		w.U64(p.misses)
-		w.U64(p.cycles)
-	}
 	encodeSites(&w, s.installed, s.siteMethods)
-	w.U64(uint64(s.epoch))
-	w.U64(s.decisions)
-	w.U64(s.reverts)
-	w.Bool(s.badDone)
-	w.Bool(s.open != nil)
 	if s.open != nil {
-		st := s.open.State.(*swDecState)
-		w.I64(int64(s.open.Target))
-		w.String(s.open.Label)
-		w.U64(s.open.AppliedAt)
-		w.U64(s.open.AppliedPoll)
-		w.F64(st.baseline)
-		w.Bool(st.bad)
-		encodeSites(&w, st.prev, st.prevMethods)
-	}
-	w.U64(uint64(len(s.log)))
-	for _, l := range s.log {
-		w.String(l)
+		prev := s.open.State.(*swPlan)
+		encodeSites(&w, prev.sites, prev.methods)
 	}
 	return snap.ComponentState{Component: swPrefetchComponent, Version: swPrefetchVersion, Data: w.Bytes()}
 }
@@ -705,64 +497,31 @@ func (s *SwPrefetch) Restore(cs snap.ComponentState) error {
 		return err
 	}
 	r := snap.NewReader(cs.Data)
-	seen := r.U64()
-	nStreams := r.U64()
+	gs := decodeGuardState(r)
+	nStreams := r.Count(48)
 	streams := make(map[uint64]*swStream, nStreams)
-	for i := uint64(0); i < nStreams && r.Err() == nil; i++ {
+	for i := 0; i < nStreams; i++ {
 		pc := r.U64()
-		st := &swStream{}
-		st.lastAddr = r.U64()
-		st.stride = r.I64()
-		st.conf = int(r.I64())
-		st.seen = r.U64()
-		st.methodID = int(r.I64())
-		streams[pc] = st
-	}
-	nHist := r.U64()
-	history := make([]dpoint, 0, nHist)
-	for i := uint64(0); i < nHist && r.Err() == nil; i++ {
-		var p dpoint
-		p.accesses = r.U64()
-		p.misses = r.U64()
-		p.cycles = r.U64()
-		history = append(history, p)
+		streams[pc] = &swStream{
+			lastAddr: r.U64(),
+			stride:   r.I64(),
+			conf:     int(r.I64()),
+			seen:     r.U64(),
+			methodID: int(r.I64()),
+		}
 	}
 	installed, siteMethods := decodeSites(r)
-	epoch := int(r.U64())
-	decisions := r.U64()
-	reverts := r.U64()
-	badDone := r.Bool()
-	var open *Decision
-	if r.Bool() {
-		open = &Decision{}
-		open.Target = int(r.I64())
-		open.Label = r.String()
-		open.AppliedAt = r.U64()
-		open.AppliedPoll = r.U64()
-		ds := &swDecState{}
-		ds.baseline = r.F64()
-		ds.bad = r.Bool()
-		ds.prev, ds.prevMethods = decodeSites(r)
-		open.State = ds
-	}
-	nLog := r.U64()
-	log := make([]string, 0, nLog)
-	for i := uint64(0); i < nLog && r.Err() == nil; i++ {
-		log = append(log, r.String())
+	if gs.open != nil {
+		prev := &swPlan{}
+		prev.sites, prev.methods = decodeSites(r)
+		gs.open.State = prev
 	}
 	if err := r.Close(); err != nil {
 		return err
 	}
-	s.seen = seen
+	s.guardState = gs
 	s.streams = streams
-	s.history = history
 	s.installed = installed
 	s.siteMethods = siteMethods
-	s.epoch = epoch
-	s.decisions = decisions
-	s.reverts = reverts
-	s.badDone = badDone
-	s.open = open
-	s.log = log
 	return nil
 }

@@ -210,19 +210,26 @@ func (r *Reader) Bool() bool {
 // F64 reads one float64.
 func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
 
-// Bytes8 reads a length-prefixed byte slice. The returned slice
-// aliases the reader's buffer; copy it if it must outlive the input.
-func (r *Reader) Bytes8() []byte {
+// Count reads an element count whose elements occupy at least elemSize
+// encoded bytes each, failing when count × elemSize exceeds the unread
+// input. Decoders size their allocations from it, so a corrupt count
+// yields ErrDecode instead of an out-of-range make; it also bounds the
+// decode loop, which needs no per-iteration Err check.
+func (r *Reader) Count(elemSize int) int {
 	n := r.U64()
 	if r.err != nil {
-		return nil
+		return 0
 	}
-	if n > uint64(len(r.buf)-r.off) {
-		r.fail("length prefix %d exceeds remaining %d bytes", n, len(r.buf)-r.off)
-		return nil
+	if n > uint64(r.Remaining())/uint64(elemSize) {
+		r.fail("count %d × %d bytes exceeds remaining %d bytes", n, elemSize, r.Remaining())
+		return 0
 	}
-	return r.take(int(n))
+	return int(n)
 }
+
+// Bytes8 reads a length-prefixed byte slice. The returned slice
+// aliases the reader's buffer; copy it if it must outlive the input.
+func (r *Reader) Bytes8() []byte { return r.take(r.Count(1)) }
 
 // String reads a length-prefixed string.
 func (r *Reader) String() string { return string(r.Bytes8()) }

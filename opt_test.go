@@ -108,7 +108,7 @@ func TestOptRevertBadDecision(t *testing.T) {
 		// The revert must be the first verdict on the intervened field:
 		// between the forced gap and the switch back there is no event
 		// keeping the gapped placement.
-		events := sys.Policy.Events()
+		events := sys.Policy.Log()
 		iIntervene, iRevert := -1, -1
 		for i, e := range events {
 			if iIntervene < 0 && strings.Contains(e, "manual intervention") {
@@ -222,7 +222,7 @@ func TestSwPrefetchAblation(t *testing.T) {
 	for _, r := range rows {
 		if r.ActiveCycles > r.PassiveCycles {
 			t.Errorf("%s: prefetch injection regressed: %d cycles active vs %d passive (%d issued, %d epochs, %d reverts)",
-				r.Program, r.ActiveCycles, r.PassiveCycles, r.SwPrefetches, r.Injections, r.Reverts)
+				r.Program, r.ActiveCycles, r.PassiveCycles, r.SwPrefetches, r.Decisions, r.Reverts)
 		}
 		if r.ActiveCycles < r.PassiveCycles {
 			improved++
