@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race bench bench-smoke profile experiments obs serve-smoke serve-bench-smoke serve-bench verify-sampling verify-opt perf-gate perf-baseline
+.PHONY: ci vet build test race bench bench-smoke profile experiments obs serve-smoke serve-bench-smoke serve-bench verify-sampling verify-opt fuzz-smoke loc perf-gate perf-baseline
 
-ci: vet build test race verify-opt perf-gate bench-smoke serve-smoke serve-bench-smoke
+ci: vet build test race verify-opt fuzz-smoke perf-gate bench-smoke serve-smoke serve-bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -44,6 +44,21 @@ verify-sampling:
 # test`; this is the focused, verbose gate wired into `make ci`.
 verify-opt:
 	$(GO) test -run 'TestOptCoallocByteIdentical|TestOptRevertBadDecision|TestSwPrefetchAblation|TestOptKindsPinned' -v .
+
+# Ten seconds of coverage-guided fuzzing per target, beyond the seed
+# corpora `make test` already replays: FuzzOptRestore (no managed
+# optimization's Restore panics on, or fails with anything but
+# snap.ErrDecode for, an arbitrary component blob) and FuzzCanonical
+# (the cache-key contract over the Options space). A crasher lands in
+# internal/core/testdata/fuzz/ — commit it with the fix.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzOptRestore$$' -fuzztime=10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzCanonical$$' -fuzztime=10s ./internal/core
+
+# Lines of non-test Go outside the frozen benchmark harness — the
+# number simplicity PRs quote before/after in CHANGES.md.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l
 
 # Race check on the packages the parallel engine fans runs out of:
 # the engine itself (and its determinism sweep), the workload

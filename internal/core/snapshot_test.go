@@ -54,7 +54,7 @@ func snapConfigs() map[string]core.Options {
 // configurations boot baseline-everywhere so the AOS recompiles
 // mid-run (exercising the recompile-log replay on restore); the rest
 // boot under the all-optimized plan.
-func buildSnapSystem(t *testing.T, opts core.Options) (*core.System, *classfile.Method) {
+func buildSnapSystem(t testing.TB, opts core.Options) (*core.System, *classfile.Method) {
 	t.Helper()
 	u, main := buildListProgram(t, snapNodes)
 	sys, err := core.NewSystemOpts(u, opts)
@@ -94,7 +94,7 @@ func checkListResults(t *testing.T, sys *core.System) {
 
 // pausedSnapshot runs a fresh system to the pause cycle and captures
 // it, returning the encoded snapshot.
-func pausedSnapshot(t *testing.T, opts core.Options) []byte {
+func pausedSnapshot(t testing.TB, opts core.Options) []byte {
 	t.Helper()
 	origin, main := buildSnapSystem(t, opts)
 	paused, err := origin.RunToCycle(context.Background(), main, snapBudget, snapPause)
