@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"hpmvm/internal/hw/cache"
@@ -52,14 +53,15 @@ func (o Options) managedOptimizations() ([]OptimizationConfig, error) {
 	} else if o.CoallocConfig != nil {
 		bad("CoallocConfig set without Coalloc")
 	}
+	if len(entries) == 0 {
+		return nil, firstErr
+	}
 	list := make([]OptimizationConfig, 0, len(entries))
-	seen := make(map[string]bool, len(entries))
 	for _, e := range entries {
-		if seen[e.Kind] {
+		if slices.ContainsFunc(list, func(x OptimizationConfig) bool { return x.Kind == e.Kind }) {
 			bad("optimization kind %q configured twice (the legacy Coalloc switch counts as a coalloc entry)", e.Kind)
 			continue
 		}
-		seen[e.Kind] = true
 		d, known := opt.Lookup(e.Kind)
 		if !known {
 			bad("unknown optimization kind %q", e.Kind)
