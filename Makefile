@@ -1,11 +1,12 @@
 # CI entry points. `make ci` is the tier-1 gate plus the race check on
-# the packages the parallel experiment engine touches.
+# the packages the parallel experiment engine touches; it ends by
+# printing `make loc`, so every PR's log carries the number.
 
 GO ?= go
 
-.PHONY: ci vet build test race bench bench-smoke profile experiments obs serve-smoke serve-bench-smoke serve-bench verify-sampling verify-opt fuzz-smoke loc perf-gate perf-baseline
+.PHONY: ci vet build test race bench bench-smoke profile experiments obs serve-smoke serve-bench verify-sampling verify-opt fuzz-smoke loc perf-gate perf-baseline
 
-ci: vet build test race verify-opt fuzz-smoke perf-gate bench-smoke serve-smoke serve-bench-smoke
+ci: vet build test race verify-opt fuzz-smoke perf-gate bench-smoke serve-smoke loc
 
 vet:
 	$(GO) vet ./...
@@ -48,11 +49,14 @@ verify-opt:
 # Ten seconds of coverage-guided fuzzing per target, beyond the seed
 # corpora `make test` already replays: FuzzOptRestore (no managed
 # optimization's Restore panics on, or fails with anything but
-# snap.ErrDecode for, an arbitrary component blob) and FuzzCanonical
-# (the cache-key contract over the Options space). A crasher lands in
-# internal/core/testdata/fuzz/ — commit it with the fix.
+# snap.ErrDecode for, an arbitrary component blob), FuzzDecodeSnapshot
+# (the same for the snapshot container every warm start parses) and
+# FuzzCanonical (the cache-key contract over the Options space). A
+# crasher lands in internal/core/testdata/fuzz/ — commit it with the
+# fix.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzOptRestore$$' -fuzztime=10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSnapshot$$' -fuzztime=10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzCanonical$$' -fuzztime=10s ./internal/core
 
 # Lines of non-test Go outside the frozen benchmark harness — the
@@ -99,19 +103,15 @@ perf-gate:
 perf-baseline:
 	$(GO) test -run '^$$' -bench 'BenchmarkSystemMcycles/compress' -benchtime=1x -count=8 . | tee results/BENCH_baseline.txt
 
-# End-to-end hpmvmd smoke test: boot the daemon, run the client-based
-# protocol checks (scripts/servesmoke: cache byte-identity, warm-start
-# dispositions, sampled estimates, v1+deprecated aliases, streaming,
-# stable error codes), and verify clean SIGTERM drain.
+# End-to-end hpmvmd smoke test, run for a single server and then for a
+# 2-worker process fleet: boot the daemon, run the client-based
+# protocol checks (scripts/servesmoke: cache byte-identity — across
+# worker processes on the fleet — warm-start dispositions, sampled
+# estimates, streaming, stable error codes), on the fleet also a short
+# hpmvmbench burst with a minimum-RPS gate and the per-worker identity
+# probe, and verify a clean SIGTERM drain of the whole process tree.
 serve-smoke:
 	sh scripts/serve_smoke.sh
-
-# Fleet smoke test: boot a 2-worker process fleet, re-run the protocol
-# checks against the coordinator (byte-identity now spans worker
-# processes), drive a short hpmvmbench burst with a minimum-RPS gate
-# and the per-worker identity probe, and drain the whole process tree.
-serve-bench-smoke:
-	sh scripts/serve_bench_smoke.sh
 
 # Full serve-layer load measurement: sweeps every traffic mix at
 # several fleet sizes into results/BENCH_serve.json. Boot the target

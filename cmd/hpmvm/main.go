@@ -170,9 +170,8 @@ func main() {
 // disassemble boots the workload, compiles it with the default plan,
 // and prints the bytecode and annotated machine code of one method.
 func disassemble(builder bench.Builder, name string) error {
-	prog := builder()
-	sys := core.NewSystem(prog.U, core.Options{Seed: 1})
-	if err := sys.Boot(bench.AllOptPlan(prog.U, 2), prog.Materialize); err != nil {
+	prog, sys, err := bench.BuildSystem(builder, bench.RunConfig{Seed: 1})
+	if err != nil {
 		return err
 	}
 	for _, m := range prog.U.Methods() {

@@ -7,22 +7,18 @@
 //
 //	hpmvmd -addr :8080                 # single-process server
 //	hpmvmd -addr :8080 -workers 4      # coordinator + 4 worker processes
-//	hpmvmd -addr :8080 -workers 4 -fleet inprocess
 //	curl -s -X POST -d '{"workload":"db","seed":1}' localhost:8080/v1/run
 //	curl -s localhost:8080/v1/healthz
 //	curl -s localhost:8080/v1/statsz
 //
 // With -workers N the process becomes a fleet coordinator: it forks N
-// copies of itself in -worker mode (or, with -fleet inprocess, builds
-// N in-process worker pools behind the same Backend interface), routes
-// /v1/run requests with snapshot-sticky rendezvous hashing, steals
-// overflow onto idle workers, restarts crashed workers, and aggregates
-// every worker's statsz under /v1/statsz. Because runs are
-// deterministic, a fleet of any size answers byte-identically to a
-// single server.
+// copies of itself in -worker mode, routes /v1/run requests with
+// snapshot-sticky rendezvous hashing, steals overflow onto idle
+// workers, restarts crashed workers, and aggregates every worker's
+// statsz under /v1/statsz. Because runs are deterministic, a fleet of
+// any size answers byte-identically to a single server.
 //
-// Endpoints (unversioned aliases remain and answer with a
-// Deprecation header):
+// Endpoints:
 //
 //	POST /v1/run       execute (or replay from cache) one benchmark run
 //	POST /v1/stream    the same contract, streamed as Server-Sent Events
@@ -63,7 +59,6 @@ type options struct {
 	timeout      time.Duration
 	drain        time.Duration
 	workers      int
-	fleet        string
 	worker       bool
 	portFile     string
 }
@@ -76,8 +71,7 @@ func main() {
 	flag.IntVar(&o.cacheEntries, "cache", 256, "result-cache capacity (entries)")
 	flag.DurationVar(&o.timeout, "timeout", 2*time.Minute, "per-run wall-clock cap (0 = none)")
 	flag.DurationVar(&o.drain, "drain", 30*time.Second, "graceful-drain budget on SIGTERM")
-	flag.IntVar(&o.workers, "workers", 0, "fleet size; 0 serves single-process")
-	flag.StringVar(&o.fleet, "fleet", "process", `fleet topology: "process" (forked workers) or "inprocess" (worker pools)`)
+	flag.IntVar(&o.workers, "workers", 0, "fleet size in forked worker processes; 0 serves single-process")
 	flag.BoolVar(&o.worker, "worker", false, "run as a fleet worker (started by the coordinator)")
 	flag.StringVar(&o.portFile, "port-file", "", "write the bound address to this file once listening")
 	flag.Parse()
@@ -89,18 +83,11 @@ func main() {
 	log.SetPrefix(prefix)
 	log.SetFlags(log.LstdFlags | log.Lmicroseconds)
 
-	var err error
-	switch {
-	case o.worker || o.workers == 0:
-		err = runSingle(o)
-	case o.fleet == "inprocess":
-		err = runInprocessFleet(o)
-	case o.fleet == "process":
-		err = runProcessFleet(o)
-	default:
-		err = fmt.Errorf("unknown -fleet topology %q", o.fleet)
+	run := runProcessFleet
+	if o.worker || o.workers == 0 {
+		run = runSingle
 	}
-	if err != nil {
+	if err := run(o); err != nil {
 		fmt.Fprintf(os.Stderr, "%s%v\n", prefix, err)
 		os.Exit(1)
 	}
@@ -176,32 +163,4 @@ func runSingle(o options) error {
 	log.Printf("serving %d workloads on %s (jobs %d, queue %d, cache %d, timeout %v)",
 		len(bench.Names()), ln.Addr(), o.jobs, o.queue, o.cacheEntries, o.timeout)
 	return serveUntilSignal(o, ln, s.Handler(), s.Drain)
-}
-
-// runInprocessFleet is the coordinator with worker pools instead of
-// worker processes: N independent servers (separate engines, caches,
-// queues) behind the same Backend interface the process fleet uses.
-func runInprocessFleet(o options) error {
-	backends := make([]serve.Backend, o.workers)
-	for i := range backends {
-		s := serve.New(serve.Config{
-			Jobs:         o.jobs,
-			QueueDepth:   o.queue,
-			CacheEntries: o.cacheEntries,
-			Timeout:      o.timeout,
-		})
-		backends[i] = serve.NewLocalBackend(fmt.Sprintf("w%d", i), s)
-	}
-	f, err := serve.NewFleet(serve.FleetConfig{Backends: backends})
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	ln, err := listen(o)
-	if err != nil {
-		return err
-	}
-	log.Printf("coordinating %d in-process workers on %s (%d workloads)",
-		o.workers, ln.Addr(), len(bench.Names()))
-	return serveUntilSignal(o, ln, f.Handler(), f.Drain)
 }

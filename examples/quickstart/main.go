@@ -62,11 +62,14 @@ func main() {
 
 	// 3. Wire the full platform: P4-like hierarchy, GenMS collector,
 	// PEBS sampling of L1 misses at a 5000-event interval.
-	sys := core.NewSystem(u, core.Options{
+	sys, err := core.NewSystemOpts(u, core.Options{
 		HeapLimit:        16 << 20,
 		Monitoring:       true,
 		SamplingInterval: 5000,
 	})
+	if err != nil {
+		log.Fatal(err)
+	}
 	if err := sys.Boot(bench.AllOptPlan(u, 2), nil); err != nil {
 		log.Fatal(err)
 	}

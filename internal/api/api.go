@@ -11,9 +11,9 @@
 //
 // Compatibility rules (DESIGN.md §13):
 //
-//   - The current version is "v1", rooted at /v1/. The unversioned
-//     paths from the pre-v1 daemon remain as deprecated aliases; they
-//     answer identically but carry a Deprecation header.
+//   - The current version is "v1", rooted at /v1/. There is no other
+//     surface: the pre-v1 unversioned paths are not mounted, and this
+//     package is the only home of the wire types.
 //   - Within v1, fields are only ever added, never renamed, removed or
 //     re-typed; new fields must be omitempty so existing cached bodies
 //     stay byte-identical.
@@ -42,16 +42,6 @@ const (
 	PathWorkloads = "/v1/workloads"
 )
 
-// Deprecated pre-v1 aliases. They serve the same handlers and bodies
-// as their /v1 successors but answer with a Deprecation header and a
-// Link to the successor path.
-const (
-	LegacyPathRun       = "/run"
-	LegacyPathHealthz   = "/healthz"
-	LegacyPathStatsz    = "/statsz"
-	LegacyPathWorkloads = "/workloads"
-)
-
 // Response and routing headers.
 const (
 	// HeaderCache is the result-cache disposition: "hit", "shared" or
@@ -71,8 +61,6 @@ const (
 	// routing. Diagnostics only: hpmvmbench uses it to prove workers
 	// answer byte-identically.
 	HeaderRoute = "X-Hpmvmd-Route"
-	// HeaderDeprecation marks a legacy unversioned path.
-	HeaderDeprecation = "Deprecation"
 )
 
 // Request is the JSON body of POST /v1/run and /v1/stream. Zero values

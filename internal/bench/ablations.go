@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"hpmvm/internal/core"
 	"hpmvm/internal/hw/cache"
 )
 
@@ -38,26 +37,12 @@ func Ablations(opt ExpOptions) (string, error) {
 	}
 	nopfCache := cache.DefaultP4()
 	nopfCache.PrefetchEnabled = false
-	submitCache := func(label string, cfg RunConfig) *RunHandle {
-		cfg.Seed = opt.Seed
-		h := &RunHandle{}
-		e.Submit("db/"+label, func() error {
-			res, err := runWithCache(builder, cfg, nopfCache)
-			if err != nil {
-				return err
-			}
-			e.AddSim(res.Cycles, res.Instret)
-			h.res = res
-			return nil
-		})
-		return h
-	}
 
 	hBase := submit("base", RunConfig{})
 	hL1co := submit("coalloc-l1", RunConfig{Coalloc: true})
 	hTLBco := submit("coalloc-tlb", RunConfig{Coalloc: true, Event: cache.EventDTLBMiss})
-	hBasePF := submitCache("nopf-base", RunConfig{})
-	hCoPF := submitCache("nopf-coalloc", RunConfig{Coalloc: true})
+	hBasePF := submit("nopf-base", RunConfig{CacheConfig: &nopfCache})
+	hCoPF := submit("nopf-coalloc", RunConfig{Coalloc: true, CacheConfig: &nopfCache})
 	hBase1 := submit("opt1-base", RunConfig{OptLevel: 1})
 	hCo1 := submit("opt1-coalloc", RunConfig{OptLevel: 1, Coalloc: true})
 	if err := e.Wait(); err != nil {
@@ -102,61 +87,4 @@ func Ablations(opt ExpOptions) (string, error) {
 	row("opt2 base", base, base)
 	row("opt2 coalloc", l1co, base)
 	return b.String(), nil
-}
-
-func newSystemWithCache(prog *Program, cfg RunConfig, heapBytes uint64, cc cache.Config) *core.System {
-	return core.NewSystem(prog.U, core.Options{
-		Cache:            cc,
-		Collector:        cfg.Collector,
-		HeapLimit:        heapBytes,
-		Monitoring:       cfg.Monitoring,
-		SamplingInterval: cfg.Interval,
-		Event:            cfg.Event,
-		Coalloc:          cfg.Coalloc,
-		Seed:             cfg.Seed,
-	})
-}
-
-// runWithCache runs a workload with a custom cache configuration.
-func runWithCache(builder Builder, cfg RunConfig, cc cache.Config) (*Result, error) {
-	// Reuse Run by threading the cache config through a copy of the
-	// core options; Run constructs the system itself, so this helper
-	// duplicates the small amount of glue.
-	prog := builder()
-	heapBytes := cfg.Heap
-	if heapBytes == 0 {
-		f := cfg.HeapFactor
-		if f == 0 {
-			f = 4
-		}
-		heapBytes = uint64(f * float64(prog.MinHeap))
-	}
-	if cfg.Coalloc {
-		cfg.Monitoring = true
-	}
-	sys := newSystemWithCache(prog, cfg, heapBytes, cc)
-	plan := cfg.Plan
-	if plan == nil {
-		level := cfg.OptLevel
-		if level == 0 {
-			level = 2
-		}
-		plan = AllOptPlan(prog.U, level)
-	}
-	if err := sys.Boot(plan, prog.Materialize); err != nil {
-		return nil, err
-	}
-	if err := sys.Run(prog.Entry, cfg.MaxCycles); err != nil {
-		return nil, err
-	}
-	res := &Result{
-		Program:   prog.Name,
-		HeapBytes: heapBytes,
-		Cycles:    sys.VM.Cycles(),
-		Cache:     sys.Hier().Stats(),
-	}
-	if sys.GenMS != nil {
-		res.CoallocPairs = sys.GenMS.Stats().CoallocPairs
-	}
-	return res, nil
 }

@@ -352,7 +352,8 @@ func RunContext(ctx context.Context, b Builder, cfg RunConfig) (*Result, *core.S
 // without running it, returning the built Program alongside. Callers
 // that need manual control of execution — the keystone sampled-vs-exact
 // tests walk an exact machine to a sampled run's region boundaries with
-// VM.RunToInstret — use this instead of Run.
+// VM.RunToInstret — or only the booted image (Table 2, hpmvm -disasm)
+// use this instead of Run.
 func BuildSystem(b Builder, cfg RunConfig) (*Program, *core.System, error) {
 	prog := b()
 	sys, _, err := buildSystem(prog, cfg)

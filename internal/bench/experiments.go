@@ -284,9 +284,8 @@ func Table2Data(opt ExpOptions) ([]Table2Row, error) {
 	for i, name := range names {
 		i, name, builder := i, name, builders[i]
 		e.Submit(name+"/boot", func() error {
-			prog := builder()
-			sys := core.NewSystem(prog.U, core.Options{Seed: opt.Seed})
-			if err := sys.Boot(AllOptPlan(prog.U, 2), prog.Materialize); err != nil {
+			_, sys, err := BuildSystem(builder, RunConfig{Seed: opt.Seed})
+			if err != nil {
 				return err
 			}
 			sp := sys.VM.Table.Space()

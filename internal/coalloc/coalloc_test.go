@@ -77,7 +77,10 @@ func runPolicy(t *testing.T, opts core.Options) *core.System {
 	u := classfile.NewUniverse()
 	main, _ := hotPairProgram(u)
 	u.Layout()
-	sys := core.NewSystem(u, opts)
+	sys, err := core.NewSystemOpts(u, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := sys.Boot(bench.AllOptPlan(u, 2), nil); err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +125,10 @@ func TestPolicyRevertsForcedGap(t *testing.T) {
 	main, _ := hotPairProgram(u)
 	u.Layout()
 	// Measure run length first so the intervention lands mid-run.
-	sys0 := core.NewSystem(u, core.Options{HeapLimit: 8 << 20})
+	sys0, err := core.NewSystemOpts(u, core.Options{HeapLimit: 8 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := sys0.Boot(bench.AllOptPlan(u, 2), nil); err != nil {
 		t.Fatal(err)
 	}
@@ -136,13 +142,16 @@ func TestPolicyRevertsForcedGap(t *testing.T) {
 	u2.Layout()
 	cc := coalloc.DefaultConfig()
 	cc.GapAtCycle = mid
-	sys := core.NewSystem(u2, core.Options{
+	sys, err := core.NewSystemOpts(u2, core.Options{
 		HeapLimit:        8 << 20,
 		Monitoring:       true,
 		SamplingInterval: 800,
 		Coalloc:          true,
 		CoallocConfig:    &cc,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := sys.Boot(bench.AllOptPlan(u2, 2), nil); err != nil {
 		t.Fatal(err)
 	}

@@ -8,18 +8,15 @@
 //
 // Typical use:
 //
-//	sys, err := core.NewSystemWith(universe,
-//		core.WithHeapLimit(64<<20),
-//		core.WithMonitoring(25_000),
-//		core.WithCoalloc(),
-//	)
+//	sys, err := core.NewSystemOpts(universe, core.Options{
+//		HeapLimit:        64 << 20,
+//		Monitoring:       true,
+//		SamplingInterval: 25_000,
+//		Coalloc:          true,
+//	})
 //	sys.Boot(plan, materialize)
 //	err = sys.RunContext(ctx, entry, 0)
 //	fmt.Println(sys.VM.Results(), sys.Hier().Stats().L1Misses)
-//
-// The struct-literal style (core.Options{...} with NewSystemOpts, or
-// the legacy NewSystem) remains supported; both constructors converge
-// on the same validation path.
 package core
 
 import (
@@ -197,33 +194,10 @@ func (f userFilter) HardwareEvent(kind cache.EventKind, addr uint64) {
 	}
 }
 
-// NewSystem builds a System over an already-populated universe (all
-// classes, methods and bytecode defined and Layout() called). It is
-// the legacy constructor: it panics on an invalid option combination.
-// New code should use NewSystemOpts or NewSystemWith, which return the
-// validation error instead.
-func NewSystem(u *classfile.Universe, opts Options) *System {
-	s, err := NewSystemOpts(u, opts)
-	if err != nil {
-		panic(fmt.Sprintf("core.NewSystem: %v (use NewSystemOpts to handle the error)", err))
-	}
-	return s
-}
-
-// NewSystemWith builds a System from functional options (see Option).
-// It validates the combination and returns an error wrapping
-// ErrBadOptions on a mis-wiring the struct form would once have
-// accepted silently.
-func NewSystemWith(u *classfile.Universe, options ...Option) (*System, error) {
-	var o Options
-	for _, fn := range options {
-		fn(&o)
-	}
-	return NewSystemOpts(u, o)
-}
-
-// NewSystemOpts is the converged constructor both NewSystem and
-// NewSystemWith funnel into: validate, resolve defaults, wire.
+// NewSystemOpts builds a System over an already-populated universe
+// (all classes, methods and bytecode defined and Layout() called):
+// validate, resolve defaults, wire. An invalid option combination is
+// an error wrapping ErrBadOptions.
 func NewSystemOpts(u *classfile.Universe, opts Options) (*System, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err

@@ -31,11 +31,14 @@ func ExampleSystem() {
 	b.MustBuild()
 	u.Layout()
 
-	sys := core.NewSystem(u, core.Options{
+	sys, err := core.NewSystemOpts(u, core.Options{
 		HeapLimit:        8 << 20,
 		Monitoring:       true,
 		SamplingInterval: 1000,
 	})
+	if err != nil {
+		log.Fatal(err)
+	}
 	plan := runtime.CompilePlan{}
 	for _, m := range u.Methods() {
 		if m.Code != nil {

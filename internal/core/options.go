@@ -7,10 +7,7 @@ import (
 	"sort"
 
 	"hpmvm/internal/hw/cache"
-	"hpmvm/internal/monitor"
 	"hpmvm/internal/opt"
-	"hpmvm/internal/vm/aos"
-	"hpmvm/internal/vm/runtime"
 )
 
 // ErrBadOptions is the sentinel wrapped by every Options validation
@@ -84,100 +81,10 @@ func (o Options) managedOptimizations() ([]OptimizationConfig, error) {
 	return list, firstErr
 }
 
-// Option is a functional setting applied by NewSystemWith. Options
-// layer over the Options struct: every Option is a small mutation of
-// an Options value, so the two construction styles are interchangeable
-// and converge on the same validation path (Options.Validate).
-type Option func(*Options)
-
-// WithCache sets the memory-hierarchy geometry (default: the paper's
-// P4, cache.DefaultP4).
-func WithCache(cfg cache.Config) Option {
-	return func(o *Options) { o.Cache = cfg }
-}
-
-// WithCollector selects the GC policy.
-func WithCollector(k CollectorKind) Option {
-	return func(o *Options) { o.Collector = k }
-}
-
-// WithHeapLimit sets the total heap budget in bytes.
-func WithHeapLimit(bytes uint64) Option {
-	return func(o *Options) { o.HeapLimit = bytes }
-}
-
-// WithMonitoring enables the PEBS unit, kernel module and collector
-// thread at the given hardware sampling interval in events (0 selects
-// the adaptive "auto" mode, §6.3).
-func WithMonitoring(interval uint64) Option {
-	return func(o *Options) {
-		o.Monitoring = true
-		o.SamplingInterval = interval
-	}
-}
-
-// WithEvent selects the sampled hardware event (default: L1 misses).
-func WithEvent(e cache.EventKind) Option {
-	return func(o *Options) { o.Event = e }
-}
-
-// WithMonitorConfig overrides the collector-thread tuning.
-func WithMonitorConfig(cfg monitor.Config) Option {
-	return func(o *Options) { o.MonitorConfig = &cfg }
-}
-
-// WithCoalloc enables the HPM-guided co-allocation policy. Requires
-// monitoring and the GenMS collector (validated).
-func WithCoalloc() Option {
-	return func(o *Options) { o.Coalloc = true }
-}
-
-// WithAdaptive enables the AOS sampler (plan recording mode).
-func WithAdaptive() Option {
-	return func(o *Options) { o.Adaptive = true }
-}
-
-// WithAOSConfig enables the AOS sampler with explicit tuning.
-func WithAOSConfig(cfg aos.Config) Option {
-	return func(o *Options) {
-		o.Adaptive = true
-		o.AOSConfig = &cfg
-	}
-}
-
-// WithSampling enables sampled simulation with the given region
-// schedule (zero fields select the defaults in
-// runtime.DefaultSamplingConfig).
-func WithSampling(cfg runtime.SamplingConfig) Option {
-	return func(o *Options) { o.Sampling = &cfg }
-}
-
-// WithSeed sets the deterministic PRNG seed.
-func WithSeed(seed int64) Option {
-	return func(o *Options) { o.Seed = seed }
-}
-
-// WithTrackFields restricts the monitor's time series to the named
-// fields ("Class::field").
-func WithTrackFields(fields ...string) Option {
-	return func(o *Options) { o.TrackFields = fields }
-}
-
-// WithObserver attaches the observability layer (package obs) with the
-// given trace-ring capacity (0 selects obs.DefaultTraceCapacity). The
-// observer is passive: it never charges simulated cycles.
-func WithObserver(traceCapacity int) Option {
-	return func(o *Options) {
-		o.Observe = true
-		o.TraceCapacity = traceCapacity
-	}
-}
-
 // Validate reports whether the option combination is buildable. Every
-// failure wraps ErrBadOptions. Both constructors (NewSystemOpts and
-// NewSystemWith) run it, so an invalid combination — co-allocation
-// without monitoring, or on the copying collector — is an error
-// instead of a silently mis-wired System.
+// failure wraps ErrBadOptions. NewSystemOpts runs it, so an invalid
+// combination — co-allocation without monitoring, or on the copying
+// collector — is an error instead of a silently mis-wired System.
 func (o Options) Validate() error {
 	if o.Collector != GenMS && o.Collector != GenCopy {
 		return fmt.Errorf("core: %w: unknown collector kind %d", ErrBadOptions, int(o.Collector))

@@ -8,7 +8,6 @@ import (
 	"hpmvm/internal/hw/cache"
 	"hpmvm/internal/monitor"
 	"hpmvm/internal/vm/aos"
-	"hpmvm/internal/vm/classfile"
 )
 
 func TestValidateRejectsBadCombos(t *testing.T) {
@@ -47,83 +46,5 @@ func TestValidateRejectsBadCombos(t *testing.T) {
 		if err := o.Validate(); err != nil {
 			t.Errorf("valid options %+v rejected: %v", o, err)
 		}
-	}
-}
-
-// TestNewSystemWithEquivalence pins that the functional-options
-// constructor and the struct constructor build behaviourally identical
-// systems: same canonical fingerprint going in, same results and cycle
-// count coming out.
-func TestNewSystemWithEquivalence(t *testing.T) {
-	structOpts := core.Options{
-		HeapLimit:        8 << 20,
-		Monitoring:       true,
-		SamplingInterval: 25_000,
-		Coalloc:          true,
-		Seed:             42,
-		TrackFields:      []string{"Node::next"},
-	}
-	funcOpts := []core.Option{
-		core.WithHeapLimit(8 << 20),
-		core.WithMonitoring(25_000),
-		core.WithCoalloc(),
-		core.WithSeed(42),
-		core.WithTrackFields("Node::next"),
-	}
-
-	run := func(mk func(u *classfile.Universe) (*core.System, error)) (*core.System, uint64) {
-		u, main := buildListProgram(t, 3000)
-		sys, err := mk(u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sys.Boot(nil, nil); err != nil {
-			t.Fatal(err)
-		}
-		if err := sys.Run(main, 500_000_000); err != nil {
-			t.Fatal(err)
-		}
-		return sys, sys.VM.Cycles()
-	}
-
-	sysA, cyclesA := run(func(u *classfile.Universe) (*core.System, error) {
-		return core.NewSystemOpts(u, structOpts)
-	})
-	sysB, cyclesB := run(func(u *classfile.Universe) (*core.System, error) {
-		return core.NewSystemWith(u, funcOpts...)
-	})
-
-	if cyclesA != cyclesB {
-		t.Errorf("cycles differ: struct %d, functional %d", cyclesA, cyclesB)
-	}
-	ra, rb := sysA.VM.Results(), sysB.VM.Results()
-	if len(ra) != len(rb) {
-		t.Fatalf("result lengths differ: %v vs %v", ra, rb)
-	}
-	for i := range ra {
-		if ra[i] != rb[i] {
-			t.Errorf("result[%d] differs: %d vs %d", i, ra[i], rb[i])
-		}
-	}
-
-	var applied core.Options
-	for _, o := range funcOpts {
-		o(&applied)
-	}
-	if applied.Fingerprint() != structOpts.Fingerprint() {
-		t.Errorf("functional options fingerprint differs from struct options:\n %s\n %s",
-			applied.CanonicalString(), structOpts.CanonicalString())
-	}
-}
-
-func TestNewSystemWithRejectsBadCombo(t *testing.T) {
-	u, _ := buildListProgram(t, 10)
-	_, err := core.NewSystemWith(u, core.WithCollector(core.GenCopy), core.WithMonitoring(0), core.WithCoalloc())
-	if !errors.Is(err, core.ErrBadOptions) {
-		t.Fatalf("NewSystemWith(gencopy+coalloc) error = %v, want core.ErrBadOptions", err)
-	}
-	_, err = core.NewSystemWith(u, core.WithCoalloc())
-	if !errors.Is(err, core.ErrBadOptions) {
-		t.Fatalf("NewSystemWith(coalloc without monitoring) error = %v, want core.ErrBadOptions", err)
 	}
 }

@@ -84,7 +84,10 @@ func buildListProgram(t testing.TB, n int64) (*classfile.Universe, *classfile.Me
 func runList(t *testing.T, n int64, opts core.Options, plan func(u *classfile.Universe) runtime.CompilePlan) *core.System {
 	t.Helper()
 	u, main := buildListProgram(t, n)
-	sys := core.NewSystem(u, opts)
+	sys, err := core.NewSystemOpts(u, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var p runtime.CompilePlan
 	if plan != nil {
 		p = plan(u)
@@ -182,12 +185,15 @@ func TestAdaptiveAOSWithMonitoring(t *testing.T) {
 	// bodies mid-run while samples keep arriving (late samples resolve
 	// through obsolete bodies' retained maps, §4.2).
 	u, main := buildListProgram(t, 60_000)
-	sys := core.NewSystem(u, core.Options{
+	sys, err := core.NewSystemOpts(u, core.Options{
 		HeapLimit:        8 << 20,
 		Monitoring:       true,
 		SamplingInterval: 1000,
 		Adaptive:         true,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := sys.Boot(nil, nil); err != nil { // baseline everywhere; AOS recompiles
 		t.Fatal(err)
 	}
@@ -211,7 +217,10 @@ func TestAdaptiveAOSWithMonitoring(t *testing.T) {
 		t.Fatal("empty recorded plan")
 	}
 	u2, main2 := buildListProgram(t, 60_000)
-	sys2 := core.NewSystem(u2, core.Options{HeapLimit: 8 << 20})
+	sys2, err := core.NewSystemOpts(u2, core.Options{HeapLimit: 8 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := sys2.Boot(plan, nil); err != nil {
 		t.Fatal(err)
 	}

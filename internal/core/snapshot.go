@@ -261,9 +261,10 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	sn.Cycle = r.U64()
 	sn.RngDraws = r.U64()
 	sn.SamplingInterval = r.U64()
-	n := r.U64()
+	// A component is at least two length prefixes and a version.
+	n := r.Count(20)
 	sn.Components = make([]snap.ComponentState, 0, n)
-	for i := uint64(0); i < n && r.Err() == nil; i++ {
+	for i := 0; i < n; i++ {
 		sn.Components = append(sn.Components, r.State())
 	}
 	if err := r.Close(); err != nil {

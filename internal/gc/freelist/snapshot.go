@@ -71,18 +71,15 @@ func (a *Allocator) Decode(r *snap.Reader) error {
 	cursor := r.U64()
 	var free [NumClasses][]uint64
 	for cls := range free {
-		n := r.U64()
-		if r.Err() != nil {
-			break
-		}
+		n := r.Count(8)
 		free[cls] = make([]uint64, 0, n)
-		for i := uint64(0); i < n && r.Err() == nil; i++ {
+		for i := 0; i < n; i++ {
 			free[cls] = append(free[cls], r.U64())
 		}
 	}
-	nBlocks := r.U64()
+	nBlocks := r.Count(32)
 	blocks := make(map[uint64]*block, nBlocks)
-	for i := uint64(0); i < nBlocks && r.Err() == nil; i++ {
+	for i := 0; i < nBlocks; i++ {
 		b := &block{}
 		b.base = r.U64()
 		b.class = int(r.I64())
@@ -90,14 +87,14 @@ func (a *Allocator) Decode(r *snap.Reader) error {
 		b.live = int(r.I64())
 		blocks[b.base] = b
 	}
-	nFreeBlocks := r.U64()
+	nFreeBlocks := r.Count(8)
 	freeBlocks := make([]uint64, 0, nFreeBlocks)
-	for i := uint64(0); i < nFreeBlocks && r.Err() == nil; i++ {
+	for i := 0; i < nFreeBlocks; i++ {
 		freeBlocks = append(freeBlocks, r.U64())
 	}
-	nAlloc := r.U64()
+	nAlloc := r.Count(16)
 	allocated := make(map[uint64]int, nAlloc)
-	for i := uint64(0); i < nAlloc && r.Err() == nil; i++ {
+	for i := 0; i < nAlloc; i++ {
 		addr := r.U64()
 		allocated[addr] = int(r.I64())
 	}

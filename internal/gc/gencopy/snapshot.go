@@ -61,9 +61,9 @@ func (c *Collector) Restore(st snap.ComponentState) error {
 	if err := c.los.Decode(r); err != nil {
 		return err
 	}
-	nRem := r.U64()
+	nRem := r.Count(8)
 	remset := make([]uint64, 0, nRem)
-	for i := uint64(0); i < nRem && r.Err() == nil; i++ {
+	for i := 0; i < nRem; i++ {
 		remset = append(remset, r.U64())
 	}
 	var stats Stats

@@ -543,6 +543,3 @@ func (c *Collector) Pairs() map[uint64]uint64 {
 
 // NurserySize returns the current nursery capacity (diagnostics).
 func (c *Collector) NurserySize() uint64 { return c.nursery.SoftSize() }
-
-// FreeListStats exposes the mature allocator statistics.
-func (c *Collector) FreeListStats() freelist.Stats { return c.mature.Stats() }

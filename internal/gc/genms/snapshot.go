@@ -73,20 +73,20 @@ func (c *Collector) Restore(st snap.ComponentState) error {
 	if err := c.los.Decode(r); err != nil {
 		return err
 	}
-	nRem := r.U64()
+	nRem := r.Count(8)
 	remset := make([]uint64, 0, nRem)
-	for i := uint64(0); i < nRem && r.Err() == nil; i++ {
+	for i := 0; i < nRem; i++ {
 		remset = append(remset, r.U64())
 	}
-	nPairs := r.U64()
+	nPairs := r.Count(16)
 	pairs := make(map[uint64]uint64, nPairs)
-	for i := uint64(0); i < nPairs && r.Err() == nil; i++ {
+	for i := 0; i < nPairs; i++ {
 		p := r.U64()
 		pairs[p] = r.U64()
 	}
-	nRanges := r.U64()
+	nRanges := r.Count(17)
 	ranges := make([]pairRange, 0, nRanges)
-	for i := uint64(0); i < nRanges && r.Err() == nil; i++ {
+	for i := 0; i < nRanges; i++ {
 		var rg pairRange
 		rg.start = r.U64()
 		rg.end = r.U64()

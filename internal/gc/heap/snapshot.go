@@ -78,16 +78,16 @@ func (l *LargeObjectSpace) Decode(r *snap.Reader) error {
 	base := r.U64()
 	limit := r.U64()
 	cursor := r.U64()
-	nFree := r.U64()
+	nFree := r.Count(16)
 	free := make([]run, 0, nFree)
-	for i := uint64(0); i < nFree && r.Err() == nil; i++ {
+	for i := 0; i < nFree; i++ {
 		fr := run{addr: r.U64(), size: r.U64()}
 		free = append(free, fr)
 	}
 	used := r.U64()
-	nSizes := r.U64()
+	nSizes := r.Count(16)
 	sizes := make(map[uint64]uint64, nSizes)
-	for i := uint64(0); i < nSizes && r.Err() == nil; i++ {
+	for i := 0; i < nSizes; i++ {
 		a := r.U64()
 		sizes[a] = r.U64()
 	}

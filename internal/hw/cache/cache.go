@@ -614,9 +614,6 @@ func (h *Hierarchy) EnableICache(size, assoc int) {
 	h.istats = IStats{}
 }
 
-// ICacheEnabled reports whether the instruction-cache model is on.
-func (h *Hierarchy) ICacheEnabled() bool { return h.l1i != nil }
-
 // IStats returns the instruction-cache counters.
 func (h *Hierarchy) IStats() IStats { return h.istats }
 
@@ -660,9 +657,6 @@ func (h *Hierarchy) EnableSwPrefetch(cpu SwPrefetchCPU, issueCost uint64) {
 	h.sw = &swState{cpu: cpu, issueCost: issueCost, prefetched: newPfSet()}
 }
 
-// SwPrefetchEnabled reports whether the software-prefetch model is on.
-func (h *Hierarchy) SwPrefetchEnabled() bool { return h.sw != nil }
-
 // SetSwPrefetchSites replaces the installed software-prefetch site
 // table: a map from instruction PC to the prefetch delta in bytes the
 // injected prefetch adds to that instruction's operand address. The map
@@ -674,19 +668,6 @@ func (h *Hierarchy) SetSwPrefetchSites(sites map[uint64]int64) {
 		m[pc] = d
 	}
 	h.sw.sites = m
-}
-
-// SwPrefetchSites returns a copy of the installed site table (empty
-// when the model is disabled).
-func (h *Hierarchy) SwPrefetchSites() map[uint64]int64 {
-	if h.sw == nil {
-		return nil
-	}
-	m := make(map[uint64]int64, len(h.sw.sites))
-	for pc, d := range h.sw.sites {
-		m[pc] = d
-	}
-	return m
 }
 
 // SoftwarePrefetch issues one software prefetch of the line holding
@@ -1030,9 +1011,6 @@ func (h *Hierarchy) prefetchLine(lineAddr uint64) {
 // L1Contains reports whether the line holding addr is resident in L1.
 // Exposed for tests and for the co-allocation effectiveness analysis.
 func (h *Hierarchy) L1Contains(addr uint64) bool { return h.l1.contains(addr) }
-
-// L2Contains reports whether the line holding addr is resident in L2.
-func (h *Hierarchy) L2Contains(addr uint64) bool { return h.l2.contains(addr) }
 
 // LineOf returns the line-aligned base address for addr.
 func (h *Hierarchy) LineOf(addr uint64) uint64 {

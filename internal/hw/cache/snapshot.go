@@ -174,10 +174,10 @@ func (h *Hierarchy) Restore(st snap.ComponentState) error {
 	stats.Prefetches = r.U64()
 	stats.PrefetchHits = r.U64()
 	stats.Cycles = r.U64()
-	nPref := r.U64()
+	nPref := r.Count(8)
 	pref := newPfSet()
 	var mask uint64
-	for i := uint64(0); i < nPref && r.Err() == nil; i++ {
+	for i := 0; i < nPref; i++ {
 		k := r.U64()
 		pref.Add(k)
 		mask |= 1 << (k & 63)
@@ -199,15 +199,15 @@ func (h *Hierarchy) Restore(st snap.ComponentState) error {
 		stats.SwPrefetches = r.U64()
 		stats.SwPrefetchHits = r.U64()
 		swPref = newPfSet()
-		nSw := r.U64()
-		for i := uint64(0); i < nSw && r.Err() == nil; i++ {
+		nSw := r.Count(8)
+		for i := 0; i < nSw; i++ {
 			k := r.U64()
 			swPref.Add(k)
 			swMask |= 1 << (k & 63)
 		}
-		nSites := r.U64()
+		nSites := r.Count(16)
 		swSites = make(map[uint64]int64, nSites)
-		for i := uint64(0); i < nSites && r.Err() == nil; i++ {
+		for i := 0; i < nSites; i++ {
 			pc := r.U64()
 			swSites[pc] = r.I64()
 		}

@@ -205,11 +205,6 @@ func (c *CPU) NextCodeAddr() uint64 {
 // CodeSizeBytes returns the total installed code size in bytes.
 func (c *CPU) CodeSizeBytes() uint64 { return uint64(len(c.code)) * InstrBytes }
 
-// CodeBounds returns the [start,end) address range of installed code.
-func (c *CPU) CodeBounds() (start, end uint64) {
-	return c.cfg.CodeBase, c.cfg.CodeBase + c.CodeSizeBytes()
-}
-
 // InstrAt returns the instruction at a code address (for disassembly
 // and the monitor's sample decoding).
 func (c *CPU) InstrAt(addr uint64) (Instr, bool) {

@@ -42,9 +42,9 @@ func (m *Memory) Restore(st snap.ComponentState) error {
 		return err
 	}
 	r := snap.NewReader(st.Data)
-	n := r.U64()
+	n := r.Count(16 + PageSize)
 	pages := make(map[uint64]*[PageSize]byte, n)
-	for i := uint64(0); i < n && r.Err() == nil; i++ {
+	for i := 0; i < n; i++ {
 		k := r.U64()
 		b := r.Bytes8()
 		if r.Err() != nil {

@@ -19,6 +19,10 @@ const (
 	snapVersion   = 1
 )
 
+// SampleBytes is the encoded size of one Sample: PC, data address,
+// registers, cycle and event, eight bytes each.
+const SampleBytes = (NumRegs + 4) * 8
+
 // EncodeSample appends one sample record to w. Shared with the kernel
 // module, which buffers the same Sample type.
 func EncodeSample(w *snap.Writer, s *Sample) {
@@ -97,16 +101,14 @@ func (u *Unit) Restore(st snap.ComponentState) error {
 	cfg := DecodeConfig(r)
 	enabled := r.Bool()
 	countdown := r.U64()
-	n := r.U64()
-	if r.Err() == nil && cfg.BufferSamples > 0 && n > uint64(cfg.BufferSamples) {
+	n := r.Count(SampleBytes)
+	if r.Err() == nil && cfg.BufferSamples > 0 && n > cfg.BufferSamples {
 		return fmt.Errorf("pebs: %w: %d buffered samples exceed capacity %d", snap.ErrDecode, n, cfg.BufferSamples)
 	}
-	capacity := cfg.BufferSamples
-	if capacity < 0 {
-		capacity = 0
-	}
-	buf := make([]Sample, 0, capacity)
-	for i := uint64(0); i < n && r.Err() == nil; i++ {
+	// Sized from the validated count, not the blob's BufferSamples: the
+	// capacity is only a pre-sizing hint, and append regrows it.
+	buf := make([]Sample, 0, n)
+	for i := 0; i < n; i++ {
 		buf = append(buf, DecodeSample(r))
 	}
 	watermark := int(r.I64())

@@ -39,9 +39,9 @@ func (m *Module) Restore(st snap.ComponentState) error {
 	}
 	r := snap.NewReader(st.Data)
 	pcfg := pebs.DecodeConfig(r)
-	n := r.U64()
+	n := r.Count(pebs.SampleBytes)
 	buf := make([]pebs.Sample, 0, n)
-	for i := uint64(0); i < n && r.Err() == nil; i++ {
+	for i := 0; i < n; i++ {
 		buf = append(buf, pebs.DecodeSample(r))
 	}
 	lost := r.U64()

@@ -70,7 +70,10 @@ func runChase(t *testing.T, opts core.Options) (*core.System, *classfile.Field) 
 	u := classfile.NewUniverse()
 	main, fpay := chaseProgram(u)
 	u.Layout()
-	sys := core.NewSystem(u, opts)
+	sys, err := core.NewSystemOpts(u, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	plan := make(runtime.CompilePlan)
 	for _, m := range u.Methods() {
 		if m.Code != nil {
@@ -175,12 +178,15 @@ func TestTrackFieldsFilter(t *testing.T) {
 	u := classfile.NewUniverse()
 	main, fpay := chaseProgram(u)
 	u.Layout()
-	sys := core.NewSystem(u, core.Options{
+	sys, err := core.NewSystemOpts(u, core.Options{
 		HeapLimit:        16 << 20,
 		Monitoring:       true,
 		SamplingInterval: 2000,
 		TrackFields:      []string{"Other::field"},
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	plan := make(runtime.CompilePlan)
 	for _, m := range u.Methods() {
 		if m.Code != nil {
@@ -301,12 +307,15 @@ func TestPhaseChangeDetection(t *testing.T) {
 
 	mc := monitor.DefaultConfig()
 	mc.PollMaxCycles = 2_000_000
-	sys := core.NewSystem(u, core.Options{
+	sys, err := core.NewSystemOpts(u, core.Options{
 		HeapLimit:        16 << 20,
 		Monitoring:       true,
 		SamplingInterval: 500,
 		MonitorConfig:    &mc,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	plan := make(runtime.CompilePlan)
 	for _, m := range u.Methods() {
 		if m.Code != nil {

@@ -31,9 +31,9 @@ func encodeSeries(w *snap.Writer, s *stats.Series) {
 }
 
 func decodeSeries(r *snap.Reader, s *stats.Series) {
-	n := r.U64()
+	n := r.Count(16)
 	s.Samples = make([]stats.Sample, 0, n)
-	for i := uint64(0); i < n && r.Err() == nil; i++ {
+	for i := 0; i < n; i++ {
 		t := r.U64()
 		v := r.F64()
 		s.Samples = append(s.Samples, stats.Sample{Time: t, Value: v})
@@ -54,9 +54,9 @@ func encodeI32MapU64(w *snap.Writer, m map[int32]uint64) {
 }
 
 func decodeI32MapU64(r *snap.Reader) map[int32]uint64 {
-	n := r.U64()
+	n := r.Count(16)
 	m := make(map[int32]uint64, n)
-	for i := uint64(0); i < n && r.Err() == nil; i++ {
+	for i := 0; i < n; i++ {
 		k := int32(r.I64())
 		m[k] = r.U64()
 	}
@@ -139,9 +139,9 @@ func (m *Monitor) Restore(st snap.ComponentState) error {
 	deadline := r.U64()
 	pollGap := r.U64()
 
-	nFields := r.U64()
+	nFields := r.Count(80)
 	fields := make(map[int]*FieldCounter, nFields)
-	for i := uint64(0); i < nFields && r.Err() == nil; i++ {
+	for i := 0; i < nFields; i++ {
 		id := int(r.I64())
 		fc := &FieldCounter{}
 		fc.Samples = r.U64()
@@ -165,9 +165,9 @@ func (m *Monitor) Restore(st snap.ComponentState) error {
 		fields[id] = fc
 	}
 
-	nMethods := r.U64()
+	nMethods := r.Count(32)
 	methods := make(map[int]*MethodCounter, nMethods)
-	for i := uint64(0); i < nMethods && r.Err() == nil; i++ {
+	for i := 0; i < nMethods; i++ {
 		id := int(r.I64())
 		mc := &MethodCounter{}
 		mc.Samples = r.U64()
@@ -183,9 +183,9 @@ func (m *Monitor) Restore(st snap.ComponentState) error {
 		methods[id] = mc
 	}
 
-	nPhase := r.U64()
+	nPhase := r.Count(8)
 	phaseEvents := make([]string, 0, nPhase)
-	for i := uint64(0); i < nPhase && r.Err() == nil; i++ {
+	for i := 0; i < nPhase; i++ {
 		phaseEvents = append(phaseEvents, r.String())
 	}
 	lastAutoCycles := r.U64()

@@ -79,21 +79,21 @@ func (o *Observer) Restore(st snap.ComponentState) error {
 		return err
 	}
 	r := snap.NewReader(st.Data)
-	nCounters := r.U64()
+	nCounters := r.Count(16)
 	counters := make(map[string]uint64, nCounters)
-	for i := uint64(0); i < nCounters && r.Err() == nil; i++ {
+	for i := 0; i < nCounters; i++ {
 		name := r.String()
 		counters[name] = r.U64()
 	}
 	capacity := r.U64()
 	emitted := r.U64()
 	dropped := r.U64()
-	nEvents := r.U64()
-	if r.Err() == nil && nEvents > capacity {
+	nEvents := r.Count(40)
+	if r.Err() == nil && uint64(nEvents) > capacity {
 		return fmt.Errorf("obs: %w: %d events exceed ring capacity %d", snap.ErrDecode, nEvents, capacity)
 	}
 	events := make([]Event, 0, nEvents)
-	for i := uint64(0); i < nEvents && r.Err() == nil; i++ {
+	for i := 0; i < nEvents; i++ {
 		var e Event
 		e.Cycle = r.U64()
 		e.Kind = EventKind(r.U64())
@@ -109,9 +109,9 @@ func (o *Observer) Restore(st snap.ComponentState) error {
 		open   bool
 		start  uint64
 	}
-	nPhases := r.U64()
+	nPhases := r.Count(33)
 	phases := make([]phaseState, 0, nPhases)
-	for i := uint64(0); i < nPhases && r.Err() == nil; i++ {
+	for i := 0; i < nPhases; i++ {
 		var p phaseState
 		p.name = r.String()
 		p.count = r.U64()

@@ -63,9 +63,8 @@ type Backend interface {
 	Workloads(ctx context.Context) ([]api.WorkloadInfo, error)
 }
 
-// LocalBackend adapts an in-process *Server to the Backend interface
-// (the "-fleet inprocess" topology: worker pools instead of worker
-// processes, behind the same interface).
+// LocalBackend adapts an in-process *Server to the Backend interface:
+// the Backend tests and probes substitute for a worker process.
 type LocalBackend struct {
 	name string
 	srv  *Server
@@ -398,7 +397,7 @@ func (f *Fleet) route(ctx context.Context, req api.Request, res resolved, pin st
 var errUnknownWorker = errors.New("serve: unknown worker")
 
 // Handler returns the coordinator mux: the same /v1 contract a single
-// Server serves, plus the deprecated unversioned aliases.
+// Server serves.
 func (f *Fleet) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc(api.PathRun, f.handleRun)
@@ -406,10 +405,6 @@ func (f *Fleet) Handler() http.Handler {
 	mux.HandleFunc(api.PathHealthz, f.handleHealthz)
 	mux.HandleFunc(api.PathStatsz, f.handleStatsz)
 	mux.HandleFunc(api.PathWorkloads, f.handleWorkloads)
-	mux.HandleFunc(api.LegacyPathRun, deprecatedAlias(api.PathRun, f.handleRun))
-	mux.HandleFunc(api.LegacyPathHealthz, deprecatedAlias(api.PathHealthz, f.handleHealthz))
-	mux.HandleFunc(api.LegacyPathStatsz, deprecatedAlias(api.PathStatsz, f.handleStatsz))
-	mux.HandleFunc(api.LegacyPathWorkloads, deprecatedAlias(api.PathWorkloads, f.handleWorkloads))
 	return mux
 }
 

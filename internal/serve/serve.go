@@ -59,19 +59,6 @@ var errMethod = errors.New("serve: POST only")
 // maxRequestBody bounds a /v1/run request body.
 const maxRequestBody = 1 << 20
 
-// Aliases for the wire types this package historically owned; the
-// contract now lives in internal/api.
-type (
-	// Request is the JSON body of POST /v1/run.
-	Request = api.Request
-	// RunResponse is the JSON body of a successful run.
-	RunResponse = api.RunResponse
-	// Statsz is the GET /v1/statsz body.
-	Statsz = api.Statsz
-	// WorkloadLatency is one workload's statsz latency row.
-	WorkloadLatency = api.WorkloadLatency
-)
-
 // Config tunes a Server.
 type Config struct {
 	// Jobs is the worker-pool width (0 selects bench.DefaultJobs).
@@ -203,19 +190,7 @@ func (s *Server) Drain() {
 	s.mu.Unlock()
 }
 
-// deprecatedAlias wraps a handler for a pre-v1 unversioned path: same
-// behavior, plus the RFC 8594 Deprecation header and a Link to the
-// successor path.
-func deprecatedAlias(successor string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set(api.HeaderDeprecation, "true")
-		w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", successor))
-		h(w, r)
-	}
-}
-
-// Handler returns the service mux: the /v1 contract plus the
-// deprecated unversioned aliases.
+// Handler returns the service mux: the /v1 contract.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc(api.PathRun, s.handleRun)
@@ -223,10 +198,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc(api.PathHealthz, s.handleHealthz)
 	mux.HandleFunc(api.PathStatsz, s.handleStatsz)
 	mux.HandleFunc(api.PathWorkloads, s.handleWorkloads)
-	mux.HandleFunc(api.LegacyPathRun, deprecatedAlias(api.PathRun, s.handleRun))
-	mux.HandleFunc(api.LegacyPathHealthz, deprecatedAlias(api.PathHealthz, s.handleHealthz))
-	mux.HandleFunc(api.LegacyPathStatsz, deprecatedAlias(api.PathStatsz, s.handleStatsz))
-	mux.HandleFunc(api.LegacyPathWorkloads, deprecatedAlias(api.PathWorkloads, s.handleWorkloads))
 	return mux
 }
 

@@ -22,8 +22,8 @@ func TestServeSampled(t *testing.T) {
 	const exactBody = `{"workload":"serve_tiny","seed":3}`
 	const sampledBody = `{"workload":"serve_tiny","seed":3,"sampled":true}`
 
-	exact := doReq(h, nil, http.MethodPost, "/run", exactBody)
-	sampled := doReq(h, nil, http.MethodPost, "/run", sampledBody)
+	exact := doReq(h, nil, http.MethodPost, api.PathRun, exactBody)
+	sampled := doReq(h, nil, http.MethodPost, api.PathRun, sampledBody)
 	if exact.Code != http.StatusOK || sampled.Code != http.StatusOK {
 		t.Fatalf("statuses %d / %d: %s / %s", exact.Code, sampled.Code,
 			exact.Body.String(), sampled.Body.String())
@@ -37,7 +37,7 @@ func TestServeSampled(t *testing.T) {
 		t.Errorf("first sampled request disposition %q, want miss (must not hit the exact entry)", d)
 	}
 
-	var eresp, sresp RunResponse
+	var eresp, sresp api.RunResponse
 	if err := json.Unmarshal(exact.Body.Bytes(), &eresp); err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestServeSampled(t *testing.T) {
 	}
 
 	// Repeat: cache hit, byte-identical.
-	again := doReq(h, nil, http.MethodPost, "/run", sampledBody)
+	again := doReq(h, nil, http.MethodPost, api.PathRun, sampledBody)
 	if again.Code != http.StatusOK || again.Header().Get("X-Hpmvmd-Cache") != "hit" {
 		t.Fatalf("sampled repeat: status %d disposition %q, want 200/hit",
 			again.Code, again.Header().Get("X-Hpmvmd-Cache"))
@@ -80,7 +80,7 @@ func TestServeSampled(t *testing.T) {
 
 	// Determinism across instances: a fresh server (fresh engine, fresh
 	// cache) must produce the identical bytes for the identical request.
-	fresh := doReq(New(Config{}).Handler(), nil, http.MethodPost, "/run", sampledBody)
+	fresh := doReq(New(Config{}).Handler(), nil, http.MethodPost, api.PathRun, sampledBody)
 	if fresh.Code != http.StatusOK {
 		t.Fatalf("fresh-server sampled run: status %d: %s", fresh.Code, fresh.Body.String())
 	}
@@ -95,7 +95,7 @@ func TestServeSampled(t *testing.T) {
 func TestServeSampledValidation(t *testing.T) {
 	s := New(Config{})
 	h := s.Handler()
-	rr := doReq(h, nil, http.MethodPost, "/run",
+	rr := doReq(h, nil, http.MethodPost, api.PathRun,
 		`{"workload":"serve_tiny","seed":1,"sampled":true,"warm_start_cycles":100000}`)
 	if rr.Code != http.StatusBadRequest {
 		t.Fatalf("sampled+warm_start: status %d, want 400: %s", rr.Code, rr.Body.String())

@@ -103,7 +103,7 @@ func TestServeConcurrentMixed(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				rrs[k][i] = doReq(h, nil, http.MethodPost, "/run", runBody(k+1))
+				rrs[k][i] = doReq(h, nil, http.MethodPost, api.PathRun, runBody(k+1))
 			}()
 		}
 	}
@@ -150,7 +150,7 @@ func TestServeConcurrentMixed(t *testing.T) {
 	// Cold vs cached byte-identity: a fresh request for each key must
 	// replay the exact bytes the cold run produced.
 	for k := 0; k < distinct; k++ {
-		rr := doReq(h, nil, http.MethodPost, "/run", runBody(k+1))
+		rr := doReq(h, nil, http.MethodPost, api.PathRun, runBody(k+1))
 		if rr.Code != http.StatusOK {
 			t.Fatalf("cached key %d: status %d", k, rr.Code)
 		}
@@ -169,7 +169,7 @@ func TestServeConcurrentMixed(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	slow := make(chan *httptest.ResponseRecorder, 1)
 	go func() {
-		slow <- doReq(h, ctx, http.MethodPost, "/run", `{"workload":"serve_slow","seed":1}`)
+		slow <- doReq(h, ctx, http.MethodPost, api.PathRun, `{"workload":"serve_slow","seed":1}`)
 	}()
 	time.Sleep(50 * time.Millisecond)
 	cancel()
@@ -197,7 +197,7 @@ func TestCancelledRequestDoesNotPoisonCache(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	rr := doReq(h, ctx, http.MethodPost, "/run", body)
+	rr := doReq(h, ctx, http.MethodPost, api.PathRun, body)
 	if rr.Code != http.StatusServiceUnavailable {
 		t.Fatalf("pre-cancelled request: status %d, want 503", rr.Code)
 	}
@@ -205,12 +205,12 @@ func TestCancelledRequestDoesNotPoisonCache(t *testing.T) {
 		t.Fatalf("cancelled request cached %d entries", st.Cache.Entries)
 	}
 
-	cold := doReq(h, nil, http.MethodPost, "/run", body)
+	cold := doReq(h, nil, http.MethodPost, api.PathRun, body)
 	if cold.Code != http.StatusOK || cold.Header().Get("X-Hpmvmd-Cache") != "miss" {
 		t.Fatalf("retry after cancel: status %d disposition %q, want 200/miss",
 			cold.Code, cold.Header().Get("X-Hpmvmd-Cache"))
 	}
-	warm := doReq(h, nil, http.MethodPost, "/run", body)
+	warm := doReq(h, nil, http.MethodPost, api.PathRun, body)
 	if warm.Code != http.StatusOK || warm.Header().Get("X-Hpmvmd-Cache") != "hit" {
 		t.Fatalf("second retry: status %d disposition %q, want 200/hit",
 			warm.Code, warm.Header().Get("X-Hpmvmd-Cache"))
@@ -243,13 +243,13 @@ func TestQueueFullBackpressure(t *testing.T) {
 	for seed := 1; seed <= 2; seed++ {
 		seed := seed
 		go func() {
-			results <- doReq(h, nil, http.MethodPost, "/run", runBody(seed))
+			results <- doReq(h, nil, http.MethodPost, api.PathRun, runBody(seed))
 		}()
 	}
 	<-started
 	<-started
 
-	rr := doReq(h, nil, http.MethodPost, "/run", runBody(3))
+	rr := doReq(h, nil, http.MethodPost, api.PathRun, runBody(3))
 	if rr.Code != http.StatusTooManyRequests {
 		t.Fatalf("over-capacity request: status %d, want 429: %s", rr.Code, rr.Body.String())
 	}
@@ -276,15 +276,15 @@ func TestDrain(t *testing.T) {
 	h := s.Handler()
 	s.Drain()
 
-	if rr := doReq(h, nil, http.MethodPost, "/run", runBody(1)); rr.Code != http.StatusServiceUnavailable {
+	if rr := doReq(h, nil, http.MethodPost, api.PathRun, runBody(1)); rr.Code != http.StatusServiceUnavailable {
 		t.Errorf("/run while draining: status %d, want 503", rr.Code)
 	}
-	rr := doReq(h, nil, http.MethodGet, "/healthz", "")
+	rr := doReq(h, nil, http.MethodGet, api.PathHealthz, "")
 	if rr.Code != http.StatusServiceUnavailable || !strings.Contains(rr.Body.String(), "draining") {
 		t.Errorf("/healthz while draining: status %d body %q", rr.Code, rr.Body.String())
 	}
-	var st Statsz
-	if err := json.Unmarshal(doReq(h, nil, http.MethodGet, "/statsz", "").Body.Bytes(), &st); err != nil {
+	var st api.Statsz
+	if err := json.Unmarshal(doReq(h, nil, http.MethodGet, api.PathStatsz, "").Body.Bytes(), &st); err != nil {
 		t.Fatalf("statsz: %v", err)
 	}
 	if !st.Draining {
@@ -311,7 +311,7 @@ func TestBadRequests(t *testing.T) {
 		{"unknown event", http.MethodPost, `{"workload":"serve_tiny","event":"l9"}`, http.StatusBadRequest, api.CodeBadRequest},
 		{"coalloc on gencopy", http.MethodPost, `{"workload":"serve_tiny","collector":"gencopy","coalloc":true}`, http.StatusBadRequest, api.CodeBadRequest},
 	}
-	for _, path := range []string{api.PathRun, api.PathStream, "/run"} {
+	for _, path := range []string{api.PathRun, api.PathStream} {
 		for _, tc := range cases {
 			rr := doReq(h, nil, tc.method, path, tc.body)
 			if rr.Code != tc.status {
@@ -364,51 +364,35 @@ func TestStatusFor(t *testing.T) {
 	}
 }
 
-// TestDeprecatedAliases pins the pre-v1 paths: same handler, same
-// bytes, plus the Deprecation header and successor Link.
-func TestDeprecatedAliases(t *testing.T) {
-	s := New(Config{Jobs: 1})
-	h := s.Handler()
-	legacy := doReq(h, nil, http.MethodPost, "/run", runBody(11))
-	if legacy.Code != http.StatusOK {
-		t.Fatalf("legacy /run: status %d: %s", legacy.Code, legacy.Body.String())
+// TestUnversionedPathsGone pins that /v1 is the only surface: the
+// pre-v1 unversioned paths are not mounted on either handler set.
+func TestUnversionedPathsGone(t *testing.T) {
+	_, _, fleet := newTestFleet(t, 1, Config{Jobs: 1})
+	handlers := map[string]http.Handler{"server": New(Config{Jobs: 1}).Handler(), "fleet": fleet}
+	cases := []struct{ method, path, body string }{
+		{http.MethodPost, "/run", runBody(11)},
+		{http.MethodGet, "/healthz", ""},
+		{http.MethodGet, "/statsz", ""},
+		{http.MethodGet, "/workloads", ""},
 	}
-	if legacy.Header().Get(api.HeaderDeprecation) != "true" {
-		t.Error("legacy /run lacks the Deprecation header")
-	}
-	if link := legacy.Header().Get("Link"); !strings.Contains(link, api.PathRun) {
-		t.Errorf("legacy /run Link header %q does not name the successor %s", link, api.PathRun)
-	}
-	v1 := doReq(h, nil, http.MethodPost, api.PathRun, runBody(11))
-	if v1.Code != http.StatusOK {
-		t.Fatalf("%s: status %d", api.PathRun, v1.Code)
-	}
-	if v1.Header().Get(api.HeaderDeprecation) != "" {
-		t.Error("/v1/run carries a Deprecation header")
-	}
-	if !bytes.Equal(legacy.Body.Bytes(), v1.Body.Bytes()) {
-		t.Error("legacy and /v1 bodies differ")
-	}
-	for _, p := range []string{api.LegacyPathHealthz, api.LegacyPathStatsz, api.LegacyPathWorkloads} {
-		if got := doReq(h, nil, http.MethodGet, p, "").Header().Get(api.HeaderDeprecation); got != "true" {
-			t.Errorf("%s: Deprecation header = %q, want true", p, got)
+	for name, h := range handlers {
+		for _, tc := range cases {
+			if rr := doReq(h, nil, tc.method, tc.path, tc.body); rr.Code != http.StatusNotFound {
+				t.Errorf("%s %s: status %d, want 404", name, tc.path, rr.Code)
+			}
 		}
-	}
-	var resp RunResponse
-	if err := json.Unmarshal(v1.Body.Bytes(), &resp); err != nil || resp.Version != api.Version {
-		t.Errorf("response version = %q (err %v), want %q", resp.Version, err, api.Version)
 	}
 }
 
 func TestStatszAndWorkloads(t *testing.T) {
 	s := New(Config{Jobs: 2, QueueDepth: 4, CacheEntries: 4})
 	h := s.Handler()
-	if rr := doReq(h, nil, http.MethodPost, "/run", runBody(5)); rr.Code != http.StatusOK {
+	if rr := doReq(h, nil, http.MethodPost, api.PathRun, runBody(5)); rr.Code != http.StatusOK {
 		t.Fatalf("run: status %d: %s", rr.Code, rr.Body.String())
 	}
 
-	var st Statsz
-	if err := json.Unmarshal(doReq(h, nil, http.MethodGet, "/statsz", "").Body.Bytes(), &st); err != nil {
+	var st api.Statsz
+	if err := json.Unmarshal(doReq(h, nil, http.MethodGet, api.PathStatsz, "").Body.Bytes(), &st); err != nil {
 		t.Fatalf("statsz: %v", err)
 	}
 	if st.Cache.Misses != 1 || st.Cache.Entries != 1 || st.Cache.Capacity != 4 {
@@ -430,14 +414,14 @@ func TestStatszAndWorkloads(t *testing.T) {
 		t.Error("statsz carries no obs counters")
 	}
 
-	wl := doReq(h, nil, http.MethodGet, "/workloads", "").Body.String()
+	wl := doReq(h, nil, http.MethodGet, api.PathWorkloads, "").Body.String()
 	for _, name := range []string{"serve_tiny", "serve_slow"} {
 		if !strings.Contains(wl, name) {
 			t.Errorf("/workloads missing %s: %s", name, wl)
 		}
 	}
 
-	if rr := doReq(h, nil, http.MethodGet, "/healthz", ""); rr.Code != http.StatusOK {
+	if rr := doReq(h, nil, http.MethodGet, api.PathHealthz, ""); rr.Code != http.StatusOK {
 		t.Errorf("/healthz: status %d", rr.Code)
 	}
 }
@@ -447,15 +431,15 @@ func TestStatszAndWorkloads(t *testing.T) {
 func TestResponseShape(t *testing.T) {
 	s := New(Config{})
 	h := s.Handler()
-	rr := doReq(h, nil, http.MethodPost, "/run", `{"workload":"serve_tiny","seed":2,"monitoring":true,"interval":1000}`)
+	rr := doReq(h, nil, http.MethodPost, api.PathRun, `{"workload":"serve_tiny","seed":2,"monitoring":true,"interval":1000}`)
 	if rr.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rr.Code, rr.Body.String())
 	}
-	var resp RunResponse
+	var resp api.RunResponse
 	if err := json.Unmarshal(rr.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
-	if resp.Workload != "serve_tiny" || resp.Seed != 2 {
+	if resp.Version != api.Version || resp.Workload != "serve_tiny" || resp.Seed != 2 {
 		t.Errorf("echo fields wrong: %+v", resp)
 	}
 	if resp.Cycles == 0 || resp.Instret == 0 || resp.CPI <= 0 {

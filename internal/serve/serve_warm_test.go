@@ -5,6 +5,8 @@ import (
 	"net/http"
 	"reflect"
 	"testing"
+
+	"hpmvm/internal/api"
 )
 
 // stripKey unmarshals a response body and removes the request key —
@@ -29,13 +31,13 @@ func TestServeWarmStart(t *testing.T) {
 	h := s.Handler()
 
 	const base = `"workload":"serve_tiny","seed":5,"monitoring":true,"interval":1000`
-	cold := doReq(h, nil, http.MethodPost, "/run", `{`+base+`}`)
+	cold := doReq(h, nil, http.MethodPost, api.PathRun, `{`+base+`}`)
 	if cold.Code != http.StatusOK {
 		t.Fatalf("cold run: %d %s", cold.Code, cold.Body.String())
 	}
 
 	warmBody := `{` + base + `,"warm_start_cycles":100000}`
-	w1 := doReq(h, nil, http.MethodPost, "/run", warmBody)
+	w1 := doReq(h, nil, http.MethodPost, api.PathRun, warmBody)
 	if w1.Code != http.StatusOK {
 		t.Fatalf("warm run: %d %s", w1.Code, w1.Body.String())
 	}
@@ -53,7 +55,7 @@ func TestServeWarmStart(t *testing.T) {
 
 	// Divergent request: same prefix, different cycle budget — a result
 	// cache miss that must reuse the stored snapshot.
-	w2 := doReq(h, nil, http.MethodPost, "/run", `{`+base+`,"warm_start_cycles":100000,"max_cycles":400000000}`)
+	w2 := doReq(h, nil, http.MethodPost, api.PathRun, `{`+base+`,"warm_start_cycles":100000,"max_cycles":400000000}`)
 	if w2.Code != http.StatusOK {
 		t.Fatalf("divergent warm run: %d %s", w2.Code, w2.Body.String())
 	}
@@ -69,7 +71,7 @@ func TestServeWarmStart(t *testing.T) {
 
 	// Repeating the first warm request replays the result cache and
 	// never touches the snapshot layer.
-	w3 := doReq(h, nil, http.MethodPost, "/run", warmBody)
+	w3 := doReq(h, nil, http.MethodPost, api.PathRun, warmBody)
 	if got := w3.Header().Get("X-Hpmvmd-Cache"); got != "hit" {
 		t.Errorf("repeat cache disposition = %q, want hit", got)
 	}
@@ -91,7 +93,7 @@ func TestServeWarmStart(t *testing.T) {
 func TestServeWarmStartValidation(t *testing.T) {
 	s := New(Config{Jobs: 1})
 	h := s.Handler()
-	rr := doReq(h, nil, http.MethodPost, "/run",
+	rr := doReq(h, nil, http.MethodPost, api.PathRun,
 		`{"workload":"serve_tiny","warm_start_cycles":100,"max_cycles":100}`)
 	if rr.Code != http.StatusBadRequest {
 		t.Fatalf("warm_start_cycles >= max_cycles: %d, want 400", rr.Code)

@@ -29,9 +29,9 @@ func encodeIntMapU64(w *snap.Writer, m map[int]uint64) {
 }
 
 func decodeIntMapU64(r *snap.Reader) map[int]uint64 {
-	n := r.U64()
+	n := r.Count(16)
 	m := make(map[int]uint64, n)
-	for i := uint64(0); i < n && r.Err() == nil; i++ {
+	for i := 0; i < n; i++ {
 		k := int(r.I64())
 		m[k] = r.U64()
 	}
@@ -52,9 +52,9 @@ func encodeIntMapInt(w *snap.Writer, m map[int]int) {
 }
 
 func decodeIntMapInt(r *snap.Reader) map[int]int {
-	n := r.U64()
+	n := r.Count(16)
 	m := make(map[int]int, n)
-	for i := uint64(0); i < n && r.Err() == nil; i++ {
+	for i := 0; i < n; i++ {
 		k := int(r.I64())
 		m[k] = int(r.I64())
 	}

@@ -140,6 +140,3 @@ func RefSlotMask(slots []int) uint64 {
 	}
 	return m
 }
-
-// KindIsRef is a small helper shared by the compilers.
-func KindIsRef(k classfile.Kind) bool { return k == classfile.KindRef }

@@ -114,24 +114,6 @@ var condNames = []string{"eq", "ne", "lt", "le", "gt", "ge"}
 
 func (c Cond) String() string { return condNames[c] }
 
-// Negate returns the opposite condition.
-func (c Cond) Negate() Cond {
-	switch c {
-	case EQ:
-		return NE
-	case NE:
-		return EQ
-	case LT:
-		return GE
-	case LE:
-		return GT
-	case GT:
-		return LE
-	default:
-		return LT
-	}
-}
-
 // NoValue marks instructions that define nothing.
 const NoValue = -1
 
@@ -259,22 +241,6 @@ type Func struct {
 
 // Value returns the instruction defining value id.
 func (f *Func) Value(id int) *Instr { return f.values[id] }
-
-// NumValues returns the number of values defined.
-func (f *Func) NumValues() int { return len(f.values) }
-
-// NumInstrs counts live (non-dead) instructions.
-func (f *Func) NumInstrs() int {
-	n := 0
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if !in.Dead {
-				n++
-			}
-		}
-	}
-	return n
-}
 
 func (f *Func) newInstr(in *Instr, hasDef bool) *Instr {
 	in.Seq = f.seq

@@ -108,10 +108,6 @@ func (vm *VM) CompileMethod(m *classfile.Method, level int) error {
 	return nil
 }
 
-// MethodLevel returns the optimization level the method was last
-// compiled at (0 for baseline or never compiled).
-func (vm *VM) MethodLevel(methodID int) int { return vm.levels[methodID] }
-
 // padMethodID marks an InstallPad entry in the recompile log; the
 // entry's level field carries the pad length in instructions.
 const padMethodID = -1

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"hpmvm/internal/hw/cpu"
-	"hpmvm/internal/vm/mcmap"
 )
 
 // Root is one GC root location: either a CPU register or a stack slot
@@ -81,14 +80,4 @@ func (vm *VM) CollectRoots() []Root {
 		fp = vm.CPU.LoadWord(fp)
 	}
 	return roots
-}
-
-// GCMapAt returns the GC point covering pc, used by tests.
-func (vm *VM) GCMapAt(pc uint64) (*mcmap.GCPoint, bool) {
-	body, ok := vm.Table.Lookup(pc)
-	if !ok {
-		return nil, false
-	}
-	gp := body.GCPointAt(pc)
-	return gp, gp != nil
 }

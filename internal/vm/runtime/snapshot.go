@@ -65,9 +65,9 @@ func (vm *VM) Restore(st snap.ComponentState) error {
 	if err := scratch.Decode(r); err != nil {
 		return err
 	}
-	nResults := r.U64()
+	nResults := r.Count(8)
 	results := make([]int64, 0, nResults)
-	for i := uint64(0); i < nResults && r.Err() == nil; i++ {
+	for i := 0; i < nResults; i++ {
 		results = append(results, r.I64())
 	}
 	var failure error
@@ -77,9 +77,9 @@ func (vm *VM) Restore(st snap.ComponentState) error {
 	started := r.Bool()
 	allocations := r.U64()
 	allocatedByte := r.U64()
-	nLog := r.U64()
+	nLog := r.Count(16)
 	log := make([]recompileEntry, 0, nLog)
-	for i := uint64(0); i < nLog && r.Err() == nil; i++ {
+	for i := 0; i < nLog; i++ {
 		var e recompileEntry
 		e.methodID = int(r.I64())
 		e.level = int(r.I64())

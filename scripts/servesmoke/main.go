@@ -1,7 +1,6 @@
 // Command servesmoke is the end-to-end smoke checker for a running
 // hpmvmd (single server or fleet coordinator), built on the typed
-// internal/client — the same code path external clients use, replacing
-// the old shell-and-grep JSON checks in scripts/serve_smoke.sh.
+// internal/client — the same code path external clients use.
 //
 // It verifies, against a live daemon:
 //
@@ -13,8 +12,6 @@
 //     under a key distinct from the exact run's
 //   - sampled+warm_start is refused with the bad_request code
 //   - unknown workloads map to the unknown_workload code
-//   - the deprecated unversioned paths answer byte-identically with a
-//     Deprecation header and a successor-version link
 //   - /v1/stream reassembles byte-identically to /v1/run
 //   - managed-optimization runs (coalloc, codelayout, swprefetch) surface per-kind
 //     decision/revert counters in /v1/statsz
@@ -28,10 +25,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
-	"strings"
 	"time"
 
 	"hpmvm/internal/api"
@@ -51,7 +45,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "servesmoke: FAIL — %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Println("servesmoke: OK — cold=miss, replay=hit, warm=store then hit, sampled=estimated at its own key, v1+legacy byte-identical, stream byte-identical, error codes stable, opt counters in statsz")
+	fmt.Println("servesmoke: OK — cold=miss, replay=hit, warm=store then hit, sampled=estimated at its own key, stream byte-identical, error codes stable, opt counters in statsz")
 }
 
 func smoke(url string) error {
@@ -150,11 +144,6 @@ func smoke(url string) error {
 		return err
 	}
 	if err := wantCode(c, ctx, api.Request{Workload: "no_such_workload"}, api.CodeUnknownWorkload); err != nil {
-		return err
-	}
-
-	// Deprecated alias: byte-identical, flagged, linked to /v1.
-	if err := checkLegacyAlias(ctx, url, hit.Body); err != nil {
 		return err
 	}
 
@@ -292,38 +281,6 @@ func wantCode(c *client.Client, ctx context.Context, req api.Request, code strin
 	}
 	if ae.Code != code {
 		return fmt.Errorf("request %+v: code %q, want %q", req, ae.Code, code)
-	}
-	return nil
-}
-
-// checkLegacyAlias hits the unversioned /run with the replayed request
-// and asserts deprecation signaling plus byte-identity with /v1/run.
-func checkLegacyAlias(ctx context.Context, url string, v1Body []byte) error {
-	body := `{"workload":"compress","seed":1,"monitoring":true,"interval":25000}`
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+api.LegacyPathRun, strings.NewReader(body))
-	if err != nil {
-		return err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return fmt.Errorf("legacy /run: %w", err)
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("legacy /run: HTTP %d: %s", resp.StatusCode, data)
-	}
-	if resp.Header.Get(api.HeaderDeprecation) != "true" {
-		return errors.New("legacy /run lacks the Deprecation header")
-	}
-	if link := resp.Header.Get("Link"); !strings.Contains(link, api.PathRun) {
-		return fmt.Errorf("legacy /run Link header %q does not name the successor %s", link, api.PathRun)
-	}
-	if !bytes.Equal(data, v1Body) {
-		return errors.New("legacy /run response differs from /v1/run")
 	}
 	return nil
 }
