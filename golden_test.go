@@ -1,7 +1,12 @@
 // Golden-equivalence corpus: pins the simulator's observable output —
-// final metrics, obs exports, and whole-system snapshot fingerprints —
+// final metrics, obs exports, and whole-system snapshot hashes —
 // against recorded goldens for every registered workload under both
 // collectors, with and without monitoring and co-allocation.
+//
+// snapshot_sha256 is the SHA-256 of the encoded snapshot with its two
+// identity strings (Fingerprint, PrefixFingerprint) blanked: it pins
+// machine state, not how core.Options is spelled, so re-keying the
+// canonical form cannot move the corpus.
 //
 // The corpus exists so hot-path rewrites (predecoded interpreter, MRU
 // cache filter, page-pointer memoization, event-horizon run loop) can
@@ -66,7 +71,7 @@ type goldenEntry struct {
 	Instret       uint64 `json:"instret"`
 	ResultSHA256  string `json:"result_sha256"`   // canonical rendering of bench.Result
 	ObsSHA256     string `json:"obs_sha256"`      // obs.Metrics JSON export
-	SnapSHA256    string `json:"snapshot_sha256"` // encoded snapshot at goldenPauseCycles
+	SnapSHA256    string `json:"snapshot_sha256"` // snapshot at goldenPauseCycles, identity strings blanked
 	SnapshotBytes int    `json:"snapshot_bytes"`
 }
 
@@ -119,6 +124,21 @@ func obsFingerprint(t *testing.T, r *bench.Result) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// snapshotFingerprint hashes an encoded snapshot with Fingerprint and
+// PrefixFingerprint blanked: they are digests of how core.Options is
+// spelled, not machine state, and TestSnapshotMismatchSentinel pins
+// that restore enforces them.
+func snapshotFingerprint(t *testing.T, encoded []byte) string {
+	t.Helper()
+	sn, err := core.DecodeSnapshot(encoded)
+	if err != nil {
+		t.Fatalf("decode snapshot: %v", err)
+	}
+	sn.Fingerprint, sn.PrefixFingerprint = "", ""
+	sum := sha256.Sum256(core.EncodeSnapshot(sn))
+	return hex.EncodeToString(sum[:])
+}
+
 // captureEntry executes one (workload, config) point: a full cold run
 // for the final metrics and obs export, plus a short prefix run whose
 // encoded whole-system snapshot pins the exact intermediate hardware
@@ -133,13 +153,12 @@ func captureEntry(t *testing.T, b bench.Builder, gc goldenConfig) goldenEntry {
 	if err != nil {
 		t.Fatalf("%s: prefix snapshot: %v", gc.Name, err)
 	}
-	sum := sha256.Sum256(snap)
 	return goldenEntry{
 		Cycles:        res.Cycles,
 		Instret:       res.Instret,
 		ResultSHA256:  resultFingerprint(res),
 		ObsSHA256:     obsFingerprint(t, res),
-		SnapSHA256:    hex.EncodeToString(sum[:]),
+		SnapSHA256:    snapshotFingerprint(t, snap),
 		SnapshotBytes: len(snap),
 	}
 }

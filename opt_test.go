@@ -7,8 +7,6 @@
 package hpmvm_test
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"os"
 	"strings"
@@ -67,8 +65,7 @@ func TestOptCoallocByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("prefix snapshot: %v", err)
 			}
-			sum := sha256.Sum256(snap)
-			got.SnapSHA256 = hex.EncodeToString(sum[:])
+			got.SnapSHA256 = snapshotFingerprint(t, snap)
 			got.SnapshotBytes = len(snap)
 			if got != wantE {
 				t.Errorf("framework-managed coalloc diverges from the golden:\n got %+v\nwant %+v", got, wantE)
