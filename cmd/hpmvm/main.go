@@ -84,6 +84,9 @@ func main() {
 		Adaptive:   *adaptive,
 		Seed:       *seed,
 	}
+	if *gap != 0 && !*coalloc {
+		fail(fmt.Errorf("%w: -gap tunes co-allocation and needs -coalloc", core.ErrBadOptions))
+	}
 	switch *collector {
 	case "", "genms":
 	case "gencopy":

@@ -288,7 +288,6 @@ func (cfg RunConfig) Resolve(minHeap uint64, hotField string) core.Options {
 		Monitoring:       monitoring,
 		SamplingInterval: cfg.Interval,
 		Event:            cfg.Event,
-		Coalloc:          cfg.Coalloc,
 		Adaptive:         cfg.Adaptive,
 		Seed:             cfg.Seed,
 		TrackFields:      track,
@@ -297,13 +296,17 @@ func (cfg RunConfig) Resolve(minHeap uint64, hotField string) core.Options {
 		TraceCapacity:    cfg.TraceCapacity,
 		Sampling:         cfg.Sampling,
 	}
-	if cfg.Gap != 0 || cfg.GapAtCycle != 0 || cfg.DisableRevert || cfg.Ranked {
-		cc := coalloc.DefaultConfig()
-		cc.Gap = cfg.Gap
-		cc.GapAtCycle = cfg.GapAtCycle
-		cc.RevertEnabled = !cfg.DisableRevert
-		cc.Ranked = cfg.Ranked
-		opts.CoallocConfig = &cc
+	if cfg.Coalloc {
+		e := core.OptimizationConfig{Kind: opt.KindCoalloc}
+		if cfg.Gap != 0 || cfg.GapAtCycle != 0 || cfg.DisableRevert || cfg.Ranked {
+			cc := coalloc.DefaultConfig()
+			cc.Gap = cfg.Gap
+			cc.GapAtCycle = cfg.GapAtCycle
+			cc.RevertEnabled = !cfg.DisableRevert
+			cc.Ranked = cfg.Ranked
+			e.Config = cc
+		}
+		opts.Optimizations = append(opts.Optimizations, e)
 	}
 	if cfg.CodeLayout {
 		opts.Optimizations = append(opts.Optimizations,

@@ -7,6 +7,7 @@ import (
 	"hpmvm/internal/bench"
 	"hpmvm/internal/coalloc"
 	"hpmvm/internal/core"
+	"hpmvm/internal/opt"
 	"hpmvm/internal/vm/bytecode"
 	"hpmvm/internal/vm/classfile"
 )
@@ -95,7 +96,7 @@ func TestPolicyActivatesHotField(t *testing.T) {
 		HeapLimit:        8 << 20,
 		Monitoring:       true,
 		SamplingInterval: 2000,
-		Coalloc:          true,
+		Optimizations:    []core.OptimizationConfig{{Kind: opt.KindCoalloc}},
 	})
 	if sys.CoallocPairs() == 0 {
 		t.Fatalf("no pairs placed; events: %v", sys.Policy.Log())
@@ -146,8 +147,7 @@ func TestPolicyRevertsForcedGap(t *testing.T) {
 		HeapLimit:        8 << 20,
 		Monitoring:       true,
 		SamplingInterval: 800,
-		Coalloc:          true,
-		CoallocConfig:    &cc,
+		Optimizations:    []core.OptimizationConfig{{Kind: opt.KindCoalloc, Config: cc}},
 	})
 	if err != nil {
 		t.Fatal(err)

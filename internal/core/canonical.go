@@ -8,9 +8,7 @@ import (
 	"sort"
 	"strings"
 
-	"hpmvm/internal/coalloc"
 	"hpmvm/internal/monitor"
-	"hpmvm/internal/opt"
 	"hpmvm/internal/vm/aos"
 )
 
@@ -83,19 +81,8 @@ func (o Options) Canonical() Options {
 	}
 	// The managed list hashes with every config resolved through its
 	// kind's descriptor and sorted by kind — unknown kinds stay in and
-	// still perturb the hash. A resolved coalloc entry is carried in the
-	// legacy Coalloc/CoallocConfig fields, never in the list: the two
-	// spellings wire identical systems, so they must hash identically,
-	// and every recorded fingerprint spells it the legacy way.
-	managed, _ := c.managedOptimizations()
-	c.Coalloc, c.CoallocConfig, c.Optimizations = false, nil, nil
-	for _, e := range managed {
-		if ccfg, ok := e.Config.(coalloc.Config); ok && e.Kind == opt.KindCoalloc {
-			c.Coalloc, c.CoallocConfig = true, &ccfg
-		} else {
-			c.Optimizations = append(c.Optimizations, e)
-		}
-	}
+	// still perturb the hash.
+	c.Optimizations, _ = c.managedOptimizations()
 	if !c.Adaptive {
 		c.AOSConfig = nil
 	} else if c.AOSConfig == nil {
@@ -125,24 +112,6 @@ func canonicalString(c Options) string {
 	for i := 0; i < t.NumField(); i++ {
 		name := t.Field(i).Name
 		if _, skip := canonicalIgnored[name]; skip {
-			continue
-		}
-		// A nil Sampling is omitted rather than serialized as
-		// "Sampling=nil": exact mode is the *absence* of the sampling
-		// subsystem, and omitting it keeps every pre-sampling exact
-		// fingerprint stable — snapshot identities, serve-cache keys and
-		// the golden corpus survive the field's introduction. Non-nil
-		// configs serialize in full and hash distinctly.
-		if name == "Sampling" && v.Field(i).IsNil() {
-			continue
-		}
-		// Optimizations follows the same omit-when-empty rule: the empty
-		// list is the absence of the framework's managed set (a
-		// coalloc-only configuration folds into the legacy Coalloc
-		// fields above), so every pre-framework fingerprint — snapshot
-		// identities, serve-cache keys, the golden corpus — survives the
-		// field's introduction.
-		if name == "Optimizations" && v.Field(i).Len() == 0 {
 			continue
 		}
 		appendCanonical(&b, name, v.Field(i))

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -32,7 +33,6 @@ func FuzzCanonical(f *testing.F) {
 			Monitoring:       monitoring,
 			SamplingInterval: interval,
 			Event:            cache.EventKind(event % 3),
-			Coalloc:          coalloc,
 			Adaptive:         adaptive,
 			Seed:             seed,
 			Observe:          observe,
@@ -40,6 +40,9 @@ func FuzzCanonical(f *testing.F) {
 		}
 		if track != "" {
 			o.TrackFields = []string{track}
+		}
+		if coalloc {
+			o.Optimizations = append(o.Optimizations, OptimizationConfig{Kind: opt.KindCoalloc})
 		}
 		// An entry's config travels as nil (zero tuning input), as a
 		// pointer, or — byValue — as a value: three spellings of one
@@ -109,20 +112,6 @@ func FuzzCanonical(f *testing.F) {
 			t.Fatalf("passive obs fields perturbed Fingerprint")
 		}
 
-		// The optimization list's two co-allocation spellings are one
-		// configuration: folding the legacy Coalloc switch into a
-		// coalloc-kind entry must not move the key.
-		if coalloc {
-			folded := o
-			folded.Coalloc = false
-			folded.Optimizations = append([]OptimizationConfig{{Kind: opt.KindCoalloc}},
-				o.Optimizations...)
-			if folded.Fingerprint() != fp {
-				t.Fatalf("coalloc-kind entry hashes differently from the legacy Coalloc switch:\n legacy %s\n entry  %s",
-					o.CanonicalString(), folded.CanonicalString())
-			}
-		}
-
 		// Entry order and the config's spelling (nil ≡ the kind's
 		// explicit defaults, value ≡ pointer) never reach the key.
 		respelled := o
@@ -138,30 +127,25 @@ func FuzzCanonical(f *testing.F) {
 				o.CanonicalString(), respelled.CanonicalString())
 		}
 
-		// An empty (non-nil) list is the absence of the framework.
+		// A nil and an empty (non-nil) list are one configuration.
 		empty := o
 		empty.Optimizations = append([]OptimizationConfig{}, o.Optimizations...)
 		if empty.Fingerprint() != fp {
 			t.Fatalf("re-sliced optimization list perturbed Fingerprint")
 		}
 
-		// A codelayout entry is semantic: adding one must move the key.
-		withCL := o
-		if !codeLayout {
-			withCL.Optimizations = append([]OptimizationConfig{{Kind: opt.KindCodeLayout}},
-				o.Optimizations...)
-			if withCL.Fingerprint() == fp {
-				t.Fatalf("codelayout entry did not perturb Fingerprint")
-			}
-		}
-
-		// So is a swprefetch entry.
-		if !swPrefetch {
-			withSP := o
-			withSP.Optimizations = append([]OptimizationConfig{{Kind: opt.KindSwPrefetch}},
-				o.Optimizations...)
-			if withSP.Fingerprint() == fp {
-				t.Fatalf("swprefetch entry did not perturb Fingerprint")
+		// Every entry is semantic: adding a kind must move both the exact
+		// and the prefix key; naming one twice is rejected.
+		for kind, present := range map[string]bool{
+			opt.KindCoalloc: coalloc, opt.KindCodeLayout: codeLayout, opt.KindSwPrefetch: swPrefetch} {
+			with := o
+			with.Optimizations = append([]OptimizationConfig{{Kind: kind}}, o.Optimizations...)
+			if present {
+				if err := with.Validate(); !errors.Is(err, ErrBadOptions) {
+					t.Fatalf("duplicate %s entry: Validate = %v, want ErrBadOptions", kind, err)
+				}
+			} else if with.Fingerprint() == fp || with.PrefixFingerprint() == pfp {
+				t.Fatalf("%s entry did not perturb Fingerprint and PrefixFingerprint", kind)
 			}
 		}
 	})

@@ -23,14 +23,10 @@ func fullBase() Options {
 		Monitoring:       true,
 		SamplingInterval: 25_000,
 		Event:            cache.EventL1Miss,
-		Coalloc:          true,
 		Adaptive:         true,
 		Seed:             7,
 		TrackFields:      []string{"String::value"},
-		// A codelayout entry (not a coalloc one: that would fold into the
-		// legacy Coalloc switch and mask its mutation) keeps the
-		// optimization list live in the base hash.
-		Optimizations: []OptimizationConfig{{Kind: opt.KindCodeLayout}},
+		Optimizations:    []OptimizationConfig{{Kind: opt.KindCoalloc}, {Kind: opt.KindCodeLayout}},
 	}
 }
 
@@ -133,8 +129,8 @@ func TestCanonicalDefaultEquivalence(t *testing.T) {
 			Options{Monitoring: true, SamplingInterval: 1000, MonitorConfig: &mdef},
 			Options{Monitoring: true, SamplingInterval: 1000, MonitorConfig: &mShadow}},
 		{"nil vs default coalloc config",
-			Options{Monitoring: true, Coalloc: true},
-			Options{Monitoring: true, Coalloc: true, CoallocConfig: &cdef}},
+			Options{Monitoring: true, Optimizations: []OptimizationConfig{{Kind: opt.KindCoalloc}}},
+			Options{Monitoring: true, Optimizations: []OptimizationConfig{{Kind: opt.KindCoalloc, Config: &cdef}}}},
 		{"nil vs default aos config",
 			Options{Adaptive: true},
 			Options{Adaptive: true, AOSConfig: &adef}},
@@ -179,13 +175,15 @@ func TestCanonicalDefaultEquivalence(t *testing.T) {
 }
 
 // TestCanonicalOptimizationsEquivalence pins the cache-key contract of
-// the generalized optimization list: the two spellings of co-allocation
-// (legacy Coalloc switch, coalloc-kind entry) wire identical systems
-// and must hash identically; codelayout configs resolve defaults before
-// hashing; the empty list is the absence of the framework, so every
-// pre-framework fingerprint survives the field's introduction.
+// the optimization list: an entry's config resolves defaults before
+// hashing (nil ≡ the kind's defaults ≡ zero fields that resolve to
+// them, value ≡ pointer), entry order never reaches the key, and every
+// entry — co-allocation included — is semantic: it perturbs both the
+// exact and the prefix fingerprint.
 func TestCanonicalOptimizationsEquivalence(t *testing.T) {
 	ccfg := coalloc.DefaultConfig()
+	gapped := ccfg
+	gapped.Gap = 64
 	clDef := opt.DefaultCodeLayoutConfig()
 	clRes := clDef.WithDefaults()
 	spDef := opt.DefaultSwPrefetchConfig()
@@ -195,16 +193,9 @@ func TestCanonicalOptimizationsEquivalence(t *testing.T) {
 		name string
 		a, b Options
 	}{
-		{"legacy Coalloc vs coalloc-kind entry",
-			Options{Monitoring: true, Coalloc: true},
-			Options{Monitoring: true, Optimizations: []OptimizationConfig{{Kind: opt.KindCoalloc}}}},
-		{"legacy CoallocConfig vs entry config",
-			Options{Monitoring: true, Coalloc: true, CoallocConfig: &ccfg},
+		{"coalloc entry config by value vs by pointer",
+			Options{Monitoring: true, Optimizations: []OptimizationConfig{{Kind: opt.KindCoalloc, Config: ccfg}}},
 			Options{Monitoring: true, Optimizations: []OptimizationConfig{{Kind: opt.KindCoalloc, Config: &ccfg}}}},
-		{"both spellings at once vs one",
-			Options{Monitoring: true, Coalloc: true,
-				Optimizations: []OptimizationConfig{{Kind: opt.KindCoalloc}}},
-			Options{Monitoring: true, Coalloc: true}},
 		{"nil vs default codelayout config",
 			Options{Monitoring: true, Optimizations: []OptimizationConfig{{Kind: opt.KindCodeLayout}}},
 			Options{Monitoring: true, Optimizations: []OptimizationConfig{{Kind: opt.KindCodeLayout, Config: &clDef}}}},
@@ -234,14 +225,11 @@ func TestCanonicalOptimizationsEquivalence(t *testing.T) {
 		{"nil vs empty optimization list",
 			Options{Seed: 5},
 			Options{Seed: 5, Optimizations: []OptimizationConfig{}}},
-		{"coalloc entry config by value vs legacy pointer",
-			Options{Monitoring: true, Coalloc: true, CoallocConfig: &ccfg},
-			Options{Monitoring: true, Optimizations: []OptimizationConfig{{Kind: opt.KindCoalloc, Config: ccfg}}}},
 		{"entry order is canonicalized across three kinds",
 			Options{Monitoring: true, Optimizations: []OptimizationConfig{
 				{Kind: opt.KindSwPrefetch}, {Kind: opt.KindCodeLayout}, {Kind: opt.KindCoalloc}}},
-			Options{Monitoring: true, Coalloc: true, Optimizations: []OptimizationConfig{
-				{Kind: opt.KindCodeLayout}, {Kind: opt.KindSwPrefetch}}}},
+			Options{Monitoring: true, Optimizations: []OptimizationConfig{
+				{Kind: opt.KindCoalloc}, {Kind: opt.KindCodeLayout}, {Kind: opt.KindSwPrefetch}}}},
 		{"entry order is canonicalized",
 			Options{Monitoring: true, Optimizations: []OptimizationConfig{
 				{Kind: opt.KindCodeLayout}, {Kind: opt.KindCoalloc}}},
@@ -259,6 +247,12 @@ func TestCanonicalOptimizationsEquivalence(t *testing.T) {
 		name string
 		a, b Options
 	}{
+		{"coalloc presence",
+			Options{Monitoring: true},
+			Options{Monitoring: true, Optimizations: []OptimizationConfig{{Kind: opt.KindCoalloc}}}},
+		{"coalloc tuning",
+			Options{Monitoring: true, Optimizations: []OptimizationConfig{{Kind: opt.KindCoalloc}}},
+			Options{Monitoring: true, Optimizations: []OptimizationConfig{{Kind: opt.KindCoalloc, Config: gapped}}}},
 		{"codelayout presence",
 			Options{Monitoring: true},
 			Options{Monitoring: true, Optimizations: []OptimizationConfig{{Kind: opt.KindCodeLayout}}}},
@@ -288,6 +282,11 @@ func TestCanonicalOptimizationsEquivalence(t *testing.T) {
 		if tc.a.Fingerprint() == tc.b.Fingerprint() {
 			t.Errorf("%s: fingerprints collapse\n aStr=%s\n bStr=%s",
 				tc.name, tc.a.CanonicalString(), tc.b.CanonicalString())
+		}
+		// An optimization changes the simulation from its first sample
+		// on, so configurations differing in one never share a prefix.
+		if tc.a.PrefixFingerprint() == tc.b.PrefixFingerprint() {
+			t.Errorf("%s: prefix fingerprints collapse", tc.name)
 		}
 	}
 }

@@ -12,7 +12,7 @@
 //		HeapLimit:        64 << 20,
 //		Monitoring:       true,
 //		SamplingInterval: 25_000,
-//		Coalloc:          true,
+//		Optimizations:    []core.OptimizationConfig{{Kind: opt.KindCoalloc}},
 //	})
 //	sys.Boot(plan, materialize)
 //	err = sys.RunContext(ctx, entry, 0)
@@ -77,16 +77,10 @@ type Options struct {
 	Event            cache.EventKind
 	MonitorConfig    *monitor.Config // optional overrides
 
-	// Coalloc enables the HPM-guided co-allocation policy (requires
-	// Monitoring and the GenMS collector).
-	Coalloc       bool
-	CoallocConfig *coalloc.Config // optional overrides
-
 	// Optimizations selects managed online optimizations by kind (any
-	// kind registered with package opt), each with an optional config of
-	// the kind's own type. The legacy Coalloc switch is shorthand for
-	// (and mutually exclusive with) a coalloc-kind entry; the two
-	// spellings canonicalize — and therefore fingerprint — identically.
+	// kind registered with package opt — opt.KindCoalloc is the paper's
+	// HPM-guided co-allocation, which also requires the GenMS
+	// collector), each with an optional config of the kind's own type.
 	// Every entry requires Monitoring (the pipeline consumes HPM
 	// samples).
 	Optimizations []OptimizationConfig

@@ -18,8 +18,8 @@ var ErrBadOptions = errors.New("invalid options")
 // OptimizationConfig selects one managed online optimization by kind,
 // with an optional tuning config.
 type OptimizationConfig struct {
-	// Kind is the name of a kind registered with package opt
-	// (opt.KindCoalloc, ...).
+	// Kind is the name of a kind registered with package opt (one of
+	// its Kind* constants).
 	Kind string
 	// Config tunes the entry: nil selects the kind's defaults, otherwise
 	// it is a value of (or pointer to) the config type the kind's
@@ -27,36 +27,28 @@ type OptimizationConfig struct {
 	Config any
 }
 
-// managedOptimizations resolves Options into the list of optimizations
-// the system manages, in registration order (sorted by kind), each
-// entry's Config resolved to a value of its kind's config type. It is
-// the one place the legacy Coalloc/CoallocConfig switch folds into the
-// list — as a leading coalloc-kind entry — and the one place entries
-// are checked against the kind registry; Validate, Canonical and
-// NewSystemOpts all go through it. The list is total: Canonical must
-// hash invalid options too, so an offending entry is kept unresolved
-// (a duplicate is dropped) and the first offence is returned as an
-// error wrapping ErrBadOptions.
+// managedOptimizations resolves Options.Optimizations into the list of
+// optimizations the system manages, in registration order (sorted by
+// kind), each entry's Config resolved to a value of its kind's config
+// type. It is the one place entries are checked against the kind
+// registry; Validate, Canonical and NewSystemOpts all go through it.
+// The list is total: Canonical must hash invalid options too, so an
+// offending entry is kept unresolved (a duplicate is dropped) and the
+// first offence is returned as an error wrapping ErrBadOptions.
 func (o Options) managedOptimizations() ([]OptimizationConfig, error) {
+	if len(o.Optimizations) == 0 {
+		return nil, nil
+	}
 	var firstErr error
 	bad := func(format string, args ...any) {
 		if firstErr == nil {
 			firstErr = fmt.Errorf("core: %w: %s", ErrBadOptions, fmt.Sprintf(format, args...))
 		}
 	}
-	entries := o.Optimizations
-	if o.Coalloc {
-		entries = append([]OptimizationConfig{{Kind: opt.KindCoalloc, Config: o.CoallocConfig}}, entries...)
-	} else if o.CoallocConfig != nil {
-		bad("CoallocConfig set without Coalloc")
-	}
-	if len(entries) == 0 {
-		return nil, firstErr
-	}
-	list := make([]OptimizationConfig, 0, len(entries))
-	for _, e := range entries {
+	list := make([]OptimizationConfig, 0, len(o.Optimizations))
+	for _, e := range o.Optimizations {
 		if slices.ContainsFunc(list, func(x OptimizationConfig) bool { return x.Kind == e.Kind }) {
-			bad("optimization kind %q configured twice (the legacy Coalloc switch counts as a coalloc entry)", e.Kind)
+			bad("optimization kind %q configured twice", e.Kind)
 			continue
 		}
 		d, known := opt.Lookup(e.Kind)
@@ -83,8 +75,9 @@ func (o Options) managedOptimizations() ([]OptimizationConfig, error) {
 
 // Validate reports whether the option combination is buildable. Every
 // failure wraps ErrBadOptions. NewSystemOpts runs it, so an invalid
-// combination — co-allocation without monitoring, or on the copying
-// collector — is an error instead of a silently mis-wired System.
+// combination — a co-allocation entry without monitoring, or on the
+// copying collector — is an error instead of a silently mis-wired
+// System.
 func (o Options) Validate() error {
 	if o.Collector != GenMS && o.Collector != GenCopy {
 		return fmt.Errorf("core: %w: unknown collector kind %d", ErrBadOptions, int(o.Collector))

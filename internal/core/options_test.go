@@ -7,8 +7,13 @@ import (
 	"hpmvm/internal/core"
 	"hpmvm/internal/hw/cache"
 	"hpmvm/internal/monitor"
+	"hpmvm/internal/opt"
 	"hpmvm/internal/vm/aos"
 )
+
+// coallocEntry is the Options.Optimizations value enabling the paper's
+// co-allocation with its default tuning.
+var coallocEntry = []core.OptimizationConfig{{Kind: opt.KindCoalloc}}
 
 func TestValidateRejectsBadCombos(t *testing.T) {
 	mcfg := monitor.DefaultConfig()
@@ -18,8 +23,8 @@ func TestValidateRejectsBadCombos(t *testing.T) {
 		opts core.Options
 	}{
 		{"unknown collector", core.Options{Collector: core.CollectorKind(99)}},
-		{"coalloc without monitoring", core.Options{Coalloc: true}},
-		{"coalloc on gencopy", core.Options{Collector: core.GenCopy, Monitoring: true, Coalloc: true}},
+		{"coalloc without monitoring", core.Options{Optimizations: coallocEntry}},
+		{"coalloc on gencopy", core.Options{Collector: core.GenCopy, Monitoring: true, Optimizations: coallocEntry}},
 		{"event out of range", core.Options{Event: cache.NumEventKinds}},
 		{"negative trace capacity", core.Options{TraceCapacity: -1}},
 		{"monitor config without monitoring", core.Options{MonitorConfig: &mcfg}},
@@ -38,7 +43,7 @@ func TestValidateRejectsBadCombos(t *testing.T) {
 
 	good := []core.Options{
 		{},
-		{Monitoring: true, SamplingInterval: 25_000, Coalloc: true},
+		{Monitoring: true, SamplingInterval: 25_000, Optimizations: coallocEntry},
 		{Collector: core.GenCopy, Monitoring: true},
 		{Adaptive: true},
 	}

@@ -22,7 +22,7 @@ import (
 func FuzzOptRestore(f *testing.F) {
 	base := core.Options{HeapLimit: 8 << 20, Monitoring: true, SamplingInterval: 500}
 	coalloc, layout, prefetch := base, base, base
-	coalloc.Coalloc = true
+	coalloc.Optimizations = coallocEntry
 	layout.Optimizations = []core.OptimizationConfig{{Kind: opt.KindCodeLayout,
 		Config: opt.CodeLayoutConfig{MinSamples: 1, EvalPeriods: 1, MinMissRate: -1}}}
 	prefetch.Optimizations = []core.OptimizationConfig{{Kind: opt.KindSwPrefetch,
@@ -96,7 +96,7 @@ func TestRestoreRejectsCorruptCounts(t *testing.T) {
 	const sweep = 192 // past the first count of every component
 	swept := make(map[string]bool)
 	for _, opts := range []core.Options{
-		{HeapLimit: 8 << 20, Monitoring: true, SamplingInterval: 500, Coalloc: true, Observe: true},
+		{HeapLimit: 8 << 20, Monitoring: true, SamplingInterval: 500, Optimizations: coallocEntry, Observe: true},
 		{Collector: core.GenCopy, HeapLimit: 12 << 20},
 		{HeapLimit: 8 << 20, Adaptive: true},
 	} {

@@ -174,7 +174,7 @@ func TestSmokeCoallocation(t *testing.T) {
 		HeapLimit:        8 << 20,
 		Monitoring:       true,
 		SamplingInterval: 500,
-		Coalloc:          true,
+		Optimizations:    coallocEntry,
 	}, allOpt(2))
 	t.Logf("coalloc pairs: %d", sys.CoallocPairs())
 	t.Logf("%s", sys.Monitor.Report(5))
@@ -241,7 +241,7 @@ func TestGenCopyRejectsCoalloc(t *testing.T) {
 		HeapLimit:        8 << 20,
 		Monitoring:       true,
 		SamplingInterval: 2000,
-		Coalloc:          true,
+		Optimizations:    coallocEntry,
 	})
 	if !errors.Is(err, core.ErrBadOptions) {
 		t.Fatalf("NewSystemOpts(GenCopy+Coalloc) err = %v, want ErrBadOptions", err)

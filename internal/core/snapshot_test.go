@@ -34,7 +34,7 @@ func snapConfigs() map[string]core.Options {
 		"genms-monitoring": {HeapLimit: 8 << 20,
 			Monitoring: true, SamplingInterval: 1000, Observe: true},
 		"genms-monitoring-coalloc": {HeapLimit: 8 << 20,
-			Monitoring: true, SamplingInterval: 500, Coalloc: true, Observe: true},
+			Monitoring: true, SamplingInterval: 500, Optimizations: coallocEntry, Observe: true},
 		"gencopy-monitoring": {Collector: core.GenCopy, HeapLimit: 12 << 20,
 			Monitoring: true, SamplingInterval: 1000, Observe: true},
 		"genms-adaptive": {HeapLimit: 8 << 20,
@@ -234,7 +234,7 @@ func TestSnapshotMismatchSentinel(t *testing.T) {
 		"heap-limit": {HeapLimit: 16 << 20, Monitoring: true, SamplingInterval: 1000},
 		"seed":       {HeapLimit: 8 << 20, Monitoring: true, SamplingInterval: 1000, Seed: 7},
 		"coalloc": {HeapLimit: 8 << 20,
-			Monitoring: true, SamplingInterval: 1000, Coalloc: true},
+			Monitoring: true, SamplingInterval: 1000, Optimizations: coallocEntry},
 		"no-monitoring": {HeapLimit: 8 << 20},
 	} {
 		t.Run(name, func(t *testing.T) {
