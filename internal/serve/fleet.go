@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -13,6 +12,7 @@ import (
 	"time"
 
 	"hpmvm/internal/api"
+	"hpmvm/internal/core"
 	"hpmvm/internal/opt"
 )
 
@@ -59,8 +59,6 @@ type Backend interface {
 	Statsz(ctx context.Context) (api.Statsz, error)
 	// Healthz reports liveness.
 	Healthz(ctx context.Context) error
-	// Workloads lists the worker's registry.
-	Workloads(ctx context.Context) ([]api.WorkloadInfo, error)
 }
 
 // LocalBackend adapts an in-process *Server to the Backend interface:
@@ -78,10 +76,6 @@ func NewLocalBackend(name string, srv *Server) *LocalBackend {
 // Name implements Backend.
 func (l *LocalBackend) Name() string { return l.name }
 
-// Server returns the wrapped server (the supervisor drains it on
-// shutdown).
-func (l *LocalBackend) Server() *Server { return l.srv }
-
 // Run implements Backend; errors are wrapped in the api.Error envelope
 // so the coordinator dispatches on codes exactly as it does for remote
 // workers.
@@ -98,34 +92,25 @@ func (l *LocalBackend) Statsz(context.Context) (api.Statsz, error) { return l.sr
 
 // Healthz implements Backend.
 func (l *LocalBackend) Healthz(context.Context) error {
-	l.srv.mu.Lock()
-	draining := l.srv.draining
-	l.srv.mu.Unlock()
-	if draining {
+	if ok, _ := l.srv.healthz(); !ok {
 		return ErrDraining
 	}
 	return nil
-}
-
-// Workloads implements Backend.
-func (l *LocalBackend) Workloads(context.Context) ([]api.WorkloadInfo, error) {
-	return l.srv.Workloads(), nil
 }
 
 // FleetConfig tunes a Fleet.
 type FleetConfig struct {
 	// Backends are the workers; at least one is required.
 	Backends []Backend
-	// StreamHeartbeat is the /v1/stream progress interval (0 = 1s).
-	StreamHeartbeat time.Duration
 	// HealthInterval is the background health-probe period (0 = 2s,
 	// negative = no background probing; routing failures still mark
 	// workers unhealthy inline, and a later probe-free success path
 	// revives them only via RouteAll fallback).
 	HealthInterval time.Duration
-	// StatszTimeout bounds one worker's statsz fetch (0 = 2s).
-	StatszTimeout time.Duration
 }
+
+// statszTimeout bounds one worker's statsz fetch.
+const statszTimeout = 2 * time.Second
 
 // Fleet is the coordinator. Create with NewFleet, mount Handler on an
 // http.Server, Close when done.
@@ -161,14 +146,8 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		}
 		seen[b.Name()] = true
 	}
-	if cfg.StreamHeartbeat <= 0 {
-		cfg.StreamHeartbeat = time.Second
-	}
 	if cfg.HealthInterval == 0 {
 		cfg.HealthInterval = 2 * time.Second
-	}
-	if cfg.StatszTimeout <= 0 {
-		cfg.StatszTimeout = 2 * time.Second
 	}
 	f := &Fleet{
 		cfg:      cfg,
@@ -190,17 +169,9 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 // Close stops the background health loop.
 func (f *Fleet) Close() { f.stopOnce.Do(func() { close(f.stop) }) }
 
-// Drain stops admitting new runs and drains every in-process backend;
-// remote workers are drained by their own SIGTERM (the supervisor
-// forwards it).
-func (f *Fleet) Drain() {
-	f.draining.Store(true)
-	for _, b := range f.backends {
-		if lb, ok := b.(*LocalBackend); ok {
-			lb.Server().Drain()
-		}
-	}
-}
+// Drain stops admitting new runs; the workers are drained by their own
+// SIGTERM (the supervisor forwards it).
+func (f *Fleet) Drain() { f.draining.Store(true) }
 
 // healthLoop probes every backend and flips the healthy bits; a worker
 // marked unhealthy by an inline transport failure is revived here once
@@ -296,7 +267,7 @@ func (f *Fleet) route(ctx context.Context, req api.Request, res resolved, pin st
 		i, ok := f.backendByName(pin)
 		if !ok {
 			return nil, fmt.Errorf("serve: %w: unknown worker %q in %s header",
-				errUnknownWorker, pin, api.HeaderRoute)
+				core.ErrBadOptions, pin, api.HeaderRoute)
 		}
 		f.cPinned.Add(1)
 		return f.runOn(ctx, i, req)
@@ -392,87 +363,26 @@ func (f *Fleet) route(ctx context.Context, req api.Request, res resolved, pin st
 	return nil, lastErr
 }
 
-// errUnknownWorker rejects a HeaderRoute pin naming no fleet worker;
-// fleetError maps it to CodeBadRequest.
-var errUnknownWorker = errors.New("serve: unknown worker")
-
 // Handler returns the coordinator mux: the same /v1 contract a single
-// Server serves.
+// Server serves (edge.go), every run routed to a worker.
 func (f *Fleet) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc(api.PathRun, f.handleRun)
-	mux.HandleFunc(api.PathStream, f.handleStream)
-	mux.HandleFunc(api.PathHealthz, f.handleHealthz)
-	mux.HandleFunc(api.PathStatsz, f.handleStatsz)
-	mux.HandleFunc(api.PathWorkloads, f.handleWorkloads)
-	return mux
+	noCount := func() {}
+	return (&edge{
+		resolver:  f.resolver,
+		heartbeat: streamHeartbeat,
+		run:       f.route,
+		healthz:   f.healthz,
+		statsz:    func(ctx context.Context) any { return f.Stats(ctx) },
+		onRequest: noCount,
+		onStream:  noCount,
+	}).Handler()
 }
 
-// handleRun is POST /v1/run on the coordinator.
-func (f *Fleet) handleRun(w http.ResponseWriter, r *http.Request) {
-	req, err := decodeRequest(w, r)
-	if err != nil {
-		writeAPIError(w, toAPIError(err))
-		return
-	}
-	// Resolve at the edge: bad requests bounce here without burning a
-	// worker round trip, and the resolution yields the exact sticky
-	// keys the workers themselves would compute.
-	res, err := f.resolver.resolve(req)
-	if err != nil {
-		writeAPIError(w, toAPIError(err))
-		return
-	}
-	result, err := f.route(r.Context(), req, res, r.Header.Get(api.HeaderRoute))
-	if err != nil {
-		writeAPIError(w, fleetError(err))
-		return
-	}
-	writeRunResult(w, result)
-}
-
-// handleStream is POST /v1/stream on the coordinator: the stream runs
-// at the edge while the one-shot run is routed to a worker, so workers
-// stay streaming-agnostic.
-func (f *Fleet) handleStream(w http.ResponseWriter, r *http.Request) {
-	req, err := decodeRequest(w, r)
-	if err != nil {
-		writeAPIError(w, toAPIError(err))
-		return
-	}
-	res, err := f.resolver.resolve(req)
-	if err != nil {
-		writeAPIError(w, toAPIError(err))
-		return
-	}
-	pin := r.Header.Get(api.HeaderRoute)
-	queued := api.StreamQueued{Version: api.Version, Workload: res.meta.name, Key: res.key}
-	serveStream(w, r, f.cfg.StreamHeartbeat, queued, func(ctx context.Context) (*api.RunResult, error) {
-		result, err := f.route(ctx, req, res, pin)
-		if err != nil {
-			return nil, fleetError(err)
-		}
-		return result, nil
-	})
-}
-
-// fleetError maps coordinator-side failures (unknown worker pin,
-// draining) through the envelope; worker envelopes pass through.
-func fleetError(err error) *api.Error {
-	if errors.Is(err, errUnknownWorker) {
-		return &api.Error{Version: api.Version, Message: err.Error(), Code: api.CodeBadRequest}
-	}
-	return toAPIError(err)
-}
-
-// handleHealthz is GET /v1/healthz: 200 while at least one worker is
+// healthz is the /v1/healthz verdict: ok while at least one worker is
 // believed healthy and the coordinator is not draining.
-func (f *Fleet) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
+func (f *Fleet) healthz() (bool, string) {
 	if f.draining.Load() {
-		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprintln(w, `{"status":"draining"}`)
-		return
+		return false, `{"status":"draining"}`
 	}
 	up := 0
 	for i := range f.healthy {
@@ -481,11 +391,9 @@ func (f *Fleet) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		}
 	}
 	if up == 0 {
-		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprintln(w, `{"status":"no workers"}`)
-		return
+		return false, `{"status":"no workers"}`
 	}
-	fmt.Fprintf(w, "{\"status\":\"ok\",\"workers\":%d}\n", up)
+	return true, fmt.Sprintf(`{"status":"ok","workers":%d}`, up)
 }
 
 // Stats aggregates the fleet view: coordinator routing counters plus
@@ -508,7 +416,7 @@ func (f *Fleet) Stats(ctx context.Context) api.FleetStatsz {
 			Healthy:  f.healthy[i].Load(),
 			Inflight: int(f.inflight[i].Load()),
 		}
-		sctx, cancel := context.WithTimeout(ctx, f.cfg.StatszTimeout)
+		sctx, cancel := context.WithTimeout(ctx, statszTimeout)
 		ws, err := b.Statsz(sctx)
 		cancel()
 		if err != nil {
@@ -530,24 +438,4 @@ func (f *Fleet) Stats(ctx context.Context) api.FleetStatsz {
 	}
 	sort.Slice(st.Optimizations, func(i, j int) bool { return st.Optimizations[i].Kind < st.Optimizations[j].Kind })
 	return st
-}
-
-// handleStatsz is GET /v1/statsz on the coordinator.
-func (f *Fleet) handleStatsz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(f.Stats(r.Context()))
-}
-
-// handleWorkloads is GET /v1/workloads: answered from the
-// coordinator's own resolver — the registry is compiled into the
-// binary, so coordinator and workers agree by construction.
-func (f *Fleet) handleWorkloads(w http.ResponseWriter, _ *http.Request) {
-	rows := f.resolver.workloads()
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Name < rows[j].Name })
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(rows)
 }

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"sort"
 	"strings"
 
 	"hpmvm/internal/api"
@@ -55,12 +56,15 @@ func newResolver() *Resolver {
 	return r
 }
 
-// workloads returns the registry rows for /v1/workloads.
+// workloads returns the registry rows for /v1/workloads, by name. The
+// registry is compiled into the binary, so a coordinator and its
+// workers agree on them by construction.
 func (r *Resolver) workloads() []api.WorkloadInfo {
 	rows := make([]api.WorkloadInfo, 0, len(r.meta))
 	for _, m := range r.meta {
 		rows = append(rows, api.WorkloadInfo{Name: m.name, Description: m.description, MinHeap: m.minHeap, HotField: m.hotField})
 	}
+	sort.Slice(rows, func(i, j int) bool { return rows[i].Name < rows[j].Name })
 	return rows
 }
 

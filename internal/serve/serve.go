@@ -17,9 +17,8 @@
 // drain, and /v1/healthz + /v1/statsz fed by internal/obs counters.
 //
 // The wire contract lives in internal/api ("v1"): every endpoint is
-// rooted at /v1/, with the pre-v1 unversioned paths kept as deprecated
-// aliases, and every error answers with the api.Error envelope
-// carrying a stable machine-readable code. Long runs can stream:
+// rooted at /v1/ (nothing else is mounted), and every error answers
+// with the api.Error envelope carrying a stable machine-readable code. Long runs can stream:
 // POST /v1/stream serves the same run as Server-Sent Events —
 // heartbeat progress frames, then the byte-identical result body.
 //
@@ -33,6 +32,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -59,6 +59,10 @@ var errMethod = errors.New("serve: POST only")
 // maxRequestBody bounds a /v1/run request body.
 const maxRequestBody = 1 << 20
 
+// snapshotEntries bounds the warm-start snapshot-prefix cache.
+// Snapshots are whole-machine images (megabytes each), so it is small.
+const snapshotEntries = 8
+
 // Config tunes a Server.
 type Config struct {
 	// Jobs is the worker-pool width (0 selects bench.DefaultJobs).
@@ -69,10 +73,6 @@ type Config struct {
 	QueueDepth int
 	// CacheEntries bounds the result cache (0 selects 256).
 	CacheEntries int
-	// SnapshotEntries bounds the warm-start snapshot-prefix cache.
-	// Snapshots are whole-machine images (megabytes each), so the
-	// default is small (0 selects 8).
-	SnapshotEntries int
 	// Timeout caps one run's wall clock; the run is cancelled at its
 	// next safepoint when exceeded (0 = no cap).
 	Timeout time.Duration
@@ -141,11 +141,8 @@ func New(cfg Config) *Server {
 	if cfg.CacheEntries <= 0 {
 		cfg.CacheEntries = 256
 	}
-	if cfg.SnapshotEntries <= 0 {
-		cfg.SnapshotEntries = 8
-	}
 	if cfg.StreamHeartbeat <= 0 {
-		cfg.StreamHeartbeat = time.Second
+		cfg.StreamHeartbeat = streamHeartbeat
 	}
 	s := &Server{
 		cfg:         cfg,
@@ -153,7 +150,7 @@ func New(cfg Config) *Server {
 		obs:         obs.New(0),
 		resolver:    newResolver(),
 		cache:       newResultCache(cfg.CacheEntries),
-		snapshots:   newResultCache(cfg.SnapshotEntries),
+		snapshots:   newResultCache(snapshotEntries),
 		inflight:    make(map[string]*call),
 		perWorkload: make(map[string]*wlStat),
 		perOpt:      make(map[string]opt.KindStats),
@@ -190,18 +187,24 @@ func (s *Server) Drain() {
 	s.mu.Unlock()
 }
 
-// Handler returns the service mux: the /v1 contract.
+// Handler returns the service mux: the /v1 contract (edge.go), every
+// run served through the cache + single-flight front door.
 func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc(api.PathRun, s.handleRun)
-	mux.HandleFunc(api.PathStream, s.handleStream)
-	mux.HandleFunc(api.PathHealthz, s.handleHealthz)
-	mux.HandleFunc(api.PathStatsz, s.handleStatsz)
-	mux.HandleFunc(api.PathWorkloads, s.handleWorkloads)
-	return mux
+	return (&edge{
+		resolver:  s.resolver,
+		heartbeat: s.cfg.StreamHeartbeat,
+		run: func(ctx context.Context, _ api.Request, res resolved, _ string) (*api.RunResult, error) {
+			return s.runResolved(ctx, res)
+		},
+		healthz:   s.healthz,
+		statsz:    func(context.Context) any { return s.Stats() },
+		onRequest: s.cRequests.Inc,
+		onStream:  s.cStreams.Inc,
+	}).Handler()
 }
 
-// decodeRequest reads and validates one JSON request body.
+// decodeRequest reads and validates one JSON request body: exactly one
+// value, nothing but whitespace after it.
 func decodeRequest(w http.ResponseWriter, r *http.Request) (api.Request, error) {
 	var req api.Request
 	if r.Method != http.MethodPost {
@@ -212,14 +215,16 @@ func decodeRequest(w http.ResponseWriter, r *http.Request) (api.Request, error) 
 	if err := dec.Decode(&req); err != nil {
 		return req, fmt.Errorf("serve: %w: bad request body: %v", core.ErrBadOptions, err)
 	}
+	if _, err := dec.Token(); err != io.EOF {
+		return req, fmt.Errorf("serve: %w: bad request body: data after the request object", core.ErrBadOptions)
+	}
 	return req, nil
 }
 
 // RunBytes executes (or replays) one run and returns the transport
 // view: the exact response bytes plus the cache/snapshot dispositions
-// the X-Hpmvmd-* headers carry. It is the programmatic core of
-// POST /v1/run, shared by the HTTP handler, the stream handler and
-// the in-process fleet backend.
+// the X-Hpmvmd-* headers carry. It is POST /v1/run without the HTTP
+// transport, as the in-process fleet backend calls it.
 func (s *Server) RunBytes(ctx context.Context, req api.Request) (*api.RunResult, error) {
 	s.cRequests.Inc()
 	res, err := s.resolver.resolve(req)
@@ -249,21 +254,6 @@ func (s *Server) runResolved(ctx context.Context, res resolved) (*api.RunResult,
 		return nil, err
 	}
 	return &api.RunResult{Body: body, Key: res.key, Cache: disposition, Snapshot: snapDisp}, nil
-}
-
-// handleRun is POST /v1/run.
-func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	req, err := decodeRequest(w, r)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	result, err := s.RunBytes(r.Context(), req)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	writeRunResult(w, result)
 }
 
 // writeRunResult renders a successful run: disposition headers plus
@@ -492,19 +482,15 @@ func (s *Server) recordLatency(name string, d time.Duration, err error) {
 	}
 }
 
-// handleHealthz is GET /v1/healthz: 200 while serving, 503 once
+// healthz is the /v1/healthz verdict: ok while serving, not once
 // draining.
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
+func (s *Server) healthz() (bool, string) {
 	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
-	w.Header().Set("Content-Type", "application/json")
-	if draining {
-		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprintln(w, `{"status":"draining"}`)
-		return
+	defer s.mu.Unlock()
+	if s.draining {
+		return false, `{"status":"draining"}`
 	}
-	fmt.Fprintln(w, `{"status":"ok"}`)
+	return true, `{"status":"ok"}`
 }
 
 // Stats snapshots the service counters (also served as /v1/statsz).
@@ -521,7 +507,7 @@ func (s *Server) Stats() api.Statsz {
 	st.Cache.Entries = s.cache.len()
 	st.Cache.Capacity = s.cfg.CacheEntries
 	st.Snapshots.Entries = s.snapshots.len()
-	st.Snapshots.Capacity = s.cfg.SnapshotEntries
+	st.Snapshots.Capacity = snapshotEntries
 	for name, w := range s.perWorkload {
 		row := api.WorkloadLatency{
 			Workload: name,
@@ -553,29 +539,6 @@ func (s *Server) Stats() api.Statsz {
 	sort.Slice(st.Optimizations, func(i, j int) bool { return st.Optimizations[i].Kind < st.Optimizations[j].Kind })
 	st.Counters = metrics.Counters
 	return st
-}
-
-// handleStatsz is GET /v1/statsz.
-func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(s.Stats())
-}
-
-// Workloads returns the registry rows served at /v1/workloads.
-func (s *Server) Workloads() []api.WorkloadInfo {
-	rows := s.resolver.workloads()
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Name < rows[j].Name })
-	return rows
-}
-
-// handleWorkloads is GET /v1/workloads: the registry with calibration.
-func (s *Server) handleWorkloads(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(s.Workloads())
 }
 
 // statusFor maps service errors onto (HTTP status, stable error code).
@@ -616,11 +579,6 @@ func toAPIError(err error) *api.Error {
 		out.RetryAfter = 1
 	}
 	return out
-}
-
-// writeError renders the JSON error envelope with its mapped status.
-func (s *Server) writeError(w http.ResponseWriter, err error) {
-	writeAPIError(w, toAPIError(err))
 }
 
 // writeAPIError renders an api.Error envelope.

@@ -293,8 +293,8 @@ func TestDrain(t *testing.T) {
 }
 
 func TestBadRequests(t *testing.T) {
-	s := New(Config{})
-	h := s.Handler()
+	_, _, fh := newTestFleet(t, 2, Config{})
+	handlers := map[string]http.Handler{"server": New(Config{}).Handler(), "fleet": fh}
 	cases := []struct {
 		name   string
 		method string
@@ -310,18 +310,21 @@ func TestBadRequests(t *testing.T) {
 		{"unknown collector", http.MethodPost, `{"workload":"serve_tiny","collector":"zgc"}`, http.StatusBadRequest, api.CodeBadRequest},
 		{"unknown event", http.MethodPost, `{"workload":"serve_tiny","event":"l9"}`, http.StatusBadRequest, api.CodeBadRequest},
 		{"coalloc on gencopy", http.MethodPost, `{"workload":"serve_tiny","collector":"gencopy","coalloc":true}`, http.StatusBadRequest, api.CodeBadRequest},
+		{"second value after the request", http.MethodPost, `{"workload":"serve_tiny"}{"workload":"serve_slow"}`, http.StatusBadRequest, api.CodeBadRequest},
 	}
-	for _, path := range []string{api.PathRun, api.PathStream} {
-		for _, tc := range cases {
-			rr := doReq(h, nil, tc.method, path, tc.body)
-			if rr.Code != tc.status {
-				t.Errorf("%s %s: status %d, want %d: %s", path, tc.name, rr.Code, tc.status, rr.Body.String())
-			}
-			var eb api.Error
-			if err := json.Unmarshal(rr.Body.Bytes(), &eb); err != nil || eb.Message == "" {
-				t.Errorf("%s %s: error response is not the JSON envelope: %q", path, tc.name, rr.Body.String())
-			} else if eb.Code != tc.code {
-				t.Errorf("%s %s: code %q, want %q", path, tc.name, eb.Code, tc.code)
+	for owner, h := range handlers {
+		for _, path := range []string{api.PathRun, api.PathStream} {
+			for _, tc := range cases {
+				rr := doReq(h, nil, tc.method, path, tc.body)
+				if rr.Code != tc.status {
+					t.Errorf("%s %s %s: status %d, want %d: %s", owner, path, tc.name, rr.Code, tc.status, rr.Body.String())
+				}
+				var eb api.Error
+				if err := json.Unmarshal(rr.Body.Bytes(), &eb); err != nil || eb.Message == "" {
+					t.Errorf("%s %s %s: error response is not the JSON envelope: %q", owner, path, tc.name, rr.Body.String())
+				} else if eb.Code != tc.code {
+					t.Errorf("%s %s %s: code %q, want %q", owner, path, tc.name, eb.Code, tc.code)
+				}
 			}
 		}
 	}

@@ -15,33 +15,12 @@ import (
 // documents the frame sequence). The result frame carries byte-for-
 // byte the /v1/run response body, so streaming never forks the
 // determinism contract — a fact TestStreamResultByteIdentical pins.
-
-// handleStream is POST /v1/stream on a single-process server.
-func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	req, err := decodeRequest(w, r)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	s.cRequests.Inc()
-	res, err := s.resolver.resolve(req)
-	if err != nil {
-		// Pre-admission failures answer as plain JSON errors: the
-		// stream only opens once the request is valid.
-		s.writeError(w, err)
-		return
-	}
-	s.cStreams.Inc()
-	queued := api.StreamQueued{Version: api.Version, Workload: res.meta.name, Key: res.key}
-	serveStream(w, r, s.cfg.StreamHeartbeat, queued, func(ctx context.Context) (*api.RunResult, error) {
-		return s.runResolved(ctx, res)
-	})
-}
+// On a coordinator the stream runs at the edge while the one-shot run
+// is routed to a worker, so workers stay streaming-agnostic.
 
 // serveStream drives one run stream: queued frame, heartbeat progress
 // frames while run executes, then meta + result (or a terminal error
-// frame). Shared by the single-process server and the fleet
-// coordinator.
+// frame).
 func serveStream(w http.ResponseWriter, r *http.Request, heartbeat time.Duration, queued api.StreamQueued, run func(context.Context) (*api.RunResult, error)) {
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-store")
