@@ -15,8 +15,38 @@ import (
 // bench_test.go exposes them as Go benchmarks. EXPERIMENTS.md records
 // paper-vs-measured values.
 
-// Experiment names accepted by RunExperiment.
-var ExperimentNames = []string{"table1", "table2", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "ablations", "warmstart", "sampling", "sampling-fig5", "codelayout", "swprefetch"}
+// experiments is the one table of experiments, in the order -exp all
+// runs them: RunExperiment dispatches through it and ExperimentNames
+// lists it.
+var experiments = []struct {
+	name string
+	run  func(ExpOptions) (string, error)
+}{
+	{"table1", func(opt ExpOptions) (string, error) { return Table1(opt), nil }},
+	{"table2", Table2},
+	{"fig2", Fig2},
+	{"fig3", Fig3},
+	{"fig4", Fig4},
+	{"fig5", Fig5},
+	{"fig6", Fig6},
+	{"fig7", Fig7},
+	{"fig8", Fig8},
+	{"ablations", Ablations},
+	{"warmstart", Warmstart},
+	{"sampling", Sampling},
+	{"sampling-fig5", SamplingFig5},
+	{"codelayout", CodeLayoutExp},
+	{"swprefetch", SwPrefetchExp},
+}
+
+// ExperimentNames lists the names RunExperiment accepts.
+var ExperimentNames = func() []string {
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.name
+	}
+	return names
+}()
 
 // Options tunes experiment execution.
 type ExpOptions struct {
@@ -108,40 +138,12 @@ func (o ExpOptions) builders() ([]string, []Builder, error) {
 
 // RunExperiment dispatches by name and returns the rendered result.
 func RunExperiment(name string, opt ExpOptions) (string, error) {
-	switch name {
-	case "table1":
-		return Table1(opt), nil
-	case "table2":
-		return Table2(opt)
-	case "fig2":
-		return Fig2(opt)
-	case "fig3":
-		return Fig3(opt)
-	case "fig4":
-		return Fig4(opt)
-	case "fig5":
-		return Fig5(opt)
-	case "fig6":
-		return Fig6(opt)
-	case "fig7":
-		return Fig7(opt)
-	case "fig8":
-		return Fig8(opt)
-	case "ablations":
-		return Ablations(opt)
-	case "warmstart":
-		return Warmstart(opt)
-	case "sampling":
-		return Sampling(opt)
-	case "sampling-fig5":
-		return SamplingFig5(opt)
-	case "codelayout":
-		return CodeLayoutExp(opt)
-	case "swprefetch":
-		return SwPrefetchExp(opt)
-	default:
-		return "", fmt.Errorf("unknown experiment %q (have %s)", name, strings.Join(ExperimentNames, ", "))
+	for _, e := range experiments {
+		if e.name == name {
+			return e.run(opt)
+		}
 	}
+	return "", fmt.Errorf("unknown experiment %q (have %s)", name, strings.Join(ExperimentNames, ", "))
 }
 
 // ExpRun is one experiment's rendered output plus its execution
