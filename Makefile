@@ -8,8 +8,12 @@ GO ?= go
 
 ci: vet build test race verify-opt fuzz-smoke perf-gate bench-smoke serve-smoke loc
 
+# go vet plus the gofmt gate: any file `gofmt -l` names (outside the
+# benchmark's build directory) fails the target.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l . | grep -v '^\.bench_build/'); \
+		test -z "$$unformatted" || { echo "gofmt -l flags:"; echo "$$unformatted"; exit 1; }
 
 build:
 	$(GO) build ./...
@@ -50,14 +54,16 @@ verify-opt:
 # corpora `make test` already replays: FuzzOptRestore (no managed
 # optimization's Restore panics on, or fails with anything but
 # snap.ErrDecode for, an arbitrary component blob), FuzzDecodeSnapshot
-# (the same for the snapshot container every warm start parses) and
-# FuzzCanonical (the cache-key contract over the Options space). A
-# crasher lands in internal/core/testdata/fuzz/ — commit it with the
-# fix.
+# (the same for the snapshot container every warm start parses),
+# FuzzCanonical (the cache-key contract over the Options space) and
+# FuzzResolve (request bytes → decodeRequest → Resolver.resolve: stable
+# error codes, stable keys). A crasher lands in the package's
+# testdata/fuzz/ — commit it with the fix.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzOptRestore$$' -fuzztime=10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSnapshot$$' -fuzztime=10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzCanonical$$' -fuzztime=10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzResolve$$' -fuzztime=10s ./internal/serve
 
 # Lines of non-test Go outside the frozen benchmark harness — the
 # number simplicity PRs quote before/after in CHANGES.md.

@@ -471,10 +471,10 @@ type stream struct {
 
 // Hierarchy is the complete simulated memory hierarchy.
 type Hierarchy struct {
-	cfg      Config
-	l1       *setAssoc
-	l2       *setAssoc
-	tlb      *setAssoc
+	cfg Config
+	l1  *setAssoc
+	l2  *setAssoc
+	tlb *setAssoc
 	// l1i, when non-nil, is the opt-in instruction cache
 	// (EnableICache): probed by IFetch on code-line transitions,
 	// backed by the unified L2. Disabled (nil) for every
