@@ -18,13 +18,15 @@
 //
 // The wire contract lives in internal/api ("v1"): every endpoint is
 // rooted at /v1/ (nothing else is mounted), and every error answers
-// with the api.Error envelope carrying a stable machine-readable code. Long runs can stream:
-// POST /v1/stream serves the same run as Server-Sent Events —
-// heartbeat progress frames, then the byte-identical result body.
+// with the api.Error envelope carrying a stable machine-readable code.
+// Long runs can stream: POST /v1/stream serves the same run as
+// Server-Sent Events — heartbeat progress frames, then the
+// byte-identical result body.
 //
 // This package also houses the fleet coordinator (fleet.go): the same
 // contract served by a supervisor fanning requests out over N worker
 // backends with snapshot-sticky routing and queue-overflow stealing.
+// Server and coordinator mount the contract through one edge (edge.go).
 package serve
 
 import (
