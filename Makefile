@@ -87,8 +87,12 @@ loc:
 race:
 	$(GO) test -race -timeout 60m . ./internal/bench/... ./internal/core/... ./internal/hw/cache/... ./internal/obs/... ./internal/opt/... ./internal/serve/... ./internal/api/... ./internal/client/... ./internal/stats/... ./cmd/perfstat/...
 
+PERF_BENCH = BenchmarkSystemMcycles/(compress|db)
+
 # Perf regression gate (cmd/perfstat): re-measure the simulator's
-# throughput benchmark and compare against the checked-in baseline
+# throughput benchmark on compress and db — db is the pointer-chasing
+# program where address translation (DTLB probe, backing-page lookup)
+# costs the most — and compare against the checked-in baseline
 # (results/BENCH_baseline.txt) with benchstat-style 95% CIs. The gate
 # trips only on a statistically significant Mcycles/s drop beyond the
 # threshold — overlapping CIs or sub-threshold deltas pass, so benign
@@ -99,7 +103,7 @@ race:
 # perf-baseline` after an intentional perf change (on the reference
 # machine — the baseline encodes its throughput).
 perf-gate:
-	$(GO) test -run '^$$' -bench 'BenchmarkSystemMcycles/compress' -benchtime=1x -count=5 . | tee /tmp/hpmvm-perfgate.txt
+	$(GO) test -run '^$$' -bench '$(PERF_BENCH)' -benchtime=1x -count=5 . | tee /tmp/hpmvm-perfgate.txt
 	$(GO) run ./cmd/perfstat -gate -threshold 5 results/BENCH_baseline.txt /tmp/hpmvm-perfgate.txt
 	@! $(GO) run ./cmd/perfstat -gate cmd/perfstat/testdata/baseline.txt cmd/perfstat/testdata/regression.txt >/dev/null 2>&1 \
 		|| { echo "perf-gate: comparator failed to flag the synthetic regression fixture"; exit 1; }
@@ -107,7 +111,7 @@ perf-gate:
 
 # Record the current machine's throughput as the perf-gate baseline.
 perf-baseline:
-	$(GO) test -run '^$$' -bench 'BenchmarkSystemMcycles/compress' -benchtime=1x -count=8 . | tee results/BENCH_baseline.txt
+	$(GO) test -run '^$$' -bench '$(PERF_BENCH)' -benchtime=1x -count=8 . | tee results/BENCH_baseline.txt
 
 # End-to-end hpmvmd smoke test, run for a single server and then for a
 # 2-worker process fleet: boot the daemon, run the client-based
@@ -135,6 +139,7 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkCPUStep|BenchmarkCPURunLoop' -benchtime=1x ./internal/hw/cpu/
 	$(GO) test -run '^$$' -bench 'BenchmarkHierarchyAccess' -benchtime=1x ./internal/hw/cache/
+	$(GO) test -run '^$$' -bench 'BenchmarkMemory' -benchtime=1x ./internal/hw/mem/
 	$(GO) test -run '^$$' -bench 'BenchmarkSystemMcycles/compress' -benchtime=1x .
 
 # CPU and heap profiles of the fig2 hot loop (the simulator's

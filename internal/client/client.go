@@ -5,9 +5,9 @@
 // speak through it, so the coordinator↔worker protocol is exercised by
 // exactly the code paths external clients use.
 //
-// A *Client implements serve.Backend (Name/Run/Statsz/Healthz/
-// Workloads), which is what lets the fleet coordinator treat a remote
-// worker process and an in-process server identically.
+// A *Client implements serve.Backend (Name/Run/Statsz/Healthz), which
+// is what lets the fleet coordinator treat a remote worker process and
+// an in-process server identically.
 package client
 
 import (
@@ -250,7 +250,7 @@ func (c *Client) Healthz(ctx context.Context) error {
 	return nil
 }
 
-// Workloads implements serve.Backend: GET /v1/workloads.
+// Workloads lists the server's registered workloads: GET /v1/workloads.
 func (c *Client) Workloads(ctx context.Context) ([]api.WorkloadInfo, error) {
 	var rows []api.WorkloadInfo
 	err := c.getJSON(ctx, api.PathWorkloads, &rows)

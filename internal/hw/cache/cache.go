@@ -181,7 +181,7 @@ type setAssoc struct {
 	memoIdx [memoSlots]uint64
 
 	// idx, when non-nil, is an exact key→way index replacing the way
-	// scan entirely — used for the fully-associative DTLB, whose
+	// scan behind the memo — used for the fully-associative DTLB, whose
 	// 64-way scans dominate probe cost otherwise. Maintained by fill
 	// (mirror of the valid lines), cleared by invalidateAll and
 	// rebuilt by snapshot decode. Only enabled for single-set arrays,
@@ -217,6 +217,15 @@ func newSetAssoc(totalLines, assoc int, offBits uint) *setAssoc {
 func (sa *setAssoc) probe(key uint64, markDirty bool) bool {
 	sa.stamp++
 	sa.accesses++
+	slot := key & (memoSlots - 1)
+	if sa.memoOK[slot] && sa.memoKey[slot] == key {
+		ln := &sa.lines[sa.memoIdx[slot]]
+		ln.lru = sa.stamp
+		if markDirty {
+			ln.dirty = true
+		}
+		return true
+	}
 	if sa.idx != nil {
 		way, ok := sa.idx.get(key)
 		if !ok {
@@ -227,15 +236,7 @@ func (sa *setAssoc) probe(key uint64, markDirty bool) bool {
 		if markDirty {
 			ln.dirty = true
 		}
-		return true
-	}
-	slot := key & (memoSlots - 1)
-	if sa.memoOK[slot] && sa.memoKey[slot] == key {
-		ln := &sa.lines[sa.memoIdx[slot]]
-		ln.lru = sa.stamp
-		if markDirty {
-			ln.dirty = true
-		}
+		sa.memoOK[slot], sa.memoKey[slot], sa.memoIdx[slot] = true, key, way
 		return true
 	}
 	base := (key & sa.setMask) * sa.assoc
@@ -271,29 +272,27 @@ func (sa *setAssoc) fill(key uint64, markDirty bool) (writeback bool) {
 		}
 	}
 	writeback = set[victim].valid && set[victim].dirty
+	way := base + uint64(victim)
 	if sa.idx != nil {
 		// Single-set array: tag == key, so the index mirror updates
 		// straight from the evicted and inserted tags.
 		if set[victim].valid {
 			sa.idx.del(set[victim].tag)
 		}
-		set[victim] = line{tag: key >> sa.setBits, valid: true, dirty: markDirty, lru: sa.stamp}
-		sa.idx.put(key, base+uint64(victim))
-		return writeback
+		sa.idx.put(key, way)
 	}
 	set[victim] = line{tag: key >> sa.setBits, valid: true, dirty: markDirty, lru: sa.stamp}
 	// The evicted line may be memoized under another key's slot; any
 	// slot pointing at the replaced way is now stale.
-	idx := base + uint64(victim)
 	for s := range sa.memoIdx {
-		if sa.memoIdx[s] == idx {
+		if sa.memoIdx[s] == way {
 			sa.memoOK[s] = false
 		}
 	}
 	// Then memoize the filled way: the line just missed is the
 	// likeliest next hit.
 	slot := key & (memoSlots - 1)
-	sa.memoOK[slot], sa.memoKey[slot], sa.memoIdx[slot] = true, key, idx
+	sa.memoOK[slot], sa.memoKey[slot], sa.memoIdx[slot] = true, key, way
 	return writeback
 }
 

@@ -1,8 +1,11 @@
 package mem
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
+
+	"hpmvm/internal/snap"
 )
 
 func TestReadWriteRoundTrip(t *testing.T) {
@@ -108,27 +111,14 @@ func TestZero(t *testing.T) {
 	}
 }
 
-func TestCopyOverlap(t *testing.T) {
-	m := New()
-	for i := uint64(0); i < 8; i++ {
-		m.Write1(0x1000+i, uint8(i))
-	}
-	// Overlapping forward copy (memmove semantics).
-	m.Copy(0x1002, 0x1000, 6)
-	want := []uint8{0, 1, 0, 1, 2, 3, 4, 5}
-	for i, w := range want {
-		if got := m.Read1(0x1000 + uint64(i)); got != w {
-			t.Fatalf("byte %d = %d, want %d", i, got, w)
-		}
-	}
-}
-
 func TestMemoryVsShadowProperty(t *testing.T) {
-	// Property: the sparse memory behaves like a flat map of words.
+	// Property: the sparse memory behaves like a flat map of words. The
+	// address pool straddles DirectoryEnd, so both translations (the
+	// directory below it, the far map above) serve the same stream.
 	m := New()
 	shadow := make(map[uint64]uint64)
 	f := func(slot uint16, val uint64) bool {
-		addr := 0x10000 + uint64(slot)*8
+		addr := DirectoryEnd - 4*PageSize + uint64(slot)*8
 		m.Write8(addr, val)
 		shadow[addr] = val
 		// Check a few previously written slots too.
@@ -142,6 +132,78 @@ func TestMemoryVsShadowProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+	if len(m.far) == 0 || m.dir[dirPages-1] == nil {
+		t.Errorf("pool did not straddle the directory boundary: %d far pages, last directory entry %v",
+			len(m.far), m.dir[dirPages-1])
+	}
+}
+
+func TestRestoreRebuildsTranslation(t *testing.T) {
+	const old, added = 0x1000_0000, 0x2000_0000
+	m := New()
+	m.Write8(old, 0xA1)
+	st := m.Snapshot()
+	footprint := m.FootprintBytes()
+
+	// Diverge: overwrite a snapshotted page and materialize a new one,
+	// so both are live in the translation Restore has to replace.
+	m.Write8(old, 0xB2)
+	m.Write8(added, 0xC3)
+	if err := m.Restore(st); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Read8(old); got != 0xA1 {
+		t.Errorf("restored word = %#x, want the snapshot's 0xA1", got)
+	}
+	if got := m.FootprintBytes(); got != footprint {
+		t.Errorf("FootprintBytes after Restore = %d, want the origin's %d", got, footprint)
+	}
+	// The page the snapshot never had is gone: touching it again
+	// materializes a fresh zeroed page and grows the footprint.
+	if got := m.Read8(added); got != 0 {
+		t.Errorf("dropped page reads %#x after Restore, want 0", got)
+	}
+	if got := m.FootprintBytes(); got != footprint+PageSize {
+		t.Errorf("FootprintBytes after rematerializing = %d, want %d", got, footprint+PageSize)
+	}
+}
+
+func TestBeyondDirectory(t *testing.T) {
+	// A wild pointer far past the layout still materializes a page,
+	// round-trips, and snapshots after every directory page.
+	const wild = uint64(1) << 40
+	m := New()
+	m.Write8(wild, 0xFEED)
+	m.Write8(0x1000, 0xBEEF)
+	if got := m.Read8(wild); got != 0xFEED {
+		t.Fatalf("Read8(1<<40) = %#x", got)
+	}
+	if got := m.FootprintBytes(); got != 2*PageSize {
+		t.Errorf("FootprintBytes = %d, want %d", got, 2*PageSize)
+	}
+	st := m.Snapshot()
+	r := New()
+	if err := r.Restore(st); err != nil {
+		t.Fatal(err)
+	}
+	if r.Read8(wild) != 0xFEED || r.Read8(0x1000) != 0xBEEF {
+		t.Errorf("restored words = %#x, %#x", r.Read8(wild), r.Read8(0x1000))
+	}
+	if again := r.Snapshot(); !bytes.Equal(again.Data, st.Data) {
+		t.Error("snapshot of the restored memory differs from the origin's")
+	}
+	// Ascending key order: page 0 first, then page 1<<40>>PageBits.
+	sr := snap.NewReader(st.Data)
+	if n := sr.U64(); n != 2 {
+		t.Fatalf("snapshot holds %d pages, want 2", n)
+	}
+	if k := sr.U64(); k != 0 {
+		t.Errorf("first snapshot page = %#x, want 0", k)
+	}
+	sr.Bytes8()
+	if k := sr.U64(); k != wild>>PageBits {
+		t.Errorf("second snapshot page = %#x, want %#x", k, wild>>PageBits)
 	}
 }
 
@@ -180,3 +242,43 @@ func TestFootprint(t *testing.T) {
 		t.Errorf("FootprintBytes = %d, want %d", got, 2*PageSize)
 	}
 }
+
+// The benchmarks walk benchPages pages round-robin, one word per page
+// per step: interleaved stack, nursery, mature and LOS pages, the
+// pattern a small translation memo cannot hold.
+const (
+	benchPages = 32
+	benchBase  = 0x1000_0000
+)
+
+func benchMemory() *Memory {
+	m := New()
+	for p := uint64(0); p < benchPages; p++ {
+		m.Write8(benchBase+p*PageSize, p)
+	}
+	return m
+}
+
+func benchAddr(i int) Addr {
+	return benchBase + uint64(i%benchPages)*PageSize + uint64(i&0xff)*8
+}
+
+func BenchmarkMemoryRead8(b *testing.B) {
+	m := benchMemory()
+	var sum uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sum += m.Read8(benchAddr(i))
+	}
+	benchSink = sum
+}
+
+func BenchmarkMemoryWrite8(b *testing.B) {
+	m := benchMemory()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Write8(benchAddr(i), uint64(i))
+	}
+}
+
+var benchSink uint64

@@ -17,18 +17,31 @@ const (
 	snapVersion   = 1
 )
 
-// Snapshot serializes all materialized pages in ascending page order.
+// Snapshot serializes all materialized pages in ascending page order:
+// the directory in index order, then the pages beyond it by sorted key.
 func (m *Memory) Snapshot() snap.ComponentState {
-	keys := make([]uint64, 0, len(m.pages))
-	for k := range m.pages {
-		keys = append(keys, k)
+	far := make([]uint64, 0, len(m.far))
+	for k := range m.far {
+		far = append(far, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	sort.Slice(far, func(i, j int) bool { return far[i] < far[j] })
+	n := len(far)
+	for _, p := range m.dir {
+		if p != nil {
+			n++
+		}
+	}
 	var w snap.Writer
-	w.U64(uint64(len(keys)))
-	for _, k := range keys {
+	w.U64(uint64(n))
+	for k, p := range m.dir {
+		if p != nil {
+			w.U64(uint64(k))
+			w.Bytes8(p[:])
+		}
+	}
+	for _, k := range far {
 		w.U64(k)
-		w.Bytes8(m.pages[k][:])
+		w.Bytes8(m.far[k][:])
 	}
 	w.U64(uint64(m.touched))
 	return snap.ComponentState{Component: snapComponent, Version: snapVersion, Data: w.Bytes()}
@@ -43,7 +56,7 @@ func (m *Memory) Restore(st snap.ComponentState) error {
 	}
 	r := snap.NewReader(st.Data)
 	n := r.Count(16 + PageSize)
-	pages := make(map[uint64]*[PageSize]byte, n)
+	fresh := New()
 	for i := 0; i < n; i++ {
 		k := r.U64()
 		b := r.Bytes8()
@@ -55,15 +68,16 @@ func (m *Memory) Restore(st snap.ComponentState) error {
 		}
 		p := new([PageSize]byte)
 		copy(p[:], b)
-		pages[k] = p
+		if k < dirPages {
+			fresh.dir[k] = p
+		} else {
+			fresh.far[k] = p
+		}
 	}
-	touched := r.U64()
+	fresh.touched = int(r.U64())
 	if err := r.Close(); err != nil {
 		return err
 	}
-	m.pages = pages
-	m.touched = int(touched)
-	// The translation memo points into the replaced page set.
-	m.memoPage = [pageMemoSize]*[PageSize]byte{}
+	*m = *fresh
 	return nil
 }

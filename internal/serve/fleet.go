@@ -104,8 +104,9 @@ type FleetConfig struct {
 	Backends []Backend
 	// HealthInterval is the background health-probe period (0 = 2s,
 	// negative = no background probing; routing failures still mark
-	// workers unhealthy inline, and a later probe-free success path
-	// revives them only via RouteAll fallback).
+	// workers unhealthy inline, and without the probe nothing marks
+	// them healthy again — routing only returns to one once every
+	// worker looks down and the top-ranked is tried regardless).
 	HealthInterval time.Duration
 }
 

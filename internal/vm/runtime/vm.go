@@ -106,6 +106,10 @@ type VM struct {
 	onRecompile []func(methodID int)
 }
 
+// The memory's page directory must span the whole layout: an address
+// above it would pay a map lookup on every load and store.
+const _ = uint64(mem.DirectoryEnd - heap.LOSEnd)
+
 // New builds a VM over fresh hardware with the default P4 hierarchy.
 func New(u *classfile.Universe, hierCfg cache.Config) *VM {
 	m := mem.New()
