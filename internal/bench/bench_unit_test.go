@@ -146,7 +146,7 @@ func TestResultMismatchDetected(t *testing.T) {
 }
 
 func TestExperimentNameValidation(t *testing.T) {
-	if _, err := RunExperiment("nope", DefaultExpOptions()); err == nil {
+	if _, err := RunExperiment("nope", ExpOptions{}); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 	out, err := RunExperiment("table1", ExpOptions{Workloads: []string{"_unit_tiny"}})

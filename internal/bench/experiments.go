@@ -35,8 +35,8 @@ var experiments = []struct {
 	{"warmstart", Warmstart},
 	{"sampling", Sampling},
 	{"sampling-fig5", SamplingFig5},
-	{"codelayout", CodeLayoutExp},
-	{"swprefetch", SwPrefetchExp},
+	{"codelayout", CodeLayoutAblation.exp},
+	{"swprefetch", SwPrefetchAblation.exp},
 }
 
 // ExperimentNames lists the names RunExperiment accepts.
@@ -96,11 +96,6 @@ func (o ExpOptions) recordBench(name string, n int, nsPerOp, simCycles float64) 
 	mcps := simCycles / 1e6 / (nsPerOp / 1e9)
 	*o.bench = append(*o.bench,
 		fmt.Sprintf("Benchmark%s\t%d\t%.0f ns/op\t%.1f Mcycles/s", name, n, nsPerOp, mcps))
-}
-
-// DefaultExpOptions mirrors the paper's methodology.
-func DefaultExpOptions() ExpOptions {
-	return ExpOptions{Reps: 3, Seed: 1}
 }
 
 func (o ExpOptions) workloads() []string {

@@ -36,51 +36,20 @@ type optPinCell struct {
 	Shared bool
 }
 
-// optPinCells mirrors, through exported names only, the configurations
-// internal/bench's experiments run: the active rows of CodeLayoutData
-// and SwPrefetchData, and the injected-bad-decision scenarios of
-// CodeLayoutRevertData and SwPrefetchRevertData.
+// optPinCells takes its configurations from internal/bench's ablation
+// descriptors: each kind's active run and its injected-bad-decision
+// scenario, at seed 1.
 func optPinCells() []optPinCell {
-	pressured := bench.SwPrefetchRevertCache()
+	cell := func(name, workload, kind string, cfg bench.RunConfig, shared bool) optPinCell {
+		cfg.Seed = 1
+		return optPinCell{Name: name, Workload: workload, Kind: kind, Cfg: cfg, Shared: shared}
+	}
+	cl, sp := bench.CodeLayoutAblation, bench.SwPrefetchAblation
 	return []optPinCell{
-		{Name: "db/codelayout-active", Workload: "db", Kind: opt.KindCodeLayout,
-			Cfg: bench.RunConfig{
-				CodeLayout: true,
-				CodeLayoutConfig: &opt.CodeLayoutConfig{
-					ICacheSize:  bench.CodeLayoutICacheSize,
-					ICacheAssoc: bench.CodeLayoutICacheAssoc,
-				},
-				Event: cache.EventL1IMiss, Seed: 1,
-			}},
-		{Name: "db/codelayout-badpad", Workload: "db", Kind: opt.KindCodeLayout, Shared: true,
-			Cfg: bench.RunConfig{
-				CodeLayout: true,
-				CodeLayoutConfig: &opt.CodeLayoutConfig{
-					ICacheSize:    bench.CodeLayoutICacheSize,
-					ICacheAssoc:   1,
-					BadPadAtCycle: bench.CodeLayoutBadPadAtCycle,
-					EvalPeriods:   bench.CodeLayoutRevertEvalPeriods,
-				},
-				Event: cache.EventL1IMiss, Seed: 1,
-			}},
-		{Name: "pseudojbb/swprefetch-active", Workload: "pseudojbb", Kind: opt.KindSwPrefetch,
-			Cfg: bench.RunConfig{
-				SwPrefetch:       true,
-				SwPrefetchConfig: &opt.SwPrefetchConfig{MinSamples: 16, EvalPeriods: 3},
-				Event:            cache.EventL1Miss, Seed: 1,
-			}},
-		{Name: "db/swprefetch-badinject", Workload: "db", Kind: opt.KindSwPrefetch, Shared: true,
-			Cfg: bench.RunConfig{
-				SwPrefetch: true,
-				SwPrefetchConfig: &opt.SwPrefetchConfig{
-					MinSamples:       16,
-					EvalPeriods:      bench.SwPrefetchRevertEvalPeriods,
-					BadInjectAtCycle: bench.SwPrefetchBadInjectAtCycle,
-					MaxReverts:       -1,
-				},
-				CacheConfig: &pressured,
-				Event:       cache.EventL1Miss, Seed: 1,
-			}},
+		cell("db/codelayout-active", "db", cl.Kind, cl.Active, false),
+		cell("db/codelayout-badpad", "db", cl.Kind, cl.BadDecision, true),
+		cell("pseudojbb/swprefetch-active", "pseudojbb", sp.Kind, sp.Active, false),
+		cell("db/swprefetch-badinject", "db", sp.Kind, sp.BadDecision, true),
 	}
 }
 

@@ -125,76 +125,51 @@ func TestOptRevertBadDecision(t *testing.T) {
 		}
 	})
 
+	// Both scenarios are the BadDecision runs of internal/bench's
+	// ablation descriptors, shared with TestOptKindsPinned
+	// (opt_pin_test.go) so each executes once.
 	t.Run("swprefetch", func(t *testing.T) {
-		// The scenario bench.SwPrefetchRevertData runs, shared with
-		// TestOptKindsPinned (opt_pin_test.go) so it executes once.
-		run := runOptPinCell(t, "db/swprefetch-badinject")
-		ks, log := run.entry.Opt, run.log
-		if ks.Reverts < 1 {
-			t.Errorf("injected polluting site set never reverted: %+v\nlog:\n%s", ks, strings.Join(log, "\n"))
-		}
-		// The polluting injection's revert must be its first assessment:
-		// no "kept" verdict for that injection epoch between apply and
-		// revert.
-		iApply, iRevert := -1, -1
-		var epoch string
-		for i, l := range log {
-			if iApply < 0 && strings.Contains(l, "polluting injection") {
-				iApply = i
-				if j := strings.Index(l, "injection #"); j >= 0 {
-					epoch = strings.Fields(l[j+len("injection #"):])[0]
-					epoch = strings.TrimSuffix(epoch, ":")
-				}
-			}
-			if iApply >= 0 && iRevert < 0 && strings.Contains(l, "reverted") &&
-				strings.Contains(l, "injection #"+epoch+" ") {
-				iRevert = i
-			}
-		}
-		if iApply < 0 || iRevert < 0 {
-			t.Fatalf("expected polluting apply then revert; log:\n%s", strings.Join(log, "\n"))
-		}
-		for _, l := range log[iApply:iRevert] {
-			if strings.Contains(l, "injection #"+epoch+" kept") {
-				t.Errorf("polluting site set kept before the revert; log:\n%s", strings.Join(log, "\n"))
-			}
-		}
+		checkFirstVerdictReverts(t, "db/swprefetch-badinject", "polluting injection", "injection #")
 	})
-
 	t.Run("codelayout", func(t *testing.T) {
-		// The scenario bench.CodeLayoutRevertData runs, shared with
-		// TestOptKindsPinned (opt_pin_test.go) so it executes once.
-		run := runOptPinCell(t, "db/codelayout-badpad")
-		ks, log := run.entry.Opt, run.log
-		if ks.Reverts < 1 {
-			t.Errorf("injected conflict layout never reverted: %+v\nlog:\n%s", ks, strings.Join(log, "\n"))
-		}
-		// The conflict layout's revert must be its first assessment: no
-		// "kept" verdict for that layout epoch between apply and revert.
-		iApply, iRevert := -1, -1
-		var epoch string
-		for i, l := range log {
-			if iApply < 0 && strings.Contains(l, "conflict layout") {
-				iApply = i
-				if j := strings.Index(l, "layout #"); j >= 0 {
-					epoch = strings.Fields(l[j+len("layout #"):])[0]
-					epoch = strings.TrimSuffix(epoch, ":")
-				}
-			}
-			if iApply >= 0 && iRevert < 0 && strings.Contains(l, "reverted") &&
-				strings.Contains(l, "layout #"+epoch+" ") {
-				iRevert = i
-			}
-		}
-		if iApply < 0 || iRevert < 0 {
-			t.Fatalf("expected conflict apply then revert; log:\n%s", strings.Join(log, "\n"))
-		}
-		for _, l := range log[iApply:iRevert] {
-			if strings.Contains(l, "layout #"+epoch+" kept") {
-				t.Errorf("conflict layout kept before the revert; log:\n%s", strings.Join(log, "\n"))
-			}
-		}
+		checkFirstVerdictReverts(t, "db/codelayout-badpad", "conflict layout", "layout #")
 	})
+}
+
+// checkFirstVerdictReverts requires the pinned cell's injected decision
+// — the first log line containing badMarker — to be reverted, and the
+// revert to be its first assessment: no "kept" verdict for that epoch
+// (the number after epochMarker) between apply and revert.
+func checkFirstVerdictReverts(t *testing.T, cell, badMarker, epochMarker string) {
+	t.Helper()
+	run := runOptPinCell(t, cell)
+	ks, log := run.entry.Opt, run.log
+	if ks.Reverts < 1 {
+		t.Errorf("injected %s never reverted: %+v\nlog:\n%s", badMarker, ks, strings.Join(log, "\n"))
+	}
+	iApply, iRevert := -1, -1
+	var epoch string
+	for i, l := range log {
+		if iApply < 0 && strings.Contains(l, badMarker) {
+			iApply = i
+			if j := strings.Index(l, epochMarker); j >= 0 {
+				epoch = strings.Fields(l[j+len(epochMarker):])[0]
+				epoch = strings.TrimSuffix(epoch, ":")
+			}
+		}
+		if iApply >= 0 && iRevert < 0 && strings.Contains(l, "reverted") &&
+			strings.Contains(l, epochMarker+epoch+" ") {
+			iRevert = i
+		}
+	}
+	if iApply < 0 || iRevert < 0 {
+		t.Fatalf("expected %s apply then revert; log:\n%s", badMarker, strings.Join(log, "\n"))
+	}
+	for _, l := range log[iApply:iRevert] {
+		if strings.Contains(l, epochMarker+epoch+" kept") {
+			t.Errorf("%s kept before the revert; log:\n%s", badMarker, strings.Join(log, "\n"))
+		}
+	}
 }
 
 // TestSwPrefetchAblation pins the prefetch-injection acceptance bar
