@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race bench bench-smoke profile experiments obs serve-smoke serve-bench verify-sampling verify-opt fuzz-smoke loc perf-gate perf-baseline
+.PHONY: ci vet build test race bench bench-smoke profile experiments obs serve-smoke verify-sampling verify-opt fuzz-smoke loc perf-gate perf-baseline
 
 ci: vet build test race verify-opt fuzz-smoke perf-gate bench-smoke serve-smoke loc
 
@@ -117,17 +117,11 @@ perf-baseline:
 # 2-worker process fleet: boot the daemon, run the client-based
 # protocol checks (scripts/servesmoke: cache byte-identity — across
 # worker processes on the fleet — warm-start dispositions, sampled
-# estimates, streaming, stable error codes), on the fleet also a short
-# hpmvmbench burst with a minimum-RPS gate and the per-worker identity
-# probe, and verify a clean SIGTERM drain of the whole process tree.
+# estimates, streaming, stable error codes), on the fleet also the
+# per-worker identity probe, and verify a clean SIGTERM drain of the
+# whole process tree.
 serve-smoke:
 	sh scripts/serve_smoke.sh
-
-# Full serve-layer load measurement: sweeps every traffic mix at
-# several fleet sizes into results/BENCH_serve.json. Boot the target
-# separately (hpmvmd -workers N) and label rows to match.
-serve-bench:
-	$(GO) run ./cmd/hpmvmbench -url http://127.0.0.1:8080 -mix all -out results/BENCH_serve.json
 
 # Cache hot-path microbenchmarks (BenchmarkHierarchyAccess*).
 bench:

@@ -1,8 +1,8 @@
 // Package api is the versioned wire contract of the hpmvmd run
 // service: the request/response/statsz types, the JSON error envelope,
 // the SSE stream framing, and the path/header constants shared by the
-// server (internal/serve), the fleet coordinator, the typed Go client
-// (internal/client) and the load generator (cmd/hpmvmbench).
+// server (internal/serve), the fleet coordinator and the typed Go
+// client (internal/client).
 //
 // The coordinator↔worker protocol and the public API are the same
 // contract: a fleet coordinator speaks to its workers with exactly the
@@ -58,7 +58,7 @@ const (
 	HeaderWorker = "X-Hpmvmd-Worker"
 	// HeaderRoute, on a request to a fleet coordinator, pins the
 	// request to the named worker, bypassing sticky/least-loaded
-	// routing. Diagnostics only: hpmvmbench uses it to prove workers
+	// routing. Diagnostics only: servesmoke uses it to prove workers
 	// answer byte-identically.
 	HeaderRoute = "X-Hpmvmd-Route"
 )
@@ -127,8 +127,8 @@ type Request struct {
 
 // RunResponse is the JSON body of a successful run. Identical requests
 // produce byte-identical bodies — cold, cached, streamed, single
-// process or any fleet worker — which the serve tests, hpmvmbench and
-// the smoke scripts assert.
+// process or any fleet worker — which the serve tests, the repo
+// benchmark and the smoke scripts assert.
 type RunResponse struct {
 	Version   string `json:"version"`
 	Workload  string `json:"workload"`

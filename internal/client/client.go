@@ -1,7 +1,7 @@
 // Package client is the typed Go client for the hpmvmd /v1 wire API
 // (internal/api). It is the only sanctioned way for Go code to talk to
 // a server: the smoke checker (scripts/servesmoke), the load generator
-// (cmd/hpmvmbench) and the fleet supervisor (cmd/hpmvmd -workers) all
+// (benchmark/) and the fleet supervisor (cmd/hpmvmd -workers) all
 // speak through it, so the coordinator↔worker protocol is exercised by
 // exactly the code paths external clients use.
 //
@@ -44,7 +44,7 @@ type Config struct {
 	// the computed delay.
 	RetryBase time.Duration
 	// Route pins every run to a named worker via X-Hpmvmd-Route
-	// (diagnostics: hpmvmbench uses it to probe per-worker
+	// (diagnostics: servesmoke uses it to probe per-worker
 	// byte-identity).
 	Route string
 }

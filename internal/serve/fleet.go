@@ -38,7 +38,7 @@ import (
 //     costs more than waiting out the 429 — so the owner's refusal
 //     propagates with its Retry-After.
 //   - Because runs are deterministic and workers share no mutable
-//     state, a steal can never change a response byte; hpmvmbench's
+//     state, a steal can never change a response byte; servesmoke's
 //     per-worker probe and TestFleetByteIdentical pin this.
 //
 // Byte-identity: the coordinator relays worker response bodies

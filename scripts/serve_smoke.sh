@@ -2,12 +2,11 @@
 # serve_smoke.sh — boot hpmvmd, run the client-based end-to-end checks
 # (scripts/servesmoke, built on internal/client), then verify graceful
 # SIGTERM shutdown — once for a single server, once for a 2-worker
-# process fleet (byte-identity then spans worker processes, and a short
-# hpmvmbench burst asserts a minimum sustained RPS plus the per-worker
-# identity probe). All protocol assertions — cache byte-identity,
-# warm-start dispositions, sampled estimates, stream reassembly, stable
-# error codes — live in the Go checker; this wrapper only owns process
-# lifecycle.
+# process fleet (byte-identity then spans worker processes, and the
+# checker pins its probe to each of them). All protocol assertions —
+# cache byte-identity, warm-start dispositions, sampled estimates,
+# stream reassembly, stable error codes — live in the Go checker; this
+# wrapper only owns process lifecycle.
 #
 # Usage: scripts/serve_smoke.sh [port]   (default 18080; the fleet
 # coordinator takes port+10)
@@ -18,10 +17,9 @@ TMP="$(mktemp -d)"
 PID=
 trap '[ -z "$PID" ] || kill "$PID" 2>/dev/null || true; rm -rf "$TMP"' EXIT
 
-echo "serve-smoke: building hpmvmd + servesmoke + hpmvmbench"
+echo "serve-smoke: building hpmvmd + servesmoke"
 go build -o "$TMP/hpmvmd" ./cmd/hpmvmd
 go build -o "$TMP/servesmoke" ./scripts/servesmoke
-go build -o "$TMP/hpmvmbench" ./cmd/hpmvmbench
 
 # smoke NAME PORT EXTRA HPMVMD-ARGS...: boot hpmvmd with the given
 # arguments, wait for liveness, run the protocol checker and then EXTRA
@@ -70,12 +68,9 @@ fleet_checks() {
         echo "serve-smoke: FAIL — healthz does not report 2 workers" >&2
         exit 1
     fi
-    echo "serve-smoke: load burst (cachehot, 3s)"
-    "$TMP/hpmvmbench" -url "http://$1" -mix cachehot -clients 8 -duration 3s \
-        -label bench-smoke -min-rps 50
 }
 
 smoke "single server" "$PORT" : -cache 16
 smoke "2-worker fleet" "$((PORT + 10))" fleet_checks -workers 2 -jobs 1
 
-echo "serve-smoke: OK — protocol checks passed on the single server and byte-identically across the 2-worker fleet, nonzero RPS, clean drains"
+echo "serve-smoke: OK — protocol checks passed on the single server and byte-identically across the 2-worker fleet, clean drains"

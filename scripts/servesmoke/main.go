@@ -7,6 +7,8 @@
 //   - /v1/healthz liveness and /v1/workloads registry
 //   - cold run = cache miss, replay = byte-identical cache hit,
 //     /v1/statsz reflects both
+//   - on a coordinator, the same request pinned to every healthy worker
+//     (X-Hpmvmd-Route) is served by that worker with the same bytes
 //   - warm-start prefix: store then hit, responses equal modulo key
 //   - sampled runs: estimated block with confidence intervals, cached
 //     under a key distinct from the exact run's
@@ -86,6 +88,13 @@ func smoke(url string) error {
 	// statsz reflects the hit — on a fleet, in the per-worker rows.
 	if err := checkHits(ctx, c); err != nil {
 		return err
+	}
+	probed, err := probeWorkers(ctx, c, url, base, hit.Body)
+	if err != nil {
+		return err
+	}
+	if probed > 0 {
+		fmt.Printf("servesmoke: pinned probe byte-identical on %d workers\n", probed)
 	}
 
 	// Warm-start prefix: store, then a divergent budget hits, and both
@@ -209,6 +218,36 @@ func checkOptCounters(ctx context.Context, c *client.Client) error {
 		return errors.New("statsz optimizations lack the swprefetch row after a swprefetch run")
 	}
 	return nil
+}
+
+// probeWorkers pins req, which the target already answered unpinned
+// with want, to every healthy worker the coordinator's /v1/statsz
+// lists: each must serve it itself and answer the same bytes, whichever
+// worker ran it first. Returns the number of workers probed — zero on a
+// single server, which has none.
+func probeWorkers(ctx context.Context, c *client.Client, url string, req api.Request, want []byte) (int, error) {
+	fst, err := c.FleetStatsz(ctx)
+	if err != nil || !fst.Fleet {
+		return 0, nil
+	}
+	probed := 0
+	for _, w := range fst.PerWorker {
+		if !w.Healthy {
+			continue
+		}
+		res, err := client.New(client.Config{BaseURL: url, Route: w.Name}).Run(ctx, req)
+		if err != nil {
+			return probed, fmt.Errorf("probe pinned to %s: %w", w.Name, err)
+		}
+		if res.Worker != w.Name {
+			return probed, fmt.Errorf("probe pinned to %s served by %q", w.Name, res.Worker)
+		}
+		if !bytes.Equal(res.Body, want) {
+			return probed, fmt.Errorf("worker %s answers the pinned probe with different bytes than the unpinned response", w.Name)
+		}
+		probed++
+	}
+	return probed, nil
 }
 
 // optRows fetches the per-kind optimization counters — the fleet
