@@ -84,7 +84,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "base PRNG seed")
 	jobs := flag.Int("jobs", 0, "parallel runs (0 = GOMAXPROCS); output is byte-identical for any value")
 	benchJSON := flag.String("bench-json", "", "write per-experiment wall-clock and speedup JSON to this file")
-	sampling := flag.Bool("sampling", false, "also run the sampled-simulation validation (estimated vs exact error and speedup; same as -exp sampling)")
 	metricsJSON := flag.String("metrics-json", "", "run the observability sweep and write per-workload counter/phase snapshots to this file")
 	traceFile := flag.String("trace", "", "run the observability sweep and write per-workload event traces to this file")
 	progress := flag.Bool("progress", true, "live progress line on stderr")
@@ -145,15 +144,6 @@ func main() {
 	case "none":
 		// Observability-sweep-only mode: no experiments.
 		names = nil
-	}
-	if *sampling {
-		has := false
-		for _, n := range names {
-			has = has || n == "sampling"
-		}
-		if !has {
-			names = append(names, "sampling")
-		}
 	}
 
 	var totalSimCycles, totalSimInstret uint64

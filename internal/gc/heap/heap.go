@@ -54,11 +54,6 @@ func InLOS(addr uint64) bool { return addr >= LOSBase && addr < LOSEnd }
 // InImmortal reports whether addr lies in the immortal region.
 func InImmortal(addr uint64) bool { return addr >= ImmortalBase && addr < ImmortalEnd }
 
-// InHeap reports whether addr is in any collected or immortal space.
-func InHeap(addr uint64) bool {
-	return InNursery(addr) || InMature(addr) || InLOS(addr) || InImmortal(addr)
-}
-
 // BumpSpace is a contiguous bump-pointer-allocated space (the nursery,
 // the immortal space, and each semispace of the copying mature space).
 type BumpSpace struct {

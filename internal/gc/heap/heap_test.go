@@ -15,9 +15,6 @@ func TestRegionPredicates(t *testing.T) {
 	if !InImmortal(ImmortalBase) {
 		t.Error("InImmortal wrong")
 	}
-	if !InHeap(NurseryBase) || InHeap(0x1234) {
-		t.Error("InHeap wrong")
-	}
 	// The regions must not overlap.
 	marks := []struct {
 		lo, hi uint64

@@ -40,23 +40,6 @@ func StdDev(xs []float64) float64 {
 	return math.Sqrt(ss / float64(len(xs)-1))
 }
 
-// GeoMean returns the geometric mean of xs. Non-positive entries are
-// skipped; it returns 0 if no positive entries remain.
-func GeoMean(xs []float64) float64 {
-	var sum float64
-	n := 0
-	for _, x := range xs {
-		if x > 0 {
-			sum += math.Log(x)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(sum / float64(n))
-}
-
 // Median returns the median of xs, or 0 for an empty slice.
 func Median(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -164,38 +147,4 @@ func (s *Series) Last() float64 {
 		return 0
 	}
 	return s.Samples[len(s.Samples)-1].Value
-}
-
-// Histogram is a fixed-bucket histogram over uint64 keys, used for
-// size-class and sample-distribution diagnostics.
-type Histogram struct {
-	counts map[uint64]uint64
-	total  uint64
-}
-
-// NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram {
-	return &Histogram{counts: make(map[uint64]uint64)}
-}
-
-// Observe increments the count for key.
-func (h *Histogram) Observe(key uint64) {
-	h.counts[key]++
-	h.total++
-}
-
-// Count returns the number of observations for key.
-func (h *Histogram) Count(key uint64) uint64 { return h.counts[key] }
-
-// Total returns the total number of observations.
-func (h *Histogram) Total() uint64 { return h.total }
-
-// Keys returns all observed keys in ascending order.
-func (h *Histogram) Keys() []uint64 {
-	keys := make([]uint64, 0, len(h.counts))
-	for k := range h.counts {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
 }

@@ -39,19 +39,6 @@ func TestStdDev(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{1, 100}); !almostEq(got, 10) {
-		t.Errorf("GeoMean(1,100) = %v, want 10", got)
-	}
-	if got := GeoMean([]float64{-5, 0}); got != 0 {
-		t.Errorf("GeoMean of non-positives = %v, want 0", got)
-	}
-	// Non-positive entries are skipped.
-	if got := GeoMean([]float64{0, 4}); !almostEq(got, 4) {
-		t.Errorf("GeoMean(0,4) = %v, want 4", got)
-	}
-}
-
 func TestMedian(t *testing.T) {
 	if got := Median([]float64{3, 1, 2}); !almostEq(got, 2) {
 		t.Errorf("Median odd = %v, want 2", got)
@@ -157,22 +144,5 @@ func TestSeries(t *testing.T) {
 	var empty Series
 	if empty.Last() != 0 {
 		t.Error("Last of empty series should be 0")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram()
-	h.Observe(3)
-	h.Observe(3)
-	h.Observe(7)
-	if h.Count(3) != 2 || h.Count(7) != 1 || h.Count(99) != 0 {
-		t.Errorf("counts wrong: %d %d %d", h.Count(3), h.Count(7), h.Count(99))
-	}
-	if h.Total() != 3 {
-		t.Errorf("Total = %d", h.Total())
-	}
-	keys := h.Keys()
-	if len(keys) != 2 || keys[0] != 3 || keys[1] != 7 {
-		t.Errorf("Keys = %v", keys)
 	}
 }

@@ -128,15 +128,3 @@ func (a *Assembler) Finish(m *classfile.Method, opt bool, frameSlots int) *mcmap
 // SlotOffset returns the frame-pointer-relative byte offset of frame
 // slot i under the universal frame layout (slot i lives at fp-8*(i+1)).
 func SlotOffset(i int) int64 { return -8 * int64(i+1) }
-
-// RefSlotMask builds a frame-slot bitmask from slot indices.
-func RefSlotMask(slots []int) uint64 {
-	var m uint64
-	for _, s := range slots {
-		if s >= 64 {
-			panic(fmt.Sprintf("emit: frame slot %d exceeds GC map width", s))
-		}
-		m |= 1 << uint(s)
-	}
-	return m
-}

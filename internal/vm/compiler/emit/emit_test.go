@@ -125,13 +125,4 @@ func TestSlotHelpers(t *testing.T) {
 	if SlotOffset(0) != -8 || SlotOffset(3) != -32 {
 		t.Error("SlotOffset wrong")
 	}
-	if RefSlotMask([]int{0, 2}) != 0b101 {
-		t.Error("RefSlotMask wrong")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("RefSlotMask over 64 slots did not panic")
-		}
-	}()
-	RefSlotMask([]int{64})
 }
