@@ -87,24 +87,11 @@ func main() {
 	if *gap != 0 && !*coalloc {
 		fail(fmt.Errorf("%w: -gap tunes co-allocation and needs -coalloc", core.ErrBadOptions))
 	}
-	switch *collector {
-	case "", "genms":
-	case "gencopy":
-		cfg.Collector = core.GenCopy
-	default:
-		fail(fmt.Errorf("%w: unknown collector %q (genms or gencopy)", core.ErrBadOptions, *collector))
+	if cfg.Collector, err = core.ParseCollector(*collector); err != nil {
+		fail(err)
 	}
-	switch *event {
-	case "", "l1":
-		cfg.Event = cache.EventL1Miss
-	case "l2":
-		cfg.Event = cache.EventL2Miss
-	case "dtlb":
-		cfg.Event = cache.EventDTLBMiss
-	case "l1i":
-		cfg.Event = cache.EventL1IMiss
-	default:
-		fail(fmt.Errorf("%w: unknown event %q (l1, l2, dtlb or l1i)", core.ErrBadOptions, *event))
+	if cfg.Event, err = cache.ParseEventKind(*event); err != nil {
+		fail(fmt.Errorf("%w: %v", core.ErrBadOptions, err))
 	}
 	if *disasm != "" {
 		if err := disassemble(builder, *disasm); err != nil {

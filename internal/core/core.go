@@ -23,6 +23,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"hpmvm/internal/coalloc"
 	"hpmvm/internal/gc/gencopy"
@@ -55,6 +56,19 @@ func (k CollectorKind) String() string {
 		return "GenCopy"
 	}
 	return "GenMS"
+}
+
+// ParseCollector resolves the collector spelling the CLIs and the /v1
+// API accept: genms or gencopy in any case; the empty string selects
+// the default (GenMS).
+func ParseCollector(s string) (CollectorKind, error) {
+	switch strings.ToLower(s) {
+	case "", "genms":
+		return GenMS, nil
+	case "gencopy":
+		return GenCopy, nil
+	}
+	return 0, fmt.Errorf("%w: unknown collector %q (genms or gencopy)", ErrBadOptions, s)
 }
 
 // Options configures a System.

@@ -53,3 +53,22 @@ func TestValidateRejectsBadCombos(t *testing.T) {
 		}
 	}
 }
+
+// TestParseCollector covers every collector spelling the CLIs and the
+// API accept and one that they reject.
+func TestParseCollector(t *testing.T) {
+	accepted := map[string]core.CollectorKind{
+		"": core.GenMS, "genms": core.GenMS, "GenMS": core.GenMS, "GENMS": core.GenMS,
+		"gencopy": core.GenCopy, "GenCopy": core.GenCopy, "GENCOPY": core.GenCopy,
+	}
+	for s, want := range accepted {
+		if got, err := core.ParseCollector(s); err != nil || got != want {
+			t.Errorf("ParseCollector(%q) = %v, %v; want %v", s, got, err, want)
+		}
+	}
+	_, err := core.ParseCollector("semispace")
+	if !errors.Is(err, core.ErrBadOptions) ||
+		err.Error() != `invalid options: unknown collector "semispace" (genms or gencopy)` {
+		t.Errorf(`ParseCollector("semispace") error = %v`, err)
+	}
+}

@@ -12,6 +12,7 @@ package cache
 
 import (
 	"fmt"
+	"strings"
 
 	"hpmvm/internal/obs"
 )
@@ -52,6 +53,23 @@ func (k EventKind) String() string {
 	default:
 		return fmt.Sprintf("EventKind(%d)", int(k))
 	}
+}
+
+// ParseEventKind resolves the spelling of a samplable event that the
+// CLIs and the /v1 API accept: l1, l2, dtlb or l1i, optionally suffixed
+// _miss, in any case; the empty string selects the default (L1 misses).
+func ParseEventKind(s string) (EventKind, error) {
+	switch strings.ToLower(s) {
+	case "", "l1", "l1_miss":
+		return EventL1Miss, nil
+	case "l2", "l2_miss":
+		return EventL2Miss, nil
+	case "dtlb", "dtlb_miss":
+		return EventDTLBMiss, nil
+	case "l1i", "l1i_miss":
+		return EventL1IMiss, nil
+	}
+	return 0, fmt.Errorf("unknown event %q (l1, l2, dtlb or l1i)", s)
 }
 
 // Listener receives hardware events as they happen. addr is the data

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -219,5 +220,29 @@ func TestMissCountInvariants(t *testing.T) {
 func TestEventKindString(t *testing.T) {
 	if EventL1Miss.String() != "L1_MISS" || EventDTLBMiss.String() != "DTLB_MISS" {
 		t.Error("event names wrong")
+	}
+}
+
+// TestParseEventKind covers every spelling the CLIs and the API accept
+// — short name, _miss suffix and the String form, in either case — and
+// one that they reject.
+func TestParseEventKind(t *testing.T) {
+	accepted := map[string]EventKind{
+		"":   EventL1Miss,
+		"l1": EventL1Miss, "L1": EventL1Miss, "l1_miss": EventL1Miss,
+		"l2": EventL2Miss, "L2": EventL2Miss, "l2_miss": EventL2Miss,
+		"dtlb": EventDTLBMiss, "DTLB": EventDTLBMiss, "dtlb_miss": EventDTLBMiss,
+		"l1i": EventL1IMiss, "L1I": EventL1IMiss, "l1i_miss": EventL1IMiss,
+	}
+	for k := EventKind(0); k < NumEventKinds; k++ {
+		accepted[k.String()] = k
+	}
+	for s, want := range accepted {
+		if got, err := ParseEventKind(s); err != nil || got != want {
+			t.Errorf("ParseEventKind(%q) = %v, %v; want %v", s, got, err, want)
+		}
+	}
+	if _, err := ParseEventKind("l3"); err == nil || !strings.Contains(err.Error(), `unknown event "l3" (l1, l2, dtlb or l1i)`) {
+		t.Errorf(`ParseEventKind("l3") error = %v`, err)
 	}
 }

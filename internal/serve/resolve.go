@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
-	"strings"
 
 	"hpmvm/internal/api"
 	"hpmvm/internal/bench"
@@ -120,25 +119,12 @@ func (r *Resolver) resolve(req api.Request) (resolved, error) {
 		scfg := bench.CalibratedSampling(meta.name)
 		cfg.Sampling = &scfg
 	}
-	switch strings.ToLower(req.Collector) {
-	case "", "genms":
-		cfg.Collector = core.GenMS
-	case "gencopy":
-		cfg.Collector = core.GenCopy
-	default:
-		return res, fmt.Errorf("serve: %w: unknown collector %q (genms or gencopy)", core.ErrBadOptions, req.Collector)
+	var err error
+	if cfg.Collector, err = core.ParseCollector(req.Collector); err != nil {
+		return res, fmt.Errorf("serve: %w", err)
 	}
-	switch strings.ToLower(req.Event) {
-	case "", "l1", "l1_miss":
-		cfg.Event = cache.EventL1Miss
-	case "l2", "l2_miss":
-		cfg.Event = cache.EventL2Miss
-	case "dtlb", "dtlb_miss":
-		cfg.Event = cache.EventDTLBMiss
-	case "l1i", "l1i_miss":
-		cfg.Event = cache.EventL1IMiss
-	default:
-		return res, fmt.Errorf("serve: %w: unknown event %q (l1, l2, dtlb or l1i)", core.ErrBadOptions, req.Event)
+	if cfg.Event, err = cache.ParseEventKind(req.Event); err != nil {
+		return res, fmt.Errorf("serve: %w: %v", core.ErrBadOptions, err)
 	}
 
 	opts := cfg.Resolve(meta.minHeap, meta.hotField)
