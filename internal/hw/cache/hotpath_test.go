@@ -15,22 +15,14 @@ func (l *recordingListener) HardwareEvent(kind EventKind, addr uint64) {
 	l.counts[kind]++
 }
 
-// fingerprint drives a deterministic pseudo-random access pattern
-// (LCG-generated addresses over a few MB with mixed strides, loads and
-// stores) through a hierarchy and returns a digest of every observable
-// counter. The expected strings below were recorded from the seed
-// implementation of Access/lookup; any hot-path restructuring must
-// reproduce them bit-for-bit.
-func fingerprint(cfg Config, withListener bool, n int) string {
-	h := New(cfg)
-	var l recordingListener
-	if withListener {
-		h.SetListener(&l)
-	}
-	var cycles uint64
+// fingerprintStream returns the generator of the deterministic
+// pseudo-random access pattern the pinned tests share: LCG-generated
+// addresses over a few MB with mixed strides, loads and stores. Call it
+// with i = 0, 1, 2, ... in order.
+func fingerprintStream() func(i int) (addr uint64, write bool) {
 	state := uint64(0x9e3779b97f4a7c15)
 	seq := uint64(0)
-	for i := 0; i < n; i++ {
+	return func(i int) (uint64, bool) {
 		state = state*6364136223846793005 + 1442695040888963407
 		var addr uint64
 		switch i & 3 {
@@ -42,7 +34,25 @@ func fingerprint(cfg Config, withListener bool, n int) string {
 		default: // strided
 			addr = (uint64(i) * 4096) & (1<<24 - 1)
 		}
-		cycles += h.Access(addr, 8, i&7 == 3)
+		return addr, i&7 == 3
+	}
+}
+
+// fingerprint drives fingerprintStream through a hierarchy and returns
+// a digest of every observable counter. The expected strings below were
+// recorded from the seed implementation of Access/lookup; any hot-path
+// restructuring must reproduce them bit-for-bit.
+func fingerprint(cfg Config, withListener bool, n int) string {
+	h := New(cfg)
+	var l recordingListener
+	if withListener {
+		h.SetListener(&l)
+	}
+	var cycles uint64
+	next := fingerprintStream()
+	for i := 0; i < n; i++ {
+		addr, write := next(i)
+		cycles += h.Access(addr, 8, write)
 	}
 	st := h.Stats()
 	return fmt.Sprintf("cyc=%d acc=%d ld=%d st=%d l1=%d l2=%d tlb=%d wb=%d pf=%d pfh=%d stc=%d ev=%v",
