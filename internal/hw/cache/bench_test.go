@@ -65,3 +65,22 @@ func BenchmarkHierarchyAccessMiss(b *testing.B) {
 		addr += 4096*33 + 128
 	}
 }
+
+// BenchmarkHierarchyAccessFunctional is BenchmarkHierarchyAccessHitMixed
+// on the warming lane (SetFunctional): the path sampled simulation
+// spends its fast-forward in.
+func BenchmarkHierarchyAccessFunctional(b *testing.B) {
+	cfg := DefaultP4()
+	h := New(cfg)
+	const ws = 8 * 1024
+	for a := uint64(0); a < ws; a += 8 {
+		h.Access(a, 8, false)
+	}
+	h.SetFunctional(3)
+	b.ResetTimer()
+	addr := uint64(0)
+	for i := 0; i < b.N; i++ {
+		h.Access(addr, 8, i&7 == 0)
+		addr = (addr + 264) & (ws - 1)
+	}
+}

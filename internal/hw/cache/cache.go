@@ -148,6 +148,11 @@ func (c Config) Validate() error {
 	if c.TLBEntries <= 0 {
 		return fmt.Errorf("cache: TLBEntries must be positive, got %d", c.TLBEntries)
 	}
+	if c.LineSize < 2 || c.PageSize < 2 {
+		// The tag arrays mark an empty way with the all-ones key, which
+		// only an unshifted address could equal.
+		return fmt.Errorf("cache: LineSize and PageSize must be at least 2, got %d and %d", c.LineSize, c.PageSize)
+	}
 	if c.L1Size < c.LineSize*c.L1Assoc {
 		return fmt.Errorf("cache: L1 too small for %d-way associativity", c.L1Assoc)
 	}
@@ -157,58 +162,36 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// line is one cache line's tag state.
-type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	lru   uint64 // last-use stamp
-}
+// emptyKey marks a way that holds no line. A key is an address shifted
+// right by at least one bit (Validate rejects one-byte lines and pages),
+// so no resident line ever carries it and a hit test is one compare.
+const emptyKey = ^uint64(0)
 
-// setAssoc is a generic set-associative tag array with LRU replacement.
-// Lines are stored in one flat row-major slice (set s occupies
-// lines[s*assoc : (s+1)*assoc]) so a probe is a single bounds-checked
-// slice index rather than a pointer chase through per-set slices.
-//
-// The hot path is split into probe (hit test + LRU touch) and fill
-// (LRU eviction + insert): Hierarchy.Access calls probe with the
-// already-shifted line/page address, so the offset shift and set/tag
-// masking happen once per level instead of being recomputed inside a
-// combined lookup.
+// setAssoc is a generic set-associative tag array with LRU replacement,
+// stored as parallel row-major arrays (set s occupies ways
+// [s*assoc, (s+1)*assoc) of each): the hit test reads one contiguous
+// row of keys, the victim choice one contiguous row of stamps, and
+// neither drags the other's bytes through the host's cache.
 type setAssoc struct {
-	lines    []line
-	assoc    uint64
-	setMask  uint64
-	setBits  uint
-	offBits  uint
-	stamp    uint64
-	accesses uint64
-	misses   uint64
-
-	// MRU memo: recently hit or filled lines, direct-mapped by the low
-	// key bits so lines from interleaved regions (stack, nursery,
-	// mature space) can stay memoized at once. A probe whose key
-	// matches skips the set scan and touches the line directly — pure
-	// host-side memoization whose counter/LRU/dirty mutations are
-	// identical to the scan's, so simulated state is unchanged (the
-	// memo is never serialized; see snapshot.go). Invalidated whenever
-	// lines[] changes under it: fill re-points its slot at the filled
-	// way, invalidateAll and snapshot decode clear all slots.
-	memoOK  [memoSlots]bool
-	memoKey [memoSlots]uint64
-	memoIdx [memoSlots]uint64
+	keys  []uint64 // resident key (addr >> offBits) per way, emptyKey when empty
+	lru   []uint64 // last-use stamp per way: >= 1 when resident, 0 when empty
+	dirty []bool   // per way; an empty way is never dirty
+	assoc int
+	// setMask selects the set from a key; setBits and offBits only serve
+	// the snapshot codec, which stores tags (key >> setBits).
+	setMask uint64
+	setBits uint
+	offBits uint
+	stamp   uint64
+	misses  uint64
 
 	// idx, when non-nil, is an exact key→way index replacing the way
-	// scan behind the memo — used for the fully-associative DTLB, whose
-	// 64-way scans dominate probe cost otherwise. Maintained by fill
-	// (mirror of the valid lines), cleared by invalidateAll and
-	// rebuilt by snapshot decode. Only enabled for single-set arrays,
-	// where tag == key keeps the mirror trivial.
+	// scan — used for the fully-associative DTLB, whose 64-way scans
+	// dominate lookup cost otherwise. Maintained by access (mirror of the
+	// resident keys), cleared by invalidateAll and rebuilt by snapshot
+	// decode. Only enabled for single-set arrays.
 	idx *wayIndex
 }
-
-// memoSlots is the number of MRU memo slots; must be a power of two.
-const memoSlots = 8
 
 func newSetAssoc(totalLines, assoc int, offBits uint) *setAssoc {
 	nsets := totalLines / assoc
@@ -216,8 +199,10 @@ func newSetAssoc(totalLines, assoc int, offBits uint) *setAssoc {
 		nsets = 1
 	}
 	sa := &setAssoc{
-		lines:   make([]line, nsets*assoc),
-		assoc:   uint64(assoc),
+		keys:    make([]uint64, nsets*assoc),
+		lru:     make([]uint64, nsets*assoc),
+		dirty:   make([]bool, nsets*assoc),
+		assoc:   assoc,
 		setMask: uint64(nsets - 1),
 		setBits: uint(popcount(uint64(nsets - 1))),
 		offBits: offBits,
@@ -225,129 +210,68 @@ func newSetAssoc(totalLines, assoc int, offBits uint) *setAssoc {
 	if nsets == 1 && assoc >= 32 {
 		sa.idx = newWayIndex(assoc)
 	}
+	sa.invalidateAll()
 	return sa
 }
 
-// probe tests whether the line identified by key (addr >> offBits) is
-// resident, updating the LRU stamp and dirty bit on a hit. Each probe
-// advances the stamp exactly once; a following fill reuses it, so the
-// probe+fill pair is stamp-equivalent to the previous combined lookup.
-func (sa *setAssoc) probe(key uint64, markDirty bool) bool {
+// find returns the way holding key, or -1. It changes nothing.
+func (sa *setAssoc) find(key uint64) int {
+	if sa.idx != nil {
+		if way, ok := sa.idx.get(key); ok {
+			return int(way)
+		}
+		return -1
+	}
+	base := int(key&sa.setMask) * sa.assoc
+	for i, k := range sa.keys[base : base+sa.assoc] {
+		if k == key {
+			return base + i
+		}
+	}
+	return -1
+}
+
+// access touches the line identified by key (addr >> offBits): a hit
+// refreshes its LRU stamp and dirty bit, a miss fills it over the least
+// recently used way — empty ways carry stamp 0, below every resident
+// stamp, so one pass over the stamp row picks the first empty way when
+// there is one. It returns the way now holding key, whether that was a
+// hit, and whether the fill evicted a dirty line. Every access advances
+// the stamp exactly once.
+func (sa *setAssoc) access(key uint64, markDirty bool) (way int, hit, writeback bool) {
 	sa.stamp++
-	sa.accesses++
-	slot := key & (memoSlots - 1)
-	if sa.memoOK[slot] && sa.memoKey[slot] == key {
-		ln := &sa.lines[sa.memoIdx[slot]]
-		ln.lru = sa.stamp
+	if way = sa.find(key); way >= 0 {
+		sa.lru[way] = sa.stamp
 		if markDirty {
-			ln.dirty = true
+			sa.dirty[way] = true
 		}
-		return true
+		return way, true, false
 	}
-	if sa.idx != nil {
-		way, ok := sa.idx.get(key)
-		if !ok {
-			return false
-		}
-		ln := &sa.lines[way]
-		ln.lru = sa.stamp
-		if markDirty {
-			ln.dirty = true
-		}
-		sa.memoOK[slot], sa.memoKey[slot], sa.memoIdx[slot] = true, key, way
-		return true
-	}
-	base := (key & sa.setMask) * sa.assoc
-	set := sa.lines[base : base+sa.assoc]
-	tag := key >> sa.setBits
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			set[i].lru = sa.stamp
-			if markDirty {
-				set[i].dirty = true
-			}
-			sa.memoOK[slot], sa.memoKey[slot], sa.memoIdx[slot] = true, key, base+uint64(i)
-			return true
-		}
-	}
-	return false
-}
-
-// fill inserts the line for key after a failed probe, evicting the LRU
-// way. It reports whether the eviction wrote back a dirty line.
-func (sa *setAssoc) fill(key uint64, markDirty bool) (writeback bool) {
 	sa.misses++
-	base := (key & sa.setMask) * sa.assoc
-	set := sa.lines[base : base+sa.assoc]
-	victim := 0
-	for i := range set {
-		if !set[i].valid {
-			victim = i
-			break
-		}
-		if set[i].lru < set[victim].lru {
-			victim = i
+	base := int(key&sa.setMask) * sa.assoc
+	way = base
+	oldest := sa.lru[base]
+	for i, s := range sa.lru[base : base+sa.assoc] {
+		if s < oldest {
+			way, oldest = base+i, s
 		}
 	}
-	writeback = set[victim].valid && set[victim].dirty
-	way := base + uint64(victim)
+	writeback = sa.dirty[way]
 	if sa.idx != nil {
-		// Single-set array: tag == key, so the index mirror updates
-		// straight from the evicted and inserted tags.
-		if set[victim].valid {
-			sa.idx.del(set[victim].tag)
+		if old := sa.keys[way]; old != emptyKey {
+			sa.idx.del(old)
 		}
-		sa.idx.put(key, way)
+		sa.idx.put(key, uint64(way))
 	}
-	set[victim] = line{tag: key >> sa.setBits, valid: true, dirty: markDirty, lru: sa.stamp}
-	// The evicted line may be memoized under another key's slot; any
-	// slot pointing at the replaced way is now stale.
-	for s := range sa.memoIdx {
-		if sa.memoIdx[s] == way {
-			sa.memoOK[s] = false
-		}
-	}
-	// Then memoize the filled way: the line just missed is the
-	// likeliest next hit.
-	slot := key & (memoSlots - 1)
-	sa.memoOK[slot], sa.memoKey[slot], sa.memoIdx[slot] = true, key, way
-	return writeback
+	sa.keys[way], sa.lru[way], sa.dirty[way] = key, sa.stamp, markDirty
+	return way, false, writeback
 }
 
-// lookup probes for the line containing addr. If insert is true and the
-// line is absent, it is filled (evicting LRU). It returns hit, and
-// whether the eviction wrote back a dirty line.
-func (sa *setAssoc) lookup(addr uint64, insert, markDirty bool) (hit, writeback bool) {
-	key := addr >> sa.offBits
-	if sa.probe(key, markDirty) {
-		return true, false
-	}
-	if insert {
-		writeback = sa.fill(key, markDirty)
-	}
-	return false, writeback
-}
-
-// contains probes without updating LRU or filling.
-func (sa *setAssoc) contains(addr uint64) bool {
-	key := addr >> sa.offBits
-	base := (key & sa.setMask) * sa.assoc
-	set := sa.lines[base : base+sa.assoc]
-	tag := key >> sa.setBits
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			return true
-		}
-	}
-	return false
-}
-
-// invalidateAll clears every line (used when a run is reset).
+// invalidateAll empties every way (used when a run is reset).
 func (sa *setAssoc) invalidateAll() {
-	for i := range sa.lines {
-		sa.lines[i] = line{}
+	for i := range sa.keys {
+		sa.keys[i], sa.lru[i], sa.dirty[i] = emptyKey, 0, false
 	}
-	sa.memoOK = [memoSlots]bool{}
 	if sa.idx != nil {
 		sa.idx.clear()
 	}
@@ -470,11 +394,9 @@ type swState struct {
 	sites     map[uint64]int64 // injected site: PC -> prefetch delta in bytes
 	issueCost uint64
 
-	// prefetched/mask mirror Hierarchy.prefetched/pfMask for lines
-	// installed by software prefetches awaiting their first demand
-	// touch. mask is host-side acceleration only, never serialized.
+	// prefetched mirrors Hierarchy.prefetched for lines installed by
+	// software prefetches awaiting their first demand touch.
 	prefetched *pfSet
-	mask       uint64
 }
 
 // stream is one tracked prefetch stream.
@@ -500,7 +422,7 @@ type Hierarchy struct {
 	istats IStats
 	// sw, when non-nil, is the opt-in software-prefetch model
 	// (EnableSwPrefetch). Nil for every pre-framework configuration, so
-	// the disabled hot path costs two pointer tests and golden timing is
+	// the disabled hot path costs one pointer test and golden timing is
 	// untouched.
 	sw       *swState
 	streams  []stream
@@ -521,13 +443,25 @@ type Hierarchy struct {
 
 	prefetched *pfSet // lines currently resident due to prefetch, not yet demanded
 
-	// pfMask is a 64-bit bloom filter over the prefetched set (bit =
-	// lineAddr mod 64): the access hot path tests one bit instead of a
-	// map lookup when the probed line cannot be in the set. Deletions
-	// leave bits set (false positives only cost the map lookup they
-	// used to always pay); the mask resets whenever the set empties or
-	// is replaced. Host-side only, never serialized.
-	pfMask uint64
+	// l1Pending holds one flag per L1 way: set means the line in that
+	// way may be in prefetched or sw.prefetched, clear means it is in
+	// neither, so a hit on a clear way skips both set lookups exactly.
+	// The flag is set wherever a line enters either set and on every
+	// fill that is not a detailed demand fill (warming-lane fills,
+	// prefetch fills, Restore), and cleared only by the detailed demand
+	// access that has just run both exact lookups. It errs towards set —
+	// ResetStats and Flush empty the sets and leave it alone — which
+	// costs one slow-path visit per way. Host-side only, never
+	// serialized.
+	l1Pending []bool
+
+	// tlbPred is the DTLB way predictor: direct-mapped by a hash of the
+	// page (tlbPredSlot), each slot names the way its page was last found
+	// in. The hit path compares that one way's key with the page; a stale
+	// slot just fails the compare and falls back to the exact lookup, so
+	// nothing ever invalidates it — not eviction, Flush or Restore.
+	// Host-side only, never serialized.
+	tlbPred [1 << tlbPredBits]uint32
 
 	// functional, when set, switches Access to the fast-forward lane of
 	// sampled simulation (DESIGN.md §12): every access charges the flat
@@ -553,6 +487,7 @@ func New(cfg Config) *Hierarchy {
 	h := &Hierarchy{
 		cfg:        cfg,
 		l1:         newSetAssoc(cfg.L1Size/cfg.LineSize, cfg.L1Assoc, lineBits),
+		l1Pending:  make([]bool, cfg.L1Size/cfg.LineSize),
 		l2:         newSetAssoc(cfg.L2Size/cfg.LineSize, cfg.L2Assoc, lineBits),
 		tlb:        newSetAssoc(cfg.TLBEntries, cfg.TLBEntries, pageBits),
 		lineBits:   lineBits,
@@ -645,17 +580,15 @@ func (h *Hierarchy) IFetch(addr uint64) uint64 {
 	st := &h.istats
 	st.Fetches++
 	lineAddr := addr >> h.lineBits
-	if h.l1i.probe(lineAddr, false) {
+	if _, hit, _ := h.l1i.access(lineAddr, false); hit {
 		return 0
 	}
-	h.l1i.fill(lineAddr, false)
 	st.Misses++
 	cycles := h.cfg.L2HitCycles
 	if h.listener != nil {
 		h.listener.HardwareEvent(EventL1IMiss, addr)
 	}
-	if !h.l2.probe(lineAddr, false) {
-		h.l2.fill(lineAddr, false)
+	if _, hit, _ := h.l2.access(lineAddr, false); !hit {
 		st.MemFills++
 		cycles += h.cfg.MemCycles
 	}
@@ -699,24 +632,18 @@ func (h *Hierarchy) SetSwPrefetchSites(sites map[uint64]int64) {
 // EnableSwPrefetch.
 func (h *Hierarchy) SoftwarePrefetch(addr uint64) uint64 {
 	lineAddr := addr >> h.lineBits
-	lineBase := lineAddr << h.lineBits
-	if h.l1.contains(lineBase) {
+	if h.l1.find(lineAddr) >= 0 {
 		return 0
 	}
+	h.install(lineAddr)
 	if h.functional {
-		// Warming lane: install the line, skip statistics and
-		// attribution, exactly like the hardware prefetchLine.
-		h.l2.lookup(lineBase, true, false)
-		h.l1.lookup(lineBase, true, false)
+		// Warming lane: the line is installed, statistics and
+		// attribution are skipped, exactly like the hardware prefetchLine.
 		return 0
 	}
-	s := h.sw
 	h.stats.SwPrefetches++
-	h.l2.lookup(lineBase, true, false)
-	h.l1.lookup(lineBase, true, false)
-	s.prefetched.Add(lineAddr)
-	s.mask |= 1 << (lineAddr & 63)
-	return s.issueCost
+	h.sw.prefetched.Add(lineAddr)
+	return h.sw.issueCost
 }
 
 // swSiteIssue executes the software-prefetch instruction injected at
@@ -764,12 +691,8 @@ func (h *Hierarchy) ResetStats() {
 	if h.prefetched.Len() != 0 {
 		h.prefetched.Clear()
 	}
-	h.pfMask = 0
-	if h.sw != nil {
-		if h.sw.prefetched.Len() != 0 {
-			h.sw.prefetched.Clear()
-		}
-		h.sw.mask = 0
+	if h.sw != nil && h.sw.prefetched.Len() != 0 {
+		h.sw.prefetched.Clear()
 	}
 }
 
@@ -785,13 +708,11 @@ func (h *Hierarchy) Flush() {
 		h.streams[i] = stream{}
 	}
 	h.prefetched.Clear()
-	h.pfMask = 0
 	if h.sw != nil {
 		// The attribution set is hardware-adjacent state and clears with
 		// the lines it tracks; the site table is program text (injected
 		// prefetch instructions) and survives a hardware flush.
 		h.sw.prefetched.Clear()
-		h.sw.mask = 0
 	}
 }
 
@@ -811,6 +732,14 @@ func (h *Hierarchy) SetDetailed() { h.functional = false }
 // Functional reports whether the hierarchy is in fast-forward mode.
 func (h *Hierarchy) Functional() bool { return h.functional }
 
+// tlbPredBits is the log2 of the number of way-predictor slots.
+const tlbPredBits = 8
+
+// tlbPredSlot hashes rather than masks: the simulated regions (code,
+// stacks, nursery, mature space) start on megabyte boundaries, so their
+// hottest pages agree in the low page bits.
+func tlbPredSlot(page uint64) uint64 { return pfHash(page) >> (64 - tlbPredBits) }
+
 // Access simulates one demand access of the given size at addr and
 // returns the cycle cost. write distinguishes stores from loads.
 // Accesses are assumed not to cross a cache line (the CPU only issues
@@ -818,13 +747,73 @@ func (h *Hierarchy) Functional() bool { return h.functional }
 //
 // This is the single hottest function in the simulator — every load
 // and store of every simulated instruction lands here — so the common
-// case (TLB hit, L1 hit, no outstanding prefetches) is kept branch-
-// lean: line and page addresses are shifted once and handed to the
-// probe fast path, the prefetched-line bookkeeping is screened by the
-// pfMask bloom bit before the set is consulted, and listener delivery
-// is a nil check on the miss paths only (TestAccessFingerprint pins
+// case of both lanes (DTLB hit in the predicted way, L1 hit, line not
+// awaiting its first demand touch) is written out here with no call:
+// one compare for the DTLB, one per way over the set's key row, the
+// two stamp stores, the counters. Everything else — a miss anywhere, a
+// stale prediction, a pending way — has changed nothing yet and starts
+// over in accessSlow (TestAccessFingerprint and TestOracleLockStep pin
 // the exact behavior).
 func (h *Hierarchy) Access(addr uint64, size int, write bool) uint64 {
+	tlb, l1 := h.tlb, h.l1
+	page, lineAddr := addr>>h.pageBits, addr>>h.lineBits
+	if tw := h.tlbPred[tlbPredSlot(page)]; tlb.keys[tw] == page {
+		base := int(lineAddr&l1.setMask) * l1.assoc
+		for i, k := range l1.keys[base : base+l1.assoc] {
+			if k != lineAddr {
+				continue
+			}
+			way := base + i
+			if h.l1Pending[way] && !h.functional {
+				break
+			}
+			tlb.stamp++
+			tlb.lru[tw] = tlb.stamp
+			l1.stamp++
+			l1.lru[way] = l1.stamp
+			if write {
+				l1.dirty[way] = true
+			}
+			if h.functional {
+				return h.flatCost
+			}
+			st := &h.stats
+			st.Accesses++
+			if write {
+				st.Stores++
+			} else {
+				st.Loads++
+			}
+			cycles := h.cfg.L1HitCycles
+			if h.sw != nil {
+				cycles += h.swSiteIssue(addr)
+			}
+			st.Cycles += cycles
+			return cycles
+		}
+	}
+	return h.accessSlow(addr, write)
+}
+
+// tlbAccess touches addr's page in the DTLB, filling it on a miss, and
+// reports whether it hit. The predictor is consulted first and left
+// naming the page's way.
+func (h *Hierarchy) tlbAccess(addr uint64) bool {
+	tlb, page := h.tlb, addr>>h.pageBits
+	slot := &h.tlbPred[tlbPredSlot(page)]
+	if tlb.keys[*slot] == page {
+		tlb.stamp++
+		tlb.lru[*slot] = tlb.stamp
+		return true
+	}
+	way, hit, _ := tlb.access(page, false)
+	*slot = uint32(way)
+	return hit
+}
+
+// accessSlow is Access without the shortcut: the full detailed access,
+// or the warming lane's.
+func (h *Hierarchy) accessSlow(addr uint64, write bool) uint64 {
 	if h.functional {
 		h.warmAccess(addr, write)
 		return h.flatCost
@@ -838,9 +827,7 @@ func (h *Hierarchy) Access(addr uint64, size int, write bool) uint64 {
 	}
 	cycles := h.cfg.L1HitCycles
 
-	// DTLB.
-	if !h.tlb.probe(addr>>h.pageBits, false) {
-		h.tlb.fill(addr>>h.pageBits, false)
+	if !h.tlbAccess(addr) {
 		st.TLBMisses++
 		cycles += h.cfg.TLBMissCycles
 		if h.listener != nil {
@@ -849,55 +836,44 @@ func (h *Hierarchy) Access(addr uint64, size int, write bool) uint64 {
 	}
 
 	lineAddr := addr >> h.lineBits
+	way, hit, writeback := h.l1.access(lineAddr, write)
 
 	// First demand touch of a prefetched line counts as a prefetch
-	// hit, whether it is found in L1 (usual case) or deeper. The bloom
-	// mask screens out lines that cannot be in the outstanding set, so
-	// the common case is a single bit test instead of a map lookup.
-	if h.pfMask&(1<<(lineAddr&63)) != 0 && h.prefetched.Contains(lineAddr) {
-		st.PrefetchHits++
-		h.prefetched.Delete(lineAddr)
-		if h.prefetched.Len() == 0 {
-			h.pfMask = 0
+	// hit, whether it is found in L1 (usual case) or deeper. Only a line
+	// that missed L1 or sits in a pending way can be in either set; the
+	// way is settled once both have been consulted.
+	if !hit || h.l1Pending[way] {
+		if h.prefetched.Contains(lineAddr) {
+			st.PrefetchHits++
+			h.prefetched.Delete(lineAddr)
 		}
-	}
-	if h.sw != nil && h.sw.mask&(1<<(lineAddr&63)) != 0 && h.sw.prefetched.Contains(lineAddr) {
-		st.SwPrefetchHits++
-		h.sw.prefetched.Delete(lineAddr)
-		if h.sw.prefetched.Len() == 0 {
-			h.sw.mask = 0
+		if h.sw != nil && h.sw.prefetched.Contains(lineAddr) {
+			st.SwPrefetchHits++
+			h.sw.prefetched.Delete(lineAddr)
 		}
+		h.l1Pending[way] = false
 	}
 
-	// L1 hit: the fast path out.
-	if h.l1.probe(lineAddr, write) {
-		if h.sw != nil {
-			cycles += h.swSiteIssue(addr)
-		}
-		st.Cycles += cycles
-		return cycles
-	}
-	if h.l1.fill(lineAddr, write) {
-		st.Writebacks++
-	}
-	st.L1Misses++
-	cycles += h.cfg.L2HitCycles
-	if h.listener != nil {
-		h.listener.HardwareEvent(EventL1Miss, addr)
-	}
-
-	// L2.
-	if !h.l2.probe(lineAddr, write) {
-		wb := h.l2.fill(lineAddr, write)
-		st.L2Misses++
-		cycles += h.cfg.MemCycles
-		if h.listener != nil {
-			h.listener.HardwareEvent(EventL2Miss, addr)
-		}
-		if wb {
+	if !hit {
+		if writeback {
 			st.Writebacks++
 		}
-		h.trainPrefetcher(lineAddr)
+		st.L1Misses++
+		cycles += h.cfg.L2HitCycles
+		if h.listener != nil {
+			h.listener.HardwareEvent(EventL1Miss, addr)
+		}
+		if _, hit, writeback := h.l2.access(lineAddr, write); !hit {
+			st.L2Misses++
+			cycles += h.cfg.MemCycles
+			if h.listener != nil {
+				h.listener.HardwareEvent(EventL2Miss, addr)
+			}
+			if writeback {
+				st.Writebacks++
+			}
+			h.trainPrefetcher(lineAddr)
+		}
 	}
 
 	if h.sw != nil {
@@ -914,7 +890,8 @@ func (h *Hierarchy) Access(addr uint64, size int, write bool) uint64 {
 // downstream of a fast-forward match the ones a cycle-exact run would
 // have made. The prefetched-line attribution set is left alone — it
 // only feeds the PrefetchHits statistic, which is not measured during
-// fast-forward.
+// fast-forward — so a line filled here may still be in it from an
+// earlier detailed stretch, and its way is marked pending.
 //
 // Listener events ARE delivered: the misses are architecturally real
 // (the warmed tag state evolves exactly as the detailed lane's), and a
@@ -923,22 +900,19 @@ func (h *Hierarchy) Access(addr uint64, size int, write bool) uint64 {
 // adaptive interval control — would be biased by the measured fraction.
 // Unmonitored runs have a nil listener and skip the calls entirely.
 func (h *Hierarchy) warmAccess(addr uint64, write bool) {
-	if !h.tlb.probe(addr>>h.pageBits, false) {
-		h.tlb.fill(addr>>h.pageBits, false)
-		if h.listener != nil {
-			h.listener.HardwareEvent(EventDTLBMiss, addr)
-		}
+	if !h.tlbAccess(addr) && h.listener != nil {
+		h.listener.HardwareEvent(EventDTLBMiss, addr)
 	}
 	lineAddr := addr >> h.lineBits
-	if h.l1.probe(lineAddr, write) {
+	way, hit, _ := h.l1.access(lineAddr, write)
+	if hit {
 		return
 	}
-	h.l1.fill(lineAddr, write)
+	h.l1Pending[way] = true
 	if h.listener != nil {
 		h.listener.HardwareEvent(EventL1Miss, addr)
 	}
-	if !h.l2.probe(lineAddr, write) {
-		h.l2.fill(lineAddr, write)
+	if _, hit, _ := h.l2.access(lineAddr, write); !hit {
 		if h.listener != nil {
 			h.listener.HardwareEvent(EventL2Miss, addr)
 		}
@@ -1007,27 +981,35 @@ func (h *Hierarchy) trainPrefetcher(lineAddr uint64) {
 }
 
 func (h *Hierarchy) prefetchLine(lineAddr uint64) {
-	addr := lineAddr << h.lineBits
-	if h.l2.contains(addr) && h.l1.contains(addr) {
+	// A stream that runs off either end of the address space wraps, as
+	// the address of its next line would; the attribution set is keyed
+	// by what the stream asked for.
+	key := lineAddr << h.lineBits >> h.lineBits
+	if h.l2.find(key) >= 0 && h.l1.find(key) >= 0 {
 		return
 	}
+	h.install(key)
 	if h.functional {
-		// Warming lane: install the lines, skip the statistics and the
-		// prefetch-hit attribution set.
-		h.l2.lookup(addr, true, false)
-		h.l1.lookup(addr, true, false)
+		// Warming lane: the lines are installed, the statistics and the
+		// prefetch-hit attribution set are skipped.
 		return
 	}
 	h.stats.Prefetches++
-	h.l2.lookup(addr, true, false)
-	h.l1.lookup(addr, true, false)
 	h.prefetched.Add(lineAddr)
-	h.pfMask |= 1 << (lineAddr & 63)
+}
+
+// install brings a prefetched line into L2 and L1 and marks its L1 way
+// pending — also when the line was already L1-resident, since the
+// caller is about to add it to an attribution set.
+func (h *Hierarchy) install(lineAddr uint64) {
+	h.l2.access(lineAddr, false)
+	way, _, _ := h.l1.access(lineAddr, false)
+	h.l1Pending[way] = true
 }
 
 // L1Contains reports whether the line holding addr is resident in L1.
 // Exposed for tests and for the co-allocation effectiveness analysis.
-func (h *Hierarchy) L1Contains(addr uint64) bool { return h.l1.contains(addr) }
+func (h *Hierarchy) L1Contains(addr uint64) bool { return h.l1.find(addr>>h.lineBits) >= 0 }
 
 // LineOf returns the line-aligned base address for addr.
 func (h *Hierarchy) LineOf(addr uint64) uint64 {

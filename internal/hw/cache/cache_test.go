@@ -129,6 +129,24 @@ func TestPrefetcherDetectsStream(t *testing.T) {
 	}
 }
 
+// TestPrefetchStreamWrapsBelowLineZero: a descending stream that reaches
+// line 0 asks for line -1, which is the last line of the address space —
+// not the all-ones key the tag arrays keep in empty ways.
+func TestPrefetchStreamWrapsBelowLineZero(t *testing.T) {
+	cfg := tiny()
+	cfg.PrefetchEnabled = true
+	cfg.PrefetchStreams = 4
+	h := New(cfg)
+	h.Access(0x40, 8, false)
+	h.Access(0x08, 8, false)
+	if st := h.Stats(); st.Prefetches != 1 {
+		t.Fatalf("descending pair issued %d prefetches, want 1", st.Prefetches)
+	}
+	if !h.L1Contains(^uint64(0)) {
+		t.Error("the wrapped line is not resident")
+	}
+}
+
 func TestPrefetchDisabled(t *testing.T) {
 	cfg := DefaultP4()
 	cfg.PrefetchEnabled = false

@@ -9,12 +9,13 @@ import (
 
 // Differential oracle for the hierarchy's host-side fast paths. ref is
 // a deliberately naive model of the same machine — per-set slices
-// scanned linearly, a Go map for the prefetched-line set, no MRU memo,
-// no way index, no bloom mask — driven in lock-step with Hierarchy over
-// seeded random streams. Anything the fast paths get wrong (a stale
-// memo slot, a way index out of step with the lines, a mask bit lost)
-// shows up as a differing cost, event, counter or residency answer on
-// the access where it first matters.
+// scanned linearly, a Go map for each prefetched-line set, no way
+// predictor, no way index, no pending flags — driven in lock-step with
+// Hierarchy over seeded random streams. Anything the fast paths get
+// wrong (a prediction trusted without its compare, a way index out of
+// step with the keys, a pending flag lost) shows up as a differing
+// cost, event, counter or residency answer on the access where it first
+// matters.
 
 type refLine struct {
 	key          uint64
@@ -96,6 +97,10 @@ type ref struct {
 	streamStamp  uint64
 	stats        Stats
 	prefetched   map[uint64]bool
+	swPrefetched map[uint64]bool // the software-prefetch model's set
+	swCPU        *swCPU
+	swSites      map[uint64]int64
+	swIssueCost  uint64
 	listener     Listener
 	functional   bool
 	flatCost     uint64
@@ -104,13 +109,14 @@ type ref struct {
 
 func newRef(cfg Config) *ref {
 	r := &ref{
-		cfg:        cfg,
-		l1:         newRefArray(cfg.L1Size/cfg.LineSize, cfg.L1Assoc),
-		l2:         newRefArray(cfg.L2Size/cfg.LineSize, cfg.L2Assoc),
-		tlb:        newRefArray(cfg.TLBEntries, cfg.TLBEntries),
-		prefetched: map[uint64]bool{},
-		line:       uint64(cfg.LineSize),
-		pageSz:     uint64(cfg.PageSize),
+		cfg:          cfg,
+		l1:           newRefArray(cfg.L1Size/cfg.LineSize, cfg.L1Assoc),
+		l2:           newRefArray(cfg.L2Size/cfg.LineSize, cfg.L2Assoc),
+		tlb:          newRefArray(cfg.TLBEntries, cfg.TLBEntries),
+		prefetched:   map[uint64]bool{},
+		swPrefetched: map[uint64]bool{},
+		line:         uint64(cfg.LineSize),
+		pageSz:       uint64(cfg.PageSize),
 	}
 	if cfg.PrefetchEnabled {
 		r.streams = make([]refStream, cfg.PrefetchStreams)
@@ -148,6 +154,10 @@ func (r *ref) Access(addr uint64, write bool) uint64 {
 		st.PrefetchHits++
 		delete(r.prefetched, ln)
 	}
+	if count && r.swPrefetched[ln] {
+		st.SwPrefetchHits++
+		delete(r.swPrefetched, ln)
+	}
 	hit, wb := r.l1.access(ln, write)
 	if !hit {
 		if count {
@@ -174,8 +184,29 @@ func (r *ref) Access(addr uint64, write bool) uint64 {
 	if !count {
 		return r.flatCost
 	}
+	// The prefetch instruction injected at the executing PC, if any.
+	if delta, ok := r.swSites[r.swCPU.pc]; ok && r.swCPU.user {
+		if target := uint64(int64(addr) + delta); target/r.pageSz == addr/r.pageSz {
+			cycles += r.SoftwarePrefetch(target)
+		}
+	}
 	st.Cycles += cycles
 	return cycles
+}
+
+func (r *ref) SoftwarePrefetch(addr uint64) uint64 {
+	ln := addr / r.line
+	if r.l1.contains(ln) {
+		return 0
+	}
+	r.l2.access(ln, false)
+	r.l1.access(ln, false)
+	if r.functional {
+		return 0
+	}
+	r.stats.SwPrefetches++
+	r.swPrefetched[ln] = true
+	return r.swIssueCost
 }
 
 // train is the stream detector: continue a stream, else pair with a
@@ -234,6 +265,7 @@ func (r *ref) prefetch(ln uint64) {
 func (r *ref) ResetStats() {
 	r.stats = Stats{}
 	r.prefetched = map[uint64]bool{}
+	r.swPrefetched = map[uint64]bool{}
 }
 
 func (r *ref) Flush() {
@@ -244,6 +276,7 @@ func (r *ref) Flush() {
 		r.streams[i] = refStream{}
 	}
 	r.prefetched = map[uint64]bool{}
+	r.swPrefetched = map[uint64]bool{}
 }
 
 type hwEvent struct {
@@ -259,26 +292,29 @@ func (l *eventLog) HardwareEvent(kind EventKind, addr uint64) {
 
 // oracleStream generates the access stream: segments of random pages
 // from a pool wider than the DTLB, ascending and descending line runs
-// (stream prefetcher), and segments confined to pages of one residue
-// class mod memoSlots. The last kind is what makes a stale DTLB memo
-// slot observable: a page memoized in one class's slot stays memoized
-// while a long segment of another class evicts it from the TLB.
+// (stream prefetcher), revisits of the last few addresses and their
+// neighbouring lines (L1 hits, on demanded and on prefetched lines),
+// and segments confined to a few pages that share one way-predictor
+// slot. The last kind is what makes a wrong DTLB prediction observable:
+// while its pages sit in the TLB together the slot names the wrong way
+// for all but one of them, and it goes on naming a way after a long
+// segment of another kind has evicted the page and refilled the way.
 type oracleStream struct {
 	rng     *rand.Rand
 	cfg     Config
 	pages   int
 	left    int
 	kind    int
-	class   uint64
+	aliases []uint64 // the current segment's pages of one predictor slot
 	cursor  uint64
 	history []uint64
 }
 
 func (s *oracleStream) next() (addr uint64, write bool) {
 	if s.left == 0 {
-		s.kind = s.rng.Intn(4)
+		s.kind = s.rng.Intn(5)
 		s.left = 20 + s.rng.Intn(300)
-		s.class = uint64(s.rng.Intn(memoSlots))
+		s.aliases = predictorAliases[s.rng.Intn(len(predictorAliases))]
 		s.cursor = uint64(s.rng.Intn(s.pages)) * uint64(s.cfg.PageSize)
 		if s.kind == 2 {
 			// Start a pool above so the run never descends below zero.
@@ -296,39 +332,75 @@ func (s *oracleStream) next() (addr uint64, write bool) {
 	case 2: // descending lines
 		s.cursor -= line
 		addr = s.cursor
-	default: // one residue class of pages
-		p := uint64(s.rng.Intn(s.pages))&^(memoSlots-1) | s.class
-		addr = p*page + uint64(s.rng.Intn(int(page)))
+	case 3: // recent addresses and the lines after them
+		recent := s.history[max(0, len(s.history)-16):]
+		if len(recent) == 0 {
+			recent = []uint64{s.cursor}
+		}
+		addr = recent[s.rng.Intn(len(recent))] + uint64(s.rng.Intn(4))*line
+	default: // pages of one predictor slot
+		addr = s.aliases[s.rng.Intn(len(s.aliases))]*page + uint64(s.rng.Intn(int(page)))
 	}
 	addr &^= 7
 	s.history = append(s.history, addr)
 	return addr, s.rng.Intn(4) == 0
 }
 
+// predictorAliases lists, per way-predictor slot, the first few of the
+// low pages that hash to it.
+var predictorAliases = func() [][]uint64 {
+	sets := make([][]uint64, 1<<tlbPredBits)
+	for page := uint64(0); page < 16<<tlbPredBits; page++ {
+		if slot := tlbPredSlot(page); len(sets[slot]) < 8 {
+			sets[slot] = append(sets[slot], page)
+		}
+	}
+	return slices.DeleteFunc(sets, func(pages []uint64) bool { return len(pages) < 4 })
+}()
+
 func TestOracleLockStep(t *testing.T) {
 	pressured := tiny()
 	pressured.TLBEntries = 32 // smallest array that still gets a way index
 	pressured.PrefetchEnabled = true
 	pressured.PrefetchStreams = 4
+	// An L2 smaller than the L1: lines outlive their L2 copy, so the
+	// stream prefetcher keeps being asked for lines that are L1-resident
+	// already (and must still be attributed on their next touch).
+	shallow := pressured
+	shallow.L1Size, shallow.L1Assoc = 16*64, 4
+	shallow.L2Size, shallow.L2Assoc = 8*64, 2
 	for _, tc := range []struct {
 		name string
 		cfg  Config
+		sw   bool // software-prefetch model on: both attribution sets in play
 	}{
-		{"p4", DefaultP4()},
-		{"pressured", pressured},
+		{"p4", DefaultP4(), false},
+		{"pressured", pressured, false},
+		{"shallow", shallow, false},
+		{"p4-sw", DefaultP4(), true},
+		{"pressured-sw", pressured, true},
+		{"shallow-sw", shallow, true},
 	} {
 		for seed := int64(1); seed <= 4; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", tc.name, seed), func(t *testing.T) {
-				oracleRun(t, tc.cfg, seed, 60_000)
+				oracleRun(t, tc.cfg, tc.sw, seed, 60_000)
 			})
 		}
 	}
 }
 
-func oracleRun(t *testing.T, cfg Config, seed int64, n int) {
+func oracleRun(t *testing.T, cfg Config, sw bool, seed int64, n int) {
 	h, r := New(cfg), newRef(cfg)
 	if h.tlb.idx == nil {
-		t.Fatal("DTLB has no way index: the oracle would not cover the indexed probe")
+		t.Fatal("DTLB has no way index: the oracle would not cover the indexed lookup")
+	}
+	// Accesses execute at one of a few PCs, some of which the op mix
+	// turns into prefetch sites.
+	cpu := &swCPU{user: true}
+	r.swCPU = cpu
+	if sw {
+		h.EnableSwPrefetch(cpu, 2)
+		r.swIssueCost = 2
 	}
 	var hEv, rEv eventLog
 	h.SetListener(&hEv)
@@ -343,17 +415,17 @@ func oracleRun(t *testing.T, cfg Config, seed int64, n int) {
 		case op < 4:
 			h.ResetStats()
 			r.ResetStats()
-		case op < 8:
+		case op < 24:
 			if h.Functional() {
 				h.SetDetailed()
 			} else {
 				h.SetFunctional(3)
 			}
 			r.functional, r.flatCost = h.Functional(), 3
-		case op < 12:
-			// Snapshot, run on alone so every memo slot and index entry
-			// moves, then restore: the fast paths must come back in step
-			// with the restored lines, not the abandoned ones.
+		case op < 28:
+			// Snapshot, run on alone so every prediction, index entry and
+			// pending flag moves, then restore: the fast paths must come
+			// back in step with the restored state, not the abandoned one.
 			st := h.Snapshot()
 			h.SetListener(nil)
 			for j := 0; j < 200; j++ {
@@ -363,8 +435,25 @@ func oracleRun(t *testing.T, cfg Config, seed int64, n int) {
 			if err := h.Restore(st); err != nil {
 				t.Fatal(err)
 			}
+		case !sw:
+		case op < 36:
+			// Replace the site table: up to three of the PCs, prefetching a
+			// few lines ahead or behind (some targets leave the page).
+			sites := map[uint64]int64{}
+			for j := rng.Intn(4); j > 0; j-- {
+				sites[uint64(rng.Intn(8))] = int64(rng.Intn(9)-4) * int64(cfg.LineSize)
+			}
+			h.SetSwPrefetchSites(sites)
+			r.swSites = sites
+		case op < 200 && i > 0:
+			// An explicit prefetch near the stream, in either lane.
+			addr := s.history[rng.Intn(len(s.history))] + uint64(rng.Intn(4*cfg.LineSize))
+			if got, want := h.SoftwarePrefetch(addr), r.SoftwarePrefetch(addr); got != want {
+				t.Fatalf("before access %d: SoftwarePrefetch(%#x) cost %d, reference %d", i, addr, got, want)
+			}
 		}
 		addr, write := s.next()
+		cpu.pc, cpu.user = uint64(rng.Intn(8)), rng.Intn(16) != 0
 		got, want := h.Access(addr, 8, write), r.Access(addr, write)
 		if got != want {
 			t.Fatalf("access %d (%#x write=%v): cost %d, reference %d", i, addr, write, got, want)

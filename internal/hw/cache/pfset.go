@@ -1,13 +1,12 @@
 package cache
 
 // pfSet is an open-addressed hash set of line addresses used for the
-// prefetched-line attribution set. It sits on the access hot path —
-// every demand access that passes the bloom screen does a membership
-// test — so it replaces the generic Go map with linear probing over a
-// power-of-two table and a multiply-shift (Fibonacci) hash: a negative
-// lookup is typically one multiply and one slot inspection. Purely a
-// host-side container; snapshot encoding sorts Keys(), so iteration
-// order never leaks into simulated state.
+// prefetched-line attribution sets. Every L1 miss and every hit on a
+// pending way does a membership test, so it replaces the generic Go map
+// with linear probing over a power-of-two table and a multiply-shift
+// (Fibonacci) hash: a negative lookup is typically one multiply and one
+// slot inspection. Purely a host-side container; snapshot encoding
+// sorts Keys(), so iteration order never leaks into simulated state.
 type pfSet struct {
 	keys  []uint64
 	state []uint8 // slot state: pfEmpty or pfFull
@@ -154,11 +153,11 @@ func (s *pfSet) rehash() {
 }
 
 // wayIndex is an exact key→way index over a fully-associative tag
-// array (the DTLB: one set, 64 ways). It mirrors the valid lines at
-// all times, so a probe is one hash lookup instead of a scan across
+// array (the DTLB: one set, 64 ways). It mirrors the resident keys at
+// all times, so a lookup is one hash probe instead of a scan across
 // every way. Capacity is fixed at 4x the way count (load factor 0.25,
-// bounded by the geometry), so it never grows. Host-side only: probe
-// results and all line mutations are identical to the scan's.
+// bounded by the geometry), so it never grows. Host-side only: lookup
+// results and all way mutations are identical to the scan's.
 type wayIndex struct {
 	keys  []uint64
 	ways  []uint32
@@ -191,7 +190,7 @@ func (w *wayIndex) get(k uint64) (uint64, bool) {
 }
 
 // put inserts k; the caller guarantees k is absent (an index entry is
-// only written after the corresponding probe missed).
+// only written after the corresponding lookup missed).
 func (w *wayIndex) put(k, way uint64) {
 	mask := uint64(len(w.keys) - 1)
 	i := pfHash(k) >> w.shift

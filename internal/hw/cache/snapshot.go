@@ -19,45 +19,66 @@ const (
 	snapVersion   = 1
 )
 
+// encode writes the version-1 layout, which predates the parallel
+// arrays: per way a tag (key >> setBits), a valid flag, the dirty bit
+// and the stamp — an empty way is all zeros — then the stamp twice (the
+// second word was a per-array access counter that always equalled it)
+// and the miss count.
 func (sa *setAssoc) encode(w *snap.Writer) {
-	w.U64(uint64(len(sa.lines)))
-	for i := range sa.lines {
-		l := &sa.lines[i]
-		w.U64(l.tag)
-		w.Bool(l.valid)
-		w.Bool(l.dirty)
-		w.U64(l.lru)
+	w.U64(uint64(len(sa.keys)))
+	for i, key := range sa.keys {
+		valid := key != emptyKey
+		if valid {
+			w.U64(key >> sa.setBits)
+		} else {
+			w.U64(0)
+		}
+		w.Bool(valid)
+		w.Bool(sa.dirty[i])
+		w.U64(sa.lru[i])
 	}
 	w.U64(sa.stamp)
-	w.U64(sa.accesses)
+	w.U64(sa.stamp)
 	w.U64(sa.misses)
 }
 
+// decode is encode's inverse, and rejects what encode cannot produce —
+// an empty way with a tag, dirty bit or stamp, a resident way with
+// stamp 0 or a tag wider than an address yields, an access counter
+// that differs from the stamp — because the arrays have nowhere to keep
+// such state: Snapshot after an accepted Restore returns the same bytes.
 func (sa *setAssoc) decode(r *snap.Reader, name string) error {
 	n := r.U64()
-	if r.Err() == nil && n != uint64(len(sa.lines)) {
+	if r.Err() == nil && n != uint64(len(sa.keys)) {
 		return fmt.Errorf("cache: %w: %s has %d lines, snapshot has %d (geometry mismatch)",
-			snap.ErrDecode, name, len(sa.lines), n)
+			snap.ErrDecode, name, len(sa.keys), n)
 	}
-	for i := range sa.lines {
-		sa.lines[i].tag = r.U64()
-		sa.lines[i].valid = r.Bool()
-		sa.lines[i].dirty = r.Bool()
-		sa.lines[i].lru = r.U64()
+	maxTag := emptyKey >> sa.offBits >> sa.setBits
+	canonical := true
+	for i := range sa.keys {
+		tag, valid, dirty, lru := r.U64(), r.Bool(), r.Bool(), r.U64()
+		if valid {
+			canonical = canonical && tag <= maxTag && lru != 0
+			sa.keys[i] = tag<<sa.setBits | uint64(i/sa.assoc)
+		} else {
+			canonical = canonical && tag == 0 && !dirty && lru == 0
+			sa.keys[i] = emptyKey
+		}
+		sa.lru[i], sa.dirty[i] = lru, dirty
 	}
 	sa.stamp = r.U64()
-	sa.accesses = r.U64()
+	canonical = canonical && r.U64() == sa.stamp
 	sa.misses = r.U64()
-	// The MRU memo indexes into the just-overwritten lines; drop it,
-	// and rebuild the way index from the restored tags.
-	sa.memoOK = [memoSlots]bool{}
 	if sa.idx != nil {
 		sa.idx.clear()
-		for i := range sa.lines {
-			if sa.lines[i].valid {
-				sa.idx.put(sa.lines[i].tag, uint64(i))
+		for i, key := range sa.keys {
+			if key != emptyKey {
+				sa.idx.put(key, uint64(i))
 			}
 		}
+	}
+	if r.Err() == nil && !canonical {
+		return fmt.Errorf("cache: %w: %s holds state no encoder writes", snap.ErrDecode, name)
 	}
 	return r.Err()
 }
@@ -140,6 +161,10 @@ func (h *Hierarchy) Restore(st snap.ComponentState) error {
 		return err
 	}
 	r := snap.NewReader(st.Data)
+	// Any restored L1 line may be in a restored attribution set.
+	for i := range h.l1Pending {
+		h.l1Pending[i] = true
+	}
 	if err := h.l1.decode(r, "l1"); err != nil {
 		return err
 	}
@@ -176,11 +201,8 @@ func (h *Hierarchy) Restore(st snap.ComponentState) error {
 	stats.Cycles = r.U64()
 	nPref := r.Count(8)
 	pref := newPfSet()
-	var mask uint64
 	for i := 0; i < nPref; i++ {
-		k := r.U64()
-		pref.Add(k)
-		mask |= 1 << (k & 63)
+		pref.Add(r.U64())
 	}
 	var istats IStats
 	if h.l1i != nil {
@@ -193,7 +215,6 @@ func (h *Hierarchy) Restore(st snap.ComponentState) error {
 		istats.Cycles = r.U64()
 	}
 	var swPref *pfSet
-	var swMask uint64
 	var swSites map[uint64]int64
 	if h.sw != nil {
 		stats.SwPrefetches = r.U64()
@@ -201,9 +222,7 @@ func (h *Hierarchy) Restore(st snap.ComponentState) error {
 		swPref = newPfSet()
 		nSw := r.Count(8)
 		for i := 0; i < nSw; i++ {
-			k := r.U64()
-			swPref.Add(k)
-			swMask |= 1 << (k & 63)
+			swPref.Add(r.U64())
 		}
 		nSites := r.Count(16)
 		swSites = make(map[uint64]int64, nSites)
@@ -218,10 +237,8 @@ func (h *Hierarchy) Restore(st snap.ComponentState) error {
 	h.stats = stats
 	h.istats = istats
 	h.prefetched = pref
-	h.pfMask = mask
 	if h.sw != nil {
 		h.sw.prefetched = swPref
-		h.sw.mask = swMask
 		h.sw.sites = swSites
 	}
 	return nil

@@ -1,9 +1,13 @@
 package cache
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"testing"
+
+	"hpmvm/internal/snap"
 )
 
 // TestSnapshotEncodingPinned pins the hw/cache version-1 snapshot bytes
@@ -69,5 +73,46 @@ func TestSnapshotEncodingPinned(t *testing.T) {
 				t.Errorf("snapshot bytes drifted:\n got  %s\n want %s", got, tc.want)
 			}
 		})
+	}
+}
+
+// TestRestoreRejectsUnencodableWays covers the codec's conversion from
+// the version-1 way records (tag, valid, dirty, stamp) to the key, stamp
+// and dirty rows: a record or trailer no encoder writes has no
+// representation there, so Restore refuses it instead of normalising it
+// — on every blob it accepts, Snapshot returns the same bytes.
+func TestRestoreRejectsUnencodableWays(t *testing.T) {
+	h := New(tiny())
+	h.Access(0x1000, 8, true) // L1 set 0: way 0 resident and dirty, way 1 empty
+	good := h.Snapshot()
+	// The blob opens with the L1 array: a way count, 18-byte way records
+	// (tag 8, valid 1, dirty 1, stamp 8), then stamp, access count, misses.
+	const way0, way1, trailer = 8, 8 + 18, 8 + 4*18
+	for _, tc := range []struct {
+		name   string
+		mutate func(b []byte)
+	}{
+		{"access count differs from stamp", func(b []byte) { b[trailer+8]++ }},
+		{"empty way with a tag", func(b []byte) { b[way1] = 1 }},
+		{"empty way dirty", func(b []byte) { b[way1+9] = 1 }},
+		{"empty way with a stamp", func(b []byte) { b[way1+10] = 1 }},
+		{"resident way with stamp 0", func(b []byte) { clear(b[way0+10 : way0+18]) }},
+		{"tag wider than an address", func(b []byte) { b[way0+7] = 0xff }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := good
+			bad.Data = bytes.Clone(good.Data)
+			tc.mutate(bad.Data)
+			if err := New(tiny()).Restore(bad); !errors.Is(err, snap.ErrDecode) {
+				t.Errorf("Restore = %v, want an error wrapping snap.ErrDecode", err)
+			}
+		})
+	}
+	fresh := New(tiny())
+	if err := fresh.Restore(good); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(fresh.Snapshot().Data, good.Data) {
+		t.Error("Snapshot after Restore differs from the restored blob")
 	}
 }

@@ -157,3 +157,28 @@ func TestSoftwarePrefetchUninstall(t *testing.T) {
 		t.Fatalf("uninstalled site still issuing: %+v", st)
 	}
 }
+
+// TestSoftwarePrefetchAttributionSurvivesWarmRefill pins the pending
+// flag's warming-lane rule: a prefetched line that fast-forward evicts
+// and demand-fills again is still awaiting its first detailed touch, in
+// whatever way it came back to.
+func TestSoftwarePrefetchAttributionSurvivesWarmRefill(t *testing.T) {
+	h, _ := swTiny(0x500, 64, 2)
+	// Lines of L1 set 0 (2 ways): a and b are demanded, x is prefetched.
+	const a, b, x = 0x0000, 0x0080, 0x0100
+	h.Access(a, 8, false)
+	h.Access(b, 8, false)
+	h.SoftwarePrefetch(x) // evicts a
+	h.Access(a, 8, false) // evicts b: the set holds x and a
+	h.SetFunctional(3)
+	h.Access(b, 8, false) // evicts x
+	h.Access(x, 8, false) // x returns, over a way a demand access had settled
+	h.SetDetailed()
+	if !h.L1Contains(x) {
+		t.Fatal("x not resident: the scenario did not set up")
+	}
+	h.Access(x, 8, false)
+	if st := h.Stats(); st.SwPrefetches != 1 || st.SwPrefetchHits != 1 {
+		t.Fatalf("first detailed touch of the refilled line not attributed: %+v", st)
+	}
+}
