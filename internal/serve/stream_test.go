@@ -2,23 +2,33 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"hpmvm/internal/api"
+	"hpmvm/internal/bench"
 )
 
 // collectStream drives one request through h and decodes the SSE
 // frames.
 func collectStream(t *testing.T, h http.Handler, body string) []api.StreamEvent {
 	t.Helper()
-	req, _ := http.NewRequest(http.MethodPost, api.PathStream, strings.NewReader(body))
 	rr := httptest.NewRecorder()
-	h.ServeHTTP(rr, req)
+	return collectStreamVia(t, h, body, rr, rr)
+}
+
+// collectStreamVia is collectStream with the handler writing to w, a
+// wrapper around rr.
+func collectStreamVia(t *testing.T, h http.Handler, body string, w http.ResponseWriter, rr *httptest.ResponseRecorder) []api.StreamEvent {
+	t.Helper()
+	req, _ := http.NewRequest(http.MethodPost, api.PathStream, strings.NewReader(body))
+	h.ServeHTTP(w, req)
 	if ct := rr.Header().Get("Content-Type"); ct != "text/event-stream" {
 		t.Fatalf("stream Content-Type = %q body %s", ct, rr.Body.String())
 	}
@@ -79,11 +89,39 @@ func TestStreamResultByteIdentical(t *testing.T) {
 	}
 }
 
+// progressGate is a ResponseWriter that closes seen when the first
+// progress frame passes through (WriteStreamEvent writes one frame per
+// Write).
+type progressGate struct {
+	*httptest.ResponseRecorder
+	seen chan struct{}
+	once sync.Once
+}
+
+func (g *progressGate) Write(p []byte) (int, error) {
+	if bytes.HasPrefix(p, []byte("event: "+api.EventProgress+"\n")) {
+		g.once.Do(func() { close(g.seen) })
+	}
+	return g.ResponseRecorder.Write(p)
+}
+
 // TestStreamHeartbeat: a run longer than the heartbeat interval emits
-// progress frames between queued and the result.
+// progress frames between queued and the result. The run is held back
+// until the client has been sent one, so the test does not depend on
+// how long the simulation takes.
 func TestStreamHeartbeat(t *testing.T) {
 	srv := New(Config{Jobs: 1, StreamHeartbeat: time.Millisecond})
-	frames := collectStream(t, srv.Handler(), `{"workload":"serve_tiny","seed":10}`)
+	gate := &progressGate{ResponseRecorder: httptest.NewRecorder(), seen: make(chan struct{})}
+	run := srv.runner
+	srv.runner = func(ctx context.Context, b bench.Builder, cfg bench.RunConfig, label string) (*bench.Result, error) {
+		select {
+		case <-gate.seen:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		return run(ctx, b, cfg, label)
+	}
+	frames := collectStreamVia(t, srv.Handler(), `{"workload":"serve_tiny","seed":10}`, gate, gate.ResponseRecorder)
 	progress := 0
 	for _, f := range frames {
 		if f.Event == api.EventProgress {
