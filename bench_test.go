@@ -220,7 +220,7 @@ func BenchmarkCollectors(b *testing.B) {
 // number the fast-path work moves (see DESIGN.md §11); track it across
 // changes with `go test -bench BenchmarkSystemMcycles -benchtime=3x`.
 func BenchmarkSystemMcycles(b *testing.B) {
-	for _, name := range []string{"compress", "db", "jess"} {
+	for _, name := range []string{"compress", "db", "jess", "mtrt"} {
 		builder, ok := bench.Get(name)
 		if !ok {
 			b.Fatalf("workload %s not registered", name)

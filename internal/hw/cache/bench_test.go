@@ -38,8 +38,19 @@ func BenchmarkHierarchyAccessHitListener(b *testing.B) {
 // in L1 (hits spread over several sets, loads and stores mixed) —
 // closer to real hit traffic than a single hot line.
 func BenchmarkHierarchyAccessHitMixed(b *testing.B) {
-	cfg := DefaultP4()
-	h := New(cfg)
+	benchHitMixed(b, New(DefaultP4()))
+}
+
+// BenchmarkHierarchyAccessFunctional is the same walk on the warming
+// lane (SetFunctional): the path sampled simulation spends its
+// fast-forward in.
+func BenchmarkHierarchyAccessFunctional(b *testing.B) {
+	h := New(DefaultP4())
+	h.SetFunctional(3)
+	benchHitMixed(b, h)
+}
+
+func benchHitMixed(b *testing.B, h *Hierarchy) {
 	// 8 KB working set: half the 16 KB L1, always resident.
 	const ws = 8 * 1024
 	for a := uint64(0); a < ws; a += 8 {
@@ -63,24 +74,5 @@ func BenchmarkHierarchyAccessMiss(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		h.Access(addr, 8, false)
 		addr += 4096*33 + 128
-	}
-}
-
-// BenchmarkHierarchyAccessFunctional is BenchmarkHierarchyAccessHitMixed
-// on the warming lane (SetFunctional): the path sampled simulation
-// spends its fast-forward in.
-func BenchmarkHierarchyAccessFunctional(b *testing.B) {
-	cfg := DefaultP4()
-	h := New(cfg)
-	const ws = 8 * 1024
-	for a := uint64(0); a < ws; a += 8 {
-		h.Access(a, 8, false)
-	}
-	h.SetFunctional(3)
-	b.ResetTimer()
-	addr := uint64(0)
-	for i := 0; i < b.N; i++ {
-		h.Access(addr, 8, i&7 == 0)
-		addr = (addr + 264) & (ws - 1)
 	}
 }

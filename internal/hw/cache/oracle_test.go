@@ -435,7 +435,7 @@ func oracleRun(t *testing.T, cfg Config, sw bool, seed int64, n int) {
 			if err := h.Restore(st); err != nil {
 				t.Fatal(err)
 			}
-		case !sw:
+		case !sw: // the remaining operations need the software-prefetch model
 		case op < 36:
 			// Replace the site table: up to three of the PCs, prefetching a
 			// few lines ahead or behind (some targets leave the page).

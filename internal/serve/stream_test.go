@@ -19,16 +19,15 @@ import (
 // frames.
 func collectStream(t *testing.T, h http.Handler, body string) []api.StreamEvent {
 	t.Helper()
+	req, _ := http.NewRequest(http.MethodPost, api.PathStream, strings.NewReader(body))
 	rr := httptest.NewRecorder()
-	return collectStreamVia(t, h, body, rr, rr)
+	h.ServeHTTP(rr, req)
+	return streamFrames(t, rr)
 }
 
-// collectStreamVia is collectStream with the handler writing to w, a
-// wrapper around rr.
-func collectStreamVia(t *testing.T, h http.Handler, body string, w http.ResponseWriter, rr *httptest.ResponseRecorder) []api.StreamEvent {
+// streamFrames decodes the SSE frames a stream handler wrote to rr.
+func streamFrames(t *testing.T, rr *httptest.ResponseRecorder) []api.StreamEvent {
 	t.Helper()
-	req, _ := http.NewRequest(http.MethodPost, api.PathStream, strings.NewReader(body))
-	h.ServeHTTP(w, req)
 	if ct := rr.Header().Get("Content-Type"); ct != "text/event-stream" {
 		t.Fatalf("stream Content-Type = %q body %s", ct, rr.Body.String())
 	}
@@ -121,7 +120,9 @@ func TestStreamHeartbeat(t *testing.T) {
 		}
 		return run(ctx, b, cfg, label)
 	}
-	frames := collectStreamVia(t, srv.Handler(), `{"workload":"serve_tiny","seed":10}`, gate, gate.ResponseRecorder)
+	req, _ := http.NewRequest(http.MethodPost, api.PathStream, strings.NewReader(`{"workload":"serve_tiny","seed":10}`))
+	srv.Handler().ServeHTTP(gate, req)
+	frames := streamFrames(t, gate.ResponseRecorder)
 	progress := 0
 	for _, f := range frames {
 		if f.Event == api.EventProgress {
