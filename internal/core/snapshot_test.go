@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"hash/crc32"
+	"math/rand"
 	"testing"
 
 	"hpmvm/internal/core"
@@ -92,17 +94,22 @@ func checkListResults(t *testing.T, sys *core.System) {
 	}
 }
 
-// pausedSnapshot runs a fresh system to the pause cycle and captures
-// it, returning the encoded snapshot.
+// pausedSnapshot runs a fresh system to the fixed pause cycle and
+// captures it, returning the encoded snapshot.
 func pausedSnapshot(t testing.TB, opts core.Options) []byte {
 	t.Helper()
+	return pausedSnapshotAt(t, opts, snapPause)
+}
+
+func pausedSnapshotAt(t testing.TB, opts core.Options, pause uint64) []byte {
+	t.Helper()
 	origin, main := buildSnapSystem(t, opts)
-	paused, err := origin.RunToCycle(context.Background(), main, snapBudget, snapPause)
+	paused, err := origin.RunToCycle(context.Background(), main, snapBudget, pause)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !paused {
-		t.Fatalf("program finished before pause cycle %d", snapPause)
+		t.Fatalf("program finished before pause cycle %d", pause)
 	}
 	sn, err := origin.Snapshot()
 	if err != nil {
@@ -123,37 +130,51 @@ func TestSnapshotRestoreByteIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkListResults(t, cold)
-
-			// Pause at C, snapshot, restore into a fresh system, resume.
-			enc := pausedSnapshot(t, opts)
-			warm, _ := buildSnapSystem(t, opts)
-			if _, err := core.RestoreSystem(warm, enc); err != nil {
-				t.Fatal(err)
-			}
-			// The pause lands at the first scheduling point at or after
-			// pauseAt (instructions are atomic), so the restored counter
-			// is >= the requested cycle, never behind it.
-			if warm.VM.Cycles() < snapPause {
-				t.Fatalf("restored cycle counter = %d, want >= %d", warm.VM.Cycles(), snapPause)
-			}
-			if err := warm.ResumeContext(ctx, snapBudget); err != nil {
-				t.Fatal(err)
-			}
-			checkListResults(t, warm)
-
-			if c, w := cold.VM.Cycles(), warm.VM.Cycles(); c != w {
-				t.Errorf("final cycles: cold %d, warm %d", c, w)
-			}
 			coldImg := finalImage(t, cold)
-			warmImg := finalImage(t, warm)
-			if !bytes.Equal(coldImg, warmImg) {
-				reportImageDiff(t, coldImg, warmImg)
+
+			// Beside the fixed pause, four drawn from the first 95% of the
+			// run (a pause lands on the next scheduling point, so one any
+			// later could find the program finished): heap, sample-buffer
+			// and decision states the fixed cycle never lands on. The seed
+			// is the configuration's name, so a failure names a
+			// reproducible cycle.
+			rng := rand.New(rand.NewSource(int64(crc32.ChecksumIEEE([]byte(name)))))
+			span := int64(cold.VM.Cycles() / 100 * 95)
+			pauses := []uint64{snapPause}
+			for i := 0; i < 4; i++ {
+				pauses = append(pauses, 1+uint64(rng.Int63n(span)))
 			}
-			// An exact restore must not leave a restore marker: the warm
-			// trace has to be indistinguishable from the cold one.
-			for _, e := range warm.Obs.Events() {
-				if e.Kind == obs.EvSnapshotRestored {
-					t.Error("exact restore emitted EvSnapshotRestored")
+			for _, pause := range pauses {
+				// Pause at C, snapshot, restore into a fresh system, resume.
+				enc := pausedSnapshotAt(t, opts, pause)
+				warm, _ := buildSnapSystem(t, opts)
+				if _, err := core.RestoreSystem(warm, enc); err != nil {
+					t.Fatalf("pause %d: %v", pause, err)
+				}
+				// The pause lands at the first scheduling point at or after
+				// pauseAt (instructions are atomic), so the restored counter
+				// is >= the requested cycle, never behind it.
+				if warm.VM.Cycles() < pause {
+					t.Fatalf("restored cycle counter = %d, want >= %d", warm.VM.Cycles(), pause)
+				}
+				if err := warm.ResumeContext(ctx, snapBudget); err != nil {
+					t.Fatalf("pause %d: %v", pause, err)
+				}
+				checkListResults(t, warm)
+
+				if c, w := cold.VM.Cycles(), warm.VM.Cycles(); c != w {
+					t.Errorf("pause %d: final cycles: cold %d, warm %d", pause, c, w)
+				}
+				if warmImg := finalImage(t, warm); !bytes.Equal(coldImg, warmImg) {
+					t.Errorf("pause %d: resumed run diverged", pause)
+					reportImageDiff(t, coldImg, warmImg)
+				}
+				// An exact restore must not leave a restore marker: the warm
+				// trace has to be indistinguishable from the cold one.
+				for _, e := range warm.Obs.Events() {
+					if e.Kind == obs.EvSnapshotRestored {
+						t.Errorf("pause %d: exact restore emitted EvSnapshotRestored", pause)
+					}
 				}
 			}
 		})
