@@ -187,8 +187,6 @@ type RunConfig struct {
 	// intervention: from that cycle on, new pairs get one cache line
 	// of padding until the feedback loop reverts the decision.
 	GapAtCycle uint64
-	// DisableRevert turns the online revert heuristic off.
-	DisableRevert bool
 	// Ranked enables the full per-class co-allocation candidate list
 	// (§5.4) with fallback past ineligible children.
 	Ranked bool
@@ -211,9 +209,6 @@ type RunConfig struct {
 	// and cache stats in the Result are then the sampled run's own
 	// distorted counters, not estimates — read Estimated instead.
 	Sampling *runtime.SamplingConfig
-
-	// MonitorConfig optionally overrides the collector-thread tuning.
-	MonitorConfig *monitor.Config
 
 	// Observe attaches the observability layer (package obs) to the
 	// run's System; Result.Obs then carries the final counter/phase
@@ -291,18 +286,16 @@ func (cfg RunConfig) Resolve(minHeap uint64, hotField string) core.Options {
 		Adaptive:         cfg.Adaptive,
 		Seed:             cfg.Seed,
 		TrackFields:      track,
-		MonitorConfig:    cfg.MonitorConfig,
 		Observe:          cfg.Observe,
 		TraceCapacity:    cfg.TraceCapacity,
 		Sampling:         cfg.Sampling,
 	}
 	if cfg.Coalloc {
 		e := core.OptimizationConfig{Kind: opt.KindCoalloc}
-		if cfg.Gap != 0 || cfg.GapAtCycle != 0 || cfg.DisableRevert || cfg.Ranked {
+		if cfg.Gap != 0 || cfg.GapAtCycle != 0 || cfg.Ranked {
 			cc := coalloc.DefaultConfig()
 			cc.Gap = cfg.Gap
 			cc.GapAtCycle = cfg.GapAtCycle
-			cc.RevertEnabled = !cfg.DisableRevert
 			cc.Ranked = cfg.Ranked
 			e.Config = cc
 		}
