@@ -195,7 +195,13 @@ func (s *System) Restore(sn *Snapshot) error {
 	}
 
 	// Reposition the PRNG stream before any component runs: a divergent
-	// restore's SetInterval below may draw from it.
+	// restore's SetInterval below may draw from it. That is linear in the
+	// draw count, so a header claiming more draws than cycles is refused
+	// first: the sampling unit draws once per programmed session and once
+	// per sampled event, and either costs at least a cycle.
+	if sn.RngDraws > sn.Cycle {
+		return fmt.Errorf("core: %w: %d PRNG draws in %d cycles", snap.ErrDecode, sn.RngDraws, sn.Cycle)
+	}
 	src := rand.NewSource(s.Opts.Seed).(rand.Source64)
 	for i := uint64(0); i < sn.RngDraws; i++ {
 		src.Uint64()
@@ -225,7 +231,9 @@ func (s *System) Restore(sn *Snapshot) error {
 }
 
 // EncodeSnapshot serializes sn into the deterministic binary container
-// format: equal snapshots encode to equal bytes.
+// format: equal snapshots encode to equal bytes. The container is not a
+// snap.Codec walk: DecodeSnapshot's magic and version checks gate the
+// rest of the parse, and its components are opaque nested states.
 func EncodeSnapshot(sn *Snapshot) []byte {
 	var w snap.Writer
 	w.String(snapshotMagic)

@@ -64,31 +64,20 @@ func toyOptions(cfg any) core.Options {
 		Optimizations: toyEntry(cfg)}
 }
 
-func (o *toyOpt) Snapshot() snap.ComponentState {
-	var w snap.Writer
-	w.U64(o.polls)
-	w.U64(o.decisions)
-	w.U64(uint64(len(o.log)))
-	for _, l := range o.log {
-		w.String(l)
-	}
-	return snap.ComponentState{Component: "opt/toy", Version: 1, Data: w.Bytes()}
+func (o *toyOpt) walk(c *snap.Codec) {
+	c.U64(&o.polls)
+	c.U64(&o.decisions)
+	snap.Slice(c, &o.log, (*snap.Codec).String)
 }
 
+func (o *toyOpt) Snapshot() snap.ComponentState { return snap.Encode("opt/toy", 1, o.walk) }
+
 func (o *toyOpt) Restore(st snap.ComponentState) error {
-	if err := snap.Check(st, "opt/toy", 1); err != nil {
+	next := *o
+	if err := snap.Decode(st, "opt/toy", 1, next.walk); err != nil {
 		return err
 	}
-	r := snap.NewReader(st.Data)
-	polls, decisions := r.U64(), r.U64()
-	log := make([]string, r.Count(8))
-	for i := range log {
-		log[i] = r.String()
-	}
-	if err := r.Close(); err != nil {
-		return err
-	}
-	o.polls, o.decisions, o.log = polls, decisions, log
+	*o = next
 	return nil
 }
 

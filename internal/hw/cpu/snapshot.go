@@ -1,10 +1,6 @@
 package cpu
 
-import (
-	"fmt"
-
-	"hpmvm/internal/snap"
-)
+import "hpmvm/internal/snap"
 
 // Snapshot/Restore implement snap.Checkpointable for the core. Mutable
 // state is the architectural registers, the cycle/instret counters and
@@ -19,71 +15,42 @@ const (
 	snapVersion   = 1
 )
 
-// Snapshot serializes the architectural state.
-func (c *CPU) Snapshot() snap.ComponentState {
-	var w snap.Writer
+// walk is the architectural state's layout.
+func (c *CPU) walk(k *snap.Codec) {
 	for i := range c.Regs {
-		w.U64(c.Regs[i])
+		k.U64(&c.Regs[i])
 	}
-	w.U64(c.SP)
-	w.U64(c.FP)
-	w.U64(c.PC)
-	w.U64(c.cycles)
-	w.U64(c.instret)
-	w.Bool(c.halted)
-	w.Bool(c.usermode)
-	w.I64(c.exitStatus)
-	w.U64(uint64(len(c.code)))
+	k.U64(&c.SP)
+	k.U64(&c.FP)
+	k.U64(&c.PC)
+	k.U64(&c.cycles)
+	k.U64(&c.instret)
+	k.Bool(&c.halted)
+	k.Bool(&c.usermode)
+	k.I64(&c.exitStatus)
+	// The receiver must hold the same installed code as the origin (same
+	// boot, same recompilations).
+	k.Same(uint64(len(c.code)), "installed instruction count (boot/recompile divergence)")
 	// Opt-in instruction-fetch tail, present exactly when the ifetch
 	// hook is installed (same Options on both sides of a restore, so
 	// pre-existing snapshots keep their exact bytes).
 	if c.ifetch != nil {
-		w.U64(c.lastFetchLine)
+		k.U64(&c.lastFetchLine)
 	}
-	return snap.ComponentState{Component: snapComponent, Version: snapVersion, Data: w.Bytes()}
 }
 
-// Restore overwrites the architectural state. The CPU must already hold
-// the same installed code as the snapshot's origin (same boot + same
-// recompilations); a code-length mismatch is rejected.
+// Snapshot serializes the architectural state.
+func (c *CPU) Snapshot() snap.ComponentState {
+	return snap.Encode(snapComponent, snapVersion, c.walk)
+}
+
+// Restore overwrites the architectural state; the installed code is
+// untouched.
 func (c *CPU) Restore(st snap.ComponentState) error {
-	if err := snap.Check(st, snapComponent, snapVersion); err != nil {
+	next := *c
+	if err := snap.Decode(st, snapComponent, snapVersion, next.walk); err != nil {
 		return err
 	}
-	r := snap.NewReader(st.Data)
-	var regs [NumRegs]uint64
-	for i := range regs {
-		regs[i] = r.U64()
-	}
-	sp := r.U64()
-	fp := r.U64()
-	pc := r.U64()
-	cycles := r.U64()
-	instret := r.U64()
-	halted := r.Bool()
-	usermode := r.Bool()
-	exitStatus := r.I64()
-	codeLen := r.U64()
-	lastFetchLine := ^uint64(0)
-	if c.ifetch != nil {
-		lastFetchLine = r.U64()
-	}
-	if err := r.Close(); err != nil {
-		return err
-	}
-	if codeLen != uint64(len(c.code)) {
-		return fmt.Errorf("cpu: %w: snapshot has %d installed instructions, cpu has %d (boot/recompile divergence)",
-			snap.ErrDecode, codeLen, len(c.code))
-	}
-	c.Regs = regs
-	c.SP = sp
-	c.FP = fp
-	c.PC = pc
-	c.cycles = cycles
-	c.instret = instret
-	c.halted = halted
-	c.usermode = usermode
-	c.exitStatus = exitStatus
-	c.lastFetchLine = lastFetchLine
+	*c = next
 	return nil
 }

@@ -1,11 +1,6 @@
 package pebs
 
-import (
-	"fmt"
-
-	"hpmvm/internal/hw/cache"
-	"hpmvm/internal/snap"
-)
+import "hpmvm/internal/snap"
 
 // Snapshot/Restore implement snap.Checkpointable for the sampling
 // unit. The programmed Config is mutable state here (the kernel module
@@ -19,114 +14,57 @@ const (
 	snapVersion   = 1
 )
 
-// SampleBytes is the encoded size of one Sample: PC, data address,
-// registers, cycle and event, eight bytes each.
-const SampleBytes = (NumRegs + 4) * 8
-
-// EncodeSample appends one sample record to w. Shared with the kernel
-// module, which buffers the same Sample type.
-func EncodeSample(w *snap.Writer, s *Sample) {
-	w.U64(s.PC)
-	w.U64(s.DataAddr)
+// WalkSample walks one sample record. Shared with the kernel module,
+// which buffers the same Sample type.
+func WalkSample(c *snap.Codec, s *Sample) {
+	c.U64(&s.PC)
+	c.U64(&s.DataAddr)
 	for i := range s.Regs {
-		w.U64(s.Regs[i])
+		c.U64(&s.Regs[i])
 	}
-	w.U64(s.Cycle)
-	w.I64(int64(s.Event))
+	c.U64(&s.Cycle)
+	snap.Int(c, &s.Event)
 }
 
-// DecodeSample reads one sample record from r.
-func DecodeSample(r *snap.Reader) Sample {
-	var s Sample
-	s.PC = r.U64()
-	s.DataAddr = r.U64()
-	for i := range s.Regs {
-		s.Regs[i] = r.U64()
-	}
-	s.Cycle = r.U64()
-	s.Event = cache.EventKind(r.I64())
-	return s
+// WalkConfig walks a programmed Config.
+func WalkConfig(c *snap.Codec, cfg *Config) {
+	snap.Int(c, &cfg.Event)
+	c.U64(&cfg.Interval)
+	snap.Int(c, &cfg.RandomBits)
+	snap.Int(c, &cfg.BufferSamples)
+	c.F64(&cfg.WatermarkFrac)
+	c.U64(&cfg.CaptureCycles)
+	c.U64(&cfg.InterruptCycles)
 }
 
-// EncodeConfig appends a Config to w.
-func EncodeConfig(w *snap.Writer, cfg Config) {
-	w.I64(int64(cfg.Event))
-	w.U64(cfg.Interval)
-	w.U64(uint64(cfg.RandomBits))
-	w.I64(int64(cfg.BufferSamples))
-	w.F64(cfg.WatermarkFrac)
-	w.U64(cfg.CaptureCycles)
-	w.U64(cfg.InterruptCycles)
-}
-
-// DecodeConfig reads a Config from r.
-func DecodeConfig(r *snap.Reader) Config {
-	var cfg Config
-	cfg.Event = cache.EventKind(r.I64())
-	cfg.Interval = r.U64()
-	cfg.RandomBits = uint(r.U64())
-	cfg.BufferSamples = int(r.I64())
-	cfg.WatermarkFrac = r.F64()
-	cfg.CaptureCycles = r.U64()
-	cfg.InterruptCycles = r.U64()
-	return cfg
-}
-
-// Snapshot serializes the unit's programmed configuration, countdown,
+// walk is the unit's layout: programmed configuration, countdown,
 // buffered samples and counters.
+func (u *Unit) walk(c *snap.Codec) {
+	WalkConfig(c, &u.cfg)
+	c.Bool(&u.enabled)
+	c.U64(&u.countdown)
+	snap.Slice(c, &u.buf, WalkSample)
+	c.Check(u.cfg.BufferSamples <= 0 || len(u.buf) <= u.cfg.BufferSamples,
+		"%d buffered samples exceed capacity %d", len(u.buf), u.cfg.BufferSamples)
+	snap.Int(c, &u.watermark)
+	c.U64(&u.eventsSeen)
+	c.U64(&u.samplesTaken)
+	c.U64(&u.dropped)
+	c.U64(&u.interrupts)
+}
+
+// Snapshot serializes the unit's programmed state.
 func (u *Unit) Snapshot() snap.ComponentState {
-	var w snap.Writer
-	EncodeConfig(&w, u.cfg)
-	w.Bool(u.enabled)
-	w.U64(u.countdown)
-	w.U64(uint64(len(u.buf)))
-	for i := range u.buf {
-		EncodeSample(&w, &u.buf[i])
-	}
-	w.I64(int64(u.watermark))
-	w.U64(u.eventsSeen)
-	w.U64(u.samplesTaken)
-	w.U64(u.dropped)
-	w.U64(u.interrupts)
-	return snap.ComponentState{Component: snapComponent, Version: snapVersion, Data: w.Bytes()}
+	return snap.Encode(snapComponent, snapVersion, u.walk)
 }
 
 // Restore overwrites the unit's programmed state. The CPU, handler,
 // observer and RNG wiring is untouched.
 func (u *Unit) Restore(st snap.ComponentState) error {
-	if err := snap.Check(st, snapComponent, snapVersion); err != nil {
+	next := *u
+	if err := snap.Decode(st, snapComponent, snapVersion, next.walk); err != nil {
 		return err
 	}
-	r := snap.NewReader(st.Data)
-	cfg := DecodeConfig(r)
-	enabled := r.Bool()
-	countdown := r.U64()
-	n := r.Count(SampleBytes)
-	if r.Err() == nil && cfg.BufferSamples > 0 && n > cfg.BufferSamples {
-		return fmt.Errorf("pebs: %w: %d buffered samples exceed capacity %d", snap.ErrDecode, n, cfg.BufferSamples)
-	}
-	// Sized from the validated count, not the blob's BufferSamples: the
-	// capacity is only a pre-sizing hint, and append regrows it.
-	buf := make([]Sample, 0, n)
-	for i := 0; i < n; i++ {
-		buf = append(buf, DecodeSample(r))
-	}
-	watermark := int(r.I64())
-	eventsSeen := r.U64()
-	samplesTaken := r.U64()
-	dropped := r.U64()
-	interrupts := r.U64()
-	if err := r.Close(); err != nil {
-		return err
-	}
-	u.cfg = cfg
-	u.enabled = enabled
-	u.countdown = countdown
-	u.buf = buf
-	u.watermark = watermark
-	u.eventsSeen = eventsSeen
-	u.samplesTaken = samplesTaken
-	u.dropped = dropped
-	u.interrupts = interrupts
+	*u = next
 	return nil
 }

@@ -2,7 +2,8 @@ package obs
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"hpmvm/internal/snap"
 )
@@ -21,53 +22,62 @@ const (
 	snapVersion   = 1
 )
 
+// state is the observer's wire form. The Observer itself is a mutex,
+// atomics and a ring, so it is never walked (or copied): Snapshot fills
+// a state under the lock, Restore decodes one and then commits it under
+// the lock.
+type state struct {
+	counters map[string]uint64 // owned counters by name
+	capacity uint64            // ring size; both sides must agree on it
+	emitted  uint64
+	dropped  uint64
+	events   []Event      // oldest first
+	phases   []phaseTrack // by name
+}
+
+func (s *state) walk(c *snap.Codec) {
+	snap.Map(c, &s.counters, snap.Pair((*snap.Codec).String, (*snap.Codec).U64))
+	c.Same(s.capacity, "trace ring capacity")
+	c.U64(&s.emitted)
+	c.U64(&s.dropped)
+	snap.Slice(c, &s.events, func(c *snap.Codec, e *Event) {
+		c.U64(&e.Cycle)
+		snap.Int(c, &e.Kind)
+		c.U64(&e.Arg0)
+		c.U64(&e.Arg1)
+		c.U64(&e.Arg2)
+	})
+	c.Check(uint64(len(s.events)) <= s.capacity, "%d events exceed ring capacity %d", len(s.events), s.capacity)
+	snap.Slice(c, &s.phases, func(c *snap.Codec, p *phaseTrack) {
+		c.String(&p.name)
+		c.U64(&p.count)
+		c.U64(&p.cycles)
+		c.Bool(&p.open)
+		c.U64(&p.start)
+	})
+}
+
 // Snapshot serializes the observer's state.
 func (o *Observer) Snapshot() snap.ComponentState {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	var w snap.Writer
-
-	names := make([]string, 0, len(o.entries))
+	s := state{
+		counters: make(map[string]uint64),
+		capacity: uint64(len(o.trace.buf)),
+		emitted:  o.trace.emitted,
+		dropped:  o.trace.dropped,
+		events:   o.trace.events(),
+	}
 	for _, e := range o.entries {
 		if e.owned != nil {
-			names = append(names, e.name)
+			s.counters[e.name] = e.owned.Value()
 		}
 	}
-	sort.Strings(names)
-	w.U64(uint64(len(names)))
-	for _, name := range names {
-		w.String(name)
-		w.U64(o.entries[o.byName[name]].owned.Value())
-	}
-
-	events := o.trace.events()
-	w.U64(uint64(len(o.trace.buf)))
-	w.U64(o.trace.emitted)
-	w.U64(o.trace.dropped)
-	w.U64(uint64(len(events)))
-	for _, e := range events {
-		w.U64(e.Cycle)
-		w.U64(uint64(e.Kind))
-		w.U64(e.Arg0)
-		w.U64(e.Arg1)
-		w.U64(e.Arg2)
-	}
-
-	phaseNames := make([]string, 0, len(o.phases))
 	for _, p := range o.phases {
-		phaseNames = append(phaseNames, p.name)
+		s.phases = append(s.phases, *p)
 	}
-	sort.Strings(phaseNames)
-	w.U64(uint64(len(phaseNames)))
-	for _, name := range phaseNames {
-		p := o.phases[o.phaseByName[name]]
-		w.String(name)
-		w.U64(p.count)
-		w.U64(p.cycles)
-		w.Bool(p.open)
-		w.U64(p.start)
-	}
-	return snap.ComponentState{Component: snapComponent, Version: snapVersion, Data: w.Bytes()}
+	slices.SortFunc(s.phases, func(a, b phaseTrack) int { return strings.Compare(a.name, b.name) })
+	return snap.Encode(snapComponent, snapVersion, s.walk)
 }
 
 // Restore overwrites the observer's state. Every owned counter named in
@@ -75,62 +85,14 @@ func (o *Observer) Snapshot() snap.ComponentState {
 // boot-time act, and restore requires an identically booted system);
 // owned counters absent from the snapshot are reset to zero.
 func (o *Observer) Restore(st snap.ComponentState) error {
-	if err := snap.Check(st, snapComponent, snapVersion); err != nil {
+	// The ring is sized once, by New, so its length needs no lock.
+	s := state{capacity: uint64(len(o.trace.buf))}
+	if err := snap.Decode(st, snapComponent, snapVersion, s.walk); err != nil {
 		return err
 	}
-	r := snap.NewReader(st.Data)
-	nCounters := r.Count(16)
-	counters := make(map[string]uint64, nCounters)
-	for i := 0; i < nCounters; i++ {
-		name := r.String()
-		counters[name] = r.U64()
-	}
-	capacity := r.U64()
-	emitted := r.U64()
-	dropped := r.U64()
-	nEvents := r.Count(40)
-	if r.Err() == nil && uint64(nEvents) > capacity {
-		return fmt.Errorf("obs: %w: %d events exceed ring capacity %d", snap.ErrDecode, nEvents, capacity)
-	}
-	events := make([]Event, 0, nEvents)
-	for i := 0; i < nEvents; i++ {
-		var e Event
-		e.Cycle = r.U64()
-		e.Kind = EventKind(r.U64())
-		e.Arg0 = r.U64()
-		e.Arg1 = r.U64()
-		e.Arg2 = r.U64()
-		events = append(events, e)
-	}
-	type phaseState struct {
-		name   string
-		count  uint64
-		cycles uint64
-		open   bool
-		start  uint64
-	}
-	nPhases := r.Count(33)
-	phases := make([]phaseState, 0, nPhases)
-	for i := 0; i < nPhases; i++ {
-		var p phaseState
-		p.name = r.String()
-		p.count = r.U64()
-		p.cycles = r.U64()
-		p.open = r.Bool()
-		p.start = r.U64()
-		phases = append(phases, p)
-	}
-	if err := r.Close(); err != nil {
-		return err
-	}
-
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if uint64(len(o.trace.buf)) != capacity {
-		return fmt.Errorf("obs: %w: trace capacity %d, snapshot capacity %d",
-			snap.ErrDecode, len(o.trace.buf), capacity)
-	}
-	for name := range counters {
+	for name := range s.counters {
 		i, ok := o.byName[name]
 		if !ok || o.entries[i].owned == nil {
 			return fmt.Errorf("obs: %w: counter %q not registered as owned", snap.ErrDecode, name)
@@ -138,23 +100,19 @@ func (o *Observer) Restore(st snap.ComponentState) error {
 	}
 	for _, e := range o.entries {
 		if e.owned != nil {
-			e.owned.v.Store(counters[e.name])
+			e.owned.v.Store(s.counters[e.name])
 		}
 	}
 	o.trace.start = 0
-	o.trace.n = len(events)
-	copy(o.trace.buf, events)
-	o.trace.emitted = emitted
-	o.trace.dropped = dropped
+	o.trace.n = len(s.events)
+	copy(o.trace.buf, s.events)
+	o.trace.emitted = s.emitted
+	o.trace.dropped = s.dropped
 	for _, p := range o.phases {
-		p.count, p.cycles, p.open, p.start = 0, 0, false, 0
+		*p = phaseTrack{name: p.name}
 	}
-	for _, ps := range phases {
-		p := o.phase(ps.name)
-		p.count = ps.count
-		p.cycles = ps.cycles
-		p.open = ps.open
-		p.start = ps.start
+	for _, p := range s.phases {
+		*o.phase(p.name) = p
 	}
 	return nil
 }

@@ -331,49 +331,24 @@ const (
 	codeLayoutVersion   = 2
 )
 
+// walk is the optimization's layout.
+func (c *CodeLayout) walk(k *snap.Codec) {
+	c.guardState.walk(k)
+	snap.Map(k, &c.samples, snap.Pair(snap.Int[int], (*snap.Codec).U64))
+	snap.Slice(k, &c.lastLayout, snap.Int[int])
+}
+
 // Snapshot serializes the optimization state.
 func (c *CodeLayout) Snapshot() snap.ComponentState {
-	var w snap.Writer
-	c.encode(&w)
-	ids := make([]int, 0, len(c.samples))
-	for id := range c.samples {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	w.U64(uint64(len(ids)))
-	for _, id := range ids {
-		w.I64(int64(id))
-		w.U64(c.samples[id])
-	}
-	w.U64(uint64(len(c.lastLayout)))
-	for _, id := range c.lastLayout {
-		w.I64(int64(id))
-	}
-	return snap.ComponentState{Component: codeLayoutComponent, Version: codeLayoutVersion, Data: w.Bytes()}
+	return snap.Encode(codeLayoutComponent, codeLayoutVersion, c.walk)
 }
 
 // Restore overwrites the optimization state.
 func (c *CodeLayout) Restore(st snap.ComponentState) error {
-	if err := snap.Check(st, codeLayoutComponent, codeLayoutVersion); err != nil {
+	next := *c
+	if err := snap.Decode(st, codeLayoutComponent, codeLayoutVersion, next.walk); err != nil {
 		return err
 	}
-	r := snap.NewReader(st.Data)
-	gs := decodeGuardState(r)
-	nSamples := r.Count(16)
-	samples := make(map[int]uint64, nSamples)
-	for i := 0; i < nSamples; i++ {
-		id := int(r.I64())
-		samples[id] = r.U64()
-	}
-	lastLayout := make([]int, r.Count(8))
-	for i := range lastLayout {
-		lastLayout[i] = int(r.I64())
-	}
-	if err := r.Close(); err != nil {
-		return err
-	}
-	c.guardState = gs
-	c.samples = samples
-	c.lastLayout = lastLayout
+	*c = next
 	return nil
 }

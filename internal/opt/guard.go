@@ -181,50 +181,32 @@ func (g *guarded) Stats() Stats { return Stats{Decisions: g.decisions, Reverts: 
 // Log implements Optimization.
 func (g *guarded) Log() []string { return g.log }
 
-// encode serializes the guard state. The open decision's State payload
-// belongs to the kind, which encodes it after this section.
-func (s *guardState) encode(w *snap.Writer) {
-	w.U64(s.seen)
-	w.U64(uint64(len(s.history)))
-	for _, p := range s.history {
-		w.U64(p.den)
-		w.U64(p.verdict)
-		w.U64(p.floor)
+// walk is the guard state's snapshot layout. The open decision's State
+// payload belongs to the kind, which walks it after this section.
+func (s *guardState) walk(c *snap.Codec) {
+	c.U64(&s.seen)
+	snap.Slice(c, &s.history, func(c *snap.Codec, p *point) {
+		c.U64(&p.den)
+		c.U64(&p.verdict)
+		c.U64(&p.floor)
+	})
+	c.U64(&s.decisions)
+	c.U64(&s.reverts)
+	c.Bool(&s.badDone)
+	open := s.open != nil
+	c.Bool(&open)
+	if c.R != nil {
+		// A Decision of its own: the walk runs on a copy of the kind,
+		// which still shares the live one.
+		s.open, s.baseline = nil, 0
+		if open {
+			s.open = new(Decision)
+		}
 	}
-	w.U64(s.decisions)
-	w.U64(s.reverts)
-	w.Bool(s.badDone)
-	w.Bool(s.open != nil)
-	if s.open != nil {
-		w.I64(int64(s.open.Target))
-		w.U64(s.open.AppliedPoll)
-		w.F64(s.baseline)
+	if open {
+		snap.Int(c, &s.open.Target)
+		c.U64(&s.open.AppliedPoll)
+		c.F64(&s.baseline)
 	}
-	w.U64(uint64(len(s.log)))
-	for _, l := range s.log {
-		w.String(l)
-	}
-}
-
-// decodeGuardState is the inverse of encode; failures surface through
-// the reader's sticky error.
-func decodeGuardState(r *snap.Reader) guardState {
-	var s guardState
-	s.seen = r.U64()
-	s.history = make([]point, r.Count(24))
-	for i := range s.history {
-		s.history[i] = point{r.U64(), r.U64(), r.U64()}
-	}
-	s.decisions = r.U64()
-	s.reverts = r.U64()
-	s.badDone = r.Bool()
-	if r.Bool() {
-		s.open = &Decision{Target: int(r.I64()), AppliedPoll: r.U64()}
-		s.baseline = r.F64()
-	}
-	s.log = make([]string, r.Count(8))
-	for i := range s.log {
-		s.log[i] = r.String()
-	}
-	return s
+	snap.Slice(c, &s.log, (*snap.Codec).String)
 }

@@ -438,90 +438,58 @@ const (
 	swPrefetchVersion   = 2
 )
 
-func encodeSites(w *snap.Writer, sites map[uint64]int64, methods map[uint64]int) {
-	pcs := make([]uint64, 0, len(sites))
-	for pc := range sites {
-		pcs = append(pcs, pc)
+// walkSites walks a site set — PC → prefetch delta, with each site's
+// owning method kept in a parallel map — as (pc, delta, method) triples
+// in PC order.
+func walkSites(c *snap.Codec, sites *map[uint64]int64, methods *map[uint64]int) {
+	owner := *methods
+	if c.R != nil {
+		*methods = make(map[uint64]int)
 	}
-	sort.Slice(pcs, func(i, j int) bool { return pcs[i] < pcs[j] })
-	w.U64(uint64(len(pcs)))
-	for _, pc := range pcs {
-		w.U64(pc)
-		w.I64(sites[pc])
-		w.I64(int64(methods[pc]))
-	}
+	snap.Map(c, sites, func(c *snap.Codec, pc *uint64, delta *int64) {
+		c.U64(pc)
+		c.I64(delta)
+		m := owner[*pc]
+		snap.Int(c, &m)
+		if c.R != nil {
+			(*methods)[*pc] = m
+		}
+	})
 }
 
-func decodeSites(r *snap.Reader) (map[uint64]int64, map[uint64]int) {
-	n := r.Count(24)
-	sites := make(map[uint64]int64, n)
-	methods := make(map[uint64]int, n)
-	for i := 0; i < n; i++ {
-		pc := r.U64()
-		sites[pc] = r.I64()
-		methods[pc] = int(r.I64())
+// walk is the optimization's layout.
+func (s *SwPrefetch) walk(c *snap.Codec) {
+	s.guardState.walk(c)
+	snap.MapPtr(c, &s.streams, func(c *snap.Codec, pc *uint64, st *swStream) {
+		c.U64(pc)
+		c.U64(&st.lastAddr)
+		c.I64(&st.stride)
+		snap.Int(c, &st.conf)
+		c.U64(&st.seen)
+		snap.Int(c, &st.methodID)
+	})
+	walkSites(c, &s.installed, &s.siteMethods)
+	// The open decision's revert payload: the site set it replaced.
+	if s.open != nil {
+		if c.R != nil {
+			s.open.State = new(swPlan)
+		}
+		prev := s.open.State.(*swPlan)
+		walkSites(c, &prev.sites, &prev.methods)
 	}
-	return sites, methods
 }
 
 // Snapshot serializes the optimization state.
 func (s *SwPrefetch) Snapshot() snap.ComponentState {
-	var w snap.Writer
-	s.encode(&w)
-	pcs := make([]uint64, 0, len(s.streams))
-	for pc := range s.streams {
-		pcs = append(pcs, pc)
-	}
-	sort.Slice(pcs, func(i, j int) bool { return pcs[i] < pcs[j] })
-	w.U64(uint64(len(pcs)))
-	for _, pc := range pcs {
-		st := s.streams[pc]
-		w.U64(pc)
-		w.U64(st.lastAddr)
-		w.I64(st.stride)
-		w.I64(int64(st.conf))
-		w.U64(st.seen)
-		w.I64(int64(st.methodID))
-	}
-	encodeSites(&w, s.installed, s.siteMethods)
-	if s.open != nil {
-		prev := s.open.State.(*swPlan)
-		encodeSites(&w, prev.sites, prev.methods)
-	}
-	return snap.ComponentState{Component: swPrefetchComponent, Version: swPrefetchVersion, Data: w.Bytes()}
+	return snap.Encode(swPrefetchComponent, swPrefetchVersion, s.walk)
 }
 
 // Restore overwrites the optimization state.
-func (s *SwPrefetch) Restore(cs snap.ComponentState) error {
-	if err := snap.Check(cs, swPrefetchComponent, swPrefetchVersion); err != nil {
+func (s *SwPrefetch) Restore(st snap.ComponentState) error {
+	next := *s
+	if err := snap.Decode(st, swPrefetchComponent, swPrefetchVersion, next.walk); err != nil {
 		return err
 	}
-	r := snap.NewReader(cs.Data)
-	gs := decodeGuardState(r)
-	nStreams := r.Count(48)
-	streams := make(map[uint64]*swStream, nStreams)
-	for i := 0; i < nStreams; i++ {
-		pc := r.U64()
-		streams[pc] = &swStream{
-			lastAddr: r.U64(),
-			stride:   r.I64(),
-			conf:     int(r.I64()),
-			seen:     r.U64(),
-			methodID: int(r.I64()),
-		}
-	}
-	installed, siteMethods := decodeSites(r)
-	if gs.open != nil {
-		prev := &swPlan{}
-		prev.sites, prev.methods = decodeSites(r)
-		gs.open.State = prev
-	}
-	if err := r.Close(); err != nil {
-		return err
-	}
-	s.guardState = gs
-	s.streams = streams
-	s.installed = installed
-	s.siteMethods = siteMethods
+	*s = next
 	return nil
 }

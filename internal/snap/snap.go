@@ -16,19 +16,36 @@
 //     key order, floats as IEEE-754 bit patterns, everything
 //     little-endian and length-prefixed. Two snapshots of identical
 //     simulator states are byte-identical.
-//   - Every ComponentState carries the component name and a format
-//     version; Restore fails (wrapping ErrDecode) on a name, version or
-//     geometry mismatch rather than silently corrupting state.
+//   - One walk per component. A component states its byte layout once,
+//     as a walk(*Codec) method whose calls are the wire order; Snapshot
+//     is Encode over it and Restore is Decode over the same walk, so the
+//     two directions cannot drift apart.
+//   - Restore has no partial effects. A blob is untrusted input: Decode
+//     checks the component name and version, every count against the
+//     unread input, every value both sides must agree on (Same) and
+//     every component check (Check), wrapping ErrDecode; Restore binds
+//     the walk to scratch state — a copy of the component, or fresh
+//     arrays — and commits it only when Decode returns nil.
+//
+// Five places convert between the wire form and a different memory form
+// and spell both directions out, using the Codec for their flat parts
+// only: hw/cache's tag arrays (version-1 way records ↔ key/stamp/dirty
+// rows), hw/mem (sorted page list ↔ page directory + far map), obs (a
+// mutex, atomics and a ring, walked as a private wire struct),
+// vm/runtime (the recompile log is validated and replayed, not stored)
+// and core's container (magic and version gate the rest of the parse).
 //
 // The package is dependency-free so every layer (hw, kernel, gc, vm,
 // monitor, coalloc, obs) can import it without cycles.
 package snap
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // ComponentState is one component's serialized mutable state.
@@ -44,9 +61,10 @@ type ComponentState struct {
 
 // Checkpointable is implemented by every stateful layer of the
 // simulated system. Snapshot must not perturb the component (no
-// simulated cycles, no state changes); Restore overwrites the
-// component's mutable state and fails without partial effects on a
-// recognizably foreign or corrupt state.
+// simulated cycles, no state changes). Restore overwrites the
+// component's mutable state, or fails with an error wrapping ErrDecode
+// and leaves the component exactly as it was: Snapshot before and after
+// a failed Restore returns the same bytes.
 type Checkpointable interface {
 	Snapshot() ComponentState
 	Restore(ComponentState) error
@@ -55,19 +73,6 @@ type Checkpointable interface {
 // ErrDecode is the sentinel wrapped by every snapshot decoding failure
 // (unknown component, version skew, truncated or inconsistent data).
 var ErrDecode = errors.New("snapshot decode error")
-
-// Check validates a ComponentState header against the expected
-// component name and version, wrapping ErrDecode on mismatch. Every
-// Restore implementation calls it first.
-func Check(st ComponentState, component string, version uint32) error {
-	if st.Component != component {
-		return fmt.Errorf("snap: %w: state for %q restored into %q", ErrDecode, st.Component, component)
-	}
-	if st.Version != version {
-		return fmt.Errorf("snap: %w: %s version %d, want %d", ErrDecode, component, st.Version, version)
-	}
-	return nil
-}
 
 // Writer builds a deterministic little-endian binary encoding. The
 // zero Writer is ready to use.
@@ -134,9 +139,6 @@ func NewReader(data []byte) *Reader { return &Reader{buf: data} }
 
 // Err returns the first decoding failure, or nil.
 func (r *Reader) Err() error { return r.err }
-
-// Remaining returns the number of unread bytes.
-func (r *Reader) Remaining() int { return len(r.buf) - r.off }
 
 // Close verifies the reader consumed its input exactly and had no
 // decoding failure.
@@ -220,8 +222,8 @@ func (r *Reader) Count(elemSize int) int {
 	if r.err != nil {
 		return 0
 	}
-	if n > uint64(r.Remaining())/uint64(elemSize) {
-		r.fail("count %d × %d bytes exceeds remaining %d bytes", n, elemSize, r.Remaining())
+	if left := len(r.buf) - r.off; n > uint64(left)/uint64(elemSize) {
+		r.fail("count %d × %d bytes exceeds remaining %d bytes", n, elemSize, left)
 		return 0
 	}
 	return int(n)
@@ -241,4 +243,176 @@ func (r *Reader) State() ComponentState {
 	st.Version = r.U32()
 	st.Data = append([]byte(nil), r.Bytes8()...)
 	return st
+}
+
+// Codec walks a component's mutable state in one fixed order and either
+// writes it (W set, by Encode) or reads it back (R set, by Decode)
+// through the same calls, so a component states its byte layout once,
+// as a walk(*Codec) method. The walk is explicit: the order of its
+// calls is the wire order. Code that converts between a wire form and a
+// different memory form reaches the two ends directly and branches on
+// R != nil.
+type Codec struct {
+	W *Writer
+	R *Reader
+}
+
+// Encode runs walk over a fresh Writer and wraps the bytes it wrote.
+func Encode(component string, version uint32, walk func(*Codec)) ComponentState {
+	c := Codec{W: new(Writer)}
+	walk(&c)
+	return ComponentState{Component: component, Version: version, Data: c.W.Bytes()}
+}
+
+// Decode checks st's component name and version, runs walk over its
+// data and requires the walk to have consumed the data exactly and
+// failed no check. The walk writes into whatever it was bound to as it
+// goes, so Restore binds it to scratch state and commits that only when
+// Decode returns nil.
+func Decode(st ComponentState, component string, version uint32, walk func(*Codec)) error {
+	if st.Component != component {
+		return fmt.Errorf("snap: %w: state for %q restored into %q", ErrDecode, st.Component, component)
+	}
+	if st.Version != version {
+		return fmt.Errorf("snap: %w: %s version %d, want %d", ErrDecode, component, st.Version, version)
+	}
+	c := Codec{R: NewReader(st.Data)}
+	walk(&c)
+	if err := c.R.Close(); err != nil {
+		return fmt.Errorf("%s: %w", component, err)
+	}
+	return nil
+}
+
+// word walks one value through the matching Reader/Writer pair.
+func word[T any](c *Codec, p *T, read func(*Reader) T, write func(*Writer, T)) {
+	if c.R != nil {
+		*p = read(c.R)
+	} else {
+		write(c.W, *p)
+	}
+}
+
+// U64 walks one unsigned 64-bit word.
+func (c *Codec) U64(p *uint64) { word(c, p, (*Reader).U64, (*Writer).U64) }
+
+// I64 walks one signed 64-bit word.
+func (c *Codec) I64(p *int64) { word(c, p, (*Reader).I64, (*Writer).I64) }
+
+// Bool walks one boolean.
+func (c *Codec) Bool(p *bool) { word(c, p, (*Reader).Bool, (*Writer).Bool) }
+
+// F64 walks one float64.
+func (c *Codec) F64(p *float64) { word(c, p, (*Reader).F64, (*Writer).F64) }
+
+// String walks one length-prefixed string.
+func (c *Codec) String(p *string) { word(c, p, (*Reader).String, (*Writer).String) }
+
+// Int walks an int, enum or narrower integer field as one 64-bit word,
+// sign- or zero-extended as its type says.
+func Int[T ~int | ~int32 | ~uint | ~uint8](c *Codec, p *T) {
+	if c.R != nil {
+		*p = T(c.R.I64())
+	} else {
+		c.W.I64(int64(*p))
+	}
+}
+
+// Same walks a word both sides must agree on — a region bound, an array
+// length, the installed-code length: written when encoding, compared
+// with the receiver's own v when decoding.
+func (c *Codec) Same(v uint64, what string) {
+	if c.R == nil {
+		c.W.U64(v)
+	} else if got := c.R.U64(); got != v {
+		c.Check(false, "%s is %#x here, %#x in the snapshot", what, v, got)
+	}
+}
+
+// Check, when decoding, records a failure wrapping ErrDecode unless ok,
+// and reports whether nothing has failed so far — which is when ids
+// just read may be resolved into pointers. Encoding, it reports false.
+func (c *Codec) Check(ok bool, format string, args ...any) bool {
+	if c.R == nil {
+		return false
+	}
+	if !ok {
+		c.R.fail(format, args...)
+	}
+	return c.R.err == nil
+}
+
+// minSize is the encoded size of a zero element — empty strings, slices
+// and maps, absent optional sections — which is the least any element
+// occupies: the bound Reader.Count holds a decoded count to.
+func minSize(zero func(*Codec)) int {
+	sizer := Codec{W: new(Writer)}
+	zero(&sizer)
+	return max(len(sizer.W.buf), 1)
+}
+
+// Slice walks a length-prefixed sequence, element by element. Decoding
+// replaces *s with a fresh slice of the (bounded) decoded length.
+func Slice[T any](c *Codec, s *[]T, elem func(*Codec, *T)) {
+	if c.R == nil {
+		c.W.U64(uint64(len(*s)))
+	} else {
+		*s = make([]T, c.R.Count(minSize(func(z *Codec) { elem(z, new(T)) })))
+	}
+	for i := range *s {
+		elem(c, &(*s)[i])
+	}
+}
+
+// Map walks a length-prefixed map in ascending key order; elem walks
+// one entry through copies of its key and value. Decoding replaces *m
+// with a fresh map.
+func Map[K cmp.Ordered, V any](c *Codec, m *map[K]V, elem func(*Codec, *K, *V)) {
+	if c.R == nil {
+		keys := make([]K, 0, len(*m))
+		for k := range *m {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		c.W.U64(uint64(len(keys)))
+		for _, k := range keys {
+			v := (*m)[k]
+			elem(c, &k, &v)
+		}
+		return
+	}
+	n := c.R.Count(minSize(func(z *Codec) { elem(z, new(K), new(V)) }))
+	*m = make(map[K]V, n)
+	for i := 0; i < n; i++ {
+		var k K
+		var v V
+		elem(c, &k, &v)
+		(*m)[k] = v
+	}
+}
+
+// MapPtr is Map for pointer-valued maps: elem gets the pointed-to
+// value, freshly allocated when decoding.
+func MapPtr[K cmp.Ordered, V any](c *Codec, m *map[K]*V, elem func(*Codec, *K, *V)) {
+	Map(c, m, func(c *Codec, k *K, v **V) {
+		if *v == nil {
+			*v = new(V)
+		}
+		elem(c, k, *v)
+	})
+}
+
+// Pair is the entry walk of a map whose key and value are one word each.
+func Pair[K, V any](key func(*Codec, *K), val func(*Codec, *V)) func(*Codec, *K, *V) {
+	return func(c *Codec, k *K, v *V) {
+		key(c, k)
+		val(c, v)
+	}
+}
+
+// Scratch returns a shallow copy of *p for a Restore to walk in place
+// of the live value.
+func Scratch[T any](p *T) *T {
+	v := *p
+	return &v
 }

@@ -4,7 +4,10 @@ import (
 	"errors"
 	"fmt"
 
+	"hpmvm/internal/gc/heap"
+	"hpmvm/internal/hw/cpu"
 	"hpmvm/internal/snap"
+	"hpmvm/internal/vm/bytecode"
 )
 
 // Snapshot/Restore implement snap.Checkpointable for the VM core. The
@@ -23,27 +26,69 @@ const (
 	snapVersion   = 1
 )
 
+// vmState is the wire form: the serialized fields, copied out of the VM
+// so that Restore can validate and replay the log before any of them
+// reaches it. The failure travels as a flag and its message.
+type vmState struct {
+	immortal      heap.BumpSpace
+	results       []int64
+	failed        bool
+	failure       string
+	started       bool
+	allocations   uint64
+	allocatedByte uint64
+	log           []recompileEntry
+}
+
+func (s *vmState) walk(c *snap.Codec) {
+	s.immortal.Walk(c)
+	snap.Slice(c, &s.results, (*snap.Codec).I64)
+	c.Bool(&s.failed)
+	if s.failed {
+		c.String(&s.failure)
+	}
+	c.Bool(&s.started)
+	c.U64(&s.allocations)
+	c.U64(&s.allocatedByte)
+	snap.Slice(c, &s.log, func(c *snap.Codec, e *recompileEntry) {
+		snap.Int(c, &e.methodID)
+		snap.Int(c, &e.level)
+	})
+}
+
 // Snapshot serializes the VM's mutable state.
 func (vm *VM) Snapshot() snap.ComponentState {
-	var w snap.Writer
-	vm.Immortal.Encode(&w)
-	w.U64(uint64(len(vm.results)))
-	for _, v := range vm.results {
-		w.I64(v)
-	}
-	w.Bool(vm.failure != nil)
+	s := vmState{immortal: *vm.Immortal, results: vm.results, started: vm.started,
+		allocations: vm.allocations, allocatedByte: vm.allocatedByte, log: vm.recompileLog}
 	if vm.failure != nil {
-		w.String(vm.failure.Error())
+		s.failed, s.failure = true, vm.failure.Error()
 	}
-	w.Bool(vm.started)
-	w.U64(vm.allocations)
-	w.U64(vm.allocatedByte)
-	w.U64(uint64(len(vm.recompileLog)))
-	for _, e := range vm.recompileLog {
-		w.I64(int64(e.methodID))
-		w.I64(int64(e.level))
+	return snap.Encode(snapComponent, snapVersion, s.walk)
+}
+
+// checkLog validates every recompile-log entry against this VM before
+// the first is replayed: method ids must name a method with bytecode,
+// and the pads (method id -1, level = instructions) must be lengths the
+// code space below the stack can still hold — InstallPad allocates
+// them.
+func (vm *VM) checkLog(log []recompileEntry) error {
+	room := (heap.StackTop - StackSize - vm.CPU.NextCodeAddr()) / cpu.InstrBytes
+	for _, e := range log {
+		switch {
+		case e.methodID == padMethodID:
+			if e.level < 0 || uint64(e.level) > room {
+				return fmt.Errorf("vm: %w: recompile log pad of %d instructions, code space has room for %d", snap.ErrDecode, e.level, room)
+			}
+			room -= uint64(e.level)
+		case e.methodID < 0 || e.methodID >= len(vm.U.Methods()):
+			return fmt.Errorf("vm: %w: recompile log method id %d not in universe", snap.ErrDecode, e.methodID)
+		default:
+			if code, _ := vm.U.Method(e.methodID).Code.(*bytecode.Code); code == nil {
+				return fmt.Errorf("vm: %w: recompile log method id %d has no bytecode", snap.ErrDecode, e.methodID)
+			}
+		}
 	}
-	return snap.ComponentState{Component: snapComponent, Version: snapVersion, Data: w.Bytes()}
+	return nil
 }
 
 // Restore overwrites the VM's mutable state and replays the recompile
@@ -53,63 +98,38 @@ func (vm *VM) Snapshot() snap.ComponentState {
 // in the same order, reproducing the origin's code and table layout.
 // Restore the memory image and CPU after this (the replay writes
 // dispatch slots the memory restore will overwrite).
+//
+// The replay is the one step a failed Restore cannot take back: a log
+// that passes checkLog but names a body the optimizing compiler then
+// refuses leaves the earlier entries installed. The VM's own log is no
+// longer empty then, so it refuses every later Restore.
 func (vm *VM) Restore(st snap.ComponentState) error {
-	if err := snap.Check(st, snapComponent, snapVersion); err != nil {
-		return err
-	}
-	r := snap.NewReader(st.Data)
-	var immortal = vm.Immortal
-	// Decode into a scratch copy first so a malformed payload cannot
-	// leave the immortal space half-restored.
-	scratch := *immortal
-	if err := scratch.Decode(r); err != nil {
-		return err
-	}
-	nResults := r.Count(8)
-	results := make([]int64, 0, nResults)
-	for i := 0; i < nResults; i++ {
-		results = append(results, r.I64())
-	}
-	var failure error
-	if r.Bool() {
-		failure = errors.New(r.String())
-	}
-	started := r.Bool()
-	allocations := r.U64()
-	allocatedByte := r.U64()
-	nLog := r.Count(16)
-	log := make([]recompileEntry, 0, nLog)
-	for i := 0; i < nLog; i++ {
-		var e recompileEntry
-		e.methodID = int(r.I64())
-		e.level = int(r.I64())
-		log = append(log, e)
-	}
-	if err := r.Close(); err != nil {
+	s := vmState{immortal: *vm.Immortal}
+	if err := snap.Decode(st, snapComponent, snapVersion, s.walk); err != nil {
 		return err
 	}
 	if len(vm.recompileLog) != 0 {
 		return fmt.Errorf("vm: restore requires a freshly booted VM (recompile log not empty)")
 	}
-	for _, e := range log {
+	if err := vm.checkLog(s.log); err != nil {
+		return err
+	}
+	for _, e := range s.log {
 		if e.methodID == padMethodID {
-			// Code-layout pad entry: level carries the pad length.
 			vm.InstallPad(e.level)
-			continue
-		}
-		if e.methodID < 0 || e.methodID >= len(vm.U.Methods()) {
-			return fmt.Errorf("vm: %w: recompile log method id %d not in universe", snap.ErrDecode, e.methodID)
-		}
-		if err := vm.CompileMethod(vm.U.Method(e.methodID), e.level); err != nil {
-			return fmt.Errorf("vm: recompile replay failed for method %d level %d: %w", e.methodID, e.level, err)
+		} else if err := vm.CompileMethod(vm.U.Method(e.methodID), e.level); err != nil {
+			return fmt.Errorf("vm: %w: recompile replay failed for method %d level %d: %v", snap.ErrDecode, e.methodID, e.level, err)
 		}
 	}
-	*immortal = scratch
-	vm.results = results
-	vm.failure = failure
-	vm.started = started
-	vm.allocations = allocations
-	vm.allocatedByte = allocatedByte
-	vm.recompileLog = log
+	*vm.Immortal = s.immortal
+	vm.results = s.results
+	vm.failure = nil
+	if s.failed {
+		vm.failure = errors.New(s.failure)
+	}
+	vm.started = s.started
+	vm.allocations = s.allocations
+	vm.allocatedByte = s.allocatedByte
+	vm.recompileLog = s.log
 	return nil
 }
