@@ -55,6 +55,10 @@ verify-opt:
 # optimization's Restore panics on, or fails with anything but
 # snap.ErrDecode for, an arbitrary component blob), FuzzDecodeSnapshot
 # (the same for the snapshot container every warm start parses),
+# FuzzRestoreSystem (a mutated whole snapshot restored into a freshly
+# booted system: nil, snap.ErrDecode or core.ErrSnapshotMismatch, never
+# a panic; its inputs are ~1 MB, so minimizing a new one is capped at
+# ten runs — the default minute would eat the whole budget),
 # FuzzCanonical (the cache-key contract over the Options space) and
 # FuzzResolve (request bytes → decodeRequest → Resolver.resolve: stable
 # error codes, stable keys). A crasher lands in the package's
@@ -62,6 +66,7 @@ verify-opt:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzOptRestore$$' -fuzztime=10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSnapshot$$' -fuzztime=10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzRestoreSystem$$' -fuzztime=10s -fuzzminimizetime=10x ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzCanonical$$' -fuzztime=10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzResolve$$' -fuzztime=10s ./internal/serve
 
