@@ -26,31 +26,29 @@ const (
 	snapVersion   = 1
 )
 
-// vmState is the wire form: the serialized fields, copied out of the VM
-// so that Restore can validate and replay the log before any of them
-// reaches it. The failure travels as a flag and its message.
-type vmState struct {
-	immortal      heap.BumpSpace
-	results       []int64
-	failed        bool
-	failure       string
-	started       bool
-	allocations   uint64
-	allocatedByte uint64
-	log           []recompileEntry
-}
-
-func (s *vmState) walk(c *snap.Codec) {
-	s.immortal.Walk(c)
+// walk is the VM's layout: the immortal space, then the vmState fields.
+// The failure travels as a flag and its message.
+func (s *vmState) walk(c *snap.Codec, immortal *heap.BumpSpace) {
+	immortal.Walk(c)
 	snap.Slice(c, &s.results, (*snap.Codec).I64)
-	c.Bool(&s.failed)
-	if s.failed {
-		c.String(&s.failure)
+	failed, msg := s.failure != nil, ""
+	if failed {
+		msg = s.failure.Error()
+	}
+	c.Bool(&failed)
+	if failed {
+		c.String(&msg)
+	}
+	if c.R != nil {
+		s.failure = nil
+		if failed {
+			s.failure = errors.New(msg)
+		}
 	}
 	c.Bool(&s.started)
 	c.U64(&s.allocations)
 	c.U64(&s.allocatedByte)
-	snap.Slice(c, &s.log, func(c *snap.Codec, e *recompileEntry) {
+	snap.Slice(c, &s.recompileLog, func(c *snap.Codec, e *recompileEntry) {
 		snap.Int(c, &e.methodID)
 		snap.Int(c, &e.level)
 	})
@@ -58,12 +56,7 @@ func (s *vmState) walk(c *snap.Codec) {
 
 // Snapshot serializes the VM's mutable state.
 func (vm *VM) Snapshot() snap.ComponentState {
-	s := vmState{immortal: *vm.Immortal, results: vm.results, started: vm.started,
-		allocations: vm.allocations, allocatedByte: vm.allocatedByte, log: vm.recompileLog}
-	if vm.failure != nil {
-		s.failed, s.failure = true, vm.failure.Error()
-	}
-	return snap.Encode(snapComponent, snapVersion, s.walk)
+	return snap.Encode(snapComponent, snapVersion, func(c *snap.Codec) { vm.walk(c, vm.Immortal) })
 }
 
 // checkLog validates every recompile-log entry against this VM before
@@ -104,32 +97,25 @@ func (vm *VM) checkLog(log []recompileEntry) error {
 // refuses leaves the earlier entries installed. The VM's own log is no
 // longer empty then, so it refuses every later Restore.
 func (vm *VM) Restore(st snap.ComponentState) error {
-	s := vmState{immortal: *vm.Immortal}
-	if err := snap.Decode(st, snapComponent, snapVersion, s.walk); err != nil {
+	next, immortal := vm.vmState, *vm.Immortal
+	if err := snap.Decode(st, snapComponent, snapVersion, func(c *snap.Codec) { next.walk(c, &immortal) }); err != nil {
 		return err
 	}
 	if len(vm.recompileLog) != 0 {
 		return fmt.Errorf("vm: restore requires a freshly booted VM (recompile log not empty)")
 	}
-	if err := vm.checkLog(s.log); err != nil {
+	if err := vm.checkLog(next.recompileLog); err != nil {
 		return err
 	}
-	for _, e := range s.log {
+	for _, e := range next.recompileLog {
 		if e.methodID == padMethodID {
 			vm.InstallPad(e.level)
 		} else if err := vm.CompileMethod(vm.U.Method(e.methodID), e.level); err != nil {
 			return fmt.Errorf("vm: %w: recompile replay failed for method %d level %d: %v", snap.ErrDecode, e.methodID, e.level, err)
 		}
 	}
-	*vm.Immortal = s.immortal
-	vm.results = s.results
-	vm.failure = nil
-	if s.failed {
-		vm.failure = errors.New(s.failure)
-	}
-	vm.started = s.started
-	vm.allocations = s.allocations
-	vm.allocatedByte = s.allocatedByte
-	vm.recompileLog = s.log
+	// The replay logged itself into the live state; the decoded log is
+	// the same entries.
+	*vm.Immortal, vm.vmState = immortal, next
 	return nil
 }

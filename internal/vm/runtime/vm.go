@@ -78,16 +78,14 @@ type VM struct {
 	// run with that error. Installed by core.System.RunContext.
 	cancel func() error
 
-	results []int64
-	failure error
-	started bool
+	// vmState is what a snapshot serializes, beside the immortal space.
+	vmState
 
 	// bootDone marks the end of the boot sequence (BuildDispatch +
 	// CompileAll); compilations after this point are recorded in
 	// recompileLog so a restored system can replay them and rebuild the
 	// exact code layout of the snapshot's origin (see snapshot.go).
-	bootDone     bool
-	recompileLog []recompileEntry
+	bootDone bool
 
 	// levels tracks each method's current optimization level so a
 	// relocation (CompileMethod at the same level) preserves it. Kept
@@ -98,12 +96,20 @@ type VM struct {
 	// Cost model for VM services.
 	AllocTrapCycles uint64 // fixed overhead per allocation trap
 
-	// Counters.
-	allocations   uint64
-	allocatedByte uint64
-
 	// onRecompile hooks observe method recompilation (monitor refresh).
 	onRecompile []func(methodID int)
+}
+
+// vmState is the VM's serialized mutable state (snapshot.go walks it in
+// this order): emitted results, the failure and start flags, the
+// allocation counters and the post-boot recompile log.
+type vmState struct {
+	results       []int64
+	failure       error
+	started       bool
+	allocations   uint64
+	allocatedByte uint64
+	recompileLog  []recompileEntry
 }
 
 // The memory's page directory must span the whole layout: an address
