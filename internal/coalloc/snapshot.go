@@ -34,8 +34,9 @@ func (p *Policy) walk(c *snap.Codec) {
 	})
 	// byClass shares its *fieldState values with the fields table, so
 	// it travels as class ID → field ID and is re-pointed on decode.
-	fieldOf := make(map[int]int, len(p.byClass))
+	var fieldOf map[int]int
 	if c.R == nil {
+		fieldOf = make(map[int]int, len(p.byClass))
 		for classID, fs := range p.byClass {
 			fieldOf[classID] = fs.field.ID
 		}
