@@ -1,244 +1,90 @@
 // Package gencopy implements the generational copying collector used
-// as the Figure 6 comparator: the same Appel-style nursery as GenMS,
-// but a semispace copying mature space. Copying generally improves
-// mature-space locality (survivors are compacted in breadth-first
-// order) at the cost of a copy reserve — half the mature budget is
-// unusable — which is why GenMS + co-allocation wins at small heap
-// sizes (§6.3, Figure 6).
+// as the Figure 6 comparator: the shared generational front half
+// (package gen — the very nursery, write barrier, large-object space
+// and budget GenMS runs on) over a semispace copying mature space.
+// Copying generally improves mature-space locality (survivors are
+// compacted in breadth-first order) at the cost of a copy reserve —
+// half the mature budget is unusable — which is why GenMS +
+// co-allocation wins at small heap sizes (§6.3, Figure 6).
 package gencopy
 
 import (
 	"fmt"
 
+	"hpmvm/internal/gc/gen"
 	"hpmvm/internal/gc/heap"
 	"hpmvm/internal/vm/classfile"
 	"hpmvm/internal/vm/runtime"
 )
 
-// Config sizes the collector.
-type Config struct {
-	HeapLimit       uint64
-	MinNursery      uint64
-	MaxNursery      uint64
-	PerObjectCycles uint64
-}
+// Config sizes the collector; both collectors share the front half's.
+type Config = gen.Config
 
 // DefaultConfig returns a config with the given heap limit.
-func DefaultConfig(heapLimit uint64) Config {
-	return Config{
-		HeapLimit:       heapLimit,
-		MinNursery:      256 * 1024,
-		MaxNursery:      1024 * 1024,
-		PerObjectCycles: 12,
-	}
-}
+func DefaultConfig(heapLimit uint64) Config { return gen.DefaultConfig(heapLimit) }
 
 // Stats describes collector activity.
 type Stats struct {
-	MinorGCs        uint64
-	MajorGCs        uint64
-	PromotedObjects uint64
-	PromotedBytes   uint64
-	CopiedObjects   uint64 // objects copied by major collections
-	CopiedBytes     uint64
-	GCCycles        uint64
-	BarrierRecords  uint64
+	gen.Counters
+	CopiedObjects uint64 // objects copied by major collections
+	CopiedBytes   uint64
 }
 
 const semiSplit = (heap.MatureBase + heap.MatureEnd) / 2
 
-// Collector is the GenCopy policy.
+// Collector is the GenCopy policy: the generational front half over
+// two semispaces.
 type Collector struct {
-	vm  *runtime.VM
-	cfg Config
+	gen.Heap
+	semi   [2]*heap.BumpSpace
+	active int
 
-	nursery *heap.BumpSpace
-	semi    [2]*heap.BumpSpace
-	active  int
-	los     *heap.LargeObjectSpace
+	copiedObjects, copiedBytes uint64
 
-	remset []uint64
-	stats  Stats
-	queue  []uint64 // LOS scan queue during major GC
+	queue []uint64 // LOS scan queue during a major collection
 }
 
 // New wires a GenCopy collector into the VM.
 func New(vm *runtime.VM, cfg Config) *Collector {
-	c := &Collector{
-		vm:      vm,
-		cfg:     cfg,
-		nursery: heap.NewBumpSpace("nursery", heap.NurseryBase, heap.NurseryEnd),
-		los:     heap.NewLOS(heap.LOSBase, heap.LOSEnd),
-	}
+	c := &Collector{}
 	c.semi[0] = heap.NewBumpSpace("mature-0", heap.MatureBase, semiSplit)
 	c.semi[1] = heap.NewBumpSpace("mature-1", semiSplit, heap.MatureEnd)
-	c.resizeNursery()
-	vm.CPU.Barrier = c.barrier
+	c.Init(vm, cfg, "GenCopy", c)
 	vm.Collector = c
 	return c
 }
 
-// Name implements runtime.Collector.
-func (c *Collector) Name() string { return "GenCopy" }
-
-// HeapLimit implements runtime.Collector.
-func (c *Collector) HeapLimit() uint64 { return c.cfg.HeapLimit }
-
-// Collections implements runtime.Collector.
-func (c *Collector) Collections() (minor, major uint64) {
-	return c.stats.MinorGCs, c.stats.MajorGCs
-}
-
 // Stats returns a snapshot.
-func (c *Collector) Stats() Stats { return c.stats }
+func (c *Collector) Stats() Stats {
+	return Stats{Counters: c.Counters, CopiedObjects: c.copiedObjects, CopiedBytes: c.copiedBytes}
+}
 
 // MatureUsedBytes returns live bytes in the active semispace.
 func (c *Collector) MatureUsedBytes() uint64 { return c.semi[c.active].Used() }
 
-func (c *Collector) barrier(slot, value uint64) {
-	if heap.InImmortal(slot) && (heap.InNursery(value) || heap.InMature(value) || heap.InLOS(value)) {
-		// Immortal objects are immutable after setup by design
-		// (DESIGN.md §7): the collectors do not scan the immortal
-		// space, so such a store would create an untraced edge.
-		panic(fmt.Sprintf("gencopy: reference store into immortal object (slot %#x <- %#x)", slot, value))
+// Footprint implements gen.Mature: both semispaces' worth of budget
+// (the copy reserve) — the space-efficiency cost the paper contrasts
+// with GenMS.
+func (c *Collector) Footprint() uint64 { return 2 * c.semi[c.active].Used() }
+
+// Promote implements gen.Mature: it bump-allocates the survivor in the
+// active semispace.
+func (c *Collector) Promote(obj uint64) uint64 {
+	size := c.VM.SizeOf(obj)
+	dst := c.semi[c.active].Alloc(size)
+	if dst == 0 {
+		panic(fmt.Sprintf("gencopy: semispace exhausted promoting %d bytes", size))
 	}
-	if heap.InNursery(value) && !heap.InNursery(slot) {
-		c.remset = append(c.remset, slot)
-		c.stats.BarrierRecords++
-		c.vm.CPU.AddCycles(4)
-	}
+	c.Evacuate(obj, dst, size)
+	return dst
 }
 
-// usedBudget counts both semispaces' worth of budget (the copy
-// reserve) plus LOS pages — the space-efficiency cost the paper
-// contrasts with GenMS.
-func (c *Collector) usedBudget() uint64 {
-	return 2*c.semi[c.active].Used() + c.los.Used()
-}
-
-func (c *Collector) resizeNursery() bool {
-	used := c.usedBudget()
-	if used >= c.cfg.HeapLimit {
-		return false
-	}
-	n := (c.cfg.HeapLimit - used) / 2
-	if n > c.cfg.MaxNursery {
-		n = c.cfg.MaxNursery
-	}
-	if n < c.cfg.MinNursery {
-		if c.cfg.HeapLimit-used < c.cfg.MinNursery {
-			return false
-		}
-		n = c.cfg.MinNursery
-	}
-	c.nursery.SetSoftLimit(n &^ 7)
-	return true
-}
-
-// Alloc implements runtime.Collector.
-func (c *Collector) Alloc(size uint64) uint64 {
-	if size > runtime.LargeObjectThreshold {
-		return c.allocLarge(size)
-	}
-	if a := c.nursery.Alloc(size); a != 0 {
-		return a
-	}
-	c.MinorGC()
-	if a := c.nursery.Alloc(size); a != 0 {
-		return a
-	}
-	return 0
-}
-
-func (c *Collector) allocLarge(size uint64) uint64 {
-	need := (size + heap.LOSPageSize - 1) &^ (heap.LOSPageSize - 1)
-	if c.usedBudget()+need+c.cfg.MinNursery > c.cfg.HeapLimit {
-		c.MinorGC()
-		c.MajorGC()
-		if c.usedBudget()+need+c.cfg.MinNursery > c.cfg.HeapLimit {
-			return 0
-		}
-	}
-	return c.los.Alloc(size)
-}
-
-// MinorGC promotes nursery survivors into the active semispace.
-func (c *Collector) MinorGC() {
-	start := c.vm.CPU.Cycles()
-	c.stats.MinorGCs++
-	vm := c.vm
-	to := c.semi[c.active]
-
-	var gray []uint64
-	promote := func(obj uint64) uint64 {
-		if dst, ok := vm.Forwarded(obj); ok {
-			return dst
-		}
-		size := vm.SizeOf(obj)
-		dst := to.Alloc(size)
-		if dst == 0 {
-			panic(fmt.Sprintf("gencopy: semispace exhausted promoting %d bytes", size))
-		}
-		vm.CopyObject(dst, obj, size)
-		vm.SetForwarding(obj, dst)
-		c.stats.PromotedObjects++
-		c.stats.PromotedBytes += size
-		gray = append(gray, dst)
-		return dst
-	}
-
-	for _, r := range vm.CollectRoots() {
-		if v := vm.RootGet(r); heap.InNursery(v) {
-			vm.RootSet(r, promote(v))
-		}
-	}
-	for _, slot := range c.remset {
-		if v := vm.CPU.LoadWord(slot); heap.InNursery(v) {
-			vm.CPU.StoreWord(slot, promote(v))
-		}
-	}
-	c.remset = c.remset[:0]
-
-	for len(gray) > 0 {
-		obj := gray[len(gray)-1]
-		gray = gray[:len(gray)-1]
-		vm.CPU.AddCycles(c.cfg.PerObjectCycles)
-		vm.ForEachRef(obj, func(slot uint64) {
-			if v := vm.CPU.LoadWord(slot); heap.InNursery(v) {
-				vm.CPU.StoreWord(slot, promote(v))
-			}
-		})
-	}
-
-	c.nursery.Reset()
-	c.stats.GCCycles += c.vm.CPU.Cycles() - start
-
-	if !c.resizeNursery() {
-		c.MajorGC()
-		if !c.resizeNursery() {
-			// Even a major collection could not free enough budget:
-			// hand out whatever remains, or close the nursery so the
-			// next allocation reports OOM.
-			rest := uint64(0)
-			if c.cfg.HeapLimit > c.usedBudget() {
-				rest = (c.cfg.HeapLimit - c.usedBudget()) &^ 7
-			}
-			if rest < 4096 {
-				rest = 0
-			}
-			c.nursery.SetSoftLimit(rest)
-		}
-	}
-}
-
-// MajorGC copies the live mature population into the other semispace
-// with a Cheney breadth-first scan, updating every root, to-space and
-// large-object reference, then sweeps the large-object space. Must run
-// with an empty nursery (it is always preceded by MinorGC).
-func (c *Collector) MajorGC() {
-	start := c.vm.CPU.Cycles()
-	c.stats.MajorGCs++
-	vm := c.vm
+// Collect implements gen.Mature: it copies the live mature population
+// into the other semispace with a Cheney breadth-first scan, updating
+// every root, to-space and large-object reference, and marks the live
+// large objects on the way.
+func (c *Collector) Collect() {
+	vm := c.VM
 	from := c.semi[c.active]
 	to := c.semi[1-c.active]
 	to.Reset()
@@ -256,8 +102,8 @@ func (c *Collector) MajorGC() {
 		}
 		vm.CopyObject(dst, obj, size)
 		vm.SetForwarding(obj, dst)
-		c.stats.CopiedObjects++
-		c.stats.CopiedBytes += size
+		c.copiedObjects++
+		c.copiedBytes += size
 		return dst
 	}
 	// visit processes a reference value, returning the (possibly
@@ -295,7 +141,7 @@ func (c *Collector) MajorGC() {
 			obj = c.queue[len(c.queue)-1]
 			c.queue = c.queue[:len(c.queue)-1]
 		}
-		vm.CPU.AddCycles(c.cfg.PerObjectCycles)
+		vm.CPU.AddCycles(c.Cfg.PerObjectCycles)
 		vm.ForEachRef(obj, func(slot uint64) {
 			v := vm.CPU.LoadWord(slot)
 			nv := visit(v)
@@ -305,17 +151,6 @@ func (c *Collector) MajorGC() {
 		})
 	}
 
-	// Sweep the LOS and clear marks.
-	for _, obj := range c.los.Objects() {
-		fl := vm.FlagsOf(obj)
-		if fl&classfile.FlagMark == 0 {
-			c.los.Free(obj)
-		} else {
-			vm.SetFlags(obj, fl&^classfile.FlagMark)
-		}
-	}
-
 	from.Reset()
 	c.active = 1 - c.active
-	c.stats.GCCycles += c.vm.CPU.Cycles() - start
 }

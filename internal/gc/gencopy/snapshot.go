@@ -16,22 +16,21 @@ const (
 
 // walk is the collector's layout.
 func (c *Collector) walk(k *snap.Codec) {
-	c.nursery.Walk(k)
+	c.Nursery.Walk(k)
 	c.semi[0].Walk(k)
 	c.semi[1].Walk(k)
 	snap.Int(k, &c.active)
 	k.Check(c.active == 0 || c.active == 1, "active semispace index %d", c.active)
-	c.los.Walk(k)
-	snap.Slice(k, &c.remset, (*snap.Codec).U64)
-	st := &c.stats
-	k.U64(&st.MinorGCs)
-	k.U64(&st.MajorGCs)
-	k.U64(&st.PromotedObjects)
-	k.U64(&st.PromotedBytes)
-	k.U64(&st.CopiedObjects)
-	k.U64(&st.CopiedBytes)
-	k.U64(&st.GCCycles)
-	k.U64(&st.BarrierRecords)
+	c.LOS.Walk(k)
+	snap.Slice(k, &c.Remset, (*snap.Codec).U64)
+	k.U64(&c.MinorGCs)
+	k.U64(&c.MajorGCs)
+	k.U64(&c.PromotedObjects)
+	k.U64(&c.PromotedBytes)
+	k.U64(&c.copiedObjects)
+	k.U64(&c.copiedBytes)
+	k.U64(&c.GCCycles)
+	k.U64(&c.BarrierRecords)
 }
 
 // Snapshot serializes the collector's mutable state.
@@ -43,12 +42,11 @@ func (c *Collector) Snapshot() snap.ComponentState {
 // holds its spaces, so committing swaps in the scratch copies.
 func (c *Collector) Restore(st snap.ComponentState) error {
 	next := *c
-	next.nursery, next.los = snap.Scratch(c.nursery), snap.Scratch(c.los)
+	next.Nursery, next.LOS = snap.Scratch(c.Nursery), snap.Scratch(c.LOS)
 	next.semi = [2]*heap.BumpSpace{snap.Scratch(c.semi[0]), snap.Scratch(c.semi[1])}
 	if err := snap.Decode(st, snapComponent, snapVersion, next.walk); err != nil {
 		return err
 	}
-	next.queue = c.queue[:0]
 	*c = next
 	return nil
 }

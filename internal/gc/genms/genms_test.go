@@ -356,8 +356,8 @@ func TestNurseryResizesWithHeapPressure(t *testing.T) {
 		t.Fatalf("sum = %d, want %d", got[0], want)
 	}
 	col := vm.Collector.(*genms.Collector)
-	if col.NurserySize() >= 1<<20 {
-		t.Errorf("nursery did not shrink under pressure: %d", col.NurserySize())
+	if col.Nursery.SoftSize() >= 1<<20 {
+		t.Errorf("nursery did not shrink under pressure: %d", col.Nursery.SoftSize())
 	}
 	if col.MatureUsedBytes() == 0 {
 		t.Error("nothing promoted")

@@ -15,10 +15,10 @@ const (
 
 // walk is the collector's layout.
 func (c *Collector) walk(k *snap.Codec) {
-	c.nursery.Walk(k)
+	c.Nursery.Walk(k)
 	c.mature.Walk(k)
-	c.los.Walk(k)
-	snap.Slice(k, &c.remset, (*snap.Codec).U64)
+	c.LOS.Walk(k)
+	snap.Slice(k, &c.Remset, (*snap.Codec).U64)
 	snap.Map(k, &c.pairs, snap.Pair((*snap.Codec).U64, (*snap.Codec).U64))
 	snap.Slice(k, &c.ranges, func(k *snap.Codec, rg *pairRange) {
 		k.U64(&rg.start)
@@ -26,17 +26,17 @@ func (c *Collector) walk(k *snap.Codec) {
 		k.Bool(&rg.gapped)
 	})
 	k.Bool(&c.rangesDirty)
-	st := &c.stats
-	k.U64(&st.MinorGCs)
-	k.U64(&st.MajorGCs)
-	k.U64(&st.PromotedObjects)
-	k.U64(&st.PromotedBytes)
-	k.U64(&st.CoallocPairs)
-	k.U64(&st.CoallocBytes)
-	k.U64(&st.SweptCells)
-	k.U64(&st.GCCycles)
-	k.U64(&st.BarrierRecords)
-	k.F64(&st.Fragmentation)
+	k.U64(&c.MinorGCs)
+	k.U64(&c.MajorGCs)
+	k.U64(&c.PromotedObjects)
+	k.U64(&c.PromotedBytes)
+	k.U64(&c.coallocPairs)
+	k.U64(&c.coallocBytes)
+	k.U64(&c.sweptCells)
+	k.U64(&c.GCCycles)
+	k.U64(&c.BarrierRecords)
+	// Stats computes the fragmentation; version 1 records a zero here.
+	k.Same(0, "fragmentation word")
 }
 
 // Snapshot serializes the collector's mutable state.
@@ -48,11 +48,10 @@ func (c *Collector) Snapshot() snap.ComponentState {
 // holds its spaces, so committing swaps in the scratch copies.
 func (c *Collector) Restore(st snap.ComponentState) error {
 	next := *c
-	next.nursery, next.mature, next.los = snap.Scratch(c.nursery), snap.Scratch(c.mature), snap.Scratch(c.los)
+	next.Nursery, next.mature, next.LOS = snap.Scratch(c.Nursery), snap.Scratch(c.mature), snap.Scratch(c.LOS)
 	if err := snap.Decode(st, snapComponent, snapVersion, next.walk); err != nil {
 		return err
 	}
-	next.queue = c.queue[:0]
 	*c = next
 	return nil
 }
