@@ -175,10 +175,10 @@ func (p *Policy) decided(now uint64, f *classfile.Field, gap, code uint64) {
 	}
 }
 
-// HottestField implements genms.Advisor. Field states are registered
-// under the declaring class; instances of subclasses inherit the
-// decision.
-func (p *Policy) HottestField(cl *classfile.Class) (*classfile.Field, uint64) {
+// hottestField is the plain policy's one candidate. Field states are
+// registered under the declaring class; instances of subclasses inherit
+// the decision.
+func (p *Policy) hottestField(cl *classfile.Class) (*classfile.Field, uint64) {
 	var st *fieldState
 	for c := cl; c != nil; c = c.Super {
 		if s := p.byClass[c.ID]; s != nil {
@@ -192,13 +192,13 @@ func (p *Policy) HottestField(cl *classfile.Class) (*classfile.Field, uint64) {
 	return st.field, st.gap
 }
 
-// RankedFields implements genms.RankedAdvisor: the per-class candidate
-// list of §5.4, hottest first. With Config.Ranked off it degenerates
-// to the single hottest field, preserving the plain policy's behavior.
-func (p *Policy) RankedFields(cl *classfile.Class) []genms.RankedField {
+// Candidates implements genms.Advisor: the per-class candidate list of
+// §5.4, hottest first. With Config.Ranked off it degenerates to the
+// single hottest field, preserving the plain policy's behavior.
+func (p *Policy) Candidates(cl *classfile.Class) []genms.Candidate {
 	if !p.cfg.Ranked {
-		if f, gap := p.HottestField(cl); f != nil {
-			return []genms.RankedField{{Field: f, Gap: gap}}
+		if f, gap := p.hottestField(cl); f != nil {
+			return []genms.Candidate{{Field: f, Gap: gap}}
 		}
 		return nil
 	}
@@ -221,9 +221,9 @@ func (p *Policy) RankedFields(cl *classfile.Class) []genms.RankedField {
 		}
 		return states[i].field.ID < states[j].field.ID
 	})
-	out := make([]genms.RankedField, len(states))
+	out := make([]genms.Candidate, len(states))
 	for i, st := range states {
-		out[i] = genms.RankedField{Field: st.field, Gap: st.gap}
+		out[i] = genms.Candidate{Field: st.field, Gap: st.gap}
 	}
 	return out
 }

@@ -23,35 +23,27 @@ import (
 
 // Advisor supplies co-allocation decisions. The production
 // implementation (package coalloc) ranks reference fields by sampled
-// cache misses; returning nil means "do not co-allocate for this
-// class".
+// cache misses.
 type Advisor interface {
-	// HottestField returns the reference field of cl whose referent
-	// should be co-allocated with the parent, or nil. gap is the
-	// number of padding bytes to insert between parent and child
-	// (normally 0; Figure 8 forces one cache line to demonstrate
-	// online detection of a poor placement decision).
-	HottestField(cl *classfile.Class) (f *classfile.Field, gap uint64)
+	// Candidates returns the reference fields of cl whose referent
+	// should be co-allocated with the parent, hottest first; none means
+	// "do not co-allocate for this class". §5.4: "the VM keeps a list of
+	// the reference fields for each class type sorted by number of
+	// associated cache misses" — when the hottest field's child is
+	// ineligible at promotion time (already forwarded, not in the
+	// nursery, or too large for a shared cell), the collector falls
+	// back to the next one.
+	Candidates(cl *classfile.Class) []Candidate
 	// CoallocationPerformed tells the advisor a pair was placed with
 	// the given gap (for its per-placement-variant bookkeeping).
 	CoallocationPerformed(f *classfile.Field, gap uint64)
 }
 
-// RankedAdvisor optionally extends Advisor with the full per-class
-// candidate list of §5.4 ("the VM keeps a list of the reference fields
-// for each class type sorted by number of associated cache misses"):
-// when the hottest field's child is ineligible at promotion time
-// (already forwarded, not in the nursery, or too large for a shared
-// cell), the collector falls back to the next-ranked field.
-type RankedAdvisor interface {
-	Advisor
-	// RankedFields returns cl's candidate reference fields hottest
-	// first, with their placement gaps.
-	RankedFields(cl *classfile.Class) []RankedField
-}
-
-// RankedField is one co-allocation candidate.
-type RankedField struct {
+// Candidate is one co-allocation candidate: a field and the number of
+// padding bytes to insert between parent and child (normally 0; Figure
+// 8 forces one cache line to demonstrate online detection of a poor
+// placement decision).
+type Candidate struct {
 	Field *classfile.Field
 	Gap   uint64
 }
@@ -167,17 +159,9 @@ func (c *Collector) Promote(obj uint64) uint64 {
 
 	// Co-allocation (§5.4): if the class has a hot reference field and
 	// the child is an un-promoted nursery object, request one cell for
-	// both so they land on the same cache line. Advisors implementing
-	// RankedAdvisor supply the full sorted candidate list; plain
-	// advisors supply just the hottest field.
+	// both so they land on the same cache line.
 	if c.advisor != nil && !cl.IsArray {
-		var candidates []RankedField
-		if ra, ok := c.advisor.(RankedAdvisor); ok {
-			candidates = ra.RankedFields(cl)
-		} else if f, gap := c.advisor.HottestField(cl); f != nil {
-			candidates = []RankedField{{Field: f, Gap: gap}}
-		}
-		for _, cand := range candidates {
+		for _, cand := range c.advisor.Candidates(cl) {
 			f, gap := cand.Field, cand.Gap
 			child := vm.CPU.LoadWord(obj + f.Offset)
 			if !heap.InNursery(child) {

@@ -213,11 +213,11 @@ type alwaysAdvisor struct {
 	count int
 }
 
-func (a *alwaysAdvisor) HottestField(cl *classfile.Class) (*classfile.Field, uint64) {
+func (a *alwaysAdvisor) Candidates(cl *classfile.Class) []genms.Candidate {
 	if cl == a.field.Class {
-		return a.field, a.gap
+		return []genms.Candidate{{Field: a.field, Gap: a.gap}}
 	}
-	return nil, 0
+	return nil
 }
 
 func (a *alwaysAdvisor) CoallocationPerformed(f *classfile.Field, gap uint64) { a.count++ }
@@ -430,20 +430,12 @@ func TestStoreIntoImmortalPanics(t *testing.T) {
 
 // rankedAdvisor returns a fixed candidate list (hottest first).
 type rankedAdvisor struct {
-	cands []genms.RankedField
+	cands []genms.Candidate
 	done  map[string]int
 }
 
-func (r *rankedAdvisor) HottestField(cl *classfile.Class) (*classfile.Field, uint64) {
-	for _, c := range r.cands {
-		if c.Field.Class == cl {
-			return c.Field, c.Gap
-		}
-	}
-	return nil, 0
-}
-func (r *rankedAdvisor) RankedFields(cl *classfile.Class) []genms.RankedField {
-	var out []genms.RankedField
+func (r *rankedAdvisor) Candidates(cl *classfile.Class) []genms.Candidate {
+	var out []genms.Candidate
 	for _, c := range r.cands {
 		if c.Field.Class == cl {
 			out = append(out, c)
@@ -500,7 +492,7 @@ func TestRankedFallbackUsesSecondCandidate(t *testing.T) {
 
 	vm := runtime.New(u, cache.DefaultP4())
 	col := genms.New(vm, genms.DefaultConfig(8<<20))
-	adv := &rankedAdvisor{cands: []genms.RankedField{{Field: fBig}, {Field: fSmall}}}
+	adv := &rankedAdvisor{cands: []genms.Candidate{{Field: fBig}, {Field: fSmall}}}
 	col.SetAdvisor(adv)
 	vm.BuildDispatch()
 	if err := vm.CompileAll(vmtest.AllOpt(u, 2)); err != nil {
