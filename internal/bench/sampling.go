@@ -194,10 +194,9 @@ func RunSampledPass(b Builder, base RunConfig, intervals []uint64, reps int) (*S
 	return pass, nil
 }
 
-// newSampledLane wires one monitored lane onto the shared system,
-// mirroring the session setup of an exact monitored run
-// (core.System.runFrom): same PEBS config, same auto-mode starting
-// interval, same configure/start charges — billed to the lane clock.
+// newSampledLane wires one monitored lane onto the shared system with
+// the session of an exact monitored run (core.SessionConfig) and the
+// same configure/start charges — billed to the lane clock.
 func newSampledLane(sys *core.System, interval uint64, seed int64) (*sampledLane, error) {
 	clk := &laneClock{cpu: sys.VM.CPU}
 	unit := pebs.NewUnit(clk, rand.New(rand.NewSource(seed)))
@@ -208,14 +207,7 @@ func newSampledLane(sys *core.System, interval uint64, seed int64) (*sampledLane
 	mon := monitor.New(sys.VM, mod, mcfg)
 	mon.SetClock(clk)
 
-	pcfg := pebs.DefaultConfig()
-	if interval != 0 {
-		pcfg.Interval = interval
-	} else {
-		// Auto mode starts from the same fine interval as an exact run.
-		pcfg.Interval = 10_000
-	}
-	if err := mod.ConfigureSession(pcfg); err != nil {
+	if err := mod.ConfigureSession(core.SessionConfig(interval, cache.EventL1Miss)); err != nil {
 		return nil, err
 	}
 	mod.Start()

@@ -374,6 +374,21 @@ func (s *System) RunToCycle(ctx context.Context, entry *classfile.Method, maxCyc
 	return s.runFrom(ctx, entry, maxCycles, pauseAt)
 }
 
+// SessionConfig is the PEBS session of a monitored run: the paper's
+// operating point on the given event, sampling every interval events.
+// Interval 0 is auto mode, which starts from a fine interval so the
+// controller has samples to steer with early in the (short, scaled)
+// run; it widens the interval as soon as the rate target is exceeded.
+func SessionConfig(interval uint64, event cache.EventKind) pebs.Config {
+	cfg := pebs.DefaultConfig()
+	cfg.Event = event
+	cfg.Interval = interval
+	if interval == 0 {
+		cfg.Interval = 10_000
+	}
+	return cfg
+}
+
 func (s *System) runFrom(ctx context.Context, entry *classfile.Method, maxCycles, pauseAt uint64) (bool, error) {
 	if done := ctx.Done(); done != nil {
 		s.VM.SetCancel(func() error {
@@ -392,18 +407,7 @@ func (s *System) runFrom(ctx context.Context, entry *classfile.Method, maxCycles
 	s.ran = true
 
 	if s.Opts.Monitoring {
-		pcfg := pebs.DefaultConfig()
-		pcfg.Event = s.Opts.Event
-		if s.Opts.SamplingInterval != 0 {
-			pcfg.Interval = s.Opts.SamplingInterval
-		} else {
-			// Auto mode: start from a fine interval so the controller
-			// has samples to steer with early in the (short, scaled)
-			// run; it widens the interval as soon as the rate target
-			// is exceeded.
-			pcfg.Interval = 10_000
-		}
-		if err := s.Module.ConfigureSession(pcfg); err != nil {
+		if err := s.Module.ConfigureSession(SessionConfig(s.Opts.SamplingInterval, s.Opts.Event)); err != nil {
 			return false, fmt.Errorf("core: %w", err)
 		}
 		s.Module.Start()
