@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"strings"
 	"testing"
 
 	"hpmvm/internal/vm/bytecode"
@@ -152,5 +153,13 @@ func TestExperimentNameValidation(t *testing.T) {
 	out, err := RunExperiment("table1", ExpOptions{Workloads: []string{"_unit_tiny"}})
 	if err != nil || out == "" {
 		t.Errorf("table1 failed: %v", err)
+	}
+	// table1 resolves names like every other experiment: a misspelt
+	// workload is an error, not a silently shorter table.
+	for _, exp := range []string{"table1", "table2"} {
+		if _, err := RunExperiment(exp, ExpOptions{Workloads: []string{"nosuch", "_unit_tiny"}}); err == nil ||
+			!strings.Contains(err.Error(), `unknown workload "nosuch"`) {
+			t.Errorf("%s with an unknown workload: error = %v", exp, err)
+		}
 	}
 }

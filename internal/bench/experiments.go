@@ -22,7 +22,7 @@ var experiments = []struct {
 	name string
 	run  func(ExpOptions) (string, error)
 }{
-	{"table1", func(opt ExpOptions) (string, error) { return Table1(opt), nil }},
+	{"table1", Table1},
 	{"table2", Table2},
 	{"fig2", Fig2},
 	{"fig3", Fig3},
@@ -230,31 +230,30 @@ func RunExperimentFull(name string, opt ExpOptions) (ExpRun, error) {
 // Table1 lists the benchmark programs (the paper's Table 1). Universe
 // construction fans out on the engine; rows render in registration
 // order.
-func Table1(opt ExpOptions) string {
+func Table1(opt ExpOptions) (string, error) {
 	e := opt.engine()
-	names := opt.workloads()
+	names, builders, err := opt.builders()
+	if err != nil {
+		return "", err
+	}
 	progs := make([]*Program, len(names))
 	for i, name := range names {
-		builder, ok := Get(name)
-		if !ok {
-			continue
-		}
-		i := i
+		i, builder := i, builders[i]
 		e.Submit(name, func() error {
 			progs[i] = builder()
 			return nil
 		})
 	}
-	_ = e.Wait()
+	if err := e.Wait(); err != nil {
+		return "", err
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "Table 1: Benchmark programs\n")
 	fmt.Fprintf(&b, "%-11s %s\n", "program", "description")
 	for _, p := range progs {
-		if p != nil {
-			fmt.Fprintf(&b, "%-11s %s\n", p.Name, p.Description)
-		}
+		fmt.Fprintf(&b, "%-11s %s\n", p.Name, p.Description)
 	}
-	return b.String()
+	return b.String(), nil
 }
 
 // --- Table 2: space overhead ------------------------------------------------
