@@ -59,9 +59,11 @@ verify-opt:
 # booted system: nil, snap.ErrDecode or core.ErrSnapshotMismatch, never
 # a panic; its inputs are ~1 MB, so minimizing a new one is capped at
 # ten runs — the default minute would eat the whole budget),
-# FuzzCanonical (the cache-key contract over the Options space) and
+# FuzzCanonical (the cache-key contract over the Options space),
 # FuzzResolve (request bytes → decodeRequest → Resolver.resolve: stable
-# error codes, stable keys). A crasher lands in the package's
+# error codes, stable keys) and FuzzGCGraph (a seeded random object-graph
+# mutation sequence under baseline/opt2 × GenMS/GenCopy in a 1 MB heap
+# must checksum like its Go mirror). A crasher lands in the package's
 # testdata/fuzz/ — commit it with the fix.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzOptRestore$$' -fuzztime=10s ./internal/core
@@ -69,6 +71,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreSystem$$' -fuzztime=10s -fuzzminimizetime=10x ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzCanonical$$' -fuzztime=10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzResolve$$' -fuzztime=10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzGCGraph$$' -fuzztime=10s ./internal/gc/genms
 
 # Lines of non-test Go outside the frozen benchmark harness — the
 # number simplicity PRs quote before/after in CHANGES.md.

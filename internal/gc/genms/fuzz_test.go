@@ -2,6 +2,7 @@ package genms_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -175,44 +176,70 @@ func emitProgram(u *classfile.Universe, ops []fuzzOp) *classfile.Method {
 	return main
 }
 
+// checkGraph generates n operations from seed and runs them on both
+// compilers and both collectors against the Go mirror. It returns the
+// fewest minor collections any configuration performed.
+func checkGraph(t *testing.T, seed int64, n int) (minor uint64) {
+	t.Helper()
+	ops := genOps(rand.New(rand.NewSource(seed)), n)
+	want := goMirror(ops)
+
+	minor = math.MaxUint64
+	for _, cfg := range []struct {
+		name    string
+		level   int
+		genCopy bool
+	}{
+		{"baseline-genms", 0, false},
+		{"baseline-gencopy", 0, true},
+		{"opt2-genms", 2, false},
+		{"opt2-gencopy", 2, true},
+	} {
+		u := classfile.NewUniverse()
+		main := emitProgram(u, ops)
+		u.Layout()
+		opts := vmtest.Options{Heap: 1 << 20, GenCopy: cfg.genCopy}
+		if cfg.level > 0 {
+			opts.Plan = vmtest.AllOpt(u, cfg.level)
+		}
+		got, vm, err := vmtest.Run(u, main, opts)
+		if err != nil {
+			t.Fatalf("seed %d, %d ops, %s: %v", seed, n, cfg.name, err)
+		}
+		if got[0] != want {
+			t.Fatalf("seed %d, %d ops, %s: checksum %d, want %d", seed, n, cfg.name, got[0], want)
+		}
+		m, _ := vm.Collector.Collections()
+		minor = min(minor, m)
+	}
+	return minor
+}
+
+const (
+	fuzzSeeds    = 8 // seeds 1000.. of the seeded test, and the fuzz corpus
+	fuzzSeedOps  = 400
+	fuzzOpsLimit = 2048 // keeps one fuzz execution well under a second
+)
+
 func TestGCFuzzRandomGraphs(t *testing.T) {
-	trials := 8
-	opsPerTrial := 400
+	trials := fuzzSeeds
 	if testing.Short() {
 		trials = 2
 	}
 	for trial := 0; trial < trials; trial++ {
-		r := rand.New(rand.NewSource(int64(1000 + trial)))
-		ops := genOps(r, opsPerTrial)
-		want := goMirror(ops)
-
-		for _, cfg := range []struct {
-			name    string
-			level   int
-			genCopy bool
-		}{
-			{"baseline-genms", 0, false},
-			{"opt2-genms", 2, false},
-			{"opt2-gencopy", 2, true},
-		} {
-			u := classfile.NewUniverse()
-			main := emitProgram(u, ops)
-			u.Layout()
-			opts := vmtest.Options{Heap: 1 << 20, GenCopy: cfg.genCopy}
-			if cfg.level > 0 {
-				opts.Plan = vmtest.AllOpt(u, cfg.level)
-			}
-			got, vm, err := vmtest.Run(u, main, opts)
-			if err != nil {
-				t.Fatalf("trial %d %s: %v", trial, cfg.name, err)
-			}
-			if got[0] != want {
-				t.Fatalf("trial %d %s: checksum %d, want %d", trial, cfg.name, got[0], want)
-			}
-			minor, _ := vm.Collector.Collections()
-			if trial == 0 && minor == 0 {
-				t.Logf("trial %d %s: warning: no GC occurred", trial, cfg.name)
-			}
+		if checkGraph(t, int64(1000+trial), fuzzSeedOps) == 0 {
+			t.Errorf("trial %d: a configuration never collected — the sequence tests no collector", trial)
 		}
 	}
+}
+
+// FuzzGCGraph lets the fuzzer pick the seed and the length of the
+// sequence; `make fuzz-smoke` runs it for ten seconds.
+func FuzzGCGraph(f *testing.F) {
+	for trial := 0; trial < fuzzSeeds; trial++ {
+		f.Add(int64(1000+trial), uint16(fuzzSeedOps))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, ops uint16) {
+		checkGraph(t, seed, int(ops)%fuzzOpsLimit)
+	})
 }
