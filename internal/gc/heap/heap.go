@@ -116,7 +116,7 @@ func (s *BumpSpace) Reset() {
 type LargeObjectSpace struct {
 	Base, Limit uint64
 	cursor      uint64
-	free        []run // sorted by address
+	free        []run // in release order; Alloc first-fits over it
 	used        uint64
 	// sizes of live allocations, for sweeping and accounting.
 	sizes map[uint64]uint64
