@@ -35,6 +35,28 @@ func init() {
 			Expected: []int64{50_000 * 49_999 / 2},
 		}
 	})
+	// _unit_churn allocates ~1.4 MB of garbage nodes, enough for a
+	// minor collection at the default heap.
+	Register("_unit_churn", func() *Program {
+		u := classfile.NewUniverse()
+		node := u.DefineClass("Node", nil)
+		u.AddField(node, "v", classfile.KindInt)
+		cl := u.DefineClass("Churn", nil)
+		main := u.AddMethod(cl, "main", false, nil, classfile.KindVoid)
+		b := bytecode.NewBuilder(u, main)
+		b.Local("i", classfile.KindInt)
+		b.Label("loop")
+		b.Load("i").Const(60_000).If(bytecode.OpIfGE, "done")
+		b.New(node).Pop()
+		b.Inc("i", 1)
+		b.Goto("loop")
+		b.Label("done")
+		b.Load("i").Result()
+		b.Return()
+		b.MustBuild()
+		u.Layout()
+		return &Program{Name: "_unit_churn", U: u, Entry: main, MinHeap: 1 << 20, Expected: []int64{60_000}}
+	})
 }
 
 func TestRegistry(t *testing.T) {

@@ -7,60 +7,111 @@ import (
 	"sync"
 	"testing"
 
+	"hpmvm/internal/core"
 	"hpmvm/internal/obs"
 )
 
 // TestObserveCycleIdentical pins the observability layer's overhead
 // contract at the system level: attaching the observer must not change
 // a single simulated number. Identical seeds with and without Observe
-// must give bit-identical cycles, cache stats and program results.
+// must give bit-identical cycles, cache stats and program results —
+// under either collector, whose collections the observer must see.
 func TestObserveCycleIdentical(t *testing.T) {
-	b, _ := Get("_unit_tiny")
-	cfg := RunConfig{Coalloc: true, Interval: 1000, Seed: 7}
+	for _, tc := range []struct {
+		name, workload string
+		cfg            RunConfig
+	}{
+		{"genms-coalloc", "_unit_tiny", RunConfig{Coalloc: true, Interval: 1000, Seed: 7}},
+		{"genms-collecting", "_unit_churn", RunConfig{Seed: 7}},
+		{"gencopy-collecting", "_unit_churn", RunConfig{Collector: core.GenCopy, Seed: 7}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b, _ := Get(tc.workload)
+			cfg := tc.cfg
 
-	plain, _, err := Run(b, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Observe = true
-	cfg.TraceCapacity = 512
-	observed, sys, err := Run(b, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+			plain, _, err := Run(b, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Observe = true
+			cfg.TraceCapacity = 512
+			observed, sys, err := Run(b, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	if plain.Obs != nil {
-		t.Error("Result.Obs set without Observe")
-	}
-	if observed.Obs == nil {
-		t.Fatal("Result.Obs missing with Observe")
-	}
-	if plain.Cycles != observed.Cycles {
-		t.Errorf("observer perturbed cycles: %d vs %d", plain.Cycles, observed.Cycles)
-	}
-	if plain.Instret != observed.Instret {
-		t.Errorf("observer perturbed instret: %d vs %d", plain.Instret, observed.Instret)
-	}
-	if plain.Cache != observed.Cache {
-		t.Errorf("observer perturbed cache stats:\n%+v\nvs\n%+v", plain.Cache, observed.Cache)
-	}
-	if plain.MinorGCs != observed.MinorGCs || plain.MajorGCs != observed.MajorGCs ||
-		plain.GCCycles != observed.GCCycles || plain.SamplesTaken != observed.SamplesTaken {
-		t.Error("observer perturbed GC/sampling numbers")
-	}
-	if !reflect.DeepEqual(plain.Results, observed.Results) {
-		t.Error("observer perturbed program results")
-	}
+			if plain.Obs != nil {
+				t.Error("Result.Obs set without Observe")
+			}
+			if observed.Obs == nil {
+				t.Fatal("Result.Obs missing with Observe")
+			}
+			if plain.Cycles != observed.Cycles {
+				t.Errorf("observer perturbed cycles: %d vs %d", plain.Cycles, observed.Cycles)
+			}
+			if plain.Instret != observed.Instret {
+				t.Errorf("observer perturbed instret: %d vs %d", plain.Instret, observed.Instret)
+			}
+			if plain.Cache != observed.Cache {
+				t.Errorf("observer perturbed cache stats:\n%+v\nvs\n%+v", plain.Cache, observed.Cache)
+			}
+			if plain.MinorGCs != observed.MinorGCs || plain.MajorGCs != observed.MajorGCs ||
+				plain.GCCycles != observed.GCCycles || plain.SamplesTaken != observed.SamplesTaken {
+				t.Error("observer perturbed GC/sampling numbers")
+			}
+			if !reflect.DeepEqual(plain.Results, observed.Results) {
+				t.Error("observer perturbed program results")
+			}
+			if collects := tc.workload == "_unit_churn"; collects != (observed.MinorGCs > 0) {
+				t.Fatalf("%d minor collections on %s", observed.MinorGCs, tc.workload)
+			}
 
-	// The sampled counters must agree with the stats they mirror.
-	if v, ok := sys.Obs.Get("cache.accesses"); !ok || v != observed.Cache.Accesses {
-		t.Errorf("cache.accesses counter = %d/%v, want %d", v, ok, observed.Cache.Accesses)
-	}
-	if v, ok := sys.Obs.Get("pebs.samples_taken"); !ok || v != observed.SamplesTaken {
-		t.Errorf("pebs.samples_taken counter = %d/%v, want %d", v, ok, observed.SamplesTaken)
-	}
-	if sys.Obs.TraceDump().Emitted == 0 {
-		t.Error("observed run emitted no trace events")
+			// The sampled counters must agree with the stats they mirror.
+			for name, want := range map[string]uint64{
+				"cache.accesses": observed.Cache.Accesses,
+				"gc.minor":       observed.MinorGCs,
+				"gc.major":       observed.MajorGCs,
+				"gc.cycles":      observed.GCCycles,
+			} {
+				if v, ok := sys.Obs.Get(name); !ok || v != want {
+					t.Errorf("%s counter = %d/%v, want %d", name, v, ok, want)
+				}
+			}
+			if cfg.Coalloc {
+				if v, ok := sys.Obs.Get("pebs.samples_taken"); !ok || v != observed.SamplesTaken {
+					t.Errorf("pebs.samples_taken counter = %d/%v, want %d", v, ok, observed.SamplesTaken)
+				}
+				if sys.Obs.TraceDump().Emitted == 0 {
+					t.Error("observed run emitted no trace events")
+				}
+			}
+			// Every collection is traced: one start/end pair and one
+			// phase interval each, together worth GCCycles.
+			var starts, ends, traced uint64
+			for _, e := range sys.Obs.Events() {
+				switch e.Kind {
+				case obs.EvGCStart:
+					starts++
+				case obs.EvGCEnd:
+					ends++
+					traced += e.Arg1
+				}
+			}
+			collections := observed.MinorGCs + observed.MajorGCs
+			if starts != collections || ends != collections || traced != observed.GCCycles {
+				t.Errorf("trace has %d GC starts, %d ends, %d cycles; want %d, %d, %d",
+					starts, ends, traced, collections, collections, observed.GCCycles)
+			}
+			var phased uint64
+			for _, p := range observed.Obs.Phases {
+				if p.Name == "gc.minor" || p.Name == "gc.major" {
+					phased += p.Count
+				}
+			}
+			if phased != collections {
+				t.Errorf("gc.minor + gc.major phases count %d collections, want %d", phased, collections)
+			}
+		})
 	}
 }
 

@@ -301,6 +301,9 @@ func (s *System) attachObserver(traceCapacity int) {
 	if s.GenMS != nil {
 		s.GenMS.SetObserver(o)
 	}
+	if s.GenCopy != nil {
+		s.GenCopy.SetObserver(o)
+	}
 	if s.Monitor != nil {
 		s.Monitor.SetObserver(o)
 	}

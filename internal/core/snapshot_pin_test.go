@@ -73,7 +73,7 @@ var componentPins = map[string]map[string][2]string{
 		"kernel/perfmon": {"fb89a923a7c0769ee475e6a3e84dbd1b93dd6b62a98c1e88c79d3d90c466dbd7", "9ab7ac5e45df0a6135f1d2e1174ef113d25cd0029e0c7b6ccaaad95518ba115c"},
 		"gc/gencopy":     {"d52315b561ab009ca492c7012faaf9bae91d1ae5c50cccce2f25fd173305eef4", "68ec642b566edff38e8592385917bbbeb1082f68f49d36df0013d59ff321838c"},
 		"monitor":        {"0756759f864424c7ab26e0b067f4a39ca0ceb98f8b12877fe11ef7dcb43f6df2", "24b0efdc50fa8913852c39de20ba0a702880d4e745ad4f7325894d051a259ec1"},
-		"obs":            {"241945477a26da8ee2147cb404044e3035cf7303d5b49e4bcd32b7112d90ef29", "d85f316eefd42b1952acef6fa7a8516681e122466b1a26860074bfb1d3acc774"},
+		"obs":            {"241945477a26da8ee2147cb404044e3035cf7303d5b49e4bcd32b7112d90ef29", "54a98c940b6fea1804739e4d51c3eef50449bf93754415d732f28491cd600e12"},
 	},
 	"genms-adaptive": {
 		"vm/runtime":     {"e25efd7623e778932070e34604460af8d805d138efe9654a3c23ac81442dbd3d", "751250146b84cbacbcc859d6671745977b0f136f7919a0c3f9799df6da71251c"},
