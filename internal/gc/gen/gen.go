@@ -268,11 +268,14 @@ func (h *Heap) evacuate() {
 			vm.RootSet(r, h.forward(v))
 		}
 	}
-	// Remembered set: mature/LOS slots that point into the nursery.
-	for _, slot := range h.Remset {
+	update := func(slot uint64) {
 		if v := vm.CPU.LoadWord(slot); heap.InNursery(v) {
 			vm.CPU.StoreWord(slot, h.forward(v))
 		}
+	}
+	// Remembered set: mature/LOS slots that point into the nursery.
+	for _, slot := range h.Remset {
+		update(slot)
 	}
 	h.Remset = h.Remset[:0]
 	// Transitive closure over the promoted objects.
@@ -280,11 +283,7 @@ func (h *Heap) evacuate() {
 		obj := h.gray[len(h.gray)-1]
 		h.gray = h.gray[:len(h.gray)-1]
 		vm.CPU.AddCycles(h.Cfg.PerObjectCycles)
-		vm.ForEachRef(obj, func(slot uint64) {
-			if v := vm.CPU.LoadWord(slot); heap.InNursery(v) {
-				vm.CPU.StoreWord(slot, h.forward(v))
-			}
-		})
+		vm.ForEachRef(obj, update)
 	}
 	h.Nursery.Reset()
 }

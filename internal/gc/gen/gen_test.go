@@ -104,7 +104,7 @@ func TestResizeNursery(t *testing.T) {
 		{name: "refused when the budget is spent", limit: 2 * mb, footprint: 2 * mb},
 		{name: "refused when the budget is overdrawn", limit: 2 * mb, footprint: 3 * mb},
 		{name: "NurseryEnd clamp", limit: 1 << 30, maxNursery: 1 << 29, wantOK: true, want: heap.NurseryEnd - heap.NurseryBase},
-		{name: "rounded down to 8 bytes", limit: 2*mb + 600*kb + 12, footprint: 2 * mb, wantOK: true, want: 300*kb + 6&^7},
+		{name: "rounded down to 8 bytes", limit: 2*mb + 600*kb + 12, footprint: 2 * mb, wantOK: true, want: 300 * kb},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := def
@@ -194,14 +194,14 @@ func TestMinorGCEvacuates(t *testing.T) {
 	f.SetObserver(o)
 	mem, size := f.VM.Mem, f.node.InstanceSize
 
-	a, b, c, dead := f.newNode(t), f.newNode(t), f.newNode(t), f.newNode(t)
+	a, b, c := f.newNode(t), f.newNode(t), f.newNode(t)
+	f.newNode(t) // unreachable: must not be promoted
 	mem.Write8(a+f.next, b)
 	mem.Write8(rootSlot, a)
 	oldObj := f.space.Alloc(size)
 	mem.Write4(oldObj+classfile.OffClassID, uint32(f.node.ID))
 	mem.Write8(oldObj+f.next, c)
 	f.VM.CPU.Barrier(oldObj+f.next, c)
-	_ = dead
 
 	before := f.VM.CPU.Cycles()
 	f.MinorGC()

@@ -176,7 +176,7 @@ func (l *LargeObjectSpace) Free(addr uint64) {
 func (l *LargeObjectSpace) Used() uint64 { return l.used }
 
 // Objects returns the addresses of all live large objects in address
-// order. Both collectors free dead objects in this order, and Alloc
+// order. A major collection frees dead objects in this order, and Alloc
 // first-fits over the free runs in release order, so a map-ordered
 // listing would make large-object placement (and with it whole-run
 // cycle counts) nondeterministic across identical invocations.
