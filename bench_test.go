@@ -3,6 +3,9 @@
 // paper). Each benchmark executes a reduced single-repetition version
 // of the corresponding experiment and reports the headline quantities
 // via b.ReportMetric; cmd/experiments runs the full-fidelity versions.
+// The metrics are simulated quantities (cycles, misses, pairs): host
+// time is measured by benchmark/ alone, as alternating parent/change
+// pairs (benchmark/README.md).
 //
 //	go test -bench=. -benchmem
 //	go test -bench=BenchmarkFig4 -benchtime=1x
@@ -10,7 +13,6 @@ package hpmvm_test
 
 import (
 	"testing"
-	"time"
 
 	"hpmvm/internal/bench"
 	_ "hpmvm/internal/bench/workloads"
@@ -209,37 +211,6 @@ func BenchmarkCollectors(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.ReportMetric(float64(res.Cycles), "simcycles")
-			}
-		})
-	}
-}
-
-// BenchmarkSystemMcycles meters end-to-end simulation throughput: one
-// full monitored-off run of each workload per iteration, reporting
-// simulated megacycles per wall-clock second. This is the headline
-// number the fast-path work moves (see DESIGN.md §11); track it across
-// changes with `go test -bench BenchmarkSystemMcycles -benchtime=3x`.
-func BenchmarkSystemMcycles(b *testing.B) {
-	for _, name := range []string{"compress", "db", "jess", "mtrt"} {
-		builder, ok := bench.Get(name)
-		if !ok {
-			b.Fatalf("workload %s not registered", name)
-		}
-		b.Run(name, func(b *testing.B) {
-			var cycles, instret uint64
-			start := time.Now()
-			for i := 0; i < b.N; i++ {
-				res, _, err := bench.Run(builder, bench.RunConfig{Seed: 1})
-				if err != nil {
-					b.Fatal(err)
-				}
-				cycles += res.Cycles
-				instret += res.Instret
-			}
-			secs := time.Since(start).Seconds()
-			if secs > 0 {
-				b.ReportMetric(float64(cycles)/1e6/secs, "Mcycles/s")
-				b.ReportMetric(float64(instret)/1e6/secs, "Minstr/s")
 			}
 		})
 	}

@@ -29,8 +29,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -42,70 +44,49 @@ import (
 	_ "hpmvm/internal/bench/workloads"
 )
 
-// expRecord is one experiment's perf accounting in the -bench-json
-// output.
-type expRecord struct {
-	Name            string  `json:"name"`
-	Runs            int     `json:"runs"`
-	WallSeconds     float64 `json:"wall_seconds"`
-	RunSeconds      float64 `json:"run_seconds"` // summed per-run wall clock
-	SpeedupVsSerial float64 `json:"speedup_vs_serial"`
-	// Simulation throughput: total simulated volume over the summed
-	// per-run wall clock (serial-equivalent, independent of -jobs).
-	SimMcycles    float64 `json:"sim_mcycles"`
-	SimMinstr     float64 `json:"sim_minstr"`
-	McyclesPerSec float64 `json:"mcycles_per_sec"`
-	MinstrPerSec  float64 `json:"minstr_per_sec"`
-	// Metrics carries experiment-published headline numbers (e.g. the
-	// warmstart experiment's warm_start_speedup).
-	Metrics map[string]float64 `json:"metrics,omitempty"`
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// benchReport is the machine-readable perf record -bench-json writes.
-type benchReport struct {
-	Timestamp        string      `json:"timestamp"`
-	GoMaxProcs       int         `json:"gomaxprocs"`
-	Jobs             int         `json:"jobs"`
-	Note             string      `json:"note"`
-	Experiments      []expRecord `json:"experiments"`
-	TotalRuns        int         `json:"total_runs"`
-	TotalWallSeconds float64     `json:"total_wall_seconds"`
-	TotalRunSeconds  float64     `json:"total_run_seconds"`
-	SpeedupVsSerial  float64     `json:"speedup_vs_serial"`
-	TotalSimMcycles  float64     `json:"total_sim_mcycles"`
-	McyclesPerSec    float64     `json:"mcycles_per_sec"`
-	MinstrPerSec     float64     `json:"minstr_per_sec"`
-}
-
-func main() {
-	exp := flag.String("exp", "all", "experiment to run: "+strings.Join(bench.ExperimentNames, ", ")+", or all")
-	workloads := flag.String("workloads", "", "comma-separated workload filter (default: all)")
-	reps := flag.Int("reps", 3, "repetitions for timing experiments")
-	seed := flag.Int64("seed", 1, "base PRNG seed")
-	jobs := flag.Int("jobs", 0, "parallel runs (0 = GOMAXPROCS); output is byte-identical for any value")
-	benchJSON := flag.String("bench-json", "", "write per-experiment wall-clock and speedup JSON to this file")
-	metricsJSON := flag.String("metrics-json", "", "run the observability sweep and write per-workload counter/phase snapshots to this file")
-	traceFile := flag.String("trace", "", "run the observability sweep and write per-workload event traces to this file")
-	progress := flag.Bool("progress", true, "live progress line on stderr")
-	list := flag.Bool("list", false, "list registered workloads and exit")
-	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-	memprofile := flag.String("memprofile", "", "write a pprof heap profile (after final GC) to this file")
-	flag.Parse()
+// run is main without the process exit, so the deferred profile writes
+// happen on the error paths too and tests can drive the command.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("exp", "all", "experiment to run: "+strings.Join(bench.ExperimentNames, ", ")+", or all")
+	workloads := fs.String("workloads", "", "comma-separated workload filter (default: all)")
+	reps := fs.Int("reps", 3, "repetitions for timing experiments")
+	seed := fs.Int64("seed", 1, "base PRNG seed")
+	jobs := fs.Int("jobs", 0, "parallel runs (0 = GOMAXPROCS); output is byte-identical for any value")
+	benchJSON := fs.String("bench-json", "", "write per-experiment run counts, wall clock and simulated cycles as JSON to this file")
+	metricsJSON := fs.String("metrics-json", "", "run the observability sweep and write per-workload counter/phase snapshots to this file")
+	traceFile := fs.String("trace", "", "run the observability sweep and write per-workload event traces to this file")
+	progress := fs.Bool("progress", true, "live progress line on stderr")
+	list := fs.Bool("list", false, "list registered workloads and exit")
+	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
+	memprofile := fs.String("memprofile", "", "write a pprof heap profile (after final GC) to this file")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(what string, err error) int {
+		fmt.Fprintf(stderr, "experiments: %s: %v\n", what, err)
+		return 1
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: cpuprofile: %v\n", err)
-			os.Exit(1)
+			return fail("cpuprofile", err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: cpuprofile: %v\n", err)
-			os.Exit(1)
+			f.Close()
+			return fail("cpuprofile", err)
 		}
 		defer func() {
 			pprof.StopCPUProfile()
 			f.Close()
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *cpuprofile)
+			fmt.Fprintf(stderr, "wrote %s\n", *cpuprofile)
 		}()
 	}
 	if *memprofile != "" {
@@ -113,23 +94,23 @@ func main() {
 		defer func() {
 			f, err := os.Create(path)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: memprofile: %v\n", err)
+				fmt.Fprintf(stderr, "experiments: memprofile: %v\n", err)
 				return
 			}
 			runtime.GC()
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: memprofile: %v\n", err)
+				fmt.Fprintf(stderr, "experiments: memprofile: %v\n", err)
 			}
 			f.Close()
-			fmt.Fprintf(os.Stderr, "wrote %s\n", path)
+			fmt.Fprintf(stderr, "wrote %s\n", path)
 		}()
 	}
 
 	if *list {
 		for _, n := range bench.Names() {
-			fmt.Println(n)
+			fmt.Fprintln(stdout, n)
 		}
-		return
+		return 0
 	}
 
 	opt := bench.ExpOptions{Reps: *reps, Seed: *seed, Jobs: *jobs}
@@ -146,133 +127,76 @@ func main() {
 		names = nil
 	}
 
-	var totalSimCycles, totalSimInstret uint64
-	report := benchReport{
-		Timestamp:  time.Now().UTC().Format(time.RFC3339),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Note: "speedup_vs_serial = run_seconds/wall_seconds (summed per-run wall clock over " +
-			"actual wall clock); accurate when jobs <= cores, inflated by CPU time-slicing " +
-			"when the pool oversubscribes the machine",
-	}
+	var record []bench.ExpRun
 	for _, name := range names {
 		runOpt := opt
 		if *progress {
 			name := name
 			start := time.Now()
 			runOpt.Progress = func(done, total int, label string) {
-				fmt.Fprintf(os.Stderr, "\r\x1b[K[%s] %d/%d runs  %s  (%s)",
+				fmt.Fprintf(stderr, "\r\x1b[K[%s] %d/%d runs  %s  (%s)",
 					name, done, total, label, time.Since(start).Round(time.Second))
 			}
 		}
 		res, err := bench.RunExperimentFull(name, runOpt)
 		if *progress {
-			fmt.Fprint(os.Stderr, "\r\x1b[K")
+			fmt.Fprint(stderr, "\r\x1b[K")
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", name, err)
-			os.Exit(1)
+			return fail(name, err)
 		}
-		fmt.Println(res.Output)
-		// Go-benchmark format lines for the perf-data pipeline
-		// (BenchmarkFig2/<workload> ... Mcycles/s), alongside the JSON.
-		for _, line := range res.BenchLines {
-			fmt.Println(line)
-		}
-		if len(res.BenchLines) > 0 {
-			fmt.Println()
-		}
-		fmt.Printf("[%s completed in %v — %d runs, %v run time, jobs=%d, speedup %.2fx, %.1f Mcycles/s]\n\n",
+		fmt.Fprintln(stdout, res.Output)
+		// speedup is summed per-run wall clock over actual wall clock:
+		// accurate when jobs <= cores, inflated by CPU time-slicing when
+		// the pool oversubscribes the machine.
+		fmt.Fprintf(stdout, "[%s completed in %v — %d runs, %v run time, jobs=%d, speedup %.2fx, %.1f Mcycles/s]\n\n",
 			name, res.Elapsed.Round(time.Millisecond), res.Runs,
 			res.RunTime.Round(time.Millisecond), res.Jobs, res.Speedup(), res.McyclesPerSec())
-
-		report.Jobs = res.Jobs
-		report.Experiments = append(report.Experiments, expRecord{
-			Name:            name,
-			Runs:            res.Runs,
-			WallSeconds:     res.Elapsed.Seconds(),
-			RunSeconds:      res.RunTime.Seconds(),
-			SpeedupVsSerial: res.Speedup(),
-			SimMcycles:      float64(res.SimCycles) / 1e6,
-			SimMinstr:       float64(res.SimInstret) / 1e6,
-			McyclesPerSec:   res.McyclesPerSec(),
-			MinstrPerSec:    res.MinstrPerSec(),
-			Metrics:         res.Metrics,
-		})
-		report.TotalRuns += res.Runs
-		report.TotalWallSeconds += res.Elapsed.Seconds()
-		report.TotalRunSeconds += res.RunTime.Seconds()
-		totalSimCycles += res.SimCycles
-		totalSimInstret += res.SimInstret
-	}
-	if report.TotalWallSeconds > 0 {
-		report.SpeedupVsSerial = report.TotalRunSeconds / report.TotalWallSeconds
-	}
-	report.TotalSimMcycles = float64(totalSimCycles) / 1e6
-	if report.TotalRunSeconds > 0 {
-		report.McyclesPerSec = float64(totalSimCycles) / 1e6 / report.TotalRunSeconds
-		report.MinstrPerSec = float64(totalSimInstret) / 1e6 / report.TotalRunSeconds
+		record = append(record, res)
 	}
 
 	if *benchJSON != "" {
-		if err := writeReport(*benchJSON, report); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: bench-json: %v\n", err)
-			os.Exit(1)
+		if err := writeFile(stderr, *benchJSON, func(f *os.File) error {
+			enc := json.NewEncoder(f)
+			enc.SetIndent("", "  ")
+			return enc.Encode(record)
+		}); err != nil {
+			return fail("bench-json", err)
 		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *benchJSON)
 	}
 
 	if *metricsJSON != "" || *traceFile != "" {
-		if err := runObsSweep(opt, *progress, *metricsJSON, *traceFile); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: obs sweep: %v\n", err)
-			os.Exit(1)
+		if err := runObsSweep(stderr, opt, *progress, *metricsJSON, *traceFile); err != nil {
+			return fail("obs sweep", err)
 		}
 	}
+	return 0
 }
 
 // runObsSweep executes the instrumented workload sweep and writes the
 // requested JSON exports.
-func runObsSweep(opt bench.ExpOptions, progress bool, metricsPath, tracePath string) error {
+func runObsSweep(stderr io.Writer, opt bench.ExpOptions, progress bool, metricsPath, tracePath string) error {
 	if progress {
 		start := time.Now()
 		opt.Progress = func(done, total int, label string) {
-			fmt.Fprintf(os.Stderr, "\r\x1b[K[obs] %d/%d runs  %s  (%s)",
+			fmt.Fprintf(stderr, "\r\x1b[K[obs] %d/%d runs  %s  (%s)",
 				done, total, label, time.Since(start).Round(time.Second))
 		}
-		defer fmt.Fprint(os.Stderr, "\r\x1b[K")
+		defer fmt.Fprint(stderr, "\r\x1b[K")
 	}
 	recs, err := bench.ObsSweep(opt)
 	if err != nil {
 		return err
 	}
-	write := func(path string, emit func(f *os.File) error) error {
-		if dir := filepath.Dir(path); dir != "." {
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				return err
-			}
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := emit(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-		return nil
-	}
 	if metricsPath != "" {
-		if err := write(metricsPath, func(f *os.File) error {
+		if err := writeFile(stderr, metricsPath, func(f *os.File) error {
 			return bench.WriteObsMetricsJSON(f, recs)
 		}); err != nil {
 			return err
 		}
 	}
 	if tracePath != "" {
-		if err := write(tracePath, func(f *os.File) error {
+		if err := writeFile(stderr, tracePath, func(f *os.File) error {
 			return bench.WriteObsTraceJSON(f, recs)
 		}); err != nil {
 			return err
@@ -281,15 +205,25 @@ func runObsSweep(opt bench.ExpOptions, progress bool, metricsPath, tracePath str
 	return nil
 }
 
-func writeReport(path string, report benchReport) error {
+// writeFile creates path (and its directory), lets emit fill it, and
+// reports the path on stderr once the close succeeded.
+func writeFile(stderr io.Writer, path string, emit func(f *os.File) error) error {
 	if dir := filepath.Dir(path); dir != "." {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return err
 		}
 	}
-	data, err := json.MarshalIndent(report, "", "  ")
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	if err := emit(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(stderr, "wrote %s\n", path)
+	return nil
 }

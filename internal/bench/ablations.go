@@ -25,9 +25,9 @@ import (
 // of them shared) all execute in parallel on the engine; the report
 // renders in a fixed order afterwards.
 func Ablations(opt ExpOptions) (string, error) {
-	builder, ok := Get("db")
-	if !ok {
-		return "", fmt.Errorf("db workload not registered")
+	builder, err := Lookup("db")
+	if err != nil {
+		return "", err
 	}
 	e := opt.engine()
 

@@ -439,18 +439,3 @@ func clip(xs []int64) []int64 {
 	}
 	return xs
 }
-
-// Repeat runs the same configuration reps times with distinct seeds
-// and returns the execution-time mean and standard deviation (the
-// paper reports averages over 3 executions, §6.1) plus the last run's
-// full result. Repetitions execute on the parallel engine (DefaultJobs
-// workers); each owns its seed and its whole simulated machine, so the
-// returned numbers are identical to a serial loop.
-func Repeat(b Builder, cfg RunConfig, reps int) (mean, stddev float64, last *Result, err error) {
-	e := NewEngine(0)
-	h := e.RepeatAsync(b, cfg, reps, "")
-	if err := e.Wait(); err != nil {
-		return 0, 0, nil, err
-	}
-	return h.Mean(), h.StdDev(), h.Last(), nil
-}

@@ -120,21 +120,29 @@ func TestDeterminism(t *testing.T) {
 
 func TestRepeatUsesDistinctSeeds(t *testing.T) {
 	b, _ := Get("_unit_tiny")
-	mean, stddev, last, err := Repeat(b, RunConfig{Monitoring: true, Interval: 1000}, 3)
-	if err != nil {
+	cfg := RunConfig{Monitoring: true, Interval: 1000, Seed: 3}
+	e := NewEngine(4)
+	h := e.RepeatAsync(b, cfg, 3, "tiny")
+	if err := e.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if mean <= 0 || last == nil {
-		t.Fatal("Repeat returned nothing")
+	// Repetition i is the plain run at seed cfg.Seed + i*7919, so the
+	// handle's mean and the engine's cycle total are those three runs'.
+	var sum uint64
+	for i := int64(0); i < 3; i++ {
+		c := cfg
+		c.Seed += i * 7919
+		r, _, err := Run(b, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum += r.Cycles
 	}
-	// Different seeds shift interval randomization; variance is small
-	// but the plumbing must not crash and mean must be near the single
-	// run.
-	if stddev < 0 {
-		t.Error("negative stddev")
+	if want := float64(sum) / 3; h.Mean() != want || h.StdDev() < 0 {
+		t.Errorf("mean %f (sd %f), want %f", h.Mean(), h.StdDev(), want)
 	}
-	if float64(last.Cycles) < 0.5*mean || float64(last.Cycles) > 2*mean {
-		t.Errorf("mean %.0f inconsistent with run %d", mean, last.Cycles)
+	if st := e.Stats(); st.Runs != 3 || st.SimCycles != sum {
+		t.Errorf("engine accounted %d runs / %d cycles, want 3 / %d", st.Runs, st.SimCycles, sum)
 	}
 }
 
@@ -176,9 +184,10 @@ func TestExperimentNameValidation(t *testing.T) {
 	if err != nil || out == "" {
 		t.Errorf("table1 failed: %v", err)
 	}
-	// table1 resolves names like every other experiment: a misspelt
-	// workload is an error, not a silently shorter table.
-	for _, exp := range []string{"table1", "table2"} {
+	// Every experiment resolves the workload list, the db-only ones
+	// included: a misspelt workload is an error, not a silently shorter
+	// table or a db run nobody asked for.
+	for _, exp := range ExperimentNames {
 		if _, err := RunExperiment(exp, ExpOptions{Workloads: []string{"nosuch", "_unit_tiny"}}); err == nil ||
 			!strings.Contains(err.Error(), `unknown workload "nosuch"`) {
 			t.Errorf("%s with an unknown workload: error = %v", exp, err)

@@ -3,6 +3,7 @@ package bench
 import (
 	"context"
 	"errors"
+	"fmt"
 	stdruntime "runtime"
 	"sync"
 	"time"
@@ -45,35 +46,15 @@ func DefaultJobs() int { return stdruntime.GOMAXPROCS(0) }
 type ProgressFunc func(done, total int, label string)
 
 // EngineStats is the engine's per-run wall-clock and simulation-volume
-// accounting. SimCycles/SimInstret sum the final simulated counters of
-// every completed program run, so SimCycles/RunTime is the engine's
+// accounting. SimCycles sums the final simulated cycle counter of every
+// completed program run, so SimCycles/RunTime is the engine's
 // serial-equivalent simulation throughput (warm-started runs report
-// their final counters, which include the restored prefix).
+// their final counter, which includes the restored prefix).
 type EngineStats struct {
-	Jobs       int           // worker-pool width
-	Runs       int           // completed runs
-	RunTime    time.Duration // summed wall clock of all completed runs
-	MaxRun     time.Duration // longest single run
-	SimCycles  uint64        // summed simulated cycles of completed runs
-	SimInstret uint64        // summed retired instructions of completed runs
-}
-
-// McyclesPerSec returns the serial-equivalent simulation throughput in
-// millions of simulated cycles per second of run time.
-func (s EngineStats) McyclesPerSec() float64 {
-	if s.RunTime <= 0 {
-		return 0
-	}
-	return float64(s.SimCycles) / 1e6 / s.RunTime.Seconds()
-}
-
-// MinstrPerSec returns the serial-equivalent simulation throughput in
-// millions of retired instructions per second of run time.
-func (s EngineStats) MinstrPerSec() float64 {
-	if s.RunTime <= 0 {
-		return 0
-	}
-	return float64(s.SimInstret) / 1e6 / s.RunTime.Seconds()
+	Jobs      int           // worker-pool width
+	Runs      int           // completed runs
+	RunTime   time.Duration // summed wall clock of all completed runs
+	SimCycles uint64        // summed simulated cycles of completed runs
 }
 
 // Engine is a bounded worker pool for independent experiment runs.
@@ -85,15 +66,13 @@ type Engine struct {
 	sem  chan struct{}
 	wg   sync.WaitGroup
 
-	mu         sync.Mutex
-	err        error
-	submitted  int
-	done       int
-	runTime    time.Duration
-	maxRun     time.Duration
-	simCycles  uint64
-	simInstret uint64
-	progress   ProgressFunc
+	mu        sync.Mutex
+	err       error
+	submitted int
+	done      int
+	runTime   time.Duration
+	simCycles uint64
+	progress  ProgressFunc
 }
 
 // NewEngine creates an engine with the given worker-pool width
@@ -123,20 +102,16 @@ func (e *Engine) Jobs() int { return e.jobs }
 func (e *Engine) Stats() EngineStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return EngineStats{
-		Jobs: e.jobs, Runs: e.done, RunTime: e.runTime, MaxRun: e.maxRun,
-		SimCycles: e.simCycles, SimInstret: e.simInstret,
-	}
+	return EngineStats{Jobs: e.jobs, Runs: e.done, RunTime: e.runTime, SimCycles: e.simCycles}
 }
 
-// AddSim credits a completed run's simulated volume to the engine's
-// throughput accounting. The Run/Repeat/RunFrom helpers call it
-// automatically; only custom Submit closures that execute their own
-// simulations need to call it themselves.
-func (e *Engine) AddSim(cycles, instret uint64) {
+// AddSim credits a completed run's simulated cycles to the engine's
+// throughput accounting. RunAsync, RepeatAsync and RunFrom call it
+// themselves; only custom Submit closures that execute their own
+// simulations need to.
+func (e *Engine) AddSim(cycles uint64) {
 	e.mu.Lock()
 	e.simCycles += cycles
-	e.simInstret += instret
 	e.mu.Unlock()
 }
 
@@ -182,9 +157,6 @@ func (e *Engine) submit(label string, f func() error, isolated bool, onSkip func
 		e.mu.Lock()
 		e.done++
 		e.runTime += elapsed
-		if elapsed > e.maxRun {
-			e.maxRun = elapsed
-		}
 		if !isolated && err != nil && e.err == nil {
 			e.err = err
 		}
@@ -258,7 +230,7 @@ func (e *Engine) runAsync(ctx context.Context, b Builder, cfg RunConfig, label s
 			h.err = err
 			return err
 		}
-		e.AddSim(res.Cycles, res.Instret)
+		e.AddSim(res.Cycles)
 		h.res, h.sys = res, sys
 		return nil
 	}, isolated, func() {
@@ -295,14 +267,12 @@ func (e *Engine) SubmitIsolated(label string, f func() error) (wait func() error
 	}
 }
 
-// RepeatHandle is the future for a Repeat (reps runs with distinct
-// seeds) submitted to an engine. Each repetition is a separate pool
-// run, so repetitions of one configuration overlap with everything
-// else. Accessors are valid only after Engine.Wait returns nil.
+// RepeatHandle is the future for a RepeatAsync (reps runs with
+// distinct seeds). Each repetition is a separate pool run, so
+// repetitions of one configuration overlap with everything else.
+// Accessors are valid only after Engine.Wait returns nil.
 type RepeatHandle struct {
-	times   []float64
-	wallNs  []float64
-	results []*Result
+	times []float64
 }
 
 // Mean returns the mean execution time (simulated cycles).
@@ -311,42 +281,30 @@ func (h *RepeatHandle) Mean() float64 { return stats.Mean(h.times) }
 // StdDev returns the standard deviation over the repetitions.
 func (h *RepeatHandle) StdDev() float64 { return stats.StdDev(h.times) }
 
-// MeanWallNs returns the mean host wall clock per repetition in
-// nanoseconds — the ns/op of a Go benchmark line over these runs.
-func (h *RepeatHandle) MeanWallNs() float64 { return stats.Mean(h.wallNs) }
-
-// Last returns the final repetition's full result (the same run
-// Repeat's serial loop would have returned), or nil for zero reps.
-func (h *RepeatHandle) Last() *Result {
-	if len(h.results) == 0 {
-		return nil
-	}
-	return h.results[len(h.results)-1]
-}
-
 // RepeatAsync schedules reps runs of the same configuration with
-// distinct seeds (cfg.Seed + i*7919, exactly like Repeat) and returns
-// their aggregate future.
+// distinct seeds (cfg.Seed + i*7919; the paper reports averages over 3
+// executions, §6.1) and returns their aggregate future. reps < 1
+// schedules one failing task instead, so Wait reports it: a mean over
+// no runs is NaN, not a result.
 func (e *Engine) RepeatAsync(b Builder, cfg RunConfig, reps int, label string) *RepeatHandle {
-	h := &RepeatHandle{
-		times:   make([]float64, reps),
-		wallNs:  make([]float64, reps),
-		results: make([]*Result, reps),
+	if reps < 1 {
+		e.Submit(label, func() error {
+			return fmt.Errorf("reps must be at least 1, got %d", reps)
+		})
+		return &RepeatHandle{}
 	}
+	h := &RepeatHandle{times: make([]float64, reps)}
 	for i := 0; i < reps; i++ {
 		i := i
 		c := cfg
 		c.Seed = cfg.Seed + int64(i)*7919
 		e.Submit(label, func() error {
-			start := time.Now()
 			r, _, err := Run(b, c)
 			if err != nil {
 				return err
 			}
-			e.AddSim(r.Cycles, r.Instret)
+			e.AddSim(r.Cycles)
 			h.times[i] = float64(r.Cycles)
-			h.wallNs[i] = float64(time.Since(start).Nanoseconds())
-			h.results[i] = r
 			return nil
 		})
 	}

@@ -53,7 +53,7 @@ type ExpOptions struct {
 	// Workloads restricts the benchmark set (nil = all registered).
 	Workloads []string
 	// Reps is the number of repetitions for timing experiments
-	// (paper: averages over 3 executions).
+	// (paper: averages over 3 executions); at least 1.
 	Reps int
 	// Seed is the base PRNG seed.
 	Seed int64
@@ -71,10 +71,6 @@ type ExpOptions struct {
 	// headline results (e.g. the warm-start speedup) for the JSON
 	// report.
 	metrics map[string]float64
-	// bench, when set (by RunExperimentFull), collects Go-benchmark
-	// format lines ("BenchmarkFig2/<workload> ...") the experiment
-	// publishes for the perf-data pipeline.
-	bench *[]string
 }
 
 // recordMetric publishes a named headline number for the JSON report;
@@ -83,19 +79,6 @@ func (o ExpOptions) recordMetric(name string, v float64) {
 	if o.metrics != nil {
 		o.metrics[name] = v
 	}
-}
-
-// recordBench publishes one Go-benchmark format line; a no-op outside
-// RunExperimentFull. nsPerOp is the mean host wall clock per run and
-// simCycles the simulated cycles one run covers, so the line reads
-// "Benchmark<Exp>/<workload> <N> <ns/op> ns/op <throughput> Mcycles/s".
-func (o ExpOptions) recordBench(name string, n int, nsPerOp, simCycles float64) {
-	if o.bench == nil || nsPerOp <= 0 {
-		return
-	}
-	mcps := simCycles / 1e6 / (nsPerOp / 1e9)
-	*o.bench = append(*o.bench,
-		fmt.Sprintf("Benchmark%s\t%d\t%.0f ns/op\t%.1f Mcycles/s", name, n, nsPerOp, mcps))
 }
 
 func (o ExpOptions) workloads() []string {
@@ -122,9 +105,9 @@ func (o ExpOptions) builders() ([]string, []Builder, error) {
 	names := o.workloads()
 	bs := make([]Builder, len(names))
 	for i, name := range names {
-		b, ok := Get(name)
-		if !ok {
-			return nil, nil, fmt.Errorf("unknown workload %q", name)
+		b, err := Lookup(name)
+		if err != nil {
+			return nil, nil, err
 		}
 		bs[i] = b
 	}
@@ -132,9 +115,14 @@ func (o ExpOptions) builders() ([]string, []Builder, error) {
 }
 
 // RunExperiment dispatches by name and returns the rendered result.
+// The workload list is resolved here, before dispatch, so a misspelt
+// name fails every experiment — the db-only ones never read the list.
 func RunExperiment(name string, opt ExpOptions) (string, error) {
 	for _, e := range experiments {
 		if e.name == name {
+			if _, _, err := opt.builders(); err != nil {
+				return "", err
+			}
 			return e.run(opt)
 		}
 	}
@@ -142,25 +130,22 @@ func RunExperiment(name string, opt ExpOptions) (string, error) {
 }
 
 // ExpRun is one experiment's rendered output plus its execution
-// accounting from the parallel engine.
+// accounting from the parallel engine. A []ExpRun is what cmd/experiments
+// -bench-json writes: durations in nanoseconds, SimCycles raw, no
+// derived ratio stored.
 type ExpRun struct {
-	Name    string
-	Output  string
-	Jobs    int           // worker-pool width used
-	Runs    int           // independent program runs executed
-	RunTime time.Duration // summed per-run wall clock (serial-equivalent time)
-	Elapsed time.Duration // actual wall clock
-	// SimCycles/SimInstret sum the simulated volume of the experiment's
-	// runs (see EngineStats), making simulation throughput part of the
-	// perf record tracked across PRs.
-	SimCycles  uint64
-	SimInstret uint64
+	Name    string        `json:"name"`
+	Output  string        `json:"-"`
+	Jobs    int           `json:"jobs"`       // worker-pool width used
+	Runs    int           `json:"runs"`       // independent program runs executed
+	RunTime time.Duration `json:"run_ns"`     // summed per-run wall clock (serial-equivalent time)
+	Elapsed time.Duration `json:"elapsed_ns"` // actual wall clock
+	// SimCycles sums the simulated cycles of the experiment's runs (see
+	// EngineStats).
+	SimCycles uint64 `json:"sim_cycles"`
 	// Metrics carries named headline numbers the experiment published
 	// via recordMetric (nil when it published none).
-	Metrics map[string]float64
-	// BenchLines carries Go-benchmark format lines the experiment
-	// published via recordBench (nil when it published none).
-	BenchLines []string
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
 // McyclesPerSec returns the experiment's serial-equivalent simulation
@@ -170,15 +155,6 @@ func (r ExpRun) McyclesPerSec() float64 {
 		return 0
 	}
 	return float64(r.SimCycles) / 1e6 / r.RunTime.Seconds()
-}
-
-// MinstrPerSec returns the experiment's serial-equivalent simulation
-// throughput in millions of retired instructions per second.
-func (r ExpRun) MinstrPerSec() float64 {
-	if r.RunTime <= 0 {
-		return 0
-	}
-	return float64(r.SimInstret) / 1e6 / r.RunTime.Seconds()
 }
 
 // Speedup estimates the speedup over a serial execution: the summed
@@ -200,8 +176,6 @@ func RunExperimentFull(name string, opt ExpOptions) (ExpRun, error) {
 	e.SetProgress(opt.Progress)
 	opt.eng = e
 	opt.metrics = make(map[string]float64)
-	var benchLines []string
-	opt.bench = &benchLines
 	start := time.Now()
 	out, err := RunExperiment(name, opt)
 	if err != nil {
@@ -209,19 +183,17 @@ func RunExperimentFull(name string, opt ExpOptions) (ExpRun, error) {
 	}
 	st := e.Stats()
 	r := ExpRun{
-		Name:       name,
-		Output:     out,
-		Jobs:       st.Jobs,
-		Runs:       st.Runs,
-		RunTime:    st.RunTime,
-		Elapsed:    time.Since(start),
-		SimCycles:  st.SimCycles,
-		SimInstret: st.SimInstret,
+		Name:      name,
+		Output:    out,
+		Jobs:      st.Jobs,
+		Runs:      st.Runs,
+		RunTime:   st.RunTime,
+		Elapsed:   time.Since(start),
+		SimCycles: st.SimCycles,
 	}
 	if len(opt.metrics) > 0 {
 		r.Metrics = opt.metrics
 	}
-	r.BenchLines = benchLines
 	return r, nil
 }
 
@@ -385,7 +357,6 @@ func Fig2Data(opt ExpOptions) ([]Fig2Row, error) {
 			row.Overhead = append(row.Overhead, m.Mean()/base-1)
 		}
 		rows[i] = row
-		opt.recordBench("Fig2/"+name, opt.Reps, cells[i].base.MeanWallNs(), base)
 	}
 	return rows, nil
 }
@@ -479,19 +450,16 @@ func SamplingData(opt ExpOptions) (rows []SamplingRow, exactTime, sampledTime ti
 	// Round 2: one multiplexed sampled pass per workload, each on its
 	// calibrated schedule.
 	passes := make([]*SampledPass, len(names))
-	wallNs := make([]float64, len(names))
 	rt1 := e.Stats().RunTime
 	for i := range names {
 		i := i
 		builder := builders[i]
 		e.Submit(names[i]+"/sampled", func() error {
-			start := time.Now()
 			p, err := RunSampledPass(builder, RunConfig{Seed: opt.Seed}, Fig2Intervals, opt.Reps)
 			if err != nil {
 				return err
 			}
-			e.AddSim(p.Cycles, p.Instret)
-			wallNs[i] = float64(time.Since(start).Nanoseconds())
+			e.AddSim(p.Cycles)
 			passes[i] = p
 			return nil
 		})
@@ -514,7 +482,6 @@ func SamplingData(opt ExpOptions) (rows []SamplingRow, exactTime, sampledTime ti
 			row.EstMon = append(row.EstMon, stats.Mean(p.MonCycles[j]))
 		}
 		rows[i] = row
-		opt.recordBench("Fig2Sampled/"+name, 1, wallNs[i], p.Estimate.Cycles)
 	}
 	return rows, exactTime, sampledTime, nil
 }
@@ -649,7 +616,7 @@ func SamplingFig5Data(opt ExpOptions) (rows []SamplingFig5Row, exactTime, sample
 				if err != nil {
 					return err
 				}
-				e.AddSim(p.Cycles, p.Instret)
+				e.AddSim(p.Cycles)
 				passes[i][j] = p
 				return nil
 			})
@@ -947,9 +914,9 @@ type Fig6Row struct {
 // are mean cycles. All (heap factor × collector × rep) runs execute in
 // parallel.
 func Fig6Data(opt ExpOptions) ([]Fig6Row, error) {
-	builder, ok := Get("db")
-	if !ok {
-		return nil, fmt.Errorf("db workload not registered")
+	builder, err := Lookup("db")
+	if err != nil {
+		return nil, err
 	}
 	e := opt.engine()
 	type cell struct{ base, co, gc *RepeatHandle }
@@ -1005,9 +972,9 @@ func Fig6(opt ExpOptions) (string, error) {
 // the dyn-coalloc curve bends when co-allocation kicks in; the
 // baseline keeps climbing).
 func Fig7Data(opt ExpOptions) (baseCum, coCum, rate, smooth *stats.Series, err error) {
-	builder, ok := Get("db")
-	if !ok {
-		return nil, nil, nil, nil, fmt.Errorf("db workload not registered")
+	builder, err := Lookup("db")
+	if err != nil {
+		return nil, nil, nil, nil, err
 	}
 	hotField := builder().HotFieldName
 
@@ -1090,9 +1057,9 @@ const Fig8GapAtCycle = 120_000_000
 // still executes on the engine so accounting and progress are
 // uniform.)
 func Fig8Data(opt ExpOptions) (*stats.Series, []string, error) {
-	builder, ok := Get("db")
-	if !ok {
-		return nil, nil, fmt.Errorf("db workload not registered")
+	builder, err := Lookup("db")
+	if err != nil {
+		return nil, nil, err
 	}
 	e := opt.engine()
 	h := e.RunAsync(builder, RunConfig{Coalloc: true, GapAtCycle: Fig8GapAtCycle, Interval: 2500, Seed: opt.Seed}, "db/gap")

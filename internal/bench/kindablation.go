@@ -218,9 +218,9 @@ func (a *KindAblation) rows(o ExpOptions) ([]ablationRow, error) {
 // revert runs the BadDecision scenario on db and returns the
 // decision/revert counters and the optimization's decision log.
 func (a *KindAblation) revert(o ExpOptions) (opt.KindStats, []string, error) {
-	builder, ok := Get("db")
-	if !ok {
-		return opt.KindStats{}, nil, fmt.Errorf("db workload not registered")
+	builder, err := Lookup("db")
+	if err != nil {
+		return opt.KindStats{}, nil, err
 	}
 	e := o.engine()
 	h := e.RunAsync(builder, o.seeded(a.BadDecision), "db/"+a.labels[2])

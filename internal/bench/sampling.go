@@ -114,10 +114,9 @@ type SampledPass struct {
 	// r: baseline estimate plus the lane's exactly-counted monitoring
 	// overhead.
 	MonCycles [][]float64
-	// Cycles and Instret are the pass's raw simulated volume (the
-	// distorted sampled clock), for engine throughput accounting.
-	Cycles  uint64
-	Instret uint64
+	// Cycles is the pass's raw simulated volume (the distorted sampled
+	// clock), for engine throughput accounting.
+	Cycles uint64
 }
 
 // RunSampledPass executes one multiplexed sampled pass for the
@@ -182,7 +181,6 @@ func RunSampledPass(b Builder, base RunConfig, intervals []uint64, reps int) (*S
 		Program:  prog.Name,
 		Estimate: est,
 		Cycles:   sys.VM.Cycles(),
-		Instret:  sys.VM.CPU.Instret(),
 	}
 	for _, ivLanes := range lanes {
 		cycles := make([]float64, len(ivLanes))

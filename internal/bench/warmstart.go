@@ -106,7 +106,7 @@ func (e *Engine) RunFrom(b Builder, snapshot []byte, configs ...RunConfig) []*Ru
 				h.err = err
 				return err
 			}
-			e.AddSim(res.Cycles, res.Instret)
+			e.AddSim(res.Cycles)
 			h.res, h.sys = res, sys
 			return nil
 		}, false, func() {
@@ -197,9 +197,9 @@ func (r *WarmstartResult) SpeedupWithDiscovery() float64 {
 // engine's summed per-run time, so the speedup is the
 // serial-equivalent ratio, independent of the jobs setting.
 func WarmstartData(opt ExpOptions) (*WarmstartResult, error) {
-	builder, ok := Get("db")
-	if !ok {
-		return nil, fmt.Errorf("db workload not registered")
+	builder, err := Lookup("db")
+	if err != nil {
+		return nil, err
 	}
 	e := opt.engine()
 	res := &WarmstartResult{

@@ -1,16 +1,13 @@
 package obs
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
 )
 
 // This file is the export/import surface of the observability layer:
-// Metrics and TraceDump serialize to JSON (and the trace additionally
-// to CSV for spreadsheet-side analysis), and parse back losslessly —
+// Metrics and TraceDump serialize to JSON and parse back losslessly —
 // the round trip is schema-tested so downstream tooling can rely on
 // the field names.
 
@@ -48,66 +45,6 @@ func ParseTrace(r io.Reader) (TraceDump, error) {
 		return TraceDump{}, fmt.Errorf("obs: parse trace: %w", err)
 	}
 	return d, nil
-}
-
-// traceCSVHeader is the column layout of the CSV trace export.
-var traceCSVHeader = []string{"cycle", "kind", "arg0", "arg1", "arg2"}
-
-// WriteCSV writes the trace as CSV with a header row; event kinds use
-// their stable names.
-func (d TraceDump) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(traceCSVHeader); err != nil {
-		return err
-	}
-	for _, e := range d.Events {
-		rec := []string{
-			strconv.FormatUint(e.Cycle, 10),
-			e.Kind.String(),
-			strconv.FormatUint(e.Arg0, 10),
-			strconv.FormatUint(e.Arg1, 10),
-			strconv.FormatUint(e.Arg2, 10),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// ParseTraceCSV reads events written by WriteCSV.
-func ParseTraceCSV(r io.Reader) ([]Event, error) {
-	cr := csv.NewReader(r)
-	recs, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("obs: parse trace csv: %w", err)
-	}
-	if len(recs) == 0 {
-		return nil, fmt.Errorf("obs: parse trace csv: missing header")
-	}
-	out := make([]Event, 0, len(recs)-1)
-	for i, rec := range recs[1:] {
-		if len(rec) != len(traceCSVHeader) {
-			return nil, fmt.Errorf("obs: parse trace csv: row %d has %d columns, want %d", i+1, len(rec), len(traceCSVHeader))
-		}
-		kind, ok := KindFromString(rec[1])
-		if !ok {
-			return nil, fmt.Errorf("obs: parse trace csv: row %d: unknown kind %q", i+1, rec[1])
-		}
-		var e Event
-		e.Kind = kind
-		for j, dst := range []*uint64{&e.Cycle, &e.Arg0, &e.Arg1, &e.Arg2} {
-			col := []int{0, 2, 3, 4}[j]
-			v, err := strconv.ParseUint(rec[col], 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("obs: parse trace csv: row %d col %s: %w", i+1, traceCSVHeader[col], err)
-			}
-			*dst = v
-		}
-		out = append(out, e)
-	}
-	return out, nil
 }
 
 func writeJSON(w io.Writer, v any) error {

@@ -178,32 +178,10 @@ func TestTraceJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTraceCSVRoundTrip(t *testing.T) {
-	o := New(8)
-	o.Emit(EvPerfmonRead, 1000, 64, 0, 2)
-	o.Emit(EvRecompile, 2000, 17, 2, 0)
-	d := o.TraceDump()
-
-	var buf bytes.Buffer
-	if err := d.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ParseTraceCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, d.Events) {
-		t.Fatalf("csv round trip drifted:\n got  %+v\n want %+v", got, d.Events)
-	}
-	if _, err := ParseTraceCSV(strings.NewReader("")); err == nil {
-		t.Error("ParseTraceCSV accepted empty input")
-	}
-}
-
 // TestSnapshotEventsExportRoundTrip pins the export contract of the
 // snapshot lifecycle events: stable kind names on the wire and
-// loss-free JSON and CSV round trips, so downstream tooling can key on
-// when checkpoints were taken and restores retargeted.
+// a loss-free JSON round trip, so downstream tooling can key on when
+// checkpoints were taken and restores retargeted.
 func TestSnapshotEventsExportRoundTrip(t *testing.T) {
 	o := New(8)
 	o.Emit(EvSnapshotTaken, 1_500_000, 1_500_000, 12, 0)
@@ -227,17 +205,6 @@ func TestSnapshotEventsExportRoundTrip(t *testing.T) {
 		t.Fatalf("snapshot events JSON round trip drifted:\n got  %+v\n want %+v", got, want)
 	}
 
-	var csv bytes.Buffer
-	if err := want.WriteCSV(&csv); err != nil {
-		t.Fatal(err)
-	}
-	events, err := ParseTraceCSV(&csv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(events, want.Events) {
-		t.Fatalf("snapshot events CSV round trip drifted:\n got  %+v\n want %+v", events, want.Events)
-	}
 }
 
 func TestKindNamesComplete(t *testing.T) {
