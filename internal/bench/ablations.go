@@ -20,20 +20,17 @@ import (
 //
 // All ablations run the db workload, the paper's headline case.
 
-// Ablations runs the ablation suite on db and renders the results.
+// ablations runs the ablation suite on db and renders the results.
 // The seven independent runs (three configurations per ablation, two
 // of them shared) all execute in parallel on the engine; the report
 // renders in a fixed order afterwards.
-func Ablations(opt ExpOptions) (string, error) {
+func ablations(opt ExpOptions) (string, error) {
 	builder, err := Lookup("db")
 	if err != nil {
 		return "", err
 	}
-	e := opt.engine()
-
 	submit := func(label string, cfg RunConfig) *RunHandle {
-		cfg.Seed = opt.Seed
-		return e.RunAsync(builder, cfg, "db/"+label)
+		return opt.eng.RunAsync(builder, opt.seeded(cfg), "db/"+label)
 	}
 	nopfCache := cache.DefaultP4()
 	nopfCache.PrefetchEnabled = false
@@ -45,7 +42,7 @@ func Ablations(opt ExpOptions) (string, error) {
 	hCoPF := submit("nopf-coalloc", RunConfig{Coalloc: true, CacheConfig: &nopfCache})
 	hBase1 := submit("opt1-base", RunConfig{OptLevel: 1})
 	hCo1 := submit("opt1-coalloc", RunConfig{OptLevel: 1, Coalloc: true})
-	if err := e.Wait(); err != nil {
+	if err := opt.eng.Wait(); err != nil {
 		return "", err
 	}
 	base, l1co, tlbco := hBase.Result(), hL1co.Result(), hTLBco.Result()

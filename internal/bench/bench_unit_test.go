@@ -180,8 +180,8 @@ func TestExperimentNameValidation(t *testing.T) {
 	if _, err := RunExperiment("nope", ExpOptions{}); err == nil {
 		t.Error("unknown experiment accepted")
 	}
-	out, err := RunExperiment("table1", ExpOptions{Workloads: []string{"_unit_tiny"}})
-	if err != nil || out == "" {
+	run, err := RunExperiment("table1", ExpOptions{Workloads: []string{"_unit_tiny"}})
+	if err != nil || run.Output == "" {
 		t.Errorf("table1 failed: %v", err)
 	}
 	// Every experiment resolves the workload list, the db-only ones

@@ -187,24 +187,19 @@ func (a *KindAblation) kindStats(res *Result) opt.KindStats {
 // workload. Both runs of every workload execute in parallel on the
 // engine.
 func (a *KindAblation) rows(o ExpOptions) ([]ablationRow, error) {
-	e := o.engine()
-	names, builders, err := o.builders()
-	if err != nil {
-		return nil, err
-	}
 	type cell struct{ passive, active *RunHandle }
-	cells := make([]cell, len(names))
-	for i, name := range names {
+	cells := make([]cell, len(o.names))
+	for i, name := range o.names {
 		cells[i] = cell{
-			passive: e.RunAsync(builders[i], o.seeded(a.Passive), name+"/"+a.labels[0]),
-			active:  e.RunAsync(builders[i], o.seeded(a.Active), name+"/"+a.labels[1]),
+			passive: o.eng.RunAsync(o.builders[i], o.seeded(a.Passive), name+"/"+a.labels[0]),
+			active:  o.eng.RunAsync(o.builders[i], o.seeded(a.Active), name+"/"+a.labels[1]),
 		}
 	}
-	if err := e.Wait(); err != nil {
+	if err := o.eng.Wait(); err != nil {
 		return nil, err
 	}
-	rows := make([]ablationRow, len(names))
-	for i, name := range names {
+	rows := make([]ablationRow, len(o.names))
+	for i, name := range o.names {
 		passive, active := cells[i].passive.Result(), cells[i].active.Result()
 		imp := 0.0
 		if p := a.measure(passive); p > 0 {
@@ -222,9 +217,8 @@ func (a *KindAblation) revert(o ExpOptions) (opt.KindStats, []string, error) {
 	if err != nil {
 		return opt.KindStats{}, nil, err
 	}
-	e := o.engine()
-	h := e.RunAsync(builder, o.seeded(a.BadDecision), "db/"+a.labels[2])
-	if err := e.Wait(); err != nil {
+	h := o.eng.RunAsync(builder, o.seeded(a.BadDecision), "db/"+a.labels[2])
+	if err := o.eng.Wait(); err != nil {
 		return opt.KindStats{}, nil, err
 	}
 	return a.kindStats(h.Result()), h.Sys().OptLog(a.Kind), nil
@@ -291,6 +285,10 @@ type SwPrefetchRow struct {
 // total cycles with injection active against the passive monitored
 // baseline for every workload.
 func SwPrefetchData(o ExpOptions) ([]SwPrefetchRow, error) {
+	o, err := o.prepare()
+	if err != nil {
+		return nil, err
+	}
 	rows, err := SwPrefetchAblation.rows(o)
 	if err != nil {
 		return nil, err

@@ -29,24 +29,23 @@ type ObsRecord struct {
 // returns the per-workload captures in workload order. Runs fan out on
 // the experiment engine like any other experiment.
 func ObsSweep(opt ExpOptions) ([]ObsRecord, error) {
-	e := opt.engine()
-	names, builders, err := opt.builders()
+	opt, err := opt.prepare()
 	if err != nil {
 		return nil, err
 	}
-	handles := make([]*RunHandle, len(names))
-	for i, name := range names {
-		handles[i] = e.RunAsync(builders[i], RunConfig{
+	handles := make([]*RunHandle, len(opt.names))
+	for i, name := range opt.names {
+		handles[i] = opt.eng.RunAsync(opt.builders[i], RunConfig{
 			Coalloc: true,
 			Seed:    opt.Seed,
 			Observe: true,
 		}, name+"/obs")
 	}
-	if err := e.Wait(); err != nil {
+	if err := opt.eng.Wait(); err != nil {
 		return nil, err
 	}
-	recs := make([]ObsRecord, len(names))
-	for i, name := range names {
+	recs := make([]ObsRecord, len(opt.names))
+	for i, name := range opt.names {
 		h := handles[i]
 		recs[i] = ObsRecord{
 			Workload: name,

@@ -105,7 +105,7 @@ func TestExperimentOutputIdenticalAcrossJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if one != four {
-		t.Errorf("fig4 output differs between jobs=1 and jobs=4:\n--- jobs=1\n%s--- jobs=4\n%s", one, four)
+	if one.Output != four.Output {
+		t.Errorf("fig4 output differs between jobs=1 and jobs=4:\n--- jobs=1\n%s--- jobs=4\n%s", one.Output, four.Output)
 	}
 }

@@ -152,153 +152,92 @@ func DiscoverPrefixCycles(b Builder, cfg RunConfig) (uint64, *stats.Estimate, er
 	return uint64(WarmstartPrefixFraction * res.Estimated.Cycles), res.Estimated, nil
 }
 
-// WarmstartResult carries the warm-start experiment's measurements.
-type WarmstartResult struct {
-	Program          string
-	PrefixCycles     uint64  // discovered pause cycle (fraction of the estimate)
-	EstimatedCycles  float64 // sampled discovery's full-run cycle estimate
-	Intervals        []uint64
-	ColdCycles       []uint64 // final simulated cycles, cold run per interval
-	WarmCycles       []uint64 // final simulated cycles, warm-started run per interval
-	ColdSeconds      float64  // summed wall clock of the cold sweep
-	DiscoverySeconds float64  // wall clock of the sampled discovery run
-	PrefixSeconds    float64  // wall clock of the shared prefix run
-	ResumeSeconds    float64  // summed wall clock of the warm tails
-}
-
-// Speedup returns the serial-equivalent wall-clock ratio of the cold
-// sweep over the warm-start sweep (prefix + tails). Discovery is
-// excluded: its product — the pause cycle — is a property of the
-// configuration, reusable across sweeps (and previously a hardcoded
-// constant). SpeedupWithDiscovery charges it.
-func (r *WarmstartResult) Speedup() float64 {
-	warm := r.PrefixSeconds + r.ResumeSeconds
-	if warm <= 0 {
-		return 1
-	}
-	return r.ColdSeconds / warm
-}
-
-// SpeedupWithDiscovery is Speedup with the sampled discovery run's
-// wall clock charged to the warm side — the honest first-time cost.
-func (r *WarmstartResult) SpeedupWithDiscovery() float64 {
-	warm := r.DiscoverySeconds + r.PrefixSeconds + r.ResumeSeconds
-	if warm <= 0 {
-		return 1
-	}
-	return r.ColdSeconds / warm
-}
-
-// WarmstartData runs the sampling-interval sweep on db twice — cold
-// (one full run per interval) and warm (sampled prefix discovery, then
-// one shared exact prefix sampled at the first interval, then one
-// RunFrom tail per interval) — and returns both the simulated outcomes
-// and the wall-clock accounting. Wall clock is measured as the
-// engine's summed per-run time, so the speedup is the
-// serial-equivalent ratio, independent of the jobs setting.
-func WarmstartData(opt ExpOptions) (*WarmstartResult, error) {
-	builder, err := Lookup("db")
-	if err != nil {
-		return nil, err
-	}
-	e := opt.engine()
-	res := &WarmstartResult{
-		Program:    "db",
-		Intervals:  WarmstartIntervals,
-		ColdCycles: make([]uint64, len(WarmstartIntervals)),
-		WarmCycles: make([]uint64, len(WarmstartIntervals)),
-	}
-	cfgAt := func(iv uint64) RunConfig {
-		return RunConfig{Monitoring: true, Interval: iv, Seed: opt.Seed}
-	}
-
-	// Cold sweep: one full run per interval.
-	base := e.Stats().RunTime
-	cold := make([]*RunHandle, len(WarmstartIntervals))
-	for i, iv := range WarmstartIntervals {
-		cold[i] = e.RunAsync(builder, cfgAt(iv), fmt.Sprintf("db/cold-iv=%d", iv))
-	}
-	if err := e.Wait(); err != nil {
-		return nil, err
-	}
-	res.ColdSeconds = (e.Stats().RunTime - base).Seconds()
-	for i, h := range cold {
-		res.ColdCycles[i] = h.Result().Cycles
-	}
-
-	// Sampled discovery: estimate the run length, derive the pause
-	// cycle as a fixed fraction of it.
-	base = e.Stats().RunTime
-	e.Submit("db/discover", func() error {
-		pauseAt, est, err := DiscoverPrefixCycles(builder, cfgAt(WarmstartIntervals[0]))
-		if err != nil {
-			return err
-		}
-		res.PrefixCycles = pauseAt
-		res.EstimatedCycles = est.Cycles
-		return nil
-	})
-	if err := e.Wait(); err != nil {
-		return nil, err
-	}
-	res.DiscoverySeconds = (e.Stats().RunTime - base).Seconds()
-
-	// Shared prefix, sampled at the sweep's first interval.
-	base = e.Stats().RunTime
-	var snapshot []byte
-	e.Submit("db/prefix", func() error {
-		var err error
-		snapshot, err = RunPrefix(builder, cfgAt(WarmstartIntervals[0]), res.PrefixCycles)
-		return err
-	})
-	if err := e.Wait(); err != nil {
-		return nil, err
-	}
-	res.PrefixSeconds = (e.Stats().RunTime - base).Seconds()
-
-	// Warm sweep: restore the shared prefix, retarget, run the tail.
-	base = e.Stats().RunTime
-	cfgs := make([]RunConfig, len(WarmstartIntervals))
-	for i, iv := range WarmstartIntervals {
-		cfgs[i] = cfgAt(iv)
-	}
-	warm := e.RunFrom(builder, snapshot, cfgs...)
-	if err := e.Wait(); err != nil {
-		return nil, err
-	}
-	res.ResumeSeconds = (e.Stats().RunTime - base).Seconds()
-	for i, h := range warm {
-		res.WarmCycles[i] = h.Result().Cycles
-	}
-	return res, nil
-}
-
-// Warmstart renders the warm-start sweep. The same-interval point is
+// warmstart runs the sampling-interval sweep on db twice — cold (one
+// full run per interval) and warm (sampled prefix discovery, then one
+// shared exact prefix sampled at the first interval, then one RunFrom
+// tail per interval) — and renders both outcomes and the wall-clock
+// accounting. Each phase is one round on the engine, so its time is the
+// summed per-run wall clock and the speedups are serial-equivalent
+// ratios, independent of the jobs setting. The same-interval point is
 // byte-identical to its cold run (equal final cycles, pinned by
 // TestSnapshotRestoreByteIdentical at the core layer); retargeted
 // points may differ slightly since their prefix was sampled at the
 // snapshot's interval.
-func Warmstart(opt ExpOptions) (string, error) {
-	r, err := WarmstartData(opt)
+func warmstart(opt ExpOptions) (string, error) {
+	builder, err := Lookup("db")
 	if err != nil {
 		return "", err
 	}
-	opt.recordMetric("warm_start_speedup", r.Speedup())
-	opt.recordMetric("warm_start_speedup_with_discovery", r.SpeedupWithDiscovery())
+	cfgs := make([]RunConfig, len(WarmstartIntervals))
+	for i, iv := range WarmstartIntervals {
+		cfgs[i] = RunConfig{Monitoring: true, Interval: iv, Seed: opt.Seed}
+	}
+
+	// Cold sweep: one full run per interval.
+	cold := make([]*RunHandle, len(cfgs))
+	coldTime, err := opt.round(func() {
+		for i, cfg := range cfgs {
+			cold[i] = opt.eng.RunAsync(builder, cfg, fmt.Sprintf("db/cold-iv=%d", cfg.Interval))
+		}
+	})
+	if err != nil {
+		return "", err
+	}
+
+	// Sampled discovery: estimate the run length, derive the pause
+	// cycle as a fixed fraction of it.
+	var pauseAt uint64
+	var est *stats.Estimate
+	discoveryTime, err := opt.round(func() {
+		opt.eng.Submit("db/discover", func() (err error) {
+			pauseAt, est, err = DiscoverPrefixCycles(builder, cfgs[0])
+			return err
+		})
+	})
+	if err != nil {
+		return "", err
+	}
+
+	// Shared prefix, sampled at the sweep's first interval.
+	var snapshot []byte
+	prefixTime, err := opt.round(func() {
+		opt.eng.Submit("db/prefix", func() (err error) {
+			snapshot, err = RunPrefix(builder, cfgs[0], pauseAt)
+			return err
+		})
+	})
+	if err != nil {
+		return "", err
+	}
+
+	// Warm sweep: restore the shared prefix, retarget, run the tail.
+	var warm []*RunHandle
+	tailsTime, err := opt.round(func() { warm = opt.eng.RunFrom(builder, snapshot, cfgs...) })
+	if err != nil {
+		return "", err
+	}
+
+	// Discovery is left out of the headline speedup: its product — the
+	// pause cycle — is a property of the configuration, reusable across
+	// sweeps (and once a hardcoded constant). The second ratio charges
+	// it, the honest first-time cost.
+	speedup := coldTime.Seconds() / (prefixTime + tailsTime).Seconds()
+	withDiscovery := coldTime.Seconds() / (discoveryTime + prefixTime + tailsTime).Seconds()
+	opt.recordMetric("warm_start_speedup", speedup)
+	opt.recordMetric("warm_start_speedup_with_discovery", withDiscovery)
+
 	var b strings.Builder
-	fmt.Fprintf(&b, "Warm start: sampling-interval sweep over a shared %d-cycle prefix (%s)\n",
-		r.PrefixCycles, r.Program)
+	fmt.Fprintf(&b, "Warm start: sampling-interval sweep over a shared %d-cycle prefix (db)\n", pauseAt)
 	fmt.Fprintf(&b, "prefix = %.0f%% of the sampled discovery estimate (%.0f cycles), sampled at\n",
-		100*WarmstartPrefixFraction, r.EstimatedCycles)
-	fmt.Fprintf(&b, "interval %d; each sweep point restores it and retargets\n\n", r.Intervals[0])
+		100*WarmstartPrefixFraction, est.Cycles)
+	fmt.Fprintf(&b, "interval %d; each sweep point restores it and retargets\n\n", WarmstartIntervals[0])
 	fmt.Fprintf(&b, "%-10s %15s %15s %10s\n", "interval", "cold cycles", "warm cycles", "identical")
-	for i, iv := range r.Intervals {
-		fmt.Fprintf(&b, "%-10d %15d %15d %10v\n", iv, r.ColdCycles[i], r.WarmCycles[i],
-			r.ColdCycles[i] == r.WarmCycles[i])
+	for i, iv := range WarmstartIntervals {
+		c, w := cold[i].Result().Cycles, warm[i].Result().Cycles
+		fmt.Fprintf(&b, "%-10d %15d %15d %10v\n", iv, c, w, c == w)
 	}
 	fmt.Fprintf(&b, "\nwall clock (serial-equivalent): cold sweep %.2fs; discovery %.2fs + warm prefix %.2fs + tails %.2fs\n",
-		r.ColdSeconds, r.DiscoverySeconds, r.PrefixSeconds, r.ResumeSeconds)
-	fmt.Fprintf(&b, "warm-start speedup: %.2fx (%.2fx charging discovery)\n",
-		r.Speedup(), r.SpeedupWithDiscovery())
+		coldTime.Seconds(), discoveryTime.Seconds(), prefixTime.Seconds(), tailsTime.Seconds())
+	fmt.Fprintf(&b, "warm-start speedup: %.2fx (%.2fx charging discovery)\n", speedup, withDiscovery)
 	return b.String(), nil
 }
