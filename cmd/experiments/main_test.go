@@ -46,6 +46,7 @@ func TestMisuseFailsWithoutATable(t *testing.T) {
 		{"-exp", "fig5", "-workloads", "db", "-reps", "-1"},
 		{"-exp", "fig8", "-workloads", "nosuch"},
 		{"-exp", "nosuch"},
+		{"-exp", "fig4,nosuch"},
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run(append(args, "-progress=false"), &stdout, &stderr)
