@@ -32,10 +32,6 @@ type Config struct {
 	// worker name used in routing and X-Hpmvmd-Worker). Defaults to
 	// BaseURL.
 	Name string
-	// HTTPClient overrides the transport (nil = a dedicated client with
-	// no global timeout; per-call ctx deadlines bound requests, since a
-	// cold simulation legitimately runs for minutes).
-	HTTPClient *http.Client
 	// MaxRetries bounds retry-with-backoff on queue_full/draining
 	// refusals (0 = 4; negative = no retries).
 	MaxRetries int
@@ -66,11 +62,10 @@ func New(cfg Config) *Client {
 	if cfg.RetryBase <= 0 {
 		cfg.RetryBase = 100 * time.Millisecond
 	}
-	hc := cfg.HTTPClient
-	if hc == nil {
-		hc = &http.Client{}
-	}
-	return &Client{cfg: cfg, http: hc}
+	// A dedicated client with no global timeout: per-call ctx deadlines
+	// bound requests, since a cold simulation legitimately runs for
+	// minutes.
+	return &Client{cfg: cfg, http: &http.Client{}}
 }
 
 // Name implements serve.Backend.

@@ -86,26 +86,20 @@ func DefaultConfig() Config {
 	}
 }
 
-// fieldMode is the per-field placement state machine.
+// fieldMode is the per-field placement state machine. A field never
+// leaves modeActive: a revert drops its gap and keeps it co-allocating.
 type fieldMode int
 
 const (
-	modeIdle     fieldMode = iota // not yet hot
-	modeActive                    // co-allocating
-	modeDisabled                  // reverted entirely
+	modeIdle   fieldMode = iota // not yet hot
+	modeActive                  // co-allocating
 )
 
 func (m fieldMode) String() string {
-	switch m {
-	case modeIdle:
-		return "idle"
-	case modeActive:
+	if m == modeActive {
 		return "active"
-	case modeDisabled:
-		return "disabled"
-	default:
-		return "?"
 	}
+	return "idle"
 }
 
 // fieldState tracks one reference field's decision history.

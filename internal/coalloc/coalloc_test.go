@@ -1,6 +1,9 @@
 package coalloc_test
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"strings"
 	"testing"
 
@@ -8,6 +11,7 @@ import (
 	"hpmvm/internal/coalloc"
 	"hpmvm/internal/core"
 	"hpmvm/internal/opt"
+	"hpmvm/internal/snap"
 	"hpmvm/internal/vm/bytecode"
 	"hpmvm/internal/vm/classfile"
 )
@@ -118,6 +122,42 @@ func TestPolicyActivatesHotField(t *testing.T) {
 	if sys.Hier().Stats().L1Misses >= base.Hier().Stats().L1Misses {
 		t.Errorf("no miss reduction: %d vs %d",
 			sys.Hier().Stats().L1Misses, base.Hier().Stats().L1Misses)
+	}
+}
+
+// TestRestoreRejectsUnknownFieldMode: a field is idle or active, so a
+// blob carrying any other mode is a state no encoder writes and fails
+// with snap.ErrDecode, leaving the policy as it was.
+func TestRestoreRejectsUnknownFieldMode(t *testing.T) {
+	sys := runPolicy(t, core.Options{
+		HeapLimit:        8 << 20,
+		Monitoring:       true,
+		SamplingInterval: 2000,
+		Optimizations:    []core.OptimizationConfig{{Kind: opt.KindCoalloc}},
+	})
+	valid := sys.Policy.Snapshot()
+	// The blob opens with the field-state count, then the first entry's
+	// field id and mode, one 64-bit word each.
+	if binary.LittleEndian.Uint64(valid.Data) == 0 {
+		t.Fatal("no field states to corrupt")
+	}
+	withMode := func(mode int64) snap.ComponentState {
+		st := valid
+		st.Data = bytes.Clone(valid.Data)
+		binary.LittleEndian.PutUint64(st.Data[16:], uint64(mode))
+		return st
+	}
+	for _, mode := range []int64{2, -1} {
+		if err := sys.Policy.Restore(withMode(mode)); !errors.Is(err, snap.ErrDecode) {
+			t.Errorf("mode %d: Restore = %v, want snap.ErrDecode", mode, err)
+		}
+		if !bytes.Equal(sys.Policy.Snapshot().Data, valid.Data) {
+			t.Errorf("mode %d: failed Restore modified the policy", mode)
+		}
+	}
+	// The same word set to active is a valid blob: the offset is right.
+	if err := sys.Policy.Restore(withMode(1)); err != nil {
+		t.Errorf("mode 1 (active) rejected: %v", err)
 	}
 }
 

@@ -20,6 +20,7 @@ func (p *Policy) walk(c *snap.Codec) {
 	snap.MapPtr(c, &p.fields, func(c *snap.Codec, id *int, fs *fieldState) {
 		snap.Int(c, id)
 		snap.Int(c, &fs.mode)
+		c.Check(fs.mode == modeIdle || fs.mode == modeActive, "field mode %d is neither idle nor active", fs.mode)
 		c.U64(&fs.gap)
 		c.F64(&fs.baselineRate)
 		snap.Int(c, &fs.activatedAt)
