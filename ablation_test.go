@@ -8,7 +8,7 @@ import (
 )
 
 // TestAblationPrefetchOffPinned holds the two prefetch-off cells of the
-// ablation table (bench.Ablations: db, hardware prefetcher disabled,
+// ablation table (`-exp ablations`: db, hardware prefetcher disabled,
 // base and co-allocation) to the numbers recorded in
 // results/ablations.txt. They are the only experiment cells that run
 // under a non-default cache geometry, which reaches the system through
