@@ -213,9 +213,8 @@ type RunConfig struct {
 	// Observe attaches the observability layer (package obs) to the
 	// run's System; Result.Obs then carries the final counter/phase
 	// snapshot. The observer is passive, so simulated results are
-	// unchanged. TraceCapacity bounds the event ring (0 = default).
-	Observe       bool
-	TraceCapacity int
+	// unchanged.
+	Observe bool
 }
 
 // Result carries every metric the experiments report.
@@ -287,19 +286,11 @@ func (cfg RunConfig) Resolve(minHeap uint64, hotField string) core.Options {
 		Seed:             cfg.Seed,
 		TrackFields:      track,
 		Observe:          cfg.Observe,
-		TraceCapacity:    cfg.TraceCapacity,
 		Sampling:         cfg.Sampling,
 	}
 	if cfg.Coalloc {
-		e := core.OptimizationConfig{Kind: opt.KindCoalloc}
-		if cfg.Gap != 0 || cfg.GapAtCycle != 0 || cfg.Ranked {
-			cc := coalloc.DefaultConfig()
-			cc.Gap = cfg.Gap
-			cc.GapAtCycle = cfg.GapAtCycle
-			cc.Ranked = cfg.Ranked
-			e.Config = cc
-		}
-		opts.Optimizations = append(opts.Optimizations, e)
+		opts.Optimizations = append(opts.Optimizations, core.OptimizationConfig{Kind: opt.KindCoalloc,
+			Config: coalloc.Config{Gap: cfg.Gap, GapAtCycle: cfg.GapAtCycle, Ranked: cfg.Ranked}})
 	}
 	if cfg.CodeLayout {
 		opts.Optimizations = append(opts.Optimizations,

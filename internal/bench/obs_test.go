@@ -34,7 +34,6 @@ func TestObserveCycleIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg.Observe = true
-			cfg.TraceCapacity = 512
 			observed, sys, err := Run(b, cfg)
 			if err != nil {
 				t.Fatal(err)

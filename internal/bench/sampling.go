@@ -200,9 +200,7 @@ func newSampledLane(sys *core.System, interval uint64, seed int64) (*sampledLane
 	unit := pebs.NewUnit(clk, rand.New(rand.NewSource(seed)))
 	mod := perfmon.NewModule(unit, clk, perfmon.DefaultConfig())
 
-	mcfg := monitor.DefaultConfig()
-	mcfg.Auto = interval == 0
-	mon := monitor.New(sys.VM, mod, mcfg)
+	mon := monitor.New(sys.VM, mod, monitor.Config{Auto: interval == 0})
 	mon.SetClock(clk)
 
 	if err := mod.ConfigureSession(core.SessionConfig(interval, cache.EventL1Miss)); err != nil {

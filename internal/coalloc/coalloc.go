@@ -27,40 +27,20 @@ import (
 	"hpmvm/internal/vm/classfile"
 )
 
-// Config tunes the policy.
+// Config selects the policy's placement variant. The zero value is the
+// policy the reported experiments run: adjacent placement through each
+// class's single hottest field, no intervention.
 type Config struct {
-	// MinSamples is the number of attributed samples a field needs
-	// before it is considered hot enough to drive co-allocation (a
-	// statistically meaningless single sample must not retune the GC).
-	MinSamples uint64
-
 	// Gap is the placement gap applied from activation on (normally 0;
 	// non-zero reproduces ablations where every pair is gapped).
 	Gap uint64
 
 	// GapAtCycle, when non-zero, is the Figure 8 manual intervention:
 	// once the cycle counter passes it, newly placed pairs of active
-	// fields get one cache line (GapBytes) of padding — "we then
-	// instructed the GC manually to place one cache line of empty
-	// space between the String and the char[] objects".
+	// fields get one cache line (gapBytes) of padding — "we then
+	// instructed the GC manually to place one cache line of empty space
+	// between the String and the char[] objects".
 	GapAtCycle uint64
-	// GapBytes is the padding used by the intervention (default 128).
-	GapBytes uint64
-
-	// Revert heuristic. With both placement variants observed, the
-	// policy reverts the gapped placement when gapped pairs attract
-	// more than ABRatio times the misses-per-pair of adjacent pairs
-	// (after MinABSamples variant-attributed samples). Without an A/B
-	// population, it falls back to comparing the field's miss rate
-	// against the rate at activation and reverts on a regression
-	// beyond RegressionFactor.
-	ABRatio          float64
-	MinABSamples     uint64
-	EvalPeriods      int
-	RegressionFactor float64
-
-	// RevertEnabled turns the online assessment on.
-	RevertEnabled bool
 
 	// Ranked enables the full §5.4 per-class candidate list: every
 	// sufficiently sampled reference field becomes a candidate, and
@@ -72,19 +52,28 @@ type Config struct {
 	Ranked bool
 }
 
-// DefaultConfig returns the standard policy settings.
-func DefaultConfig() Config {
-	return Config{
-		MinSamples:       8,
-		Gap:              0,
-		GapBytes:         128,
-		ABRatio:          1.4,
-		MinABSamples:     12,
-		EvalPeriods:      6,
-		RegressionFactor: 2.5,
-		RevertEnabled:    true,
-	}
-}
+// The policy's operating point.
+const (
+	// minSamples is the number of attributed samples a field needs
+	// before it is considered hot enough to drive co-allocation (a
+	// statistically meaningless single sample must not retune the GC).
+	minSamples = 8
+
+	// gapBytes is the padding of the Figure 8 intervention.
+	gapBytes = 128
+
+	// Revert heuristic. With both placement variants observed, the
+	// policy reverts the gapped placement when gapped pairs attract
+	// more than abRatio times the misses-per-pair of adjacent pairs
+	// (after minABSamples variant-attributed samples). Without an A/B
+	// population, it falls back to comparing the field's miss rate over
+	// the last evalPeriods polls against the rate at activation and
+	// reverts on a regression beyond regressionFactor.
+	abRatio          = 1.4
+	minABSamples     = 12
+	evalPeriods      = 6
+	regressionFactor = 2.5
+)
 
 // fieldMode is the per-field placement state machine. A field never
 // leaves modeActive: a revert drops its gap and keeps it co-allocating.

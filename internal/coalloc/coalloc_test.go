@@ -181,8 +181,7 @@ func TestPolicyRevertsForcedGap(t *testing.T) {
 	u2 := classfile.NewUniverse()
 	main2, _ := hotPairProgram(u2)
 	u2.Layout()
-	cc := coalloc.DefaultConfig()
-	cc.GapAtCycle = mid
+	cc := coalloc.Config{GapAtCycle: mid}
 	sys, err := core.NewSystemOpts(u2, core.Options{
 		HeapLimit:        8 << 20,
 		Monitoring:       true,

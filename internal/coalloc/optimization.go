@@ -29,7 +29,7 @@ var _ opt.Optimization = (*Policy)(nil)
 
 func init() {
 	opt.Register(opt.Describe(opt.KindCoalloc, snapComponent, opt.Requirements{NeedsGenMS: true},
-		DefaultConfig, func(c Config) Config { return c }, newManaged))
+		func() Config { return Config{} }, func(c Config) Config { return c }, newManaged))
 }
 
 // newManaged builds the policy for an opt.Manager and makes it the
@@ -47,9 +47,6 @@ func newManaged(env opt.Env, cfg Config) *Policy {
 // observes the monitor and calls the Optimization methods; the policy
 // registers no observer of its own.
 func NewPolicy(mon *monitor.Monitor, cfg Config) *Policy {
-	if cfg.GapBytes == 0 {
-		cfg.GapBytes = 128
-	}
 	return &Policy{
 		cfg:     cfg,
 		mon:     mon,
@@ -95,7 +92,7 @@ func (p *Policy) Analyze(now uint64) []opt.Proposal {
 			st = &fieldState{field: f}
 			p.fields[f.ID] = st
 		}
-		if st.mode == modeIdle && fc.Samples >= p.cfg.MinSamples {
+		if st.mode == modeIdle && fc.Samples >= minSamples {
 			cur := p.byClass[f.Class.ID]
 			if overlay != nil && overlay[f.Class.ID] != nil {
 				cur = overlay[f.Class.ID]
@@ -152,7 +149,7 @@ func (p *Policy) Apply(now uint64, pr opt.Proposal) {
 		st, fc := a.st, a.fc
 		st.mode = modeActive
 		st.gap = p.cfg.Gap
-		st.baselineRate = tailMean(&fc.RateSeries, p.cfg.EvalPeriods)
+		st.baselineRate = tailMean(&fc.RateSeries, evalPeriods)
 		st.activatedAt = fc.RateSeries.Len()
 		if a.top {
 			p.byClass[st.field.Class.ID] = st
@@ -163,9 +160,9 @@ func (p *Policy) Apply(now uint64, pr opt.Proposal) {
 	case *intervention:
 		st := a.st
 		p.intervened = true
-		st.gap = p.cfg.GapBytes
+		st.gap = gapBytes
 		if fc := p.mon.Field(st.field); fc != nil {
-			st.baselineRate = tailMean(&fc.RateSeries, p.cfg.EvalPeriods)
+			st.baselineRate = tailMean(&fc.RateSeries, evalPeriods)
 			st.activatedAt = fc.RateSeries.Len()
 			st.abMarkAdj = fc.AdjacentSamples
 			st.abMarkGap = fc.GappedSamples
@@ -193,9 +190,6 @@ func (p *Policy) OpenDecisions() []*opt.Decision {
 // A/B verdict suppresses the rate fallback for that field this poll.
 func (p *Policy) Assess(now uint64, d *opt.Decision) opt.Assessment {
 	keep := opt.Assessment{Verdict: opt.VerdictKeep}
-	if !p.cfg.RevertEnabled {
-		return keep
-	}
 	st := d.State.(*fieldState)
 	fc := p.mon.Field(st.field)
 	if fc == nil {
@@ -206,14 +200,14 @@ func (p *Policy) Assess(now uint64, d *opt.Decision) opt.Assessment {
 	dAdj := fc.AdjacentSamples - st.abMarkAdj
 	dGap := fc.GappedSamples - st.abMarkGap
 	if st.gap > 0 && st.pairsAdj > 0 && st.pairsGapped > 0 &&
-		dAdj+dGap >= p.cfg.MinABSamples {
+		dAdj+dGap >= minABSamples {
 		// Laplace smoothing: a well-placed pair population often
 		// produces zero samples (its child accesses hit — that is the
 		// point of co-allocation), and an absent denominator must not
 		// mask the signal.
 		perAdj := (float64(dAdj) + 0.5) / float64(st.pairsAdj)
 		perGap := float64(dGap) / float64(st.pairsGapped)
-		if perGap > perAdj*p.cfg.ABRatio {
+		if perGap > perAdj*abRatio {
 			return opt.Assessment{
 				Verdict: opt.VerdictBad,
 				Reason:  obs.DecisionRevertAB,
@@ -233,11 +227,11 @@ func (p *Policy) Assess(now uint64, d *opt.Decision) opt.Assessment {
 		return keep
 	}
 	elapsed := fc.RateSeries.Len() - st.activatedAt
-	if elapsed < p.cfg.EvalPeriods {
+	if elapsed < evalPeriods {
 		return keep
 	}
-	current := tailMean(&fc.RateSeries, p.cfg.EvalPeriods)
-	if st.baselineRate > 0 && current > st.baselineRate*p.cfg.RegressionFactor {
+	current := tailMean(&fc.RateSeries, evalPeriods)
+	if st.baselineRate > 0 && current > st.baselineRate*regressionFactor {
 		return opt.Assessment{
 			Verdict: opt.VerdictBad,
 			Reason:  obs.DecisionRevertRate,

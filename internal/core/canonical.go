@@ -7,9 +7,6 @@ import (
 	"reflect"
 	"sort"
 	"strings"
-
-	"hpmvm/internal/monitor"
-	"hpmvm/internal/vm/aos"
 )
 
 // This file defines the deterministic cache-key contract: a run is
@@ -24,14 +21,13 @@ import (
 //
 //   - Defaults are resolved before hashing: a zero Cache hashes like an
 //     explicit DefaultP4, HeapLimit 0 like the 64 MiB default, and a
-//     nil sub-config pointer like a pointer to its DefaultConfig.
+//     nil optimization config like its kind's defaults.
 //   - Fields gated off by their master switch are cleared: with
-//     Monitoring false the sampling interval, event, monitor config and
-//     tracked fields cannot reach the simulation, so they do not reach
-//     the hash either.
-//   - Passive fields are excluded: Observe and TraceCapacity attach the
-//     obs layer, which never charges simulated cycles (pinned by
-//     TestObserveCycleIdentical), so they cannot change a result.
+//     Monitoring false the sampling interval, event and tracked fields
+//     cannot reach the simulation, so they do not reach the hash either.
+//   - Passive fields are excluded: Observe attaches the obs layer,
+//     which never charges simulated cycles (pinned by
+//     TestObserveCycleIdentical), so it cannot change a result.
 //     Consumers whose *response* shape depends on them (the serve
 //     layer returns obs metrics when asked) must fold them into their
 //     own key on top of Fingerprint.
@@ -48,47 +44,26 @@ import (
 // Options and fails if a field neither perturbs the hash nor appears
 // here.
 var canonicalIgnored = map[string]string{
-	"Observe":       "passive observer, cycle-identical by TestObserveCycleIdentical",
-	"TraceCapacity": "sizes the passive observer's ring buffer",
+	"Observe": "passive observer, cycle-identical by TestObserveCycleIdentical",
 }
 
 // Canonical returns the normalized form of o: defaults resolved,
-// switch-gated fields cleared, passive fields zeroed, and sub-config
-// pointers materialized with the same overrides NewSystemOpts applies
-// when wiring (Auto follows SamplingInterval, TrackFields is copied
-// into the monitor config). Two Options build behaviourally identical
-// Systems iff their Canonical forms are deeply equal.
+// switch-gated fields cleared, passive fields zeroed, and every
+// optimization config resolved through its kind. Two Options build
+// behaviourally identical Systems iff their Canonical forms are deeply
+// equal.
 func (o Options) Canonical() Options {
 	c := o.withDefaults()
 	c.Observe = false
-	c.TraceCapacity = 0
 	if !c.Monitoring {
 		c.SamplingInterval = 0
 		c.Event = 0
-		c.MonitorConfig = nil
 		c.TrackFields = nil
-	} else {
-		mcfg := monitor.DefaultConfig()
-		if c.MonitorConfig != nil {
-			mcfg = *c.MonitorConfig
-		}
-		// Mirror the constructor's wiring: these two fields are always
-		// overwritten from the top-level options, so whatever the caller
-		// put in them is unreachable.
-		mcfg.Auto = c.SamplingInterval == 0
-		mcfg.TrackFields = c.TrackFields
-		c.MonitorConfig = &mcfg
 	}
 	// The managed list hashes with every config resolved through its
 	// kind's descriptor and sorted by kind — unknown kinds stay in and
 	// still perturb the hash.
 	c.Optimizations, _ = c.managedOptimizations()
-	if !c.Adaptive {
-		c.AOSConfig = nil
-	} else if c.AOSConfig == nil {
-		acfg := aos.DefaultConfig()
-		c.AOSConfig = &acfg
-	}
 	return c
 }
 
@@ -128,18 +103,12 @@ func (o Options) Fingerprint() string {
 }
 
 // prefixCanonical is the canonical form with the hardware sampling
-// interval normalized away: SamplingInterval zeroed and the derived
-// monitor Auto flag pinned false. Two monitoring configurations with
-// equal prefix forms run the same simulation except for when samples
-// are taken — the relationship the snapshot prefix cache exploits.
+// interval zeroed. Two monitoring configurations with equal prefix
+// forms run the same simulation except for when samples are taken —
+// the relationship the snapshot prefix cache exploits.
 func (o Options) prefixCanonical() Options {
 	c := o.Canonical()
-	if c.Monitoring {
-		c.SamplingInterval = 0
-		mcfg := *c.MonitorConfig
-		mcfg.Auto = false
-		c.MonitorConfig = &mcfg
-	}
+	c.SamplingInterval = 0
 	return c
 }
 

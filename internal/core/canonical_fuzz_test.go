@@ -17,14 +17,14 @@ import (
 // in CI; `go test -fuzz=FuzzCanonical ./internal/core` explores
 // further.
 func FuzzCanonical(f *testing.F) {
-	f.Add(uint8(0), uint64(0), false, uint64(0), uint8(0), false, false, int64(0), "", false, 0, false, uint32(0), false, uint32(0), false)
-	f.Add(uint8(1), uint64(12<<20), true, uint64(1000), uint8(1), false, false, int64(7), "String::value", true, 128, true, uint32(0), true, uint32(0), true)
-	f.Add(uint8(0), uint64(8<<20), true, uint64(0), uint8(2), true, true, int64(-3), "Node::next", false, 0, true, uint32(4096), false, uint32(4), true)
-	f.Add(uint8(2), uint64(1), true, uint64(25_000), uint8(9), true, false, int64(1<<40), "a::b", true, -5, false, uint32(1), true, uint32(63), false)
+	f.Add(uint8(0), uint64(0), false, uint64(0), uint8(0), false, false, int64(0), "", false, false, uint32(0), false, uint32(0), false)
+	f.Add(uint8(1), uint64(12<<20), true, uint64(1000), uint8(1), false, false, int64(7), "String::value", true, true, uint32(0), true, uint32(0), true)
+	f.Add(uint8(0), uint64(8<<20), true, uint64(0), uint8(2), true, true, int64(-3), "Node::next", false, true, uint32(4096), false, uint32(4), true)
+	f.Add(uint8(2), uint64(1), true, uint64(25_000), uint8(9), true, false, int64(1<<40), "a::b", true, false, uint32(1), true, uint32(63), false)
 
 	f.Fuzz(func(t *testing.T, collector uint8, heap uint64, monitoring bool,
 		interval uint64, event uint8, coalloc, adaptive bool, seed int64,
-		track string, observe bool, traceCap int,
+		track string, observe bool,
 		codeLayout bool, icacheSize uint32,
 		swPrefetch bool, spDistance uint32, byValue bool) {
 		o := Options{
@@ -36,7 +36,6 @@ func FuzzCanonical(f *testing.F) {
 			Adaptive:         adaptive,
 			Seed:             seed,
 			Observe:          observe,
-			TraceCapacity:    traceCap,
 		}
 		if track != "" {
 			o.TrackFields = []string{track}
@@ -104,12 +103,11 @@ func FuzzCanonical(f *testing.F) {
 			t.Fatalf("gated-off interval perturbed Fingerprint")
 		}
 
-		// Passive observer knobs never reach the key.
+		// The passive observer switch never reaches the key.
 		passive := o
 		passive.Observe = !o.Observe
-		passive.TraceCapacity = o.TraceCapacity + 1
 		if passive.Fingerprint() != fp {
-			t.Fatalf("passive obs fields perturbed Fingerprint")
+			t.Fatalf("passive Observe perturbed Fingerprint")
 		}
 
 		// Entry order and the config's spelling (nil ≡ the kind's

@@ -6,9 +6,7 @@ import (
 
 	"hpmvm/internal/coalloc"
 	"hpmvm/internal/hw/cache"
-	"hpmvm/internal/monitor"
 	"hpmvm/internal/opt"
-	"hpmvm/internal/vm/aos"
 	"hpmvm/internal/vm/runtime"
 )
 
@@ -104,16 +102,8 @@ func TestCanonicalFingerprintCoversEveryField(t *testing.T) {
 // TestCanonicalDefaultEquivalence pins the other half of the contract:
 // values that resolve to the same behaviour hash identically.
 func TestCanonicalDefaultEquivalence(t *testing.T) {
-	mdef := monitor.DefaultConfig()
-	cdef := coalloc.DefaultConfig()
-	adef := aos.DefaultConfig()
+	var cdef coalloc.Config
 	sdef := runtime.DefaultSamplingConfig()
-
-	// The wiring overwrites Auto and TrackFields from the top-level
-	// options, so differing values there are unreachable.
-	mShadow := mdef
-	mShadow.Auto = !mdef.Auto
-	mShadow.TrackFields = []string{"unreachable"}
 
 	cases := []struct {
 		name string
@@ -122,21 +112,12 @@ func TestCanonicalDefaultEquivalence(t *testing.T) {
 		{"zero vs explicit defaults",
 			Options{},
 			Options{Cache: cache.DefaultP4(), HeapLimit: 64 << 20}},
-		{"nil vs default monitor config",
-			Options{Monitoring: true, SamplingInterval: 1000},
-			Options{Monitoring: true, SamplingInterval: 1000, MonitorConfig: &mdef}},
-		{"monitor config differing only in overwritten fields",
-			Options{Monitoring: true, SamplingInterval: 1000, MonitorConfig: &mdef},
-			Options{Monitoring: true, SamplingInterval: 1000, MonitorConfig: &mShadow}},
 		{"nil vs default coalloc config",
 			Options{Monitoring: true, Optimizations: []OptimizationConfig{{Kind: opt.KindCoalloc}}},
 			Options{Monitoring: true, Optimizations: []OptimizationConfig{{Kind: opt.KindCoalloc, Config: &cdef}}}},
-		{"nil vs default aos config",
-			Options{Adaptive: true},
-			Options{Adaptive: true, AOSConfig: &adef}},
-		{"passive observer fields",
+		{"passive observer field",
 			Options{Seed: 3},
-			Options{Seed: 3, Observe: true, TraceCapacity: 9999}},
+			Options{Seed: 3, Observe: true}},
 		{"monitoring knobs unreachable when monitoring off",
 			Options{},
 			Options{SamplingInterval: 12345, Event: cache.EventDTLBMiss, TrackFields: []string{"A::b"}}},
@@ -181,9 +162,8 @@ func TestCanonicalDefaultEquivalence(t *testing.T) {
 // entry — co-allocation included — is semantic: it perturbs both the
 // exact and the prefix fingerprint.
 func TestCanonicalOptimizationsEquivalence(t *testing.T) {
-	ccfg := coalloc.DefaultConfig()
-	gapped := ccfg
-	gapped.Gap = 64
+	var ccfg coalloc.Config
+	gapped := coalloc.Config{Gap: 64}
 	clDef := opt.DefaultCodeLayoutConfig()
 	clRes := clDef.WithDefaults()
 	spDef := opt.DefaultSwPrefetchConfig()

@@ -89,7 +89,6 @@ type Options struct {
 	Monitoring       bool
 	SamplingInterval uint64
 	Event            cache.EventKind
-	MonitorConfig    *monitor.Config // optional overrides
 
 	// Optimizations selects managed online optimizations by kind (any
 	// kind registered with package opt — opt.KindCoalloc is the paper's
@@ -102,8 +101,7 @@ type Options struct {
 	// Adaptive enables the AOS sampler for recompilation (plan
 	// recording mode). The measured configurations instead replay a
 	// pre-generated plan (§6.1).
-	Adaptive  bool
-	AOSConfig *aos.Config
+	Adaptive bool
 
 	// Sampling, when non-nil, runs the simulation in sampled mode:
 	// functional fast-forward alternating with detailed measured
@@ -130,9 +128,6 @@ type Options struct {
 	// enabling it does not perturb measured results; disabled (the
 	// default), every emission site is a nil check.
 	Observe bool
-	// TraceCapacity bounds the event ring buffer (0 selects
-	// obs.DefaultTraceCapacity).
-	TraceCapacity int
 }
 
 // System is a fully wired execution platform.
@@ -236,13 +231,10 @@ func NewSystemOpts(u *classfile.Universe, opts Options) (*System, error) {
 	}
 
 	if opts.Monitoring {
-		mcfg := monitor.DefaultConfig()
-		if opts.MonitorConfig != nil {
-			mcfg = *opts.MonitorConfig
-		}
-		mcfg.Auto = opts.SamplingInterval == 0
-		mcfg.TrackFields = opts.TrackFields
-		s.Monitor = monitor.New(s.VM, s.Module, mcfg)
+		s.Monitor = monitor.New(s.VM, s.Module, monitor.Config{
+			Auto:        opts.SamplingInterval == 0,
+			TrackFields: opts.TrackFields,
+		})
 
 		// The manager observes the monitor before any optimization is
 		// built: monitor observers run in registration order, and that
@@ -263,11 +255,7 @@ func NewSystemOpts(u *classfile.Universe, opts Options) (*System, error) {
 	}
 
 	if opts.Adaptive {
-		acfg := aos.DefaultConfig()
-		if opts.AOSConfig != nil {
-			acfg = *opts.AOSConfig
-		}
-		s.AOS = aos.New(s.VM, acfg)
+		s.AOS = aos.New(s.VM)
 	}
 
 	if opts.Sampling != nil {
@@ -281,7 +269,7 @@ func NewSystemOpts(u *classfile.Universe, opts Options) (*System, error) {
 	}
 
 	if opts.Observe {
-		s.attachObserver(opts.TraceCapacity)
+		s.attachObserver()
 	}
 	return s, nil
 }
@@ -290,8 +278,8 @@ func NewSystemOpts(u *classfile.Universe, opts Options) (*System, error) {
 // every subsystem that exists under the current options. The observer
 // is passive — it never charges simulated cycles — so attaching it
 // changes no measured result (pinned by TestObserveCycleIdentical).
-func (s *System) attachObserver(traceCapacity int) {
-	o := obs.New(traceCapacity)
+func (s *System) attachObserver() {
+	o := obs.New(0)
 	s.Obs = o
 
 	now := s.VM.CPU.Cycles

@@ -85,15 +85,6 @@ func (o Options) Validate() error {
 	if o.Event < 0 || o.Event >= cache.NumEventKinds {
 		return fmt.Errorf("core: %w: unknown hardware event kind %d", ErrBadOptions, int(o.Event))
 	}
-	if o.TraceCapacity < 0 {
-		return fmt.Errorf("core: %w: negative TraceCapacity %d", ErrBadOptions, o.TraceCapacity)
-	}
-	if o.MonitorConfig != nil && !o.Monitoring {
-		return fmt.Errorf("core: %w: MonitorConfig set without Monitoring", ErrBadOptions)
-	}
-	if o.AOSConfig != nil && !o.Adaptive {
-		return fmt.Errorf("core: %w: AOSConfig set without Adaptive", ErrBadOptions)
-	}
 	_, err := o.managedOptimizations()
 	return err
 }

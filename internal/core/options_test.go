@@ -6,9 +6,7 @@ import (
 
 	"hpmvm/internal/core"
 	"hpmvm/internal/hw/cache"
-	"hpmvm/internal/monitor"
 	"hpmvm/internal/opt"
-	"hpmvm/internal/vm/aos"
 )
 
 // coallocEntry is the Options.Optimizations value enabling the paper's
@@ -16,8 +14,6 @@ import (
 var coallocEntry = []core.OptimizationConfig{{Kind: opt.KindCoalloc}}
 
 func TestValidateRejectsBadCombos(t *testing.T) {
-	mcfg := monitor.DefaultConfig()
-	acfg := aos.DefaultConfig()
 	cases := []struct {
 		name string
 		opts core.Options
@@ -26,9 +22,6 @@ func TestValidateRejectsBadCombos(t *testing.T) {
 		{"coalloc without monitoring", core.Options{Optimizations: coallocEntry}},
 		{"coalloc on gencopy", core.Options{Collector: core.GenCopy, Monitoring: true, Optimizations: coallocEntry}},
 		{"event out of range", core.Options{Event: cache.NumEventKinds}},
-		{"negative trace capacity", core.Options{TraceCapacity: -1}},
-		{"monitor config without monitoring", core.Options{MonitorConfig: &mcfg}},
-		{"aos config without adaptive", core.Options{AOSConfig: &acfg}},
 	}
 	for _, tc := range cases {
 		err := tc.opts.Validate()

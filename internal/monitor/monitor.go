@@ -23,58 +23,48 @@ import (
 	"hpmvm/internal/vm/runtime"
 )
 
-// Config controls the collector thread. The paper polls every
-// 10–1000 ms and auto-targets 200 samples/second on runs lasting tens
-// of seconds; simulated runs are ~100× shorter, so the defaults scale
-// the polling and targeting constants by the same factor (documented
-// in DESIGN.md) while keeping the hardware sampling intervals (25K,
-// 50K, 100K events) identical to the paper's.
+// Config selects the collector thread's two per-run settings; the rest
+// of its operating point is the package constants below.
 type Config struct {
-	// PollMinCycles and PollMaxCycles bound the adaptive poll interval
-	// of the collector thread (paper: 10 ms to 1000 ms).
-	PollMinCycles uint64
-	PollMaxCycles uint64
-
 	// Auto enables adaptive control of the hardware sampling interval.
 	Auto bool
-	// AutoTargetPerMCycle is the target sample rate in samples per
-	// million cycles (the paper's 200 samples/sec at 3 GHz, time-scaled).
-	AutoTargetPerMCycle float64
-	// AutoMinInterval and AutoMaxInterval clamp the adapted interval.
-	AutoMinInterval uint64
-	AutoMaxInterval uint64
-
-	// JNICallCycles is charged per poll for crossing the native
-	// boundary (the paper's pre-allocated-array JNI trick makes this a
-	// single crossing per poll, §4.1).
-	JNICallCycles uint64
-	// DecodeCyclesPerSample is charged for mapping one raw sample to
-	// method/bytecode/IR and updating counters.
-	DecodeCyclesPerSample uint64
-	// BatchCapacity is the size of the pre-allocated user-space sample
-	// array (80 KB in the paper).
-	BatchCapacity int
-
 	// TrackFields, when non-empty, restricts time-series recording to
 	// the named fields ("Class::field"); empty tracks every attributed
 	// field.
 	TrackFields []string
 }
 
-// DefaultConfig returns the scaled defaults.
-func DefaultConfig() Config {
-	return Config{
-		PollMinCycles:         300_000,    // ~0.1 ms at 3 GHz
-		PollMaxCycles:         10_000_000, // ~3.3 ms
-		Auto:                  false,
-		AutoTargetPerMCycle:   7,
-		AutoMinInterval:       1_000,
-		AutoMaxInterval:       10_000_000,
-		JNICallCycles:         2_000,
-		DecodeCyclesPerSample: 600,
-		BatchCapacity:         80 * 1024 / pebs.SampleSize,
-	}
-}
+// The collector thread's operating point. The paper polls every
+// 10–1000 ms and auto-targets 200 samples/second on runs lasting tens
+// of seconds; simulated runs are ~100× shorter, so these constants
+// scale the polling and targeting by the same factor (documented in
+// DESIGN.md) while keeping the hardware sampling intervals (25K, 50K,
+// 100K events) identical to the paper's.
+const (
+	// pollMinCycles and pollMaxCycles bound the adaptive poll interval
+	// (paper: 10 ms to 1000 ms).
+	pollMinCycles = 300_000    // ~0.1 ms at 3 GHz
+	pollMaxCycles = 10_000_000 // ~3.3 ms
+
+	// autoTargetPerMCycle is auto mode's target sample rate in samples
+	// per million cycles (the paper's 200 samples/sec at 3 GHz,
+	// time-scaled); autoMinInterval and autoMaxInterval clamp the
+	// adapted interval.
+	autoTargetPerMCycle = 7
+	autoMinInterval     = 1_000
+	autoMaxInterval     = 10_000_000
+
+	// jniCallCycles is charged per poll for crossing the native boundary
+	// (the paper's pre-allocated-array JNI trick makes this a single
+	// crossing per poll, §4.1).
+	jniCallCycles = 2_000
+	// decodeCyclesPerSample is charged for mapping one raw sample to
+	// method/bytecode/IR and updating counters.
+	decodeCyclesPerSample = 600
+	// batchCapacity is the size of the pre-allocated user-space sample
+	// array (80 KB in the paper).
+	batchCapacity = 80 * 1024 / pebs.SampleSize
+)
 
 // FieldCounter aggregates attributed events for one reference field.
 type FieldCounter struct {
@@ -195,11 +185,11 @@ func New(vm *runtime.VM, module *perfmon.Module, cfg Config) *Monitor {
 		module:        module,
 		cfg:           cfg,
 		clock:         vm.CPU,
-		buf:           make([]pebs.Sample, cfg.BatchCapacity),
+		buf:           make([]pebs.Sample, batchCapacity),
 		fields:        make(map[int]*FieldCounter),
 		methods:       make(map[int]*MethodCounter),
 		pairsByMethod: make(map[int]map[int32]*classfile.Field),
-		pollGap:       cfg.PollMinCycles,
+		pollGap:       pollMinCycles,
 	}
 	if len(cfg.TrackFields) > 0 {
 		m.tracked = make(map[string]bool)
@@ -287,7 +277,7 @@ func (m *Monitor) Tick() {
 	m.st.Polls++
 
 	// Cross into native code once per poll (pre-allocated array trick).
-	c.AddCycles(m.cfg.JNICallCycles)
+	c.AddCycles(jniCallCycles)
 	n := m.module.ReadSamples(m.buf)
 	m.st.SamplesRead += uint64(n)
 
@@ -295,7 +285,7 @@ func (m *Monitor) Tick() {
 	for i := 0; i < n; i++ {
 		m.decode(&m.buf[i], interval)
 	}
-	c.AddCycles(uint64(n) * m.cfg.DecodeCyclesPerSample)
+	c.AddCycles(uint64(n) * decodeCyclesPerSample)
 
 	now := c.Cycles()
 	m.flushPeriod(now)
@@ -321,17 +311,12 @@ func (m *Monitor) Tick() {
 // polling interval is adaptively set between 10ms and 1000ms").
 func (m *Monitor) adaptPollGap(lastBatch int) {
 	switch {
-	case lastBatch > m.cfg.BatchCapacity/2:
+	case lastBatch > batchCapacity/2:
 		m.pollGap /= 2
-	case lastBatch < m.cfg.BatchCapacity/8:
+	case lastBatch < batchCapacity/8:
 		m.pollGap *= 2
 	}
-	if m.pollGap < m.cfg.PollMinCycles {
-		m.pollGap = m.cfg.PollMinCycles
-	}
-	if m.pollGap > m.cfg.PollMaxCycles {
-		m.pollGap = m.cfg.PollMaxCycles
-	}
+	m.pollGap = min(max(m.pollGap, pollMinCycles), pollMaxCycles)
 }
 
 // adaptInterval retargets the hardware sampling interval toward the
@@ -340,24 +325,18 @@ func (m *Monitor) adaptInterval(now uint64) {
 	ustats := m.module.UnitStats()
 	dCycles := now - m.lastAutoCycles
 	dEvents := ustats.EventsSeen - m.lastAutoEvents
-	if dCycles < m.cfg.PollMinCycles {
+	if dCycles < pollMinCycles {
 		return
 	}
 	m.lastAutoCycles = now
 	m.lastAutoEvents = ustats.EventsSeen
 
-	wantSamples := m.cfg.AutoTargetPerMCycle * float64(dCycles) / 1e6
+	wantSamples := autoTargetPerMCycle * float64(dCycles) / 1e6
 	if wantSamples <= 0 {
 		return
 	}
 	iv := uint64(float64(dEvents) / wantSamples)
-	if iv < m.cfg.AutoMinInterval {
-		iv = m.cfg.AutoMinInterval
-	}
-	if iv > m.cfg.AutoMaxInterval {
-		iv = m.cfg.AutoMaxInterval
-	}
-	m.module.SetInterval(iv)
+	m.module.SetInterval(min(max(iv, autoMinInterval), autoMaxInterval))
 }
 
 // decode maps one raw sample to source constructs (§4.2).

@@ -6,7 +6,6 @@ import (
 
 	"hpmvm/internal/core"
 	"hpmvm/internal/hw/cache"
-	"hpmvm/internal/monitor"
 	"hpmvm/internal/vm/bytecode"
 	"hpmvm/internal/vm/classfile"
 	"hpmvm/internal/vm/runtime"
@@ -46,7 +45,7 @@ func chaseProgram(u *classfile.Universe) (*classfile.Method, *classfile.Field) {
 	b.Label("scan")
 	b.Const(0).Store("j")
 	b.Label("rounds")
-	b.Load("j").Const(80).If(bytecode.OpIfGE, "done")
+	b.Load("j").Const(400).If(bytecode.OpIfGE, "done")
 	b.Const(0).Store("i")
 	b.Label("walk")
 	b.Load("i").Const(6000).If(bytecode.OpIfGE, "jnext")
@@ -264,7 +263,9 @@ func TestPhaseChangeDetection(t *testing.T) {
 	b.Goto("mk")
 	// Two phases of pointer chasing at very different intensities:
 	// phase A interleaves sparse walks with long arithmetic pauses
-	// (low miss rate); phase B chases densely back to back.
+	// (low miss rate); phase B chases densely back to back, for long
+	// enough that the default poll bounds close two full rate windows
+	// inside it.
 	b.Local("p", kInt)
 	b.Label("missy")
 	b.Const(0).Store("j")
@@ -289,7 +290,7 @@ func TestPhaseChangeDetection(t *testing.T) {
 	b.Label("phaseB")
 	b.Const(0).Store("j")
 	b.Label("roundsB")
-	b.Load("j").Const(80).If(bytecode.OpIfGE, "done")
+	b.Load("j").Const(400).If(bytecode.OpIfGE, "done")
 	b.Const(0).Store("i")
 	b.Label("walkB")
 	b.Load("i").Const(6000).If(bytecode.OpIfGE, "jnB")
@@ -305,13 +306,10 @@ func TestPhaseChangeDetection(t *testing.T) {
 	b.MustBuild()
 	u.Layout()
 
-	mc := monitor.DefaultConfig()
-	mc.PollMaxCycles = 2_000_000
 	sys, err := core.NewSystemOpts(u, core.Options{
 		HeapLimit:        16 << 20,
 		Monitoring:       true,
 		SamplingInterval: 500,
-		MonitorConfig:    &mc,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -25,8 +25,8 @@ import (
 // Like co-allocation, the decision is verified online (§5.3): the
 // L1I miss rate over the EvalPeriods polls before the layout is the
 // baseline, the rate over the EvalPeriods polls after it is the
-// evidence, and a layout whose rate regresses past RegressionFactor×
-// baseline is reverted by re-packing the hot set. The BadPadAtCycle
+// evidence, and a layout whose rate regresses past
+// codeLayoutRegressionFactor× baseline is reverted by re-packing the hot set. The BadPadAtCycle
 // hook deliberately applies a conflict layout — every hot method
 // padded onto the same cache way — to exercise the revert path
 // (Figure 7's bad-decision experiment, transplanted to code layout).
@@ -62,20 +62,12 @@ type CodeLayoutConfig struct {
 	// baseline is measured over this many polls before a layout, the
 	// verdict over this many polls after it.
 	EvalPeriods uint64
-	// RegressionFactor flags a layout as bad when the post-layout L1I
-	// miss rate exceeds baseline × this factor.
-	RegressionFactor float64
 	// MinMissRate is the L1I miss-rate floor below which no layout is
 	// proposed: relocation pays cold misses on the fresh region, so the
 	// optimization acts only when monitoring shows instruction-cache
 	// pressure worth that cost. 0 resolves to the default; a negative
 	// value disables the floor.
 	MinMissRate float64
-	// MaxReverts backs the optimization off: after this many reverted
-	// layouts it stops proposing — repeated reverts are the monitor
-	// saying layout does not pay on this workload. 0 resolves to the
-	// default; a negative value never backs off.
-	MaxReverts int
 	// BadPadAtCycle, when non-zero, makes the next layout proposed at
 	// or after this cycle a deliberate conflict layout (all hot methods
 	// padded onto one cache way) — the bad-decision injection hook the
@@ -89,19 +81,27 @@ type CodeLayoutConfig struct {
 // DefaultCodeLayoutConfig returns the standard parameters.
 func DefaultCodeLayoutConfig() CodeLayoutConfig {
 	return CodeLayoutConfig{
-		ICacheSize:       8 * 1024,
-		ICacheAssoc:      2,
-		HotMethods:       16,
-		MinSamples:       24,
-		EvalPeriods:      6,
-		RegressionFactor: 1.5,
-		MinMissRate:      0.005,
-		MaxReverts:       2,
+		ICacheSize:  8 * 1024,
+		ICacheAssoc: 2,
+		HotMethods:  16,
+		MinSamples:  24,
+		EvalPeriods: 6,
+		MinMissRate: 0.005,
 	}
 }
 
+// The code-layout guard's fixed knobs: a layout is bad when the
+// post-layout L1I miss rate exceeds baseline × codeLayoutRegressionFactor,
+// and after codeLayoutMaxReverts reverted layouts the optimization stops
+// proposing — repeated reverts are the monitor saying layout does not
+// pay on this workload.
+const (
+	codeLayoutRegressionFactor = 1.5
+	codeLayoutMaxReverts       = 2
+)
+
 // WithDefaults resolves the zero values that have no meaningful zero
-// semantics (geometry, window, factor) to their defaults. HotMethods 0
+// semantics (geometry, window, floor) to their defaults. HotMethods 0
 // (no cap), MinSamples 0 (layout immediately), BadPadAtCycle 0 (never)
 // and Passive false are meaningful zeros and stay put. Canonicalization
 // and construction both apply it, so a zero field and its explicit
@@ -111,9 +111,7 @@ func (c CodeLayoutConfig) WithDefaults() CodeLayoutConfig {
 	orDefault(&c.ICacheSize, d.ICacheSize)
 	orDefault(&c.ICacheAssoc, d.ICacheAssoc)
 	orDefault(&c.EvalPeriods, d.EvalPeriods)
-	orDefault(&c.RegressionFactor, d.RegressionFactor)
 	orDefault(&c.MinMissRate, d.MinMissRate)
-	orDefault(&c.MaxReverts, d.MaxReverts)
 	return c
 }
 
@@ -149,9 +147,9 @@ func NewCodeLayout(env Env, cfg CodeLayoutConfig) *CodeLayout {
 		guarded: guarded{mon: env.Monitor, p: guardParams{
 			MinSamples:       cfg.MinSamples,
 			EvalPeriods:      cfg.EvalPeriods,
-			RegressionFactor: cfg.RegressionFactor,
+			RegressionFactor: codeLayoutRegressionFactor,
 			MinMissRate:      cfg.MinMissRate,
-			MaxReverts:       cfg.MaxReverts,
+			MaxReverts:       codeLayoutMaxReverts,
 			BadAtCycle:       cfg.BadPadAtCycle,
 			Passive:          cfg.Passive,
 		}},

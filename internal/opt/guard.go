@@ -9,7 +9,8 @@ import (
 )
 
 // guardParams are the knobs of the guard family, copied out of the
-// embedding kind's config (see CodeLayoutConfig for their meaning).
+// embedding kind's config and its per-kind constants (see
+// CodeLayoutConfig and codeLayoutRegressionFactor for their meaning).
 type guardParams struct {
 	MinSamples       uint64
 	EvalPeriods      uint64

@@ -36,7 +36,8 @@ import (
 // Like the other optimizations the decision is verified online (§5.3):
 // cycles-per-access over the EvalPeriods polls before the injection is
 // the baseline, the same rate after it is the evidence, and an
-// injection that regresses past RegressionFactor× baseline is reverted
+// injection that regresses past swPrefetchRegressionFactor× baseline is
+// reverted
 // by reinstalling the previous site set. BadInjectAtCycle deliberately
 // installs an L1-thrashing site set (each prefetch lands on the demand
 // line's own set) to exercise the revert path — Figure 7's
@@ -82,28 +83,14 @@ type SwPrefetchConfig struct {
 	// MinConfidence is how many stride-consistent deltas a PC must
 	// accumulate before it qualifies as an injection site.
 	MinConfidence int
-	// MaxSites caps how many sites one injection installs (0 = default).
-	MaxSites int
 	// Distance is how many strides ahead each prefetch targets.
 	Distance int
 	// MaxStreams bounds the detector table (least-seen eviction).
 	MaxStreams int
-	// IssueCycles is the cost charged per issued (non-squashed)
-	// software prefetch, passed to cache.Hierarchy.EnableSwPrefetch.
-	IssueCycles uint64
 	// EvalPeriods is the assessment window in monitor polls: the
 	// baseline is measured over this many polls before an injection,
 	// the verdict over this many polls after it.
 	EvalPeriods uint64
-	// RegressionFactor flags an injection as bad when post-injection
-	// cycles-per-access exceeds baseline × this factor.
-	RegressionFactor float64
-	// MinMissRate is the L1D miss-rate floor below which no injection
-	// is proposed: prefetching pays issue cycles and pollutes the
-	// cache, so the optimization acts only when monitoring shows data
-	// misses worth that cost. 0 resolves to the default; a negative
-	// value disables the floor.
-	MinMissRate float64
 	// MaxReverts backs the optimization off: after this many reverted
 	// injections it stops proposing. 0 resolves to the default; a
 	// negative value never backs off.
@@ -121,18 +108,32 @@ type SwPrefetchConfig struct {
 // DefaultSwPrefetchConfig returns the standard parameters.
 func DefaultSwPrefetchConfig() SwPrefetchConfig {
 	return SwPrefetchConfig{
-		MinSamples:       32,
-		MinConfidence:    3,
-		MaxSites:         16,
-		Distance:         2,
-		MaxStreams:       256,
-		IssueCycles:      1,
-		EvalPeriods:      6,
-		RegressionFactor: 1.2,
-		MinMissRate:      0.01,
-		MaxReverts:       2,
+		MinSamples:    32,
+		MinConfidence: 3,
+		Distance:      2,
+		MaxStreams:    256,
+		EvalPeriods:   6,
+		MaxReverts:    2,
 	}
 }
+
+// The prefetch-injection kind's fixed knobs.
+const (
+	// swPrefetchMaxSites caps how many sites one injection installs.
+	swPrefetchMaxSites = 16
+	// swPrefetchIssueCycles is the cost charged per issued
+	// (non-squashed) software prefetch, passed to
+	// cache.Hierarchy.EnableSwPrefetch.
+	swPrefetchIssueCycles = 1
+	// swPrefetchRegressionFactor flags an injection as bad when
+	// post-injection cycles-per-access exceeds baseline × this factor.
+	swPrefetchRegressionFactor = 1.2
+	// swPrefetchMinMissRate is the L1D miss-rate floor below which no
+	// injection is proposed: prefetching pays issue cycles and pollutes
+	// the cache, so the optimization acts only when monitoring shows
+	// data misses worth that cost.
+	swPrefetchMinMissRate = 0.01
+)
 
 // WithDefaults resolves the zero values that have no meaningful zero
 // semantics to their defaults. MinSamples 0 (inject immediately),
@@ -143,13 +144,9 @@ func DefaultSwPrefetchConfig() SwPrefetchConfig {
 func (c SwPrefetchConfig) WithDefaults() SwPrefetchConfig {
 	d := DefaultSwPrefetchConfig()
 	orDefault(&c.MinConfidence, d.MinConfidence)
-	orDefault(&c.MaxSites, d.MaxSites)
 	orDefault(&c.Distance, d.Distance)
 	orDefault(&c.MaxStreams, d.MaxStreams)
-	orDefault(&c.IssueCycles, d.IssueCycles)
 	orDefault(&c.EvalPeriods, d.EvalPeriods)
-	orDefault(&c.RegressionFactor, d.RegressionFactor)
-	orDefault(&c.MinMissRate, d.MinMissRate)
 	orDefault(&c.MaxReverts, d.MaxReverts)
 	return c
 }
@@ -174,13 +171,13 @@ func init() {
 // ready for Manager.Register.
 func NewSwPrefetch(env Env, cfg SwPrefetchConfig) *SwPrefetch {
 	cfg = cfg.WithDefaults()
-	env.VM.Hier.EnableSwPrefetch(env.VM.CPU, cfg.IssueCycles)
+	env.VM.Hier.EnableSwPrefetch(env.VM.CPU, swPrefetchIssueCycles)
 	s := &SwPrefetch{
 		guarded: guarded{mon: env.Monitor, p: guardParams{
 			MinSamples:       cfg.MinSamples,
 			EvalPeriods:      cfg.EvalPeriods,
-			RegressionFactor: cfg.RegressionFactor,
-			MinMissRate:      cfg.MinMissRate,
+			RegressionFactor: swPrefetchRegressionFactor,
+			MinMissRate:      swPrefetchMinMissRate,
 			MaxReverts:       cfg.MaxReverts,
 			BadAtCycle:       cfg.BadInjectAtCycle,
 			Passive:          cfg.Passive,
@@ -338,8 +335,8 @@ func (s *SwPrefetch) pollutingPlan() *swPlan {
 }
 
 // plan builds a site set over the detector streams delta accepts,
-// hottest first (ties broken by PC), capped at MaxSites; nil when no
-// stream qualifies.
+// hottest first (ties broken by PC), capped at swPrefetchMaxSites; nil
+// when no stream qualifies.
 func (s *SwPrefetch) plan(bad bool, delta func(*swStream) (int64, bool)) *swPlan {
 	pcs := make([]uint64, 0, len(s.streams))
 	for pc, st := range s.streams {
@@ -357,8 +354,8 @@ func (s *SwPrefetch) plan(bad bool, delta func(*swStream) (int64, bool)) *swPlan
 		}
 		return pcs[i] < pcs[j]
 	})
-	if len(pcs) > s.cfg.MaxSites {
-		pcs = pcs[:s.cfg.MaxSites]
+	if len(pcs) > swPrefetchMaxSites {
+		pcs = pcs[:swPrefetchMaxSites]
 	}
 	plan := &swPlan{sites: make(map[uint64]int64, len(pcs)), methods: make(map[uint64]int, len(pcs)), bad: bad}
 	for _, pc := range pcs {

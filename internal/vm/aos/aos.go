@@ -17,44 +17,36 @@ import (
 	"hpmvm/internal/vm/runtime"
 )
 
-// LevelSpec models one optimization level in the cost/benefit model.
-type LevelSpec struct {
-	Level int
-	// Speedup is the expected execution-rate improvement over baseline
+// levelSpec models one optimization level in the cost/benefit model.
+type levelSpec struct {
+	level int
+	// speedup is the expected execution-rate improvement over baseline
 	// code (Jikes uses static per-level constants).
-	Speedup float64
-	// CompileCyclesPerBC is the compilation cost per bytecode.
-	CompileCyclesPerBC uint64
+	speedup float64
+	// compileCyclesPerBC is the compilation cost per bytecode.
+	compileCyclesPerBC uint64
 }
 
-// Config tunes the AOS.
-type Config struct {
-	// SampleIntervalCycles is the timer-tick period (Jikes samples the
+// The AOS operating point: a scaled Jikes-like configuration.
+const (
+	// sampleIntervalCycles is the timer-tick period (Jikes samples the
 	// call stack on every OS timer interrupt).
-	SampleIntervalCycles uint64
-	// MinSamples gates recompilation consideration.
-	MinSamples uint64
-	// Levels must be ordered by Level ascending.
-	Levels []LevelSpec
-}
+	sampleIntervalCycles = 100_000
+	// minSamples gates recompilation consideration.
+	minSamples = 4
+)
 
-// DefaultConfig returns a scaled Jikes-like configuration.
-func DefaultConfig() Config {
-	return Config{
-		SampleIntervalCycles: 100_000,
-		MinSamples:           4,
-		Levels: []LevelSpec{
-			{Level: 1, Speedup: 2.0, CompileCyclesPerBC: 6_000},
-			{Level: 2, Speedup: 2.6, CompileCyclesPerBC: 15_000},
-		},
-	}
+// levels are the optimization levels the cost/benefit model weighs,
+// ordered by level ascending.
+var levels = []levelSpec{
+	{level: 1, speedup: 2.0, compileCyclesPerBC: 6_000},
+	{level: 2, speedup: 2.6, compileCyclesPerBC: 15_000},
 }
 
 // AOS is the adaptive optimization system; it implements
 // runtime.Ticker.
 type AOS struct {
-	vm  *runtime.VM
-	cfg Config
+	vm *runtime.VM
 
 	deadline uint64
 	samples  map[int]uint64 // methodID -> timer samples
@@ -66,10 +58,9 @@ type AOS struct {
 }
 
 // New builds the AOS. Call Attach to start sampling.
-func New(vm *runtime.VM, cfg Config) *AOS {
+func New(vm *runtime.VM) *AOS {
 	return &AOS{
 		vm:      vm,
-		cfg:     cfg,
 		samples: make(map[int]uint64),
 		level:   make(map[int]int),
 		plan:    make(runtime.CompilePlan),
@@ -78,7 +69,7 @@ func New(vm *runtime.VM, cfg Config) *AOS {
 
 // Attach registers the AOS sampler with the VM.
 func (a *AOS) Attach() {
-	a.deadline = a.vm.CPU.Cycles() + a.cfg.SampleIntervalCycles
+	a.deadline = a.vm.CPU.Cycles() + sampleIntervalCycles
 	a.vm.AddTicker(a)
 }
 
@@ -89,7 +80,7 @@ func (a *AOS) Deadline() uint64 { return a.deadline }
 // recompilation.
 func (a *AOS) Tick() {
 	c := a.vm.CPU
-	a.deadline = c.Cycles() + a.cfg.SampleIntervalCycles
+	a.deadline = c.Cycles() + sampleIntervalCycles
 
 	body, ok := a.vm.Table.Lookup(c.PC)
 	if !ok {
@@ -104,7 +95,7 @@ func (a *AOS) Tick() {
 // future savings exceed the compilation cost (§3.2's static model).
 func (a *AOS) consider(m *classfile.Method) {
 	n := a.samples[m.ID]
-	if n < a.cfg.MinSamples {
+	if n < minSamples {
 		return
 	}
 	cur := a.level[m.ID]
@@ -112,35 +103,35 @@ func (a *AOS) consider(m *classfile.Method) {
 	if !ok {
 		return
 	}
-	for _, spec := range a.cfg.Levels {
-		if spec.Level <= cur {
+	for _, spec := range levels {
+		if spec.level <= cur {
 			continue
 		}
 		curSpeedup := 1.0
-		for _, s := range a.cfg.Levels {
-			if s.Level == cur {
-				curSpeedup = s.Speedup
+		for _, s := range levels {
+			if s.level == cur {
+				curSpeedup = s.speedup
 			}
 		}
 		// Assume the method keeps its observed share of execution for
 		// as long again as it has run so far (Jikes' future-equals-past
 		// estimate).
-		futureCycles := float64(n * a.cfg.SampleIntervalCycles)
-		benefit := futureCycles * (1 - curSpeedup/spec.Speedup)
-		cost := float64(uint64(code.Size()) * spec.CompileCyclesPerBC)
+		futureCycles := float64(n * sampleIntervalCycles)
+		benefit := futureCycles * (1 - curSpeedup/spec.speedup)
+		cost := float64(uint64(code.Size()) * spec.compileCyclesPerBC)
 		if benefit <= cost {
 			continue
 		}
-		compileCost := uint64(code.Size()) * spec.CompileCyclesPerBC
+		compileCost := uint64(code.Size()) * spec.compileCyclesPerBC
 		a.vm.CPU.AddCycles(compileCost)
 		a.compileCycles += compileCost
-		if err := a.vm.CompileMethod(m, spec.Level); err != nil {
+		if err := a.vm.CompileMethod(m, spec.level); err != nil {
 			// Methods the optimizing compiler cannot handle stay at
 			// their current level.
 			return
 		}
-		a.level[m.ID] = spec.Level
-		a.plan[m.ID] = spec.Level
+		a.level[m.ID] = spec.level
+		a.plan[m.ID] = spec.level
 		a.recompilations++
 		return
 	}

@@ -51,7 +51,7 @@ func TestAdaptiveRecompilation(t *testing.T) {
 
 	vm := runtime.New(u, cache.DefaultP4())
 	genms.New(vm, genms.DefaultConfig(16<<20))
-	a := aos.New(vm, aos.DefaultConfig())
+	a := aos.New(vm)
 	vm.BuildDispatch()
 	if err := vm.CompileAll(nil); err != nil { // everything baseline
 		t.Fatal(err)
@@ -96,7 +96,7 @@ func TestPlanReplayMatchesAdaptiveResults(t *testing.T) {
 	u1.Layout()
 	vm1 := runtime.New(u1, cache.DefaultP4())
 	genms.New(vm1, genms.DefaultConfig(16<<20))
-	a := aos.New(vm1, aos.DefaultConfig())
+	a := aos.New(vm1)
 	vm1.BuildDispatch()
 	if err := vm1.CompileAll(nil); err != nil {
 		t.Fatal(err)
