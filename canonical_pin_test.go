@@ -10,7 +10,8 @@
 //
 // A diff here re-keys every result cache entry and snapshot. Regenerate
 // only in a change that re-keys on purpose, and check that the diff of
-// each entry, split on ';', is what that change meant to move:
+// each entry, split after ';' and '{', is what that change meant to
+// move:
 // go test -run '^TestCanonicalStringsPinned$' -golden-regen .
 package hpmvm_test
 
@@ -22,6 +23,7 @@ import (
 	"testing"
 
 	"hpmvm/internal/bench"
+	"hpmvm/internal/coalloc"
 	"hpmvm/internal/core"
 	"hpmvm/internal/hw/cache"
 )
@@ -77,7 +79,7 @@ func canonicalPinConfigs() map[string]bench.RunConfig {
 	add("exp/fig4/coalloc", bench.RunConfig{Coalloc: true})
 	add("exp/fig7/monitor", bench.RunConfig{Monitoring: true, Interval: 2500})
 	add("exp/fig7/coalloc", bench.RunConfig{Coalloc: true, Interval: 2500})
-	add("exp/fig8/gap", bench.RunConfig{Coalloc: true, GapAtCycle: bench.Fig8GapAtCycle, Interval: 2500})
+	add("exp/fig8/gap", bench.RunConfig{Coalloc: true, CoallocConfig: &coalloc.Config{GapAtCycle: bench.Fig8GapAtCycle}, Interval: 2500})
 	nopf := cache.DefaultP4()
 	nopf.PrefetchEnabled = false
 	add("exp/ablations/coalloc-tlb", bench.RunConfig{Coalloc: true, Event: cache.EventDTLBMiss})
@@ -123,8 +125,8 @@ func canonicalPinConfigs() map[string]bench.RunConfig {
 
 	// The co-allocation tunings outside the experiments: hpmvm -gap and
 	// the ranked candidate list.
-	add("hpmvm/gap", bench.RunConfig{Coalloc: true, Gap: 128})
-	add("coalloc/ranked", bench.RunConfig{Coalloc: true, Ranked: true})
+	add("hpmvm/gap", bench.RunConfig{Coalloc: true, CoallocConfig: &coalloc.Config{Gap: 128}})
+	add("coalloc/ranked", bench.RunConfig{Coalloc: true, CoallocConfig: &coalloc.Config{Ranked: true}})
 	return cfgs
 }
 

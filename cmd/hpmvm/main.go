@@ -21,6 +21,7 @@ import (
 
 	"hpmvm/internal/bench"
 	_ "hpmvm/internal/bench/workloads"
+	"hpmvm/internal/coalloc"
 	"hpmvm/internal/core"
 	"hpmvm/internal/hw/cache"
 	"hpmvm/internal/hw/cpu"
@@ -49,7 +50,7 @@ func main() {
 	collector := flag.String("collector", "genms", "collector: genms or gencopy")
 	monitoring := flag.Bool("monitor", false, "enable HPM sampling")
 	interval := flag.Uint64("interval", 0, "sampling interval in events (0 = auto)")
-	coalloc := flag.Bool("coalloc", false, "enable HPM-guided co-allocation (implies -monitor)")
+	coallocOn := flag.Bool("coalloc", false, "enable HPM-guided co-allocation (implies -monitor)")
 	codelayout := flag.Bool("codelayout", false, "enable hot/cold code layout (implies -monitor; pair with -event l1i)")
 	swprefetch := flag.Bool("swprefetch", false, "enable software prefetch injection (implies -monitor)")
 	event := flag.String("event", "", "sampled event: l1 (default), l2, dtlb or l1i")
@@ -77,15 +78,17 @@ func main() {
 		Heap:       *heapBytes,
 		Monitoring: *monitoring,
 		Interval:   *interval,
-		Coalloc:    *coalloc,
+		Coalloc:    *coallocOn,
 		CodeLayout: *codelayout,
 		SwPrefetch: *swprefetch,
-		Gap:        *gap,
 		Adaptive:   *adaptive,
 		Seed:       *seed,
 	}
-	if *gap != 0 && !*coalloc {
-		fail(fmt.Errorf("%w: -gap tunes co-allocation and needs -coalloc", core.ErrBadOptions))
+	if *gap != 0 {
+		if !*coallocOn {
+			fail(fmt.Errorf("%w: -gap tunes co-allocation and needs -coalloc", core.ErrBadOptions))
+		}
+		cfg.CoallocConfig = &coalloc.Config{Gap: *gap}
 	}
 	if cfg.Collector, err = core.ParseCollector(*collector); err != nil {
 		fail(err)

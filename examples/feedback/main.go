@@ -16,6 +16,7 @@ import (
 
 	"hpmvm/internal/bench"
 	_ "hpmvm/internal/bench/workloads"
+	"hpmvm/internal/coalloc"
 )
 
 func main() {
@@ -25,10 +26,10 @@ func main() {
 	}
 	fmt.Println("running db with co-allocation; forcing a 128-byte gap at cycle 120M...")
 	_, sys, err := bench.Run(builder, bench.RunConfig{
-		Coalloc:    true,
-		GapAtCycle: 120_000_000,
-		Interval:   2500,
-		Seed:       1,
+		Coalloc:       true,
+		CoallocConfig: &coalloc.Config{GapAtCycle: 120_000_000},
+		Interval:      2500,
+		Seed:          1,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -160,8 +160,12 @@ type RunConfig struct {
 	Interval   uint64
 	Event      cache.EventKind
 
-	// Coalloc enables HPM-guided co-allocation (implies Monitoring).
-	Coalloc bool
+	// Coalloc enables HPM-guided co-allocation (implies Monitoring);
+	// CoallocConfig optionally selects its placement variant: a gap
+	// from the start (ablation), the Figure 8 intervention, or the
+	// ranked candidate list (§5.4).
+	Coalloc       bool
+	CoallocConfig *coalloc.Config
 
 	// CodeLayout enables the hot/cold code-layout optimization (implies
 	// Monitoring); CodeLayoutConfig optionally overrides its tuning,
@@ -179,17 +183,6 @@ type RunConfig struct {
 	// geometry (default: the paper's P4). The revert experiments use a
 	// pressured geometry so a polluting injection is visibly bad.
 	CacheConfig *cache.Config
-
-	// Gap, when non-zero, applies Gap padding bytes between every
-	// co-allocated parent and child from the start (ablation).
-	Gap uint64
-	// GapAtCycle, when non-zero, forces the Figure 8 manual
-	// intervention: from that cycle on, new pairs get one cache line
-	// of padding until the feedback loop reverts the decision.
-	GapAtCycle uint64
-	// Ranked enables the full per-class co-allocation candidate list
-	// (§5.4) with fallback past ineligible children.
-	Ranked bool
 
 	// Plan overrides the default all-opt compilation plan.
 	Plan runtime.CompilePlan
@@ -289,8 +282,8 @@ func (cfg RunConfig) Resolve(minHeap uint64, hotField string) core.Options {
 		Sampling:         cfg.Sampling,
 	}
 	if cfg.Coalloc {
-		opts.Optimizations = append(opts.Optimizations, core.OptimizationConfig{Kind: opt.KindCoalloc,
-			Config: coalloc.Config{Gap: cfg.Gap, GapAtCycle: cfg.GapAtCycle, Ranked: cfg.Ranked}})
+		opts.Optimizations = append(opts.Optimizations,
+			core.OptimizationConfig{Kind: opt.KindCoalloc, Config: cfg.CoallocConfig})
 	}
 	if cfg.CodeLayout {
 		opts.Optimizations = append(opts.Optimizations,

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"hpmvm/internal/coalloc"
 	"hpmvm/internal/core"
 	"hpmvm/internal/monitor"
 	"hpmvm/internal/stats"
@@ -717,7 +718,8 @@ func fig8(opt ExpOptions) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	h := opt.eng.RunAsync(builder, RunConfig{Coalloc: true, GapAtCycle: Fig8GapAtCycle, Interval: 2500, Seed: opt.Seed}, "db/gap")
+	h := opt.eng.RunAsync(builder, RunConfig{Coalloc: true, CoallocConfig: &coalloc.Config{GapAtCycle: Fig8GapAtCycle},
+		Interval: 2500, Seed: opt.Seed}, "db/gap")
 	if err := opt.eng.Wait(); err != nil {
 		return "", err
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"hpmvm/internal/bench"
+	"hpmvm/internal/coalloc"
 	"hpmvm/internal/core"
 )
 
@@ -117,7 +118,7 @@ func TestRankedCandidatesOnDB(t *testing.T) {
 		t.Skip("long")
 	}
 	plain := runOne(t, "db", bench.RunConfig{Coalloc: true, Seed: 1})
-	ranked := runOne(t, "db", bench.RunConfig{Coalloc: true, Ranked: true, Seed: 1})
+	ranked := runOne(t, "db", bench.RunConfig{Coalloc: true, CoallocConfig: &coalloc.Config{Ranked: true}, Seed: 1})
 	t.Logf("plain pairs=%d cycles=%d; ranked pairs=%d cycles=%d",
 		plain.CoallocPairs, plain.Cycles, ranked.CoallocPairs, ranked.Cycles)
 	if ranked.CoallocPairs < plain.CoallocPairs {

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"hpmvm/internal/bench"
+	"hpmvm/internal/coalloc"
 	"hpmvm/internal/opt"
 )
 
@@ -93,7 +94,7 @@ func TestOptRevertBadDecision(t *testing.T) {
 			t.Fatal(err)
 		}
 		res, sys, err := bench.Run(b, bench.RunConfig{
-			Coalloc: true, GapAtCycle: bench.Fig8GapAtCycle, Interval: 2500, Seed: 1,
+			Coalloc: true, CoallocConfig: &coalloc.Config{GapAtCycle: bench.Fig8GapAtCycle}, Interval: 2500, Seed: 1,
 		})
 		if err != nil {
 			t.Fatal(err)
