@@ -248,21 +248,43 @@ type Result struct {
 	Estimated *stats.Estimate
 }
 
+// heapBytes is the run's heap budget: Heap, or else HeapFactor (0
+// means 4) times minHeap. A factor that is negative, not finite, rounds
+// to 0 bytes or overflows uint64 is an error wrapping
+// core.ErrBadOptions.
+func (cfg RunConfig) heapBytes(minHeap uint64) (uint64, error) {
+	if cfg.Heap != 0 {
+		return cfg.Heap, nil
+	}
+	f := cfg.HeapFactor
+	if f == 0 {
+		f = 4
+	}
+	b := f * float64(minHeap)
+	if !(b >= 1 && b < 1<<64) { // written negated so NaN fails too
+		return 0, fmt.Errorf("%w: heap factor %g of a %d-byte minimum heap is not a heap size", core.ErrBadOptions, f, minHeap)
+	}
+	return uint64(b), nil
+}
+
+// CheckHeap reports a heap factor that sizes no heap for a program with
+// the given calibrated minimum heap (see heapBytes). Resolve cannot
+// return the error, so every path that builds a system runs this check
+// first, and so does the serve layer before it keys a request.
+func (cfg RunConfig) CheckHeap(minHeap uint64) error {
+	_, err := cfg.heapBytes(minHeap)
+	return err
+}
+
 // Resolve maps the configuration to the fully resolved core.Options
 // for a program with the given calibrated minimum heap and hot field.
 // It is the single translation point Run uses, exported so the serve
 // layer can compute a run's canonical cache key (core.Fingerprint of
 // the resolved options) without executing it — the key and the
 // execution are guaranteed to agree because they share this function.
+// It assumes a configuration that passed CheckHeap.
 func (cfg RunConfig) Resolve(minHeap uint64, hotField string) core.Options {
-	heapBytes := cfg.Heap
-	if heapBytes == 0 {
-		f := cfg.HeapFactor
-		if f == 0 {
-			f = 4
-		}
-		heapBytes = uint64(f * float64(minHeap))
-	}
+	heapBytes, _ := cfg.heapBytes(minHeap)
 	monitoring := cfg.Monitoring || cfg.Coalloc || cfg.CodeLayout || cfg.SwPrefetch
 	track := cfg.TrackFields
 	if len(track) == 0 && hotField != "" {
@@ -346,6 +368,9 @@ func BuildSystem(b Builder, cfg RunConfig) (*Program, *core.System, error) {
 // guaranteed to boot identically (a precondition of the replay-based
 // restore contract, see core.System.Restore).
 func buildSystem(prog *Program, cfg RunConfig) (*core.System, core.Options, error) {
+	if err := cfg.CheckHeap(prog.MinHeap); err != nil {
+		return nil, core.Options{}, fmt.Errorf("bench: %s: %w", prog.Name, err)
+	}
 	opts := cfg.Resolve(prog.MinHeap, prog.HotFieldName)
 	sys, err := core.NewSystemOpts(prog.U, opts)
 	if err != nil {

@@ -1,9 +1,12 @@
 package bench
 
 import (
+	"errors"
+	"math"
 	"strings"
 	"testing"
 
+	"hpmvm/internal/core"
 	"hpmvm/internal/vm/bytecode"
 	"hpmvm/internal/vm/classfile"
 )
@@ -173,6 +176,31 @@ func TestResultMismatchDetected(t *testing.T) {
 	}
 	if err := checkResults([]int64{1, 2}, []int64{1, 2}); err != nil {
 		t.Errorf("false mismatch: %v", err)
+	}
+}
+
+// TestHeapFactorRange pins the heap check every built system goes
+// through: a factor that sizes no heap is a configuration error, and an
+// accepted one sizes exactly factor × minimum heap.
+func TestHeapFactorRange(t *testing.T) {
+	const minHeap = 1 << 20
+	for _, f := range []float64{-1, math.NaN(), math.Inf(1), 1e-9, 1e30} {
+		if err := (RunConfig{HeapFactor: f}).CheckHeap(minHeap); !errors.Is(err, core.ErrBadOptions) {
+			t.Errorf("heap factor %g: CheckHeap = %v, want ErrBadOptions", f, err)
+		}
+	}
+	for f, want := range map[float64]uint64{0: 4 << 20, 1.5: 3 << 19, 1.0 / minHeap: 1} {
+		cfg := RunConfig{HeapFactor: f}
+		if err := cfg.CheckHeap(minHeap); err != nil {
+			t.Errorf("heap factor %g rejected: %v", f, err)
+		}
+		if got := cfg.Resolve(minHeap, "").HeapLimit; got != want {
+			t.Errorf("heap factor %g sizes %d bytes, want %d", f, got, want)
+		}
+	}
+	b, _ := Get("_unit_tiny")
+	if _, _, err := Run(b, RunConfig{HeapFactor: -1}); !errors.Is(err, core.ErrBadOptions) {
+		t.Errorf("Run with heap factor -1: error %v, want ErrBadOptions", err)
 	}
 }
 

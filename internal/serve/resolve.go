@@ -127,6 +127,9 @@ func (r *Resolver) resolve(req api.Request) (resolved, error) {
 		return res, fmt.Errorf("serve: %w: %v", core.ErrBadOptions, err)
 	}
 
+	if err := cfg.CheckHeap(meta.minHeap); err != nil {
+		return res, fmt.Errorf("serve: %w", err)
+	}
 	opts := cfg.Resolve(meta.minHeap, meta.hotField)
 	if err := opts.Validate(); err != nil {
 		return res, err

@@ -22,6 +22,7 @@ func FuzzResolve(f *testing.F) {
 		f.Add([]byte(body))
 	}
 	f.Add([]byte(`{"workload":"serve_tiny"}{"workload":"serve_slow"}`))
+	f.Add([]byte(`{"workload":"serve_tiny","heap_factor":-1}`))
 
 	r := newResolver()
 	f.Fuzz(func(t *testing.T, body []byte) {

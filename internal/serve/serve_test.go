@@ -310,6 +310,9 @@ func TestBadRequests(t *testing.T) {
 		{"unknown collector", http.MethodPost, `{"workload":"serve_tiny","collector":"zgc"}`, http.StatusBadRequest, api.CodeBadRequest},
 		{"unknown event", http.MethodPost, `{"workload":"serve_tiny","event":"l9"}`, http.StatusBadRequest, api.CodeBadRequest},
 		{"coalloc on gencopy", http.MethodPost, `{"workload":"serve_tiny","collector":"gencopy","coalloc":true}`, http.StatusBadRequest, api.CodeBadRequest},
+		{"negative heap factor", http.MethodPost, `{"workload":"serve_tiny","heap_factor":-1}`, http.StatusBadRequest, api.CodeBadRequest},
+		{"heap factor rounding to 0 bytes", http.MethodPost, `{"workload":"serve_tiny","heap_factor":1e-9}`, http.StatusBadRequest, api.CodeBadRequest},
+		{"heap factor overflowing uint64", http.MethodPost, `{"workload":"serve_tiny","heap_factor":1e30}`, http.StatusBadRequest, api.CodeBadRequest},
 		{"second value after the request", http.MethodPost, `{"workload":"serve_tiny"}{"workload":"serve_slow"}`, http.StatusBadRequest, api.CodeBadRequest},
 	}
 	for owner, h := range handlers {
