@@ -248,11 +248,13 @@ type Result struct {
 	Estimated *stats.Estimate
 }
 
-// heapBytes is the run's heap budget: Heap, or else HeapFactor (0
-// means 4) times minHeap. A factor that is negative, not finite, rounds
-// to 0 bytes or overflows uint64 is an error wrapping
-// core.ErrBadOptions.
-func (cfg RunConfig) heapBytes(minHeap uint64) (uint64, error) {
+// HeapBytes is the run's heap budget for a program with the given
+// calibrated minimum heap: Heap, or else HeapFactor (0 means 4) times
+// minHeap. A factor that is negative, not finite, rounds to 0 bytes or
+// overflows uint64 is an error wrapping core.ErrBadOptions. Resolve
+// cannot return it, so buildSystem checks it before every build, and
+// the serve layer before it keys a request.
+func (cfg RunConfig) HeapBytes(minHeap uint64) (uint64, error) {
 	if cfg.Heap != 0 {
 		return cfg.Heap, nil
 	}
@@ -267,24 +269,15 @@ func (cfg RunConfig) heapBytes(minHeap uint64) (uint64, error) {
 	return uint64(b), nil
 }
 
-// CheckHeap reports a heap factor that sizes no heap for a program with
-// the given calibrated minimum heap (see heapBytes). Resolve cannot
-// return the error, so every path that builds a system runs this check
-// first, and so does the serve layer before it keys a request.
-func (cfg RunConfig) CheckHeap(minHeap uint64) error {
-	_, err := cfg.heapBytes(minHeap)
-	return err
-}
-
 // Resolve maps the configuration to the fully resolved core.Options
 // for a program with the given calibrated minimum heap and hot field.
 // It is the single translation point Run uses, exported so the serve
 // layer can compute a run's canonical cache key (core.Fingerprint of
 // the resolved options) without executing it — the key and the
 // execution are guaranteed to agree because they share this function.
-// It assumes a configuration that passed CheckHeap.
+// It assumes a heap configuration HeapBytes accepts.
 func (cfg RunConfig) Resolve(minHeap uint64, hotField string) core.Options {
-	heapBytes, _ := cfg.heapBytes(minHeap)
+	heapBytes, _ := cfg.HeapBytes(minHeap)
 	monitoring := cfg.Monitoring || cfg.Coalloc || cfg.CodeLayout || cfg.SwPrefetch
 	track := cfg.TrackFields
 	if len(track) == 0 && hotField != "" {
@@ -368,7 +361,7 @@ func BuildSystem(b Builder, cfg RunConfig) (*Program, *core.System, error) {
 // guaranteed to boot identically (a precondition of the replay-based
 // restore contract, see core.System.Restore).
 func buildSystem(prog *Program, cfg RunConfig) (*core.System, core.Options, error) {
-	if err := cfg.CheckHeap(prog.MinHeap); err != nil {
+	if _, err := cfg.HeapBytes(prog.MinHeap); err != nil {
 		return nil, core.Options{}, fmt.Errorf("bench: %s: %w", prog.Name, err)
 	}
 	opts := cfg.Resolve(prog.MinHeap, prog.HotFieldName)

@@ -185,17 +185,17 @@ func TestResultMismatchDetected(t *testing.T) {
 func TestHeapFactorRange(t *testing.T) {
 	const minHeap = 1 << 20
 	for _, f := range []float64{-1, math.NaN(), math.Inf(1), 1e-9, 1e30} {
-		if err := (RunConfig{HeapFactor: f}).CheckHeap(minHeap); !errors.Is(err, core.ErrBadOptions) {
-			t.Errorf("heap factor %g: CheckHeap = %v, want ErrBadOptions", f, err)
+		if _, err := (RunConfig{HeapFactor: f}).HeapBytes(minHeap); !errors.Is(err, core.ErrBadOptions) {
+			t.Errorf("heap factor %g: HeapBytes error = %v, want ErrBadOptions", f, err)
 		}
 	}
 	for f, want := range map[float64]uint64{0: 4 << 20, 1.5: 3 << 19, 1.0 / minHeap: 1} {
 		cfg := RunConfig{HeapFactor: f}
-		if err := cfg.CheckHeap(minHeap); err != nil {
-			t.Errorf("heap factor %g rejected: %v", f, err)
+		if got, err := cfg.HeapBytes(minHeap); err != nil || got != want {
+			t.Errorf("heap factor %g sizes %d bytes (%v), want %d", f, got, err, want)
 		}
 		if got := cfg.Resolve(minHeap, "").HeapLimit; got != want {
-			t.Errorf("heap factor %g sizes %d bytes, want %d", f, got, want)
+			t.Errorf("heap factor %g resolves to %d bytes, want %d", f, got, want)
 		}
 	}
 	b, _ := Get("_unit_tiny")

@@ -45,10 +45,7 @@ type Config struct {
 	// Ranked enables the full §5.4 per-class candidate list: every
 	// sufficiently sampled reference field becomes a candidate, and
 	// the collector falls back from the hottest field to the next when
-	// a child is ineligible (already promoted, too large, ...). Off by
-	// default: the plain policy co-allocates only through the single
-	// hottest field per class, which is what the reported experiments
-	// use.
+	// a child is ineligible (already promoted, too large, ...).
 	Ranked bool
 }
 

@@ -32,27 +32,22 @@ func init() {
 		func() Config { return Config{} }, func(c Config) Config { return c }, newManaged))
 }
 
-// newManaged builds the policy for an opt.Manager and makes it the
-// GenMS collector's placement advisor.
+// newManaged builds the policy for an opt.Manager to drive — the
+// manager observes the monitor and calls the Optimization methods; the
+// policy registers no observer of its own — and makes it the GenMS
+// collector's placement advisor.
 func newManaged(env opt.Env, cfg Config) *Policy {
-	p := NewPolicy(env.Monitor, cfg)
+	p := &Policy{
+		cfg:     cfg,
+		mon:     env.Monitor,
+		byClass: make(map[int]*fieldState),
+		fields:  make(map[int]*fieldState),
+	}
 	if ms, ok := env.VM.Collector.(*genms.Collector); ok {
 		ms.SetAdvisor(p)
 		env.Monitor.SetClassifier(ms.ClassifyAddr)
 	}
 	return p
-}
-
-// NewPolicy builds a policy for an opt.Manager to drive: the manager
-// observes the monitor and calls the Optimization methods; the policy
-// registers no observer of its own.
-func NewPolicy(mon *monitor.Monitor, cfg Config) *Policy {
-	return &Policy{
-		cfg:     cfg,
-		mon:     mon,
-		byClass: make(map[int]*fieldState),
-		fields:  make(map[int]*fieldState),
-	}
 }
 
 // Kind implements opt.Optimization.

@@ -127,7 +127,7 @@ func (r *Resolver) resolve(req api.Request) (resolved, error) {
 		return res, fmt.Errorf("serve: %w: %v", core.ErrBadOptions, err)
 	}
 
-	if err := cfg.CheckHeap(meta.minHeap); err != nil {
+	if _, err := cfg.HeapBytes(meta.minHeap); err != nil {
 		return res, fmt.Errorf("serve: %w", err)
 	}
 	opts := cfg.Resolve(meta.minHeap, meta.hotField)
