@@ -45,10 +45,14 @@ verify-sampling:
 # TestOptKindsPinned (opt_pin_test.go) pins what the codelayout and
 # swprefetch kinds decide — cycles, counters, KindStats and the
 # decision-log hash of four cells — against
-# testdata/goldens/opt_kinds.json. All four tests also run under `make
-# test`; this is the focused, verbose gate wired into `make ci`.
+# testdata/goldens/opt_kinds.json. TestCanonicalStringsPinned
+# (canonical_pin_test.go) pins the canonical option string — what every
+# fingerprint and cache key hashes — of every configuration the repo
+# builds against testdata/canonical_pin.json. All five tests also run
+# under `make test`; this is the focused, verbose gate wired into `make
+# ci`.
 verify-opt:
-	$(GO) test -run 'TestOptCoallocByteIdentical|TestOptRevertBadDecision|TestSwPrefetchAblation|TestOptKindsPinned' -v .
+	$(GO) test -run 'TestOptCoallocByteIdentical|TestOptRevertBadDecision|TestSwPrefetchAblation|TestOptKindsPinned|TestCanonicalStringsPinned' -v .
 
 # Ten seconds of coverage-guided fuzzing per target, beyond the seed
 # corpora `make test` already replays: FuzzOptRestore (no managed

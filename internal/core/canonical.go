@@ -28,9 +28,9 @@ import (
 //   - Passive fields are excluded: Observe attaches the obs layer,
 //     which never charges simulated cycles (pinned by
 //     TestObserveCycleIdentical), so it cannot change a result.
-//     Consumers whose *response* shape depends on them (the serve
-//     layer returns obs metrics when asked) must fold them into their
-//     own key on top of Fingerprint.
+//     Consumers whose *response* shape depends on it (the serve layer
+//     returns obs metrics when asked) must fold it into their own key
+//     on top of Fingerprint.
 //   - Sampling is semantic, not passive: nil (exact) and non-nil
 //     (sampled) are different simulations — sampled cycle counts are
 //     estimates — so sampled runs hash to their own cache keys, with
