@@ -26,10 +26,11 @@ import (
 // L1I miss rate over the EvalPeriods polls before the layout is the
 // baseline, the rate over the EvalPeriods polls after it is the
 // evidence, and a layout whose rate regresses past
-// codeLayoutRegressionFactor× baseline is reverted by re-packing the hot set. The BadPadAtCycle
-// hook deliberately applies a conflict layout — every hot method
-// padded onto the same cache way — to exercise the revert path
-// (Figure 7's bad-decision experiment, transplanted to code layout).
+// codeLayoutRegressionFactor× baseline is reverted by re-packing the
+// hot set. The BadPadAtCycle hook deliberately applies a conflict
+// layout — every hot method padded onto the same cache way — to
+// exercise the revert path (Figure 7's bad-decision experiment,
+// transplanted to code layout).
 type CodeLayout struct {
 	guarded
 	cfg CodeLayoutConfig

@@ -37,11 +37,10 @@ import (
 // cycles-per-access over the EvalPeriods polls before the injection is
 // the baseline, the same rate after it is the evidence, and an
 // injection that regresses past swPrefetchRegressionFactor× baseline is
-// reverted
-// by reinstalling the previous site set. BadInjectAtCycle deliberately
-// installs an L1-thrashing site set (each prefetch lands on the demand
-// line's own set) to exercise the revert path — Figure 7's
-// bad-decision experiment, transplanted to prefetch injection.
+// reverted by reinstalling the previous site set. BadInjectAtCycle
+// deliberately installs an L1-thrashing site set (each prefetch lands
+// on the demand line's own set) to exercise the revert path — Figure
+// 7's bad-decision experiment, transplanted to prefetch injection.
 type SwPrefetch struct {
 	guarded
 	cfg SwPrefetchConfig
