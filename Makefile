@@ -65,10 +65,13 @@ verify-opt:
 # ten runs — the default minute would eat the whole budget),
 # FuzzCanonical (the cache-key contract over the Options space),
 # FuzzResolve (request bytes → decodeRequest → Resolver.resolve: stable
-# error codes, stable keys) and FuzzGCGraph (a seeded random object-graph
+# error codes, stable keys), FuzzGCGraph (a seeded random object-graph
 # mutation sequence under baseline/opt2 × GenMS/GenCopy in a 1 MB heap
-# must checksum like its Go mirror). A crasher lands in the package's
-# testdata/fuzz/ — commit it with the fix.
+# must checksum like its Go mirror) and FuzzStreamDecoder (the SSE
+# decoder the client reads /v1/stream through: no panic on any bytes,
+# an error exactly when a line reaches the cap, written frames
+# round-trip). A crasher lands in the package's testdata/fuzz/ — commit
+# it with the fix.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzOptRestore$$' -fuzztime=10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSnapshot$$' -fuzztime=10s ./internal/core
@@ -76,6 +79,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCanonical$$' -fuzztime=10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzResolve$$' -fuzztime=10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzGCGraph$$' -fuzztime=10s ./internal/gc/genms
+	$(GO) test -run '^$$' -fuzz '^FuzzStreamDecoder$$' -fuzztime=10s ./internal/api
 
 # Lines of non-test Go outside the frozen benchmark harness — the
 # number simplicity PRs quote before/after in CHANGES.md.
@@ -113,13 +117,15 @@ serve-smoke:
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkHierarchy -benchtime=2s ./internal/hw/cache/
 
-# One-iteration compile-and-run of every hot-path microbenchmark:
+# One-iteration compile-and-run of every hot-path microbenchmark (the
+# simulator's, plus the canonical key every hpmvmd request computes):
 # catches benchmarks that rot (build breaks, panics, bad metrics)
 # without paying for a statistically meaningful measurement in CI.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkCPUStep|BenchmarkCPURunLoop' -benchtime=1x ./internal/hw/cpu/
 	$(GO) test -run '^$$' -bench 'BenchmarkHierarchyAccess' -benchtime=1x ./internal/hw/cache/
 	$(GO) test -run '^$$' -bench 'BenchmarkMemory' -benchtime=1x ./internal/hw/mem/
+	$(GO) test -run '^$$' -bench 'BenchmarkCanonicalString' -benchtime=1x ./internal/core/
 
 # CPU and heap profiles of the fig2 hot loop (the simulator's
 # steady-state inner loop). Inspect with `go tool pprof cpu.prof`; see

@@ -14,10 +14,10 @@ import (
 func TestBenchJSONIsExpRuns(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sub", "bench.json")
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-exp", "table1", "-workloads", "db", "-progress=false", "-bench-json", path}, &stdout, &stderr); code != 0 {
+	if code := run([]string{"-exp", "table2", "-workloads", "compress", "-progress=false", "-bench-json", path}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
 	}
-	if !strings.Contains(stdout.String(), "Table 1: Benchmark programs") {
+	if !strings.Contains(stdout.String(), "Table 2: Space overhead") {
 		t.Errorf("no table on stdout:\n%s", stdout.String())
 	}
 	data, err := os.ReadFile(path)
@@ -30,8 +30,8 @@ func TestBenchJSONIsExpRuns(t *testing.T) {
 	if err := dec.Decode(&record); err != nil {
 		t.Fatalf("-bench-json is not []bench.ExpRun: %v\n%s", err, data)
 	}
-	if len(record) != 1 || record[0].Name != "table1" || record[0].Runs != 1 || record[0].RunTime <= 0 {
-		t.Errorf("record = %+v, want one table1 entry with one timed run", record)
+	if len(record) != 1 || record[0].Name != "table2" || record[0].Runs != 1 || record[0].RunTime <= 0 {
+		t.Errorf("record = %+v, want one table2 entry with one timed run", record)
 	}
 	if record[0].Output != "" {
 		t.Error("the rendered table leaked into the perf record")

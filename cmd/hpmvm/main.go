@@ -63,8 +63,8 @@ func main() {
 
 	if *list {
 		for _, n := range bench.Names() {
-			b, _ := bench.Get(n)
-			fmt.Printf("%-11s %s\n", n, b().Description)
+			m, _ := bench.MetaOf(n)
+			fmt.Printf("%-11s %s\n", n, m.Description)
 		}
 		return
 	}

@@ -152,11 +152,16 @@ func TestStreamRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStreamRejectsNewlines: SSE data lines must be newline-free; the
+// TestStreamRejectsNewlines: SSE lines must be free of CR and LF; the
 // writer refuses rather than corrupting the frame.
 func TestStreamRejectsNewlines(t *testing.T) {
-	if err := WriteStreamEvent(io.Discard, EventResult, []byte("a\nb")); err == nil {
-		t.Error("newline in data accepted")
+	for _, data := range []string{"a\nb", "a\rb", "ab\r"} {
+		if err := WriteStreamEvent(io.Discard, EventResult, []byte(data)); err == nil {
+			t.Errorf("line break in data %q accepted", data)
+		}
+	}
+	if err := WriteStreamEvent(io.Discard, "result\ndata: x", nil); err == nil {
+		t.Error("line break in the event name accepted")
 	}
 }
 

@@ -68,11 +68,15 @@ type StreamEvent struct {
 	Data  []byte
 }
 
-// WriteStreamEvent writes one SSE frame. data must not contain raw
-// newlines (json.Marshal output never does).
+// WriteStreamEvent writes one SSE frame. Neither the event name nor
+// data may contain a CR or LF, which SSE reads as line ends
+// (json.Marshal output never does).
 func WriteStreamEvent(w io.Writer, event string, data []byte) error {
-	if i := bytes.IndexByte(data, '\n'); i >= 0 {
-		return fmt.Errorf("api: stream event %q data contains a newline at offset %d", event, i)
+	if strings.ContainsAny(event, "\r\n") {
+		return fmt.Errorf("api: stream event name %q contains a line break", event)
+	}
+	if i := bytes.IndexAny(data, "\r\n"); i >= 0 {
+		return fmt.Errorf("api: stream event %q data contains a line break at offset %d", event, i)
 	}
 	_, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)
 	return err
@@ -100,10 +104,17 @@ type StreamDecoder struct {
 	s *bufio.Scanner
 }
 
-// NewStreamDecoder wraps r.
+// NewStreamDecoder wraps r. A line of maxStreamLine bytes or more (not
+// counting its LF) fails the decode with bufio.ErrTooLong.
 func NewStreamDecoder(r io.Reader) *StreamDecoder {
+	return newStreamDecoder(r, maxStreamLine)
+}
+
+// newStreamDecoder is NewStreamDecoder with the line cap as a
+// parameter, so a test can reach it with small inputs.
+func newStreamDecoder(r io.Reader, maxLine int) *StreamDecoder {
 	s := bufio.NewScanner(r)
-	s.Buffer(make([]byte, 64<<10), maxStreamLine)
+	s.Buffer(make([]byte, min(64<<10, maxLine)), maxLine)
 	return &StreamDecoder{s: s}
 }
 

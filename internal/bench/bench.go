@@ -25,10 +25,27 @@ import (
 	"hpmvm/internal/vm/runtime"
 )
 
-// Program is one runnable workload.
-type Program struct {
-	Name        string
+// Meta is what a workload declares about itself when it registers:
+// everything a caller needs to list it, size its heap or key a run
+// without building it.
+type Meta struct {
 	Description string
+
+	// MinHeap is the calibrated minimum heap (bytes) the program
+	// completes in under GenMS; heap-size sweeps are expressed as
+	// multiples of it (1x–4x, §6.3).
+	MinHeap uint64
+
+	// HotFieldName names the field the paper's time-series figures
+	// track for this program (db: "String::value"), or "".
+	HotFieldName string
+}
+
+// Program is one runnable workload. The registry stamps Name and Meta
+// onto every Program its builders return.
+type Program struct {
+	Name string
+	Meta
 
 	U     *classfile.Universe
 	Entry *classfile.Method
@@ -37,18 +54,9 @@ type Program struct {
 	// resolves bytecode reference constants. May be nil.
 	Materialize func(vm *runtime.VM)
 
-	// MinHeap is the calibrated minimum heap (bytes) the program
-	// completes in under GenMS; heap-size sweeps are expressed as
-	// multiples of it (1x–4x, §6.3).
-	MinHeap uint64
-
 	// Expected, when non-nil, is the exact result log the program must
 	// produce (programs are deterministic); the runner verifies it.
 	Expected []int64
-
-	// HotFieldName names the field the paper's time-series figures
-	// track for this program (db: "String::value"), or "".
-	HotFieldName string
 }
 
 // Builder constructs a fresh Program. Builders MUST return a fully
@@ -58,22 +66,31 @@ type Program struct {
 // shared state would race across runs.
 type Builder func() *Program
 
+// workload is one registry entry: the declared metadata and the
+// builder that stamps it onto each Program.
+type workload struct {
+	meta  Meta
+	build Builder
+}
+
 // The registry is written only from package init functions (workload
-// files call Register from init) and frozen at first read: Get, Names
-// and NamesSorted are called concurrently by engine workers, so any
-// post-init Register is a bug and panics. The mutex covers the
+// files call Register from init) and frozen at first read: Get, MetaOf,
+// Names and NamesSorted are called concurrently by engine workers, so
+// any post-init Register is a bug and panics. The mutex covers the
 // freeze transition; after freezing, reads are lock-free.
 var (
 	registryMu sync.Mutex
-	registry   = map[string]Builder{}
+	registry   = map[string]workload{}
 	order      []string
 	frozen     bool
 )
 
-// Register adds a workload builder under a unique name. It must be
-// called from package init (before the first Get/Names); registering
-// after the registry froze panics.
-func Register(name string, b Builder) {
+// Register adds a workload under a unique name with its declared
+// metadata. It must be called from package init (before the first
+// Get/Names); registering after the registry froze panics. The builder
+// need not set Name or Meta: every Program built through the registry
+// carries the registered ones.
+func Register(name string, meta Meta, b Builder) {
 	registryMu.Lock()
 	defer registryMu.Unlock()
 	if frozen {
@@ -82,7 +99,11 @@ func Register(name string, b Builder) {
 	if _, dup := registry[name]; dup {
 		panic(fmt.Sprintf("bench: duplicate workload %q", name))
 	}
-	registry[name] = b
+	registry[name] = workload{meta: meta, build: func() *Program {
+		prog := b()
+		prog.Name, prog.Meta = name, meta
+		return prog
+	}}
 	order = append(order, name)
 }
 
@@ -96,8 +117,16 @@ func freeze() {
 // Get returns the builder for name and freezes the registry.
 func Get(name string) (Builder, bool) {
 	freeze()
-	b, ok := registry[name]
-	return b, ok
+	w, ok := registry[name]
+	return w.build, ok
+}
+
+// MetaOf returns the metadata name was registered with, without
+// building it, and freezes the registry.
+func MetaOf(name string) (Meta, bool) {
+	freeze()
+	w, ok := registry[name]
+	return w.meta, ok
 }
 
 // ErrUnknownWorkload is the sentinel wrapped by Lookup when the name

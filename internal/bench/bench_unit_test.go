@@ -13,7 +13,7 @@ import (
 
 // registerTestWorkload registers a tiny deterministic workload once.
 func init() {
-	Register("_unit_tiny", func() *Program {
+	Register("_unit_tiny", Meta{MinHeap: 1 << 20}, func() *Program {
 		u := classfile.NewUniverse()
 		cl := u.DefineClass("Tiny", nil)
 		main := u.AddMethod(cl, "main", false, nil, classfile.KindVoid)
@@ -30,17 +30,11 @@ func init() {
 		b.Return()
 		b.MustBuild()
 		u.Layout()
-		return &Program{
-			Name:     "_unit_tiny",
-			U:        u,
-			Entry:    main,
-			MinHeap:  1 << 20,
-			Expected: []int64{50_000 * 49_999 / 2},
-		}
+		return &Program{U: u, Entry: main, Expected: []int64{50_000 * 49_999 / 2}}
 	})
 	// _unit_churn allocates ~1.4 MB of garbage nodes, enough for a
 	// minor collection at the default heap.
-	Register("_unit_churn", func() *Program {
+	Register("_unit_churn", Meta{MinHeap: 1 << 20}, func() *Program {
 		u := classfile.NewUniverse()
 		node := u.DefineClass("Node", nil)
 		u.AddField(node, "v", classfile.KindInt)
@@ -58,7 +52,7 @@ func init() {
 		b.Return()
 		b.MustBuild()
 		u.Layout()
-		return &Program{Name: "_unit_churn", U: u, Entry: main, MinHeap: 1 << 20, Expected: []int64{60_000}}
+		return &Program{U: u, Entry: main, Expected: []int64{60_000}}
 	})
 }
 
@@ -83,7 +77,7 @@ func TestRegistry(t *testing.T) {
 			t.Error("duplicate registration accepted")
 		}
 	}()
-	Register("_unit_tiny", nil)
+	Register("_unit_tiny", Meta{}, nil)
 }
 
 func TestRunVerifiesExpectedResults(t *testing.T) {

@@ -164,5 +164,5 @@ func TestRegisterAfterFreezePanics(t *testing.T) {
 			t.Error("Register after freeze did not panic")
 		}
 	}()
-	Register("_too_late", nil)
+	Register("_too_late", Meta{}, nil)
 }

@@ -259,22 +259,16 @@ func (l *Lib) Entry(name string) *classfile.Method {
 	return l.U.AddMethod(cl, "main", false, nil, kVoid)
 }
 
-// register wraps bench.Register with the common finalization: layout
-// the universe and sanity-check the entry method.
+// register wraps bench.Register with the common finalization: it
+// declares the workload's metadata and lays out the universe each
+// build returns.
 func register(name, desc string, minHeap uint64, hotField string, build func(l *Lib) (*classfile.Method, []int64)) {
-	bench.Register(name, func() *bench.Program {
+	meta := bench.Meta{Description: desc, MinHeap: minHeap, HotFieldName: hotField}
+	bench.Register(name, meta, func() *bench.Program {
 		l := NewLib()
 		entry, expected := build(l)
 		l.U.Layout()
-		return &bench.Program{
-			Name:         name,
-			Description:  desc,
-			U:            l.U,
-			Entry:        entry,
-			MinHeap:      minHeap,
-			Expected:     expected,
-			HotFieldName: hotField,
-		}
+		return &bench.Program{U: l.U, Entry: entry, Expected: expected}
 	})
 }
 

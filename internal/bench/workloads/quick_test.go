@@ -19,3 +19,35 @@ func TestEachWorkloadQuick(t *testing.T) {
 		})
 	}
 }
+
+// TestBuiltProgramsCarryDeclaredMeta pins the registry contract the
+// serve resolver, hpmvm -list and the experiments rely on when they
+// read metadata without building: every built Program carries the name
+// and Meta its workload registered, and a declared hot field exists in
+// the built universe.
+func TestBuiltProgramsCarryDeclaredMeta(t *testing.T) {
+	for _, name := range bench.Names() {
+		meta, ok := bench.MetaOf(name)
+		if !ok || meta.Description == "" || meta.MinHeap == 0 {
+			t.Errorf("%s: declared meta %+v (registered %t)", name, meta, ok)
+		}
+		b, _ := bench.Get(name)
+		prog := b()
+		if prog.Name != name || prog.Meta != meta {
+			t.Errorf("%s: built Program carries %q %+v, declared %+v", name, prog.Name, prog.Meta, meta)
+		}
+		if meta.HotFieldName == "" {
+			continue
+		}
+		found := false
+		for _, f := range prog.U.Fields() {
+			found = found || f.QualifiedName() == meta.HotFieldName
+		}
+		if !found {
+			t.Errorf("%s: hot field %s is not in the built universe", name, meta.HotFieldName)
+		}
+	}
+	if meta, _ := bench.MetaOf("db"); meta.HotFieldName != "String::value" {
+		t.Errorf("db tracks %q, want String::value (Figures 7 and 8)", meta.HotFieldName)
+	}
+}

@@ -26,7 +26,7 @@ var _ serve.Backend = (*Client)(nil)
 // deterministic workload (in init, before serve.New freezes the
 // registry).
 func init() {
-	bench.Register("serve_tiny", func() *bench.Program {
+	bench.Register("serve_tiny", bench.Meta{MinHeap: 1 << 20}, func() *bench.Program {
 		const n = 50_000
 		u := classfile.NewUniverse()
 		cl := u.DefineClass("Tiny", nil)
@@ -44,13 +44,7 @@ func init() {
 		b.Return()
 		b.MustBuild()
 		u.Layout()
-		return &bench.Program{
-			Name:     "serve_tiny",
-			U:        u,
-			Entry:    main,
-			MinHeap:  1 << 20,
-			Expected: []int64{n * (n - 1) / 2},
-		}
+		return &bench.Program{U: u, Entry: main, Expected: []int64{n * (n - 1) / 2}}
 	})
 }
 

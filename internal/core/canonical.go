@@ -6,7 +6,8 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
-	"strings"
+	"strconv"
+	"sync"
 )
 
 // This file defines the deterministic cache-key contract: a run is
@@ -80,19 +81,16 @@ func (o Options) CanonicalString() string {
 
 // canonicalString serializes an already-canonicalized Options value.
 func canonicalString(c Options) string {
-	var b strings.Builder
 	v := reflect.ValueOf(c)
-	t := v.Type()
-	b.WriteString("core.Options{")
-	for i := 0; i < t.NumField(); i++ {
-		name := t.Field(i).Name
+	b := make([]byte, 0, 512)
+	b = append(b, "core.Options{"...)
+	for i, name := range fieldNames(v.Type()) {
 		if _, skip := canonicalIgnored[name]; skip {
 			continue
 		}
-		appendCanonical(&b, name, v.Field(i))
+		b = appendCanonical(b, name, v.Field(i))
 	}
-	b.WriteString("}")
-	return b.String()
+	return string(append(b, '}'))
 }
 
 // Fingerprint returns the SHA-256 hex digest of CanonicalString — the
@@ -129,48 +127,89 @@ func (o Options) PrefixFingerprint() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// appendCanonical serializes one value deterministically.
-func appendCanonical(b *strings.Builder, name string, v reflect.Value) {
+// appendCanonical appends one value's deterministic serialization to b.
+func appendCanonical(b []byte, name string, v reflect.Value) []byte {
 	switch v.Kind() {
 	case reflect.Pointer, reflect.Interface:
 		if v.IsNil() {
-			fmt.Fprintf(b, "%s=nil;", name)
-			return
+			return append(append(b, name...), "=nil;"...)
 		}
-		appendCanonical(b, name, v.Elem())
+		return appendCanonical(b, name, v.Elem())
 	case reflect.Struct:
-		fmt.Fprintf(b, "%s{", name)
-		t := v.Type()
-		for i := 0; i < t.NumField(); i++ {
-			appendCanonical(b, t.Field(i).Name, v.Field(i))
+		b = append(append(b, name...), '{')
+		for i, field := range fieldNames(v.Type()) {
+			b = appendCanonical(b, field, v.Field(i))
 		}
-		b.WriteString("};")
+		return append(b, "};"...)
 	case reflect.Slice, reflect.Array:
-		fmt.Fprintf(b, "%s[", name)
+		b = append(append(b, name...), '[')
 		for i := 0; i < v.Len(); i++ {
-			appendCanonical(b, fmt.Sprintf("%d", i), v.Index(i))
+			b = appendCanonical(b, strconv.Itoa(i), v.Index(i))
 		}
-		b.WriteString("];")
+		return append(b, "];"...)
 	case reflect.Map:
 		// Maps iterate in random order; serialize entries sorted by
 		// their rendered key so the result is stable.
 		keys := v.MapKeys()
 		rendered := make([]string, len(keys))
 		for i, k := range keys {
-			var kb strings.Builder
-			appendCanonical(&kb, "k", k)
-			var vb strings.Builder
-			appendCanonical(&vb, "v", v.MapIndex(k))
-			rendered[i] = kb.String() + vb.String()
+			rendered[i] = string(appendCanonical(appendCanonical(nil, "k", k), "v", v.MapIndex(k)))
 		}
 		sort.Strings(rendered)
-		fmt.Fprintf(b, "%s<%s>;", name, strings.Join(rendered, ""))
+		b = append(append(b, name...), '<')
+		for _, r := range rendered {
+			b = append(b, r...)
+		}
+		return append(b, ">;"...)
 	case reflect.Bool, reflect.String,
 		reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
 		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
 		reflect.Float32, reflect.Float64:
-		fmt.Fprintf(b, "%s=%v;", name, v.Interface())
+		b = append(append(b, name...), '=')
+		return append(appendScalar(b, v), ';')
 	default:
 		panic(fmt.Sprintf("core: field %s has kind %s, which has no canonical serialization — extend appendCanonical or add the field to canonicalIgnored", name, v.Kind()))
+	}
+}
+
+// structFields caches each struct type's field names for fieldNames.
+var structFields sync.Map // reflect.Type → []string
+
+// fieldNames returns t's field names in declaration order. It caches
+// them because reflect.Type.Field copies a whole StructField per call,
+// which would otherwise dominate the walk.
+func fieldNames(t reflect.Type) []string {
+	if names, ok := structFields.Load(t); ok {
+		return names.([]string)
+	}
+	names := make([]string, t.NumField())
+	for i := range names {
+		names[i] = t.Field(i).Name
+	}
+	structFields.Store(t, names)
+	return names
+}
+
+// appendScalar appends the text %v gives a scalar. A type with methods
+// may format itself (fmt.Stringer, error, fmt.Formatter), so it goes
+// through fmt; for any other scalar strconv yields the same text
+// without boxing the value.
+func appendScalar(b []byte, v reflect.Value) []byte {
+	if v.NumMethod() > 0 {
+		return fmt.Appendf(b, "%v", v.Interface())
+	}
+	switch v.Kind() {
+	case reflect.Bool:
+		return strconv.AppendBool(b, v.Bool())
+	case reflect.String:
+		return append(b, v.String()...)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return strconv.AppendInt(b, v.Int(), 10)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		return strconv.AppendUint(b, v.Uint(), 10)
+	case reflect.Float32:
+		return strconv.AppendFloat(b, v.Float(), 'g', -1, 32)
+	default:
+		return strconv.AppendFloat(b, v.Float(), 'g', -1, 64)
 	}
 }

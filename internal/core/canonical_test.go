@@ -1,7 +1,11 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"hpmvm/internal/coalloc"
@@ -282,5 +286,133 @@ func TestCanonicalStringStable(t *testing.T) {
 	}
 	if len(s1) == 0 {
 		t.Fatal("empty canonical string")
+	}
+}
+
+// fmtCanonical is the fmt-driven serializer appendCanonical replaced,
+// kept as its reference: the two must agree byte for byte.
+func fmtCanonical(b *strings.Builder, name string, v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Pointer, reflect.Interface:
+		if v.IsNil() {
+			fmt.Fprintf(b, "%s=nil;", name)
+			return
+		}
+		fmtCanonical(b, name, v.Elem())
+	case reflect.Struct:
+		fmt.Fprintf(b, "%s{", name)
+		for i := 0; i < v.NumField(); i++ {
+			fmtCanonical(b, v.Type().Field(i).Name, v.Field(i))
+		}
+		b.WriteString("};")
+	case reflect.Slice, reflect.Array:
+		fmt.Fprintf(b, "%s[", name)
+		for i := 0; i < v.Len(); i++ {
+			fmtCanonical(b, fmt.Sprintf("%d", i), v.Index(i))
+		}
+		b.WriteString("];")
+	case reflect.Map:
+		rendered := make([]string, 0, v.Len())
+		for _, k := range v.MapKeys() {
+			var kb, vb strings.Builder
+			fmtCanonical(&kb, "k", k)
+			fmtCanonical(&vb, "v", v.MapIndex(k))
+			rendered = append(rendered, kb.String()+vb.String())
+		}
+		sort.Strings(rendered)
+		fmt.Fprintf(b, "%s<%s>;", name, strings.Join(rendered, ""))
+	default:
+		fmt.Fprintf(b, "%s=%v;", name, v.Interface())
+	}
+}
+
+// probeErr is a scalar that formats itself through error, which %v
+// prefers over fmt.Stringer.
+type probeErr int
+
+func (e probeErr) Error() string  { return fmt.Sprintf("err%d", int(e)) }
+func (e probeErr) String() string { return "not this" }
+
+// canonProbe holds every scalar kind appendCanonical serializes, the
+// Stringer enums Options carries, and each container shape.
+type canonProbe struct {
+	B   bool
+	S   string
+	I   int
+	I8  int8
+	I16 int16
+	I32 int32
+	I64 int64
+	U   uint
+	U8  uint8
+	U16 uint16
+	U32 uint32
+	U64 uint64
+	F32 float32
+	F64 float64
+
+	Coll CollectorKind
+	Ev   cache.EventKind
+	Err  probeErr
+
+	Ptr, NilPtr *float64
+	Any, NilAny any
+	Slice       []float64
+	Arr         [2]uint8
+	Map         map[string]float64
+}
+
+// TestCanonicalMatchesFmt pins that the strconv serializer writes
+// exactly the text the fmt-driven one did — scalar edge cases, Stringer
+// and error types, and real canonical Options — so no key moves.
+func TestCanonicalMatchesFmt(t *testing.T) {
+	floats := []float64{0, math.Copysign(0, -1), 1, -1.5, 0.1, 1.0 / 3, 1e6, 1e20, 1e21, 1e-4, 1e-5,
+		123456789.125, 3.4e38, math.MaxFloat64, math.SmallestNonzeroFloat64, math.Inf(1), math.Inf(-1), math.NaN()}
+	check := func(label string, v any) {
+		t.Helper()
+		var want strings.Builder
+		fmtCanonical(&want, "x", reflect.ValueOf(v))
+		if got := string(appendCanonical(nil, "x", reflect.ValueOf(v))); got != want.String() {
+			t.Errorf("%s:\n got %s\nwant %s", label, got, want.String())
+		}
+	}
+	for i, f := range floats {
+		p := canonProbe{
+			B: i%2 == 0, S: fmt.Sprint("s;", i), I: -i, I8: math.MinInt8, I16: math.MaxInt16, I32: math.MinInt32,
+			I64: math.MinInt64 + int64(i), U: uint(i), U8: math.MaxUint8, U16: 7, U32: math.MaxUint32, U64: math.MaxUint64 - uint64(i),
+			F32: float32(f), F64: f, Coll: CollectorKind(i % 3), Ev: cache.EventKind(i % 5), Err: probeErr(i),
+			Ptr: &floats[i], Any: floats[len(floats)-1-i], Slice: floats[:i], Arr: [2]uint8{uint8(i), 255},
+			Map: map[string]float64{"a": f, "b": -f, fmt.Sprint(i): 1},
+		}
+		check(fmt.Sprintf("probe %d (%v)", i, f), p)
+	}
+	sampled := fullBase()
+	sampled.Sampling = &runtime.SamplingConfig{}
+	for label, o := range map[string]Options{"hot": {HeapLimit: 16 << 20, Seed: 1}, "full": fullBase(), "sampled": sampled} {
+		check(label, o.Canonical())
+	}
+}
+
+// canonicalSink keeps BenchmarkCanonicalString's result live.
+var canonicalSink string
+
+// BenchmarkCanonicalString times the canonical serialization every
+// hpmvmd request pays once per hop: "hot" is the benchmark's repeated
+// fop request as the serve resolver resolves it (4× fop's 4 MiB minimum
+// heap, no monitoring), "managed" a monitored two-kind configuration.
+func BenchmarkCanonicalString(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		o    Options
+	}{
+		{"hot", Options{HeapLimit: 16 << 20, Seed: 1}},
+		{"managed", fullBase()},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				canonicalSink = bc.o.CanonicalString()
+			}
+		})
 	}
 }

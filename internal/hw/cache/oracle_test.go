@@ -369,6 +369,10 @@ func TestOracleLockStep(t *testing.T) {
 	shallow := pressured
 	shallow.L1Size, shallow.L1Assoc = 16*64, 4
 	shallow.L2Size, shallow.L2Assoc = 8*64, 2
+	// DTLBs whose entry count is not a power of two: Validate accepts
+	// them, so the way index must size itself for any count.
+	dtlb48, dtlb96 := DefaultP4(), DefaultP4()
+	dtlb48.TLBEntries, dtlb96.TLBEntries = 48, 96
 	for _, tc := range []struct {
 		name string
 		cfg  Config
@@ -380,6 +384,8 @@ func TestOracleLockStep(t *testing.T) {
 		{"p4-sw", DefaultP4(), true},
 		{"pressured-sw", pressured, true},
 		{"shallow-sw", shallow, true},
+		{"dtlb48", dtlb48, false},
+		{"dtlb96", dtlb96, false},
 	} {
 		for seed := int64(1); seed <= 4; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", tc.name, seed), func(t *testing.T) {

@@ -155,9 +155,11 @@ func (s *pfSet) rehash() {
 // wayIndex is an exact key→way index over a fully-associative tag
 // array (the DTLB: one set, 64 ways). It mirrors the resident keys at
 // all times, so a lookup is one hash probe instead of a scan across
-// every way. Capacity is fixed at 4x the way count (load factor 0.25,
-// bounded by the geometry), so it never grows. Host-side only: lookup
-// results and all way mutations are identical to the scan's.
+// every way. Capacity is fixed at the power of two at or above 4x the
+// way count (load factor at most 0.25, bounded by the geometry), so it
+// never grows; the hash shift and probe mask need the power of two.
+// Host-side only: lookup results and all way mutations are identical to
+// the scan's.
 type wayIndex struct {
 	keys  []uint64
 	ways  []uint32
@@ -166,7 +168,7 @@ type wayIndex struct {
 }
 
 func newWayIndex(ways int) *wayIndex {
-	capacity := 4 * ways
+	capacity := 1 << log2(4*ways)
 	return &wayIndex{
 		keys:  make([]uint64, capacity),
 		ways:  make([]uint32, capacity),

@@ -21,14 +21,12 @@ import (
 // exact snapshot key its workers will compute.
 
 // workloadMeta is the per-workload data needed to canonicalize a
-// request without executing it, captured once at construction from a
-// single builder invocation.
+// request without executing it: the metadata the workload declared at
+// registration, and the builder a run invokes.
 type workloadMeta struct {
-	name        string
-	description string
-	minHeap     uint64
-	hotField    string
-	builder     bench.Builder
+	name string
+	bench.Meta
+	builder bench.Builder
 }
 
 // Resolver canonicalizes requests over the frozen workload registry.
@@ -36,21 +34,14 @@ type Resolver struct {
 	meta map[string]workloadMeta // immutable after newResolver
 }
 
-// newResolver captures the registry: it invokes every registered
-// builder once to learn the calibrated minimum heap and hot field each
-// workload canonicalizes with.
+// newResolver captures the registry's declared metadata. It builds
+// nothing: a program is built only when a run needs it.
 func newResolver() *Resolver {
 	r := &Resolver{meta: make(map[string]workloadMeta)}
 	for _, name := range bench.Names() {
 		b, _ := bench.Get(name)
-		prog := b()
-		r.meta[name] = workloadMeta{
-			name:        name,
-			description: prog.Description,
-			minHeap:     prog.MinHeap,
-			hotField:    prog.HotFieldName,
-			builder:     b,
-		}
+		m, _ := bench.MetaOf(name)
+		r.meta[name] = workloadMeta{name: name, Meta: m, builder: b}
 	}
 	return r
 }
@@ -61,7 +52,7 @@ func newResolver() *Resolver {
 func (r *Resolver) workloads() []api.WorkloadInfo {
 	rows := make([]api.WorkloadInfo, 0, len(r.meta))
 	for _, m := range r.meta {
-		rows = append(rows, api.WorkloadInfo{Name: m.name, Description: m.description, MinHeap: m.minHeap, HotField: m.hotField})
+		rows = append(rows, api.WorkloadInfo{Name: m.name, Description: m.Description, MinHeap: m.MinHeap, HotField: m.HotFieldName})
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Name < rows[j].Name })
 	return rows
@@ -127,10 +118,10 @@ func (r *Resolver) resolve(req api.Request) (resolved, error) {
 		return res, fmt.Errorf("serve: %w: %v", core.ErrBadOptions, err)
 	}
 
-	if _, err := cfg.HeapBytes(meta.minHeap); err != nil {
+	if _, err := cfg.HeapBytes(meta.MinHeap); err != nil {
 		return res, fmt.Errorf("serve: %w", err)
 	}
-	opts := cfg.Resolve(meta.minHeap, meta.hotField)
+	opts := cfg.Resolve(meta.MinHeap, meta.HotFieldName)
 	if err := opts.Validate(); err != nil {
 		return res, err
 	}

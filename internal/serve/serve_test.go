@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -24,18 +25,27 @@ import (
 // is absent here). Register must run in init, before New freezes the
 // registry.
 func init() {
-	bench.Register("serve_tiny", func() *bench.Program {
-		return loopProgram("serve_tiny", 50_000)
+	tiny := bench.Meta{MinHeap: 1 << 20}
+	bench.Register("serve_tiny", tiny, func() *bench.Program {
+		return loopProgram(50_000)
 	})
 	// serve_slow is a run long enough (billions of simulated cycles)
 	// that the cancellation tests always catch it mid-simulation.
-	bench.Register("serve_slow", func() *bench.Program {
-		return loopProgram("serve_slow", 2_000_000_000)
+	bench.Register("serve_slow", tiny, func() *bench.Program {
+		return loopProgram(2_000_000_000)
+	})
+	// serve_counted counts its builds (TestConstructionBuildsNothing).
+	bench.Register("serve_counted", bench.Meta{Description: "counted builds", MinHeap: 1 << 20}, func() *bench.Program {
+		countedBuilds.Add(1)
+		return loopProgram(50_000)
 	})
 }
 
+// countedBuilds is the number of times serve_counted was built.
+var countedBuilds atomic.Int64
+
 // loopProgram builds a fresh n-iteration summing loop.
-func loopProgram(name string, n int64) *bench.Program {
+func loopProgram(n int64) *bench.Program {
 	u := classfile.NewUniverse()
 	cl := u.DefineClass("Tiny", nil)
 	main := u.AddMethod(cl, "main", false, nil, classfile.KindVoid)
@@ -52,12 +62,7 @@ func loopProgram(name string, n int64) *bench.Program {
 	b.Return()
 	b.MustBuild()
 	u.Layout()
-	prog := &bench.Program{
-		Name:    name,
-		U:       u,
-		Entry:   main,
-		MinHeap: 1 << 20,
-	}
+	prog := &bench.Program{U: u, Entry: main}
 	if n == 50_000 {
 		prog.Expected = []int64{n * (n - 1) / 2}
 	}
@@ -429,6 +434,31 @@ func TestStatszAndWorkloads(t *testing.T) {
 
 	if rr := doReq(h, nil, http.MethodGet, api.PathHealthz, ""); rr.Code != http.StatusOK {
 		t.Errorf("/healthz: status %d", rr.Code)
+	}
+}
+
+// TestConstructionBuildsNothing pins that servers and the coordinator
+// read the workloads' declared metadata instead of building programs:
+// constructing them and listing the registry build nothing, and one
+// cache miss builds the program it runs exactly once.
+func TestConstructionBuildsNothing(t *testing.T) {
+	before := countedBuilds.Load()
+	_, servers, h := newTestFleet(t, 2, Config{Jobs: 1})
+	for _, hh := range []http.Handler{h, servers[0].Handler()} {
+		rr := doReq(hh, nil, http.MethodGet, api.PathWorkloads, "")
+		if rr.Code != http.StatusOK || !strings.Contains(rr.Body.String(), "counted builds") {
+			t.Fatalf("/v1/workloads: status %d: %s", rr.Code, rr.Body.String())
+		}
+	}
+	if n := countedBuilds.Load() - before; n != 0 {
+		t.Fatalf("New, NewFleet and /v1/workloads built serve_counted %d times, want 0", n)
+	}
+	rr := doReq(h, nil, http.MethodPost, api.PathRun, `{"workload":"serve_counted","seed":1}`)
+	if rr.Code != http.StatusOK || rr.Header().Get(api.HeaderCache) != "miss" {
+		t.Fatalf("run: status %d, cache %q: %s", rr.Code, rr.Header().Get(api.HeaderCache), rr.Body.String())
+	}
+	if n := countedBuilds.Load() - before; n != 1 {
+		t.Errorf("one /v1/run miss built serve_counted %d times, want 1", n)
 	}
 }
 
