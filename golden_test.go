@@ -20,6 +20,7 @@
 package hpmvm_test
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -149,7 +150,7 @@ func captureEntry(t *testing.T, b bench.Builder, gc goldenConfig) goldenEntry {
 	if err != nil {
 		t.Fatalf("%s: run: %v", gc.Name, err)
 	}
-	snap, err := bench.RunPrefix(b, gc.Cfg, goldenPauseCycles)
+	snap, err := bench.RunPrefix(context.Background(), b, gc.Cfg, goldenPauseCycles)
 	if err != nil {
 		t.Fatalf("%s: prefix snapshot: %v", gc.Name, err)
 	}

@@ -385,10 +385,10 @@ func BuildSystem(b Builder, cfg RunConfig) (*Program, *core.System, error) {
 }
 
 // buildSystem constructs and boots a fresh System for prog under cfg —
-// the shared front half of RunContext, RunPrefixContext and
-// RunFromSnapshotContext, so cold, prefix and warm-started runs are
-// guaranteed to boot identically (a precondition of the replay-based
-// restore contract, see core.System.Restore).
+// the shared front half of RunContext, RunPrefix and RunFromSnapshot,
+// so cold, prefix and warm-started runs are guaranteed to boot
+// identically (a precondition of the replay-based restore contract, see
+// core.System.Restore).
 func buildSystem(prog *Program, cfg RunConfig) (*core.System, core.Options, error) {
 	if _, err := cfg.HeapBytes(prog.MinHeap); err != nil {
 		return nil, core.Options{}, fmt.Errorf("bench: %s: %w", prog.Name, err)
@@ -413,7 +413,7 @@ func buildSystem(prog *Program, cfg RunConfig) (*core.System, core.Options, erro
 }
 
 // collectResult assembles the Result metrics from a finished system.
-// RunContext and RunFromSnapshotContext share it, so cold and
+// RunContext and RunFromSnapshot share it, so cold and
 // warm-started runs report identically shaped results.
 func collectResult(prog *Program, cfg RunConfig, heapBytes uint64, sys *core.System) *Result {
 	res := &Result{

@@ -23,13 +23,9 @@ import (
 // RunPrefix executes prog under cfg up to pauseAt simulated cycles and
 // returns the encoded snapshot of the paused system, tagged with the
 // workload name. It fails if the program finishes before the pause
-// cycle — there is nothing to warm-start then.
-func RunPrefix(b Builder, cfg RunConfig, pauseAt uint64) ([]byte, error) {
-	return RunPrefixContext(context.Background(), b, cfg, pauseAt)
-}
-
-// RunPrefixContext is RunPrefix with cooperative cancellation.
-func RunPrefixContext(ctx context.Context, b Builder, cfg RunConfig, pauseAt uint64) ([]byte, error) {
+// cycle — there is nothing to warm-start then. Cancelling ctx aborts
+// the simulation at its next safepoint, as in RunContext.
+func RunPrefix(ctx context.Context, b Builder, cfg RunConfig, pauseAt uint64) ([]byte, error) {
 	prog := b()
 	sys, _, err := buildSystem(prog, cfg)
 	if err != nil {
@@ -55,13 +51,8 @@ func RunPrefixContext(ctx context.Context, b Builder, cfg RunConfig, pauseAt uin
 // end, returning the same Result shape as a cold Run. The snapshot's
 // tag must name the same workload; its options must match cfg exactly
 // or up to the sampling interval (core.ErrSnapshotMismatch otherwise).
-func RunFromSnapshot(b Builder, cfg RunConfig, snapshot []byte) (*Result, *core.System, error) {
-	return RunFromSnapshotContext(context.Background(), b, cfg, snapshot)
-}
-
-// RunFromSnapshotContext is RunFromSnapshot with cooperative
-// cancellation.
-func RunFromSnapshotContext(ctx context.Context, b Builder, cfg RunConfig, snapshot []byte) (*Result, *core.System, error) {
+// Cancelling ctx aborts the tail at its next safepoint.
+func RunFromSnapshot(ctx context.Context, b Builder, cfg RunConfig, snapshot []byte) (*Result, *core.System, error) {
 	prog := b()
 	sn, err := core.DecodeSnapshot(snapshot)
 	if err != nil {
@@ -101,7 +92,7 @@ func (e *Engine) RunFrom(b Builder, snapshot []byte, configs ...RunConfig) []*Ru
 		handles[i] = h
 		e.submit(fmt.Sprintf("warmstart[%d]", i), func() error {
 			defer close(h.done)
-			res, sys, err := RunFromSnapshot(b, cfg, snapshot)
+			res, sys, err := RunFromSnapshot(context.Background(), b, cfg, snapshot)
 			if err != nil {
 				h.err = err
 				return err
@@ -202,7 +193,7 @@ func warmstart(opt ExpOptions) (string, error) {
 	var snapshot []byte
 	prefixTime, err := opt.round(func() {
 		opt.eng.Submit("db/prefix", func() (err error) {
-			snapshot, err = RunPrefix(builder, cfgs[0], pauseAt)
+			snapshot, err = RunPrefix(context.Background(), builder, cfgs[0], pauseAt)
 			return err
 		})
 	})

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"strings"
@@ -22,12 +23,12 @@ func TestWarmStartMatchesColdRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snapshot, err := RunPrefix(b, cfg, cold.Cycles/2)
+	snapshot, err := RunPrefix(context.Background(), b, cfg, cold.Cycles/2)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	warm, _, err := RunFromSnapshot(b, cfg, snapshot)
+	warm, _, err := RunFromSnapshot(context.Background(), b, cfg, snapshot)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func TestWarmStartMatchesColdRun(t *testing.T) {
 	// program's expected results are verified inside RunFromSnapshot.
 	div := cfg
 	div.Interval = 500
-	wdiv, _, err := RunFromSnapshot(b, div, snapshot)
+	wdiv, _, err := RunFromSnapshot(context.Background(), b, div, snapshot)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestWarmStartMatchesColdRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	sn.Tag = "somebody_else"
-	if _, _, err := RunFromSnapshot(b, cfg, core.EncodeSnapshot(sn)); err == nil ||
+	if _, _, err := RunFromSnapshot(context.Background(), b, cfg, core.EncodeSnapshot(sn)); err == nil ||
 		!strings.Contains(err.Error(), "somebody_else") {
 		t.Errorf("tag mismatch not rejected: %v", err)
 	}
@@ -70,7 +71,7 @@ func TestWarmStartMatchesColdRun(t *testing.T) {
 	// Non-interval option mismatch surfaces the typed sentinel.
 	bad := cfg
 	bad.Heap = 8 << 20
-	if _, _, err := RunFromSnapshot(b, bad, snapshot); !errors.Is(err, core.ErrSnapshotMismatch) {
+	if _, _, err := RunFromSnapshot(context.Background(), b, bad, snapshot); !errors.Is(err, core.ErrSnapshotMismatch) {
 		t.Errorf("option mismatch err = %v, want ErrSnapshotMismatch", err)
 	}
 }
@@ -86,7 +87,7 @@ func TestEngineRunFrom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snapshot, err := RunPrefix(b, cfg, cold.Cycles/2)
+	snapshot, err := RunPrefix(context.Background(), b, cfg, cold.Cycles/2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestRunPrefixTooLate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunPrefix(b, RunConfig{Seed: 3}, cold.Cycles*10); err == nil {
+	if _, err := RunPrefix(context.Background(), b, RunConfig{Seed: 3}, cold.Cycles*10); err == nil {
 		t.Error("prefix beyond program end did not fail")
 	}
 }

@@ -380,18 +380,37 @@ func SessionConfig(interval uint64, event cache.EventKind) pebs.Config {
 	return cfg
 }
 
-func (s *System) runFrom(ctx context.Context, entry *classfile.Method, maxCycles, pauseAt uint64) (bool, error) {
-	if done := ctx.Done(); done != nil {
-		s.VM.SetCancel(func() error {
-			select {
-			case <-done:
-				return ctx.Err()
-			default:
-				return nil
-			}
-		})
-		defer s.VM.SetCancel(nil)
+// watch makes ctx's cancellation the VM's safepoint check and returns
+// the function that removes it again.
+func (s *System) watch(ctx context.Context) (unwatch func()) {
+	done := ctx.Done()
+	if done == nil {
+		return func() {}
 	}
+	s.VM.SetCancel(func() error {
+		select {
+		case <-done:
+			return ctx.Err()
+		default:
+			return nil
+		}
+	})
+	return func() { s.VM.SetCancel(nil) }
+}
+
+// finish ends a run that was not paused: the sampling session stops and
+// the monitor drains what is still buffered. It passes the run's error
+// through.
+func (s *System) finish(err error) error {
+	if s.Opts.Monitoring {
+		s.Module.Stop()
+		s.Monitor.Flush()
+	}
+	return err
+}
+
+func (s *System) runFrom(ctx context.Context, entry *classfile.Method, maxCycles, pauseAt uint64) (bool, error) {
+	defer s.watch(ctx)()
 	// Cold caches and clean counters at program start.
 	s.VM.Hier.Flush()
 	s.VM.Hier.ResetStats()
@@ -418,11 +437,7 @@ func (s *System) runFrom(ctx context.Context, entry *classfile.Method, maxCycles
 		// it; no stop, no flush.
 		return true, nil
 	}
-	if s.Opts.Monitoring {
-		s.Module.Stop()
-		s.Monitor.Flush()
-	}
-	return false, err
+	return false, s.finish(err)
 }
 
 // ResumeContext continues execution on a system that was paused by
@@ -435,17 +450,7 @@ func (s *System) runFrom(ctx context.Context, entry *classfile.Method, maxCycles
 // completion (or the cycle budget) with the usual end-of-run monitor
 // flush.
 func (s *System) ResumeContext(ctx context.Context, maxCycles uint64) error {
-	if done := ctx.Done(); done != nil {
-		s.VM.SetCancel(func() error {
-			select {
-			case <-done:
-				return ctx.Err()
-			default:
-				return nil
-			}
-		})
-		defer s.VM.SetCancel(nil)
-	}
+	defer s.watch(ctx)()
 	if !s.attached {
 		if s.Monitor != nil {
 			s.Monitor.Reattach()
@@ -456,12 +461,7 @@ func (s *System) ResumeContext(ctx context.Context, maxCycles uint64) error {
 		s.attached = true
 	}
 	s.ran = true
-	err := s.VM.Run(maxCycles)
-	if s.Opts.Monitoring {
-		s.Module.Stop()
-		s.Monitor.Flush()
-	}
-	return err
+	return s.finish(s.VM.Run(maxCycles))
 }
 
 // SamplingEstimate extrapolates the full-run metrics of a sampled run

@@ -130,9 +130,10 @@ type Server struct {
 	perOpt map[string]opt.KindStats
 }
 
-// New builds a Server over the frozen workload registry. It invokes
-// every registered builder once to capture the calibrated minimum heap
-// and hot field each workload canonicalizes with.
+// New builds a Server over the frozen workload registry. It reads the
+// minimum heap and hot field each workload canonicalizes with from the
+// registry's declared metadata and builds no program: a program is
+// built only when a run needs it.
 func New(cfg Config) *Server {
 	if cfg.Jobs <= 0 {
 		cfg.Jobs = bench.DefaultJobs()
@@ -347,7 +348,7 @@ func (s *Server) executeWarm(ctx context.Context, res resolved) ([]byte, string,
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		r, _, err := bench.RunFromSnapshotContext(ctx, res.meta.builder, res.cfg, snapshot)
+		r, _, err := bench.RunFromSnapshot(ctx, res.meta.builder, res.cfg, snapshot)
 		if err != nil {
 			return err
 		}
@@ -398,7 +399,7 @@ func (s *Server) snapshotFor(ctx context.Context, res resolved) ([]byte, string,
 			return err
 		}
 		var err error
-		enc, err = bench.RunPrefixContext(ctx, res.meta.builder, res.cfg, res.warmCycles)
+		enc, err = bench.RunPrefix(ctx, res.meta.builder, res.cfg, res.warmCycles)
 		return err
 	})
 	if err := wait(); err != nil {

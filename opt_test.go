@@ -7,6 +7,7 @@
 package hpmvm_test
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"strings"
@@ -62,7 +63,7 @@ func TestOptCoallocByteIdentical(t *testing.T) {
 				ResultSHA256: resultFingerprint(res),
 				ObsSHA256:    obsFingerprint(t, res),
 			}
-			snap, err := bench.RunPrefix(b, cfg, want.PauseCycles)
+			snap, err := bench.RunPrefix(context.Background(), b, cfg, want.PauseCycles)
 			if err != nil {
 				t.Fatalf("prefix snapshot: %v", err)
 			}
