@@ -293,64 +293,54 @@ func (f *Fleet) route(ctx context.Context, req api.Request, res resolved, pin st
 		}
 	}
 
-	result, err := f.runOn(ctx, home, req)
-	if err == nil {
-		return result, nil
-	}
-	if ctx.Err() != nil {
-		// The caller went away; nothing below can help.
-		return nil, err
-	}
-	transport := false
-	if !isRefusal(err) {
-		var ae *api.Error
-		if errors.As(err, &ae) {
-			// A request-level error (bad request, run failure): every
-			// worker answers identically, relay it.
-			return nil, err
-		}
-		// Transport failure: the worker is gone until the health loop
-		// or supervisor revives it.
-		f.healthy[home].Store(false)
-		transport = true
-	}
-
-	if warm && !transport {
-		// The snapshot owner is refusing with a full queue. Stealing
-		// would rebuild the prefix elsewhere and defeat the LRU;
-		// propagate the 429 and let the client retry into the owner.
-		f.cRejected.Add(1)
-		return nil, err
-	}
-
-	// Steal: remaining candidates, healthiest and least-loaded first.
-	rest := make([]int, 0, len(order)-1)
-	for _, i := range order {
-		if i != home && f.healthy[i].Load() {
-			rest = append(rest, i)
-		}
-	}
-	sort.SliceStable(rest, func(a, b int) bool {
-		return f.inflight[rest[a]].Load() < f.inflight[rest[b]].Load()
-	})
-	lastErr := err
-	for _, i := range rest {
+	// Candidates: the home worker, then — computed once it has failed —
+	// the steal order. Every attempt's error is classified the same way.
+	candidates := []int{home}
+	var lastErr error
+	for n := 0; n < len(candidates); n++ {
+		i := candidates[n]
 		result, err := f.runOn(ctx, i, req)
 		if err == nil {
-			f.cStolen.Add(1)
+			if n > 0 {
+				f.cStolen.Add(1)
+			}
 			return result, nil
 		}
 		if ctx.Err() != nil {
+			// The caller went away; nothing below can help.
 			return nil, err
 		}
+		lastErr = err
 		if !isRefusal(err) {
 			var ae *api.Error
 			if errors.As(err, &ae) {
+				// A request-level error (bad request, run failure): every
+				// worker answers identically, relay it.
 				return nil, err
 			}
+			// Transport failure: the worker is gone until the health loop
+			// or supervisor revives it.
 			f.healthy[i].Store(false)
+		} else if warm && n == 0 {
+			// The snapshot owner is refusing with a full queue. Stealing
+			// would rebuild the prefix elsewhere and defeat the LRU;
+			// propagate the 429 and let the client retry into the owner.
+			f.cRejected.Add(1)
+			return nil, err
 		}
-		lastErr = err
+		if n == 0 {
+			// Steal: remaining candidates, healthiest and least-loaded
+			// first.
+			for _, j := range order {
+				if j != home && f.healthy[j].Load() {
+					candidates = append(candidates, j)
+				}
+			}
+			rest := candidates[1:]
+			sort.SliceStable(rest, func(a, b int) bool {
+				return f.inflight[rest[a]].Load() < f.inflight[rest[b]].Load()
+			})
+		}
 	}
 	f.cRejected.Add(1)
 	var ae *api.Error
