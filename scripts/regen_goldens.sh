@@ -6,8 +6,29 @@
 # only after an INTENTIONAL simulation-semantics change — a hot-path or
 # refactoring PR must pass against the existing corpus unchanged.
 #
+# It ends by listing every recorded field that moved against HEAD, one
+# "file: config.field" line each — the proof a deliberate re-record
+# carries in its log.
+#
 # Usage: scripts/regen_goldens.sh [extra go test args]
 set -eu
 cd "$(dirname "$0")/.."
 go test -run '^TestGoldenEquivalence$' -timeout 60m -golden-regen -count=1 "$@" .
 echo "regenerated $(ls testdata/goldens/*.json | wc -l) golden files"
+echo "fields moved against HEAD:"
+git diff -U0 -- testdata/goldens | awk '
+/^\+\+\+ / {
+	# Map every line of the new file to the config object enclosing it.
+	file = substr($2, 3); split("", cfg); n = 0; c = ""
+	while ((getline l < file) > 0) {
+		if (l ~ /^    "[^"]*": \{/) { c = l; gsub(/[" :{]/, "", c) }
+		cfg[++n] = c
+	}
+	close(file); next
+}
+/^@@ / { split($3, at, ","); line = substr(at[1], 2) + 0; next }
+/^\+/ {
+	key = $0; sub(/^\+ */, "", key); sub(/:.*/, "", key); gsub(/"/, "", key)
+	print "  " file ": " cfg[line] "." key; moved++; line++
+}
+END { if (!moved) print "  none" }'
