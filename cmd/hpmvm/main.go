@@ -25,6 +25,7 @@ import (
 	"hpmvm/internal/core"
 	"hpmvm/internal/hw/cache"
 	"hpmvm/internal/hw/cpu"
+	"hpmvm/internal/opt"
 	"hpmvm/internal/vm/bytecode"
 )
 
@@ -140,9 +141,9 @@ func main() {
 				fmt.Printf("  %s\n", e)
 			}
 		}
-		if sys.Policy != nil {
+		if p, ok := sys.Optimization(opt.KindCoalloc).(*coalloc.Policy); ok {
 			fmt.Println("policy decisions:")
-			for _, d := range sys.Policy.Decisions() {
+			for _, d := range p.Decisions() {
 				fmt.Printf("  %-24s %-9s pairs=%d reverts=%d\n", d.Field.QualifiedName(), d.Mode, d.Pairs, d.Reverts)
 			}
 		}

@@ -13,7 +13,9 @@ import (
 
 	"hpmvm/internal/bench"
 	_ "hpmvm/internal/bench/workloads"
+	"hpmvm/internal/coalloc"
 	"hpmvm/internal/core"
+	"hpmvm/internal/opt"
 )
 
 func main() {
@@ -63,7 +65,7 @@ func main() {
 	fmt.Println("what the monitor saw:")
 	fmt.Print(sys.Monitor.Report(4))
 	fmt.Println("policy decisions:")
-	for _, d := range sys.Policy.Decisions() {
+	for _, d := range sys.Optimization(opt.KindCoalloc).(*coalloc.Policy).Decisions() {
 		fmt.Printf("  %-24s %-9s pairs=%d\n", d.Field.QualifiedName(), d.Mode, d.Pairs)
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"hpmvm/internal/bench"
 	_ "hpmvm/internal/bench/workloads"
 	"hpmvm/internal/coalloc"
+	"hpmvm/internal/opt"
 )
 
 func main() {
@@ -36,7 +37,7 @@ func main() {
 	}
 
 	fmt.Println("\npolicy decision log:")
-	for _, e := range sys.Policy.Log() {
+	for _, e := range sys.Optimization(opt.KindCoalloc).Log() {
 		fmt.Printf("  %s\n", e)
 	}
 

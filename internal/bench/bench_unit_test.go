@@ -54,6 +54,62 @@ func init() {
 		u.Layout()
 		return &Program{U: u, Entry: main, Expected: []int64{60_000}}
 	})
+	// _unit_pairs keeps 5000 nodes whose payload arrays it re-reads in
+	// strided sweeps while replacing 200 nodes a round: Node::payload
+	// misses enough for co-allocation to activate it, and fresh pairs
+	// keep being promoted.
+	Register("_unit_pairs", Meta{MinHeap: 2 << 20}, func() *Program {
+		u := classfile.NewUniverse()
+		node := u.DefineClass("Node", nil)
+		payload := u.AddField(node, "payload", classfile.KindRef)
+		cl := u.DefineClass("Pairs", nil)
+		main := u.AddMethod(cl, "main", false, nil, classfile.KindVoid)
+		b := bytecode.NewBuilder(u, main)
+		for _, l := range []string{"nodes", "n"} {
+			b.Local(l, classfile.KindRef)
+		}
+		for _, l := range []string{"i", "round", "sum"} {
+			b.Local(l, classfile.KindInt)
+		}
+		newNode := func() {
+			b.New(node).Store("n")
+			b.Load("n").Const(10).NewArray(u.IntArray).PutField(payload)
+		}
+		b.Const(5000).NewArray(u.RefArray).Store("nodes")
+		b.Label("mk")
+		b.Load("i").Const(5000).If(bytecode.OpIfGE, "rounds")
+		newNode()
+		b.Load("nodes").Load("i").Load("n").AStore(classfile.KindRef)
+		b.Inc("i", 1)
+		b.Goto("mk")
+		b.Label("rounds")
+		b.Load("round").Const(300).If(bytecode.OpIfGE, "done")
+		b.Const(0).Store("i")
+		b.Label("sweep")
+		b.Load("i").Const(5000).If(bytecode.OpIfGE, "mutate")
+		b.Load("sum").Load("nodes").Load("i").ALoad(classfile.KindRef).
+			GetField(payload).Const(0).ALoad(classfile.KindInt).Add().Store("sum")
+		b.Inc("i", 7)
+		b.Goto("sweep")
+		b.Label("mutate")
+		b.Const(0).Store("i")
+		b.Label("replace")
+		b.Load("i").Const(200).If(bytecode.OpIfGE, "next")
+		newNode()
+		b.Load("nodes").Load("round").Const(97).Mul().Load("i").Add().Const(5000).Rem().
+			Load("n").AStore(classfile.KindRef)
+		b.Inc("i", 1)
+		b.Goto("replace")
+		b.Label("next")
+		b.Inc("round", 1)
+		b.Goto("rounds")
+		b.Label("done")
+		b.Load("round").Result()
+		b.Return()
+		b.MustBuild()
+		u.Layout()
+		return &Program{U: u, Entry: main, Expected: []int64{300}}
+	})
 }
 
 func TestRegistry(t *testing.T) {

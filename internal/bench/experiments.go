@@ -9,6 +9,7 @@ import (
 	"hpmvm/internal/coalloc"
 	"hpmvm/internal/core"
 	"hpmvm/internal/monitor"
+	"hpmvm/internal/opt"
 	"hpmvm/internal/stats"
 	"hpmvm/internal/vm/mcmap"
 )
@@ -704,14 +705,14 @@ const Fig8GapAtCycle = 120_000_000
 // fig8 runs the Figure 8 scenario and renders the policy's decision log
 // and the String::value miss-rate series. (A single run; it still
 // executes on the engine so accounting and progress are uniform.)
-func fig8(opt ExpOptions) (string, error) {
+func fig8(o ExpOptions) (string, error) {
 	builder, err := Lookup("db")
 	if err != nil {
 		return "", err
 	}
-	h := opt.eng.RunAsync(builder, RunConfig{Coalloc: true, CoallocConfig: &coalloc.Config{GapAtCycle: Fig8GapAtCycle},
-		Interval: 2500, Seed: opt.Seed}, "db/gap")
-	if err := opt.eng.Wait(); err != nil {
+	h := o.eng.RunAsync(builder, RunConfig{Coalloc: true, CoallocConfig: &coalloc.Config{GapAtCycle: Fig8GapAtCycle},
+		Interval: 2500, Seed: o.Seed}, "db/gap")
+	if err := o.eng.Wait(); err != nil {
 		return "", err
 	}
 	fc, err := fieldCounter("fig8", h, "String::value")
@@ -723,7 +724,7 @@ func fig8(opt ExpOptions) (string, error) {
 	fmt.Fprintf(&b, "(one cache line of padding between String and char[]; the feedback loop\n")
 	fmt.Fprintf(&b, " detects that the placement does not help and reverts to adjacent placement)\n\n")
 	fmt.Fprintf(&b, "policy decisions:\n")
-	for _, e := range h.Sys().Policy.Log() {
+	for _, e := range h.Sys().Optimization(opt.KindCoalloc).Log() {
 		fmt.Fprintf(&b, "  %s\n", e)
 	}
 	fmt.Fprintf(&b, "\n%14s %14s\n", "cycle", "misses/Mcycle")

@@ -221,7 +221,7 @@ func (a *KindAblation) revert(o ExpOptions) (opt.KindStats, []string, error) {
 	if err := o.eng.Wait(); err != nil {
 		return opt.KindStats{}, nil, err
 	}
-	return a.kindStats(h.Result()), h.Sys().OptLog(a.Kind), nil
+	return a.kindStats(h.Result()), h.Sys().Optimization(a.Kind).Log(), nil
 }
 
 // exp renders the experiment: the passive-vs-active table and the

@@ -7,23 +7,36 @@ import (
 	"sync"
 	"testing"
 
+	"hpmvm/internal/coalloc"
 	"hpmvm/internal/core"
 	"hpmvm/internal/obs"
+	"hpmvm/internal/opt"
 )
 
 // TestObserveCycleIdentical pins the observability layer's overhead
 // contract at the system level: attaching the observer must not change
 // a single simulated number. Identical seeds with and without Observe
 // must give bit-identical cycles, cache stats and program results —
-// under either collector, whose collections the observer must see.
+// under either collector, whose collections the observer must see, and
+// with every managed optimization kind, whose decisions and reverts it
+// must count and trace.
 func TestObserveCycleIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		name, workload string
 		cfg            RunConfig
+		// decides requires co-allocation to both decide and revert, so
+		// the per-kind checks below cannot pass vacuously.
+		decides bool
 	}{
-		{"genms-coalloc", "_unit_tiny", RunConfig{Coalloc: true, Interval: 1000, Seed: 7}},
-		{"genms-collecting", "_unit_churn", RunConfig{Seed: 7}},
-		{"gencopy-collecting", "_unit_churn", RunConfig{Collector: core.GenCopy, Seed: 7}},
+		{"genms-coalloc", "_unit_tiny", RunConfig{Coalloc: true, Interval: 1000, Seed: 7}, false},
+		{"genms-collecting", "_unit_churn", RunConfig{Seed: 7}, false},
+		{"gencopy-collecting", "_unit_churn", RunConfig{Collector: core.GenCopy, Seed: 7}, false},
+		// All three kinds; co-allocation activates Node::payload, and
+		// the Figure 8 gap forced mid-run is reverted.
+		{"genms-allkinds-deciding", "_unit_pairs", RunConfig{
+			Coalloc: true, CoallocConfig: &coalloc.Config{GapAtCycle: 30_000_000},
+			CodeLayout: true, CodeLayoutConfig: &opt.CodeLayoutConfig{MinSamples: 1, EvalPeriods: 1, MinMissRate: -1},
+			SwPrefetch: true, Interval: 800, Seed: 7}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			b, _ := Get(tc.workload)
@@ -61,7 +74,7 @@ func TestObserveCycleIdentical(t *testing.T) {
 			if !reflect.DeepEqual(plain.Results, observed.Results) {
 				t.Error("observer perturbed program results")
 			}
-			if collects := tc.workload == "_unit_churn"; collects != (observed.MinorGCs > 0) {
+			if collects := tc.workload != "_unit_tiny"; collects != (observed.MinorGCs > 0) {
 				t.Fatalf("%d minor collections on %s", observed.MinorGCs, tc.workload)
 			}
 
@@ -110,6 +123,41 @@ func TestObserveCycleIdentical(t *testing.T) {
 			if phased != collections {
 				t.Errorf("gc.minor + gc.major phases count %d collections, want %d", phased, collections)
 			}
+
+			// Every kind's decisions arrive on the same record: its
+			// opt.<kind>.* counters and its EvOptDecision/EvOptRevert
+			// events (Arg0 is the kind's registration index) match the
+			// run's row for that kind.
+			dump := sys.Obs.TraceDump()
+			if dump.Dropped != 0 {
+				t.Fatalf("trace ring dropped %d events", dump.Dropped)
+			}
+			for idx, row := range observed.Opt {
+				var decided, reverted uint64
+				for _, e := range dump.Events {
+					switch {
+					case e.Arg0 != uint64(idx):
+					case e.Kind == obs.EvOptDecision:
+						decided++
+					case e.Kind == obs.EvOptRevert:
+						reverted++
+					}
+				}
+				d, dok := sys.Obs.Get("opt." + row.Kind + ".decisions")
+				r, rok := sys.Obs.Get("opt." + row.Kind + ".reverts")
+				if !dok || !rok || d != row.Decisions || r != row.Reverts {
+					t.Errorf("%s counters: %d/%v decisions, %d/%v reverts; want %+v", row.Kind, d, dok, r, rok, row)
+				}
+				if decided != row.Decisions || reverted != row.Reverts {
+					t.Errorf("%s traced %d decisions and %d reverts; want %+v", row.Kind, decided, reverted, row)
+				}
+				if tc.decides && row.Kind == opt.KindCoalloc && (row.Decisions == 0 || row.Reverts == 0) {
+					t.Errorf("co-allocation did not both decide and revert: %+v", row)
+				}
+			}
+			if tc.decides && len(observed.Opt) == 0 {
+				t.Error("no managed optimization reported")
+			}
 		})
 	}
 }
@@ -124,7 +172,7 @@ var requiredCounters = []string{
 	"perfmon.reads",
 	"monitor.polls",
 	"gc.minor",
-	"coalloc.active_fields",
+	"opt.coalloc.decisions",
 	"vm.recompiles",
 }
 

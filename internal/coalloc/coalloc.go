@@ -22,7 +22,6 @@ import (
 
 	"hpmvm/internal/gc/genms"
 	"hpmvm/internal/monitor"
-	"hpmvm/internal/obs"
 	"hpmvm/internal/stats"
 	"hpmvm/internal/vm/classfile"
 )
@@ -116,43 +115,6 @@ type Policy struct {
 
 	intervened bool
 	events     []string
-
-	// obs, when non-nil, receives an EvCoallocDecision event per
-	// activation, revert and intervention (nil-gated).
-	obs *obs.Observer
-}
-
-// SetObserver attaches the observability layer: decision counts are
-// registered and every placement decision is traced. Passing nil
-// detaches.
-func (p *Policy) SetObserver(o *obs.Observer) {
-	p.obs = o
-	if o == nil {
-		return
-	}
-	o.RegisterSampled("coalloc.active_fields", func() uint64 {
-		var n uint64
-		for _, st := range p.fields {
-			if st.mode == modeActive {
-				n++
-			}
-		}
-		return n
-	})
-	o.RegisterSampled("coalloc.reverts", func() uint64 {
-		var n uint64
-		for _, st := range p.fields {
-			n += uint64(st.reverts)
-		}
-		return n
-	})
-}
-
-// decided traces one policy decision (no-op without an observer).
-func (p *Policy) decided(now uint64, f *classfile.Field, gap, code uint64) {
-	if p.obs != nil {
-		p.obs.Emit(obs.EvCoallocDecision, now, uint64(f.ID), gap, code)
-	}
 }
 
 // hottestField is the plain policy's one candidate. Field states are

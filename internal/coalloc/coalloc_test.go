@@ -77,6 +77,11 @@ func hotPairProgram(u *classfile.Universe) (*classfile.Method, *classfile.Field)
 	return main, fpay
 }
 
+// policy is the system's managed co-allocation policy.
+func policy(sys *core.System) *coalloc.Policy {
+	return sys.Optimization(opt.KindCoalloc).(*coalloc.Policy)
+}
+
 func runPolicy(t *testing.T, opts core.Options) *core.System {
 	t.Helper()
 	u := classfile.NewUniverse()
@@ -103,10 +108,10 @@ func TestPolicyActivatesHotField(t *testing.T) {
 		Optimizations:    []core.OptimizationConfig{{Kind: opt.KindCoalloc}},
 	})
 	if sys.CoallocPairs() == 0 {
-		t.Fatalf("no pairs placed; events: %v", sys.Policy.Log())
+		t.Fatalf("no pairs placed; events: %v", policy(sys).Log())
 	}
 	var active bool
-	for _, d := range sys.Policy.Decisions() {
+	for _, d := range policy(sys).Decisions() {
 		if d.Field.QualifiedName() == "Node::payload" && d.Mode == "active" {
 			active = true
 			if d.Gap != 0 {
@@ -115,7 +120,7 @@ func TestPolicyActivatesHotField(t *testing.T) {
 		}
 	}
 	if !active {
-		t.Fatalf("Node::payload not active; decisions: %+v", sys.Policy.Decisions())
+		t.Fatalf("Node::payload not active; decisions: %+v", policy(sys).Decisions())
 	}
 	// Co-allocation must reduce misses against the plain run.
 	base := runPolicy(t, core.Options{HeapLimit: 8 << 20})
@@ -135,7 +140,7 @@ func TestRestoreRejectsUnknownFieldMode(t *testing.T) {
 		SamplingInterval: 2000,
 		Optimizations:    []core.OptimizationConfig{{Kind: opt.KindCoalloc}},
 	})
-	valid := sys.Policy.Snapshot()
+	valid := policy(sys).Snapshot()
 	// The blob opens with the field-state count, then the first entry's
 	// field id and mode, one 64-bit word each.
 	if binary.LittleEndian.Uint64(valid.Data) == 0 {
@@ -148,15 +153,15 @@ func TestRestoreRejectsUnknownFieldMode(t *testing.T) {
 		return st
 	}
 	for _, mode := range []int64{2, -1} {
-		if err := sys.Policy.Restore(withMode(mode)); !errors.Is(err, snap.ErrDecode) {
+		if err := policy(sys).Restore(withMode(mode)); !errors.Is(err, snap.ErrDecode) {
 			t.Errorf("mode %d: Restore = %v, want snap.ErrDecode", mode, err)
 		}
-		if !bytes.Equal(sys.Policy.Snapshot().Data, valid.Data) {
+		if !bytes.Equal(policy(sys).Snapshot().Data, valid.Data) {
 			t.Errorf("mode %d: failed Restore modified the policy", mode)
 		}
 	}
 	// The same word set to active is a valid blob: the offset is right.
-	if err := sys.Policy.Restore(withMode(1)); err != nil {
+	if err := policy(sys).Restore(withMode(1)); err != nil {
 		t.Errorf("mode 1 (active) rejected: %v", err)
 	}
 }
@@ -198,7 +203,7 @@ func TestPolicyRevertsForcedGap(t *testing.T) {
 		t.Fatal(err)
 	}
 	var intervened, reverted bool
-	for _, e := range sys.Policy.Log() {
+	for _, e := range policy(sys).Log() {
 		if strings.Contains(e, "manual intervention") {
 			intervened = true
 		}
@@ -207,13 +212,13 @@ func TestPolicyRevertsForcedGap(t *testing.T) {
 		}
 	}
 	if !intervened {
-		t.Fatalf("intervention never fired; events: %v", sys.Policy.Log())
+		t.Fatalf("intervention never fired; events: %v", policy(sys).Log())
 	}
 	if !reverted {
-		t.Fatalf("poor placement not reverted; events: %v", sys.Policy.Log())
+		t.Fatalf("poor placement not reverted; events: %v", policy(sys).Log())
 	}
 	// After the revert the hot field must be back on adjacent placement.
-	for _, d := range sys.Policy.Decisions() {
+	for _, d := range policy(sys).Decisions() {
 		if d.Field.QualifiedName() == "Node::payload" {
 			if d.Mode != "active" || d.Gap != 0 {
 				t.Errorf("post-revert state: %+v", d)

@@ -9,8 +9,8 @@ import (
 
 // This file is the policy's state machine, driven by the opt.Manager
 // through the opt.Optimization interface. Each monitor poll runs three
-// phases in a fixed order, and the golden corpus pins every decision,
-// log line and obs event they produce:
+// phases in a fixed order, and the golden corpus pins every decision
+// and log line they produce and the events the manager traces for them:
 //
 //   - Analyze scans the hot fields for activations and, once
 //     GapAtCycle has passed, the active fields for the Figure 8
@@ -151,7 +151,6 @@ func (p *Policy) Apply(now uint64, pr opt.Proposal) {
 		}
 		p.logf(now, "activate %s (gap %d, baseline rate %.0f misses/Mcycle)",
 			st.field.QualifiedName(), st.gap, st.baselineRate)
-		p.decided(now, st.field, st.gap, obs.DecisionActivate)
 	case *intervention:
 		st := a.st
 		p.intervened = true
@@ -164,7 +163,6 @@ func (p *Policy) Apply(now uint64, pr opt.Proposal) {
 		}
 		p.logf(now, "manual intervention: %d-byte gap forced for %s",
 			st.gap, st.field.QualifiedName())
-		p.decided(now, st.field, st.gap, obs.DecisionIntervene)
 	}
 }
 
@@ -251,13 +249,11 @@ func (p *Policy) Revert(now uint64, d *opt.Decision, a opt.Assessment) {
 		st.abMarkGap = fc.GappedSamples
 		p.logf(now, "revert %s: gapped pairs draw %.4f sampled misses/pair vs %.4f for adjacent — switching back to adjacent placement",
 			st.field.QualifiedName(), a.A, a.B)
-		p.decided(now, st.field, 0, obs.DecisionRevertAB)
 	case obs.DecisionRevertRate:
 		st.reverts++
 		st.gap = 0
 		p.logf(now, "revert %s: rate %.0f vs baseline %.0f misses/Mcycle — dropping gap",
 			st.field.QualifiedName(), a.A, a.B)
-		p.decided(now, st.field, 0, obs.DecisionRevertRate)
 		st.baselineRate = a.A
 		st.activatedAt = fc.RateSeries.Len()
 	}

@@ -1,7 +1,8 @@
 // Package core is the public façade of the reproduction: it wires the
 // simulated Pentium 4 (CPU, caches, PEBS), the perfmon kernel module,
 // the VM (compilers, AOS, runtime), a garbage collector, the HPM
-// monitor and the co-allocation policy into one configurable System —
+// monitor and the online optimizations it drives (co-allocation among
+// them) into one configurable System —
 // the "dynamic compiler+runtime environment that incorporates
 // machine-level information as an additional kind of feedback" the
 // paper describes.
@@ -25,7 +26,7 @@ import (
 	"math/rand"
 	"strings"
 
-	"hpmvm/internal/coalloc"
+	_ "hpmvm/internal/coalloc" // registers the co-allocation kind
 	"hpmvm/internal/gc/gencopy"
 	"hpmvm/internal/gc/genms"
 	"hpmvm/internal/hw/cache"
@@ -138,12 +139,10 @@ type System struct {
 	Unit    *pebs.Unit
 	Module  *perfmon.Module
 	Monitor *monitor.Monitor
-	Policy  *coalloc.Policy
 	AOS     *aos.AOS
 
 	// OptManager drives the managed optimizations (non-nil iff any are
-	// configured). Policy, above, is the managed co-allocation policy
-	// when that kind is among them.
+	// configured).
 	OptManager *opt.Manager
 
 	GenMS   *genms.Collector
@@ -245,11 +244,7 @@ func NewSystemOpts(u *classfile.Universe, opts Options) (*System, error) {
 			env := opt.Env{VM: s.VM, Monitor: s.Monitor}
 			for _, e := range managed {
 				d, _ := opt.Lookup(e.Kind)
-				op := d.New(env, e.Config)
-				s.OptManager.Register(op)
-				if p, ok := op.(*coalloc.Policy); ok {
-					s.Policy = p
-				}
+				s.OptManager.Register(d.New(env, e.Config))
 			}
 		}
 	}
@@ -294,9 +289,6 @@ func (s *System) attachObserver() {
 	}
 	if s.Monitor != nil {
 		s.Monitor.SetObserver(o)
-	}
-	if s.Policy != nil {
-		s.Policy.SetObserver(o)
 	}
 	if s.OptManager != nil {
 		s.OptManager.SetObserver(o)
@@ -499,13 +491,14 @@ func (s *System) OptStats() []opt.KindStats {
 	return s.OptManager.Stats()
 }
 
-// OptLog returns the decision log of the managed optimization of the
-// given kind (nil when that kind is not configured).
-func (s *System) OptLog(kind string) []string {
+// Optimization returns the managed optimization of the given kind (nil
+// when that kind is not configured). A caller that needs more than the
+// opt.Optimization interface asserts the kind's own type.
+func (s *System) Optimization(kind string) opt.Optimization {
 	if s.OptManager != nil {
 		for _, op := range s.OptManager.Optimizations() {
 			if op.Kind() == kind {
-				return op.Log()
+				return op
 			}
 		}
 	}

@@ -157,7 +157,7 @@ func TestToyKindBuildsRunsAndCheckpoints(t *testing.T) {
 	if len(rows) != 1 || rows[0].Kind != kindToy || rows[0].Decisions == 0 || rows[0].Reverts != 0 {
 		t.Fatalf("OptStats() = %+v, want one toy row with decisions", rows)
 	}
-	if got := uint64(len(cold.OptLog(kindToy))); got != rows[0].Decisions {
+	if got := uint64(len(cold.Optimization(kindToy).Log())); got != rows[0].Decisions {
 		t.Errorf("decision log has %d lines for %d decisions", got, rows[0].Decisions)
 	}
 

@@ -1,7 +1,7 @@
 // Package obs is the unified observability layer: a zero-dependency
 // counter registry plus a structured event trace shared by every layer
 // of the simulated system (memory hierarchy, PEBS unit, perfmon
-// module, monitor, GC, co-allocation policy, VM).
+// module, monitor, GC, optimization manager, VM).
 //
 // The paper's premise is that cheap, always-on hardware monitoring can
 // drive online decisions; debugging and comparing such a system needs
@@ -15,9 +15,9 @@
 //     closure over an existing stats field read only at snapshot time
 //     so the producer's hot path is untouched).
 //   - Trace: a fixed-size ring buffer of typed events (GC start/stop,
-//     PEBS overflow interrupts, perfmon copy-outs, co-allocation
-//     decisions, recompilations, cache-window snapshots), each stamped
-//     with the simulated cycle it occurred at.
+//     PEBS overflow interrupts, perfmon copy-outs, optimization
+//     decisions and reverts, recompilations, cache-window snapshots),
+//     each stamped with the simulated cycle it occurred at.
 //   - Phases: named begin/end intervals aggregated into a per-phase
 //     timeline (count + total simulated cycles), e.g. minor/major GC
 //     and monitor polls.

@@ -159,7 +159,7 @@ func TestTraceJSONRoundTrip(t *testing.T) {
 	o := New(8)
 	o.Emit(EvGCStart, 100, 0, 0, 0)
 	o.Emit(EvPEBSInterrupt, 200, 1536, 1, 0)
-	o.Emit(EvCoallocDecision, 300, 7, 128, DecisionIntervene)
+	o.Emit(EvOptDecision, 300, 0, 7, DecisionIntervene)
 	want := o.TraceDump()
 
 	var buf bytes.Buffer
@@ -208,8 +208,20 @@ func TestSnapshotEventsExportRoundTrip(t *testing.T) {
 }
 
 func TestKindNamesComplete(t *testing.T) {
+	// The retired co-allocation decision kind's slot stays blank, so
+	// every later kind keeps its serialized number.
+	retired := EvPhaseChange + 1
+	if EvRecompile != retired+1 || EvOptRevert != 12 {
+		t.Fatalf("event kinds renumbered: recompile %d, opt_revert %d", EvRecompile, EvOptRevert)
+	}
 	for k := EventKind(0); k < numEventKinds; k++ {
 		name := k.String()
+		if k == retired {
+			if _, ok := KindFromString(name); ok || name != "event_kind_6" {
+				t.Errorf("retired kind %d is named %q", k, name)
+			}
+			continue
+		}
 		if name == "" || strings.HasPrefix(name, "event_kind_") {
 			t.Errorf("kind %d has no stable name", k)
 		}

@@ -8,8 +8,8 @@ import (
 // EventKind identifies a traced event type. The taxonomy mirrors the
 // paper's sample flow (§4.1): hardware overflow interrupts feed the
 // kernel module, the monitor polls the module, and the decoded
-// feedback drives GC-time co-allocation decisions — plus the GC and
-// recompilation activity those decisions ride on.
+// feedback drives the managed optimizations' decisions — plus the GC
+// and recompilation activity those decisions ride on.
 type EventKind uint8
 
 const (
@@ -35,10 +35,9 @@ const (
 	// EvPhaseChange records a detected execution-phase change on a
 	// field's miss-rate series. Arg0 is the field ID.
 	EvPhaseChange
-	// EvCoallocDecision records a co-allocation policy decision. Arg0
-	// is the field ID, Arg1 the placement gap in bytes, Arg2 the
-	// decision code (see DecisionActivate and friends).
-	EvCoallocDecision
+	// A retired kind keeps its slot, so every later kind keeps its
+	// serialized number.
+	_
 	// EvRecompile records a method recompilation. Arg0 is the method
 	// ID, Arg1 the new optimization level.
 	EvRecompile
@@ -63,9 +62,8 @@ const (
 	// EvOptDecision records a decision applied by a managed online
 	// optimization (internal/opt). Arg0 is the optimization's
 	// registration index with the manager, Arg1 the decision target
-	// (kind-specific: a layout epoch, a site ID), Arg2 the decision
-	// code. The legacy co-allocation policy keeps emitting
-	// EvCoallocDecision instead, so pre-framework traces are unchanged.
+	// (kind-specific: a field ID, a layout epoch, a site ID), Arg2 the
+	// decision code.
 	EvOptDecision
 	// EvOptRevert records a managed decision undone by the online
 	// assessment (Figure-7-style bad-decision detection generalized to
@@ -74,7 +72,7 @@ const (
 	numEventKinds
 )
 
-// Decision codes carried in EvCoallocDecision's Arg2.
+// Decision codes carried in EvOptDecision's and EvOptRevert's Arg2.
 const (
 	// DecisionActivate: a hot field entered active co-allocation.
 	DecisionActivate uint64 = iota
@@ -93,7 +91,6 @@ var kindNames = [numEventKinds]string{
 	EvPerfmonRead:      "perfmon_read",
 	EvMonitorPoll:      "monitor_poll",
 	EvPhaseChange:      "phase_change",
-	EvCoallocDecision:  "coalloc_decision",
 	EvRecompile:        "recompile",
 	EvCacheWindow:      "cache_window",
 	EvSnapshotTaken:    "snapshot_taken",
@@ -104,7 +101,7 @@ var kindNames = [numEventKinds]string{
 
 // String returns the stable export name of the kind.
 func (k EventKind) String() string {
-	if int(k) < len(kindNames) {
+	if int(k) < len(kindNames) && kindNames[k] != "" {
 		return kindNames[k]
 	}
 	return fmt.Sprintf("event_kind_%d", uint8(k))
@@ -113,7 +110,7 @@ func (k EventKind) String() string {
 // KindFromString maps an export name back to its EventKind.
 func KindFromString(s string) (EventKind, bool) {
 	for k, name := range kindNames {
-		if name == s {
+		if name != "" && name == s {
 			return EventKind(k), true
 		}
 	}

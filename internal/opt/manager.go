@@ -46,22 +46,15 @@ func (m *Manager) Optimizations() []Optimization {
 	return m.opts
 }
 
-// SetObserver wires the trace/counter sink. For every non-legacy kind
-// it registers sampled per-kind decision/revert counters
-// (opt.<kind>.decisions, opt.<kind>.reverts) and enables
-// EvOptDecision/EvOptRevert emission. The co-allocation kind keeps its
-// pre-framework surface (coalloc.* counters, EvCoallocDecision) which
-// the policy registers itself, so existing obs exports stay
-// byte-identical.
+// SetObserver wires the trace/counter sink: it registers sampled
+// per-kind decision/revert counters (opt.<kind>.decisions,
+// opt.<kind>.reverts) and enables EvOptDecision/EvOptRevert emission.
 func (m *Manager) SetObserver(o *obs.Observer) {
 	m.obs = o
 	if o == nil {
 		return
 	}
 	for _, op := range m.opts {
-		if op.Kind() == KindCoalloc {
-			continue
-		}
 		op := op
 		o.RegisterSampled("opt."+op.Kind()+".decisions", func() uint64 { return op.Stats().Decisions })
 		o.RegisterSampled("opt."+op.Kind()+".reverts", func() uint64 { return op.Stats().Reverts })
@@ -84,10 +77,9 @@ func (m *Manager) Stats() []KindStats {
 func (m *Manager) observe(now uint64) {
 	polls := m.mon.Stats().Polls
 	for idx, op := range m.opts {
-		legacy := op.Kind() == KindCoalloc
 		for _, p := range op.Analyze(now) {
 			op.Apply(now, p)
-			if !legacy && m.obs != nil {
+			if m.obs != nil {
 				m.obs.Emit(obs.EvOptDecision, now, uint64(idx), uint64(p.Target), p.Code)
 			}
 		}
@@ -101,7 +93,7 @@ func (m *Manager) observe(now uint64) {
 				continue
 			}
 			op.Revert(now, d, a)
-			if !legacy && m.obs != nil {
+			if m.obs != nil {
 				m.obs.Emit(obs.EvOptRevert, now, uint64(idx), uint64(d.Target), a.Reason)
 			}
 		}

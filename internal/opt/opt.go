@@ -34,10 +34,6 @@ package opt
 // Kind names for the shipped optimizations.
 const (
 	// KindCoalloc is the object co-allocation policy (package coalloc).
-	// It predates the framework: the manager treats it as a legacy kind
-	// and leaves its observability surface (EvCoallocDecision events,
-	// coalloc.* counters) untouched so pre-framework obs exports stay
-	// byte-identical.
 	KindCoalloc = "coalloc"
 	// KindCodeLayout is the hot/cold code-layout optimization
 	// (codelayout.go in this package).

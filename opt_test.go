@@ -1,6 +1,6 @@
 // Keystone tests for the generalized online-optimization pipeline
-// (internal/opt): the co-allocation port is byte-identical to the
-// pre-framework policy, and the manager's assessment loop takes back
+// (internal/opt): managed co-allocation reproduces the golden corpus
+// bit-for-bit, and the manager's assessment loop takes back
 // injected regressing decisions for both managed kinds. `make
 // verify-opt` runs exactly these two; the race CI target covers them
 // through the root package.
@@ -18,13 +18,13 @@ import (
 	"hpmvm/internal/opt"
 )
 
-// TestOptCoallocByteIdentical pins the framework port of co-allocation
-// against the recorded golden corpus: the genms-coalloc configuration —
-// captured before the policy moved under the internal/opt manager —
-// must reproduce bit-for-bit, while the result proves the run actually
-// went through the framework (a per-kind counter row is present). Any
-// divergence in charged cycles, sample placement, GC decisions or
-// snapshot encoding fails here.
+// TestOptCoallocByteIdentical pins framework-managed co-allocation
+// against the recorded golden corpus: the genms-coalloc configuration
+// must reproduce bit-for-bit — its obs export included, where the
+// manager counts and traces the kind like every other — while the
+// result proves the run actually went through the framework (a per-kind
+// counter row is present). Any divergence in charged cycles, sample
+// placement, GC decisions or snapshot encoding fails here.
 func TestOptCoallocByteIdentical(t *testing.T) {
 	const cfgName = "genms-coalloc"
 	for _, workload := range goldenWorkloads() {
@@ -107,7 +107,7 @@ func TestOptRevertBadDecision(t *testing.T) {
 		// The revert must be the first verdict on the intervened field:
 		// between the forced gap and the switch back there is no event
 		// keeping the gapped placement.
-		events := sys.Policy.Log()
+		events := sys.Optimization(opt.KindCoalloc).Log()
 		iIntervene, iRevert := -1, -1
 		for i, e := range events {
 			if iIntervene < 0 && strings.Contains(e, "manual intervention") {
