@@ -95,9 +95,6 @@ func (e *Engine) SetProgress(f ProgressFunc) {
 	e.mu.Unlock()
 }
 
-// Jobs returns the worker-pool width.
-func (e *Engine) Jobs() int { return e.jobs }
-
 // Stats returns a snapshot of the per-run accounting.
 func (e *Engine) Stats() EngineStats {
 	e.mu.Lock()

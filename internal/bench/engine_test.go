@@ -62,13 +62,13 @@ func TestEngineErrorPropagatesAndFailsFast(t *testing.T) {
 }
 
 func TestEngineDefaultJobs(t *testing.T) {
-	if NewEngine(0).Jobs() != DefaultJobs() {
+	if NewEngine(0).Stats().Jobs != DefaultJobs() {
 		t.Fatal("jobs=0 should select DefaultJobs")
 	}
-	if NewEngine(-3).Jobs() != DefaultJobs() {
+	if NewEngine(-3).Stats().Jobs != DefaultJobs() {
 		t.Fatal("negative jobs should select DefaultJobs")
 	}
-	if NewEngine(7).Jobs() != 7 {
+	if NewEngine(7).Stats().Jobs != 7 {
 		t.Fatal("explicit jobs not honored")
 	}
 }

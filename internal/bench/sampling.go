@@ -94,12 +94,10 @@ func (t *laneTicker) Tick() { t.mon.Tick() }
 
 // sampledLane is one monitored configuration riding the shared pass.
 type sampledLane struct {
-	interval uint64 // configured hardware interval (0 = auto)
-	seed     int64
-	clk      *laneClock
-	unit     *pebs.Unit
-	mod      *perfmon.Module
-	mon      *monitor.Monitor
+	clk  *laneClock
+	unit *pebs.Unit
+	mod  *perfmon.Module
+	mon  *monitor.Monitor
 }
 
 // SampledPass is the result of one multiplexed sampled pass.
@@ -209,5 +207,5 @@ func newSampledLane(sys *core.System, interval uint64, seed int64) (*sampledLane
 	mod.Start()
 	mon.Arm()
 	sys.VM.AddTicker(&laneTicker{mon: mon, clk: clk})
-	return &sampledLane{interval: interval, seed: seed, clk: clk, unit: unit, mod: mod, mon: mon}, nil
+	return &sampledLane{clk: clk, unit: unit, mod: mod, mon: mon}, nil
 }

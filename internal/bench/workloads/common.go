@@ -12,8 +12,6 @@
 package workloads
 
 import (
-	"fmt"
-
 	"hpmvm/internal/bench"
 	"hpmvm/internal/vm/bytecode"
 	"hpmvm/internal/vm/classfile"
@@ -270,11 +268,4 @@ func register(name, desc string, minHeap uint64, hotField string, build func(l *
 		l.U.Layout()
 		return &bench.Program{U: l.U, Entry: entry, Expected: expected}
 	})
-}
-
-// mustNoErr is a tiny helper for builders that return errors.
-func mustNoErr(err error) {
-	if err != nil {
-		panic(fmt.Sprintf("workloads: %v", err))
-	}
 }

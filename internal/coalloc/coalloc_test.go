@@ -107,7 +107,7 @@ func TestPolicyActivatesHotField(t *testing.T) {
 		SamplingInterval: 2000,
 		Optimizations:    []core.OptimizationConfig{{Kind: opt.KindCoalloc}},
 	})
-	if sys.CoallocPairs() == 0 {
+	if sys.GenMS.Stats().CoallocPairs == 0 {
 		t.Fatalf("no pairs placed; events: %v", policy(sys).Log())
 	}
 	var active bool

@@ -468,15 +468,6 @@ func (s *System) SamplingEstimate() (est stats.Estimate, ok bool) {
 	return sam.Estimate(), true
 }
 
-// CoallocPairs returns the number of co-allocated pairs (0 when the
-// collector is not GenMS).
-func (s *System) CoallocPairs() uint64 {
-	if s.GenMS == nil {
-		return 0
-	}
-	return s.GenMS.Stats().CoallocPairs
-}
-
 // GCStats returns (minor, major) collection counts.
 func (s *System) GCStats() (uint64, uint64) {
 	return s.VM.Collector.Collections()

@@ -176,7 +176,7 @@ func TestSmokeCoallocation(t *testing.T) {
 		SamplingInterval: 500,
 		Optimizations:    coallocEntry,
 	}, allOpt(2))
-	t.Logf("coalloc pairs: %d", sys.CoallocPairs())
+	t.Logf("coalloc pairs: %d", sys.GenMS.Stats().CoallocPairs)
 	t.Logf("%s", sys.Monitor.Report(5))
 }
 

@@ -292,8 +292,3 @@ func (a *Allocator) UsedBytes() uint64 { return a.usedBytes }
 // FootprintBytes returns the bytes claimed from the mature region
 // (blocks are never returned).
 func (a *Allocator) FootprintBytes() uint64 { return a.blockBytes }
-
-// Reset drops every block and free list (used when a run is restarted).
-func (a *Allocator) Reset() {
-	*a = *New(a.base, a.limit)
-}

@@ -59,9 +59,6 @@ func (c *Collector) Stats() Stats {
 	return Stats{Counters: c.Counters, CopiedObjects: c.copiedObjects, CopiedBytes: c.copiedBytes}
 }
 
-// MatureUsedBytes returns live bytes in the active semispace.
-func (c *Collector) MatureUsedBytes() uint64 { return c.semi[c.active].Used() }
-
 // Footprint implements gen.Mature: both semispaces' worth of budget
 // (the copy reserve) — the space-efficiency cost the paper contrasts
 // with GenMS.

@@ -11,17 +11,6 @@ import (
 	"sort"
 )
 
-// Accessor is the timed memory interface the collectors use; the
-// simulated CPU implements it, so GC traffic shares the caches and the
-// cycle counter with application code.
-type Accessor interface {
-	LoadWord(addr uint64) uint64
-	StoreWord(addr uint64, v uint64)
-	LoadHalf(addr uint64) uint32
-	StoreHalf(addr uint64, v uint32)
-	AddCycles(n uint64)
-}
-
 // Address-space layout of the simulated machine. Code, the method
 // entry table and the vtable map live below the heap (their bases are
 // in the CPU config); everything here is VM-managed.

@@ -202,9 +202,6 @@ func (c *CPU) NextCodeAddr() uint64 {
 	return c.cfg.CodeBase + uint64(len(c.code))*InstrBytes
 }
 
-// CodeSizeBytes returns the total installed code size in bytes.
-func (c *CPU) CodeSizeBytes() uint64 { return uint64(len(c.code)) * InstrBytes }
-
 // InstrAt returns the instruction at a code address (for disassembly
 // and the monitor's sample decoding).
 func (c *CPU) InstrAt(addr uint64) (Instr, bool) {

@@ -179,54 +179,3 @@ func (m *Memory) Zero(addr Addr, n uint64) {
 		n -= chunk
 	}
 }
-
-// Region names a contiguous address range with a human-readable label
-// (e.g. "code", "nursery", "mature"). The runtime registers its spaces
-// so that diagnostics and the sample filter can classify raw addresses.
-type Region struct {
-	Name  string
-	Start Addr
-	End   Addr // exclusive
-}
-
-// Contains reports whether addr falls inside the region.
-func (r Region) Contains(addr Addr) bool { return addr >= r.Start && addr < r.End }
-
-// Size returns the region length in bytes.
-func (r Region) Size() uint64 { return r.End - r.Start }
-
-func (r Region) String() string {
-	return fmt.Sprintf("%s [%#x,%#x)", r.Name, r.Start, r.End)
-}
-
-// Map is an ordered collection of non-overlapping regions.
-type Map struct {
-	regions []Region
-}
-
-// AddRegion registers a region. It panics if the region overlaps an
-// existing one, since overlapping spaces indicate a layout bug.
-func (mm *Map) AddRegion(r Region) {
-	if r.End <= r.Start {
-		panic(fmt.Sprintf("mem: empty or inverted region %v", r))
-	}
-	for _, e := range mm.regions {
-		if r.Start < e.End && e.Start < r.End {
-			panic(fmt.Sprintf("mem: region %v overlaps %v", r, e))
-		}
-	}
-	mm.regions = append(mm.regions, r)
-}
-
-// Find returns the region containing addr, or nil.
-func (mm *Map) Find(addr Addr) *Region {
-	for i := range mm.regions {
-		if mm.regions[i].Contains(addr) {
-			return &mm.regions[i]
-		}
-	}
-	return nil
-}
-
-// Regions returns all registered regions.
-func (mm *Map) Regions() []Region { return mm.regions }

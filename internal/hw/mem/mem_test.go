@@ -207,30 +207,6 @@ func TestBeyondDirectory(t *testing.T) {
 	}
 }
 
-func TestRegionMap(t *testing.T) {
-	var mm Map
-	mm.AddRegion(Region{Name: "a", Start: 0x1000, End: 0x2000})
-	mm.AddRegion(Region{Name: "b", Start: 0x3000, End: 0x4000})
-	if r := mm.Find(0x1800); r == nil || r.Name != "a" {
-		t.Errorf("Find(0x1800) = %v", r)
-	}
-	if r := mm.Find(0x2800); r != nil {
-		t.Errorf("Find in gap = %v", r)
-	}
-	if len(mm.Regions()) != 2 {
-		t.Errorf("Regions = %d", len(mm.Regions()))
-	}
-	if (Region{Start: 0x1000, End: 0x2000}).Size() != 0x1000 {
-		t.Error("Size wrong")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on overlapping region")
-		}
-	}()
-	mm.AddRegion(Region{Name: "c", Start: 0x1800, End: 0x2800})
-}
-
 func TestFootprint(t *testing.T) {
 	m := New()
 	if m.FootprintBytes() != 0 {

@@ -45,12 +45,8 @@ import (
 // Counter is one owned, monotonically increasing counter. The zero
 // Counter is unusable; obtain counters from Observer.Counter.
 type Counter struct {
-	name string
-	v    atomic.Uint64
+	v atomic.Uint64
 }
-
-// Name returns the registered name.
-func (c *Counter) Name() string { return c.name }
 
 // Add increments the counter by n.
 func (c *Counter) Add(n uint64) { c.v.Add(n) }
@@ -121,7 +117,7 @@ func (o *Observer) Counter(name string) *Counter {
 		}
 		return o.entries[i].owned
 	}
-	c := &Counter{name: name}
+	c := &Counter{}
 	o.byName[name] = len(o.entries)
 	o.entries = append(o.entries, entry{name: name, owned: c})
 	return c

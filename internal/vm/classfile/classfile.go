@@ -81,8 +81,6 @@ const (
 const (
 	FlagMark      uint32 = 1 << 0 // mark-sweep liveness mark
 	FlagForwarded uint32 = 1 << 1 // offset 8 holds a forwarding pointer
-	FlagCoalloc   uint32 = 1 << 2 // object was placed by co-allocation
-	FlagRemember  uint32 = 1 << 3 // object is in the remembered set
 )
 
 // Field describes one declared instance field.

@@ -40,14 +40,6 @@ func New(c *cpu.CPU) *Assembler {
 // Base returns the address the body will start at.
 func (a *Assembler) Base() uint64 { return a.base }
 
-// PC returns the address of the next instruction to be emitted.
-func (a *Assembler) PC() uint64 {
-	return a.base + uint64(len(a.instrs))*cpu.InstrBytes
-}
-
-// Len returns the number of instructions emitted so far.
-func (a *Assembler) Len() int { return len(a.instrs) }
-
 // Emit appends an instruction with its provenance and returns its
 // index. Use mcmap.NoBCI for synthetic instructions.
 func (a *Assembler) Emit(in cpu.Instr, bci, irid int32) int {
@@ -76,9 +68,6 @@ func (a *Assembler) Bind(label int) {
 	}
 	a.labels[label] = len(a.instrs)
 }
-
-// Bound reports whether the label has been bound.
-func (a *Assembler) Bound(label int) bool { return a.labels[label] != -1 }
 
 // EmitJump emits an instruction whose Imm is the address of label
 // (branches and jumps), fixing it up at Finish if the label is still

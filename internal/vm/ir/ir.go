@@ -150,18 +150,6 @@ type Instr struct {
 // HasDef reports whether the instruction defines a value.
 func (in *Instr) HasDef() bool { return in.ID != NoValue }
 
-// IsCall reports whether the instruction is a method call.
-func (in *Instr) IsCall() bool { return in.Op == OpCallStatic || in.Op == OpCallVirtual }
-
-// IsGCPoint reports whether this instruction can trigger a GC.
-func (in *Instr) IsGCPoint() bool {
-	switch in.Op {
-	case OpNewObject, OpNewArray, OpCallStatic, OpCallVirtual:
-		return true
-	}
-	return false
-}
-
 // IsHeapAccess reports whether the instruction reads or writes a heap
 // object through a reference — the instruction set S of the paper's
 // co-allocation analysis (§5.2: "field/array access, virtual calls and

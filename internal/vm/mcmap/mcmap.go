@@ -141,7 +141,6 @@ func (m *MCMap) MCMapBytes() uint64 {
 // map a raw PC to a method (§4.2).
 type Table struct {
 	entries []*MCMap // sorted by Start
-	lookups uint64
 }
 
 // Register inserts a new method body. Bodies never overlap; Register
@@ -159,17 +158,12 @@ func (t *Table) Register(m *MCMap) {
 
 // Lookup resolves a PC to the method body containing it.
 func (t *Table) Lookup(pc uint64) (*MCMap, bool) {
-	t.lookups++
 	i := sort.Search(len(t.entries), func(i int) bool { return t.entries[i].End > pc })
 	if i < len(t.entries) && t.entries[i].Contains(pc) {
 		return t.entries[i], true
 	}
 	return nil, false
 }
-
-// Lookups returns the number of Lookup calls served (monitor overhead
-// diagnostics).
-func (t *Table) Lookups() uint64 { return t.lookups }
 
 // Bodies returns all registered bodies in address order.
 func (t *Table) Bodies() []*MCMap { return t.entries }

@@ -163,15 +163,8 @@ func (vm *VM) EnableSampling(cfg SamplingConfig) (*Sampler, error) {
 // Sampler returns the region scheduler, or nil for an exact-mode VM.
 func (vm *VM) Sampler() *Sampler { return vm.sampler }
 
-// Config returns the effective (default-filled) sampling parameters.
-func (s *Sampler) Config() SamplingConfig { return s.cfg }
-
 // Regions returns the measured regions collected so far.
 func (s *Sampler) Regions() []stats.Region { return s.regions }
-
-// ServiceCycles returns the exact cycles spent in VM services
-// (allocation and garbage collection) so far.
-func (s *Sampler) ServiceCycles() uint64 { return s.svcCycles }
 
 // SetSampleCounter installs the cumulative PEBS sample count reader
 // used to attribute samples to measured regions.
