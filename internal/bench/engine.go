@@ -201,7 +201,9 @@ func (h *RunHandle) Wait() error {
 // future. The run participates in the engine's fail-fast error
 // (batch-experiment semantics).
 func (e *Engine) RunAsync(b Builder, cfg RunConfig, label string) *RunHandle {
-	return e.runAsync(context.Background(), b, cfg, label, false)
+	return e.runAsync(context.Background(), label, false, func(ctx context.Context) (*Result, *core.System, error) {
+		return RunContext(ctx, b, cfg)
+	})
 }
 
 // RunAsyncContext schedules one cancellable program run. The run is
@@ -211,10 +213,15 @@ func (e *Engine) RunAsync(b Builder, cfg RunConfig, label string) *RunHandle {
 // engine. A ctx already cancelled at dequeue time skips the simulation
 // entirely.
 func (e *Engine) RunAsyncContext(ctx context.Context, b Builder, cfg RunConfig, label string) *RunHandle {
-	return e.runAsync(ctx, b, cfg, label, true)
+	return e.runAsync(ctx, label, true, func(ctx context.Context) (*Result, *core.System, error) {
+		return RunContext(ctx, b, cfg)
+	})
 }
 
-func (e *Engine) runAsync(ctx context.Context, b Builder, cfg RunConfig, label string, isolated bool) *RunHandle {
+// runAsync schedules run — a cold RunContext or a warm RunFromSnapshot
+// — and returns its future. A ctx already cancelled at dequeue time
+// skips the run; a completed run credits its cycles to AddSim.
+func (e *Engine) runAsync(ctx context.Context, label string, isolated bool, run func(context.Context) (*Result, *core.System, error)) *RunHandle {
 	h := &RunHandle{done: make(chan struct{})}
 	e.submit(label, func() error {
 		defer close(h.done)
@@ -222,7 +229,7 @@ func (e *Engine) runAsync(ctx context.Context, b Builder, cfg RunConfig, label s
 			h.err = err
 			return err
 		}
-		res, sys, err := RunContext(ctx, b, cfg)
+		res, sys, err := run(ctx)
 		if err != nil {
 			h.err = err
 			return err

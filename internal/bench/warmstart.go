@@ -87,22 +87,8 @@ func RunFromSnapshot(ctx context.Context, b Builder, cfg RunConfig, snapshot []b
 func (e *Engine) RunFrom(b Builder, snapshot []byte, configs ...RunConfig) []*RunHandle {
 	handles := make([]*RunHandle, len(configs))
 	for i, cfg := range configs {
-		i, cfg := i, cfg
-		h := &RunHandle{done: make(chan struct{})}
-		handles[i] = h
-		e.submit(fmt.Sprintf("warmstart[%d]", i), func() error {
-			defer close(h.done)
-			res, sys, err := RunFromSnapshot(context.Background(), b, cfg, snapshot)
-			if err != nil {
-				h.err = err
-				return err
-			}
-			e.AddSim(res.Cycles)
-			h.res, h.sys = res, sys
-			return nil
-		}, false, func() {
-			h.err = errSkipped
-			close(h.done)
+		handles[i] = e.runAsync(context.Background(), fmt.Sprintf("warmstart[%d]", i), false, func(ctx context.Context) (*Result, *core.System, error) {
+			return RunFromSnapshot(ctx, b, cfg, snapshot)
 		})
 	}
 	return handles
