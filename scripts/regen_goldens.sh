@@ -7,8 +7,9 @@
 # refactoring PR must pass against the existing corpus unchanged.
 #
 # It ends by listing every recorded field that moved against HEAD, one
-# "file: config.field" line each — the proof a deliberate re-record
-# carries in its log.
+# "file: config.field" line each, with "old → new (delta)" appended to
+# each moved snapshot_bytes — the proof a deliberate re-record carries
+# in its log.
 #
 # Usage: scripts/regen_goldens.sh [extra go test args]
 set -eu
@@ -27,8 +28,15 @@ git diff -U0 -- testdata/goldens | awk '
 	close(file); next
 }
 /^@@ / { split($3, at, ","); line = substr(at[1], 2) + 0; next }
+/^--- / { next }
+/^-.*"snapshot_bytes":/ { old = $NF; sub(/,$/, "", old); next }
 /^\+/ {
 	key = $0; sub(/^\+ */, "", key); sub(/:.*/, "", key); gsub(/"/, "", key)
-	print "  " file ": " cfg[line] "." key; moved++; line++
+	size = ""
+	if (key == "snapshot_bytes") {
+		v = $NF; sub(/,$/, "", v)
+		size = sprintf(" %d → %d (%+d)", old, v, v - old)
+	}
+	print "  " file ": " cfg[line] "." key size; moved++; line++
 }
 END { if (!moved) print "  none" }'
