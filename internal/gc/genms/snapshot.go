@@ -10,7 +10,7 @@ import "hpmvm/internal/snap"
 
 const (
 	snapComponent = "gc/genms"
-	snapVersion   = 1
+	snapVersion   = 2 // version 1 ended with a zero fragmentation word
 )
 
 // walk is the collector's layout.
@@ -35,8 +35,6 @@ func (c *Collector) walk(k *snap.Codec) {
 	k.U64(&c.sweptCells)
 	k.U64(&c.GCCycles)
 	k.U64(&c.BarrierRecords)
-	// Stats computes the fragmentation; version 1 records a zero here.
-	k.Same(0, "fragmentation word")
 }
 
 // Snapshot serializes the collector's mutable state.

@@ -1,11 +1,14 @@
 // Package monitor implements the paper's runtime monitoring
 // infrastructure (§4): a collector "thread" that polls the perfmon
 // kernel module for raw PEBS samples at an adaptive interval, maps
-// each sample's program counter back to the method, bytecode
-// instruction and IR instruction that caused it (via the machine-code
-// maps), and maintains per-reference-field cache-miss counters and
-// time series — the feedback the co-allocating garbage collector and
-// the revert heuristic consume (§5.2–5.3).
+// each sample's program counter back to the method and, in
+// opt-compiled code, the IR instruction that caused it (via the
+// machine-code maps), and maintains per-reference-field cache-miss
+// counters and time series — the feedback the co-allocating garbage
+// collector and the revert heuristic consume (§5.2–5.3). Consumers of
+// each decoded sample's PC and method (code layout, software prefetch)
+// attach through AddSink; the per-instruction MC→bytecode maps stay in
+// package mcmap.
 package monitor
 
 import (
@@ -58,8 +61,8 @@ const (
 	// (the paper's pre-allocated-array JNI trick makes this a single
 	// crossing per poll, §4.1).
 	jniCallCycles = 2_000
-	// decodeCyclesPerSample is charged for mapping one raw sample to
-	// method/bytecode/IR and updating counters.
+	// decodeCyclesPerSample is charged for decoding one raw sample (the
+	// paper's method/bytecode/IR lookup) and updating counters.
 	decodeCyclesPerSample = 600
 	// batchCapacity is the size of the pre-allocated user-space sample
 	// array (80 KB in the paper).
@@ -92,16 +95,6 @@ type FieldCounter struct {
 	periodWeight  uint64
 	// phase-change detection state: the previous window's mean rate.
 	prevWindowRate float64
-}
-
-// MethodCounter aggregates attributed events for one method body.
-type MethodCounter struct {
-	Method  *classfile.Method
-	Samples uint64
-	// ByBCI counts samples per bytecode index.
-	ByBCI map[int32]uint64
-	// ByIR counts samples per IR instruction ID (opt-compiled bodies).
-	ByIR map[int32]uint64
 }
 
 // Stats summarizes monitor activity.
@@ -146,8 +139,7 @@ type Monitor struct {
 	deadline uint64
 	pollGap  uint64
 
-	fields  map[int]*FieldCounter
-	methods map[int]*MethodCounter
+	fields map[int]*FieldCounter
 	// pairsByMethod caches methodID -> (IR id -> field) from the opt
 	// compiler's access-path analysis (the §5.2 "instructions of
 	// interest" filter, built per compiled method).
@@ -187,7 +179,6 @@ func New(vm *runtime.VM, module *perfmon.Module, cfg Config) *Monitor {
 		clock:         vm.CPU,
 		buf:           make([]pebs.Sample, batchCapacity),
 		fields:        make(map[int]*FieldCounter),
-		methods:       make(map[int]*MethodCounter),
 		pairsByMethod: make(map[int]map[int32]*classfile.Field),
 		pollGap:       pollMinCycles,
 	}
@@ -362,15 +353,6 @@ func (m *Monitor) decode(s *pebs.Sample, interval uint64) {
 		m.st.SamplesOther++
 	}
 
-	mc := m.methods[body.Method.ID]
-	if mc == nil {
-		mc = &MethodCounter{Method: body.Method, ByBCI: make(map[int32]uint64), ByIR: make(map[int32]uint64)}
-		m.methods[body.Method.ID] = mc
-	}
-	mc.Samples++
-	if bci, ok := body.BytecodeAt(s.PC); ok {
-		mc.ByBCI[bci]++
-	}
 	for _, fn := range m.sinks {
 		fn(s.PC, s.DataAddr, body.Method.ID, interval)
 	}
@@ -381,8 +363,6 @@ func (m *Monitor) decode(s *pebs.Sample, interval uint64) {
 	if !ok {
 		return
 	}
-	mc.ByIR[irID]++
-
 	pairs := m.pairsFor(body)
 	f, ok := pairs[irID]
 	if !ok {
@@ -512,14 +492,6 @@ func (m *Monitor) FieldMisses(f *classfile.Field) uint64 {
 	return 0
 }
 
-// FieldSamples returns the raw sample count charged to a field.
-func (m *Monitor) FieldSamples(f *classfile.Field) uint64 {
-	if fc := m.fields[f.ID]; fc != nil {
-		return fc.Samples
-	}
-	return 0
-}
-
 // HotFields returns all attributed fields sorted by estimated misses,
 // hottest first — the per-class ranking §5.4's GC consults.
 func (m *Monitor) HotFields() []*FieldCounter {
@@ -532,21 +504,6 @@ func (m *Monitor) HotFields() []*FieldCounter {
 			return out[i].EstimatedMisses > out[j].EstimatedMisses
 		}
 		return out[i].Field.ID < out[j].Field.ID
-	})
-	return out
-}
-
-// HotMethods returns method counters sorted by samples, hottest first.
-func (m *Monitor) HotMethods() []*MethodCounter {
-	out := make([]*MethodCounter, 0, len(m.methods))
-	for _, mc := range m.methods {
-		out = append(out, mc)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Samples != out[j].Samples {
-			return out[i].Samples > out[j].Samples
-		}
-		return out[i].Method.ID < out[j].Method.ID
 	})
 	return out
 }

@@ -65,6 +65,12 @@ func chaseProgram(u *classfile.Universe) (*classfile.Method, *classfile.Field) {
 }
 
 func runChase(t *testing.T, opts core.Options) (*core.System, *classfile.Field) {
+	return runChaseWith(t, opts, nil)
+}
+
+// runChaseWith is runChase with a hook that runs on the booted system
+// just before the chase program starts.
+func runChaseWith(t *testing.T, opts core.Options, beforeRun func(*core.System)) (*core.System, *classfile.Field) {
 	t.Helper()
 	u := classfile.NewUniverse()
 	main, fpay := chaseProgram(u)
@@ -82,6 +88,9 @@ func runChase(t *testing.T, opts core.Options) (*core.System, *classfile.Field) 
 	if err := sys.Boot(plan, nil); err != nil {
 		t.Fatal(err)
 	}
+	if beforeRun != nil {
+		beforeRun(sys)
+	}
 	if err := sys.Run(main, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +107,7 @@ func TestAttributionToAccessPath(t *testing.T) {
 	if st.SamplesDecoded == 0 {
 		t.Fatal("no samples decoded")
 	}
-	if got := sys.Monitor.FieldSamples(fpay); got == 0 {
+	if fc := sys.Monitor.Field(fpay); fc == nil || fc.Samples == 0 {
 		t.Fatalf("no samples attributed to %s (stats %+v)", fpay.QualifiedName(), st)
 	}
 	// Node::payload must be the hottest field by a wide margin.
@@ -115,21 +124,41 @@ func TestAttributionToAccessPath(t *testing.T) {
 	}
 }
 
-func TestHotMethodsRanking(t *testing.T) {
-	sys, _ := runChase(t, core.Options{
+// TestSinkSeesEveryDecodedSample pins the PC→method attribution code
+// layout and software prefetch consume: a sink registered with AddSink
+// is called once per decoded sample, with a method ID that resolves in
+// the universe, and the chase loop's main receives the most samples.
+func TestSinkSeesEveryDecodedSample(t *testing.T) {
+	var calls uint64
+	perMethod := make(map[int]uint64)
+	sys, _ := runChaseWith(t, core.Options{
 		HeapLimit:        16 << 20,
 		Monitoring:       true,
 		SamplingInterval: 2000,
+	}, func(sys *core.System) {
+		sys.Monitor.AddSink(func(pc, dataAddr uint64, methodID int, interval uint64) {
+			calls++
+			perMethod[methodID]++
+		})
 	})
-	hm := sys.Monitor.HotMethods()
-	if len(hm) == 0 {
-		t.Fatal("no method counters")
+	st := sys.Monitor.Stats()
+	if st.SamplesDecoded == 0 {
+		t.Fatal("no samples decoded")
 	}
-	if hm[0].Method.Name != "main" {
-		t.Errorf("hottest method = %s", hm[0].Method.QualifiedName())
+	if calls != st.SamplesDecoded {
+		t.Fatalf("sink called %d times, %d samples decoded", calls, st.SamplesDecoded)
 	}
-	if len(hm[0].ByBCI) == 0 || len(hm[0].ByIR) == 0 {
-		t.Error("per-bytecode / per-IR counters empty")
+	hottest, most := -1, uint64(0)
+	for id, n := range perMethod {
+		if id < 0 || id >= len(sys.VM.U.Methods()) {
+			t.Fatalf("sink received method id %d, not in the universe", id)
+		}
+		if n > most {
+			hottest, most = id, n
+		}
+	}
+	if m := sys.VM.U.Method(hottest); m.Name != "main" {
+		t.Errorf("hottest method = %s (%d samples), want main", m.QualifiedName(), most)
 	}
 }
 
@@ -351,7 +380,7 @@ func TestAlternativeEvents(t *testing.T) {
 			t.Errorf("%v: no samples decoded", ev)
 			continue
 		}
-		if sys.Monitor.FieldSamples(fpay) == 0 {
+		if fc := sys.Monitor.Field(fpay); fc == nil || fc.Samples == 0 {
 			t.Errorf("%v: nothing attributed to the hot field", ev)
 		}
 	}

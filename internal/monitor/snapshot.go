@@ -7,16 +7,16 @@ import (
 )
 
 // Snapshot/Restore implement snap.Checkpointable for the collector
-// thread: the poll schedule, the per-field and per-method counter
-// tables (with their time series), the phase-event log, the adaptive
-// controller state and the activity counters. Field and method
-// pointers are serialized as universe IDs and re-resolved on restore;
-// the pairsByMethod cache is dropped and rebuilt lazily (its contents
-// are a deterministic function of the compiled code).
+// thread: the poll schedule, the per-field counter table (with its
+// time series), the phase-event log, the adaptive controller state and
+// the activity counters. Field pointers are serialized as universe IDs
+// and re-resolved on restore; the pairsByMethod cache is dropped and
+// rebuilt lazily (its contents are a deterministic function of the
+// compiled code).
 
 const (
 	snapComponent = "monitor"
-	snapVersion   = 1
+	snapVersion   = 2 // version 1 carried a per-method sample table
 )
 
 func walkSeries(c *snap.Codec, s *stats.Series) {
@@ -26,8 +26,8 @@ func walkSeries(c *snap.Codec, s *stats.Series) {
 	})
 }
 
-// walk is the monitor's layout. Decoding resolves field and method ids
-// in the VM's universe (they do resolve whenever the restored system
+// walk is the monitor's layout. Decoding resolves field ids in the
+// VM's universe (they do resolve whenever the restored system
 // was booted from the same workload).
 func (m *Monitor) walk(c *snap.Codec) {
 	u := m.vm.U
@@ -48,16 +48,6 @@ func (m *Monitor) walk(c *snap.Codec) {
 			fc.Field = u.Field(*id)
 			fc.Series.Name = fc.Field.QualifiedName()
 			fc.RateSeries.Name = fc.Field.QualifiedName() + ".rate"
-		}
-	})
-	byIndex := snap.Pair(snap.Int[int32], (*snap.Codec).U64)
-	snap.MapPtr(c, &m.methods, func(c *snap.Codec, id *int, mc *MethodCounter) {
-		snap.Int(c, id)
-		c.U64(&mc.Samples)
-		snap.Map(c, &mc.ByBCI, byIndex)
-		snap.Map(c, &mc.ByIR, byIndex)
-		if c.Check(*id >= 0 && *id < len(u.Methods()), "method id %d not in universe", *id) {
-			mc.Method = u.Method(*id)
 		}
 	})
 	snap.Slice(c, &m.phaseEvents, (*snap.Codec).String)

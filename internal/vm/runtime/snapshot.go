@@ -12,8 +12,8 @@ import (
 
 // Snapshot/Restore implement snap.Checkpointable for the VM core. The
 // serialized state is deliberately small: the immortal bump pointer,
-// the emitted results, the failure/start flags, the allocation
-// counters, and the post-boot recompile log. Machine code, dispatch
+// the emitted results, the failure/start flags and the post-boot
+// recompile log. Machine code, dispatch
 // tables, GC maps and optimizer results are NOT serialized — Restore
 // requires a freshly booted VM for the same workload and replays the
 // recompile log through CompileMethod, which deterministically rebuilds
@@ -23,7 +23,7 @@ import (
 
 const (
 	snapComponent = "vm/runtime"
-	snapVersion   = 1
+	snapVersion   = 2 // version 1 carried two allocation counters
 )
 
 // walk is the VM's layout: the immortal space, then the vmState fields.
@@ -46,8 +46,6 @@ func (s *vmState) walk(c *snap.Codec, immortal *heap.BumpSpace) {
 		}
 	}
 	c.Bool(&s.started)
-	c.U64(&s.allocations)
-	c.U64(&s.allocatedByte)
 	snap.Slice(c, &s.recompileLog, func(c *snap.Codec, e *recompileEntry) {
 		snap.Int(c, &e.methodID)
 		snap.Int(c, &e.level)

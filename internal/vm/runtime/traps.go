@@ -83,8 +83,6 @@ func (vm *VM) allocate(cl *classfile.Class, size, arrayLen uint64) uint64 {
 		return 0
 	}
 	vm.initObject(addr, cl, size, arrayLen)
-	vm.allocations++
-	vm.allocatedByte += size
 	return addr
 }
 

@@ -101,15 +101,13 @@ type VM struct {
 }
 
 // vmState is the VM's serialized mutable state (snapshot.go walks it in
-// this order): emitted results, the failure and start flags, the
-// allocation counters and the post-boot recompile log.
+// this order): emitted results, the failure and start flags and the
+// post-boot recompile log.
 type vmState struct {
-	results       []int64
-	failure       error
-	started       bool
-	allocations   uint64
-	allocatedByte uint64
-	recompileLog  []recompileEntry
+	results      []int64
+	failure      error
+	started      bool
+	recompileLog []recompileEntry
 }
 
 // The memory's page directory must span the whole layout: an address
@@ -181,11 +179,6 @@ func (vm *VM) Results() []int64 { return vm.results }
 // Failure returns the fatal error raised by a trap (null dereference,
 // out-of-bounds, out-of-memory), or nil.
 func (vm *VM) Failure() error { return vm.failure }
-
-// Allocations returns the object count and byte count allocated.
-func (vm *VM) Allocations() (objects, bytes uint64) {
-	return vm.allocations, vm.allocatedByte
-}
 
 // fail records a fatal VM error and halts the CPU.
 func (vm *VM) fail(format string, args ...any) {
