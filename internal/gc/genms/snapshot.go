@@ -10,7 +10,7 @@ import "hpmvm/internal/snap"
 
 const (
 	snapComponent = "gc/genms"
-	snapVersion   = 2 // version 1 ended with a zero fragmentation word
+	snapVersion   = 2
 )
 
 // walk is the collector's layout.

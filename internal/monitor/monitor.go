@@ -7,7 +7,7 @@
 // counters and time series — the feedback the co-allocating garbage
 // collector and the revert heuristic consume (§5.2–5.3). Consumers of
 // each decoded sample's PC and method (code layout, software prefetch)
-// attach through AddSink; the per-instruction MC→bytecode maps stay in
+// attach through AddSink; the per-instruction MC→bytecode maps live in
 // package mcmap.
 package monitor
 

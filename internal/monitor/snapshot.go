@@ -16,7 +16,7 @@ import (
 
 const (
 	snapComponent = "monitor"
-	snapVersion   = 2 // version 1 carried a per-method sample table
+	snapVersion   = 2
 )
 
 func walkSeries(c *snap.Codec, s *stats.Series) {

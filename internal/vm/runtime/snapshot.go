@@ -13,17 +13,17 @@ import (
 // Snapshot/Restore implement snap.Checkpointable for the VM core. The
 // serialized state is deliberately small: the immortal bump pointer,
 // the emitted results, the failure/start flags and the post-boot
-// recompile log. Machine code, dispatch
-// tables, GC maps and optimizer results are NOT serialized — Restore
-// requires a freshly booted VM for the same workload and replays the
-// recompile log through CompileMethod, which deterministically rebuilds
-// the identical code layout (the memory writes this performs are
-// overwritten moments later when the memory image is restored, so they
-// only matter for the VM-side tables).
+// recompile log. Machine code, dispatch tables, GC maps and optimizer
+// results are NOT serialized — Restore requires a freshly booted VM
+// for the same workload and replays the recompile log through
+// CompileMethod, which deterministically rebuilds the identical code
+// layout (the memory writes this performs are overwritten moments
+// later when the memory image is restored, so they only matter for the
+// VM-side tables).
 
 const (
 	snapComponent = "vm/runtime"
-	snapVersion   = 2 // version 1 carried two allocation counters
+	snapVersion   = 2
 )
 
 // walk is the VM's layout: the immortal space, then the vmState fields.
