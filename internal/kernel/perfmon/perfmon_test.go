@@ -1,11 +1,14 @@
 package perfmon
 
 import (
+	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 
 	"hpmvm/internal/hw/cache"
 	"hpmvm/internal/hw/pebs"
+	"hpmvm/internal/snap"
 )
 
 type fakeCPU struct {
@@ -117,6 +120,25 @@ func TestKernelBufferOverflow(t *testing.T) {
 	}
 	if mod.Lost() != 6 {
 		t.Errorf("Lost = %d, want 6", mod.Lost())
+	}
+}
+
+// TestRestoreRejectsOverfullKernelBuffer forges a blob holding one
+// sample more than the kernel buffer takes: absorb sizes its copy by the
+// room left, so such a buffer would panic at the next interrupt. Restore
+// must refuse it and leave the module as it was.
+func TestRestoreRejectsOverfullKernelBuffer(t *testing.T) {
+	_, _, mod := setup(t, 1, 64)
+	mod.buf = make([]pebs.Sample, mod.cfg.KernelBufferSamples+1)
+	forged := mod.Snapshot()
+
+	_, _, fresh := setup(t, 1, 64)
+	before := fresh.Snapshot()
+	if err := fresh.Restore(forged); !errors.Is(err, snap.ErrDecode) {
+		t.Fatalf("Restore = %v, want an error wrapping snap.ErrDecode", err)
+	}
+	if !bytes.Equal(fresh.Snapshot().Data, before.Data) {
+		t.Error("a failed Restore changed the module")
 	}
 }
 
