@@ -8,8 +8,10 @@
 #
 # It ends by listing every recorded field that moved against HEAD, one
 # "file: config.field" line each, with "old → new (delta)" appended to
-# each moved snapshot_bytes — the proof a deliberate re-record carries
-# in its log.
+# each moved snapshot_bytes, then one line counting each distinct
+# snapshot_bytes delta (e.g. "snapshot_bytes deltas: -8537 ×80"), so a
+# uniform layout change proves itself in one line — the proof a
+# deliberate re-record carries in its log.
 #
 # Usage: scripts/regen_goldens.sh [extra go test args]
 set -eu
@@ -35,8 +37,17 @@ git diff -U0 -- testdata/goldens | awk '
 	size = ""
 	if (key == "snapshot_bytes") {
 		v = $NF; sub(/,$/, "", v)
-		size = sprintf(" %d → %d (%+d)", old, v, v - old)
+		d = v - old
+		size = sprintf(" %d → %d (%+d)", old, v, d)
+		if (!(d in count)) order[++nd] = d
+		count[d]++
 	}
 	print "  " file ": " cfg[line] "." key size; moved++; line++
 }
-END { if (!moved) print "  none" }'
+END {
+	if (!moved) print "  none"
+	if (!nd) exit
+	line = "snapshot_bytes deltas:"
+	for (i = 1; i <= nd; i++) line = line sprintf("%s %+d ×%d", i > 1 ? "," : "", order[i], count[order[i]])
+	print line
+}'
