@@ -196,7 +196,7 @@ func RunSampledPass(b Builder, base RunConfig, intervals []uint64, reps int) (*S
 func newSampledLane(sys *core.System, interval uint64, seed int64) (*sampledLane, error) {
 	clk := &laneClock{cpu: sys.VM.CPU}
 	unit := pebs.NewUnit(clk, rand.New(rand.NewSource(seed)))
-	mod := perfmon.NewModule(unit, clk, perfmon.DefaultConfig())
+	mod := perfmon.NewModule(unit, clk)
 
 	mon := monitor.New(sys.VM, mod, monitor.Config{Auto: interval == 0})
 	mon.SetClock(clk)

@@ -217,16 +217,16 @@ func NewSystemOpts(u *classfile.Universe, opts Options) (*System, error) {
 	// skips event delivery on every miss (a nil check instead of an
 	// interface call plus a privilege-mode test per event).
 	s.Unit = pebs.NewUnit(s.VM.CPU, s.rng)
-	s.Module = perfmon.NewModule(s.Unit, s.VM.CPU, perfmon.DefaultConfig())
+	s.Module = perfmon.NewModule(s.Unit, s.VM.CPU)
 	if opts.Monitoring {
 		s.VM.Hier.SetListener(userFilter{s})
 	}
 
 	switch opts.Collector {
 	case GenCopy:
-		s.GenCopy = gencopy.New(s.VM, gencopy.DefaultConfig(opts.HeapLimit))
+		s.GenCopy = gencopy.New(s.VM, opts.HeapLimit)
 	default:
-		s.GenMS = genms.New(s.VM, genms.DefaultConfig(opts.HeapLimit))
+		s.GenMS = genms.New(s.VM, opts.HeapLimit)
 	}
 
 	if opts.Monitoring {

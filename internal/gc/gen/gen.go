@@ -18,28 +18,16 @@ import (
 	"hpmvm/internal/vm/runtime"
 )
 
-// Config sizes a collector.
-type Config struct {
-	// HeapLimit is the total heap budget in bytes (nursery + mature +
-	// LOS), the knob the paper sweeps from 1x to 4x the minimum.
-	HeapLimit uint64
-	// MinNursery and MaxNursery bound the Appel-style nursery.
-	MinNursery uint64
-	MaxNursery uint64
-	// PerObjectCycles is the bookkeeping cost charged per object
-	// processed during tracing (on top of the real memory traffic).
-	PerObjectCycles uint64
-}
+// The Appel-style nursery's bounds.
+const (
+	minNursery = 256 * 1024
+	maxNursery = 1024 * 1024
+)
 
-// DefaultConfig returns a config with the given heap limit.
-func DefaultConfig(heapLimit uint64) Config {
-	return Config{
-		HeapLimit:       heapLimit,
-		MinNursery:      256 * 1024,
-		MaxNursery:      1024 * 1024,
-		PerObjectCycles: 12,
-	}
-}
+// PerObjectCycles is the bookkeeping cost charged per object processed
+// during tracing (on top of the real memory traffic), by the minor
+// collection and by both mature spaces.
+const PerObjectCycles = 12
 
 // Counters is the collector activity both mature spaces share; each
 // collector's Stats embeds it.
@@ -69,8 +57,10 @@ type Mature interface {
 // Heap is the front half. A collector embeds it, hands itself to Init
 // as the Mature and installs itself as the VM's collector.
 type Heap struct {
-	VM  *runtime.VM
-	Cfg Config
+	VM *runtime.VM
+	// heapLimit is the total heap budget in bytes (nursery + mature +
+	// LOS), the knob the paper sweeps from 1x to 4x the minimum.
+	heapLimit uint64
 
 	// Nursery, LOS, Remset and Counters are the serialized state; each
 	// collector's snapshot walk spells them in its own recorded order.
@@ -91,12 +81,12 @@ type Heap struct {
 	obs *obs.Observer
 }
 
-// Init wires the front half into vm over the mature space m: it sizes
-// the nursery against m's initial footprint and installs the write
-// barrier.
-func (h *Heap) Init(vm *runtime.VM, cfg Config, name string, m Mature) {
+// Init wires the front half into vm over the mature space m under a
+// heapLimit-byte budget: it sizes the nursery against m's initial
+// footprint and installs the write barrier.
+func (h *Heap) Init(vm *runtime.VM, heapLimit uint64, name string, m Mature) {
 	*h = Heap{
-		VM: vm, Cfg: cfg, name: name, mature: m,
+		VM: vm, heapLimit: heapLimit, name: name, mature: m,
 		Nursery: heap.NewBumpSpace("nursery", heap.NurseryBase, heap.NurseryEnd),
 		LOS:     heap.NewLOS(heap.LOSBase, heap.LOSEnd),
 	}
@@ -124,7 +114,7 @@ func (h *Heap) SetObserver(o *obs.Observer) {
 func (h *Heap) Name() string { return h.name }
 
 // HeapLimit implements runtime.Collector.
-func (h *Heap) HeapLimit() uint64 { return h.Cfg.HeapLimit }
+func (h *Heap) HeapLimit() uint64 { return h.heapLimit }
 
 // Collections implements runtime.Collector.
 func (h *Heap) Collections() (minor, major uint64) { return h.MinorGCs, h.MajorGCs }
@@ -172,28 +162,27 @@ func (h *Heap) allocLarge(size uint64) uint64 {
 
 // fits reports whether extra more bytes still leave room for the
 // smallest nursery.
-func (h *Heap) fits(extra uint64) bool { return extra+h.Cfg.MinNursery <= h.free() }
+func (h *Heap) fits(extra uint64) bool { return extra+minNursery <= h.free() }
 
 // free is the budget not yet spoken for: the limit less the mature
 // space's footprint (claimed free-list blocks, so fragmentation counts,
 // §6.3; both semispaces, the copy reserve) and the live LOS pages.
 func (h *Heap) free() uint64 {
-	if used := h.mature.Footprint() + h.LOS.Used(); used < h.Cfg.HeapLimit {
-		return h.Cfg.HeapLimit - used
+	if used := h.mature.Footprint() + h.LOS.Used(); used < h.heapLimit {
+		return h.heapLimit - used
 	}
 	return 0
 }
 
 // resizeNursery applies the Appel policy: the nursery gets half the
-// free budget, clamped to [MinNursery, MaxNursery] and to its address
-// range. It returns false if even MinNursery does not fit.
+// free budget, clamped to [minNursery, maxNursery]. It returns false if
+// even minNursery does not fit.
 func (h *Heap) resizeNursery() bool {
 	free := h.free()
-	if free == 0 || free < h.Cfg.MinNursery {
+	if free == 0 || free < minNursery {
 		return false
 	}
-	n := max(min(free/2, h.Cfg.MaxNursery), h.Cfg.MinNursery)
-	h.Nursery.SetSoftLimit(min(n, heap.NurseryEnd-heap.NurseryBase) &^ 7)
+	h.Nursery.SetSoftLimit(max(min(free/2, maxNursery), minNursery) &^ 7)
 	return true
 }
 
@@ -282,7 +271,7 @@ func (h *Heap) evacuate() {
 	for len(h.gray) > 0 {
 		obj := h.gray[len(h.gray)-1]
 		h.gray = h.gray[:len(h.gray)-1]
-		vm.CPU.AddCycles(h.Cfg.PerObjectCycles)
+		vm.CPU.AddCycles(PerObjectCycles)
 		vm.ForEachRef(obj, update)
 	}
 	h.Nursery.Reset()

@@ -55,7 +55,7 @@ type fixture struct {
 	next uint64           // its offset
 }
 
-func newFixture(cfg Config, footprint uint64) fixture {
+func newFixture(heapLimit, footprint uint64) fixture {
 	u := classfile.NewUniverse()
 	node := u.DefineClass("Node", nil)
 	next := u.AddField(node, "next", classfile.KindRef)
@@ -68,7 +68,7 @@ func newFixture(cfg Config, footprint uint64) fixture {
 	vm.CPU.PC, vm.CPU.FP = testPC, testFP
 
 	m := &bumpMature{space: heap.NewBumpSpace("mature", heap.MatureBase, heap.MatureEnd), footprint: footprint}
-	m.Init(vm, cfg, "Fake", m)
+	m.Init(vm, heapLimit, "Fake", m)
 	vm.Collector = m
 	return fixture{bumpMature: m, node: node, next: next.Offset}
 }
@@ -86,37 +86,29 @@ func (f fixture) newNode(t *testing.T) uint64 {
 
 func TestResizeNursery(t *testing.T) {
 	const kb, mb = 1 << 10, 1 << 20
-	def := DefaultConfig(0) // MinNursery 256 KB, MaxNursery 1 MB
 	for _, tc := range []struct {
 		name             string
 		limit, footprint uint64
 		los              uint64 // one large object of this size, allocated first
-		maxNursery       uint64
 		wantOK           bool
 		want             uint64
 	}{
 		{name: "half the free budget", limit: 3 * mb, footprint: 2 * mb, wantOK: true, want: 512 * kb},
 		{name: "LOS pages count as used", limit: 3 * mb, footprint: mb, los: mb, wantOK: true, want: 512 * kb},
-		{name: "MaxNursery clamp", limit: 64 * mb, wantOK: true, want: mb},
-		{name: "MinNursery clamp", limit: 2*mb + 300*kb, footprint: 2 * mb, wantOK: true, want: 256 * kb},
-		{name: "exactly MinNursery left", limit: 2*mb + 256*kb, footprint: 2 * mb, wantOK: true, want: 256 * kb},
-		{name: "refused below MinNursery", limit: 2*mb + 200*kb, footprint: 2 * mb},
+		{name: "MaxNursery clamp", limit: 64 * mb, wantOK: true, want: maxNursery},
+		{name: "MinNursery clamp", limit: 2*mb + minNursery + 44*kb, footprint: 2 * mb, wantOK: true, want: minNursery},
+		{name: "exactly MinNursery left", limit: 2*mb + minNursery, footprint: 2 * mb, wantOK: true, want: minNursery},
+		{name: "refused below MinNursery", limit: 2*mb + minNursery - 8, footprint: 2 * mb},
 		{name: "refused when the budget is spent", limit: 2 * mb, footprint: 2 * mb},
 		{name: "refused when the budget is overdrawn", limit: 2 * mb, footprint: 3 * mb},
-		{name: "NurseryEnd clamp", limit: 1 << 30, maxNursery: 1 << 29, wantOK: true, want: heap.NurseryEnd - heap.NurseryBase},
 		{name: "rounded down to 8 bytes", limit: 2*mb + 600*kb + 12, footprint: 2 * mb, wantOK: true, want: 300 * kb},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := def
-			cfg.HeapLimit = 1 << 30
-			if tc.maxNursery != 0 {
-				cfg.MaxNursery = tc.maxNursery
-			}
-			f := newFixture(cfg, 0)
+			f := newFixture(1<<30, 0)
 			if tc.los != 0 && f.LOS.Alloc(tc.los) == 0 {
 				t.Fatal("LOS allocation failed")
 			}
-			f.Cfg.HeapLimit, f.footprint = tc.limit, tc.footprint
+			f.heapLimit, f.footprint = tc.limit, tc.footprint
 			const untouched = 8 * kb
 			f.Nursery.SetSoftLimit(untouched)
 			if ok := f.resizeNursery(); ok != tc.wantOK {
@@ -134,7 +126,7 @@ func TestResizeNursery(t *testing.T) {
 }
 
 func TestBarrier(t *testing.T) {
-	f := newFixture(DefaultConfig(8<<20), 0)
+	f := newFixture(8<<20, 0)
 	barrier := f.VM.CPU.Barrier
 	const (
 		young, young2 = heap.NurseryBase + 64, heap.NurseryBase + 128
@@ -189,7 +181,7 @@ func TestBarrier(t *testing.T) {
 // graph: root -> a -> b in the nursery, and a mature object whose
 // remembered slot is the only reference to c.
 func TestMinorGCEvacuates(t *testing.T) {
-	f := newFixture(DefaultConfig(8<<20), 0)
+	f := newFixture(8<<20, 0)
 	o := obs.New(0)
 	f.SetObserver(o)
 	mem, size := f.VM.Mem, f.node.InstanceSize
@@ -223,7 +215,7 @@ func TestMinorGCEvacuates(t *testing.T) {
 	if f.Counters != want {
 		t.Errorf("counters %+v, want %+v", f.Counters, want)
 	}
-	if f.GCCycles < 3*f.Cfg.PerObjectCycles {
+	if f.GCCycles < 3*PerObjectCycles {
 		t.Errorf("%d GC cycles do not cover PerObjectCycles for three objects", f.GCCycles)
 	}
 	if len(f.Remset) != 0 || f.Nursery.Used() != 0 || len(f.gray) != 0 {
@@ -264,10 +256,9 @@ func (f fixture) fill(t *testing.T) {
 
 func TestEscalationToMajor(t *testing.T) {
 	const mb = 1 << 20
-	cfg := DefaultConfig(4 * mb)
 
 	t.Run("major collection frees the budget", func(t *testing.T) {
-		f := newFixture(cfg, mb)
+		f := newFixture(4*mb, mb)
 		f.fill(t)
 		f.footprint = 4 * mb // the minor collection leaves no room for a nursery
 		f.onCollect = func() { f.footprint = 2 * mb }
@@ -283,9 +274,9 @@ func TestEscalationToMajor(t *testing.T) {
 	})
 
 	t.Run("nothing freed, the rest is handed out", func(t *testing.T) {
-		f := newFixture(cfg, mb)
+		f := newFixture(4*mb, mb)
 		f.fill(t)
-		f.footprint = 4*mb - 8200 // below MinNursery, above a page
+		f.footprint = 4*mb - 8200 // below minNursery, above a page
 		if f.newNode(t); f.collects != 1 {
 			t.Fatalf("%d major collections, want 1", f.collects)
 		}
@@ -295,7 +286,7 @@ func TestEscalationToMajor(t *testing.T) {
 	})
 
 	t.Run("nothing freed, the nursery closes", func(t *testing.T) {
-		f := newFixture(cfg, mb)
+		f := newFixture(4*mb, mb)
 		f.fill(t)
 		f.footprint = 4*mb - 4000 // less than a page left
 		if got := f.Alloc(f.node.InstanceSize); got != 0 {
@@ -313,10 +304,9 @@ func TestEscalationToMajor(t *testing.T) {
 
 func TestAllocLarge(t *testing.T) {
 	const mb = 1 << 20
-	cfg := DefaultConfig(4 * mb)
 	size := uint64(runtime.LargeObjectThreshold + 8)
 
-	f := newFixture(cfg, mb)
+	f := newFixture(4*mb, mb)
 	if a := f.Alloc(size); !heap.InLOS(a) || f.MinorGCs != 0 {
 		t.Fatalf("Alloc(%d) = %#x after %d collections, want a LOS address and none", size, a, f.MinorGCs)
 	}
@@ -326,7 +316,7 @@ func TestAllocLarge(t *testing.T) {
 
 	// Room for the smallest nursery but not for two more pages beside
 	// it: collect (the minor collection does not escalate), then retry.
-	f.footprint = 4*mb - f.LOS.Used() - cfg.MinNursery - heap.LOSPageSize
+	f.footprint = 4*mb - f.LOS.Used() - minNursery - heap.LOSPageSize
 	f.onCollect = func() { f.footprint = mb }
 	if a := f.Alloc(size); !heap.InLOS(a) {
 		t.Fatalf("Alloc(%d) = %#x after collecting, want a LOS address", size, a)
@@ -337,7 +327,7 @@ func TestAllocLarge(t *testing.T) {
 
 	// The sweep frees the (unmarked) large object, but the mature space
 	// alone leaves no room: out of memory.
-	f.footprint, f.onCollect = 4*mb-cfg.MinNursery-heap.LOSPageSize, nil
+	f.footprint, f.onCollect = 4*mb-minNursery-heap.LOSPageSize, nil
 	if a := f.Alloc(size); a != 0 {
 		t.Errorf("Alloc(%d) = %#x with no budget left, want 0", size, a)
 	}
@@ -348,7 +338,7 @@ func TestAllocLarge(t *testing.T) {
 // the dead in address order: the LOS first-fits over its free runs in
 // release order, so equal-sized requests get them back lowest first.
 func TestMajorGCSweepsLOS(t *testing.T) {
-	f := newFixture(DefaultConfig(64<<20), 0)
+	f := newFixture(64<<20, 0)
 	size := uint64(runtime.LargeObjectThreshold + 8)
 	var objs []uint64
 	for i := 0; i < 12; i++ {

@@ -17,12 +17,6 @@ import (
 	"hpmvm/internal/vm/runtime"
 )
 
-// Config sizes the collector; both collectors share the front half's.
-type Config = gen.Config
-
-// DefaultConfig returns a config with the given heap limit.
-func DefaultConfig(heapLimit uint64) Config { return gen.DefaultConfig(heapLimit) }
-
 // Stats describes collector activity.
 type Stats struct {
 	gen.Counters
@@ -44,12 +38,13 @@ type Collector struct {
 	queue []uint64 // LOS scan queue during a major collection
 }
 
-// New wires a GenCopy collector into the VM.
-func New(vm *runtime.VM, cfg Config) *Collector {
+// New wires a GenCopy collector with a heapLimit-byte budget into the
+// VM.
+func New(vm *runtime.VM, heapLimit uint64) *Collector {
 	c := &Collector{}
 	c.semi[0] = heap.NewBumpSpace("mature-0", heap.MatureBase, semiSplit)
 	c.semi[1] = heap.NewBumpSpace("mature-1", semiSplit, heap.MatureEnd)
-	c.Init(vm, cfg, "GenCopy", c)
+	c.Init(vm, heapLimit, "GenCopy", c)
 	vm.Collector = c
 	return c
 }
@@ -138,7 +133,7 @@ func (c *Collector) Collect() {
 			obj = c.queue[len(c.queue)-1]
 			c.queue = c.queue[:len(c.queue)-1]
 		}
-		vm.CPU.AddCycles(c.Cfg.PerObjectCycles)
+		vm.CPU.AddCycles(gen.PerObjectCycles)
 		vm.ForEachRef(obj, func(slot uint64) {
 			v := vm.CPU.LoadWord(slot)
 			nv := visit(v)

@@ -48,12 +48,6 @@ type Candidate struct {
 	Gap   uint64
 }
 
-// Config sizes the collector; both collectors share the front half's.
-type Config = gen.Config
-
-// DefaultConfig returns a config with the given heap limit.
-func DefaultConfig(heapLimit uint64) Config { return gen.DefaultConfig(heapLimit) }
-
 // Stats describes collector activity.
 type Stats struct {
 	gen.Counters
@@ -82,13 +76,14 @@ type Collector struct {
 	coallocPairs, coallocBytes, sweptCells uint64
 }
 
-// New wires a GenMS collector into the VM (installs the write barrier).
-func New(vm *runtime.VM, cfg Config) *Collector {
+// New wires a GenMS collector with a heapLimit-byte budget into the VM
+// (installs the write barrier).
+func New(vm *runtime.VM, heapLimit uint64) *Collector {
 	c := &Collector{
 		mature: freelist.New(heap.MatureBase, heap.MatureEnd),
 		pairs:  make(map[uint64]uint64),
 	}
-	c.Init(vm, cfg, "GenMS", c)
+	c.Init(vm, heapLimit, "GenMS", c)
 	vm.Collector = c
 	return c
 }
@@ -230,7 +225,7 @@ func (c *Collector) Collect() {
 	for len(stack) > 0 {
 		obj := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		vm.CPU.AddCycles(c.Cfg.PerObjectCycles)
+		vm.CPU.AddCycles(gen.PerObjectCycles)
 		vm.ForEachRef(obj, func(slot uint64) {
 			mark(vm.CPU.LoadWord(slot))
 		})

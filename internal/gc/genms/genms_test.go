@@ -276,7 +276,7 @@ func runPairProgram(t *testing.T, gap uint64) (*runtime.VM, *genms.Collector, *a
 	u.Layout()
 
 	vm := runtime.New(u, cache.DefaultP4())
-	col := genms.New(vm, genms.DefaultConfig(4<<20))
+	col := genms.New(vm, 4<<20)
 	adv := &alwaysAdvisor{field: fchild, gap: gap}
 	col.SetAdvisor(adv)
 	vm.BuildDispatch()
@@ -412,7 +412,7 @@ func TestStoreIntoImmortalPanics(t *testing.T) {
 	u.Layout()
 
 	vm := runtime.New(u, cache.DefaultP4())
-	genms.New(vm, genms.DefaultConfig(8<<20))
+	genms.New(vm, 8<<20)
 	code := main.Code.(*bytecode.Code)
 	code.RefConstAddrs[0] = vm.NewImmortalObject(str)
 	vm.BuildDispatch()
@@ -493,7 +493,7 @@ func TestRankedFallbackUsesSecondCandidate(t *testing.T) {
 	u.Layout()
 
 	vm := runtime.New(u, cache.DefaultP4())
-	col := genms.New(vm, genms.DefaultConfig(8<<20))
+	col := genms.New(vm, 8<<20)
 	adv := &rankedAdvisor{cands: []genms.Candidate{{Field: fBig}, {Field: fSmall}}}
 	col.SetAdvisor(adv)
 	vm.BuildDispatch()

@@ -205,9 +205,6 @@ func (u *Unit) Start() { u.enabled = true }
 // Stop disables sampling; buffered samples remain readable.
 func (u *Unit) Stop() { u.enabled = false }
 
-// Enabled reports whether the unit is currently sampling.
-func (u *Unit) Enabled() bool { return u.enabled }
-
 // reload arms the interval countdown, randomizing the low-order bits.
 // The armed value is never zero: when Interval < 1<<RandomBits the
 // base bits vanish and the countdown is the randomized low bits alone,
@@ -276,9 +273,6 @@ func (u *Unit) Drain() []Sample {
 	u.buf = u.buf[:0]
 	return out
 }
-
-// Pending returns the number of samples currently buffered.
-func (u *Unit) Pending() int { return len(u.buf) }
 
 // Stats describes the unit's activity so far.
 type Stats struct {

@@ -122,7 +122,7 @@ func TestWatermarkInterrupt(t *testing.T) {
 	if len(h.got) != 4 {
 		t.Fatalf("handler drained %d samples", len(h.got))
 	}
-	if u.Pending() != 0 {
+	if len(u.buf) != 0 {
 		t.Error("buffer not drained")
 	}
 }
@@ -193,11 +193,8 @@ func TestStopAndRestart(t *testing.T) {
 	u.HardwareEvent(cache.EventL1Miss, 0)
 	u.Stop()
 	u.HardwareEvent(cache.EventL1Miss, 0)
-	if u.Stats().SamplesTaken != 1 {
-		t.Error("sampled while stopped")
-	}
-	if u.Enabled() {
-		t.Error("Enabled after Stop")
+	if st := u.Stats(); st.SamplesTaken != 1 || st.EventsSeen != 1 {
+		t.Errorf("%+v after Stop, want one event seen and sampled", st)
 	}
 	u.Start()
 	u.HardwareEvent(cache.EventL1Miss, 0)

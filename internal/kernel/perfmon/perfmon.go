@@ -9,7 +9,6 @@ package perfmon
 import (
 	"fmt"
 
-	"hpmvm/internal/hw/cache"
 	"hpmvm/internal/hw/pebs"
 	"hpmvm/internal/obs"
 )
@@ -21,35 +20,24 @@ type CycleSink interface {
 	AddCycles(n uint64)
 }
 
-// Config holds the kernel module's cost model and buffering parameters.
-type Config struct {
-	// KernelBufferSamples is the capacity of the in-kernel sample
-	// buffer that accumulates drained CPU buffers between user-space
-	// reads.
-	KernelBufferSamples int
-	// CopyCyclesPerSample is charged for moving one sample between
+// The module's buffering and cost model, roughly a Linux perfmon2
+// stack: a syscall plus buffer copy-out per poll, a few tens of cycles
+// per sample moved.
+const (
+	// kernelBufferSamples is the capacity of the in-kernel sample buffer
+	// that accumulates drained CPU buffers between user-space reads.
+	kernelBufferSamples = 16 * 1024
+	// copyCyclesPerSample is charged for moving one sample between
 	// buffers (interrupt handler and read path).
-	CopyCyclesPerSample uint64
-	// SyscallCycles is charged per user-space read or control call.
-	SyscallCycles uint64
-}
-
-// DefaultConfig returns costs roughly matching a Linux perfmon2 stack:
-// a syscall plus buffer copy-out per poll, a few tens of cycles per
-// sample moved.
-func DefaultConfig() Config {
-	return Config{
-		KernelBufferSamples: 16 * 1024,
-		CopyCyclesPerSample: 30,
-		SyscallCycles:       3000,
-	}
-}
+	copyCyclesPerSample = 30
+	// syscallCycles is charged per user-space read or control call.
+	syscallCycles = 3000
+)
 
 // Module is the simulated kernel module. It implements
 // pebs.InterruptHandler so the sampling hardware can deliver overflow
 // interrupts to it.
 type Module struct {
-	cfg    Config
 	pcfg   pebs.Config
 	unit   *pebs.Unit
 	sink   CycleSink
@@ -66,8 +54,8 @@ type Module struct {
 }
 
 // NewModule loads the module over a sampling unit.
-func NewModule(unit *pebs.Unit, sink CycleSink, cfg Config) *Module {
-	m := &Module{cfg: cfg, unit: unit, sink: sink}
+func NewModule(unit *pebs.Unit, sink CycleSink) *Module {
+	m := &Module{unit: unit, sink: sink}
 	unit.SetHandler(m)
 	return m
 }
@@ -95,7 +83,7 @@ func (m *Module) SetObserver(o *obs.Observer) {
 // sampling parameters. It mirrors perfmon's context-programming
 // syscalls.
 func (m *Module) ConfigureSession(pcfg pebs.Config) error {
-	m.sink.AddCycles(m.cfg.SyscallCycles)
+	m.sink.AddCycles(syscallCycles)
 	if err := m.unit.Configure(pcfg); err != nil {
 		return fmt.Errorf("perfmon: %w", err)
 	}
@@ -106,44 +94,38 @@ func (m *Module) ConfigureSession(pcfg pebs.Config) error {
 
 // Start begins sampling.
 func (m *Module) Start() {
-	m.sink.AddCycles(m.cfg.SyscallCycles)
+	m.sink.AddCycles(syscallCycles)
 	m.unit.Start()
 	m.active = true
 }
 
 // Stop halts sampling; buffered samples remain readable.
 func (m *Module) Stop() {
-	m.sink.AddCycles(m.cfg.SyscallCycles)
+	m.sink.AddCycles(syscallCycles)
 	m.unit.Stop()
 	m.active = false
 }
 
-// Active reports whether a session is currently sampling.
-func (m *Module) Active() bool { return m.active }
-
 // SetInterval retargets the hardware sampling interval (used by the
 // monitor's adaptive mode). Charged as a control syscall.
 func (m *Module) SetInterval(interval uint64) {
-	m.sink.AddCycles(m.cfg.SyscallCycles)
+	m.sink.AddCycles(syscallCycles)
 	m.unit.SetInterval(interval)
 }
 
 // Interval returns the current hardware sampling interval.
 func (m *Module) Interval() uint64 { return m.unit.Interval() }
 
-// Event returns the configured event kind.
-func (m *Module) Event() cache.EventKind { return m.pcfg.Event }
-
 // PEBSOverflow implements pebs.InterruptHandler: drain the CPU-side
 // buffer into the kernel buffer.
 func (m *Module) PEBSOverflow(u *pebs.Unit) {
 	samples := u.Drain()
-	m.sink.AddCycles(uint64(len(samples)) * m.cfg.CopyCyclesPerSample)
+	m.sink.AddCycles(uint64(len(samples)) * copyCyclesPerSample)
 	m.absorb(samples)
 }
 
 func (m *Module) absorb(samples []pebs.Sample) {
-	space := m.cfg.KernelBufferSamples - len(m.buf)
+	space := kernelBufferSamples - len(m.buf)
 	if space < len(samples) {
 		m.lost += uint64(len(samples) - space)
 		samples = samples[:space]
@@ -156,11 +138,11 @@ func (m *Module) absorb(samples []pebs.Sample) {
 // drains any samples still sitting in the CPU buffer so a poll sees
 // everything collected so far. Costs one syscall plus per-sample copy.
 func (m *Module) ReadSamples(dst []pebs.Sample) int {
-	m.sink.AddCycles(m.cfg.SyscallCycles)
+	m.sink.AddCycles(syscallCycles)
 	m.reads++
 	m.absorb(m.unit.Drain())
 	n := copy(dst, m.buf)
-	m.sink.AddCycles(uint64(n) * m.cfg.CopyCyclesPerSample)
+	m.sink.AddCycles(uint64(n) * copyCyclesPerSample)
 	m.buf = m.buf[:copy(m.buf, m.buf[n:])]
 	if m.obs != nil {
 		var now uint64
@@ -175,11 +157,3 @@ func (m *Module) ReadSamples(dst []pebs.Sample) int {
 // UnitStats returns the sampling hardware's counters (events seen,
 // samples taken, drops) — perfmon exposes these as virtual counters.
 func (m *Module) UnitStats() pebs.Stats { return m.unit.Stats() }
-
-// Pending returns the number of samples waiting in the kernel buffer
-// (not counting the CPU-side buffer).
-func (m *Module) Pending() int { return len(m.buf) }
-
-// Lost returns the number of samples dropped due to kernel buffer
-// overflow.
-func (m *Module) Lost() uint64 { return m.lost }

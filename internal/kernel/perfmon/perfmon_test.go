@@ -3,7 +3,6 @@ package perfmon
 import (
 	"bytes"
 	"errors"
-	"math/rand"
 	"testing"
 
 	"hpmvm/internal/hw/cache"
@@ -21,63 +20,70 @@ func (f *fakeCPU) SampleRegs(dst *[pebs.NumRegs]uint64) { *dst = f.regs }
 func (f *fakeCPU) CycleCount() uint64                   { return f.cycles }
 func (f *fakeCPU) AddCycles(n uint64)                   { f.cycles += n }
 
-func setup(t *testing.T, interval uint64, cpuBuf int) (*fakeCPU, *pebs.Unit, *Module) {
+// setup loads a module over a unit with no RNG, so every interval-th
+// event is sampled, and programs a session at the given interval.
+func setup(t *testing.T, interval uint64) (*fakeCPU, *pebs.Unit, *Module) {
 	t.Helper()
 	cpu := &fakeCPU{}
-	unit := pebs.NewUnit(cpu, rand.New(rand.NewSource(1)))
-	mod := NewModule(unit, cpu, DefaultConfig())
-	err := mod.ConfigureSession(pebs.Config{
-		Event:         cache.EventL1Miss,
-		Interval:      interval,
-		BufferSamples: cpuBuf,
-		WatermarkFrac: 0.5,
-		CaptureCycles: 1,
-	})
-	if err != nil {
+	unit := pebs.NewUnit(cpu, nil)
+	mod := NewModule(unit, cpu)
+	cfg := pebs.DefaultConfig()
+	cfg.Interval = interval
+	if err := mod.ConfigureSession(cfg); err != nil {
 		t.Fatal(err)
 	}
 	return cpu, unit, mod
 }
 
+// TestSessionLifecycle checks that the unit counts events exactly
+// between Start and Stop.
 func TestSessionLifecycle(t *testing.T) {
-	_, unit, mod := setup(t, 1, 64)
-	if mod.Active() {
-		t.Error("active before Start")
+	_, unit, mod := setup(t, 1)
+	seen := func() uint64 { return mod.UnitStats().EventsSeen }
+	unit.HardwareEvent(cache.EventL1Miss, 0)
+	if seen() != 0 {
+		t.Error("counted an event before Start")
 	}
 	mod.Start()
-	if !mod.Active() || !unit.Enabled() {
-		t.Error("not active after Start")
+	unit.HardwareEvent(cache.EventL1Miss, 0)
+	if seen() != 1 {
+		t.Errorf("EventsSeen = %d after Start, want 1", seen())
 	}
 	mod.Stop()
-	if mod.Active() || unit.Enabled() {
-		t.Error("active after Stop")
-	}
-	if mod.Event() != cache.EventL1Miss {
-		t.Error("configured event not reported")
+	unit.HardwareEvent(cache.EventL1Miss, 0)
+	if seen() != 1 {
+		t.Errorf("EventsSeen = %d after Stop, want still 1", seen())
 	}
 }
 
+// watermark is the CPU buffer fill at which the unit interrupts: three
+// quarters of its 2,048 samples.
+const watermark = 1536
+
 func TestInterruptDrainsCPUBuffer(t *testing.T) {
-	_, unit, mod := setup(t, 1, 8) // watermark 4
+	_, unit, mod := setup(t, 1)
 	mod.Start()
-	for i := 0; i < 4; i++ {
+	for i := 0; i < watermark; i++ {
 		unit.HardwareEvent(cache.EventL1Miss, uint64(i))
 	}
-	if unit.Pending() != 0 {
-		t.Error("CPU buffer not drained by the interrupt handler")
+	if got := mod.UnitStats().Interrupts; got != 1 {
+		t.Fatalf("%d interrupts, want 1", got)
 	}
-	if mod.Pending() != 4 {
-		t.Errorf("kernel buffer has %d samples, want 4", mod.Pending())
+	if len(mod.buf) != watermark {
+		t.Errorf("kernel buffer has %d samples, want %d", len(mod.buf), watermark)
+	}
+	if n := len(unit.Drain()); n != 0 {
+		t.Errorf("%d samples left in the CPU buffer after the interrupt", n)
 	}
 }
 
 func TestReadSamples(t *testing.T) {
-	_, unit, mod := setup(t, 1, 64)
+	_, unit, mod := setup(t, 1)
 	mod.Start()
 	for i := 0; i < 6; i++ {
 		unit.HardwareEvent(cache.EventL1Miss, uint64(100+i))
 	}
-	// 6 samples sit in the CPU buffer (below watermark 32); ReadSamples
+	// 6 samples sit in the CPU buffer (below the watermark); ReadSamples
 	// must sweep them into user space.
 	buf := make([]pebs.Sample, 4)
 	n := mod.ReadSamples(buf)
@@ -99,27 +105,20 @@ func TestReadSamples(t *testing.T) {
 	}
 }
 
+// TestKernelBufferOverflow drives eleven watermark interrupts: ten
+// bring the kernel buffer to 15,360 samples, and of the eleventh's 1,536
+// only 1,024 fit.
 func TestKernelBufferOverflow(t *testing.T) {
-	cpu := &fakeCPU{}
-	unit := pebs.NewUnit(cpu, rand.New(rand.NewSource(1)))
-	cfg := DefaultConfig()
-	cfg.KernelBufferSamples = 4
-	mod := NewModule(unit, cpu, cfg)
-	if err := mod.ConfigureSession(pebs.Config{
-		Event: cache.EventL1Miss, Interval: 1,
-		BufferSamples: 2, WatermarkFrac: 0.5, // watermark 1: every sample interrupts
-	}); err != nil {
-		t.Fatal(err)
-	}
+	_, unit, mod := setup(t, 1)
 	mod.Start()
-	for i := 0; i < 10; i++ {
+	for i := 0; i < 11*watermark; i++ {
 		unit.HardwareEvent(cache.EventL1Miss, uint64(i))
 	}
-	if mod.Pending() != 4 {
-		t.Errorf("kernel buffer = %d, want capacity 4", mod.Pending())
+	if len(mod.buf) != kernelBufferSamples {
+		t.Errorf("kernel buffer = %d, want capacity %d", len(mod.buf), kernelBufferSamples)
 	}
-	if mod.Lost() != 6 {
-		t.Errorf("Lost = %d, want 6", mod.Lost())
+	if want := uint64(11*watermark - kernelBufferSamples); mod.lost != want {
+		t.Errorf("lost = %d, want %d", mod.lost, want)
 	}
 }
 
@@ -128,11 +127,11 @@ func TestKernelBufferOverflow(t *testing.T) {
 // room left, so such a buffer would panic at the next interrupt. Restore
 // must refuse it and leave the module as it was.
 func TestRestoreRejectsOverfullKernelBuffer(t *testing.T) {
-	_, _, mod := setup(t, 1, 64)
-	mod.buf = make([]pebs.Sample, mod.cfg.KernelBufferSamples+1)
+	_, _, mod := setup(t, 1)
+	mod.buf = make([]pebs.Sample, kernelBufferSamples+1)
 	forged := mod.Snapshot()
 
-	_, _, fresh := setup(t, 1, 64)
+	_, _, fresh := setup(t, 1)
 	before := fresh.Snapshot()
 	if err := fresh.Restore(forged); !errors.Is(err, snap.ErrDecode) {
 		t.Fatalf("Restore = %v, want an error wrapping snap.ErrDecode", err)
@@ -143,24 +142,24 @@ func TestRestoreRejectsOverfullKernelBuffer(t *testing.T) {
 }
 
 func TestCycleCharging(t *testing.T) {
-	cpu, unit, mod := setup(t, 1, 64)
+	cpu, unit, mod := setup(t, 1)
 	start := cpu.cycles
 	mod.Start() // one syscall
-	if cpu.cycles-start != DefaultConfig().SyscallCycles {
+	if cpu.cycles-start != syscallCycles {
 		t.Errorf("Start charged %d cycles", cpu.cycles-start)
 	}
 	unit.HardwareEvent(cache.EventL1Miss, 0)
 	start = cpu.cycles
 	buf := make([]pebs.Sample, 16)
 	mod.ReadSamples(buf)
-	want := DefaultConfig().SyscallCycles + 1*DefaultConfig().CopyCyclesPerSample
+	want := uint64(syscallCycles + 1*copyCyclesPerSample)
 	if cpu.cycles-start != want {
 		t.Errorf("ReadSamples charged %d cycles, want %d", cpu.cycles-start, want)
 	}
 }
 
 func TestSetIntervalPassesThrough(t *testing.T) {
-	_, unit, mod := setup(t, 100, 64)
+	_, unit, mod := setup(t, 100)
 	mod.SetInterval(4096)
 	if unit.Interval() != 4096 || mod.Interval() != 4096 {
 		t.Error("SetInterval did not reach the unit")

@@ -20,8 +20,8 @@ const (
 func (m *Module) walk(c *snap.Codec) {
 	pebs.WalkConfig(c, &m.pcfg)
 	snap.Slice(c, &m.buf, pebs.WalkSample)
-	c.Check(len(m.buf) <= m.cfg.KernelBufferSamples,
-		"%d buffered samples exceed the kernel buffer's %d", len(m.buf), m.cfg.KernelBufferSamples)
+	c.Check(len(m.buf) <= kernelBufferSamples,
+		"%d buffered samples exceed the kernel buffer's %d", len(m.buf), kernelBufferSamples)
 	c.U64(&m.lost)
 	c.U64(&m.reads)
 	c.Bool(&m.active)

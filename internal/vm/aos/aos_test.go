@@ -50,7 +50,7 @@ func TestAdaptiveRecompilation(t *testing.T) {
 	u.Layout()
 
 	vm := runtime.New(u, cache.DefaultP4())
-	genms.New(vm, genms.DefaultConfig(16<<20))
+	genms.New(vm, 16<<20)
 	a := aos.New(vm)
 	vm.BuildDispatch()
 	if err := vm.CompileAll(nil); err != nil { // everything baseline
@@ -95,7 +95,7 @@ func TestPlanReplayMatchesAdaptiveResults(t *testing.T) {
 	main1, _ := hotProgram(u1)
 	u1.Layout()
 	vm1 := runtime.New(u1, cache.DefaultP4())
-	genms.New(vm1, genms.DefaultConfig(16<<20))
+	genms.New(vm1, 16<<20)
 	a := aos.New(vm1)
 	vm1.BuildDispatch()
 	if err := vm1.CompileAll(nil); err != nil {
@@ -115,7 +115,7 @@ func TestPlanReplayMatchesAdaptiveResults(t *testing.T) {
 	main2, _ := hotProgram(u2)
 	u2.Layout()
 	vm2 := runtime.New(u2, cache.DefaultP4())
-	genms.New(vm2, genms.DefaultConfig(16<<20))
+	genms.New(vm2, 16<<20)
 	vm2.BuildDispatch()
 	if err := vm2.CompileAll(recorded); err != nil {
 		t.Fatal(err)

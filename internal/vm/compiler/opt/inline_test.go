@@ -278,6 +278,6 @@ func TestInlineRefConstRemap(t *testing.T) {
 func newBareVM(t *testing.T, u *classfile.Universe) *runtime.VM {
 	t.Helper()
 	vm := runtime.New(u, cache.DefaultP4())
-	genms.New(vm, genms.DefaultConfig(16<<20))
+	genms.New(vm, 16<<20)
 	return vm
 }

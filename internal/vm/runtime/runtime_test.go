@@ -20,7 +20,7 @@ const (
 
 func newVM(u *classfile.Universe) *runtime.VM {
 	vm := runtime.New(u, cache.DefaultP4())
-	genms.New(vm, genms.DefaultConfig(16<<20))
+	genms.New(vm, 16<<20)
 	return vm
 }
 

@@ -48,9 +48,9 @@ func Run(u *classfile.Universe, entry *classfile.Method, opts Options) ([]int64,
 	}
 	vm := runtime.New(u, cache.DefaultP4())
 	if opts.GenCopy {
-		gencopy.New(vm, gencopy.DefaultConfig(opts.Heap))
+		gencopy.New(vm, opts.Heap)
 	} else {
-		genms.New(vm, genms.DefaultConfig(opts.Heap))
+		genms.New(vm, opts.Heap)
 	}
 	vm.BuildDispatch()
 	if err := vm.CompileAll(opts.Plan); err != nil {
