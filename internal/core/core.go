@@ -363,13 +363,10 @@ func (s *System) RunToCycle(ctx context.Context, entry *classfile.Method, maxCyc
 // controller has samples to steer with early in the (short, scaled)
 // run; it widens the interval as soon as the rate target is exceeded.
 func SessionConfig(interval uint64, event cache.EventKind) pebs.Config {
-	cfg := pebs.DefaultConfig()
-	cfg.Event = event
-	cfg.Interval = interval
 	if interval == 0 {
-		cfg.Interval = 10_000
+		interval = 10_000
 	}
-	return cfg
+	return pebs.Config{Event: event, Interval: interval}
 }
 
 // watch makes ctx's cancellation the VM's safepoint check and returns

@@ -14,6 +14,7 @@ import (
 
 	"hpmvm/internal/gc/heap"
 	"hpmvm/internal/obs"
+	"hpmvm/internal/snap"
 	"hpmvm/internal/vm/classfile"
 	"hpmvm/internal/vm/runtime"
 )
@@ -62,8 +63,7 @@ type Heap struct {
 	// LOS), the knob the paper sweeps from 1x to 4x the minimum.
 	heapLimit uint64
 
-	// Nursery, LOS, Remset and Counters are the serialized state; each
-	// collector's snapshot walk spells them in its own recorded order.
+	// Nursery, LOS, Remset and Counters are the serialized state (Walk).
 	Nursery *heap.BumpSpace
 	LOS     *heap.LargeObjectSpace
 	// Remset holds the slots outside the nursery that were stored a
@@ -92,6 +92,21 @@ func (h *Heap) Init(vm *runtime.VM, heapLimit uint64, name string, m Mature) {
 	}
 	h.resizeNursery()
 	vm.CPU.Barrier = h.barrier
+}
+
+// Walk is the front half's snapshot layout — nursery, large-object
+// space, remembered set and the shared counters. Each collector's walk
+// runs it first, then walks its own mature state.
+func (h *Heap) Walk(k *snap.Codec) {
+	h.Nursery.Walk(k)
+	h.LOS.Walk(k)
+	snap.Slice(k, &h.Remset, (*snap.Codec).U64)
+	k.U64(&h.MinorGCs)
+	k.U64(&h.MajorGCs)
+	k.U64(&h.PromotedObjects)
+	k.U64(&h.PromotedBytes)
+	k.U64(&h.GCCycles)
+	k.U64(&h.BarrierRecords)
 }
 
 // SetObserver attaches the observability layer: the shared counters are

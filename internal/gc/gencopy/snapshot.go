@@ -6,31 +6,23 @@ import (
 )
 
 // Snapshot/Restore implement snap.Checkpointable for the GenCopy
-// collector: nursery, both semispaces plus the active index, the LOS,
-// the remembered set (in insertion order) and the counters.
+// collector: the front half (gen.Heap.Walk), then both semispaces plus
+// the active index and the collector's own counters.
 
 const (
 	snapComponent = "gc/gencopy"
-	snapVersion   = 1
+	snapVersion   = 2
 )
 
 // walk is the collector's layout.
 func (c *Collector) walk(k *snap.Codec) {
-	c.Nursery.Walk(k)
+	c.Heap.Walk(k)
 	c.semi[0].Walk(k)
 	c.semi[1].Walk(k)
 	snap.Int(k, &c.active)
 	k.Check(c.active == 0 || c.active == 1, "active semispace index %d", c.active)
-	c.LOS.Walk(k)
-	snap.Slice(k, &c.Remset, (*snap.Codec).U64)
-	k.U64(&c.MinorGCs)
-	k.U64(&c.MajorGCs)
-	k.U64(&c.PromotedObjects)
-	k.U64(&c.PromotedBytes)
 	k.U64(&c.copiedObjects)
 	k.U64(&c.copiedBytes)
-	k.U64(&c.GCCycles)
-	k.U64(&c.BarrierRecords)
 }
 
 // Snapshot serializes the collector's mutable state.

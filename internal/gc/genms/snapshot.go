@@ -3,22 +3,20 @@ package genms
 import "hpmvm/internal/snap"
 
 // Snapshot/Restore implement snap.Checkpointable for the GenMS
-// collector: the three spaces it owns, the remembered set (in
-// insertion order — its scan order at the next minor GC), the
-// co-allocation pair table and classification ranges, and the
-// counters. The VM/advisor/observer wiring is construction-time.
+// collector: the front half (gen.Heap.Walk), then the free-list mature
+// space, the co-allocation pair table and classification ranges, and
+// the collector's own counters. The VM/advisor/observer wiring is
+// construction-time.
 
 const (
 	snapComponent = "gc/genms"
-	snapVersion   = 2
+	snapVersion   = 3
 )
 
 // walk is the collector's layout.
 func (c *Collector) walk(k *snap.Codec) {
-	c.Nursery.Walk(k)
+	c.Heap.Walk(k)
 	c.mature.Walk(k)
-	c.LOS.Walk(k)
-	snap.Slice(k, &c.Remset, (*snap.Codec).U64)
 	snap.Map(k, &c.pairs, snap.Pair((*snap.Codec).U64, (*snap.Codec).U64))
 	snap.Slice(k, &c.ranges, func(k *snap.Codec, rg *pairRange) {
 		k.U64(&rg.start)
@@ -26,15 +24,9 @@ func (c *Collector) walk(k *snap.Codec) {
 		k.Bool(&rg.gapped)
 	})
 	k.Bool(&c.rangesDirty)
-	k.U64(&c.MinorGCs)
-	k.U64(&c.MajorGCs)
-	k.U64(&c.PromotedObjects)
-	k.U64(&c.PromotedBytes)
 	k.U64(&c.coallocPairs)
 	k.U64(&c.coallocBytes)
 	k.U64(&c.sweptCells)
-	k.U64(&c.GCCycles)
-	k.U64(&c.BarrierRecords)
 }
 
 // Snapshot serializes the collector's mutable state.

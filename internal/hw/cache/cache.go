@@ -173,17 +173,12 @@ const emptyKey = ^uint64(0)
 // row of keys, the victim choice one contiguous row of stamps, and
 // neither drags the other's bytes through the host's cache.
 type setAssoc struct {
-	keys  []uint64 // resident key (addr >> offBits) per way, emptyKey when empty
-	lru   []uint64 // last-use stamp per way: >= 1 when resident, 0 when empty
-	dirty []bool   // per way; an empty way is never dirty
-	assoc int
-	// setMask selects the set from a key; setBits and offBits only serve
-	// the snapshot codec, which stores tags (key >> setBits).
-	setMask uint64
-	setBits uint
-	offBits uint
+	keys    []uint64 // resident key (address >> line or page bits) per way, emptyKey when empty
+	lru     []uint64 // last-use stamp per way: >= 1 when resident, 0 when empty
+	dirty   []bool   // per way; an empty way is never dirty
+	assoc   int
+	setMask uint64 // selects the set from a key
 	stamp   uint64
-	misses  uint64
 
 	// idx, when non-nil, is an exact key→way index replacing the way
 	// scan — used for the fully-associative DTLB, whose 64-way scans
@@ -193,7 +188,7 @@ type setAssoc struct {
 	idx *wayIndex
 }
 
-func newSetAssoc(totalLines, assoc int, offBits uint) *setAssoc {
+func newSetAssoc(totalLines, assoc int) *setAssoc {
 	nsets := totalLines / assoc
 	if nsets < 1 {
 		nsets = 1
@@ -204,8 +199,6 @@ func newSetAssoc(totalLines, assoc int, offBits uint) *setAssoc {
 		dirty:   make([]bool, nsets*assoc),
 		assoc:   assoc,
 		setMask: uint64(nsets - 1),
-		setBits: uint(popcount(uint64(nsets - 1))),
-		offBits: offBits,
 	}
 	if nsets == 1 && assoc >= 32 {
 		sa.idx = newWayIndex(assoc)
@@ -231,7 +224,7 @@ func (sa *setAssoc) find(key uint64) int {
 	return -1
 }
 
-// access touches the line identified by key (addr >> offBits): a hit
+// access touches the line identified by key: a hit
 // refreshes its LRU stamp and dirty bit, a miss fills it over the least
 // recently used way — empty ways carry stamp 0, below every resident
 // stamp, so one pass over the stamp row picks the first empty way when
@@ -247,7 +240,6 @@ func (sa *setAssoc) access(key uint64, markDirty bool) (way int, hit, writeback 
 		}
 		return way, true, false
 	}
-	sa.misses++
 	base := int(key&sa.setMask) * sa.assoc
 	way = base
 	oldest := sa.lru[base]
@@ -275,15 +267,6 @@ func (sa *setAssoc) invalidateAll() {
 	if sa.idx != nil {
 		sa.idx.clear()
 	}
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for x != 0 {
-		n += int(x & 1)
-		x >>= 1
-	}
-	return n
 }
 
 // Stats aggregates hierarchy counters.
@@ -486,10 +469,10 @@ func New(cfg Config) *Hierarchy {
 	pageBits := log2(cfg.PageSize)
 	h := &Hierarchy{
 		cfg:        cfg,
-		l1:         newSetAssoc(cfg.L1Size/cfg.LineSize, cfg.L1Assoc, lineBits),
+		l1:         newSetAssoc(cfg.L1Size/cfg.LineSize, cfg.L1Assoc),
 		l1Pending:  make([]bool, cfg.L1Size/cfg.LineSize),
-		l2:         newSetAssoc(cfg.L2Size/cfg.LineSize, cfg.L2Assoc, lineBits),
-		tlb:        newSetAssoc(cfg.TLBEntries, cfg.TLBEntries, pageBits),
+		l2:         newSetAssoc(cfg.L2Size/cfg.LineSize, cfg.L2Assoc),
+		tlb:        newSetAssoc(cfg.TLBEntries, cfg.TLBEntries),
 		lineBits:   lineBits,
 		pageBits:   pageBits,
 		prefetched: newPfSet(),
@@ -562,7 +545,7 @@ func (h *Hierarchy) EnableICache(size, assoc int) {
 		panic(fmt.Sprintf("cache: bad I-cache geometry size=%d assoc=%d line=%d",
 			size, assoc, h.cfg.LineSize))
 	}
-	h.l1i = newSetAssoc(size/h.cfg.LineSize, assoc, h.lineBits)
+	h.l1i = newSetAssoc(size/h.cfg.LineSize, assoc)
 	h.istats = IStats{}
 }
 

@@ -15,58 +15,27 @@ import (
 
 const (
 	snapComponent = "hw/cache"
-	snapVersion   = 1
+	snapVersion   = 2
 )
 
-// walk is one tag array in the version-1 layout, which predates the
-// parallel arrays: per way a tag (key >> setBits), a valid flag, the
-// dirty bit and the stamp — an empty way is all zeros — then the stamp
-// twice (the second word was a per-array access counter that always
-// equalled it) and the miss count. That is a conversion between a wire
-// form and a different memory form, so both directions are spelled out.
-// Decoding rejects what the encoder cannot produce — an empty way with a
-// tag, dirty bit or stamp, a resident way with stamp 0 or a tag wider
-// than an address yields, an access counter that differs from the stamp
-// — because the arrays have nowhere to keep such state: Snapshot after
-// an accepted Restore returns the same bytes.
+// walk is one tag array: per way its key, stamp and dirty bit, then the
+// array's stamp. Decoding rejects a way the arrays cannot hold (see
+// encodable), so Snapshot after an accepted Restore returns the same
+// bytes, and rebuilds the DTLB's key index.
 func (sa *setAssoc) walk(c *snap.Codec, name string) {
 	c.Same(uint64(len(sa.keys)), name+" line count (geometry)")
-	if w := c.W; w != nil {
-		for i, key := range sa.keys {
-			valid := key != emptyKey
-			if valid {
-				w.U64(key >> sa.setBits)
-			} else {
-				w.U64(0)
-			}
-			w.Bool(valid)
-			w.Bool(sa.dirty[i])
-			w.U64(sa.lru[i])
-		}
-		w.U64(sa.stamp)
-		w.U64(sa.stamp)
-		w.U64(sa.misses)
-		return
-	}
-	r := c.R
-	maxTag := emptyKey >> sa.offBits >> sa.setBits
-	canonical := true
+	bad := -1
 	for i := range sa.keys {
-		tag, valid, dirty, lru := r.U64(), r.Bool(), r.Bool(), r.U64()
-		if valid {
-			canonical = canonical && tag <= maxTag && lru != 0
-			sa.keys[i] = tag<<sa.setBits | uint64(i/sa.assoc)
-		} else {
-			canonical = canonical && tag == 0 && !dirty && lru == 0
-			sa.keys[i] = emptyKey
+		c.U64(&sa.keys[i])
+		c.U64(&sa.lru[i])
+		c.Bool(&sa.dirty[i])
+		if bad < 0 && !sa.encodable(i) {
+			bad = i
 		}
-		sa.lru[i], sa.dirty[i] = lru, dirty
 	}
-	sa.stamp = r.U64()
-	canonical = canonical && r.U64() == sa.stamp
-	sa.misses = r.U64()
-	c.Check(canonical, "%s holds state no encoder writes", name)
-	if sa.idx != nil {
+	c.U64(&sa.stamp)
+	c.Check(bad < 0, "%s way %d holds state no encoder writes", name, bad)
+	if c.R != nil && sa.idx != nil {
 		sa.idx.clear()
 		for i, key := range sa.keys {
 			if key != emptyKey {
@@ -76,10 +45,20 @@ func (sa *setAssoc) walk(c *snap.Codec, name string) {
 	}
 }
 
+// encodable reports whether way i holds what access can leave there: an
+// empty way has stamp 0 and is clean, a resident way has a stamp and a
+// key of its own set.
+func (sa *setAssoc) encodable(i int) bool {
+	if sa.keys[i] == emptyKey {
+		return sa.lru[i] == 0 && !sa.dirty[i]
+	}
+	return sa.lru[i] != 0 && sa.keys[i]&sa.setMask == uint64(i/sa.assoc)
+}
+
 // blank returns an empty array of the same geometry for Restore to
 // decode into.
 func (sa *setAssoc) blank() *setAssoc {
-	return newSetAssoc(len(sa.keys), sa.assoc, sa.offBits)
+	return newSetAssoc(len(sa.keys), sa.assoc)
 }
 
 // walkLines walks a prefetched-line set as its sorted keys; decoding

@@ -10,15 +10,14 @@ import (
 	"hpmvm/internal/snap"
 )
 
-// TestSnapshotEncodingPinned pins the hw/cache version-1 snapshot bytes
+// TestSnapshotEncodingPinned pins the hw/cache version-2 snapshot bytes
 // themselves, not just their round trip: SHA-256 of Snapshot().Data
 // after the TestAccessFingerprint stream, for the default P4 hierarchy,
 // one with the instruction cache and one with the software-prefetch
 // model. The stream crosses a functional stretch and a window reset, so
 // warming-lane fills, both prefetched-line sets and partly empty arrays
-// (the I-cache, the P4's L2) are all in the hashed bytes. The hashes
-// were recorded from the array-of-structs tag arrays; a change of the
-// in-memory layout must reproduce them through the codec.
+// (the I-cache, the P4's L2) are all in the hashed bytes. A change of
+// the in-memory layout must reproduce them through the codec.
 func TestSnapshotEncodingPinned(t *testing.T) {
 	const n = 200_000
 	for _, tc := range []struct {
@@ -76,28 +75,25 @@ func TestSnapshotEncodingPinned(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsUnencodableWays covers the codec's conversion from
-// the version-1 way records (tag, valid, dirty, stamp) to the key, stamp
-// and dirty rows: a record or trailer no encoder writes has no
-// representation there, so Restore refuses it instead of normalising it
-// — on every blob it accepts, Snapshot returns the same bytes.
+// TestRestoreRejectsUnencodableWays covers the way records (key, stamp,
+// dirty) access never leaves behind: the arrays have no representation
+// for them, so Restore refuses them instead of normalising them — on
+// every blob it accepts, Snapshot returns the same bytes.
 func TestRestoreRejectsUnencodableWays(t *testing.T) {
 	h := New(tiny())
-	h.Access(0x1000, 8, true) // L1 set 0: way 0 resident and dirty, way 1 empty
+	h.Access(0x1000, 8, true) // L1 set 0 of 2: way 0 resident and dirty, way 1 empty
 	good := h.Snapshot()
-	// The blob opens with the L1 array: a way count, 18-byte way records
-	// (tag 8, valid 1, dirty 1, stamp 8), then stamp, access count, misses.
-	const way0, way1, trailer = 8, 8 + 18, 8 + 4*18
+	// The blob opens with the L1 array: a way count, then 17-byte way
+	// records (key 8, stamp 8, dirty 1).
+	const way0, way1 = 8, 8 + 17
 	for _, tc := range []struct {
 		name   string
 		mutate func(b []byte)
 	}{
-		{"access count differs from stamp", func(b []byte) { b[trailer+8]++ }},
-		{"empty way with a tag", func(b []byte) { b[way1] = 1 }},
-		{"empty way dirty", func(b []byte) { b[way1+9] = 1 }},
-		{"empty way with a stamp", func(b []byte) { b[way1+10] = 1 }},
-		{"resident way with stamp 0", func(b []byte) { clear(b[way0+10 : way0+18]) }},
-		{"tag wider than an address", func(b []byte) { b[way0+7] = 0xff }},
+		{"key outside its set", func(b []byte) { b[way0] ^= 1 }},
+		{"empty way with a stamp", func(b []byte) { b[way1+8] = 1 }},
+		{"empty way dirty", func(b []byte) { b[way1+16] = 1 }},
+		{"resident way with stamp 0", func(b []byte) { clear(b[way0+8 : way0+16]) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			bad := good

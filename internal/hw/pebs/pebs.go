@@ -54,42 +54,31 @@ type CPUState interface {
 	AddCycles(n uint64)
 }
 
-// Config controls the sampling unit.
+// The rest of the paper's operating point (§4.1, §6.1) is fixed.
+const (
+	// randomBits is the number of low-order interval bits randomized
+	// after each sample to avoid lock-step bias (§6.1 uses 8 bits).
+	randomBits = 8
+	// bufferSamples is the capacity of the CPU-side sample buffer: the
+	// paper's user-space library keeps an 80 KB buffer.
+	bufferSamples = 80 * 1024 / SampleSize
+	// watermark is the buffer fill at which the overflow interrupt
+	// fires: three quarters of the buffer.
+	watermark = bufferSamples * 3 / 4
+	// captureCycles is the microcode cost charged per captured sample.
+	captureCycles = 120
+	// interruptCycles is the cost charged when the watermark interrupt
+	// fires (pipeline drain + handler entry).
+	interruptCycles = 4000
+)
+
+// Config is what a session programs into the unit.
 type Config struct {
 	// Event selects which hardware event is sampled.
 	Event cache.EventKind
 	// Interval is the sampling interval: every Interval-th event is
 	// sampled. Must be positive when sampling is enabled.
 	Interval uint64
-	// RandomBits is the number of low-order interval bits randomized
-	// after each sample to avoid lock-step bias (§6.1 uses 8 bits).
-	RandomBits uint
-	// BufferSamples is the capacity of the CPU-side sample buffer
-	// (the paper's user-space library keeps an 80 KB buffer, i.e.
-	// 80*1024/40 = 2048 samples).
-	BufferSamples int
-	// WatermarkFrac in (0,1] sets the buffer fill fraction at which the
-	// overflow interrupt fires.
-	WatermarkFrac float64
-	// CaptureCycles is the microcode cost charged per captured sample.
-	CaptureCycles uint64
-	// InterruptCycles is the cost charged when the watermark interrupt
-	// fires (pipeline drain + handler entry).
-	InterruptCycles uint64
-}
-
-// DefaultConfig returns the paper's operating point: L1 miss sampling
-// at a 100 K interval with 8 randomized bits and an 80 KB buffer.
-func DefaultConfig() Config {
-	return Config{
-		Event:           cache.EventL1Miss,
-		Interval:        100_000,
-		RandomBits:      8,
-		BufferSamples:   80 * 1024 / SampleSize,
-		WatermarkFrac:   0.75,
-		CaptureCycles:   120,
-		InterruptCycles: 4000,
-	}
 }
 
 // InterruptHandler is invoked (synchronously, in simulated time) when
@@ -110,8 +99,7 @@ type Unit struct {
 	enabled   bool
 	countdown uint64
 
-	buf       []Sample
-	watermark int
+	buf []Sample
 
 	// obs, when non-nil, receives an EvPEBSInterrupt event per
 	// watermark interrupt (nil-gated, like the hierarchy's listener).
@@ -126,7 +114,7 @@ type Unit struct {
 
 // NewUnit builds a sampling unit bound to a CPU state provider. rng
 // drives interval randomization; pass a seeded source for reproducible
-// runs.
+// runs, or nil to sample exactly every Interval-th event.
 func NewUnit(cpu CPUState, rng *rand.Rand) *Unit {
 	return &Unit{cpu: cpu, rng: rng}
 }
@@ -150,34 +138,19 @@ func (u *Unit) SetObserver(o *obs.Observer) {
 
 // Configure programs the unit. Sampling remains disabled until Start.
 //
-// Degenerate interval configurations are rejected rather than armed: a
-// zero interval would fire the counter on every event, and RandomBits
-// at or beyond the 64-bit width of the interval register would
-// randomize the entire interval away — a misconfigured session must
-// error, not silently melt the simulated machine. An Interval smaller
-// than 1<<RandomBits remains legal: the base bits vanish and the
-// effective interval is uniform in [1, 1<<RandomBits) — the documented
-// semantics of the hardware's bit-randomization, relied on by the
-// Figure 2/3 fine-interval operating points (see reload).
+// A zero interval is rejected rather than armed: it would fire the
+// counter on every event — a misconfigured session must error, not
+// silently melt the simulated machine. An Interval smaller than
+// 1<<randomBits remains legal: the base bits vanish and the effective
+// interval is uniform in [1, 1<<randomBits) — the documented semantics
+// of the hardware's bit-randomization, relied on by the Figure 2/3
+// fine-interval operating points (see reload).
 func (u *Unit) Configure(cfg Config) error {
 	if cfg.Interval == 0 {
 		return fmt.Errorf("pebs: sampling interval must be positive")
 	}
-	if cfg.RandomBits >= 64 {
-		return fmt.Errorf("pebs: RandomBits %d randomizes the whole 64-bit interval register (max 63)", cfg.RandomBits)
-	}
-	if cfg.BufferSamples <= 0 {
-		return fmt.Errorf("pebs: buffer capacity must be positive")
-	}
-	if cfg.WatermarkFrac <= 0 || cfg.WatermarkFrac > 1 {
-		return fmt.Errorf("pebs: watermark fraction %v out of (0,1]", cfg.WatermarkFrac)
-	}
 	u.cfg = cfg
-	u.buf = make([]Sample, 0, cfg.BufferSamples)
-	u.watermark = int(float64(cfg.BufferSamples) * cfg.WatermarkFrac)
-	if u.watermark < 1 {
-		u.watermark = 1
-	}
+	u.buf = make([]Sample, 0, bufferSamples)
 	u.reload()
 	return nil
 }
@@ -186,11 +159,11 @@ func (u *Unit) Configure(cfg Config) error {
 // monitor's auto mode uses this to hold the sample rate near its
 // target (§6.3: "adapts the sampling interval to obtain a certain
 // number of samples per second"). The interval is clamped so the
-// configured RandomBits can never randomize it to zero: the effective
-// minimum is 1<<RandomBits (1 with no randomization), preserving the
-// Configure invariant across runtime retargeting.
+// randomized bits can never randomize it to zero: the effective minimum
+// is 1<<randomBits, preserving the Configure invariant across runtime
+// retargeting.
 func (u *Unit) SetInterval(interval uint64) {
-	if min := uint64(1) << u.cfg.RandomBits; interval < min {
+	if min := uint64(1) << randomBits; interval < min {
 		interval = min
 	}
 	u.cfg.Interval = interval
@@ -205,16 +178,17 @@ func (u *Unit) Start() { u.enabled = true }
 // Stop disables sampling; buffered samples remain readable.
 func (u *Unit) Stop() { u.enabled = false }
 
-// reload arms the interval countdown, randomizing the low-order bits.
-// The armed value is never zero: when Interval < 1<<RandomBits the
-// base bits vanish and the countdown is the randomized low bits alone,
-// clamped to at least 1 — a well-defined fine-sampling mode, not a
-// stuck counter (Configure and SetInterval reject/clamp the configs
-// that could otherwise arm a never- or always-firing counter).
+// reload arms the interval countdown, randomizing the low-order bits
+// when the unit has an RNG. The armed value is never zero: when
+// Interval < 1<<randomBits the base bits vanish and the countdown is
+// the randomized low bits alone, clamped to at least 1 — a well-defined
+// fine-sampling mode, not a stuck counter (Configure and SetInterval
+// reject/clamp the intervals that could otherwise arm a never- or
+// always-firing counter).
 func (u *Unit) reload() {
 	iv := u.cfg.Interval
-	if u.cfg.RandomBits > 0 && u.rng != nil {
-		mask := (uint64(1) << u.cfg.RandomBits) - 1
+	if u.rng != nil {
+		mask := uint64(1)<<randomBits - 1
 		iv = (iv &^ mask) | (u.rng.Uint64() & mask)
 		if iv == 0 {
 			iv = 1
@@ -241,7 +215,7 @@ func (u *Unit) HardwareEvent(kind cache.EventKind, addr uint64) {
 // capture runs the sampling microcode: snapshot CPU state into the
 // buffer and raise the interrupt at the watermark.
 func (u *Unit) capture(kind cache.EventKind, addr uint64) {
-	if len(u.buf) >= u.cfg.BufferSamples {
+	if len(u.buf) >= bufferSamples {
 		u.dropped++
 		return
 	}
@@ -253,11 +227,11 @@ func (u *Unit) capture(kind cache.EventKind, addr uint64) {
 	s.Event = kind
 	u.buf = append(u.buf, s)
 	u.samplesTaken++
-	u.cpu.AddCycles(u.cfg.CaptureCycles)
+	u.cpu.AddCycles(captureCycles)
 
-	if len(u.buf) >= u.watermark && u.handler != nil {
+	if len(u.buf) >= watermark && u.handler != nil {
 		u.interrupts++
-		u.cpu.AddCycles(u.cfg.InterruptCycles)
+		u.cpu.AddCycles(interruptCycles)
 		if u.obs != nil {
 			u.obs.Emit(obs.EvPEBSInterrupt, u.cpu.CycleCount(), uint64(len(u.buf)), u.interrupts, 0)
 		}

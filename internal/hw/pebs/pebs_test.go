@@ -33,21 +33,14 @@ func (h *recHandler) PEBSOverflow(u *Unit) {
 	}
 }
 
-func cfg(interval uint64, buf int) Config {
-	return Config{
-		Event:         cache.EventL1Miss,
-		Interval:      interval,
-		RandomBits:    0,
-		BufferSamples: buf,
-		WatermarkFrac: 0.5,
-		CaptureCycles: 10,
-	}
+func cfg(interval uint64) Config {
+	return Config{Event: cache.EventL1Miss, Interval: interval}
 }
 
 func TestIntervalCounting(t *testing.T) {
 	cpu := &fakeCPU{pc: 0x1000}
-	u := NewUnit(cpu, rand.New(rand.NewSource(1)))
-	if err := u.Configure(cfg(4, 100)); err != nil {
+	u := NewUnit(cpu, nil)
+	if err := u.Configure(cfg(4)); err != nil {
 		t.Fatal(err)
 	}
 	u.Start()
@@ -65,8 +58,8 @@ func TestIntervalCounting(t *testing.T) {
 
 func TestOnlySelectedEventSampled(t *testing.T) {
 	cpu := &fakeCPU{}
-	u := NewUnit(cpu, rand.New(rand.NewSource(1)))
-	if err := u.Configure(cfg(1, 100)); err != nil {
+	u := NewUnit(cpu, nil)
+	if err := u.Configure(cfg(1)); err != nil {
 		t.Fatal(err)
 	}
 	u.Start()
@@ -84,8 +77,8 @@ func TestOnlySelectedEventSampled(t *testing.T) {
 func TestSampleContents(t *testing.T) {
 	cpu := &fakeCPU{pc: 0xBEEF00, cycles: 777}
 	cpu.regs[3] = 42
-	u := NewUnit(cpu, rand.New(rand.NewSource(1)))
-	if err := u.Configure(cfg(1, 100)); err != nil {
+	u := NewUnit(cpu, nil)
+	if err := u.Configure(cfg(1)); err != nil {
 		t.Fatal(err)
 	}
 	u.Start()
@@ -99,27 +92,31 @@ func TestSampleContents(t *testing.T) {
 	}
 	// Capture must charge microcode cycles; sample timestamp precedes
 	// the charge.
-	if cpu.cycles != 777+10 {
+	if cpu.cycles != 777+captureCycles {
 		t.Errorf("capture cycles = %d", cpu.cycles)
 	}
 }
 
 func TestWatermarkInterrupt(t *testing.T) {
 	cpu := &fakeCPU{}
-	u := NewUnit(cpu, rand.New(rand.NewSource(1)))
+	u := NewUnit(cpu, nil)
 	h := &recHandler{drain: true}
 	u.SetHandler(h)
-	if err := u.Configure(cfg(1, 8)); err != nil { // watermark at 4
+	if err := u.Configure(cfg(1)); err != nil {
 		t.Fatal(err)
 	}
 	u.Start()
-	for i := 0; i < 4; i++ {
+	for i := 0; i < watermark-1; i++ {
 		u.HardwareEvent(cache.EventL1Miss, uint64(i))
 	}
+	if h.fired != 0 {
+		t.Fatalf("interrupts = %d below the watermark, want 0", h.fired)
+	}
+	u.HardwareEvent(cache.EventL1Miss, watermark-1)
 	if h.fired != 1 {
 		t.Fatalf("interrupts = %d, want 1", h.fired)
 	}
-	if len(h.got) != 4 {
+	if len(h.got) != watermark {
 		t.Fatalf("handler drained %d samples", len(h.got))
 	}
 	if len(u.buf) != 0 {
@@ -129,18 +126,18 @@ func TestWatermarkInterrupt(t *testing.T) {
 
 func TestBufferOverflowDrops(t *testing.T) {
 	cpu := &fakeCPU{}
-	u := NewUnit(cpu, rand.New(rand.NewSource(1)))
+	u := NewUnit(cpu, nil)
 	// No handler: nothing drains the buffer.
-	if err := u.Configure(cfg(1, 4)); err != nil {
+	if err := u.Configure(cfg(1)); err != nil {
 		t.Fatal(err)
 	}
 	u.Start()
-	for i := 0; i < 10; i++ {
+	for i := 0; i < bufferSamples+6; i++ {
 		u.HardwareEvent(cache.EventL1Miss, uint64(i))
 	}
 	st := u.Stats()
-	if st.SamplesTaken != 4 {
-		t.Errorf("SamplesTaken = %d, want buffer capacity 4", st.SamplesTaken)
+	if st.SamplesTaken != bufferSamples {
+		t.Errorf("SamplesTaken = %d, want buffer capacity %d", st.SamplesTaken, bufferSamples)
 	}
 	if st.Dropped != 6 {
 		t.Errorf("Dropped = %d, want 6", st.Dropped)
@@ -150,9 +147,7 @@ func TestBufferOverflowDrops(t *testing.T) {
 func TestRandomizedInterval(t *testing.T) {
 	cpu := &fakeCPU{}
 	u := NewUnit(cpu, rand.New(rand.NewSource(7)))
-	c := cfg(1024, 4096)
-	c.RandomBits = 8
-	if err := u.Configure(c); err != nil {
+	if err := u.Configure(cfg(1024)); err != nil {
 		t.Fatal(err)
 	}
 	u.Start()
@@ -185,8 +180,8 @@ func TestRandomizedInterval(t *testing.T) {
 
 func TestStopAndRestart(t *testing.T) {
 	cpu := &fakeCPU{}
-	u := NewUnit(cpu, rand.New(rand.NewSource(1)))
-	if err := u.Configure(cfg(1, 100)); err != nil {
+	u := NewUnit(cpu, nil)
+	if err := u.Configure(cfg(1)); err != nil {
 		t.Fatal(err)
 	}
 	u.Start()
@@ -204,26 +199,19 @@ func TestStopAndRestart(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	u := NewUnit(&fakeCPU{}, rand.New(rand.NewSource(1)))
-	if err := u.Configure(Config{Interval: 0, BufferSamples: 1, WatermarkFrac: 0.5}); err == nil {
+	u := NewUnit(&fakeCPU{}, nil)
+	if err := u.Configure(cfg(0)); err == nil {
 		t.Error("accepted zero interval")
-	}
-	if err := u.Configure(Config{Interval: 1, BufferSamples: 0, WatermarkFrac: 0.5}); err == nil {
-		t.Error("accepted zero buffer")
-	}
-	if err := u.Configure(Config{Interval: 1, BufferSamples: 1, WatermarkFrac: 1.5}); err == nil {
-		t.Error("accepted watermark > 1")
 	}
 }
 
 func TestSetInterval(t *testing.T) {
-	u := NewUnit(&fakeCPU{}, rand.New(rand.NewSource(1)))
-	if err := u.Configure(cfg(100, 10)); err != nil {
+	u := NewUnit(&fakeCPU{}, nil)
+	if err := u.Configure(cfg(1000)); err != nil {
 		t.Fatal(err)
 	}
-	u.SetInterval(0)
-	if u.Interval() != 1 {
-		t.Error("SetInterval(0) should clamp to 1")
+	if u.Interval() != 1000 {
+		t.Errorf("Interval = %d after Configure, want 1000", u.Interval())
 	}
 	u.SetInterval(555)
 	if u.Interval() != 555 {
@@ -231,33 +219,16 @@ func TestSetInterval(t *testing.T) {
 	}
 }
 
-func TestConfigureRejectsDegenerateRandomBits(t *testing.T) {
-	u := NewUnit(&fakeCPU{}, rand.New(rand.NewSource(1)))
-	for _, bits := range []uint{64, 65, 128} {
-		c := cfg(100, 10)
-		c.RandomBits = bits
-		if err := u.Configure(c); err == nil {
-			t.Errorf("accepted RandomBits=%d, which randomizes the whole interval register", bits)
-		}
-	}
-	c := cfg(100, 10)
-	c.RandomBits = 63
-	if err := u.Configure(c); err != nil {
-		t.Errorf("rejected RandomBits=63: %v", err)
-	}
-}
-
 // TestFineIntervalBelowRandomWidth pins the legal fine-sampling mode
-// the Figure 2/3 operating points rely on: Interval < 1<<RandomBits
+// the Figure 2/3 operating points rely on: Interval < 1<<randomBits
 // (e.g. 250 with 8 randomized bits) configures fine, and the effective
 // interval is the randomized low bits alone — samples keep flowing and
 // the countdown never sticks.
 func TestFineIntervalBelowRandomWidth(t *testing.T) {
 	cpu := &fakeCPU{}
 	u := NewUnit(cpu, rand.New(rand.NewSource(3)))
-	c := cfg(250, 100_000)
-	c.RandomBits = 8 // 250 >> 8 == 0: base bits vanish entirely
-	if err := u.Configure(c); err != nil {
+	// 250 >> 8 == 0: the base bits vanish entirely.
+	if err := u.Configure(cfg(250)); err != nil {
 		t.Fatalf("fine interval rejected: %v", err)
 	}
 	u.Start()
@@ -277,12 +248,10 @@ func TestFineIntervalBelowRandomWidth(t *testing.T) {
 
 func TestSetIntervalClampsToRandomizedWidth(t *testing.T) {
 	u := NewUnit(&fakeCPU{}, rand.New(rand.NewSource(1)))
-	c := cfg(1000, 10)
-	c.RandomBits = 8
-	if err := u.Configure(c); err != nil {
+	if err := u.Configure(cfg(1000)); err != nil {
 		t.Fatal(err)
 	}
-	// Below 1<<RandomBits the randomization could zero the interval
+	// Below 1<<randomBits the randomization could zero the interval
 	// register; the retarget clamps to the randomized width.
 	u.SetInterval(10)
 	if u.Interval() != 256 {

@@ -3,15 +3,16 @@ package pebs
 import "hpmvm/internal/snap"
 
 // Snapshot/Restore implement snap.Checkpointable for the sampling
-// unit. The programmed Config is mutable state here (the kernel module
-// programs it mid-run via Configure/SetInterval), so it is serialized
-// alongside the countdown, buffer and counters. The RNG that drives
+// unit. The programmed event and interval are mutable state here (the
+// kernel module programs them mid-run via Configure/SetInterval), so
+// they are serialized alongside the countdown, buffer and counters; the
+// rest of the operating point is package constants. The RNG that drives
 // interval randomization is owned by core and checkpointed there as a
 // draw count; Restore leaves u.rng untouched.
 
 const (
 	snapComponent = "hw/pebs"
-	snapVersion   = 1
+	snapVersion   = 2
 )
 
 // WalkSample walks one sample record. Shared with the kernel module,
@@ -26,27 +27,16 @@ func WalkSample(c *snap.Codec, s *Sample) {
 	snap.Int(c, &s.Event)
 }
 
-// WalkConfig walks a programmed Config.
-func WalkConfig(c *snap.Codec, cfg *Config) {
-	snap.Int(c, &cfg.Event)
-	c.U64(&cfg.Interval)
-	snap.Int(c, &cfg.RandomBits)
-	snap.Int(c, &cfg.BufferSamples)
-	c.F64(&cfg.WatermarkFrac)
-	c.U64(&cfg.CaptureCycles)
-	c.U64(&cfg.InterruptCycles)
-}
-
-// walk is the unit's layout: programmed configuration, countdown,
+// walk is the unit's layout: programmed event and interval, countdown,
 // buffered samples and counters.
 func (u *Unit) walk(c *snap.Codec) {
-	WalkConfig(c, &u.cfg)
+	snap.Int(c, &u.cfg.Event)
+	c.U64(&u.cfg.Interval)
 	c.Bool(&u.enabled)
 	c.U64(&u.countdown)
 	snap.Slice(c, &u.buf, WalkSample)
-	c.Check(u.cfg.BufferSamples <= 0 || len(u.buf) <= u.cfg.BufferSamples,
-		"%d buffered samples exceed capacity %d", len(u.buf), u.cfg.BufferSamples)
-	snap.Int(c, &u.watermark)
+	c.Check(len(u.buf) <= bufferSamples,
+		"%d buffered samples exceed capacity %d", len(u.buf), bufferSamples)
 	c.U64(&u.eventsSeen)
 	c.U64(&u.samplesTaken)
 	c.U64(&u.dropped)

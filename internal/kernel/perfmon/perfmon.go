@@ -38,13 +38,11 @@ const (
 // pebs.InterruptHandler so the sampling hardware can deliver overflow
 // interrupts to it.
 type Module struct {
-	pcfg   pebs.Config
-	unit   *pebs.Unit
-	sink   CycleSink
-	buf    []pebs.Sample
-	lost   uint64 // samples dropped because the kernel buffer was full
-	reads  uint64 // user-space read syscalls serviced
-	active bool
+	unit  *pebs.Unit
+	sink  CycleSink
+	buf   []pebs.Sample
+	lost  uint64 // samples dropped because the kernel buffer was full
+	reads uint64 // user-space read syscalls serviced
 
 	// obs, when non-nil, receives an EvPerfmonRead event per copy-out;
 	// obsNow reads the global cycle counter for event stamps (nil when
@@ -87,7 +85,6 @@ func (m *Module) ConfigureSession(pcfg pebs.Config) error {
 	if err := m.unit.Configure(pcfg); err != nil {
 		return fmt.Errorf("perfmon: %w", err)
 	}
-	m.pcfg = pcfg
 	m.buf = m.buf[:0]
 	return nil
 }
@@ -96,14 +93,12 @@ func (m *Module) ConfigureSession(pcfg pebs.Config) error {
 func (m *Module) Start() {
 	m.sink.AddCycles(syscallCycles)
 	m.unit.Start()
-	m.active = true
 }
 
 // Stop halts sampling; buffered samples remain readable.
 func (m *Module) Stop() {
 	m.sink.AddCycles(syscallCycles)
 	m.unit.Stop()
-	m.active = false
 }
 
 // SetInterval retargets the hardware sampling interval (used by the

@@ -27,9 +27,7 @@ func setup(t *testing.T, interval uint64) (*fakeCPU, *pebs.Unit, *Module) {
 	cpu := &fakeCPU{}
 	unit := pebs.NewUnit(cpu, nil)
 	mod := NewModule(unit, cpu)
-	cfg := pebs.DefaultConfig()
-	cfg.Interval = interval
-	if err := mod.ConfigureSession(cfg); err != nil {
+	if err := mod.ConfigureSession(pebs.Config{Event: cache.EventL1Miss, Interval: interval}); err != nil {
 		t.Fatal(err)
 	}
 	return cpu, unit, mod

@@ -6,25 +6,23 @@ import (
 )
 
 // Snapshot/Restore implement snap.Checkpointable for the kernel
-// module. Mutable state is the programmed session config, the in-kernel
-// sample buffer and the session counters; the unit/sink/observer wiring
-// is construction-time and untouched. The pebs.Unit it owns is a
+// module. Mutable state is the in-kernel sample buffer and the session
+// counters; the unit/sink/observer wiring is construction-time and
+// untouched. The programmed session lives in the pebs.Unit it owns, a
 // separate component checkpointed by core.
 
 const (
 	snapComponent = "kernel/perfmon"
-	snapVersion   = 1
+	snapVersion   = 2
 )
 
 // walk is the session state's layout.
 func (m *Module) walk(c *snap.Codec) {
-	pebs.WalkConfig(c, &m.pcfg)
 	snap.Slice(c, &m.buf, pebs.WalkSample)
 	c.Check(len(m.buf) <= kernelBufferSamples,
 		"%d buffered samples exceed the kernel buffer's %d", len(m.buf), kernelBufferSamples)
 	c.U64(&m.lost)
 	c.U64(&m.reads)
-	c.Bool(&m.active)
 }
 
 // Snapshot serializes the session state.
