@@ -26,9 +26,9 @@ func TestSnapshotEncodingPinned(t *testing.T) {
 		sw     bool
 		want   string
 	}{
-		{"p4", false, false, "21b6054aef1646e8a025dfbec8b455d9d494caba28049af5dd3be0f275d3ade1"},
-		{"p4-icache", true, false, "340ecdfdfb98d055229278588e81054e7ad9dcc8dfbbb34ac08ad55144d597cf"},
-		{"p4-swprefetch", false, true, "004cc703e256e5b4823c318cf5c83dbebddefe872a9cd37187a4abbcbf13349e"},
+		{"p4", false, false, "a15d4523573d103286a18c22a71b9f0e0148590a8171625921c48defa083c0ab"},
+		{"p4-icache", true, false, "ac6952433342b60096e7888312b4ffafd76fa9e2c4fc871a768726534fcdfeb9"},
+		{"p4-swprefetch", false, true, "843709bb8b8585d9584e7c9056c385ec1fa5549000d8410d716936343ec456d4"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			h := New(DefaultP4())
