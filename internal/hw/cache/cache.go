@@ -173,7 +173,7 @@ const emptyKey = ^uint64(0)
 // row of keys, the victim choice one contiguous row of stamps, and
 // neither drags the other's bytes through the host's cache.
 type setAssoc struct {
-	keys    []uint64 // resident key (address >> line or page bits) per way, emptyKey when empty
+	keys    []uint64 // per way: address >> line or page bits, emptyKey when empty
 	lru     []uint64 // last-use stamp per way: >= 1 when resident, 0 when empty
 	dirty   []bool   // per way; an empty way is never dirty
 	assoc   int
@@ -224,13 +224,13 @@ func (sa *setAssoc) find(key uint64) int {
 	return -1
 }
 
-// access touches the line identified by key: a hit
-// refreshes its LRU stamp and dirty bit, a miss fills it over the least
-// recently used way — empty ways carry stamp 0, below every resident
-// stamp, so one pass over the stamp row picks the first empty way when
-// there is one. It returns the way now holding key, whether that was a
-// hit, and whether the fill evicted a dirty line. Every access advances
-// the stamp exactly once.
+// access touches the line identified by key: a hit refreshes its LRU
+// stamp and dirty bit, a miss fills it over the least recently used way
+// — empty ways carry stamp 0, below every resident stamp, so one pass
+// over the stamp row picks the first empty way when there is one. It
+// returns the way now holding key, whether that was a hit, and whether
+// the fill evicted a dirty line. Every access advances the stamp
+// exactly once.
 func (sa *setAssoc) access(key uint64, markDirty bool) (way int, hit, writeback bool) {
 	sa.stamp++
 	if way = sa.find(key); way >= 0 {

@@ -54,7 +54,8 @@ type CPUState interface {
 	AddCycles(n uint64)
 }
 
-// The rest of the paper's operating point (§4.1, §6.1) is fixed.
+// The paper's operating point (§4.1, §6.1), the same for every
+// session: a session programs only the event and interval (Config).
 const (
 	// randomBits is the number of low-order interval bits randomized
 	// after each sample to avoid lock-step bias (§6.1 uses 8 bits).

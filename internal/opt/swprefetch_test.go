@@ -70,10 +70,10 @@ func TestStrideDetectorTable(t *testing.T) {
 }
 
 // TestStrideDetectorRandomizedInterval replays the exact shape the
-// PEBS RandomBits knob produces: a fixed underlying access stride
-// sampled at pseudo-randomly varying intervals, so observed deltas are
-// irregular multiples of the true stride. The detector must converge
-// on the true stride and stay confident.
+// PEBS unit's randomized interval bits produce: a fixed underlying
+// access stride sampled at pseudo-randomly varying intervals, so
+// observed deltas are irregular multiples of the true stride. The
+// detector must converge on the true stride and stay confident.
 func TestStrideDetectorRandomizedInterval(t *testing.T) {
 	s := detector(SwPrefetchConfig{})
 	line := int64(128)

@@ -27,10 +27,9 @@
 //     the walk to scratch state — a copy of the component, or fresh
 //     arrays — and commits it only when Decode returns nil.
 //
-// Five places convert between the wire form and a different memory form
+// Four places convert between the wire form and a different memory form
 // and spell both directions out, using the Codec for their flat parts
-// only: hw/cache's tag arrays (version-1 way records ↔ key/stamp/dirty
-// rows), hw/mem (sorted page list ↔ page directory + far map), obs (a
+// only: hw/mem (sorted page list ↔ page directory + far map), obs (a
 // mutex, atomics and a ring, walked as a private wire struct),
 // vm/runtime (the recompile log is validated and replayed, not stored)
 // and core's container (magic and version gate the rest of the parse).
