@@ -21,7 +21,7 @@ func benchLoop(b *testing.B) *CPU {
 		{Op: OpSt8, Rs1: 3, Imm: 0, Rs2: 3},
 		{Op: OpLd8, Rd: 4, Rs1: 3, Imm: 0}, // loop:
 		{Op: OpAdd, Rd: 2, Rs1: 2, Rs2: 4},
-		{Op: OpAddImm, Rd: 5, Rs1: 3, Imm: 8}, // fused AddImm+Ld8 pair
+		{Op: OpAddImm, Rd: 5, Rs1: 3, Imm: 8}, // address of the next word
 		{Op: OpLd8, Rd: 6, Rs1: 5, Imm: 0},
 		{Op: OpAddImm, Rd: 1, Rs1: 1, Imm: 1},
 		{Op: OpBrGE, Rs1: 1, Rs2: RegZero, Imm: int64(loop)},
@@ -43,7 +43,7 @@ func BenchmarkCPUStep(b *testing.B) {
 	}
 }
 
-// BenchmarkCPURunLoop meters the predecoded fast path over the same
+// BenchmarkCPURunLoop meters the fast path over the same
 // program, in instruction-budget chunks large enough to amortize the
 // flush/reload at the loop boundary. The per-op delta against
 // BenchmarkCPUStep is the fast path's win on interpreter overhead

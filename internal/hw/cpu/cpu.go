@@ -78,7 +78,6 @@ type CPU struct {
 
 	cfg     Config
 	code    []Instr
-	dec     []decInstr // predecoded image of code, rebuilt lazily by runLoop
 	handler TrapHandler
 
 	// Barrier, when set, observes every reference store (slot address
@@ -155,11 +154,7 @@ func (c *CPU) CycleCount() uint64 { return c.cycles }
 
 // SetIFetch installs (or, with nil, removes) the instruction-fetch
 // hook. lineSize is the fetch granularity in bytes (the I-cache line
-// size; a power of two). Installing the hook invalidates the
-// predecoded image: AddImm+Ld8 fusion is disabled under instruction
-// fetch so every instruction passes the loop-top line-transition
-// check (a fused tail crossing a line boundary would otherwise skip
-// its fetch).
+// size; a power of two).
 func (c *CPU) SetIFetch(fn func(pc uint64) uint64, lineSize int) {
 	c.ifetch = fn
 	c.ifetchShift = 0
@@ -167,7 +162,6 @@ func (c *CPU) SetIFetch(fn func(pc uint64) uint64, lineSize int) {
 		c.ifetchShift++
 	}
 	c.lastFetchLine = ^uint64(0)
-	c.dec = nil
 }
 
 // UserMode reports whether the CPU is executing application code (as

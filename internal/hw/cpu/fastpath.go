@@ -1,9 +1,10 @@
 package cpu
 
-// Fast-path interpreter: a predecoded, horizon-bounded inner loop that
-// executes the common opcodes without per-instruction Step overhead
-// while remaining cycle- and state-identical to Step (DESIGN.md §11,
-// pinned by TestGoldenEquivalence and TestRunLoopStepEquivalence).
+// Fast-path interpreter: a horizon-bounded inner loop over the
+// installed code that executes the common opcodes without
+// per-instruction Step overhead while remaining cycle- and
+// state-identical to Step (DESIGN.md §11, pinned by
+// TestGoldenEquivalence and TestRunLoopStepEquivalence).
 //
 // Identity argument, in brief:
 //
@@ -20,96 +21,8 @@ package cpu
 //     delegate to Step itself with state flushed, so the two
 //     interpreters cannot drift on them.
 //   - The cycle horizon and instruction budget are checked before
-//     every instruction — including between the halves of a fused
-//     pair — so ticker scheduling, pause points and Run(maxInstr)
-//     accounting are bit-identical to a Step loop.
-
-// Base-kind codes resolved at predecode time from the Rs1 field of
-// memory instructions (see base()).
-const (
-	bkReg uint8 = iota
-	bkSP
-	bkFP
-	bkZero
-)
-
-// decInstr is one predecoded instruction: the opcode and register
-// fields of the original Instr with the base-register kind resolved,
-// shift immediates pre-masked, and a fusion marker for AddImm+Ld8
-// pairs. 16 bytes, same as Instr, so predecoding doubles rather than
-// explodes the instruction working set.
-type decInstr struct {
-	op   Op
-	rd   uint8
-	rs1  uint8
-	rs2  uint8
-	bk   uint8 // base kind for memory operands
-	fuse uint8 // nonzero: next instruction is a fusable Ld8 tail
-	imm  int64
-}
-
-// isMemOp reports whether the opcode addresses memory via base(Rs1).
-func isMemOp(op Op) bool {
-	return op >= OpLd8 && op <= OpSt1
-}
-
-// predecode (re)builds the decoded image of the installed code. It is
-// called lazily from runLoop whenever the code length changed
-// (InstallCode appends; code is never mutated in place).
-func (c *CPU) predecode() {
-	dec := make([]decInstr, len(c.code))
-	for i := range c.code {
-		in := &c.code[i]
-		d := &dec[i]
-		d.op = in.Op
-		d.rd = in.Rd
-		d.rs1 = in.Rs1
-		d.rs2 = in.Rs2
-		d.imm = in.Imm
-		if isMemOp(in.Op) {
-			switch in.Rs1 {
-			case BaseSP:
-				d.bk = bkSP
-			case BaseFP:
-				d.bk = bkFP
-			case RegZero:
-				d.bk = bkZero
-			default:
-				d.bk = bkReg
-			}
-		}
-		if in.Op == OpShlImm {
-			// Step shifts by Imm&63; pre-mask so the loop shifts directly.
-			d.imm = in.Imm & 63
-		}
-		// Fuse AddImm followed by Ld8: the pair is executed in one
-		// dispatch when control falls through the AddImm. Both halves
-		// keep their own cycle/instret charges and horizon checks, and
-		// the Ld8's standalone entry still exists for jumps into it,
-		// so fusion changes host work only. With instruction fetch
-		// modeled, fusion is disabled: the fused tail bypasses the
-		// loop-top line-transition check, so a pair straddling a code
-		// line would skip the tail's fetch.
-		if in.Op == OpAddImm && i+1 < len(c.code) && c.code[i+1].Op == OpLd8 && c.ifetch == nil {
-			d.fuse = 1
-		}
-	}
-	c.dec = dec
-}
-
-// baseAt resolves a predecoded memory operand's base value.
-func (c *CPU) baseAt(d *decInstr) uint64 {
-	switch d.bk {
-	case bkSP:
-		return c.SP
-	case bkFP:
-		return c.FP
-	case bkZero:
-		return 0
-	default:
-		return c.Regs[d.rs1]
-	}
-}
+//     every instruction, so ticker scheduling, pause points and
+//     Run(maxInstr) accounting are bit-identical to a Step loop.
 
 // RunCycles executes instructions until the cycle counter reaches
 // horizon, the CPU halts, or a fault aborts the run. It is the
@@ -135,12 +48,9 @@ func (c *CPU) Run(maxInstr uint64) uint64 {
 // instructions while cycles < cycleHorizon and the instruction budget
 // lasts, and returns the number of instructions retired.
 func (c *CPU) runLoop(cycleHorizon, budget uint64) uint64 {
-	if len(c.dec) != len(c.code) {
-		c.predecode()
-	}
-	dec := c.dec
+	code := c.code
 	cbase := c.cfg.CodeBase
-	clen := uint64(len(dec))
+	clen := uint64(len(code))
 	mulCycles := c.cfg.MulCycles
 	takenBranch := c.cfg.TakenBranchCycles
 	callCycles := c.cfg.CallCycles
@@ -164,7 +74,7 @@ run:
 			c.PC, c.cycles, c.instret = pc, cyc, ins
 			c.fault("PC beyond installed code")
 		}
-		d := &dec[idx]
+		in := &code[idx]
 		if ifetchOn {
 			if line := pc >> c.ifetchShift; line != c.lastFetchLine {
 				// Same flush-reload discipline as a data access: the
@@ -180,93 +90,79 @@ run:
 		cyc++
 		ins++
 
-		switch d.op {
+		switch in.Op {
 		case OpNop:
 
 		case OpMovImm:
-			c.setReg(d.rd, uint64(d.imm))
+			c.setReg(in.Rd, uint64(in.Imm))
 		case OpMov:
-			c.setReg(d.rd, c.reg(d.rs1))
+			c.setReg(in.Rd, c.reg(in.Rs1))
 
 		case OpAdd:
-			c.setReg(d.rd, c.reg(d.rs1)+c.reg(d.rs2))
+			c.setReg(in.Rd, c.reg(in.Rs1)+c.reg(in.Rs2))
 		case OpSub:
-			c.setReg(d.rd, c.reg(d.rs1)-c.reg(d.rs2))
+			c.setReg(in.Rd, c.reg(in.Rs1)-c.reg(in.Rs2))
 		case OpMul:
 			cyc += mulCycles
-			c.setReg(d.rd, uint64(int64(c.reg(d.rs1))*int64(c.reg(d.rs2))))
+			c.setReg(in.Rd, uint64(int64(c.reg(in.Rs1))*int64(c.reg(in.Rs2))))
 		case OpAnd:
-			c.setReg(d.rd, c.reg(d.rs1)&c.reg(d.rs2))
+			c.setReg(in.Rd, c.reg(in.Rs1)&c.reg(in.Rs2))
 		case OpOr:
-			c.setReg(d.rd, c.reg(d.rs1)|c.reg(d.rs2))
+			c.setReg(in.Rd, c.reg(in.Rs1)|c.reg(in.Rs2))
 		case OpXor:
-			c.setReg(d.rd, c.reg(d.rs1)^c.reg(d.rs2))
+			c.setReg(in.Rd, c.reg(in.Rs1)^c.reg(in.Rs2))
 		case OpShl:
-			c.setReg(d.rd, c.reg(d.rs1)<<(c.reg(d.rs2)&63))
+			c.setReg(in.Rd, c.reg(in.Rs1)<<(c.reg(in.Rs2)&63))
 		case OpShr:
-			c.setReg(d.rd, c.reg(d.rs1)>>(c.reg(d.rs2)&63))
+			c.setReg(in.Rd, c.reg(in.Rs1)>>(c.reg(in.Rs2)&63))
 		case OpSar:
-			c.setReg(d.rd, uint64(int64(c.reg(d.rs1))>>(c.reg(d.rs2)&63)))
+			c.setReg(in.Rd, uint64(int64(c.reg(in.Rs1))>>(c.reg(in.Rs2)&63)))
 
 		case OpAddImm:
-			c.setReg(d.rd, c.reg(d.rs1)+uint64(d.imm))
-			if d.fuse != 0 && !c.halted && cyc < cycleHorizon && budget != 0 {
-				// Fused Ld8 tail: identical to the standalone Ld8 case
-				// below, entered without another dispatch round-trip.
-				pc += InstrBytes
-				t := &dec[idx+1]
-				budget--
-				cyc++
-				ins++
-				a := c.baseAt(t) + uint64(t.imm)
-				c.PC, c.cycles, c.instret = pc, cyc, ins
-				cost := c.Hier.Access(a, 8, false)
-				cyc = c.cycles + cost
-				c.setReg(t.rd, c.Mem.Read8(a))
-			}
+			c.setReg(in.Rd, c.reg(in.Rs1)+uint64(in.Imm))
 		case OpMulImm:
 			cyc += mulCycles
-			c.setReg(d.rd, uint64(int64(c.reg(d.rs1))*d.imm))
+			c.setReg(in.Rd, uint64(int64(c.reg(in.Rs1))*in.Imm))
 		case OpShlImm:
-			c.setReg(d.rd, c.reg(d.rs1)<<uint64(d.imm))
+			c.setReg(in.Rd, c.reg(in.Rs1)<<uint64(in.Imm&63))
 
 		case OpLd8:
-			a := c.baseAt(d) + uint64(d.imm)
+			a := c.base(in.Rs1) + uint64(in.Imm)
 			c.PC, c.cycles, c.instret = pc, cyc, ins
 			cost := c.Hier.Access(a, 8, false)
 			cyc = c.cycles + cost
-			c.setReg(d.rd, c.Mem.Read8(a))
+			c.setReg(in.Rd, c.Mem.Read8(a))
 		case OpLd4:
-			a := c.baseAt(d) + uint64(d.imm)
+			a := c.base(in.Rs1) + uint64(in.Imm)
 			c.PC, c.cycles, c.instret = pc, cyc, ins
 			cost := c.Hier.Access(a, 4, false)
 			cyc = c.cycles + cost
-			c.setReg(d.rd, uint64(c.Mem.Read4(a)))
+			c.setReg(in.Rd, uint64(c.Mem.Read4(a)))
 		case OpLd2:
-			a := c.baseAt(d) + uint64(d.imm)
+			a := c.base(in.Rs1) + uint64(in.Imm)
 			c.PC, c.cycles, c.instret = pc, cyc, ins
 			cost := c.Hier.Access(a, 2, false)
 			cyc = c.cycles + cost
-			c.setReg(d.rd, uint64(c.Mem.Read2(a)))
+			c.setReg(in.Rd, uint64(c.Mem.Read2(a)))
 		case OpLd1:
-			a := c.baseAt(d) + uint64(d.imm)
+			a := c.base(in.Rs1) + uint64(in.Imm)
 			c.PC, c.cycles, c.instret = pc, cyc, ins
 			cost := c.Hier.Access(a, 1, false)
 			cyc = c.cycles + cost
-			c.setReg(d.rd, uint64(c.Mem.Read1(a)))
+			c.setReg(in.Rd, uint64(c.Mem.Read1(a)))
 
 		case OpSt8:
-			a := c.baseAt(d) + uint64(d.imm)
+			a := c.base(in.Rs1) + uint64(in.Imm)
 			c.PC, c.cycles, c.instret = pc, cyc, ins
 			cost := c.Hier.Access(a, 8, true)
 			cyc = c.cycles + cost
-			c.Mem.Write8(a, c.reg(d.rs2))
+			c.Mem.Write8(a, c.reg(in.Rs2))
 		case OpStRef:
-			a := c.baseAt(d) + uint64(d.imm)
+			a := c.base(in.Rs1) + uint64(in.Imm)
 			c.PC, c.cycles, c.instret = pc, cyc, ins
 			cost := c.Hier.Access(a, 8, true)
 			cyc = c.cycles + cost
-			v := c.reg(d.rs2)
+			v := c.reg(in.Rs2)
 			c.Mem.Write8(a, v)
 			cyc += barrierCycles
 			if c.Barrier != nil {
@@ -278,23 +174,23 @@ run:
 				cyc = c.cycles
 			}
 		case OpSt4:
-			a := c.baseAt(d) + uint64(d.imm)
+			a := c.base(in.Rs1) + uint64(in.Imm)
 			c.PC, c.cycles, c.instret = pc, cyc, ins
 			cost := c.Hier.Access(a, 4, true)
 			cyc = c.cycles + cost
-			c.Mem.Write4(a, uint32(c.reg(d.rs2)))
+			c.Mem.Write4(a, uint32(c.reg(in.Rs2)))
 		case OpSt2:
-			a := c.baseAt(d) + uint64(d.imm)
+			a := c.base(in.Rs1) + uint64(in.Imm)
 			c.PC, c.cycles, c.instret = pc, cyc, ins
 			cost := c.Hier.Access(a, 2, true)
 			cyc = c.cycles + cost
-			c.Mem.Write2(a, uint16(c.reg(d.rs2)))
+			c.Mem.Write2(a, uint16(c.reg(in.Rs2)))
 		case OpSt1:
-			a := c.baseAt(d) + uint64(d.imm)
+			a := c.base(in.Rs1) + uint64(in.Imm)
 			c.PC, c.cycles, c.instret = pc, cyc, ins
 			cost := c.Hier.Access(a, 1, true)
 			cyc = c.cycles + cost
-			c.Mem.Write1(a, uint8(c.reg(d.rs2)))
+			c.Mem.Write1(a, uint8(c.reg(in.Rs2)))
 
 		case OpEnter:
 			c.SP -= 8
@@ -303,7 +199,7 @@ run:
 			cyc = c.cycles + cost
 			c.Mem.Write8(c.SP, c.FP)
 			c.FP = c.SP
-			c.SP -= uint64(d.imm)
+			c.SP -= uint64(in.Imm)
 		case OpLeave:
 			c.SP = c.FP
 			c.PC, c.cycles, c.instret = pc, cyc, ins
@@ -330,55 +226,55 @@ run:
 
 		case OpJmp:
 			cyc += takenBranch
-			pc = uint64(d.imm)
+			pc = uint64(in.Imm)
 			continue
 
 		case OpBrEQ:
-			if c.reg(d.rs1) == c.reg(d.rs2) {
+			if c.reg(in.Rs1) == c.reg(in.Rs2) {
 				cyc += takenBranch
-				pc = uint64(d.imm)
+				pc = uint64(in.Imm)
 				continue
 			}
 		case OpBrNE:
-			if c.reg(d.rs1) != c.reg(d.rs2) {
+			if c.reg(in.Rs1) != c.reg(in.Rs2) {
 				cyc += takenBranch
-				pc = uint64(d.imm)
+				pc = uint64(in.Imm)
 				continue
 			}
 		case OpBrLT:
-			if int64(c.reg(d.rs1)) < int64(c.reg(d.rs2)) {
+			if int64(c.reg(in.Rs1)) < int64(c.reg(in.Rs2)) {
 				cyc += takenBranch
-				pc = uint64(d.imm)
+				pc = uint64(in.Imm)
 				continue
 			}
 		case OpBrLE:
-			if int64(c.reg(d.rs1)) <= int64(c.reg(d.rs2)) {
+			if int64(c.reg(in.Rs1)) <= int64(c.reg(in.Rs2)) {
 				cyc += takenBranch
-				pc = uint64(d.imm)
+				pc = uint64(in.Imm)
 				continue
 			}
 		case OpBrGT:
-			if int64(c.reg(d.rs1)) > int64(c.reg(d.rs2)) {
+			if int64(c.reg(in.Rs1)) > int64(c.reg(in.Rs2)) {
 				cyc += takenBranch
-				pc = uint64(d.imm)
+				pc = uint64(in.Imm)
 				continue
 			}
 		case OpBrGE:
-			if int64(c.reg(d.rs1)) >= int64(c.reg(d.rs2)) {
+			if int64(c.reg(in.Rs1)) >= int64(c.reg(in.Rs2)) {
 				cyc += takenBranch
-				pc = uint64(d.imm)
+				pc = uint64(in.Imm)
 				continue
 			}
 		case OpBrULT:
-			if c.reg(d.rs1) < c.reg(d.rs2) {
+			if c.reg(in.Rs1) < c.reg(in.Rs2) {
 				cyc += takenBranch
-				pc = uint64(d.imm)
+				pc = uint64(in.Imm)
 				continue
 			}
 		case OpBrUGE:
-			if c.reg(d.rs1) >= c.reg(d.rs2) {
+			if c.reg(in.Rs1) >= c.reg(in.Rs2) {
 				cyc += takenBranch
-				pc = uint64(d.imm)
+				pc = uint64(in.Imm)
 				continue
 			}
 
@@ -392,13 +288,9 @@ run:
 			c.Step()
 			cyc, ins = c.cycles, c.instret
 			pc = c.PC
-			if len(dec) != len(c.code) {
-				// A trap handler installed code (recompilation);
-				// refresh the decoded image before continuing.
-				c.predecode()
-				dec = c.dec
-				clen = uint64(len(dec))
-			}
+			// A trap handler may have installed code (recompilation).
+			code = c.code
+			clen = uint64(len(code))
 			continue
 		}
 

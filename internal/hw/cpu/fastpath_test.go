@@ -117,7 +117,7 @@ func TestRunLoopStepEquivalence(t *testing.T) {
 			{Op: OpSt8, Rs1: 3, Imm: 0, Rs2: 1},
 			{Op: OpLd8, Rd: 4, Rs1: 3, Imm: 0}, // loop:
 			{Op: OpAdd, Rd: 2, Rs1: 2, Rs2: 4},
-			{Op: OpAddImm, Rd: 5, Rs1: 3, Imm: 8}, // fused AddImm+Ld8 pair
+			{Op: OpAddImm, Rd: 5, Rs1: 3, Imm: 8}, // address of the next word
 			{Op: OpLd8, Rd: 6, Rs1: 5, Imm: 0},
 			{Op: OpSt8, Rs1: 3, Imm: 8, Rs2: 2},
 			{Op: OpAddImm, Rd: 1, Rs1: 1, Imm: -1},
@@ -161,5 +161,86 @@ func TestRunLoopStepEquivalence(t *testing.T) {
 	}
 	if ref.ExitStatus() != fast.ExitStatus() {
 		t.Errorf("exit status: ref %d fast %d", ref.ExitStatus(), fast.ExitStatus())
+	}
+}
+
+// installTrap is a recompiling trap handler: it installs a new body for
+// method 0 and retargets the method's entry, the way the adaptive
+// system installs an optimized version. Only the first body traps, so
+// it runs once.
+type installTrap struct{ body []Instr }
+
+func (h installTrap) Trap(c *CPU, num int64) {
+	addr := c.InstallCode(h.body)
+	c.Mem.Write8(c.Config().MethodTableBase, addr)
+}
+
+// TestRunLoopSeesCodeInstalledByTrap checks that the run loop executes
+// code a trap handler installed during the same Run: the loop must pick
+// up the grown code after the delegated Step, or the first call into
+// the new body faults as beyond the installed code.
+func TestRunLoopSeesCodeInstalledByTrap(t *testing.T) {
+	build := func() *CPU {
+		c := newCPU()
+		c.SetTrapHandler(installTrap{body: []Instr{
+			{Op: OpEnter, Imm: 16},
+			{Op: OpLd8, Rd: 4, Rs1: 3, Imm: 8},
+			{Op: OpAdd, Rd: 4, Rs1: 4, Rs2: 1},
+			{Op: OpSt8, Rs1: 3, Imm: 8, Rs2: 4},
+			{Op: OpShlImm, Rd: 5, Rs1: 4, Imm: 67}, // shifts by 67&63
+			{Op: OpSt8, Rs1: BaseFP, Imm: -8, Rs2: 5},
+			{Op: OpLd8, Rd: 6, Rs1: BaseSP, Imm: 8},
+			{Op: OpAdd, Rd: 2, Rs1: 2, Rs2: 6},
+			{Op: OpLeave},
+			{Op: OpRet},
+		}})
+		first := c.InstallCode([]Instr{ // method 0 before the trap
+			{Op: OpTrap, Imm: 9},
+			{Op: OpLd8, Rd: 4, Rs1: 3, Imm: 0},
+			{Op: OpAddImm, Rd: 4, Rs1: 4, Imm: 1},
+			{Op: OpSt8, Rs1: 3, Imm: 0, Rs2: 4},
+			{Op: OpRet},
+		})
+		c.Mem.Write8(c.Config().MethodTableBase, first)
+		base := c.NextCodeAddr()
+		loop := base + 2*InstrBytes
+		c.InstallCode([]Instr{
+			{Op: OpMovImm, Rd: 1, Imm: 50},
+			{Op: OpMovImm, Rd: 3, Imm: 0x8000},
+			{Op: OpCallM, Imm: 0}, // loop:
+			{Op: OpAddImm, Rd: 1, Rs1: 1, Imm: -1},
+			{Op: OpBrNE, Rs1: 1, Rs2: RegZero, Imm: int64(loop)},
+			{Op: OpRet},
+		})
+		c.SP = 0x0200_0000 - 8
+		c.Mem.Write8(c.SP, 0)
+		c.PC = base
+		return c
+	}
+
+	ref := build()
+	for steps := 0; ref.Step(); steps++ {
+		if steps > 1_000_000 {
+			t.Fatal("reference interpreter did not halt")
+		}
+	}
+	fast := build()
+	fast.Run(2_000_000)
+	if !ref.Halted() || !fast.Halted() {
+		t.Fatalf("halted: ref %v fast %v", ref.Halted(), fast.Halted())
+	}
+	if ref.Regs[2] == 0 {
+		t.Fatal("the installed body never ran")
+	}
+	if ref.PC != fast.PC || ref.cycles != fast.cycles || ref.instret != fast.instret {
+		t.Errorf("pc/cycles/instret diverge: ref %#x/%d/%d fast %#x/%d/%d",
+			ref.PC, ref.cycles, ref.instret, fast.PC, fast.cycles, fast.instret)
+	}
+	if ref.Regs != fast.Regs || ref.SP != fast.SP || ref.FP != fast.FP {
+		t.Errorf("register state diverges:\nref  %v sp=%#x fp=%#x\nfast %v sp=%#x fp=%#x",
+			ref.Regs, ref.SP, ref.FP, fast.Regs, fast.SP, fast.FP)
+	}
+	if string(ref.Hier.Snapshot().Data) != string(fast.Hier.Snapshot().Data) {
+		t.Error("cache hierarchy state diverges between Step and Run")
 	}
 }

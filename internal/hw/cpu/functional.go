@@ -2,8 +2,8 @@ package cpu
 
 // Instruction-bounded execution: the region scheduler's entry point.
 //
-// Sampled simulation drives the CPU through the same predecoded
-// interpreter in both lanes — the lane switch lives entirely in the
+// Sampled simulation drives the CPU through the same interpreter in
+// both lanes — the lane switch lives entirely in the
 // cache hierarchy (cache.Hierarchy.SetFunctional), whose functional
 // gate turns every Access into a flat charge plus a warming tag
 // update. That keeps the two lanes architecturally identical by
