@@ -179,13 +179,6 @@ type setAssoc struct {
 	assoc   int
 	setMask uint64 // selects the set from a key
 	stamp   uint64
-
-	// idx, when non-nil, is an exact key→way index replacing the way
-	// scan — used for the fully-associative DTLB, whose 64-way scans
-	// dominate lookup cost otherwise. Maintained by access (mirror of the
-	// resident keys), cleared by invalidateAll and rebuilt by snapshot
-	// decode. Only enabled for single-set arrays.
-	idx *wayIndex
 }
 
 func newSetAssoc(totalLines, assoc int) *setAssoc {
@@ -200,21 +193,12 @@ func newSetAssoc(totalLines, assoc int) *setAssoc {
 		assoc:   assoc,
 		setMask: uint64(nsets - 1),
 	}
-	if nsets == 1 && assoc >= 32 {
-		sa.idx = newWayIndex(assoc)
-	}
 	sa.invalidateAll()
 	return sa
 }
 
 // find returns the way holding key, or -1. It changes nothing.
 func (sa *setAssoc) find(key uint64) int {
-	if sa.idx != nil {
-		if way, ok := sa.idx.get(key); ok {
-			return int(way)
-		}
-		return -1
-	}
 	base := int(key&sa.setMask) * sa.assoc
 	for i, k := range sa.keys[base : base+sa.assoc] {
 		if k == key {
@@ -249,12 +233,6 @@ func (sa *setAssoc) access(key uint64, markDirty bool) (way int, hit, writeback 
 		}
 	}
 	writeback = sa.dirty[way]
-	if sa.idx != nil {
-		if old := sa.keys[way]; old != emptyKey {
-			sa.idx.del(old)
-		}
-		sa.idx.put(key, uint64(way))
-	}
 	sa.keys[way], sa.lru[way], sa.dirty[way] = key, sa.stamp, markDirty
 	return way, false, writeback
 }
@@ -263,9 +241,6 @@ func (sa *setAssoc) access(key uint64, markDirty bool) (way int, hit, writeback 
 func (sa *setAssoc) invalidateAll() {
 	for i := range sa.keys {
 		sa.keys[i], sa.lru[i], sa.dirty[i] = emptyKey, 0, false
-	}
-	if sa.idx != nil {
-		sa.idx.clear()
 	}
 }
 

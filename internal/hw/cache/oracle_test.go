@@ -370,7 +370,7 @@ func TestOracleLockStep(t *testing.T) {
 	shallow.L1Size, shallow.L1Assoc = 16*64, 4
 	shallow.L2Size, shallow.L2Assoc = 8*64, 2
 	// DTLBs whose entry count is not a power of two: Validate accepts
-	// them, so the way index must size itself for any count.
+	// them, so the DTLB must handle any way count.
 	dtlb48, dtlb96 := DefaultP4(), DefaultP4()
 	dtlb48.TLBEntries, dtlb96.TLBEntries = 48, 96
 	for _, tc := range []struct {
@@ -397,9 +397,6 @@ func TestOracleLockStep(t *testing.T) {
 
 func oracleRun(t *testing.T, cfg Config, sw bool, seed int64, n int) {
 	h, r := New(cfg), newRef(cfg)
-	if h.tlb.idx == nil {
-		t.Fatal("DTLB has no way index: the oracle would not cover the indexed lookup")
-	}
 	// Accesses execute at one of a few PCs, some of which the op mix
 	// turns into prefetch sites.
 	cpu := &swCPU{user: true}

@@ -151,90 +151,3 @@ func (s *pfSet) rehash() {
 		}
 	}
 }
-
-// wayIndex is an exact key→way index over a fully-associative tag
-// array (the DTLB: one set, 64 ways). It mirrors the resident keys at
-// all times, so a lookup is one hash probe instead of a scan across
-// every way. Capacity is fixed at the power of two at or above 4x the
-// way count (load factor at most 0.25, bounded by the geometry), so it
-// never grows; the hash shift and probe mask need the power of two.
-// Host-side only: lookup results and all way mutations are identical to
-// the scan's.
-type wayIndex struct {
-	keys  []uint64
-	ways  []uint32
-	state []uint8
-	shift uint
-}
-
-func newWayIndex(ways int) *wayIndex {
-	capacity := 1 << log2(4*ways)
-	return &wayIndex{
-		keys:  make([]uint64, capacity),
-		ways:  make([]uint32, capacity),
-		state: make([]uint8, capacity),
-		shift: 64 - uint(log2(capacity)),
-	}
-}
-
-func (w *wayIndex) get(k uint64) (uint64, bool) {
-	mask := uint64(len(w.keys) - 1)
-	i := pfHash(k) >> w.shift
-	for {
-		if w.state[i] == pfEmpty {
-			return 0, false
-		}
-		if w.keys[i] == k {
-			return uint64(w.ways[i]), true
-		}
-		i = (i + 1) & mask
-	}
-}
-
-// put inserts k; the caller guarantees k is absent (an index entry is
-// only written after the corresponding lookup missed).
-func (w *wayIndex) put(k, way uint64) {
-	mask := uint64(len(w.keys) - 1)
-	i := pfHash(k) >> w.shift
-	for w.state[i] == pfFull {
-		i = (i + 1) & mask
-	}
-	w.keys[i] = k
-	w.ways[i] = uint32(way)
-	w.state[i] = pfFull
-}
-
-// del removes k with backward-shift, keeping probe chains compact.
-func (w *wayIndex) del(k uint64) {
-	mask := uint64(len(w.keys) - 1)
-	i := pfHash(k) >> w.shift
-	for {
-		if w.state[i] == pfEmpty {
-			return
-		}
-		if w.keys[i] == k {
-			break
-		}
-		i = (i + 1) & mask
-	}
-	j := i
-	for {
-		j = (j + 1) & mask
-		if w.state[j] == pfEmpty {
-			break
-		}
-		home := pfHash(w.keys[j]) >> w.shift
-		if ((j - home) & mask) >= ((j - i) & mask) {
-			w.keys[i] = w.keys[j]
-			w.ways[i] = w.ways[j]
-			i = j
-		}
-	}
-	w.state[i] = pfEmpty
-}
-
-func (w *wayIndex) clear() {
-	for i := range w.state {
-		w.state[i] = pfEmpty
-	}
-}

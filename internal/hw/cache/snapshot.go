@@ -21,7 +21,7 @@ const (
 // walk is one tag array: per way its key, stamp and dirty bit, then the
 // array's stamp. Decoding rejects a way the arrays cannot hold (see
 // encodable), so Snapshot after an accepted Restore returns the same
-// bytes, and rebuilds the DTLB's key index.
+// bytes.
 func (sa *setAssoc) walk(c *snap.Codec, name string) {
 	c.Same(uint64(len(sa.keys)), name+" line count (geometry)")
 	bad := -1
@@ -35,24 +35,20 @@ func (sa *setAssoc) walk(c *snap.Codec, name string) {
 	}
 	c.U64(&sa.stamp)
 	c.Check(bad < 0, "%s way %d holds state no encoder writes", name, bad)
-	if c.R != nil && sa.idx != nil {
-		sa.idx.clear()
-		for i, key := range sa.keys {
-			if key != emptyKey {
-				sa.idx.put(key, uint64(i))
-			}
-		}
-	}
 }
 
 // encodable reports whether way i holds what access can leave there: an
 // empty way has stamp 0 and is clean, a resident way has a stamp and a
-// key of its own set.
+// key of its own set that no earlier way of the set holds (access looks
+// a key up before it fills, so a set never holds one key twice).
 func (sa *setAssoc) encodable(i int) bool {
-	if sa.keys[i] == emptyKey {
+	key := sa.keys[i]
+	if key == emptyKey {
 		return sa.lru[i] == 0 && !sa.dirty[i]
 	}
-	return sa.lru[i] != 0 && sa.keys[i]&sa.setMask == uint64(i/sa.assoc)
+	set := i / sa.assoc
+	return sa.lru[i] != 0 && key&sa.setMask == uint64(set) &&
+		!slices.Contains(sa.keys[set*sa.assoc:i], key)
 }
 
 // blank returns an empty array of the same geometry for Restore to

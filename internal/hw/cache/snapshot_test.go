@@ -94,6 +94,7 @@ func TestRestoreRejectsUnencodableWays(t *testing.T) {
 		{"empty way with a stamp", func(b []byte) { b[way1+8] = 1 }},
 		{"empty way dirty", func(b []byte) { b[way1+16] = 1 }},
 		{"resident way with stamp 0", func(b []byte) { clear(b[way0+8 : way0+16]) }},
+		{"one key in two ways", func(b []byte) { copy(b[way1:way1+17], b[way0:way0+17]) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			bad := good
