@@ -2,10 +2,11 @@
 // backs the whole execution platform: compiled code, VM stacks, and the
 // garbage-collected heap all live at addresses in this space.
 //
-// The space is sparse: 64 KB pages are materialized on first touch.
-// Every load and store is bounds- and alignment-checked so that wild
-// pointers generated by a buggy compiler or collector fail fast instead
-// of silently corrupting the simulation.
+// The space is sparse: 64 KB pages below DirectoryEnd are materialized
+// on first touch. Every load and store is bounds- and alignment-checked
+// so that wild pointers generated by a buggy compiler or collector —
+// null, unaligned, or at or beyond DirectoryEnd — fail fast instead of
+// silently corrupting the simulation.
 package mem
 
 import (
@@ -26,32 +27,28 @@ const pageMask = PageSize - 1
 // Addr is an address in the simulated physical address space.
 type Addr = uint64
 
-// DirectoryEnd bounds the addresses the page directory translates: the
-// simulated machine's whole layout (code, stacks and every heap space,
-// topping out at heap.LOSEnd) lies below it, so every load and store a
-// correct program issues is one indexed load away from its backing page.
+// DirectoryEnd bounds the address space: the simulated machine's whole
+// layout (code, stacks and every heap space, topping out at
+// heap.LOSEnd) lies below it, so every load and store a correct program
+// issues is one indexed load away from its backing page, and one at or
+// beyond it faults.
 const DirectoryEnd Addr = 0x6000_0000
 
 const dirPages = DirectoryEnd >> PageBits
 
 // Memory is a sparse, demand-paged flat address space.
 type Memory struct {
-	// dir holds the materialized pages below DirectoryEnd, indexed by
-	// page number; far holds the rest (only wild pointers reach it).
-	// Pages are never unmapped: an entry, once set, stays until Restore
-	// replaces both wholesale.
+	// dir holds the materialized pages, indexed by page number. Pages
+	// are never unmapped: an entry, once set, stays until Restore
+	// replaces the directory wholesale.
 	dir *[dirPages]*[PageSize]byte
-	far map[uint64]*[PageSize]byte
 	// touched counts pages materialized, for footprint reporting.
 	touched int
 }
 
 // New returns an empty address space.
 func New() *Memory {
-	return &Memory{
-		dir: new([dirPages]*[PageSize]byte),
-		far: make(map[uint64]*[PageSize]byte),
-	}
+	return &Memory{dir: new([dirPages]*[PageSize]byte)}
 }
 
 // FootprintBytes returns the number of bytes of backing store
@@ -67,22 +64,19 @@ func (m *Memory) page(addr Addr) *[PageSize]byte {
 			return p
 		}
 	}
-	return m.materialize(key)
+	return m.materialize(addr)
 }
 
-// materialize is page's slow path: the first touch of a page, or any
-// touch beyond the directory.
-func (m *Memory) materialize(key uint64) *[PageSize]byte {
-	if p := m.far[key]; p != nil {
-		return p
+// materialize is page's slow path: the first touch of a page, or a
+// fault beyond the directory.
+func (m *Memory) materialize(addr Addr) *[PageSize]byte {
+	key := addr >> PageBits
+	if key >= dirPages {
+		panic(fmt.Sprintf("mem: access at %#x beyond DirectoryEnd %#x", addr, DirectoryEnd))
 	}
 	p := new([PageSize]byte)
 	m.touched++
-	if key < dirPages {
-		m.dir[key] = p
-	} else {
-		m.far[key] = p
-	}
+	m.dir[key] = p
 	return p
 }
 

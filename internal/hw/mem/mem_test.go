@@ -2,6 +2,9 @@ package mem
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -113,12 +116,12 @@ func TestZero(t *testing.T) {
 
 func TestMemoryVsShadowProperty(t *testing.T) {
 	// Property: the sparse memory behaves like a flat map of words. The
-	// address pool straddles DirectoryEnd, so both translations (the
-	// directory below it, the far map above) serve the same stream.
+	// address pool spans the last eight pages below DirectoryEnd, so the
+	// stream reaches the directory's last entry.
 	m := New()
 	shadow := make(map[uint64]uint64)
 	f := func(slot uint16, val uint64) bool {
-		addr := DirectoryEnd - 4*PageSize + uint64(slot)*8
+		addr := DirectoryEnd - 8*PageSize + uint64(slot)*8
 		m.Write8(addr, val)
 		shadow[addr] = val
 		// Check a few previously written slots too.
@@ -133,9 +136,8 @@ func TestMemoryVsShadowProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
-	if len(m.far) == 0 || m.dir[dirPages-1] == nil {
-		t.Errorf("pool did not straddle the directory boundary: %d far pages, last directory entry %v",
-			len(m.far), m.dir[dirPages-1])
+	if m.dir[dirPages-1] == nil {
+		t.Error("pool did not reach the last directory page")
 	}
 }
 
@@ -170,40 +172,31 @@ func TestRestoreRebuildsTranslation(t *testing.T) {
 }
 
 func TestBeyondDirectory(t *testing.T) {
-	// A wild pointer far past the layout still materializes a page,
-	// round-trips, and snapshots after every directory page.
-	const wild = uint64(1) << 40
+	// A wild pointer at or past DirectoryEnd faults like a null or
+	// unaligned one, and leaves nothing materialized.
 	m := New()
-	m.Write8(wild, 0xFEED)
+	for _, addr := range []Addr{DirectoryEnd, DirectoryEnd + PageSize, 1 << 40} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "mem: ") {
+					t.Errorf("Write8(%#x) recovered %q, want a mem: fault", addr, msg)
+				}
+			}()
+			m.Write8(addr, 0xFEED)
+		}()
+	}
+	if got := m.FootprintBytes(); got != 0 {
+		t.Errorf("FootprintBytes after the faults = %d, want 0", got)
+	}
+	// A blob naming a page beyond the directory is refused. The blob is
+	// a page count, then per page its key and length-prefixed bytes.
 	m.Write8(0x1000, 0xBEEF)
-	if got := m.Read8(wild); got != 0xFEED {
-		t.Fatalf("Read8(1<<40) = %#x", got)
-	}
-	if got := m.FootprintBytes(); got != 2*PageSize {
-		t.Errorf("FootprintBytes = %d, want %d", got, 2*PageSize)
-	}
 	st := m.Snapshot()
-	r := New()
-	if err := r.Restore(st); err != nil {
-		t.Fatal(err)
-	}
-	if r.Read8(wild) != 0xFEED || r.Read8(0x1000) != 0xBEEF {
-		t.Errorf("restored words = %#x, %#x", r.Read8(wild), r.Read8(0x1000))
-	}
-	if again := r.Snapshot(); !bytes.Equal(again.Data, st.Data) {
-		t.Error("snapshot of the restored memory differs from the origin's")
-	}
-	// Ascending key order: page 0 first, then page 1<<40>>PageBits.
-	sr := snap.NewReader(st.Data)
-	if n := sr.U64(); n != 2 {
-		t.Fatalf("snapshot holds %d pages, want 2", n)
-	}
-	if k := sr.U64(); k != 0 {
-		t.Errorf("first snapshot page = %#x, want 0", k)
-	}
-	sr.Bytes8()
-	if k := sr.U64(); k != wild>>PageBits {
-		t.Errorf("second snapshot page = %#x, want %#x", k, wild>>PageBits)
+	st.Data = bytes.Clone(st.Data)
+	binary.LittleEndian.PutUint64(st.Data[8:16], dirPages)
+	if err := New().Restore(st); !errors.Is(err, snap.ErrDecode) {
+		t.Errorf("Restore of a page beyond the directory = %v, want an error wrapping snap.ErrDecode", err)
 	}
 }
 

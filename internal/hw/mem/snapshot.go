@@ -1,10 +1,6 @@
 package mem
 
-import (
-	"slices"
-
-	"hpmvm/internal/snap"
-)
+import "hpmvm/internal/snap"
 
 // Snapshot/Restore implement snap.Checkpointable for the sparse address
 // space. The encoding is the sorted list of materialized pages with
@@ -16,19 +12,14 @@ const (
 	snapVersion   = 1
 )
 
-// walk is the page list ↔ page directory + far map conversion, spelled
-// out in both directions: the wire form is every materialized page in
-// ascending page order — the directory in index order, then the pages
-// beyond it by sorted key — and only the touched count is a flat field.
-// It decodes into the receiver, which Restore makes a fresh Memory.
+// walk is the page list ↔ page directory conversion, spelled out in
+// both directions: the wire form is every materialized page in
+// ascending page order, and only the touched count is a flat field.
+// Decoding refuses a page beyond the directory. It decodes into the
+// receiver, which Restore makes a fresh Memory.
 func (m *Memory) walk(c *snap.Codec) {
 	if w := c.W; w != nil {
-		far := make([]uint64, 0, len(m.far))
-		for k := range m.far {
-			far = append(far, k)
-		}
-		slices.Sort(far)
-		n := len(far)
+		n := 0
 		for _, p := range m.dir {
 			if p != nil {
 				n++
@@ -41,25 +32,18 @@ func (m *Memory) walk(c *snap.Codec) {
 				w.Bytes8(p[:])
 			}
 		}
-		for _, k := range far {
-			w.U64(k)
-			w.Bytes8(m.far[k][:])
-		}
 	} else {
 		r := c.R
 		for n := r.Count(16 + PageSize); n > 0; n-- {
 			k := r.U64()
 			b := r.Bytes8()
-			if !c.Check(len(b) == PageSize, "page %#x has %d bytes, want %d", k, len(b), PageSize) {
+			if !c.Check(len(b) == PageSize, "page %#x has %d bytes, want %d", k, len(b), PageSize) ||
+				!c.Check(k < dirPages, "page %#x lies beyond the directory", k) {
 				break
 			}
 			p := new([PageSize]byte)
 			copy(p[:], b)
-			if k < dirPages {
-				m.dir[k] = p
-			} else {
-				m.far[k] = p
-			}
+			m.dir[k] = p
 		}
 	}
 	snap.Int(c, &m.touched)
