@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race bench bench-smoke profile experiments obs serve-smoke verify-sampling verify-opt fuzz-smoke loc
+.PHONY: ci vet build test race bench bench-smoke profile experiments obs serve-smoke verify-sampling verify-opt fuzz-smoke loc traffic
 
 ci: vet build test race verify-opt fuzz-smoke bench-smoke serve-smoke loc
 
@@ -80,6 +80,33 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzResolve$$' -fuzztime=10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzGCGraph$$' -fuzztime=10s ./internal/gc/genms
 	$(GO) test -run '^$$' -fuzz '^FuzzStreamDecoder$$' -fuzztime=10s ./internal/api
+
+# Coverage census of the hardware model under real traffic: builds
+# cmd/hpmvm with `go build -cover`, runs every workload plain and with
+# -coalloc -interval 250, plus db, jess and compress with each of
+# -adaptive, -collector gencopy and -coalloc -codelayout -swprefetch,
+# and prints every internal/hw block no run executed
+# (file:line.col,line.col statements). A fast path listed here serves
+# no traffic. hpmvm has no sampled mode, so the functional lane
+# (cache.Hierarchy.SetFunctional, warmAccess) always reads as untouched.
+# About a minute on two cores; not part of `make ci`.
+traffic:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) build -cover -o "$$dir/hpmvm" ./cmd/hpmvm && \
+	mkdir "$$dir/cov" && export GOCOVERDIR="$$dir/cov" && \
+	for w in $$("$$dir/hpmvm" -list | awk '{print $$1}'); do \
+		"$$dir/hpmvm" -workload $$w >/dev/null && \
+		"$$dir/hpmvm" -workload $$w -coalloc -interval 250 >/dev/null || exit 1; \
+	done && \
+	for w in db jess compress; do \
+		for args in -adaptive "-collector gencopy" "-coalloc -codelayout -swprefetch"; do \
+			"$$dir/hpmvm" -workload $$w $$args >/dev/null || exit 1; \
+		done; \
+	done && \
+	$(GO) tool covdata textfmt -i="$$dir/cov" -o "$$dir/cov.txt" && \
+	awk 'NR > 1 && $$1 ~ /\/internal\/hw\// { n[$$1] += $$3; s[$$1] = $$2 } \
+		END { for (b in n) if (n[b] == 0) print b, s[b] }' "$$dir/cov.txt" | sort >"$$dir/zero.txt" && \
+	cat "$$dir/zero.txt" && echo "$$(wc -l <"$$dir/zero.txt") zero-count blocks under internal/hw/"
 
 # Lines of non-test Go outside the frozen benchmark harness — the
 # number simplicity PRs quote before/after in CHANGES.md.
