@@ -8,7 +8,7 @@
 // machine state, not how core.Options is spelled, so re-keying the
 // canonical form cannot move the corpus.
 //
-// The corpus exists so hot-path rewrites (predecoded interpreter, MRU
+// The corpus exists so hot-path rewrites (fast-path interpreter, MRU
 // cache filter, page-pointer memoization, event-horizon run loop) can
 // prove byte-identical behavior: any change to charged cycles, miss
 // counts, PEBS sample placement, LRU stamp order, or snapshot encoding
