@@ -57,26 +57,20 @@ func (m *Memory) FootprintBytes() uint64 {
 	return uint64(m.touched) * PageSize
 }
 
+// page is the slow path behind every load and store: it returns the
+// page holding addr, materializing it on first touch, and faults on an
+// address at or beyond DirectoryEnd.
 func (m *Memory) page(addr Addr) *[PageSize]byte {
-	key := addr >> PageBits
-	if key < dirPages {
-		if p := m.dir[key]; p != nil {
-			return p
-		}
-	}
-	return m.materialize(addr)
-}
-
-// materialize is page's slow path: the first touch of a page, or a
-// fault beyond the directory.
-func (m *Memory) materialize(addr Addr) *[PageSize]byte {
 	key := addr >> PageBits
 	if key >= dirPages {
 		panic(fmt.Sprintf("mem: access at %#x beyond DirectoryEnd %#x", addr, DirectoryEnd))
 	}
-	p := new([PageSize]byte)
-	m.touched++
-	m.dir[key] = p
+	p := m.dir[key]
+	if p == nil {
+		p = new([PageSize]byte)
+		m.touched++
+		m.dir[key] = p
+	}
 	return p
 }
 
@@ -95,72 +89,199 @@ func alignFault(addr Addr, size uint64) {
 	panic(fmt.Sprintf("mem: unaligned %d-byte access at %#x", size, addr))
 }
 
+// --- Lanes ------------------------------------------------------------------
+//
+// Load* and Store* are the inlinable fast lane of every access width:
+// they do the access only when it is non-null, aligned, below
+// DirectoryEnd and on a page that is already materialized, and
+// otherwise report !ok and change nothing. The caller then falls back
+// to the matching Read* or Write*, which materializes the page or
+// faults. The fallback cannot live in the lane: a function that
+// contains a call exceeds the compiler's inlining budget, so the lane
+// would become a call of its own.
+
+// lane returns the materialized page an access of size bytes at addr
+// may use without a fallback, or nil.
+func (m *Memory) lane(addr Addr, size uint64) *[PageSize]byte {
+	key := addr >> PageBits
+	if addr == 0 || key >= dirPages || addr&(size-1) != 0 {
+		return nil
+	}
+	return m.dir[key]
+}
+
+// Load8 is Read8's lane.
+func (m *Memory) Load8(addr Addr) (uint64, bool) {
+	p := m.lane(addr, 8)
+	if p == nil {
+		return 0, false
+	}
+	off := addr & pageMask
+	return binary.LittleEndian.Uint64(p[off : off+8]), true
+}
+
+// Load4 is Read4's lane.
+func (m *Memory) Load4(addr Addr) (uint32, bool) {
+	p := m.lane(addr, 4)
+	if p == nil {
+		return 0, false
+	}
+	off := addr & pageMask
+	return binary.LittleEndian.Uint32(p[off : off+4]), true
+}
+
+// Load2 is Read2's lane.
+func (m *Memory) Load2(addr Addr) (uint16, bool) {
+	p := m.lane(addr, 2)
+	if p == nil {
+		return 0, false
+	}
+	off := addr & pageMask
+	return binary.LittleEndian.Uint16(p[off : off+2]), true
+}
+
+// Load1 is Read1's lane.
+func (m *Memory) Load1(addr Addr) (uint8, bool) {
+	p := m.lane(addr, 1)
+	if p == nil {
+		return 0, false
+	}
+	return p[addr&pageMask], true
+}
+
+// Store8 is Write8's lane.
+func (m *Memory) Store8(addr Addr, v uint64) bool {
+	p := m.lane(addr, 8)
+	if p == nil {
+		return false
+	}
+	off := addr & pageMask
+	binary.LittleEndian.PutUint64(p[off:off+8], v)
+	return true
+}
+
+// Store4 is Write4's lane.
+func (m *Memory) Store4(addr Addr, v uint32) bool {
+	p := m.lane(addr, 4)
+	if p == nil {
+		return false
+	}
+	off := addr & pageMask
+	binary.LittleEndian.PutUint32(p[off:off+4], v)
+	return true
+}
+
+// Store2 is Write2's lane.
+func (m *Memory) Store2(addr Addr, v uint16) bool {
+	p := m.lane(addr, 2)
+	if p == nil {
+		return false
+	}
+	off := addr & pageMask
+	binary.LittleEndian.PutUint16(p[off:off+2], v)
+	return true
+}
+
+// Store1 is Write1's lane.
+func (m *Memory) Store1(addr Addr, v uint8) bool {
+	p := m.lane(addr, 1)
+	if p == nil {
+		return false
+	}
+	p[addr&pageMask] = v
+	return true
+}
+
+// --- Loads and stores -------------------------------------------------------
+//
+// Read* and Write* take the lane when it applies; otherwise they check
+// the address, fault if it is null, unaligned or beyond the directory,
+// and materialize the page on first touch.
+
 // Read8 loads an unsigned 64-bit word. addr must be 8-byte aligned.
 func (m *Memory) Read8(addr Addr) uint64 {
+	if v, ok := m.Load8(addr); ok {
+		return v
+	}
 	m.checkAlign(addr, 8)
-	p := m.page(addr)
 	off := addr & pageMask
-	return binary.LittleEndian.Uint64(p[off : off+8])
+	return binary.LittleEndian.Uint64(m.page(addr)[off : off+8])
 }
 
 // Read4 loads an unsigned 32-bit word. addr must be 4-byte aligned.
 func (m *Memory) Read4(addr Addr) uint32 {
+	if v, ok := m.Load4(addr); ok {
+		return v
+	}
 	m.checkAlign(addr, 4)
-	p := m.page(addr)
 	off := addr & pageMask
-	return binary.LittleEndian.Uint32(p[off : off+4])
+	return binary.LittleEndian.Uint32(m.page(addr)[off : off+4])
 }
 
 // Read2 loads an unsigned 16-bit half-word. addr must be 2-byte aligned.
 func (m *Memory) Read2(addr Addr) uint16 {
+	if v, ok := m.Load2(addr); ok {
+		return v
+	}
 	m.checkAlign(addr, 2)
-	p := m.page(addr)
 	off := addr & pageMask
-	return binary.LittleEndian.Uint16(p[off : off+2])
+	return binary.LittleEndian.Uint16(m.page(addr)[off : off+2])
 }
 
 // Read1 loads one byte.
 func (m *Memory) Read1(addr Addr) uint8 {
-	if addr == 0 {
-		panic("mem: null dereference (size 1)")
+	if v, ok := m.Load1(addr); ok {
+		return v
 	}
+	m.checkAlign(addr, 1)
 	return m.page(addr)[addr&pageMask]
 }
 
 // Write8 stores an unsigned 64-bit word. addr must be 8-byte aligned.
 func (m *Memory) Write8(addr Addr, v uint64) {
+	if m.Store8(addr, v) {
+		return
+	}
 	m.checkAlign(addr, 8)
-	p := m.page(addr)
 	off := addr & pageMask
-	binary.LittleEndian.PutUint64(p[off:off+8], v)
+	binary.LittleEndian.PutUint64(m.page(addr)[off:off+8], v)
 }
 
 // Write4 stores an unsigned 32-bit word. addr must be 4-byte aligned.
 func (m *Memory) Write4(addr Addr, v uint32) {
+	if m.Store4(addr, v) {
+		return
+	}
 	m.checkAlign(addr, 4)
-	p := m.page(addr)
 	off := addr & pageMask
-	binary.LittleEndian.PutUint32(p[off:off+4], v)
+	binary.LittleEndian.PutUint32(m.page(addr)[off:off+4], v)
 }
 
 // Write2 stores an unsigned 16-bit half-word. addr must be 2-byte aligned.
 func (m *Memory) Write2(addr Addr, v uint16) {
+	if m.Store2(addr, v) {
+		return
+	}
 	m.checkAlign(addr, 2)
-	p := m.page(addr)
 	off := addr & pageMask
-	binary.LittleEndian.PutUint16(p[off:off+2], v)
+	binary.LittleEndian.PutUint16(m.page(addr)[off:off+2], v)
 }
 
 // Write1 stores one byte.
 func (m *Memory) Write1(addr Addr, v uint8) {
-	if addr == 0 {
-		panic("mem: null dereference (size 1)")
+	if m.Store1(addr, v) {
+		return
 	}
+	m.checkAlign(addr, 1)
 	m.page(addr)[addr&pageMask] = v
 }
 
-// Zero clears n bytes starting at addr.
+// Zero clears n bytes starting at addr. Clearing from a null base
+// faults like any other store; a clear of zero bytes touches nothing.
 func (m *Memory) Zero(addr Addr, n uint64) {
+	if addr == 0 && n > 0 {
+		alignFault(addr, n)
+	}
 	for n > 0 {
 		p := m.page(addr)
 		off := addr & pageMask

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math/rand/v2"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -114,6 +115,22 @@ func TestZero(t *testing.T) {
 	}
 }
 
+func TestZeroNullFaults(t *testing.T) {
+	// Clearing nothing touches nothing, even at a null base.
+	m := New()
+	m.Zero(0, 0)
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.HasPrefix(msg, "mem: null dereference") {
+			t.Errorf("Zero(0, 8) recovered %q, want a null dereference fault", msg)
+		}
+		if got := m.FootprintBytes(); got != 0 {
+			t.Errorf("FootprintBytes after the fault = %d, want 0", got)
+		}
+	}()
+	m.Zero(0, 8)
+}
+
 func TestMemoryVsShadowProperty(t *testing.T) {
 	// Property: the sparse memory behaves like a flat map of words. The
 	// address pool spans the last eight pages below DirectoryEnd, so the
@@ -135,6 +152,137 @@ func TestMemoryVsShadowProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+	if m.dir[dirPages-1] == nil {
+		t.Error("pool did not reach the last directory page")
+	}
+}
+
+// TestLanesAgainstSlowPath drives every lane with addresses drawn from
+// a pool of null, unaligned, unmaterialized, last-page, DirectoryEnd
+// and wild addresses, against a byte-wise shadow. A lane must accept
+// exactly the non-null, aligned accesses below DirectoryEnd on
+// materialized pages, and then load or store what Read*/Write* would;
+// a lane that declines must leave the footprint and the directory as
+// they were. After a decline the test takes the slow path, which must
+// fault exactly on the addresses no program may touch and otherwise
+// materialize the page.
+func TestLanesAgainstSlowPath(t *testing.T) {
+	pages := []Addr{0, 0x10_0000, 0x10_0000 + PageSize, 0x2000_0000, DirectoryEnd - PageSize, DirectoryEnd, 1 << 40, ^Addr(0) &^ pageMask}
+	offsets := []Addr{0, 1, 2, 3, 4, 6, 8, 0x88, PageSize - 8, PageSize - 4, PageSize - 2, PageSize - 1}
+	widths := []uint64{1, 2, 4, 8}
+	rng := rand.New(rand.NewPCG(1, 2))
+	m := New()
+	shadow := make(map[Addr]byte)
+	load := func(addr Addr, size uint64) (v uint64) {
+		for i := size; i > 0; i-- {
+			v = v<<8 | uint64(shadow[addr+i-1])
+		}
+		return v
+	}
+	loadLane := map[uint64]func(Addr) (uint64, bool){
+		1: func(a Addr) (uint64, bool) { v, ok := m.Load1(a); return uint64(v), ok },
+		2: func(a Addr) (uint64, bool) { v, ok := m.Load2(a); return uint64(v), ok },
+		4: func(a Addr) (uint64, bool) { v, ok := m.Load4(a); return uint64(v), ok },
+		8: m.Load8,
+	}
+	storeLane := map[uint64]func(Addr, uint64) bool{
+		1: func(a Addr, v uint64) bool { return m.Store1(a, uint8(v)) },
+		2: func(a Addr, v uint64) bool { return m.Store2(a, uint16(v)) },
+		4: func(a Addr, v uint64) bool { return m.Store4(a, uint32(v)) },
+		8: m.Store8,
+	}
+	slowLoad := map[uint64]func(Addr) uint64{
+		1: func(a Addr) uint64 { return uint64(m.Read1(a)) },
+		2: func(a Addr) uint64 { return uint64(m.Read2(a)) },
+		4: func(a Addr) uint64 { return uint64(m.Read4(a)) },
+		8: m.Read8,
+	}
+	slowStore := map[uint64]func(Addr, uint64){
+		1: func(a Addr, v uint64) { m.Write1(a, uint8(v)) },
+		2: func(a Addr, v uint64) { m.Write2(a, uint16(v)) },
+		4: func(a Addr, v uint64) { m.Write4(a, uint32(v)) },
+		8: m.Write8,
+	}
+	faults := func(f func()) (faulted bool) {
+		defer func() {
+			if msg, _ := recover().(string); msg != "" {
+				if !strings.HasPrefix(msg, "mem: ") {
+					t.Fatalf("recovered %q, want a mem: fault", msg)
+				}
+				faulted = true
+			}
+		}()
+		f()
+		return false
+	}
+	accepted, declined := 0, 0
+	for step := 0; step < 4000; step++ {
+		size := widths[rng.IntN(len(widths))]
+		addr := pages[rng.IntN(len(pages))] + offsets[rng.IntN(len(offsets))]
+		if addr == pages[0] && rng.IntN(2) == 0 {
+			addr = 0 // null itself, not only the first page
+		}
+		store := rng.IntN(2) == 0
+		v := rng.Uint64() & (1<<(8*size) - 1)
+		legal := addr != 0 && addr%size == 0 && addr < DirectoryEnd
+		want := legal && m.dir[addr>>PageBits] != nil
+		footprint, dir := m.FootprintBytes(), *m.dir
+
+		var ok bool
+		if store {
+			ok = storeLane[size](addr, v)
+		} else {
+			var got uint64
+			got, ok = loadLane[size](addr)
+			if ok && got != load(addr, size) {
+				t.Fatalf("step %d: Load%d(%#x) = %#x, shadow holds %#x", step, size, addr, got, load(addr, size))
+			}
+		}
+		if ok != want {
+			t.Fatalf("step %d: lane of width %d at %#x reported ok=%v, want %v", step, size, addr, ok, want)
+		}
+		if ok {
+			accepted++
+			if store {
+				for i := uint64(0); i < size; i++ {
+					shadow[addr+i] = byte(v >> (8 * i))
+				}
+			}
+			continue
+		}
+		declined++
+		if m.FootprintBytes() != footprint || *m.dir != dir {
+			t.Fatalf("step %d: declined lane of width %d at %#x changed the directory", step, size, addr)
+		}
+		// The fallback: the slow path faults exactly on illegal
+		// addresses, and otherwise materializes the page.
+		var got uint64
+		faulted := faults(func() {
+			if store {
+				slowStore[size](addr, v)
+			} else {
+				got = slowLoad[size](addr)
+			}
+		})
+		if faulted == legal {
+			t.Fatalf("step %d: slow path of width %d at %#x faulted=%v, want %v", step, size, addr, faulted, !legal)
+		}
+		switch {
+		case faulted:
+			if m.FootprintBytes() != footprint {
+				t.Fatalf("step %d: fault at %#x materialized a page", step, addr)
+			}
+		case store:
+			for i := uint64(0); i < size; i++ {
+				shadow[addr+i] = byte(v >> (8 * i))
+			}
+		case got != load(addr, size):
+			t.Fatalf("step %d: Read%d(%#x) = %#x, shadow holds %#x", step, size, addr, got, load(addr, size))
+		}
+	}
+	if accepted < 1000 || declined < 1000 {
+		t.Errorf("lanes accepted %d and declined %d accesses, want both at least 1000", accepted, declined)
 	}
 	if m.dir[dirPages-1] == nil {
 		t.Error("pool did not reach the last directory page")
@@ -238,6 +386,19 @@ func BenchmarkMemoryRead8(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sum += m.Read8(benchAddr(i))
+	}
+	benchSink = sum
+}
+
+// BenchmarkMemoryLoad8 meters Read8's lane over the same walk; the
+// difference to BenchmarkMemoryRead8 is the call the lane saves.
+func BenchmarkMemoryLoad8(b *testing.B) {
+	m := benchMemory()
+	var sum uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v, _ := m.Load8(benchAddr(i))
+		sum += v
 	}
 	benchSink = sum
 }
