@@ -211,33 +211,46 @@ func (c *CPU) InstrAt(addr uint64) (Instr, bool) {
 
 // --- Timed memory accessors -------------------------------------------------
 //
-// These are used both by the execution loop and by the runtime/GC (which
-// run on the same core and therefore share the same caches and cycle
-// counter — GC traffic evicting application data is a real effect the
-// paper's collectors contend with).
+// The runtime and the collectors load and store through these: they run
+// on the same core and therefore share the same caches and cycle
+// counter (GC traffic evicting application data is a real effect the
+// paper's collectors contend with). Like runLoop, they take the
+// memory's lane and call Read*/Write* only when it declines; Step keeps
+// the plain Read*/Write* calls and is the reference runLoop is tested
+// against.
 
 // LoadWord performs a timed 64-bit load.
 func (c *CPU) LoadWord(addr uint64) uint64 {
 	c.cycles += c.Hier.Access(addr, 8, false)
+	if v, ok := c.Mem.Load8(addr); ok {
+		return v
+	}
 	return c.Mem.Read8(addr)
 }
 
 // StoreWord performs a timed 64-bit store.
 func (c *CPU) StoreWord(addr uint64, v uint64) {
 	c.cycles += c.Hier.Access(addr, 8, true)
-	c.Mem.Write8(addr, v)
+	if !c.Mem.Store8(addr, v) {
+		c.Mem.Write8(addr, v)
+	}
 }
 
 // LoadHalf performs a timed 32-bit load (zero-extended).
 func (c *CPU) LoadHalf(addr uint64) uint32 {
 	c.cycles += c.Hier.Access(addr, 4, false)
+	if v, ok := c.Mem.Load4(addr); ok {
+		return v
+	}
 	return c.Mem.Read4(addr)
 }
 
 // StoreHalf performs a timed 32-bit store.
 func (c *CPU) StoreHalf(addr uint64, v uint32) {
 	c.cycles += c.Hier.Access(addr, 4, true)
-	c.Mem.Write4(addr, v)
+	if !c.Mem.Store4(addr, v) {
+		c.Mem.Write4(addr, v)
+	}
 }
 
 // base resolves a memory-operand base register encoding.

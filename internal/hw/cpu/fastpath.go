@@ -15,6 +15,12 @@ package cpu
 //     flushed first, and cycles/instret are reloaded afterwards. This
 //     reproduces Step's `c.cycles += c.Hier.Access(...)` semantics,
 //     where the Go evaluation order reads c.cycles after the call.
+//   - Every load and store does its data operation after the access,
+//     through the memory's inlinable lane (mem.Memory.Load8, Store8,
+//     …). Only when the lane declines — first touch of a page, or a
+//     fault — does it call Read*/Write*, with cycles flushed first, so
+//     a fault leaves the counters exactly as Step's does
+//     (TestRunLoopStepFaultsAgree).
 //   - The register file and SP/FP stay struct-resident, so samples
 //     taken mid-access read exactly what Step's would.
 //   - Rare or intricate opcodes (calls, divides, traps, unknown)
@@ -131,39 +137,65 @@ run:
 			c.PC, c.cycles, c.instret = pc, cyc, ins
 			cost := c.Hier.Access(a, 8, false)
 			cyc = c.cycles + cost
-			c.setReg(in.Rd, c.Mem.Read8(a))
+			v, ok := c.Mem.Load8(a)
+			if !ok {
+				c.cycles = cyc
+				v = c.Mem.Read8(a)
+			}
+			c.setReg(in.Rd, v)
 		case OpLd4:
 			a := c.base(in.Rs1) + uint64(in.Imm)
 			c.PC, c.cycles, c.instret = pc, cyc, ins
 			cost := c.Hier.Access(a, 4, false)
 			cyc = c.cycles + cost
-			c.setReg(in.Rd, uint64(c.Mem.Read4(a)))
+			v, ok := c.Mem.Load4(a)
+			if !ok {
+				c.cycles = cyc
+				v = c.Mem.Read4(a)
+			}
+			c.setReg(in.Rd, uint64(v))
 		case OpLd2:
 			a := c.base(in.Rs1) + uint64(in.Imm)
 			c.PC, c.cycles, c.instret = pc, cyc, ins
 			cost := c.Hier.Access(a, 2, false)
 			cyc = c.cycles + cost
-			c.setReg(in.Rd, uint64(c.Mem.Read2(a)))
+			v, ok := c.Mem.Load2(a)
+			if !ok {
+				c.cycles = cyc
+				v = c.Mem.Read2(a)
+			}
+			c.setReg(in.Rd, uint64(v))
 		case OpLd1:
 			a := c.base(in.Rs1) + uint64(in.Imm)
 			c.PC, c.cycles, c.instret = pc, cyc, ins
 			cost := c.Hier.Access(a, 1, false)
 			cyc = c.cycles + cost
-			c.setReg(in.Rd, uint64(c.Mem.Read1(a)))
+			v, ok := c.Mem.Load1(a)
+			if !ok {
+				c.cycles = cyc
+				v = c.Mem.Read1(a)
+			}
+			c.setReg(in.Rd, uint64(v))
 
 		case OpSt8:
 			a := c.base(in.Rs1) + uint64(in.Imm)
 			c.PC, c.cycles, c.instret = pc, cyc, ins
 			cost := c.Hier.Access(a, 8, true)
 			cyc = c.cycles + cost
-			c.Mem.Write8(a, c.reg(in.Rs2))
+			if v := c.reg(in.Rs2); !c.Mem.Store8(a, v) {
+				c.cycles = cyc
+				c.Mem.Write8(a, v)
+			}
 		case OpStRef:
 			a := c.base(in.Rs1) + uint64(in.Imm)
 			c.PC, c.cycles, c.instret = pc, cyc, ins
 			cost := c.Hier.Access(a, 8, true)
 			cyc = c.cycles + cost
 			v := c.reg(in.Rs2)
-			c.Mem.Write8(a, v)
+			if !c.Mem.Store8(a, v) {
+				c.cycles = cyc
+				c.Mem.Write8(a, v)
+			}
 			cyc += barrierCycles
 			if c.Barrier != nil {
 				// The barrier charges AddCycles for remembered-set
@@ -178,26 +210,38 @@ run:
 			c.PC, c.cycles, c.instret = pc, cyc, ins
 			cost := c.Hier.Access(a, 4, true)
 			cyc = c.cycles + cost
-			c.Mem.Write4(a, uint32(c.reg(in.Rs2)))
+			if v := uint32(c.reg(in.Rs2)); !c.Mem.Store4(a, v) {
+				c.cycles = cyc
+				c.Mem.Write4(a, v)
+			}
 		case OpSt2:
 			a := c.base(in.Rs1) + uint64(in.Imm)
 			c.PC, c.cycles, c.instret = pc, cyc, ins
 			cost := c.Hier.Access(a, 2, true)
 			cyc = c.cycles + cost
-			c.Mem.Write2(a, uint16(c.reg(in.Rs2)))
+			if v := uint16(c.reg(in.Rs2)); !c.Mem.Store2(a, v) {
+				c.cycles = cyc
+				c.Mem.Write2(a, v)
+			}
 		case OpSt1:
 			a := c.base(in.Rs1) + uint64(in.Imm)
 			c.PC, c.cycles, c.instret = pc, cyc, ins
 			cost := c.Hier.Access(a, 1, true)
 			cyc = c.cycles + cost
-			c.Mem.Write1(a, uint8(c.reg(in.Rs2)))
+			if v := uint8(c.reg(in.Rs2)); !c.Mem.Store1(a, v) {
+				c.cycles = cyc
+				c.Mem.Write1(a, v)
+			}
 
 		case OpEnter:
 			c.SP -= 8
 			c.PC, c.cycles, c.instret = pc, cyc, ins
 			cost := c.Hier.Access(c.SP, 8, true)
 			cyc = c.cycles + cost
-			c.Mem.Write8(c.SP, c.FP)
+			if !c.Mem.Store8(c.SP, c.FP) {
+				c.cycles = cyc
+				c.Mem.Write8(c.SP, c.FP)
+			}
 			c.FP = c.SP
 			c.SP -= uint64(in.Imm)
 		case OpLeave:
@@ -205,7 +249,12 @@ run:
 			c.PC, c.cycles, c.instret = pc, cyc, ins
 			cost := c.Hier.Access(c.SP, 8, false)
 			cyc = c.cycles + cost
-			c.FP = c.Mem.Read8(c.SP)
+			fp, ok := c.Mem.Load8(c.SP)
+			if !ok {
+				c.cycles = cyc
+				fp = c.Mem.Read8(c.SP)
+			}
+			c.FP = fp
 			c.SP += 8
 
 		case OpRet:
@@ -213,7 +262,11 @@ run:
 			c.PC, c.cycles, c.instret = pc, cyc, ins
 			cost := c.Hier.Access(c.SP, 8, false)
 			cyc = c.cycles + cost
-			target := c.Mem.Read8(c.SP)
+			target, ok := c.Mem.Load8(c.SP)
+			if !ok {
+				c.cycles = cyc
+				target = c.Mem.Read8(c.SP)
+			}
 			c.SP += 8
 			if target == 0 {
 				// Return from the entry frame: the program is done.

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"slices"
 	"testing"
 
 	"hpmvm/internal/hw/cache"
@@ -98,30 +99,87 @@ func TestRunBudgetExact(t *testing.T) {
 	}
 }
 
+// requireSameState fails the test unless the two CPUs agree on PC,
+// cycles, instret, the register file, SP and FP, the hierarchy
+// snapshot and the memory snapshot.
+func requireSameState(t *testing.T, what string, ref, fast *CPU) {
+	t.Helper()
+	if ref.PC != fast.PC || ref.cycles != fast.cycles || ref.instret != fast.instret {
+		t.Errorf("%s: pc/cycles/instret diverge: ref %#x/%d/%d fast %#x/%d/%d",
+			what, ref.PC, ref.cycles, ref.instret, fast.PC, fast.cycles, fast.instret)
+	}
+	if ref.Regs != fast.Regs || ref.SP != fast.SP || ref.FP != fast.FP {
+		t.Errorf("%s: register state diverges:\nref  %v sp=%#x fp=%#x\nfast %v sp=%#x fp=%#x",
+			what, ref.Regs, ref.SP, ref.FP, fast.Regs, fast.SP, fast.FP)
+	}
+	if string(ref.Hier.Snapshot().Data) != string(fast.Hier.Snapshot().Data) {
+		t.Errorf("%s: cache hierarchy state diverges between Step and Run", what)
+	}
+	if string(ref.Mem.Snapshot().Data) != string(fast.Mem.Snapshot().Data) {
+		t.Errorf("%s: memory diverges between Step and Run", what)
+	}
+}
+
 // TestRunLoopStepEquivalence drives the same program through the
 // single-step interpreter and through the fast run loop and requires
-// identical architectural state, cycle counts and hierarchy stats at
-// every step boundary. This is the in-package half of the equivalence
-// argument; the cross-layer half is the golden corpus test at the repo
-// root.
+// identical architectural state, cycle counts, memory and hierarchy
+// state at the end. The program runs every memory opcode of the run
+// loop: loads and stores of every width, a reference store through a
+// barrier that charges cycles, Enter/Leave/Ret around a method call,
+// and loads from pages no store has touched yet. This is the in-package
+// half of the equivalence argument; the cross-layer half is the golden
+// corpus test at the repo root.
 func TestRunLoopStepEquivalence(t *testing.T) {
-	build := func() *CPU {
+	type barrierCall struct{ slot, value uint64 }
+	build := func(log *[]barrierCall) *CPU {
 		c := New(mem.New(), cache.New(cache.DefaultP4()), DefaultConfig())
 		c.SetTrapHandler(haltTrap{})
+		c.Barrier = func(slot, value uint64) {
+			*log = append(*log, barrierCall{slot, value})
+			c.AddCycles(1 + slot>>13&3)
+		}
+		method := c.InstallCode([]Instr{
+			{Op: OpEnter, Imm: 32},
+			{Op: OpSt8, Rs1: BaseFP, Imm: -8, Rs2: 1},
+			{Op: OpLd8, Rd: 4, Rs1: BaseFP, Imm: -8},
+			{Op: OpMulImm, Rd: 5, Rs1: 1, Imm: 0x0102030405060708},
+			{Op: OpSt4, Rs1: 3, Imm: 8, Rs2: 5},
+			{Op: OpSt2, Rs1: 3, Imm: 12, Rs2: 5},
+			{Op: OpSt1, Rs1: 3, Imm: 15, Rs2: 5},
+			{Op: OpSt1, Rs1: 3, Imm: 17, Rs2: 5},
+			{Op: OpLd4, Rd: 6, Rs1: 3, Imm: 8},
+			{Op: OpLd2, Rd: 7, Rs1: 3, Imm: 12},
+			{Op: OpLd2, Rd: 8, Rs1: 3, Imm: 14},
+			{Op: OpLd1, Rd: 10, Rs1: 3, Imm: 15},
+			{Op: OpLd1, Rd: 11, Rs1: 3, Imm: 17},
+			{Op: OpStRef, Rs1: 3, Imm: 24, Rs2: 9},
+			{Op: OpLd8, Rd: 12, Rs1: 3, Imm: 24},
+			{Op: OpLd8, Rd: 13, Rs1: 3, Imm: mem.PageSize}, // a page nothing has stored to yet
+			{Op: OpAdd, Rd: 2, Rs1: 2, Rs2: 4},
+			{Op: OpXor, Rd: 2, Rs1: 2, Rs2: 6},
+			{Op: OpAdd, Rd: 2, Rs1: 2, Rs2: 7},
+			{Op: OpXor, Rd: 2, Rs1: 2, Rs2: 8},
+			{Op: OpAdd, Rd: 2, Rs1: 2, Rs2: 10},
+			{Op: OpXor, Rd: 2, Rs1: 2, Rs2: 11},
+			{Op: OpAdd, Rd: 2, Rs1: 2, Rs2: 12},
+			{Op: OpXor, Rd: 2, Rs1: 2, Rs2: 13},
+			{Op: OpLeave},
+			{Op: OpRet},
+		})
+		c.Mem.Write8(c.Config().MethodTableBase, method)
 		base := c.NextCodeAddr()
 		loop := base + 4*InstrBytes
 		c.InstallCode([]Instr{
-			{Op: OpMovImm, Rd: 1, Imm: 200},    // counter
-			{Op: OpMovImm, Rd: 2, Imm: 0},      // sum
-			{Op: OpMovImm, Rd: 3, Imm: 0x8000}, // buffer base
-			{Op: OpSt8, Rs1: 3, Imm: 0, Rs2: 1},
-			{Op: OpLd8, Rd: 4, Rs1: 3, Imm: 0}, // loop:
-			{Op: OpAdd, Rd: 2, Rs1: 2, Rs2: 4},
-			{Op: OpAddImm, Rd: 5, Rs1: 3, Imm: 8}, // address of the next word
-			{Op: OpLd8, Rd: 6, Rs1: 5, Imm: 0},
-			{Op: OpSt8, Rs1: 3, Imm: 8, Rs2: 2},
+			{Op: OpMovImm, Rd: 1, Imm: 40},          // counter
+			{Op: OpMovImm, Rd: 2, Imm: 0},           // sum
+			{Op: OpMovImm, Rd: 3, Imm: 0x0100_0000}, // buffer, 8 KB per iteration
+			{Op: OpMovImm, Rd: 9, Imm: 0x123450},    // stored reference
+			{Op: OpCallM, Imm: 0},                   // loop:
+			{Op: OpSt8, Rs1: 3, Imm: 0, Rs2: 2},
+			{Op: OpLd8, Rd: 14, Rs1: 3, Imm: 0},
+			{Op: OpAddImm, Rd: 3, Rs1: 3, Imm: 0x2000},
+			{Op: OpAddImm, Rd: 9, Rs1: 9, Imm: 8},
 			{Op: OpAddImm, Rd: 1, Rs1: 1, Imm: -1},
-			{Op: OpSt8, Rs1: 3, Imm: 0, Rs2: 1},
 			{Op: OpBrNE, Rs1: 1, Rs2: RegZero, Imm: int64(loop)},
 			{Op: OpShlImm, Rd: 7, Rs1: 2, Imm: 3},
 			{Op: OpTrap, Imm: 5}, // halts via handler
@@ -133,8 +191,9 @@ func TestRunLoopStepEquivalence(t *testing.T) {
 		return c
 	}
 
-	ref := build()
-	fast := build()
+	var refLog, fastLog []barrierCall
+	ref := build(&refLog)
+	fast := build(&fastLog)
 	steps := 0
 	for ref.Step() {
 		steps++
@@ -147,20 +206,80 @@ func TestRunLoopStepEquivalence(t *testing.T) {
 		// retired count is steps+1.
 		t.Errorf("fast path retired %d instructions, reference %d", n, steps+1)
 	}
-	if ref.PC != fast.PC || ref.cycles != fast.cycles || ref.instret != fast.instret {
-		t.Errorf("pc/cycles/instret diverge: ref %#x/%d/%d fast %#x/%d/%d",
-			ref.PC, ref.cycles, ref.instret, fast.PC, fast.cycles, fast.instret)
-	}
-	if ref.Regs != fast.Regs || ref.SP != fast.SP || ref.FP != fast.FP {
-		t.Errorf("register state diverges:\nref  %v sp=%#x fp=%#x\nfast %v sp=%#x fp=%#x",
-			ref.Regs, ref.SP, ref.FP, fast.Regs, fast.SP, fast.FP)
-	}
-	rs, fs := ref.Hier.Snapshot(), fast.Hier.Snapshot()
-	if string(rs.Data) != string(fs.Data) {
-		t.Error("cache hierarchy state diverges between Step and fast path")
-	}
+	requireSameState(t, "program", ref, fast)
 	if ref.ExitStatus() != fast.ExitStatus() {
 		t.Errorf("exit status: ref %d fast %d", ref.ExitStatus(), fast.ExitStatus())
+	}
+	if len(refLog) != 40 || !slices.Equal(refLog, fastLog) {
+		t.Errorf("barrier calls: ref %d, fast %d, want 40 equal ones", len(refLog), len(fastLog))
+	}
+}
+
+// TestRunLoopStepFaultsAgree runs every memory opcode of the run loop
+// at a null address, an unaligned one and DirectoryEnd, through Step
+// and through Run. Both must fault with the same panic value and leave
+// the same state behind: the access has been charged, the instruction
+// has not completed.
+func TestRunLoopStepFaultsAgree(t *testing.T) {
+	const unaligned = 0x0100_0000 + 1
+	widths := []struct {
+		op    Op
+		width uint64
+	}{
+		{OpLd8, 8}, {OpLd4, 4}, {OpLd2, 2}, {OpLd1, 1},
+		{OpSt8, 8}, {OpStRef, 8}, {OpSt4, 4}, {OpSt2, 2}, {OpSt1, 1},
+		{OpEnter, 8}, {OpLeave, 8}, {OpRet, 8},
+	}
+	for _, w := range widths {
+		for _, at := range []struct {
+			name string
+			addr uint64
+		}{{"null", 0}, {"unaligned", unaligned}, {"DirectoryEnd", mem.DirectoryEnd}} {
+			if at.name == "unaligned" && w.width == 1 {
+				continue // every address is aligned for one byte
+			}
+			build := func() *CPU {
+				c := newCPU()
+				c.Barrier = func(uint64, uint64) { t.Errorf("%v at %s reached the barrier", w.op, at.name) }
+				c.SP = 0x0200_0000 - 8
+				c.FP = 0x0200_0000 - 64
+				switch w.op {
+				case OpEnter: // pushes FP at SP-8
+					c.SP = at.addr + 8
+				case OpLeave: // pops FP from FP
+					c.FP = at.addr
+				case OpRet: // pops the return address from SP
+					c.SP = at.addr
+				}
+				c.PC = c.InstallCode([]Instr{
+					{Op: OpMovImm, Rd: 1, Imm: int64(at.addr)},
+					{Op: OpMovImm, Rd: 2, Imm: 0x55},
+					{Op: w.op, Rd: 3, Rs1: 1, Rs2: 2, Imm: 16},
+					{Op: OpTrap, Imm: 1},
+				})
+				if w.op != OpEnter {
+					c.code[2].Imm = 0 // Enter's Imm is its frame size
+				}
+				c.SetTrapHandler(haltTrap{})
+				return c
+			}
+			fault := func(run func()) (v any) {
+				defer func() { v = recover() }()
+				run()
+				return nil
+			}
+			ref, fast := build(), build()
+			refFault := fault(func() {
+				for ref.Step() {
+				}
+			})
+			fastFault := fault(func() { fast.Run(100) })
+			what := w.op.String() + " at " + at.name
+			if refFault == nil || refFault != fastFault {
+				t.Errorf("%s: Step recovered %v, Run recovered %v, want the same fault", what, refFault, fastFault)
+			}
+			requireSameState(t, what, ref, fast)
+		}
 	}
 }
 
@@ -232,15 +351,5 @@ func TestRunLoopSeesCodeInstalledByTrap(t *testing.T) {
 	if ref.Regs[2] == 0 {
 		t.Fatal("the installed body never ran")
 	}
-	if ref.PC != fast.PC || ref.cycles != fast.cycles || ref.instret != fast.instret {
-		t.Errorf("pc/cycles/instret diverge: ref %#x/%d/%d fast %#x/%d/%d",
-			ref.PC, ref.cycles, ref.instret, fast.PC, fast.cycles, fast.instret)
-	}
-	if ref.Regs != fast.Regs || ref.SP != fast.SP || ref.FP != fast.FP {
-		t.Errorf("register state diverges:\nref  %v sp=%#x fp=%#x\nfast %v sp=%#x fp=%#x",
-			ref.Regs, ref.SP, ref.FP, fast.Regs, fast.SP, fast.FP)
-	}
-	if string(ref.Hier.Snapshot().Data) != string(fast.Hier.Snapshot().Data) {
-		t.Error("cache hierarchy state diverges between Step and Run")
-	}
+	requireSameState(t, "program", ref, fast)
 }
