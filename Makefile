@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race bench bench-smoke profile experiments obs serve-smoke verify-sampling verify-opt fuzz-smoke loc traffic
+.PHONY: ci vet build test race bench bench-smoke bench-pairs profile experiments obs serve-smoke verify-sampling verify-opt fuzz-smoke loc traffic
 
 ci: vet build test race verify-opt fuzz-smoke bench-smoke serve-smoke loc
 
@@ -153,6 +153,21 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkHierarchyAccess' -benchtime=1x ./internal/hw/cache/
 	$(GO) test -run '^$$' -bench 'BenchmarkMemory' -benchtime=1x ./internal/hw/mem/
 	$(GO) test -run '^$$' -bench 'BenchmarkCanonicalString' -benchtime=1x ./internal/core/
+
+# Alternating parent/change pairs of one workload of the repo benchmark,
+# the measurement behind every speed claim (scripts/benchpairs): pair i
+# runs at seed i, the order alternates, and the summary gives per
+# end-to-end metric the pairs ahead, both medians, the parent's quartile
+# spread and the BENCHMARK.json bound. Exits 1 on a sim_cycles mismatch,
+# a metric beyond its bound or a failed run. About 40 s per sim-* pair;
+# not part of `make ci`.
+#
+#	make bench-pairs PARENT=HEAD~1 WORKLOAD=sim-exact PAIRS=10
+WORKLOAD ?= sim-exact
+PAIRS ?= 10
+bench-pairs:
+	@test -n "$(PARENT)" || { echo "usage: make bench-pairs PARENT=<rev> [WORKLOAD=sim-exact] [PAIRS=10]"; exit 2; }
+	$(GO) run ./scripts/benchpairs -parent "$(PARENT)" -workload "$(WORKLOAD)" -pairs "$(PAIRS)"
 
 # CPU and heap profiles of the fig2 hot loop (the simulator's
 # steady-state inner loop). Inspect with `go tool pprof cpu.prof`; see
