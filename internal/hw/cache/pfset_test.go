@@ -8,12 +8,12 @@ import (
 
 // TestPfSetAgainstMap runs random Add/Delete/Contains/Clear sequences
 // on a pfSet and on a Go map and requires the same Len, membership and
-// sorted Keys after every step. The keys are built to collide: each
-// hashes into one of three home slots — the first two slots and the
-// last, so probe clusters wrap around the table end — of every table
-// size up to 1024, and there are enough of them to force growth. That
-// exercises backward-shift deletion across collision chains, which the
-// workloads rarely reach.
+// sorted Keys after every step. Most keys are built to collide: each
+// hashes into one of seven home slots, near the start and the end of
+// every table size up to 1024 so that probe clusters run into each
+// other and wrap around the table end; a few are random. There are
+// enough of them to force growth. That exercises backward-shift
+// deletion across collision chains, which the workloads rarely reach.
 func TestPfSetAgainstMap(t *testing.T) {
 	const phiInverse = 0xF1DE83E19937733D // pfHash's multiplier inverted mod 2^64
 	if pfHash(phiInverse) != 1 {
@@ -26,10 +26,13 @@ func TestPfSetAgainstMap(t *testing.T) {
 		return (home<<54 | rng.Uint64()>>10) * phiInverse
 	}
 	var pool []uint64
-	for _, home := range []uint64{0, 1, 1023} {
-		for i := 0; i < 200; i++ {
+	for _, home := range []uint64{0, 1, 2, 5, 1020, 1022, 1023} {
+		for i := 0; i < 80; i++ {
 			pool = append(pool, keyWithHome(home))
 		}
+	}
+	for i := 0; i < 80; i++ {
+		pool = append(pool, rng.Uint64())
 	}
 
 	s := newPfSet()

@@ -45,11 +45,15 @@ func quartiles(xs []float64) (q1, q3 float64) {
 	return q(1), q(3)
 }
 
-// format prints whole numbers (sim_cycles) in full and others to six
-// significant digits.
+// format prints whole numbers and large ones (sim_cycles, which a
+// sampled run estimates) to their units, and others to six significant
+// digits.
 func format(v float64) string {
-	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
+	switch {
+	case v == math.Trunc(v) && math.Abs(v) < 1e15:
 		return strconv.FormatFloat(v, 'f', 0, 64)
+	case math.Abs(v) >= 1e6:
+		return strconv.FormatFloat(v, 'f', 1, 64)
 	}
 	return strconv.FormatFloat(v, 'g', 6, 64)
 }

@@ -72,3 +72,16 @@ func TestCompare(t *testing.T) {
 		t.Errorf("equal runs: %+v, want no pair ahead, within bound, no gain", c)
 	}
 }
+
+func TestFormat(t *testing.T) {
+	for v, want := range map[float64]string{
+		776942198:    "776942198",
+		773986012.75: "773986012.8",
+		58.18099571:  "58.181",
+		0.0356881234: "0.0356881",
+	} {
+		if got := format(v); got != want {
+			t.Errorf("format(%v) = %q, want %q", v, got, want)
+		}
+	}
+}
