@@ -108,10 +108,11 @@ traffic:
 		END { for (b in n) if (n[b] == 0) print b, s[b] }' "$$dir/cov.txt" | sort >"$$dir/zero.txt" && \
 	cat "$$dir/zero.txt" && echo "$$(wc -l <"$$dir/zero.txt") zero-count blocks under internal/hw/"
 
-# Lines of non-test Go outside the frozen benchmark harness — the
-# number simplicity PRs quote before/after in CHANGES.md.
+# Lines of non-test Go outside the frozen benchmark harness and the
+# benchmark's build directory (where bench-pairs exports the parent) —
+# the number simplicity PRs quote before/after in CHANGES.md.
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs cat | wc -l
 
 # Race check on the packages the parallel engine fans runs out of:
 # the engine itself (and its determinism sweep), the workload

@@ -57,10 +57,17 @@ func (m *Memory) FootprintBytes() uint64 {
 	return uint64(m.touched) * PageSize
 }
 
-// page is the slow path behind every load and store: it returns the
-// page holding addr, materializing it on first touch, and faults on an
-// address at or beyond DirectoryEnd.
-func (m *Memory) page(addr Addr) *[PageSize]byte {
+// materialize is the slow path of every access of size bytes at addr:
+// it faults on a null, unaligned or beyond-the-directory access, and
+// otherwise returns addr's page, materializing it on first touch, so
+// that the access's lane accepts it from now on.
+func (m *Memory) materialize(addr Addr, size uint64) *[PageSize]byte {
+	if addr == 0 {
+		panic(fmt.Sprintf("mem: null dereference (size %d)", size))
+	}
+	if addr&(size-1) != 0 {
+		panic(fmt.Sprintf("mem: unaligned %d-byte access at %#x", size, addr))
+	}
 	key := addr >> PageBits
 	if key >= dirPages {
 		panic(fmt.Sprintf("mem: access at %#x beyond DirectoryEnd %#x", addr, DirectoryEnd))
@@ -72,21 +79,6 @@ func (m *Memory) page(addr Addr) *[PageSize]byte {
 		m.dir[key] = p
 	}
 	return p
-}
-
-// checkAlign is one combined test so that it inlines into every load
-// and store; which rule was broken is worked out on the way to the panic.
-func (m *Memory) checkAlign(addr Addr, size uint64) {
-	if addr == 0 || addr&(size-1) != 0 {
-		alignFault(addr, size)
-	}
-}
-
-func alignFault(addr Addr, size uint64) {
-	if addr == 0 {
-		panic(fmt.Sprintf("mem: null dereference (size %d)", size))
-	}
-	panic(fmt.Sprintf("mem: unaligned %d-byte access at %#x", size, addr))
 }
 
 // --- Lanes ------------------------------------------------------------------
@@ -194,96 +186,86 @@ func (m *Memory) Store1(addr Addr, v uint8) bool {
 
 // --- Loads and stores -------------------------------------------------------
 //
-// Read* and Write* take the lane when it applies; otherwise they check
-// the address, fault if it is null, unaligned or beyond the directory,
-// and materialize the page on first touch.
+// Read* and Write* take the lane; when it declines they materialize
+// the page, or fault, and take it again.
 
 // Read8 loads an unsigned 64-bit word. addr must be 8-byte aligned.
 func (m *Memory) Read8(addr Addr) uint64 {
-	if v, ok := m.Load8(addr); ok {
-		return v
+	v, ok := m.Load8(addr)
+	if !ok {
+		m.materialize(addr, 8)
+		v, _ = m.Load8(addr)
 	}
-	m.checkAlign(addr, 8)
-	off := addr & pageMask
-	return binary.LittleEndian.Uint64(m.page(addr)[off : off+8])
+	return v
 }
 
 // Read4 loads an unsigned 32-bit word. addr must be 4-byte aligned.
 func (m *Memory) Read4(addr Addr) uint32 {
-	if v, ok := m.Load4(addr); ok {
-		return v
+	v, ok := m.Load4(addr)
+	if !ok {
+		m.materialize(addr, 4)
+		v, _ = m.Load4(addr)
 	}
-	m.checkAlign(addr, 4)
-	off := addr & pageMask
-	return binary.LittleEndian.Uint32(m.page(addr)[off : off+4])
+	return v
 }
 
 // Read2 loads an unsigned 16-bit half-word. addr must be 2-byte aligned.
 func (m *Memory) Read2(addr Addr) uint16 {
-	if v, ok := m.Load2(addr); ok {
-		return v
+	v, ok := m.Load2(addr)
+	if !ok {
+		m.materialize(addr, 2)
+		v, _ = m.Load2(addr)
 	}
-	m.checkAlign(addr, 2)
-	off := addr & pageMask
-	return binary.LittleEndian.Uint16(m.page(addr)[off : off+2])
+	return v
 }
 
 // Read1 loads one byte.
 func (m *Memory) Read1(addr Addr) uint8 {
-	if v, ok := m.Load1(addr); ok {
-		return v
+	v, ok := m.Load1(addr)
+	if !ok {
+		m.materialize(addr, 1)
+		v, _ = m.Load1(addr)
 	}
-	m.checkAlign(addr, 1)
-	return m.page(addr)[addr&pageMask]
+	return v
 }
 
 // Write8 stores an unsigned 64-bit word. addr must be 8-byte aligned.
 func (m *Memory) Write8(addr Addr, v uint64) {
-	if m.Store8(addr, v) {
-		return
+	if !m.Store8(addr, v) {
+		m.materialize(addr, 8)
+		m.Store8(addr, v)
 	}
-	m.checkAlign(addr, 8)
-	off := addr & pageMask
-	binary.LittleEndian.PutUint64(m.page(addr)[off:off+8], v)
 }
 
 // Write4 stores an unsigned 32-bit word. addr must be 4-byte aligned.
 func (m *Memory) Write4(addr Addr, v uint32) {
-	if m.Store4(addr, v) {
-		return
+	if !m.Store4(addr, v) {
+		m.materialize(addr, 4)
+		m.Store4(addr, v)
 	}
-	m.checkAlign(addr, 4)
-	off := addr & pageMask
-	binary.LittleEndian.PutUint32(m.page(addr)[off:off+4], v)
 }
 
 // Write2 stores an unsigned 16-bit half-word. addr must be 2-byte aligned.
 func (m *Memory) Write2(addr Addr, v uint16) {
-	if m.Store2(addr, v) {
-		return
+	if !m.Store2(addr, v) {
+		m.materialize(addr, 2)
+		m.Store2(addr, v)
 	}
-	m.checkAlign(addr, 2)
-	off := addr & pageMask
-	binary.LittleEndian.PutUint16(m.page(addr)[off:off+2], v)
 }
 
 // Write1 stores one byte.
 func (m *Memory) Write1(addr Addr, v uint8) {
-	if m.Store1(addr, v) {
-		return
+	if !m.Store1(addr, v) {
+		m.materialize(addr, 1)
+		m.Store1(addr, v)
 	}
-	m.checkAlign(addr, 1)
-	m.page(addr)[addr&pageMask] = v
 }
 
-// Zero clears n bytes starting at addr. Clearing from a null base
-// faults like any other store; a clear of zero bytes touches nothing.
+// Zero clears n bytes starting at addr. Like any store it faults at
+// address 0, unless it clears nothing.
 func (m *Memory) Zero(addr Addr, n uint64) {
-	if addr == 0 && n > 0 {
-		alignFault(addr, n)
-	}
 	for n > 0 {
-		p := m.page(addr)
+		p := m.materialize(addr, 1)
 		off := addr & pageMask
 		chunk := uint64(PageSize) - off
 		if chunk > n {
