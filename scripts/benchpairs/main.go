@@ -1,8 +1,9 @@
 // Command benchpairs compares one workload of the repo benchmark at a
 // parent revision with the current checkout, in alternating pairs of
-// runs: the measurement a speed claim needs (ahead in nine of ten
-// pairs, median gain beyond the parent's own quartile spread) and the
-// check that no end-to-end metric got worse than its bound.
+// runs: the measurement a speed claim needs (ten pairs or more, the
+// change ahead in nine tenths of them, the median gain beyond the
+// parent's own quartile spread) and the check that no end-to-end
+// metric got worse than its bound.
 //
 // It exports the parent revision with `git archive` into
 // .bench_build/pairs/, builds both harnesses as benchmark/run.sh does
@@ -24,13 +25,11 @@
 package main
 
 import (
-	"archive/tar"
 	"bytes"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -196,64 +195,16 @@ func export(root, sha, dir string) error {
 	if err := os.RemoveAll(dir); err != nil {
 		return err
 	}
-	cmd := exec.Command("git", "archive", "--format=tar", sha)
-	cmd.Dir = root
-	cmd.Stderr = os.Stderr
-	out, err := cmd.StdoutPipe()
-	if err != nil {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	if err := cmd.Start(); err != nil {
+	tarball := dir + ".tar"
+	defer os.Remove(tarball)
+	if _, err := output(root, "git", "archive", "-o", tarball, sha); err != nil {
 		return err
 	}
-	extractErr := extract(tar.NewReader(out), dir)
-	io.Copy(io.Discard, out)
-	if err := cmd.Wait(); err != nil {
-		return err
-	}
-	return extractErr
-}
-
-// extract writes the directories and regular files of a tar stream
-// under dir.
-func extract(tr *tar.Reader, dir string) error {
-	for {
-		h, err := tr.Next()
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		path := filepath.Join(dir, filepath.FromSlash(h.Name))
-		if !strings.HasPrefix(path, dir+string(filepath.Separator)) {
-			return fmt.Errorf("archive entry %q leaves the export directory", h.Name)
-		}
-		switch h.Typeflag {
-		case tar.TypeDir:
-			err = os.MkdirAll(path, 0o755)
-		case tar.TypeReg:
-			err = writeFile(path, tr, os.FileMode(h.Mode)&0o777)
-		}
-		if err != nil {
-			return err
-		}
-	}
-}
-
-func writeFile(path string, r io.Reader, mode os.FileMode) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, mode)
-	if err != nil {
-		return err
-	}
-	if _, err := io.Copy(f, r); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	_, err := output(root, "tar", "-xf", tarball, "-C", dir)
+	return err
 }
 
 // build compiles dir's benchmark harness into bin the way

@@ -69,7 +69,7 @@ type comparison struct {
 	parentSpread   float64 // Q3 - Q1 of the parent's runs
 	gain           float64 // change against parent median, signed so that > 0 is better
 	beyondBound    bool    // the change's median is worse than the bound allows
-	claimSupported bool    // ahead in nine of ten pairs and the median gain beyond the spread
+	claimSupported bool    // ten pairs or more, ahead in nine tenths and the median gain beyond the spread
 }
 
 // compare evaluates one metric over paired runs.
@@ -100,7 +100,7 @@ func compare(m endToEnd, parent, change []float64) comparison {
 		c.gain = diff / c.parentMedian
 	}
 	c.beyondBound = diff < -m.Bound*c.parentMedian
-	c.claimSupported = 10*c.ahead >= 9*c.pairs && diff > c.parentSpread
+	c.claimSupported = c.pairs >= 10 && 10*c.ahead >= 9*c.pairs && diff > c.parentSpread
 	return c
 }
 

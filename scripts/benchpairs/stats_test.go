@@ -42,6 +42,11 @@ func TestCompare(t *testing.T) {
 		t.Errorf("faster change: %+v, want ahead 10/10, claim supported, within bound", c)
 	}
 
+	// Ahead in every pair, but fewer than ten pairs: no claim.
+	if c := compare(higher, parent[:4], faster[:4]); c.ahead != 4 || c.claimSupported {
+		t.Errorf("four faster pairs: %+v, want ahead 4/4 and no claim", c)
+	}
+
 	// Ahead in every pair, but by less than the spread: no claim.
 	var slightly []float64
 	for _, v := range parent {
