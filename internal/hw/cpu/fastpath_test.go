@@ -222,7 +222,7 @@ func TestRunLoopStepEquivalence(t *testing.T) {
 // has not completed.
 func TestRunLoopStepFaultsAgree(t *testing.T) {
 	const unaligned = 0x0100_0000 + 1
-	widths := []struct {
+	ops := []struct {
 		op    Op
 		width uint64
 	}{
@@ -230,7 +230,7 @@ func TestRunLoopStepFaultsAgree(t *testing.T) {
 		{OpSt8, 8}, {OpStRef, 8}, {OpSt4, 4}, {OpSt2, 2}, {OpSt1, 1},
 		{OpEnter, 8}, {OpLeave, 8}, {OpRet, 8},
 	}
-	for _, w := range widths {
+	for _, w := range ops {
 		for _, at := range []struct {
 			name string
 			addr uint64
@@ -254,12 +254,9 @@ func TestRunLoopStepFaultsAgree(t *testing.T) {
 				c.PC = c.InstallCode([]Instr{
 					{Op: OpMovImm, Rd: 1, Imm: int64(at.addr)},
 					{Op: OpMovImm, Rd: 2, Imm: 0x55},
-					{Op: w.op, Rd: 3, Rs1: 1, Rs2: 2, Imm: 16},
+					{Op: w.op, Rd: 3, Rs1: 1, Rs2: 2},
 					{Op: OpTrap, Imm: 1},
 				})
-				if w.op != OpEnter {
-					c.code[2].Imm = 0 // Enter's Imm is its frame size
-				}
 				c.SetTrapHandler(haltTrap{})
 				return c
 			}
