@@ -158,8 +158,8 @@ bench-smoke:
 # Alternating parent/change pairs of one workload of the repo benchmark,
 # the measurement behind every speed claim (scripts/benchpairs): pair i
 # runs at seed i, the order alternates, and the summary gives per
-# end-to-end metric the pairs ahead, both medians, the parent's quartile
-# spread and the BENCHMARK.json bound. Exits 1 on a sim_cycles mismatch,
+# end-to-end metric the pairs ahead, each side's median and quartiles
+# and the BENCHMARK.json bound. Exits 1 on a sim_cycles mismatch,
 # a metric beyond its bound or a failed run. About 40 s per sim-* pair;
 # not part of `make ci`.
 #

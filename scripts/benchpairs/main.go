@@ -10,8 +10,8 @@
 // (`go build ./benchmark`, GOCACHE under .bench_build, GOTOOLCHAIN=local)
 // and runs pair i at seed i, the parent first in odd pairs and the
 // change first in even ones. It prints every pair's end-to-end
-// metrics, then per metric the pairs the change is ahead in, both
-// medians and the parent's quartile spread. It flags a sim_cycles
+// metrics, then per metric the pairs the change is ahead in and each
+// side's median and quartiles. It flags a sim_cycles
 // value that differs within a pair, a median beyond the metric's
 // BENCHMARK.json bound, a failed run and a larger failed share, and
 // exits 1 when it flagged anything. It reads BENCHMARK.json and
@@ -147,8 +147,7 @@ func run(parentRev, workload string, pairs int, seconds float64) (flagged bool, 
 		}
 	}
 
-	fmt.Printf("\n%-17s %-6s %5s %14s %14s %10s %12s  %-5s %s\n",
-		"metric", "better", "ahead", "parent median", "change median", "gain", "parent IQR", "claim", "bound")
+	fmt.Println("\nper metric: pairs the change is ahead in, each side's median [Q1, Q3], the change in the median")
 	for _, m := range decl.EndToEnd {
 		v, ok := values[m.Name]
 		if !ok {

@@ -62,14 +62,15 @@ func format(v float64) string {
 // change[i] were measured at the same seed.
 type comparison struct {
 	metric         endToEnd
-	ahead          int     // pairs where the change is strictly better
-	pairs          int     // pairs that reported the metric on both sides
-	parentMedian   float64 // median of the parent's runs
-	changeMedian   float64 // median of the change's runs
-	parentSpread   float64 // Q3 - Q1 of the parent's runs
-	gain           float64 // change against parent median, signed so that > 0 is better
-	beyondBound    bool    // the change's median is worse than the bound allows
-	claimSupported bool    // ten pairs or more, ahead in nine tenths and the median gain beyond the spread
+	ahead          int        // pairs where the change is strictly better
+	pairs          int        // pairs that reported the metric on both sides
+	parentMedian   float64    // median of the parent's runs
+	changeMedian   float64    // median of the change's runs
+	parentQ        [2]float64 // Q1 and Q3 of the parent's runs
+	changeQ        [2]float64 // Q1 and Q3 of the change's runs
+	gain           float64    // change against parent median, signed so that > 0 is better
+	beyondBound    bool       // the change's median is worse than the bound allows
+	claimSupported bool       // ten pairs or more, ahead in nine tenths and the median gain beyond the spread
 }
 
 // compare evaluates one metric over paired runs.
@@ -89,8 +90,8 @@ func compare(m endToEnd, parent, change []float64) comparison {
 	}
 	c.parentMedian, c.changeMedian = median(parent), median(change)
 	if c.pairs >= 2 {
-		q1, q3 := quartiles(parent)
-		c.parentSpread = q3 - q1
+		c.parentQ[0], c.parentQ[1] = quartiles(parent)
+		c.changeQ[0], c.changeQ[1] = quartiles(change)
 	}
 	diff := sign * (c.changeMedian - c.parentMedian)
 	if diff == 0 {
@@ -100,11 +101,12 @@ func compare(m endToEnd, parent, change []float64) comparison {
 		c.gain = diff / c.parentMedian
 	}
 	c.beyondBound = diff < -m.Bound*c.parentMedian
-	c.claimSupported = c.pairs >= 10 && 10*c.ahead >= 9*c.pairs && diff > c.parentSpread
+	c.claimSupported = c.pairs >= 10 && 10*c.ahead >= 9*c.pairs && diff > c.parentQ[1]-c.parentQ[0]
 	return c
 }
 
-// String is one row of the summary table.
+// String is one row of the summary table: each side's median with its
+// quartiles in brackets.
 func (c comparison) String() string {
 	verdict := "within bound"
 	if c.beyondBound {
@@ -114,7 +116,10 @@ func (c comparison) String() string {
 	if c.claimSupported {
 		claim = "yes"
 	}
-	return fmt.Sprintf("%-17s %-6s %2d/%-2d %14s %14s %+8.2f %% %12s  %-5s %s",
-		c.metric.Name, c.metric.Better, c.ahead, c.pairs, format(c.parentMedian), format(c.changeMedian),
-		100*c.gain, format(c.parentSpread), claim, verdict)
+	side := func(median float64, q [2]float64) string {
+		return fmt.Sprintf("%s [%s, %s]", format(median), format(q[0]), format(q[1]))
+	}
+	return fmt.Sprintf("%-17s %-6s %2d/%-2d  parent %s  change %s  %+.2f %%  claim %s, %s",
+		c.metric.Name, c.metric.Better, c.ahead, c.pairs, side(c.parentMedian, c.parentQ),
+		side(c.changeMedian, c.changeQ), 100*c.gain, claim, verdict)
 }
