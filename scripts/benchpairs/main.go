@@ -8,13 +8,15 @@
 // It exports the parent revision with `git archive` into
 // .bench_build/pairs/, builds both harnesses as benchmark/run.sh does
 // (`go build ./benchmark`, GOCACHE under .bench_build, GOTOOLCHAIN=local)
-// and runs pair i at seed i, the parent first in odd pairs and the
-// change first in even ones. It prints every pair's end-to-end
-// metrics, then per metric the pairs the change is ahead in and each
-// side's median and quartiles. It flags a sim_cycles
-// value that differs within a pair, a median beyond the metric's
-// BENCHMARK.json bound, a failed run and a larger failed share, and
-// exits 1 when it flagged anything. It reads BENCHMARK.json and
+// and runs pair i at seed i for BENCHMARK.json's run_seconds, the
+// parent first in odd pairs and the change first in even ones. It
+// prints every pair's end-to-end metrics, then per metric the pairs
+// the change is ahead in, out of all pairs run, and each side's median
+// and quartiles. A pair with a failed or incorrect run is printed as
+// failed and feeds no median, but still counts against the claim. It
+// flags a sim_cycles value that differs within a pair, a median beyond
+// the metric's BENCHMARK.json bound, a failed run and a larger failed
+// share, and exits 1 when it flagged anything. It reads BENCHMARK.json and
 // benchmark/ and writes only under .bench_build/.
 //
 // Usage, from the root of the repository:
@@ -51,13 +53,12 @@ func main() {
 	parent := flag.String("parent", "", "git revision to compare against (required)")
 	workload := flag.String("workload", "sim-exact", "benchmark workload to run")
 	pairs := flag.Int("pairs", 10, "number of parent/change pairs; pair i runs at seed i")
-	seconds := flag.Float64("seconds", 0, "timed seconds per run (0: BENCHMARK.json's run_seconds)")
 	flag.Parse()
 	if *parent == "" || *pairs < 1 || flag.NArg() != 0 {
-		fmt.Fprintln(os.Stderr, "usage: benchpairs -parent REV [-workload NAME] [-pairs N] [-seconds S]")
+		fmt.Fprintln(os.Stderr, "usage: benchpairs -parent REV [-workload NAME] [-pairs N]")
 		os.Exit(2)
 	}
-	flagged, err := run(*parent, *workload, *pairs, *seconds)
+	flagged, err := run(*parent, *workload, *pairs)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchpairs: %v\n", err)
 		os.Exit(1)
@@ -67,7 +68,7 @@ func main() {
 	}
 }
 
-func run(parentRev, workload string, pairs int, seconds float64) (flagged bool, err error) {
+func run(parentRev, workload string, pairs int) (flagged bool, err error) {
 	var decl struct {
 		RunSeconds float64    `json:"run_seconds"`
 		EndToEnd   []endToEnd `json:"end_to_end"`
@@ -78,9 +79,6 @@ func run(parentRev, workload string, pairs int, seconds float64) (flagged bool, 
 	}
 	if err := json.Unmarshal(data, &decl); err != nil {
 		return false, fmt.Errorf("BENCHMARK.json: %w", err)
-	}
-	if seconds == 0 {
-		seconds = decl.RunSeconds
 	}
 
 	root, err := os.Getwd()
@@ -108,7 +106,7 @@ func run(parentRev, workload string, pairs int, seconds float64) (flagged bool, 
 	}
 
 	fmt.Printf("benchpairs: %s, parent %s against the working tree, %d pairs at seeds 1..%d, %g s per run\n",
-		workload, sha[:12], pairs, pairs, seconds)
+		workload, sha[:12], pairs, pairs, decl.RunSeconds)
 	values := map[string][2][]float64{} // metric → parent's and change's values, pair by pair
 	var attempted, failed [2]int
 	for i := 1; i <= pairs; i++ {
@@ -117,16 +115,23 @@ func run(parentRev, workload string, pairs int, seconds float64) (flagged bool, 
 			order = []int{1, 0}
 		}
 		var res [2]runResult
+		pairFailed := false
 		for _, side := range order {
 			s := sides[side]
-			r, err := runOnce(s.bin, s.dir, workload, i, seconds)
+			r, err := runOnce(s.bin, s.dir, workload, i, decl.RunSeconds)
 			if err != nil {
 				fmt.Printf("pair %d: %s run failed: %v\n", i, s.name, err)
-				flagged = true
+				pairFailed = true
 			}
 			res[side] = r
 			attempted[side] += r.Attempted
 			failed[side] += r.Failed
+		}
+		if pairFailed {
+			// Its metrics feed no median; it still counts as a pair run.
+			fmt.Printf("pair %d (seed %d, %s first): FAILED\n", i, i, sides[order[0]].name)
+			flagged = true
+			continue
 		}
 		fmt.Printf("pair %d (seed %d, %s first)\n", i, i, sides[order[0]].name)
 		for _, m := range decl.EndToEnd {
@@ -153,7 +158,7 @@ func run(parentRev, workload string, pairs int, seconds float64) (flagged bool, 
 		if !ok {
 			continue
 		}
-		c := compare(m, v[0], v[1])
+		c := compare(m, pairs, v[0], v[1])
 		flagged = flagged || c.beyondBound
 		fmt.Println(c)
 	}
@@ -216,8 +221,8 @@ func build(root, dir, bin string) error {
 	return cmd.Run()
 }
 
-// runOnce runs one untraced benchmark run and parses its result line.
-// A run that reports itself incorrect is returned with an error.
+// runOnce runs one untraced benchmark run and parses its result line. A run that reports itself incorrect is
+// returned with an error.
 func runOnce(bin, dir, workload string, seed int, seconds float64) (runResult, error) {
 	cmd := exec.Command(bin, "--workload", workload, "--seed", strconv.Itoa(seed),
 		"--seconds", strconv.FormatFloat(seconds, 'g', -1, 64), "--trace", "0")

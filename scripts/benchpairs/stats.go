@@ -63,7 +63,7 @@ func format(v float64) string {
 type comparison struct {
 	metric         endToEnd
 	ahead          int        // pairs where the change is strictly better
-	pairs          int        // pairs that reported the metric on both sides
+	pairs          int        // pairs run, failed ones included
 	parentMedian   float64    // median of the parent's runs
 	changeMedian   float64    // median of the change's runs
 	parentQ        [2]float64 // Q1 and Q3 of the parent's runs
@@ -73,10 +73,11 @@ type comparison struct {
 	claimSupported bool       // ten pairs or more, ahead in nine tenths and the median gain beyond the spread
 }
 
-// compare evaluates one metric over paired runs.
-func compare(m endToEnd, parent, change []float64) comparison {
-	c := comparison{metric: m, pairs: len(parent)}
-	if c.pairs == 0 {
+// compare evaluates one metric over paired runs: parent and change
+// hold the pairs that reported it on both sides, out of pairs run.
+func compare(m endToEnd, pairs int, parent, change []float64) comparison {
+	c := comparison{metric: m, pairs: pairs}
+	if len(parent) == 0 {
 		return c
 	}
 	sign := 1.0
@@ -89,7 +90,7 @@ func compare(m endToEnd, parent, change []float64) comparison {
 		}
 	}
 	c.parentMedian, c.changeMedian = median(parent), median(change)
-	if c.pairs >= 2 {
+	if len(parent) >= 2 {
 		c.parentQ[0], c.parentQ[1] = quartiles(parent)
 		c.changeQ[0], c.changeQ[1] = quartiles(change)
 	}

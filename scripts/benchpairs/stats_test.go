@@ -37,14 +37,23 @@ func TestCompare(t *testing.T) {
 	for _, v := range parent {
 		faster = append(faster, v+6)
 	}
-	c := compare(higher, parent, faster)
+	c := compare(higher, len(parent), parent, faster)
 	if c.ahead != 10 || !c.claimSupported || c.beyondBound {
 		t.Errorf("faster change: %+v, want ahead 10/10, claim supported, within bound", c)
 	}
 
 	// Ahead in every pair, but fewer than ten pairs: no claim.
-	if c := compare(higher, parent[:4], faster[:4]); c.ahead != 4 || c.claimSupported {
+	if c := compare(higher, 4, parent[:4], faster[:4]); c.ahead != 4 || c.claimSupported {
 		t.Errorf("four faster pairs: %+v, want ahead 4/4 and no claim", c)
+	}
+
+	// Ahead in all nine pairs that ran cleanly out of ten: a claim.
+	// Out of twelve, the two failed pairs count against it.
+	if c := compare(higher, 10, parent[1:], faster[1:]); c.ahead != 9 || c.pairs != 10 || !c.claimSupported {
+		t.Errorf("nine faster pairs of ten: %+v, want ahead 9/10 and a claim", c)
+	}
+	if c := compare(higher, 12, parent, faster); c.ahead != 10 || c.pairs != 12 || c.claimSupported {
+		t.Errorf("ten faster pairs of twelve: %+v, want ahead 10/12 and no claim", c)
 	}
 
 	// Ahead in every pair, but by less than the spread: no claim.
@@ -52,14 +61,14 @@ func TestCompare(t *testing.T) {
 	for _, v := range parent {
 		slightly = append(slightly, v+1)
 	}
-	if c := compare(higher, parent, slightly); c.ahead != 10 || c.claimSupported {
+	if c := compare(higher, len(parent), parent, slightly); c.ahead != 10 || c.claimSupported {
 		t.Errorf("slightly faster change: %+v, want ahead 10/10 and no claim", c)
 	}
 
 	// Ahead in eight of ten: no claim, whatever the median.
 	mixed := append([]float64(nil), faster...)
 	mixed[0], mixed[1] = parent[0], parent[1]-1
-	if c := compare(higher, parent, mixed); c.ahead != 8 || c.claimSupported {
+	if c := compare(higher, len(parent), parent, mixed); c.ahead != 8 || c.claimSupported {
 		t.Errorf("mixed change: %+v, want ahead 8/10 and no claim", c)
 	}
 
@@ -69,11 +78,11 @@ func TestCompare(t *testing.T) {
 	for _, v := range parent {
 		bigger = append(bigger, v*4/3)
 	}
-	c = compare(lower, parent, bigger)
+	c = compare(lower, len(parent), parent, bigger)
 	if c.ahead != 0 || !c.beyondBound || c.gain >= 0 {
 		t.Errorf("bigger footprint: %+v, want ahead 0, beyond bound, negative gain", c)
 	}
-	if c := compare(lower, parent, parent); c.ahead != 0 || c.beyondBound || c.gain != 0 {
+	if c := compare(lower, len(parent), parent, parent); c.ahead != 0 || c.beyondBound || c.gain != 0 {
 		t.Errorf("equal runs: %+v, want no pair ahead, within bound, no gain", c)
 	}
 }
