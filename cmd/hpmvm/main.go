@@ -148,11 +148,9 @@ func main() {
 			}
 		}
 		if sys.OptManager != nil {
-			for _, op := range sys.OptManager.Optimizations() {
-				fmt.Printf("%s decision log:\n", op.Kind())
-				for _, l := range op.Log() {
-					fmt.Printf("  %s\n", l)
-				}
+			fmt.Println("decision log:")
+			for _, r := range sys.OptManager.Records() {
+				fmt.Printf("  %s\n", r)
 			}
 		}
 		if sys.AOS != nil {

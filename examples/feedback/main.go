@@ -17,7 +17,6 @@ import (
 	"hpmvm/internal/bench"
 	_ "hpmvm/internal/bench/workloads"
 	"hpmvm/internal/coalloc"
-	"hpmvm/internal/opt"
 )
 
 func main() {
@@ -36,9 +35,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Println("\npolicy decision log:")
-	for _, e := range sys.Optimization(opt.KindCoalloc).Log() {
-		fmt.Printf("  %s\n", e)
+	fmt.Println("\ndecision log:")
+	for _, r := range sys.OptManager.Records() {
+		fmt.Printf("  %s\n", r)
 	}
 
 	// Render the String::value miss-rate series as a terminal plot.

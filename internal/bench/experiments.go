@@ -9,7 +9,6 @@ import (
 	"hpmvm/internal/coalloc"
 	"hpmvm/internal/core"
 	"hpmvm/internal/monitor"
-	"hpmvm/internal/opt"
 	"hpmvm/internal/stats"
 	"hpmvm/internal/vm/mcmap"
 )
@@ -702,8 +701,8 @@ func fig7(opt ExpOptions) (string, error) {
 // discover the regression and switch back.
 const Fig8GapAtCycle = 120_000_000
 
-// fig8 runs the Figure 8 scenario and renders the policy's decision log
-// and the String::value miss-rate series. (A single run; it still
+// fig8 runs the Figure 8 scenario and renders the manager's decision
+// records and the String::value miss-rate series. (A single run; it still
 // executes on the engine so accounting and progress are uniform.)
 func fig8(o ExpOptions) (string, error) {
 	builder, err := Lookup("db")
@@ -724,8 +723,8 @@ func fig8(o ExpOptions) (string, error) {
 	fmt.Fprintf(&b, "(one cache line of padding between String and char[]; the feedback loop\n")
 	fmt.Fprintf(&b, " detects that the placement does not help and reverts to adjacent placement)\n\n")
 	fmt.Fprintf(&b, "policy decisions:\n")
-	for _, e := range h.Sys().Optimization(opt.KindCoalloc).Log() {
-		fmt.Fprintf(&b, "  %s\n", e)
+	for _, r := range h.Sys().OptManager.Records() {
+		fmt.Fprintf(&b, "  %s\n", r)
 	}
 	fmt.Fprintf(&b, "\n%14s %14s\n", "cycle", "misses/Mcycle")
 	for _, s := range fc.RateSeries.Samples {

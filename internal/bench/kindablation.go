@@ -211,8 +211,8 @@ func (a *KindAblation) rows(o ExpOptions) ([]ablationRow, error) {
 }
 
 // revert runs the BadDecision scenario on db and returns the
-// decision/revert counters and the optimization's decision log.
-func (a *KindAblation) revert(o ExpOptions) (opt.KindStats, []string, error) {
+// decision/revert counters and the manager's decision records.
+func (a *KindAblation) revert(o ExpOptions) (opt.KindStats, []opt.Record, error) {
 	builder, err := Lookup("db")
 	if err != nil {
 		return opt.KindStats{}, nil, err
@@ -221,7 +221,7 @@ func (a *KindAblation) revert(o ExpOptions) (opt.KindStats, []string, error) {
 	if err := o.eng.Wait(); err != nil {
 		return opt.KindStats{}, nil, err
 	}
-	return a.kindStats(h.Result()), h.Sys().Optimization(a.Kind).Log(), nil
+	return a.kindStats(h.Result()), h.Sys().OptManager.Records(), nil
 }
 
 // exp renders the experiment: the passive-vs-active table and the
@@ -232,7 +232,7 @@ func (a *KindAblation) exp(o ExpOptions) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	badStats, badLog, err := a.revert(o)
+	badStats, badRecords, err := a.revert(o)
 	if err != nil {
 		return "", err
 	}
@@ -255,8 +255,8 @@ func (a *KindAblation) exp(o ExpOptions) (string, error) {
 	mean := 100 * sumImp / float64(len(rows))
 	fmt.Fprintf(&b, a.average, "average", mean)
 	fmt.Fprintf(&b, "\nInjected bad decision (%s):\n", a.badTitle)
-	for _, line := range badLog {
-		fmt.Fprintf(&b, "  %s\n", line)
+	for _, r := range badRecords {
+		fmt.Fprintf(&b, "  %s\n", r)
 	}
 	fmt.Fprintf(&b, "decisions %d, reverts %d\n", badStats.Decisions, badStats.Reverts)
 	metric("workloads_improved", float64(improved))

@@ -37,8 +37,15 @@ func TestObserveCycleIdentical(t *testing.T) {
 			Coalloc: true, CoallocConfig: &coalloc.Config{GapAtCycle: 30_000_000},
 			CodeLayout: true, CodeLayoutConfig: &opt.CodeLayoutConfig{MinSamples: 1, EvalPeriods: 1, MinMissRate: -1},
 			SwPrefetch: true, Interval: 800, Seed: 7}, true},
+		// db at the Figure 8 configuration: one poll gaps two fields and
+		// one of them is reverted.
+		{"genms-coalloc-fig8", "db", RunConfig{
+			Coalloc: true, CoallocConfig: &coalloc.Config{GapAtCycle: Fig8GapAtCycle}, Interval: 2500, Seed: 1}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			if raceLane && tc.workload == "db" {
+				t.Skip("db-sized run")
+			}
 			b, _ := Get(tc.workload)
 			cfg := tc.cfg
 

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"hpmvm/internal/coalloc"
 	"hpmvm/internal/core"
 )
 
@@ -73,6 +74,35 @@ func TestWarmStartMatchesColdRun(t *testing.T) {
 	bad.Heap = 8 << 20
 	if _, _, err := RunFromSnapshot(context.Background(), b, bad, snapshot); !errors.Is(err, core.ErrSnapshotMismatch) {
 		t.Errorf("option mismatch err = %v, want ErrSnapshotMismatch", err)
+	}
+}
+
+// TestWarmStartKeepsRecords resumes db's Figure 8 run from a snapshot
+// taken after the intervention and before its revert: the resumed run
+// ends with the cold run's cycles, counter rows and decision records.
+func TestWarmStartKeepsRecords(t *testing.T) {
+	if raceLane {
+		t.Skip("db-sized run")
+	}
+	b, _ := Get("db")
+	cfg := RunConfig{Coalloc: true, CoallocConfig: &coalloc.Config{GapAtCycle: Fig8GapAtCycle}, Interval: 2500, Seed: 1}
+	cold, coldSys, err := Run(b, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshot, err := RunPrefix(context.Background(), b, cfg, 200_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, warmSys, err := RunFromSnapshot(context.Background(), b, cfg, snapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.Cycles != cold.Cycles || !reflect.DeepEqual(warm.Opt, cold.Opt) {
+		t.Errorf("warm run: %d cycles, %+v; cold: %d cycles, %+v", warm.Cycles, warm.Opt, cold.Cycles, cold.Opt)
+	}
+	if w, c := warmSys.OptManager.Records(), coldSys.OptManager.Records(); !reflect.DeepEqual(w, c) {
+		t.Errorf("warm records:\n%v\ncold records:\n%v", w, c)
 	}
 }
 

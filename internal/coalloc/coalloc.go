@@ -17,7 +17,6 @@
 package coalloc
 
 import (
-	"fmt"
 	"sort"
 
 	"hpmvm/internal/gc/genms"
@@ -114,7 +113,6 @@ type Policy struct {
 	fields  map[int]*fieldState
 
 	intervened bool
-	events     []string
 }
 
 // hottestField is the plain policy's one candidate. Field states are
@@ -182,8 +180,9 @@ func (p *Policy) CoallocationPerformed(f *classfile.Field, gap uint64) {
 }
 
 // sortedFields returns the field states in field-ID order. The state
-// machine (optimization.go) logs as it walks the states, so walking the
-// map directly would leak map iteration order into the decision log.
+// machine (optimization.go) proposes and assesses in this order, so
+// walking the map directly would leak map iteration order into the
+// manager's decision records.
 func (p *Policy) sortedFields() []*fieldState {
 	out := make([]*fieldState, 0, len(p.fields))
 	for _, st := range p.fields {
@@ -204,13 +203,6 @@ func tailMean(s *stats.Series, n int) float64 {
 	}
 	return stats.Mean(vals)
 }
-
-func (p *Policy) logf(now uint64, format string, args ...any) {
-	p.events = append(p.events, fmt.Sprintf("[cycle %d] %s", now, fmt.Sprintf(format, args...)))
-}
-
-// Log implements opt.Optimization: the decision log.
-func (p *Policy) Log() []string { return p.events }
 
 // Decision describes a field's current placement state.
 type Decision struct {

@@ -4,12 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"strings"
 	"testing"
 
 	"hpmvm/internal/bench"
 	"hpmvm/internal/coalloc"
 	"hpmvm/internal/core"
+	"hpmvm/internal/obs"
 	"hpmvm/internal/opt"
 	"hpmvm/internal/snap"
 	"hpmvm/internal/vm/bytecode"
@@ -108,7 +108,7 @@ func TestPolicyActivatesHotField(t *testing.T) {
 		Optimizations:    []core.OptimizationConfig{{Kind: opt.KindCoalloc}},
 	})
 	if sys.GenMS.Stats().CoallocPairs == 0 {
-		t.Fatalf("no pairs placed; events: %v", policy(sys).Log())
+		t.Fatalf("no pairs placed; records: %v", sys.OptManager.Records())
 	}
 	var active bool
 	for _, d := range policy(sys).Decisions() {
@@ -203,19 +203,15 @@ func TestPolicyRevertsForcedGap(t *testing.T) {
 		t.Fatal(err)
 	}
 	var intervened, reverted bool
-	for _, e := range policy(sys).Log() {
-		if strings.Contains(e, "manual intervention") {
-			intervened = true
-		}
-		if strings.Contains(e, "revert") {
-			reverted = true
-		}
+	for _, r := range sys.OptManager.Records() {
+		intervened = intervened || r.Verdict == opt.VerdictOpen && r.Code == obs.DecisionIntervene
+		reverted = reverted || r.Verdict == opt.VerdictBad
 	}
 	if !intervened {
-		t.Fatalf("intervention never fired; events: %v", policy(sys).Log())
+		t.Fatalf("intervention never fired; records: %v", sys.OptManager.Records())
 	}
 	if !reverted {
-		t.Fatalf("poor placement not reverted; events: %v", policy(sys).Log())
+		t.Fatalf("poor placement not reverted; records: %v", sys.OptManager.Records())
 	}
 	// After the revert the hot field must be back on adjacent placement.
 	for _, d := range policy(sys).Decisions() {

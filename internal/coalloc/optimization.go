@@ -10,7 +10,7 @@ import (
 // This file is the policy's state machine, driven by the opt.Manager
 // through the opt.Optimization interface. Each monitor poll runs three
 // phases in a fixed order, and the golden corpus pins every decision
-// and log line they produce and the events the manager traces for them:
+// they produce and the events the manager traces and records for them:
 //
 //   - Analyze scans the hot fields for activations and, once
 //     GapAtCycle has passed, the active fields for the Figure 8
@@ -137,10 +137,9 @@ func (p *Policy) Analyze(now uint64) []opt.Proposal {
 // Apply implements opt.Optimization: enact one activation or the
 // Figure 8 manual intervention ("we then instructed the GC manually to
 // place one cache line of empty space between the String and the char[]
-// objects").
-func (p *Policy) Apply(now uint64, pr opt.Proposal) {
-	switch a := pr.State.(type) {
-	case *activation:
+// objects"). The baseline is the field's miss rate before it.
+func (p *Policy) Apply(now uint64, pr opt.Proposal) float64 {
+	if a, ok := pr.State.(*activation); ok {
 		st, fc := a.st, a.fc
 		st.mode = modeActive
 		st.gap = p.cfg.Gap
@@ -149,21 +148,18 @@ func (p *Policy) Apply(now uint64, pr opt.Proposal) {
 		if a.top {
 			p.byClass[st.field.Class.ID] = st
 		}
-		p.logf(now, "activate %s (gap %d, baseline rate %.0f misses/Mcycle)",
-			st.field.QualifiedName(), st.gap, st.baselineRate)
-	case *intervention:
-		st := a.st
-		p.intervened = true
-		st.gap = gapBytes
-		if fc := p.mon.Field(st.field); fc != nil {
-			st.baselineRate = tailMean(&fc.RateSeries, evalPeriods)
-			st.activatedAt = fc.RateSeries.Len()
-			st.abMarkAdj = fc.AdjacentSamples
-			st.abMarkGap = fc.GappedSamples
-		}
-		p.logf(now, "manual intervention: %d-byte gap forced for %s",
-			st.gap, st.field.QualifiedName())
+		return st.baselineRate
 	}
+	st := pr.State.(*intervention).st
+	p.intervened = true
+	st.gap = gapBytes
+	if fc := p.mon.Field(st.field); fc != nil {
+		st.baselineRate = tailMean(&fc.RateSeries, evalPeriods)
+		st.activatedAt = fc.RateSeries.Len()
+		st.abMarkAdj = fc.AdjacentSamples
+		st.abMarkGap = fc.GappedSamples
+	}
+	return st.baselineRate
 }
 
 // OpenDecisions implements opt.Optimization: every active field in
@@ -174,19 +170,21 @@ func (p *Policy) OpenDecisions() []*opt.Decision {
 		if st.mode != modeActive {
 			continue
 		}
-		out = append(out, &opt.Decision{Target: st.field.ID, State: st})
+		out = append(out, &opt.Decision{Target: st.field.ID, Label: st.field.QualifiedName(), State: st})
 	}
 	return out
 }
 
 // Assess implements opt.Optimization: the per-field judgment. A bad
 // A/B verdict suppresses the rate fallback for that field this poll.
+// Every other outcome leaves the placement open: it is judged again on
+// the next poll.
 func (p *Policy) Assess(now uint64, d *opt.Decision) opt.Assessment {
-	keep := opt.Assessment{Verdict: opt.VerdictKeep}
+	var open opt.Assessment
 	st := d.State.(*fieldState)
 	fc := p.mon.Field(st.field)
 	if fc == nil {
-		return keep
+		return open
 	}
 	// A/B assessment between placement variants, over the window since
 	// the last placement change.
@@ -217,11 +215,11 @@ func (p *Policy) Assess(now uint64, d *opt.Decision) opt.Assessment {
 	// paper reports no case where undoing a plain co-allocation was
 	// needed.
 	if st.gap == 0 || st.pairsGapped == 0 {
-		return keep
+		return open
 	}
 	elapsed := fc.RateSeries.Len() - st.activatedAt
 	if elapsed < evalPeriods {
-		return keep
+		return open
 	}
 	current := tailMean(&fc.RateSeries, evalPeriods)
 	if st.baselineRate > 0 && current > st.baselineRate*regressionFactor {
@@ -232,7 +230,7 @@ func (p *Policy) Assess(now uint64, d *opt.Decision) opt.Assessment {
 			B:       st.baselineRate,
 		}
 	}
-	return keep
+	return open
 }
 
 // Revert implements opt.Optimization: switch the field back to
@@ -247,33 +245,10 @@ func (p *Policy) Revert(now uint64, d *opt.Decision, a opt.Assessment) {
 		st.reverts++
 		st.abMarkAdj = fc.AdjacentSamples
 		st.abMarkGap = fc.GappedSamples
-		p.logf(now, "revert %s: gapped pairs draw %.4f sampled misses/pair vs %.4f for adjacent — switching back to adjacent placement",
-			st.field.QualifiedName(), a.A, a.B)
 	case obs.DecisionRevertRate:
 		st.reverts++
 		st.gap = 0
-		p.logf(now, "revert %s: rate %.0f vs baseline %.0f misses/Mcycle — dropping gap",
-			st.field.QualifiedName(), a.A, a.B)
 		st.baselineRate = a.A
 		st.activatedAt = fc.RateSeries.Len()
 	}
-}
-
-// Stats implements opt.Optimization. Both counters are derived from
-// serialized policy state, so restored systems report them exactly:
-// decisions are the fields ever activated (mode is never reset to
-// idle) plus one for a fired Figure 8 intervention; reverts sum the
-// per-field revert counters.
-func (p *Policy) Stats() opt.Stats {
-	var s opt.Stats
-	for _, st := range p.fields {
-		if st.mode != modeIdle {
-			s.Decisions++
-		}
-		s.Reverts += uint64(st.reverts)
-	}
-	if p.intervened {
-		s.Decisions++
-	}
-	return s
 }

@@ -5,12 +5,11 @@ import "hpmvm/internal/snap"
 // Snapshot/Restore implement snap.Checkpointable for the co-allocation
 // policy: the per-field placement state machines, the class->state
 // index (serialized as class ID -> field ID so restored entries share
-// the same *fieldState as the fields table), the intervention latch and
-// the decision log.
+// the same *fieldState as the fields table) and the intervention latch.
 
 const (
 	snapComponent = "coalloc"
-	snapVersion   = 1
+	snapVersion   = 2
 )
 
 // walk is the policy's layout. Decoding resolves field ids through the
@@ -51,7 +50,6 @@ func (p *Policy) walk(c *snap.Codec) {
 		}
 	}
 	c.Bool(&p.intervened)
-	snap.Slice(c, &p.events, (*snap.Codec).String)
 }
 
 // Snapshot serializes the policy's mutable state.

@@ -19,10 +19,11 @@ import (
 // snapshot cache hands them across processes), so Restore must never
 // panic and must fail only with an error wrapping snap.ErrDecode. The
 // seed corpus is each kind's valid blob from a paused run — eager
-// configs, so the blobs carry history, detector/hotness state and logs
-// — plus its three malformed shapes: truncated, an absurd length
-// prefix, a trailing byte. Runs over the seeds as a plain test;
-// `make fuzz-smoke` explores further.
+// configs, so the blobs carry history and detector/hotness state — and
+// the manager's decision records from a run of the toy kind (which
+// decides on every poll), plus the three malformed shapes of each:
+// truncated, an absurd length prefix, a trailing byte. Runs over the
+// seeds as a plain test; `make fuzz-smoke` explores further.
 func FuzzOptRestore(f *testing.F) {
 	base := core.Options{HeapLimit: 8 << 20, Monitoring: true, SamplingInterval: 500}
 	coalloc, layout, prefetch := base, base, base
@@ -37,22 +38,27 @@ func FuzzOptRestore(f *testing.F) {
 		into  snap.Checkpointable
 	}
 	var targets []target
-	for _, opts := range []core.Options{coalloc, layout, prefetch} {
+	for _, opts := range []core.Options{coalloc, layout, prefetch, toyOptions(toyConfig{Every: 1})} {
 		sn, err := core.DecodeSnapshot(pausedSnapshot(f, opts))
 		if err != nil {
 			f.Fatal(err)
 		}
 		fresh, _ := buildSnapSystem(f, opts)
-		op := fresh.OptManager.Optimizations()[0]
-		d, _ := opt.Lookup(op.Kind())
+		d, _ := opt.Lookup(opts.Optimizations[0].Kind)
+		if d.Kind == kindToy {
+			d.Component = "opt"
+		}
 		for _, st := range sn.Components {
 			if st.Component == d.Component {
-				targets = append(targets, target{valid: st, into: op.(snap.Checkpointable)})
+				targets = append(targets, target{valid: st, into: fresh.Checkpointables()[st.Component]})
 			}
 		}
 	}
-	if len(targets) != 3 {
-		f.Fatalf("found %d managed component blobs, want 3", len(targets))
+	if len(targets) != 4 {
+		f.Fatalf("found %d managed component blobs, want 4", len(targets))
+	}
+	if records := targets[3].valid.Data; binary.LittleEndian.Uint64(records) == 0 {
+		f.Fatal("the opt blob carries no decision records")
 	}
 	for i, tg := range targets {
 		data := tg.valid.Data
@@ -83,7 +89,7 @@ func corruptContainer() []byte {
 }
 
 // contractConfigs are three configurations that between them build all
-// twelve snapshot components.
+// thirteen snapshot components.
 func contractConfigs() []core.Options {
 	return []core.Options{
 		{HeapLimit: 8 << 20, Monitoring: true, SamplingInterval: 500, Optimizations: coallocEntry, Observe: true},
@@ -212,8 +218,8 @@ func TestRestoreContract(t *testing.T) {
 			}
 		}
 	}
-	if len(swept) != 12 {
-		t.Errorf("swept %d components, want all 12: %v", len(swept), swept)
+	if len(swept) != 13 {
+		t.Errorf("swept %d components, want all 13: %v", len(swept), swept)
 	}
 }
 

@@ -89,6 +89,7 @@ func (s *System) components() []component {
 		list = append(list, component{"monitor", s.Monitor})
 	}
 	if s.OptManager != nil {
+		list = append(list, component{"opt", s.OptManager})
 		for _, op := range s.OptManager.Optimizations() {
 			if c, ok := op.(snap.Checkpointable); ok {
 				d, _ := opt.Lookup(op.Kind())

@@ -18,9 +18,10 @@ import (
 // plus an eager code-layout one (the hw/cpu i-fetch word, the hw/cache
 // I-cache tail). The golden corpus pins whole snapshots for
 // GenMS/GenCopy × monitoring × co-allocation only; this reaches vm/aos,
-// opt/codelayout and opt/swprefetch too, and names the component that
-// moved. A change to how a component states its layout must reproduce
-// these hashes, not re-record them.
+// opt (the manager's decision records), opt/codelayout and
+// opt/swprefetch too, and names the component that moved. A change to
+// how a component states its layout must reproduce these hashes, not
+// re-record them.
 func TestComponentEncodingPinned(t *testing.T) {
 	configs := snapConfigs()
 	configs["genms-monitoring-codelayout"] = core.Options{HeapLimit: 8 << 20,
@@ -107,7 +108,8 @@ var componentPins = map[string]map[string][2]string{
 		"kernel/perfmon": {"845c35898d2cf4c1a70d3ed5cc85ccc2366c5acbfbdb1d91829efee5a4f30394", "fabf344d6ca6301def57ee8369d9719f18d9f56d14c4c8d56963d667c339de6c"},
 		"gc/genms":       {"b31460c32a6b7ad963cababd7cfe0f7aee5746f955f3f4a802852e0d5096dba8", "ef18ed4061c50f1fce0914c7fad72e233fa0b621e5348440243a1542ea556a5b"},
 		"monitor":        {"9d9716bb3a8b3f0b9ad30e79497825411e550989e6edb7e8445549bff7106807", "efe746656ab8ecc086f1090451cb0327fb3c4fbfa9d723fd4d64e3589c181ce9"},
-		"coalloc":        {"61126de1b795b976f3ac878f48e88fa77a87d7308ba57c7642b9e1068403a496", "61126de1b795b976f3ac878f48e88fa77a87d7308ba57c7642b9e1068403a496"},
+		"opt":            {"af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc", "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc"},
+		"coalloc":        {"0a88111852095cae045340ea1f0b279944b2a756a213d9b50107d7489771e159", "0a88111852095cae045340ea1f0b279944b2a756a213d9b50107d7489771e159"},
 		"obs":            {"241945477a26da8ee2147cb404044e3035cf7303d5b49e4bcd32b7112d90ef29", "c5bc5120e3eed2b8c922a30c9dba413df31c148fef06a3e697fd514845b6d0b3"},
 	},
 	"genms-monitoring-codelayout": {
@@ -119,7 +121,8 @@ var componentPins = map[string]map[string][2]string{
 		"kernel/perfmon": {"845c35898d2cf4c1a70d3ed5cc85ccc2366c5acbfbdb1d91829efee5a4f30394", "fabf344d6ca6301def57ee8369d9719f18d9f56d14c4c8d56963d667c339de6c"},
 		"gc/genms":       {"fce29ee8e75b8775f74969048ce336c54dab7565386d6960f3e166238d13557a", "ef18ed4061c50f1fce0914c7fad72e233fa0b621e5348440243a1542ea556a5b"},
 		"monitor":        {"c14bd8a89de50832c3bb9892bc79a5eb39b301cb828330e78f3fec7415258582", "e795b1268a97c257c13e89d4b66a7ed28cef80aef2c204d0d1d04c255df52737"},
-		"opt/codelayout": {"ce909a825e62c2de8d6299a0f414bebc59d0af424e3f6ab7a0ec34e45d38849e", "9c68d6e6310ced7501675184010ba754fb40c063fa9be36ce834be62efb3ea7c"},
+		"opt":            {"af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc", "bb9244141fc4252bca6a4540beb02a8b991305691e187e63b7e96145be586d74"},
+		"opt/codelayout": {"8e8741c3ab1161021f6c052d83d3bce1ffa5d693340148443168a09718f172db", "9867fb54b3ad54f9a52db8f6d0925a64b39ca8eba0e0d970cd919edb425a776d"},
 		"obs":            {"0174fa613acba4caa00c73b448a5a4e889daeb2c56f79a8bce726bf2db1d6994", "b931e15df19ba147d7070138f518192f1a3585bb978577682fdcc46d28212332"},
 	},
 	"genms-monitoring-swprefetch": {
@@ -131,7 +134,8 @@ var componentPins = map[string]map[string][2]string{
 		"kernel/perfmon": {"845c35898d2cf4c1a70d3ed5cc85ccc2366c5acbfbdb1d91829efee5a4f30394", "fabf344d6ca6301def57ee8369d9719f18d9f56d14c4c8d56963d667c339de6c"},
 		"gc/genms":       {"b31460c32a6b7ad963cababd7cfe0f7aee5746f955f3f4a802852e0d5096dba8", "ef18ed4061c50f1fce0914c7fad72e233fa0b621e5348440243a1542ea556a5b"},
 		"monitor":        {"9d9716bb3a8b3f0b9ad30e79497825411e550989e6edb7e8445549bff7106807", "efe746656ab8ecc086f1090451cb0327fb3c4fbfa9d723fd4d64e3589c181ce9"},
-		"opt/swprefetch": {"f5cde66d27eeb61a0fcc3d9c60fa3edd2aafc9b89bad90843a7bb2d453e615f8", "08345a4458ccdd84fab052f542e16eafdd9797b60641408520e8381758530e00"},
+		"opt":            {"af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc", "a75b79ebf64b557f322423b02ee8c92d1b716aa57d5ca9c6099669e8fc2c1caf"},
+		"opt/swprefetch": {"f375035b21cb12a0695523c544836f2cbb184afa4523f60652f2cd764aebcbd9", "345d4f5e80ccbbb3a32cbb5ea1273a889e925ea879d6f407b605ba759247ba9d"},
 		"obs":            {"241945477a26da8ee2147cb404044e3035cf7303d5b49e4bcd32b7112d90ef29", "65829342067623e653e6248abbdce745d576b4990d5090b231e273dfe4da0db0"},
 	},
 	"genms-plain": {

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
+	"reflect"
 	"testing"
 
 	"hpmvm/internal/core"
@@ -30,12 +30,11 @@ func (c toyConfig) withDefaults() toyConfig {
 	return c
 }
 
-// toyOpt is the kind's Optimization: it counts monitor polls and logs a
-// decision every cfg.Every of them. It never has anything to assess.
+// toyOpt is the kind's Optimization: it counts monitor polls and
+// decides every cfg.Every of them. It never has anything to assess.
 type toyOpt struct {
 	cfg              toyConfig
 	polls, decisions uint64
-	log              []string
 }
 
 func (o *toyOpt) Kind() string { return kindToy }
@@ -45,16 +44,11 @@ func (o *toyOpt) Analyze(now uint64) []opt.Proposal {
 	}
 	return []opt.Proposal{{Target: int(o.decisions), Label: "tick"}}
 }
-func (o *toyOpt) Apply(now uint64, p opt.Proposal) {
-	o.decisions++
-	o.log = append(o.log, fmt.Sprintf("[cycle %d] %s #%d", now, p.Label, p.Target))
-}
+func (o *toyOpt) Apply(now uint64, p opt.Proposal) float64             { o.decisions++; return 0 }
 func (o *toyOpt) MonitorWindow() uint64                                { return 0 }
 func (o *toyOpt) OpenDecisions() []*opt.Decision                       { return nil }
 func (o *toyOpt) Assess(uint64, *opt.Decision) opt.Assessment          { return opt.Assessment{} }
 func (o *toyOpt) Revert(now uint64, d *opt.Decision, a opt.Assessment) {}
-func (o *toyOpt) Stats() opt.Stats                                     { return opt.Stats{Decisions: o.decisions} }
-func (o *toyOpt) Log() []string                                        { return o.log }
 func newToy(_ opt.Env, cfg toyConfig) *toyOpt                          { return &toyOpt{cfg: cfg} }
 func toyEntry(cfg any) []core.OptimizationConfig {
 	return []core.OptimizationConfig{{Kind: kindToy, Config: cfg}}
@@ -67,7 +61,6 @@ func toyOptions(cfg any) core.Options {
 func (o *toyOpt) walk(c *snap.Codec) {
 	c.U64(&o.polls)
 	c.U64(&o.decisions)
-	snap.Slice(c, &o.log, (*snap.Codec).String)
 }
 
 func (o *toyOpt) Snapshot() snap.ComponentState { return snap.Encode("opt/toy", 1, o.walk) }
@@ -157,12 +150,10 @@ func TestToyKindBuildsRunsAndCheckpoints(t *testing.T) {
 	if len(rows) != 1 || rows[0].Kind != kindToy || rows[0].Decisions == 0 || rows[0].Reverts != 0 {
 		t.Fatalf("OptStats() = %+v, want one toy row with decisions", rows)
 	}
-	if got := uint64(len(cold.Optimization(kindToy).Log())); got != rows[0].Decisions {
-		t.Errorf("decision log has %d lines for %d decisions", got, rows[0].Decisions)
-	}
 
 	// Pause, snapshot, restore into a fresh system, resume: the final
-	// whole-system images — toy component included — must be equal.
+	// whole-system images — toy component included — and the decision
+	// records must be equal.
 	enc := pausedSnapshot(t, opts)
 	sn, err := core.DecodeSnapshot(enc)
 	if err != nil {
@@ -184,5 +175,8 @@ func TestToyKindBuildsRunsAndCheckpoints(t *testing.T) {
 	}
 	if !bytes.Equal(finalImage(t, cold), finalImage(t, warm)) {
 		t.Error("restored run's final image differs from the uninterrupted run's")
+	}
+	if !reflect.DeepEqual(cold.OptManager.Records(), warm.OptManager.Records()) {
+		t.Errorf("restored run's records differ:\n%v\nvs\n%v", warm.OptManager.Records(), cold.OptManager.Records())
 	}
 }

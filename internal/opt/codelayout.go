@@ -196,8 +196,9 @@ func (c *CodeLayout) Analyze(now uint64) []Proposal {
 
 // Apply implements Optimization: relocate the plan's methods at the
 // end of the code space — tightly packed, or padded onto one cache way
-// for a conflict plan — and open the decision for assessment.
-func (c *CodeLayout) Apply(now uint64, p Proposal) {
+// for a conflict plan — and open the decision for assessment against
+// the L1I miss rate before it.
+func (c *CodeLayout) Apply(now uint64, p Proposal) float64 {
 	plan := p.State.(*layoutPlan)
 	if plan.conflict {
 		c.applyConflict(plan.methods)
@@ -205,8 +206,7 @@ func (c *CodeLayout) Apply(now uint64, p Proposal) {
 		c.pack(plan.methods)
 	}
 	c.lastLayout = append([]int(nil), plan.methods...)
-	baseline := c.opened(p, plan.conflict)
-	c.logf(now, "layout #%d: %s (baseline L1I miss rate %.5f)", p.Target, p.Label, baseline)
+	return c.opened(p, plan.conflict)
 }
 
 // pack relocates the methods back-to-back.
@@ -237,16 +237,6 @@ func (c *CodeLayout) applyConflict(methods []int) {
 	}
 }
 
-// Assess implements Optimization: compare the L1I miss rate over the
-// assessment window against the pre-layout baseline.
-func (c *CodeLayout) Assess(now uint64, d *Decision) Assessment {
-	a := c.verdict()
-	if a.Verdict == VerdictKeep {
-		c.logf(now, "layout #%d kept (L1I miss rate %.5f, baseline %.5f)", d.Target, a.A, a.B)
-	}
-	return a
-}
-
 // Revert implements Optimization: undo a bad layout by re-packing the
 // current hot set tightly (code cannot move back, so "undo" means a
 // fresh known-good layout).
@@ -258,8 +248,6 @@ func (c *CodeLayout) Revert(now uint64, d *Decision, a Assessment) {
 	c.pack(hot)
 	c.lastLayout = hot
 	c.reverted()
-	c.logf(now, "layout #%d reverted (L1I miss rate %.5f vs baseline %.5f): repacked %d methods",
-		d.Target, a.A, a.B, len(hot))
 }
 
 // hotOrder returns the sampled methods hottest-first (ties broken by
@@ -327,7 +315,7 @@ func sameSet(a, b []int) bool {
 
 const (
 	codeLayoutComponent = "opt/codelayout"
-	codeLayoutVersion   = 2
+	codeLayoutVersion   = 3
 )
 
 // walk is the optimization's layout.

@@ -1,8 +1,6 @@
 package opt
 
 import (
-	"fmt"
-
 	"hpmvm/internal/monitor"
 	"hpmvm/internal/obs"
 	"hpmvm/internal/snap"
@@ -44,18 +42,16 @@ type guardState struct {
 	reverts   uint64
 	// badDone latches the deliberate bad decision: applied once.
 	badDone bool
-	log     []string
 }
 
 // guarded is the guarded-decision helper a kind embeds when it keeps at
 // most one decision open and verifies it online against a before/after
 // rate (§5.3). It owns everything about that loop that is not the
 // decision itself: the per-poll history, the guard prelude, the open
-// decision with its baseline, the keep/revert verdict, the counters,
-// the log and the snapshot codec of all of it. The embedding kind
-// supplies what to decide (Analyze's plan), how to enact and undo it,
-// and its log wording; OpenDecisions, MonitorWindow, Stats and Log are
-// promoted to it.
+// decision with its baseline, the keep/revert verdict, the counters
+// its guards consult and the snapshot codec of all of it. The embedding
+// kind supplies what to decide (Analyze's plan) and how to enact and
+// undo it; OpenDecisions, MonitorWindow and Assess are promoted to it.
 type guarded struct {
 	p   guardParams
 	mon *monitor.Monitor
@@ -129,22 +125,22 @@ func (g *guarded) propose(label string, code uint64, plan any) []Proposal {
 }
 
 // opened records that the kind just applied p: the decision opens for
-// assessment against the current verdict rate, which is returned for
-// the kind's log line. bad marks the deliberate bad decision.
+// assessment against the current verdict rate, which is returned as
+// Apply's baseline. bad marks the deliberate bad decision.
 func (g *guarded) opened(p Proposal, bad bool) (baseline float64) {
 	g.baseline, _ = g.rates(g.p.EvalPeriods)
-	g.open = &Decision{Target: p.Target, AppliedPoll: g.mon.Stats().Polls}
+	g.open = &Decision{Target: p.Target, Label: p.Label, AppliedPoll: g.mon.Stats().Polls}
 	g.decisions++
 	g.badDone = g.badDone || bad
 	return g.baseline
 }
 
-// verdict judges the open decision: bad when the verdict rate over the
-// assessment window exceeds baseline × RegressionFactor. A kept
-// decision closes — decisions are judged once, like the paper's
-// Figure-7 window; a bad one stays open until the kind's Revert calls
-// reverted.
-func (g *guarded) verdict() Assessment {
+// Assess implements Optimization: the open decision is bad when the
+// verdict rate over the assessment window exceeds baseline ×
+// RegressionFactor. A kept decision closes — decisions are judged once,
+// like the paper's Figure-7 window; a bad one stays open until the
+// kind's Revert calls reverted.
+func (g *guarded) Assess(now uint64, d *Decision) Assessment {
 	cur, _ := g.rates(g.p.EvalPeriods)
 	if g.baseline > 0 && cur > g.baseline*g.p.RegressionFactor {
 		return Assessment{Verdict: VerdictBad, Reason: obs.DecisionRevertRate, A: cur, B: g.baseline}
@@ -159,10 +155,6 @@ func (g *guarded) reverted() {
 	g.open = nil
 }
 
-func (g *guarded) logf(now uint64, format string, args ...any) {
-	g.log = append(g.log, fmt.Sprintf("[cycle %d] %s", now, fmt.Sprintf(format, args...)))
-}
-
 // MonitorWindow implements Optimization: a decision is first assessed
 // EvalPeriods polls after it was applied.
 func (g *guarded) MonitorWindow() uint64 { return g.p.EvalPeriods }
@@ -175,12 +167,6 @@ func (g *guarded) OpenDecisions() []*Decision {
 	}
 	return []*Decision{g.open}
 }
-
-// Stats implements Optimization.
-func (g *guarded) Stats() Stats { return Stats{Decisions: g.decisions, Reverts: g.reverts} }
-
-// Log implements Optimization.
-func (g *guarded) Log() []string { return g.log }
 
 // walk is the guard state's snapshot layout. The open decision's State
 // payload belongs to the kind, which walks it after this section.
@@ -206,8 +192,8 @@ func (s *guardState) walk(c *snap.Codec) {
 	}
 	if open {
 		snap.Int(c, &s.open.Target)
+		c.String(&s.open.Label)
 		c.U64(&s.open.AppliedPoll)
 		c.F64(&s.baseline)
 	}
-	snap.Slice(c, &s.log, (*snap.Codec).String)
 }

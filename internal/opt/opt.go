@@ -12,8 +12,8 @@
 // per-decision assessment, revert) and a Manager that owns the loop:
 // it observes the monitor's poll ticks, drives each registered
 // optimization through analyze→apply, gates assessment on the
-// optimization's monitoring window, and reverts decisions the
-// assessment flags as regressions.
+// optimization's monitoring window, reverts decisions the assessment
+// flags as regressions, and keeps the one record of every decision.
 //
 // Three kinds ship: the ported co-allocation policy (coalloc.Policy
 // implements Optimization; the golden corpus pins its behaviour), the
@@ -52,7 +52,7 @@ type Proposal struct {
 	// Target identifies what the proposal acts on (a field ID for
 	// co-allocation, a layout epoch for code layout).
 	Target int
-	// Label is a human-readable description for logs and traces.
+	// Label is a human-readable description for the decision record.
 	Label string
 	// Code is the obs decision code the application will be traced
 	// with (obs.DecisionActivate, obs.DecisionIntervene, ...).
@@ -66,8 +66,9 @@ type Proposal struct {
 // where persistent); OpenDecisions returns views for the manager to
 // assess.
 type Decision struct {
-	// Target mirrors the proposal's Target.
+	// Target and Label mirror the proposal's.
 	Target int
+	Label  string
 	// AppliedPoll is the monitor poll count when Apply ran; the
 	// manager gates assessment on polls-since-apply reaching the
 	// optimization's MonitorWindow.
@@ -81,8 +82,10 @@ type Decision struct {
 type Verdict int
 
 const (
-	// VerdictKeep leaves the decision in place.
-	VerdictKeep Verdict = iota
+	// VerdictOpen leaves the decision open: it is not judged yet.
+	VerdictOpen Verdict = iota
+	// VerdictKeep closes the decision as judged and kept.
+	VerdictKeep
 	// VerdictBad flags the decision as a regression; the manager
 	// invokes Revert with the assessment.
 	VerdictBad
@@ -96,24 +99,13 @@ type Assessment struct {
 	// (obs.DecisionRevertAB or obs.DecisionRevertRate).
 	Reason uint64
 	// A and B are the two sides of the comparison that produced the
-	// verdict (measured vs reference: misses/pair, rates, ...), carried
-	// to Revert so its log line can cite the evidence.
+	// verdict (measured vs reference: misses/pair, rates, ...), which
+	// the manager's record of the verdict cites as evidence.
 	A, B float64
 }
 
-// Stats summarizes one optimization's decision history. Both counters
-// are derived from (or stored in) the optimization's snapshot state,
-// so a restored system reports them exactly.
-type Stats struct {
-	// Decisions counts applied optimization decisions (activations,
-	// layouts, interventions).
-	Decisions uint64
-	// Reverts counts decisions undone by the online assessment.
-	Reverts uint64
-}
-
-// KindStats is Stats labeled with its optimization kind — the
-// aggregation row bench results and /v1/statsz carry.
+// KindStats counts one optimization kind's apply and revert records —
+// the aggregation row bench results and /v1/statsz carry.
 type KindStats struct {
 	Kind      string `json:"kind"`
 	Decisions uint64 `json:"decisions"`
@@ -134,8 +126,9 @@ type Optimization interface {
 	// the decisions the optimization wants applied this poll, in
 	// application order.
 	Analyze(now uint64) []Proposal
-	// Apply enacts one proposal.
-	Apply(now uint64, p Proposal)
+	// Apply enacts one proposal and returns the baseline the decision
+	// will be judged against.
+	Apply(now uint64, p Proposal) (baseline float64)
 	// MonitorWindow returns the assessment window in monitor polls: a
 	// decision is first assessed once that many polls have elapsed
 	// since it was applied. 0 assesses every decision on every poll
@@ -149,8 +142,4 @@ type Optimization interface {
 	Assess(now uint64, d *Decision) Assessment
 	// Revert undoes one decision flagged VerdictBad.
 	Revert(now uint64, d *Decision, a Assessment)
-	// Stats reports the decision/revert counters.
-	Stats() Stats
-	// Log returns the decision log ("[cycle N] ..." lines).
-	Log() []string
 }

@@ -5,24 +5,25 @@ import (
 	"errors"
 	"testing"
 
+	"hpmvm/internal/obs"
 	"hpmvm/internal/snap"
 )
 
 // populated returns one instance of each guarded kind carrying every
 // optional snapshot section — history, an open decision (with the
-// prefetch kind's revert payload), a log — built without a VM: Snapshot
-// and Restore touch only the optimization's own state.
+// prefetch kind's revert payload) — and a manager over both carrying
+// records of each verdict, all built without a VM: Snapshot and Restore
+// touch only the component's own state.
 func populated() map[string]snap.Checkpointable {
 	gs := func(state any) guardState {
 		return guardState{
 			seen:      41,
 			history:   []point{{10, 2, 1}, {25, 6, 3}, {40, 9, 4}},
-			open:      &Decision{Target: 2, AppliedPoll: 3, State: state},
+			open:      &Decision{Target: 2, Label: "packed", AppliedPoll: 3, State: state},
 			baseline:  0.25,
 			decisions: 3,
 			reverts:   1,
 			badDone:   true,
-			log:       []string{"[cycle 1] one", "[cycle 2] two"},
 		}
 	}
 	sites := map[uint64]int64{0x1000: 256, 0x1040: -128}
@@ -39,15 +40,56 @@ func populated() map[string]snap.Checkpointable {
 			installed:   sites,
 			siteMethods: methods,
 		},
+		managerComponent: &Manager{opts: managed(), records: []Record{
+			{Cycle: 10, Kind: KindSwPrefetch, Target: 0, Label: "three sites", Code: obs.DecisionActivate, B: 1.5},
+			{Cycle: 20, Kind: KindCodeLayout, Verdict: VerdictKeep, Target: 4, Label: "packed", A: 0.01, B: 0.02},
+			{Cycle: 30, Kind: KindSwPrefetch, Verdict: VerdictBad, Target: 0, Label: "three sites",
+				Code: obs.DecisionRevertRate, A: 2, B: 1.5},
+		}},
 	}
 }
 
+// managed is the registered set of the manager populated builds.
+func managed() []Optimization { return []Optimization{&CodeLayout{}, &SwPrefetch{}} }
+
 // blank returns an empty instance of the same kind to restore into.
 func blank(kind string) snap.Checkpointable {
-	if kind == KindCodeLayout {
+	switch kind {
+	case KindCodeLayout:
 		return &CodeLayout{}
+	case KindSwPrefetch:
+		return &SwPrefetch{}
 	}
-	return &SwPrefetch{}
+	return &Manager{opts: managed()}
+}
+
+// TestManagerRestoreRefuses holds the records' two enumerations to the
+// registered set: a kind index outside it and an unknown verdict fail
+// with snap.ErrDecode and leave the receiver unchanged.
+func TestManagerRestoreRefuses(t *testing.T) {
+	valid := populated()[managerComponent].Snapshot()
+	// The first record's words: count, cycle, kind index, verdict.
+	for _, tc := range []struct {
+		name string
+		off  int
+		val  uint64
+	}{
+		{"kind index outside the registered set", 16, 2},
+		{"negative kind index", 16, 1 << 63},
+		{"unknown verdict", 24, uint64(VerdictBad) + 1},
+	} {
+		data := append([]byte(nil), valid.Data...)
+		binary.LittleEndian.PutUint64(data[tc.off:], tc.val)
+		m := populated()[managerComponent]
+		before := m.Snapshot()
+		err := m.Restore(snap.ComponentState{Component: valid.Component, Version: valid.Version, Data: data})
+		if !errors.Is(err, snap.ErrDecode) {
+			t.Errorf("%s: Restore error = %v, want snap.ErrDecode", tc.name, err)
+		}
+		if string(m.Snapshot().Data) != string(before.Data) {
+			t.Errorf("%s: failed Restore modified the receiver", tc.name)
+		}
+	}
 }
 
 func TestRestoreRoundTrip(t *testing.T) {

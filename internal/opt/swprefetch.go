@@ -366,14 +366,15 @@ func (s *SwPrefetch) plan(bad bool, delta func(*swStream) (int64, bool)) *swPlan
 }
 
 // Apply implements Optimization: install the plan's site set through
-// the VM's recompile hook and open the decision for assessment.
-func (s *SwPrefetch) Apply(now uint64, p Proposal) {
+// the VM's recompile hook and open the decision for assessment against
+// the cycles-per-access before it.
+func (s *SwPrefetch) Apply(now uint64, p Proposal) float64 {
 	plan := p.State.(*swPlan)
 	prev := &swPlan{sites: s.installed, methods: s.siteMethods}
 	s.install(plan.sites, plan.methods)
 	baseline := s.opened(p, plan.bad)
 	s.open.State = prev
-	s.logf(now, "injection #%d: %s (baseline %.4f cycles/access)", p.Target, p.Label, baseline)
+	return baseline
 }
 
 // install points the VM (and through it the hierarchy) at a new site
@@ -384,24 +385,12 @@ func (s *SwPrefetch) install(sites map[uint64]int64, methods map[uint64]int) {
 	s.vm.InstallPrefetchSites(s.installed)
 }
 
-// Assess implements Optimization: compare cycles-per-access over the
-// assessment window against the pre-injection baseline.
-func (s *SwPrefetch) Assess(now uint64, d *Decision) Assessment {
-	a := s.verdict()
-	if a.Verdict == VerdictKeep {
-		s.logf(now, "injection #%d kept (%.4f cycles/access, baseline %.4f)", d.Target, a.A, a.B)
-	}
-	return a
-}
-
 // Revert implements Optimization: reinstall the site set that was live
 // before the bad injection.
 func (s *SwPrefetch) Revert(now uint64, d *Decision, a Assessment) {
 	prev := d.State.(*swPlan)
 	s.install(prev.sites, prev.methods)
 	s.reverted()
-	s.logf(now, "injection #%d reverted (%.4f vs baseline %.4f cycles/access): restored %d sites",
-		d.Target, a.A, a.B, len(prev.sites))
 }
 
 func sameSign(a, b int64) bool {
@@ -431,7 +420,7 @@ func gcd64(a, b uint64) uint64 {
 
 const (
 	swPrefetchComponent = "opt/swprefetch"
-	swPrefetchVersion   = 2
+	swPrefetchVersion   = 3
 )
 
 // walkSites walks a site set — PC → prefetch delta, with each site's

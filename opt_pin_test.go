@@ -20,7 +20,6 @@ import (
 	"testing"
 
 	"hpmvm/internal/bench"
-	"hpmvm/internal/core"
 	"hpmvm/internal/hw/cache"
 	"hpmvm/internal/opt"
 )
@@ -67,11 +66,11 @@ type optPinEntry struct {
 }
 
 // optPinRun is one executed cell: the recorded entry plus the decision
-// log itself, which TestOptRevertBadDecision inspects line by line.
+// records themselves, which TestOptRevertBadDecision inspects.
 type optPinRun struct {
-	entry optPinEntry
-	log   []string
-	err   error
+	entry   optPinEntry
+	records []opt.Record
+	err     error
 }
 
 var optPinRuns sync.Map // cell name -> func() *optPinRun (sync.OnceValue)
@@ -104,8 +103,8 @@ func executeOptPinCell(c optPinCell) *optPinRun {
 	if err != nil {
 		return &optPinRun{err: err}
 	}
-	log := managedLog(sys, c.Kind)
-	sum := sha256.Sum256([]byte(strings.Join(log, "\n")))
+	records := sys.OptManager.Records()
+	sum := sha256.Sum256([]byte(render(records)))
 	var ks opt.KindStats
 	for _, k := range res.Opt {
 		if k.Kind == c.Kind {
@@ -113,7 +112,7 @@ func executeOptPinCell(c optPinCell) *optPinRun {
 		}
 	}
 	return &optPinRun{
-		log: log,
+		records: records,
 		entry: optPinEntry{
 			Cycles:         res.Cycles,
 			Instret:        res.Instret,
@@ -122,26 +121,19 @@ func executeOptPinCell(c optPinCell) *optPinRun {
 			SwPrefetches:   res.Cache.SwPrefetches,
 			SwPrefetchHits: res.Cache.SwPrefetchHits,
 			Opt:            ks,
-			LogLines:       len(log),
+			LogLines:       len(records),
 			LogSHA256:      hex.EncodeToString(sum[:]),
 		},
 	}
 }
 
-// managedLog returns the decision log of the managed optimization of
-// the given kind.
-func managedLog(sys *core.System, kind string) []string {
-	if sys.OptManager == nil {
-		return nil
+// render is the decision log: one rendered record per line.
+func render(records []opt.Record) string {
+	lines := make([]string, len(records))
+	for i, r := range records {
+		lines[i] = r.String()
 	}
-	for _, op := range sys.OptManager.Optimizations() {
-		if op.Kind() == kind {
-			if l, ok := op.(interface{ Log() []string }); ok {
-				return l.Log()
-			}
-		}
-	}
-	return nil
+	return strings.Join(lines, "\n")
 }
 
 func optPinPath() string { return filepath.Join("testdata", "goldens", "opt_kinds.json") }
@@ -189,7 +181,7 @@ func TestOptKindsPinned(t *testing.T) {
 			}
 			if !reflect.DeepEqual(r.entry, wantE) {
 				t.Errorf("behaviour diverges from the pin:\n got %+v\nwant %+v\nlog:\n%s",
-					r.entry, wantE, strings.Join(r.log, "\n"))
+					r.entry, wantE, render(r.records))
 			}
 		})
 	}

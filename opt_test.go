@@ -10,11 +10,11 @@ import (
 	"context"
 	"encoding/json"
 	"os"
-	"strings"
 	"testing"
 
 	"hpmvm/internal/bench"
 	"hpmvm/internal/coalloc"
+	"hpmvm/internal/obs"
 	"hpmvm/internal/opt"
 )
 
@@ -84,10 +84,10 @@ func TestOptCoallocByteIdentical(t *testing.T) {
 
 // TestOptRevertBadDecision injects a deliberately regressing decision
 // into each managed optimization and requires the assessment loop to
-// take it back within one assessment window — the revert is the FIRST
-// verdict on the injected decision, never preceded by a "kept". This is
-// the Figure 8 methodology (db, manual mid-run intervention) applied
-// through the generic manager to both kinds.
+// take it back within one assessment window: the first verdict on the
+// injected decision is a revert, never a keep. This is the Figure 8
+// methodology (db, manual mid-run intervention) applied through the
+// generic manager to every kind.
 func TestOptRevertBadDecision(t *testing.T) {
 	t.Run("coalloc", func(t *testing.T) {
 		b, err := bench.Lookup("db")
@@ -100,78 +100,46 @@ func TestOptRevertBadDecision(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ks := kindRow(t, res.Opt, opt.KindCoalloc)
-		if ks.Reverts < 1 {
-			t.Errorf("injected gap placement never reverted: %+v", ks)
-		}
-		// The revert must be the first verdict on the intervened field:
-		// between the forced gap and the switch back there is no event
-		// keeping the gapped placement.
-		events := sys.Optimization(opt.KindCoalloc).Log()
-		iIntervene, iRevert := -1, -1
-		for i, e := range events {
-			if iIntervene < 0 && strings.Contains(e, "manual intervention") {
-				iIntervene = i
-			}
-			if iRevert < 0 && strings.Contains(e, "revert") {
-				iRevert = i
-			}
-		}
-		if iIntervene < 0 || iRevert < 0 || iRevert < iIntervene {
-			t.Fatalf("expected intervention then revert; events:\n%s", strings.Join(events, "\n"))
-		}
-		for _, e := range events[iIntervene:iRevert] {
-			if strings.Contains(e, "kept") {
-				t.Errorf("gapped placement was kept before the revert; events:\n%s", strings.Join(events, "\n"))
-			}
-		}
+		checkFirstVerdictReverts(t, kindRow(t, res.Opt, opt.KindCoalloc), sys.OptManager.Records())
 	})
 
 	// Both scenarios are the BadDecision runs of internal/bench's
 	// ablation descriptors, shared with TestOptKindsPinned
 	// (opt_pin_test.go) so each executes once.
 	t.Run("swprefetch", func(t *testing.T) {
-		checkFirstVerdictReverts(t, "db/swprefetch-badinject", "polluting injection", "injection #")
+		run := runOptPinCell(t, "db/swprefetch-badinject")
+		checkFirstVerdictReverts(t, run.entry.Opt, run.records)
 	})
 	t.Run("codelayout", func(t *testing.T) {
-		checkFirstVerdictReverts(t, "db/codelayout-badpad", "conflict layout", "layout #")
+		run := runOptPinCell(t, "db/codelayout-badpad")
+		checkFirstVerdictReverts(t, run.entry.Opt, run.records)
 	})
 }
 
-// checkFirstVerdictReverts requires the pinned cell's injected decision
-// — the first log line containing badMarker — to be reverted, and the
-// revert to be its first assessment: no "kept" verdict for that epoch
-// (the number after epochMarker) between apply and revert.
-func checkFirstVerdictReverts(t *testing.T, cell, badMarker, epochMarker string) {
+// checkFirstVerdictReverts requires a revert in ks and the first
+// injected decision — the first apply record with code
+// obs.DecisionIntervene — to be closed by a revert: the first later
+// verdict record of the same kind and Target is VerdictBad.
+func checkFirstVerdictReverts(t *testing.T, ks opt.KindStats, records []opt.Record) {
 	t.Helper()
-	run := runOptPinCell(t, cell)
-	ks, log := run.entry.Opt, run.log
 	if ks.Reverts < 1 {
-		t.Errorf("injected %s never reverted: %+v\nlog:\n%s", badMarker, ks, strings.Join(log, "\n"))
+		t.Errorf("injected decision never reverted: %+v\nlog:\n%s", ks, render(records))
 	}
-	iApply, iRevert := -1, -1
-	var epoch string
-	for i, l := range log {
-		if iApply < 0 && strings.Contains(l, badMarker) {
-			iApply = i
-			if j := strings.Index(l, epochMarker); j >= 0 {
-				epoch = strings.Fields(l[j+len(epochMarker):])[0]
-				epoch = strings.TrimSuffix(epoch, ":")
+	for i, r := range records {
+		if r.Verdict != opt.VerdictOpen || r.Code != obs.DecisionIntervene {
+			continue
+		}
+		for _, v := range records[i+1:] {
+			if v.Kind == r.Kind && v.Target == r.Target && v.Verdict != opt.VerdictOpen {
+				if v.Verdict != opt.VerdictBad {
+					t.Errorf("first verdict on %q is not a revert: %q\nlog:\n%s", r, v, render(records))
+				}
+				return
 			}
 		}
-		if iApply >= 0 && iRevert < 0 && strings.Contains(l, "reverted") &&
-			strings.Contains(l, epochMarker+epoch+" ") {
-			iRevert = i
-		}
+		t.Fatalf("injected decision %q never judged; log:\n%s", r, render(records))
 	}
-	if iApply < 0 || iRevert < 0 {
-		t.Fatalf("expected %s apply then revert; log:\n%s", badMarker, strings.Join(log, "\n"))
-	}
-	for _, l := range log[iApply:iRevert] {
-		if strings.Contains(l, epochMarker+epoch+" kept") {
-			t.Errorf("%s kept before the revert; log:\n%s", badMarker, strings.Join(log, "\n"))
-		}
-	}
+	t.Fatalf("no injected decision recorded; log:\n%s", render(records))
 }
 
 // TestSwPrefetchAblation pins the prefetch-injection acceptance bar
