@@ -43,21 +43,28 @@ verify-sampling:
 # pressured geometry), and the prefetch-injection ablation never
 # regresses the passive baseline while improving >= 3 workloads.
 # TestOptKindsPinned (opt_pin_test.go) pins what the codelayout and
-# swprefetch kinds decide — cycles, counters, KindStats and the
-# decision-log hash of four cells — against
+# swprefetch kinds decide — cycles, counters, KindStats and the hash of
+# four cells' rendered decision records — against
 # testdata/goldens/opt_kinds.json. TestCanonicalStringsPinned
 # (canonical_pin_test.go) pins the canonical option string — what every
 # fingerprint and cache key hashes — of every configuration the repo
-# builds against testdata/canonical_pin.json. All five tests also run
-# under `make test`; this is the focused, verbose gate wired into `make
-# ci`.
+# builds against testdata/canonical_pin.json. The opt Manager's
+# decision records are held to three more: TestObserveCycleIdentical
+# (internal/bench; KindStats, the opt.<kind>.* counters and the traced
+# decisions agree, db's Figure 8 run included), TestWarmStartKeepsRecords
+# (internal/bench; that run resumed between its intervention and its
+# revert ends with the cold run's records) and TestManagerRestoreRefuses
+# (internal/opt; a record's kind index and verdict are checked on
+# restore). All eight tests also run under `make test`; this is the
+# focused, verbose gate wired into `make ci`.
 verify-opt:
-	$(GO) test -run 'TestOptCoallocByteIdentical|TestOptRevertBadDecision|TestSwPrefetchAblation|TestOptKindsPinned|TestCanonicalStringsPinned' -v .
+	$(GO) test -run 'TestOptCoallocByteIdentical|TestOptRevertBadDecision|TestSwPrefetchAblation|TestOptKindsPinned|TestCanonicalStringsPinned|TestObserveCycleIdentical|TestWarmStartKeepsRecords|TestManagerRestoreRefuses' -v . ./internal/bench ./internal/opt
 
 # Ten seconds of coverage-guided fuzzing per target, beyond the seed
 # corpora `make test` already replays: FuzzOptRestore (no managed
-# optimization's Restore panics on, or fails with anything but
-# snap.ErrDecode for, an arbitrary component blob), FuzzDecodeSnapshot
+# optimization's Restore, nor the opt Manager's for its decision
+# records, panics on, or fails with anything but snap.ErrDecode for, an
+# arbitrary component blob), FuzzDecodeSnapshot
 # (the same for the snapshot container every warm start parses),
 # FuzzRestoreSystem (a mutated whole snapshot restored into a freshly
 # booted system: nil, snap.ErrDecode or core.ErrSnapshotMismatch, never

@@ -2,5 +2,4 @@
 
 package bench
 
-// raceLane is false outside race builds (see race_test.go).
 const raceLane = false

@@ -2,6 +2,5 @@
 
 package bench
 
-// raceLane keeps the db-sized cases out of the race lane: race
-// instrumentation slows the simulator an order of magnitude.
+// raceLane skips the db-sized cases: race instrumentation is too slow.
 const raceLane = true
