@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race bench bench-smoke bench-pairs profile experiments obs serve-smoke verify-sampling verify-opt fuzz-smoke loc traffic
+.PHONY: ci vet build test race bench bench-smoke bench-pairs profile experiments obs serve-smoke verify-sampling verify-opt verify-lanes fuzz-smoke loc traffic
 
-ci: vet build test race verify-opt fuzz-smoke bench-smoke serve-smoke loc
+ci: vet build test race verify-opt verify-lanes fuzz-smoke bench-smoke serve-smoke loc
 
 # go vet plus the gofmt gate: any file `gofmt -l` names (outside the
 # benchmark's build directory) fails the target.
@@ -34,6 +34,15 @@ test:
 # sampler, the schedule table or the cost model.
 verify-sampling:
 	$(GO) test -run 'TestSamplingCalibration|TestSamplingFig5Path' -v .
+
+# Lane keystone on every workload: each exact lane of a lane pass
+# (bench.RunLanes) — 250, 500, 1000 and auto × 3 reps, the Figure 2
+# grid — must equal its separate monitored run in cycles, monitor.Stats
+# and PEBS unit stats, and the pass's baseline the separate unmonitored
+# run. `make test` runs the same test on jess, antlr and compress.
+# About 3 minutes on 2 cores.
+verify-lanes:
+	$(GO) test -run '^TestLanesMatchSeparateRuns$$' -timeout 30m -v . -lanes-all
 
 # Optimization-framework keystones (opt_test.go): the framework-managed
 # co-allocation reproduces the recorded golden corpus bit-for-bit on

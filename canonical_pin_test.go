@@ -1,5 +1,5 @@
-// Canonical-string pin: the text every Fingerprint, PrefixFingerprint
-// and hpmvmd cache key hashes, recorded in testdata/canonical_pin.json
+// Canonical-string pin: the text every Fingerprint and hpmvmd cache
+// key hashes, recorded in testdata/canonical_pin.json
 // for every configuration the repo builds — the experiment grids and
 // their inline configurations, both kind-ablation descriptors, the
 // golden corpus, the benchmark's simulated and probe runs, and the
@@ -28,11 +28,9 @@ import (
 	"hpmvm/internal/hw/cache"
 )
 
-// canonicalPinEntry is one configuration's two identity strings. Prefix
-// is left empty when it equals Canonical (every unmonitored run).
+// canonicalPinEntry is one configuration's identity string.
 type canonicalPinEntry struct {
 	Canonical string `json:"canonical"`
-	Prefix    string `json:"prefix,omitempty"`
 }
 
 func canonicalPinPath() string { return filepath.Join("testdata", "canonical_pin.json") }
@@ -59,7 +57,7 @@ func canonicalPinConfigs() map[string]bench.RunConfig {
 	}
 
 	// cmd/experiments: table2, fig2–fig8, the sampled validations,
-	// ablations, warmstart and the obs sweep.
+	// ablations and the obs sweep.
 	add("exp/base", bench.RunConfig{})
 	for j, iv := range bench.Fig2Intervals {
 		add("exp/fig2/"+bench.Fig2Labels[j], bench.RunConfig{Monitoring: true, Interval: iv})
@@ -87,10 +85,6 @@ func canonicalPinConfigs() map[string]bench.RunConfig {
 	add("exp/ablations/nopf-coalloc", bench.RunConfig{Coalloc: true, CacheConfig: &nopf})
 	add("exp/ablations/opt1-base", bench.RunConfig{OptLevel: 1})
 	add("exp/ablations/opt1-coalloc", bench.RunConfig{OptLevel: 1, Coalloc: true})
-	for _, iv := range bench.WarmstartIntervals {
-		add(fmt.Sprintf("exp/warmstart/iv=%d", iv), bench.RunConfig{Monitoring: true, Interval: iv})
-	}
-	add("exp/warmstart/discover", sampled(bench.RunConfig{Monitoring: true, Interval: bench.WarmstartIntervals[0]}))
 	add("exp/obs", bench.RunConfig{Coalloc: true, Observe: true})
 	for _, a := range []bench.KindAblation{bench.CodeLayoutAblation, bench.SwPrefetchAblation} {
 		add("exp/"+a.Kind+"/passive", a.Passive)
@@ -131,7 +125,7 @@ func canonicalPinConfigs() map[string]bench.RunConfig {
 }
 
 // TestCanonicalStringsPinned compares every configuration's canonical
-// and prefix-canonical strings against the recorded pin. With
+// string against the recorded pin. With
 // -golden-regen it rewrites the pin instead.
 func TestCanonicalStringsPinned(t *testing.T) {
 	b, err := bench.Lookup("db")
@@ -141,12 +135,7 @@ func TestCanonicalStringsPinned(t *testing.T) {
 	db := b()
 	got := map[string]canonicalPinEntry{}
 	for name, cfg := range canonicalPinConfigs() {
-		opts := cfg.Resolve(db.MinHeap, db.HotFieldName)
-		e := canonicalPinEntry{Canonical: opts.CanonicalString()}
-		if p := opts.PrefixCanonicalString(); p != e.Canonical {
-			e.Prefix = p
-		}
-		got[name] = e
+		got[name] = canonicalPinEntry{Canonical: cfg.Resolve(db.MinHeap, db.HotFieldName).CanonicalString()}
 	}
 	if *goldenRegen {
 		data, err := json.MarshalIndent(got, "", "  ")

@@ -59,6 +59,22 @@ func TestMisuseFailsWithoutATable(t *testing.T) {
 	}
 }
 
+// The lane experiments refuse no repetitions with exit 1 and the
+// reason, instead of printing a −100 % cell: a lane pass with no lanes
+// has no mean to compare against the baseline.
+func TestLaneExperimentsRefuseNoReps(t *testing.T) {
+	for _, exp := range []string{"fig2", "sampling", "sampling-fig5"} {
+		var stdout, stderr bytes.Buffer
+		code := run([]string{"-exp", exp, "-workloads", "compress", "-reps", "0", "-progress=false"}, &stdout, &stderr)
+		if code != 1 || stdout.Len() != 0 {
+			t.Errorf("%s -reps 0: exit %d, stdout %q", exp, code, stdout.String())
+		}
+		if want := "experiments: " + exp + ": reps must be at least 1, got 0\n"; stderr.String() != want {
+			t.Errorf("%s -reps 0: stderr %q, want %q", exp, stderr.String(), want)
+		}
+	}
+}
+
 // The profile is flushed by a deferred call, so a failing experiment
 // must return through run rather than exit under it.
 func TestProfileWrittenOnFailure(t *testing.T) {

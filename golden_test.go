@@ -3,8 +3,8 @@
 // against recorded goldens for every registered workload under both
 // collectors, with and without monitoring and co-allocation.
 //
-// snapshot_sha256 is the SHA-256 of the encoded snapshot with its two
-// identity strings (Fingerprint, PrefixFingerprint) blanked: it pins
+// snapshot_sha256 is the SHA-256 of the encoded snapshot with its
+// identity string (Fingerprint) blanked: it pins
 // machine state, not how core.Options is spelled, so re-keying the
 // canonical form cannot move the corpus.
 //
@@ -125,17 +125,17 @@ func obsFingerprint(t *testing.T, r *bench.Result) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// snapshotFingerprint hashes an encoded snapshot with Fingerprint and
-// PrefixFingerprint blanked: they are digests of how core.Options is
-// spelled, not machine state, and TestSnapshotMismatchSentinel pins
-// that restore enforces them.
+// snapshotFingerprint hashes an encoded snapshot with Fingerprint
+// blanked: it is a digest of how core.Options is spelled, not machine
+// state, and TestSnapshotMismatchSentinel pins that restore enforces
+// it.
 func snapshotFingerprint(t *testing.T, encoded []byte) string {
 	t.Helper()
 	sn, err := core.DecodeSnapshot(encoded)
 	if err != nil {
 		t.Fatalf("decode snapshot: %v", err)
 	}
-	sn.Fingerprint, sn.PrefixFingerprint = "", ""
+	sn.Fingerprint = ""
 	sum := sha256.Sum256(core.EncodeSnapshot(sn))
 	return hex.EncodeToString(sum[:])
 }

@@ -28,8 +28,8 @@ var samplingCalibration = map[string]runtime.SamplingConfig{
 // CalibratedSampling returns the sampling schedule to use for a
 // workload: its calibration-table entry when one exists, else the
 // default operating point. Every sampled surface — the sampling
-// experiments, sampled serve requests, warm-start prefix discovery —
-// resolves its schedule through here so the table applies uniformly.
+// experiments and sampled serve requests — resolves its schedule
+// through here so the table applies uniformly.
 func CalibratedSampling(name string) runtime.SamplingConfig {
 	if cfg, ok := samplingCalibration[name]; ok {
 		return cfg

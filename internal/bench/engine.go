@@ -103,9 +103,9 @@ func (e *Engine) Stats() EngineStats {
 }
 
 // AddSim credits a completed run's simulated cycles to the engine's
-// throughput accounting. RunAsync, RepeatAsync and RunFrom call it
-// themselves; only custom Submit closures that execute their own
-// simulations need to.
+// throughput accounting. RunAsync and RepeatAsync call it themselves;
+// only custom Submit closures that execute their own simulations need
+// to.
 func (e *Engine) AddSim(cycles uint64) {
 	e.mu.Lock()
 	e.simCycles += cycles
@@ -201,9 +201,7 @@ func (h *RunHandle) Wait() error {
 // future. The run participates in the engine's fail-fast error
 // (batch-experiment semantics).
 func (e *Engine) RunAsync(b Builder, cfg RunConfig, label string) *RunHandle {
-	return e.runAsync(context.Background(), label, false, func(ctx context.Context) (*Result, *core.System, error) {
-		return RunContext(ctx, b, cfg)
-	})
+	return e.runAsync(context.Background(), b, cfg, label, false)
 }
 
 // RunAsyncContext schedules one cancellable program run. The run is
@@ -213,15 +211,13 @@ func (e *Engine) RunAsync(b Builder, cfg RunConfig, label string) *RunHandle {
 // engine. A ctx already cancelled at dequeue time skips the simulation
 // entirely.
 func (e *Engine) RunAsyncContext(ctx context.Context, b Builder, cfg RunConfig, label string) *RunHandle {
-	return e.runAsync(ctx, label, true, func(ctx context.Context) (*Result, *core.System, error) {
-		return RunContext(ctx, b, cfg)
-	})
+	return e.runAsync(ctx, b, cfg, label, true)
 }
 
-// runAsync schedules run — a cold RunContext or a warm RunFromSnapshot
-// — and returns its future. A ctx already cancelled at dequeue time
-// skips the run; a completed run credits its cycles to AddSim.
-func (e *Engine) runAsync(ctx context.Context, label string, isolated bool, run func(context.Context) (*Result, *core.System, error)) *RunHandle {
+// runAsync schedules one RunContext and returns its future. A ctx
+// already cancelled at dequeue time skips the run; a completed run
+// credits its cycles to AddSim.
+func (e *Engine) runAsync(ctx context.Context, b Builder, cfg RunConfig, label string, isolated bool) *RunHandle {
 	h := &RunHandle{done: make(chan struct{})}
 	e.submit(label, func() error {
 		defer close(h.done)
@@ -229,7 +225,7 @@ func (e *Engine) runAsync(ctx context.Context, label string, isolated bool, run 
 			h.err = err
 			return err
 		}
-		res, sys, err := run(ctx)
+		res, sys, err := RunContext(ctx, b, cfg)
 		if err != nil {
 			h.err = err
 			return err

@@ -157,6 +157,31 @@ func TestRepeatAsyncRejectsNoReps(t *testing.T) {
 	}
 }
 
+// TestRunLanesRefuses pins RunLanes's guard rails: no repetitions, no
+// interval, or a base config that itself monitors or runs adaptively
+// is an error, not a pass with empty or skewed lanes.
+func TestRunLanesRefuses(t *testing.T) {
+	b, _ := Get("_unit_tiny")
+	for _, tc := range []struct {
+		name      string
+		base      RunConfig
+		intervals []uint64
+		reps      int
+		want      string
+	}{
+		{"no reps", RunConfig{}, []uint64{250}, 0, "reps must be at least 1, got 0"},
+		{"negative reps", RunConfig{}, []uint64{250}, -1, "reps must be at least 1, got -1"},
+		{"no interval", RunConfig{}, nil, 3, "without an interval"},
+		{"monitored base", RunConfig{Monitoring: true}, []uint64{250}, 1, "cannot monitor"},
+		{"optimizing base", RunConfig{SwPrefetch: true}, []uint64{250}, 1, "cannot monitor"},
+		{"adaptive base", RunConfig{Adaptive: true}, []uint64{250}, 1, "cannot monitor"},
+	} {
+		if p, err := RunLanes(b, tc.base, tc.intervals, tc.reps); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: RunLanes = %v, %v; want an error containing %q", tc.name, p, err, tc.want)
+		}
+	}
+}
+
 func TestRegisterAfterFreezePanics(t *testing.T) {
 	Names() // freezes the registry
 	defer func() {

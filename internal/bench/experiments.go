@@ -9,7 +9,6 @@ import (
 	"hpmvm/internal/coalloc"
 	"hpmvm/internal/core"
 	"hpmvm/internal/monitor"
-	"hpmvm/internal/stats"
 	"hpmvm/internal/vm/mcmap"
 )
 
@@ -36,7 +35,6 @@ var experiments = []struct {
 	{"fig7", fig7},
 	{"fig8", fig8},
 	{"ablations", ablations},
-	{"warmstart", warmstart},
 	{"sampling", sampling},
 	{"sampling-fig5", samplingFig5},
 	{"codelayout", CodeLayoutAblation.exp},
@@ -204,17 +202,6 @@ func (o ExpOptions) repeatGrid(cfgs []labeled) [][]*RepeatHandle {
 	return grid
 }
 
-// fig2Configs is the Figure 2 grid: the unmonitored baseline, then one
-// monitored configuration per Fig2Intervals entry. prefix marks the
-// progress labels.
-func fig2Configs(prefix string) []labeled {
-	cfgs := []labeled{{prefix + "base", RunConfig{}}}
-	for j, iv := range Fig2Intervals {
-		cfgs = append(cfgs, labeled{prefix + Fig2Labels[j], RunConfig{Monitoring: true, Interval: iv}})
-	}
-	return cfgs
-}
-
 // heapConfigs crosses Fig5Factors with cfgs, factor-major: entry
 // j*len(cfgs)+k is configuration k at heap factor j.
 func heapConfigs(cfgs ...labeled) []labeled {
@@ -240,12 +227,11 @@ func (o ExpOptions) round(submit func()) (time.Duration, error) {
 	return o.eng.Stats().RunTime - before, nil
 }
 
-// submitSampledPass schedules one multiplexed sampled pass (see
-// RunSampledPass) with o.Reps lanes per interval on the workload's
-// calibrated schedule; *dst is valid once the engine's Wait returns nil.
-func (o ExpOptions) submitSampledPass(dst **SampledPass, b Builder, cfg RunConfig, intervals []uint64, label string) {
+// submitLanes schedules one lane pass (see RunLanes) with o.Reps lanes
+// per interval; *dst is valid once the engine's Wait returns nil.
+func (o ExpOptions) submitLanes(dst **LanePass, b Builder, cfg RunConfig, intervals []uint64, label string) {
 	o.eng.Submit(label, func() error {
-		p, err := RunSampledPass(b, o.seeded(cfg), intervals, o.Reps)
+		p, err := RunLanes(b, o.seeded(cfg), intervals, o.Reps)
 		if err != nil {
 			return err
 		}
@@ -253,6 +239,13 @@ func (o ExpOptions) submitSampledPass(dst **SampledPass, b Builder, cfg RunConfi
 		*dst = p
 		return nil
 	})
+}
+
+// calibrated returns cfg sampled on the workload's calibrated schedule.
+func calibrated(name string, cfg RunConfig) RunConfig {
+	scfg := CalibratedSampling(name)
+	cfg.Sampling = &scfg
+	return cfg
 }
 
 // estErrors accumulates a sampled validation's per-cell estimation
@@ -277,7 +270,7 @@ func (a *estErrors) cell(est, exact float64, at string) {
 }
 
 // footer renders the mean and worst |error| and the speedup of the
-// sampled passes over the exact grid, and records them as the
+// sampled lane passes over the exact ones, and records them as the
 // <prefix>_speedup / _max_err_pct / _mean_err_pct metrics. Both times
 // are serial-equivalent (see round).
 func (a *estErrors) footer(o ExpOptions, prefix string, exact, sampled time.Duration) {
@@ -372,10 +365,11 @@ var Fig2Labels = []string{"25K~", "50K~", "100K~", "auto"}
 
 // fig2 measures execution-time overhead of runtime event sampling
 // (monitoring on, co-allocation off) against the unmonitored baseline
-// at heap 4x (paper Figure 2). The whole (workload × interval × rep)
-// grid fans out on the engine.
+// at heap 4x (paper Figure 2). Each workload's row is one exact lane
+// pass (see RunLanes), which reproduces the row's separate runs cycle
+// for cycle; the passes fan out on the engine.
 func fig2(opt ExpOptions) (string, error) {
-	grid := opt.repeatGrid(fig2Configs(""))
+	passes := opt.fig2Passes(false)
 	if err := opt.eng.Wait(); err != nil {
 		return "", err
 	}
@@ -386,9 +380,9 @@ func fig2(opt ExpOptions) (string, error) {
 	means := make([]float64, len(Fig2Intervals))
 	for i, name := range opt.names {
 		fmt.Fprintf(&b, "%-11s", name)
-		base := grid[i][0].Mean()
-		for j, m := range grid[i][1:] {
-			ov := m.Mean()/base - 1
+		p := passes[i]
+		for j := range Fig2Intervals {
+			ov := p.MeanCycles(j)/p.Base - 1
 			fmt.Fprintf(&b, " %7.2f%%", 100*ov)
 			means[j] += ov
 		}
@@ -402,27 +396,37 @@ func fig2(opt ExpOptions) (string, error) {
 	return b.String(), nil
 }
 
+// fig2Passes schedules one Figure 2 lane pass per workload, sampled on
+// the workload's calibrated schedule when sampled is set; the passes
+// are valid once the engine's Wait returns nil.
+func (o ExpOptions) fig2Passes(sampled bool) []*LanePass {
+	passes := make([]*LanePass, len(o.names))
+	for i, name := range o.names {
+		cfg, label := RunConfig{}, name+"/lanes"
+		if sampled {
+			cfg, label = calibrated(name, cfg), name+"/sampled"
+		}
+		o.submitLanes(&passes[i], o.builders[i], cfg, Fig2Intervals, label)
+	}
+	return passes
+}
+
 // --- Sampled fig2: estimated vs exact ----------------------------------------
 
-// sampling is the sampled-simulation validation of Figure 2: it runs
-// the fig2 grid exactly, cell for cell, and as one multiplexed sampled
-// pass per workload hosting all of its cells as lanes (see
-// RunSampledPass), on the workload's calibrated schedule. It renders
-// each cell's estimation error and the wall-clock speedup of replacing
-// the grid's (1 baseline + 4 intervals) × reps runs with one pass,
-// which is where sampling pays.
+// sampling is the sampled-simulation validation of Figure 2: per
+// workload, one exact lane pass (see RunLanes), which reproduces the
+// fig2 grid's separate runs cycle for cycle, against one sampled lane
+// pass on the workload's calibrated schedule. It renders each cell's
+// estimation error and the wall-clock speedup of the sampled passes
+// over the exact ones — the fast-forward against detailed simulation,
+// with lane multiplexing on both sides.
 func sampling(opt ExpOptions) (string, error) {
-	var grid [][]*RepeatHandle
-	exactTime, err := opt.round(func() { grid = opt.repeatGrid(fig2Configs("exact-")) })
+	var exact, passes []*LanePass
+	exactTime, err := opt.round(func() { exact = opt.fig2Passes(false) })
 	if err != nil {
 		return "", err
 	}
-	passes := make([]*SampledPass, len(opt.names))
-	sampledTime, err := opt.round(func() {
-		for i, name := range opt.names {
-			opt.submitSampledPass(&passes[i], opt.builders[i], RunConfig{}, Fig2Intervals, name+"/sampled")
-		}
-	})
+	sampledTime, err := opt.round(func() { passes = opt.fig2Passes(true) })
 	if err != nil {
 		return "", err
 	}
@@ -435,11 +439,11 @@ func sampling(opt ExpOptions) (string, error) {
 		"base", Fig2Labels[0], Fig2Labels[1], Fig2Labels[2], Fig2Labels[3])
 	errs := estErrors{b: &b}
 	for i, name := range opt.names {
-		p := passes[i]
+		p, x := passes[i], exact[i]
 		fmt.Fprintf(&b, "%-11s", name)
-		errs.cell(p.Estimate.Cycles, grid[i][0].Mean(), name+"/base")
+		errs.cell(p.Base, x.Base, name+"/base")
 		for j, label := range Fig2Labels {
-			errs.cell(stats.Mean(p.MonCycles[j]), grid[i][j+1].Mean(), name+"/"+label)
+			errs.cell(p.MeanCycles(j), x.MeanCycles(j), name+"/"+label)
 		}
 		fmt.Fprintln(&b)
 	}
@@ -450,9 +454,8 @@ func sampling(opt ExpOptions) (string, error) {
 // --- Sampled fig5: estimated vs exact across heap sizes -----------------------
 
 // samplingFig5 validates the sampled passes along the fig5 heap-size
-// axis: per heap point, the exact baseline and monitored-auto cells
-// (reps each) against one multiplexed sampled pass hosting the baseline
-// plus reps monitored-auto lanes.
+// axis: per heap point, one exact lane pass hosting the baseline plus
+// reps monitored-auto lanes against the sampled pass of the same shape.
 //
 // The sampled half covers fig5's heap-size axis with monitoring, not
 // fig5's co-allocation configuration: co-allocation cannot ride a
@@ -462,23 +465,26 @@ func sampling(opt ExpOptions) (string, error) {
 // an overhead on a shared one (DESIGN.md §12). Monitoring, by
 // contract, only adds cycles.
 func samplingFig5(opt ExpOptions) (string, error) {
-	var grid [][]*RepeatHandle
-	exactTime, err := opt.round(func() {
-		grid = opt.repeatGrid(heapConfigs(labeled{"exact-base", RunConfig{}}, labeled{"exact-auto", RunConfig{Monitoring: true}}))
-	})
+	heapPasses := func(sampled bool) [][]*LanePass {
+		passes := make([][]*LanePass, len(opt.names))
+		for i, name := range opt.names {
+			passes[i] = make([]*LanePass, len(Fig5Factors))
+			for j, f := range Fig5Factors {
+				cfg, label := RunConfig{HeapFactor: f}, fmt.Sprintf("%s/%gx/lanes", name, f)
+				if sampled {
+					cfg, label = calibrated(name, cfg), fmt.Sprintf("%s/%gx/sampled", name, f)
+				}
+				opt.submitLanes(&passes[i][j], opt.builders[i], cfg, []uint64{0}, label)
+			}
+		}
+		return passes
+	}
+	var exact, passes [][]*LanePass
+	exactTime, err := opt.round(func() { exact = heapPasses(false) })
 	if err != nil {
 		return "", err
 	}
-	passes := make([][]*SampledPass, len(opt.names))
-	sampledTime, err := opt.round(func() {
-		for i, name := range opt.names {
-			passes[i] = make([]*SampledPass, len(Fig5Factors))
-			for j, f := range Fig5Factors {
-				opt.submitSampledPass(&passes[i][j], opt.builders[i], RunConfig{HeapFactor: f},
-					[]uint64{0}, fmt.Sprintf("%s/%gx/sampled", name, f))
-			}
-		}
-	})
+	sampledTime, err := opt.round(func() { passes = heapPasses(true) })
 	if err != nil {
 		return "", err
 	}
@@ -497,9 +503,9 @@ func samplingFig5(opt ExpOptions) (string, error) {
 	for i, name := range opt.names {
 		fmt.Fprintf(&b, "%-11s", name)
 		for j, f := range Fig5Factors {
-			p, at := passes[i][j], fmt.Sprintf("%s/%gx/", name, f)
-			errs.cell(p.Estimate.Cycles, grid[i][2*j].Mean(), at+"base")
-			errs.cell(stats.Mean(p.MonCycles[0]), grid[i][2*j+1].Mean(), at+"mon")
+			p, x, at := passes[i][j], exact[i][j], fmt.Sprintf("%s/%gx/", name, f)
+			errs.cell(p.Base, x.Base, at+"base")
+			errs.cell(p.MeanCycles(0), x.MeanCycles(0), at+"mon")
 		}
 		fmt.Fprintln(&b)
 	}

@@ -13,9 +13,8 @@ import (
 
 // TestWarmStartMatchesColdRun pins the bench-layer warm-start contract
 // on the tiny unit workload: an exact-config RunFromSnapshot reproduces
-// the cold run's metrics, a divergent interval retargets and still
-// verifies the program results, and the guard rails (workload tag,
-// option mismatch) fail loudly.
+// the cold run's metrics, and the guard rails (workload tag, option
+// mismatch, the sampling interval included) fail loudly.
 func TestWarmStartMatchesColdRun(t *testing.T) {
 	b, _ := Get("_unit_tiny")
 	cfg := RunConfig{Monitoring: true, Interval: 1000, Seed: 3, Observe: true}
@@ -46,18 +45,6 @@ func TestWarmStartMatchesColdRun(t *testing.T) {
 		t.Errorf("warm results %v != cold %v", warm.Results, cold.Results)
 	}
 
-	// Divergent interval: the retargeted tail still completes and the
-	// program's expected results are verified inside RunFromSnapshot.
-	div := cfg
-	div.Interval = 500
-	wdiv, _, err := RunFromSnapshot(context.Background(), b, div, snapshot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wdiv.Cycles == 0 {
-		t.Error("divergent warm start produced no cycles")
-	}
-
 	// Wrong workload tag.
 	sn, err := core.DecodeSnapshot(snapshot)
 	if err != nil {
@@ -69,11 +56,14 @@ func TestWarmStartMatchesColdRun(t *testing.T) {
 		t.Errorf("tag mismatch not rejected: %v", err)
 	}
 
-	// Non-interval option mismatch surfaces the typed sentinel.
-	bad := cfg
-	bad.Heap = 8 << 20
-	if _, _, err := RunFromSnapshot(context.Background(), b, bad, snapshot); !errors.Is(err, core.ErrSnapshotMismatch) {
-		t.Errorf("option mismatch err = %v, want ErrSnapshotMismatch", err)
+	// An option mismatch surfaces the typed sentinel, whichever option.
+	heap, interval := cfg, cfg
+	heap.Heap = 8 << 20
+	interval.Interval = 500
+	for _, bad := range []RunConfig{heap, interval} {
+		if _, _, err := RunFromSnapshot(context.Background(), b, bad, snapshot); !errors.Is(err, core.ErrSnapshotMismatch) {
+			t.Errorf("option mismatch err = %v, want ErrSnapshotMismatch", err)
+		}
 	}
 }
 
@@ -103,40 +93,6 @@ func TestWarmStartKeepsRecords(t *testing.T) {
 	}
 	if w, c := warmSys.OptManager.Records(), coldSys.OptManager.Records(); !reflect.DeepEqual(w, c) {
 		t.Errorf("warm records:\n%v\ncold records:\n%v", w, c)
-	}
-}
-
-// TestEngineRunFrom runs a warm sweep on the engine and checks the
-// futures resolve in configuration order with the exact point equal to
-// its cold run.
-func TestEngineRunFrom(t *testing.T) {
-	b, _ := Get("_unit_tiny")
-	cfg := RunConfig{Monitoring: true, Interval: 1000, Seed: 3}
-
-	cold, _, err := Run(b, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snapshot, err := RunPrefix(context.Background(), b, cfg, cold.Cycles/2)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	div := cfg
-	div.Interval = 2000
-	e := NewEngine(2)
-	handles := e.RunFrom(b, snapshot, cfg, div)
-	if err := e.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if got := handles[0].Result().Cycles; got != cold.Cycles {
-		t.Errorf("exact warm point cycles = %d, cold = %d", got, cold.Cycles)
-	}
-	if handles[1].Result().Config.Interval != 2000 {
-		t.Errorf("second future is not the divergent config")
-	}
-	if handles[1].Result().Cycles == 0 {
-		t.Error("divergent point produced no cycles")
 	}
 }
 

@@ -36,8 +36,7 @@ import (
 //     (sampled) are different simulations — sampled cycle counts are
 //     estimates — so sampled runs hash to their own cache keys, with
 //     the config's zero fields resolved to defaults like every other
-//     sub-config. Sampled configs also never share a snapshot prefix
-//     (sampled systems refuse Snapshot).
+//     sub-config.
 
 // canonicalIgnored lists the top-level Options fields excluded from
 // the canonical serialization, with the invariant that justifies each
@@ -97,33 +96,6 @@ func canonicalString(c Options) string {
 // content address of the run's configuration.
 func (o Options) Fingerprint() string {
 	sum := sha256.Sum256([]byte(o.CanonicalString()))
-	return hex.EncodeToString(sum[:])
-}
-
-// prefixCanonical is the canonical form with the hardware sampling
-// interval zeroed. Two monitoring configurations with equal prefix
-// forms run the same simulation except for when samples are taken —
-// the relationship the snapshot prefix cache exploits.
-func (o Options) prefixCanonical() Options {
-	c := o.Canonical()
-	c.SamplingInterval = 0
-	return c
-}
-
-// PrefixCanonicalString serializes the prefix-canonical form (see
-// prefixCanonical).
-func (o Options) PrefixCanonicalString() string {
-	return canonicalString(o.prefixCanonical())
-}
-
-// PrefixFingerprint returns the SHA-256 hex digest of
-// PrefixCanonicalString. A snapshot whose PrefixFingerprint matches a
-// system's — while the exact Fingerprints differ — may be restored
-// divergently: the shared warm prefix is reused and the system's own
-// sampling interval is applied from the restore point on (see
-// System.Restore).
-func (o Options) PrefixFingerprint() string {
-	sum := sha256.Sum256([]byte(o.PrefixCanonicalString()))
 	return hex.EncodeToString(sum[:])
 }
 

@@ -11,9 +11,8 @@ import (
 
 // FuzzCanonical fuzzes the cache-key contract over the Options space:
 // Canonical must be idempotent (canonicalization is a normal form) and
-// Fingerprint/PrefixFingerprint must be stable under it — the
-// properties the serve result cache and the snapshot restore
-// validation both rest on. Runs over its seed corpus as a plain test
+// Fingerprint must be stable under it — the properties the serve result
+// cache and the snapshot restore validation both rest on. Runs over its seed corpus as a plain test
 // in CI; `go test -fuzz=FuzzCanonical ./internal/core` explores
 // further.
 func FuzzCanonical(f *testing.F) {
@@ -81,22 +80,14 @@ func FuzzCanonical(f *testing.F) {
 		if len(fp) != 64 {
 			t.Fatalf("Fingerprint %q is not a sha256 hex digest", fp)
 		}
-		pfp := o.PrefixFingerprint()
-		if pfp != c.PrefixFingerprint() {
-			t.Fatalf("PrefixFingerprint unstable under Canonical: %s vs %s", pfp, c.PrefixFingerprint())
-		}
 
-		// The prefix relation: options differing only in the sampling
-		// interval share a prefix fingerprint when monitoring is on —
-		// exactly the divergent-restore eligibility rule.
+		// The sampling interval is semantic exactly when monitoring is
+		// on.
 		div := o
 		div.SamplingInterval = interval + 1
 		if monitoring {
-			if div.PrefixFingerprint() != pfp {
-				t.Fatalf("interval change perturbed PrefixFingerprint")
-			}
 			if div.Fingerprint() == fp {
-				t.Fatalf("interval change did not perturb exact Fingerprint")
+				t.Fatalf("interval change did not perturb Fingerprint")
 			}
 		} else if div.Fingerprint() != fp {
 			// Without monitoring the interval is gated off entirely.
@@ -132,8 +123,8 @@ func FuzzCanonical(f *testing.F) {
 			t.Fatalf("re-sliced optimization list perturbed Fingerprint")
 		}
 
-		// Every entry is semantic: adding a kind must move both the exact
-		// and the prefix key; naming one twice is rejected.
+		// Every entry is semantic: adding a kind must move the key;
+		// naming one twice is rejected.
 		for kind, present := range map[string]bool{
 			opt.KindCoalloc: coalloc, opt.KindCodeLayout: codeLayout, opt.KindSwPrefetch: swPrefetch} {
 			with := o
@@ -142,8 +133,8 @@ func FuzzCanonical(f *testing.F) {
 				if err := with.Validate(); !errors.Is(err, ErrBadOptions) {
 					t.Fatalf("duplicate %s entry: Validate = %v, want ErrBadOptions", kind, err)
 				}
-			} else if with.Fingerprint() == fp || with.PrefixFingerprint() == pfp {
-				t.Fatalf("%s entry did not perturb Fingerprint and PrefixFingerprint", kind)
+			} else if with.Fingerprint() == fp {
+				t.Fatalf("%s entry did not perturb Fingerprint", kind)
 			}
 		}
 	})

@@ -267,11 +267,6 @@ func TestCanonicalOptimizationsEquivalence(t *testing.T) {
 			t.Errorf("%s: fingerprints collapse\n aStr=%s\n bStr=%s",
 				tc.name, tc.a.CanonicalString(), tc.b.CanonicalString())
 		}
-		// An optimization changes the simulation from its first sample
-		// on, so configurations differing in one never share a prefix.
-		if tc.a.PrefixFingerprint() == tc.b.PrefixFingerprint() {
-			t.Errorf("%s: prefix fingerprints collapse", tc.name)
-		}
 	}
 }
 

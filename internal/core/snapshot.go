@@ -25,39 +25,34 @@ import (
 // with the origin's exact image), then the devices and policies, and
 // the observer last (overwriting any events the replay emitted).
 
-// SnapshotVersion is the container format version.
-const SnapshotVersion uint32 = 1
+// SnapshotVersion is the container format version. Version 2 dropped
+// the prefix fingerprint and the sampling interval from the header.
+const SnapshotVersion uint32 = 2
 
 // snapshotMagic leads the binary encoding.
 const snapshotMagic = "hpmvmsnap"
 
 // ErrSnapshotMismatch is the sentinel wrapped when a snapshot is
-// restored into a System whose options match neither the snapshot's
-// exact fingerprint nor its prefix fingerprint. Callers distinguish
+// restored into a System whose options do not match the snapshot's
+// fingerprint. Callers distinguish
 // configuration mismatches from corrupt payloads with
 // errors.Is(err, core.ErrSnapshotMismatch).
 var ErrSnapshotMismatch = errors.New("snapshot does not match system options")
 
 // Snapshot is a whole-system checkpoint: the component states plus the
 // identity needed to validate a restore target. Fingerprint ties the
-// snapshot to the exact resolved Options of its origin;
-// PrefixFingerprint to the origin's options minus the sampling
-// interval (see Options.PrefixFingerprint). Tag is free-form caller
-// identity — the bench engine stores the workload name and refuses to
-// warm-start a different workload from it.
+// snapshot to the exact resolved Options of its origin. Tag is
+// free-form caller identity — the bench engine stores the workload name
+// and refuses to warm-start a different workload from it.
 type Snapshot struct {
-	Version           uint32
-	Fingerprint       string
-	PrefixFingerprint string
-	Tag               string
+	Version     uint32
+	Fingerprint string
+	Tag         string
 
 	// Cycle is the simulated cycle the snapshot was taken at.
 	Cycle uint64
 	// RngDraws is the position of the deterministic PRNG stream.
 	RngDraws uint64
-	// SamplingInterval is the origin's configured hardware sampling
-	// interval (0 in auto mode or without monitoring).
-	SamplingInterval uint64
 
 	Components []snap.ComponentState
 }
@@ -125,13 +120,11 @@ func (s *System) Snapshot() (*Snapshot, error) {
 	}
 	comps := s.components()
 	sn := &Snapshot{
-		Version:           SnapshotVersion,
-		Fingerprint:       s.Opts.Fingerprint(),
-		PrefixFingerprint: s.Opts.PrefixFingerprint(),
-		Cycle:             s.VM.Cycles(),
-		RngDraws:          s.rngSrc.draws,
-		SamplingInterval:  s.Opts.SamplingInterval,
-		Components:        make([]snap.ComponentState, 0, len(comps)),
+		Version:     SnapshotVersion,
+		Fingerprint: s.Opts.Fingerprint(),
+		Cycle:       s.VM.Cycles(),
+		RngDraws:    s.rngSrc.draws,
+		Components:  make([]snap.ComponentState, 0, len(comps)),
 	}
 	for _, c := range comps {
 		sn.Components = append(sn.Components, c.c.Snapshot())
@@ -144,29 +137,17 @@ func (s *System) Snapshot() (*Snapshot, error) {
 
 // Restore rebuilds the receiver to the snapshot's exact point. The
 // receiver must be freshly constructed (NewSystemOpts) and booted
-// (Boot) for the same workload, and must not have run.
-//
-// Two restore modes exist:
-//
-//   - Exact: the snapshot's Fingerprint equals the system's. The
-//     restored system is byte-identical to the origin; continuing it
-//     with ResumeContext reproduces the uninterrupted run exactly. No
-//     event is emitted.
-//   - Divergent (prefix): only the PrefixFingerprint matches — the
-//     options differ in the sampling interval alone. The warm prefix
-//     is reused and the system's own interval is applied from here on
-//     (a "retarget" experiment: NOT byte-identical to a cold run at
-//     that interval, since the prefix was sampled at the origin's).
-//     An EvSnapshotRestored event records the retarget.
-//
-// Anything else fails with an error wrapping ErrSnapshotMismatch.
+// (Boot) for the same workload, and must not have run, and the
+// snapshot's Fingerprint must equal the system's (else the error wraps
+// ErrSnapshotMismatch). The restored system is byte-identical to the
+// origin; continuing it with ResumeContext reproduces the uninterrupted
+// run exactly. No event is emitted.
 func (s *System) Restore(sn *Snapshot) error {
 	if sn.Version != SnapshotVersion {
 		return fmt.Errorf("core: %w: snapshot version %d, supported %d",
 			snap.ErrDecode, sn.Version, SnapshotVersion)
 	}
-	exact := sn.Fingerprint == s.Opts.Fingerprint()
-	if !exact && sn.PrefixFingerprint != s.Opts.PrefixFingerprint() {
+	if sn.Fingerprint != s.Opts.Fingerprint() {
 		return fmt.Errorf("core: %w (snapshot %.12s…, system %.12s…)",
 			ErrSnapshotMismatch, sn.Fingerprint, s.Opts.Fingerprint())
 	}
@@ -195,10 +176,8 @@ func (s *System) Restore(sn *Snapshot) error {
 		}
 	}
 
-	// Reposition the PRNG stream before any component runs: a divergent
-	// restore's SetInterval below may draw from it. That is linear in the
-	// draw count, so a header claiming more draws than cycles is refused
-	// first: the sampling unit draws once per programmed session and once
+	// Reposition the PRNG stream. That is linear in the draw count, so a
+	// header claiming more draws than cycles is refused first: the sampling unit draws once per programmed session and once
 	// per sampled event, and either costs at least a cycle.
 	if sn.RngDraws > sn.Cycle {
 		return fmt.Errorf("core: %w: %d PRNG draws in %d cycles", snap.ErrDecode, sn.RngDraws, sn.Cycle)
@@ -215,19 +194,6 @@ func (s *System) Restore(sn *Snapshot) error {
 			return fmt.Errorf("core: restore %s: %w", c.name, err)
 		}
 	}
-
-	if !exact {
-		// Retarget: apply this system's own sampling interval on top of
-		// the shared prefix. In auto mode (interval 0) the restored
-		// interval stands and the monitor's controller takes over.
-		if s.Opts.Monitoring && s.Opts.SamplingInterval != 0 {
-			s.Module.SetInterval(s.Opts.SamplingInterval)
-		}
-		if s.Obs != nil {
-			s.Obs.Emit(obs.EvSnapshotRestored, s.VM.Cycles(),
-				sn.Cycle, sn.SamplingInterval, s.Opts.SamplingInterval)
-		}
-	}
 	return nil
 }
 
@@ -240,11 +206,9 @@ func EncodeSnapshot(sn *Snapshot) []byte {
 	w.String(snapshotMagic)
 	w.U32(sn.Version)
 	w.String(sn.Fingerprint)
-	w.String(sn.PrefixFingerprint)
 	w.String(sn.Tag)
 	w.U64(sn.Cycle)
 	w.U64(sn.RngDraws)
-	w.U64(sn.SamplingInterval)
 	w.U64(uint64(len(sn.Components)))
 	for _, st := range sn.Components {
 		w.State(st)
@@ -265,11 +229,9 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 			snap.ErrDecode, sn.Version, SnapshotVersion)
 	}
 	sn.Fingerprint = r.String()
-	sn.PrefixFingerprint = r.String()
 	sn.Tag = r.String()
 	sn.Cycle = r.U64()
 	sn.RngDraws = r.U64()
-	sn.SamplingInterval = r.U64()
 	// A component is at least two length prefixes and a version.
 	n := r.Count(20)
 	sn.Components = make([]snap.ComponentState, 0, n)

@@ -98,9 +98,11 @@ type CPU struct {
 	ifetchShift   uint
 	lastFetchLine uint64
 
-	cycles   uint64
-	instret  uint64
-	halted   bool
+	cycles  uint64
+	instret uint64
+	// stop is runLoop's one exit flag test: stopHalted once the program
+	// has halted, stopYield while a Yield request is pending.
+	stop     uint8
 	usermode bool
 
 	// exitStatus is set by TrapExit via Halt.
@@ -118,14 +120,27 @@ func (c *CPU) Config() Config { return c.cfg }
 // SetTrapHandler installs the VM's trap handler.
 func (c *CPU) SetTrapHandler(h TrapHandler) { c.handler = h }
 
+// stop bits.
+const (
+	stopHalted uint8 = 1 << iota
+	stopYield
+)
+
 // Halted reports whether the CPU has stopped.
-func (c *CPU) Halted() bool { return c.halted }
+func (c *CPU) Halted() bool { return c.stop&stopHalted != 0 }
 
 // Halt stops execution; status is the program exit status.
 func (c *CPU) Halt(status int64) {
-	c.halted = true
+	c.stop |= stopHalted
 	c.exitStatus = status
 }
+
+// Yield asks the run loop to return at the next instruction boundary,
+// so the caller re-reads its deadlines before running on. A monitoring
+// lane that charges a clock of its own, not this CPU, moves its poll
+// deadline earlier in CPU time with every charge; asking to yield keeps
+// the poll on time. The request lapses when the next run loop starts.
+func (c *CPU) Yield() { c.stop |= stopYield }
 
 // ExitStatus returns the status passed to Halt.
 func (c *CPU) ExitStatus() int64 { return c.exitStatus }
@@ -284,7 +299,7 @@ func (c *CPU) reg(r uint8) uint64 {
 // Step executes a single instruction. It returns false once the CPU is
 // halted.
 func (c *CPU) Step() bool {
-	if c.halted {
+	if c.Halted() {
 		return false
 	}
 	if c.PC < c.cfg.CodeBase {
@@ -325,7 +340,7 @@ func (c *CPU) Step() bool {
 		d := int64(c.reg(in.Rs2))
 		if d == 0 {
 			c.trap(TrapDivZero)
-			return !c.halted
+			return !c.Halted()
 		}
 		c.setReg(in.Rd, uint64(int64(c.reg(in.Rs1))/d))
 	case OpRem:
@@ -333,7 +348,7 @@ func (c *CPU) Step() bool {
 		d := int64(c.reg(in.Rs2))
 		if d == 0 {
 			c.trap(TrapDivZero)
-			return !c.halted
+			return !c.Halted()
 		}
 		c.setReg(in.Rd, uint64(int64(c.reg(in.Rs1))%d))
 	case OpAnd:
@@ -424,14 +439,14 @@ func (c *CPU) Step() bool {
 		}
 		c.pushRet(next)
 		c.PC = target
-		return !c.halted
+		return !c.Halted()
 
 	case OpCallV:
 		c.cycles += c.cfg.CallCycles
 		recv := c.reg(in.Rs1)
 		if recv == 0 {
 			c.trap(TrapNullPtr)
-			return !c.halted
+			return !c.Halted()
 		}
 		// Load the class ID from the object header, then the vtable
 		// pointer, then the method entry — all real, cached loads.
@@ -451,7 +466,7 @@ func (c *CPU) Step() bool {
 		}
 		c.pushRet(next)
 		c.PC = target
-		return !c.halted
+		return !c.Halted()
 
 	case OpRet:
 		c.cycles += c.cfg.CallCycles
@@ -464,12 +479,12 @@ func (c *CPU) Step() bool {
 			return false
 		}
 		c.PC = target
-		return !c.halted
+		return !c.Halted()
 
 	case OpJmp:
 		c.cycles += c.cfg.TakenBranchCycles
 		c.PC = uint64(in.Imm)
-		return !c.halted
+		return !c.Halted()
 
 	case OpBrEQ, OpBrNE, OpBrLT, OpBrLE, OpBrGT, OpBrGE, OpBrULT, OpBrUGE:
 		a, b := c.reg(in.Rs1), c.reg(in.Rs2)
@@ -495,12 +510,12 @@ func (c *CPU) Step() bool {
 		if taken {
 			c.cycles += c.cfg.TakenBranchCycles
 			c.PC = uint64(in.Imm)
-			return !c.halted
+			return !c.Halted()
 		}
 
 	case OpTrap:
 		c.trap(in.Imm)
-		if c.halted {
+		if c.Halted() {
 			return false
 		}
 
@@ -509,7 +524,7 @@ func (c *CPU) Step() bool {
 	}
 
 	c.PC = next
-	return !c.halted
+	return !c.Halted()
 }
 
 func (c *CPU) pushRet(ret uint64) {

@@ -29,6 +29,9 @@ package cpu
 //   - The cycle horizon and instruction budget are checked before
 //     every instruction, so ticker scheduling, pause points and
 //     Run(maxInstr) accounting are bit-identical to a Step loop.
+//   - The halt flag and a pending Yield share one byte (CPU.stop), so
+//     the loop tests both with the load the halt test alone would
+//     take.
 
 // RunCycles executes instructions until the cycle counter reaches
 // horizon, the CPU halts, or a fault aborts the run. It is the
@@ -68,9 +71,13 @@ func (c *CPU) runLoop(cycleHorizon, budget uint64) uint64 {
 	ins := c.instret
 	startBudget := budget
 	ifetchOn := c.ifetch != nil
+	// A yield requested before this call is answered by the caller's
+	// deadline scan that led here; one requested from now on ends the
+	// loop through the same test that ends it on a halt.
+	c.stop &^= stopYield
 
 run:
-	for !c.halted && cyc < cycleHorizon && budget != 0 {
+	for c.stop == 0 && cyc < cycleHorizon && budget != 0 {
 		if pc < cbase {
 			c.PC, c.cycles, c.instret = pc, cyc, ins
 			c.fault("PC outside code space")

@@ -25,7 +25,15 @@ func (c *CPU) walk(k *snap.Codec) {
 	k.U64(&c.PC)
 	k.U64(&c.cycles)
 	k.U64(&c.instret)
-	k.Bool(&c.halted)
+	// The halt bit travels as the bool it always was; a pending Yield
+	// is not state (the next run loop clears it) and is left as found.
+	halted := c.Halted()
+	k.Bool(&halted)
+	if halted {
+		c.stop |= stopHalted
+	} else {
+		c.stop &^= stopHalted
+	}
 	k.Bool(&c.usermode)
 	k.I64(&c.exitStatus)
 	// The receiver must hold the same installed code as the origin (same

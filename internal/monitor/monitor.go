@@ -119,9 +119,9 @@ type Stats struct {
 
 // Clock is the cycle counter the monitor schedules against and charges
 // its own work to. A directly attached monitor uses the VM's CPU; a
-// multiplexed sampling lane (bench) substitutes a per-lane virtual
-// clock so many monitors can share one machine without charging each
-// other's overhead.
+// lane (bench.RunLanes) substitutes a per-lane virtual clock so many
+// monitors can share one machine without charging each other's
+// overhead.
 type Clock interface {
 	Cycles() uint64
 	AddCycles(n uint64)
@@ -197,8 +197,8 @@ func New(vm *runtime.VM, module *perfmon.Module, cfg Config) *Monitor {
 func (m *Monitor) SetClock(c Clock) { m.clock = c }
 
 // Arm initializes the poll deadline from the clock without registering
-// with the VM's ticker loop — multiplexed sampling lanes schedule their
-// own ticks through a translating wrapper.
+// with the VM's ticker loop — lanes (bench.RunLanes) schedule their own
+// ticks through a translating wrapper.
 func (m *Monitor) Arm() {
 	m.deadline = m.clock.Cycles() + m.pollGap
 }

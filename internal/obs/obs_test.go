@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync"
@@ -179,23 +180,20 @@ func TestTraceJSONRoundTrip(t *testing.T) {
 }
 
 // TestSnapshotEventsExportRoundTrip pins the export contract of the
-// snapshot lifecycle events: stable kind names on the wire and
-// a loss-free JSON round trip, so downstream tooling can key on when
-// checkpoints were taken and restores retargeted.
+// snapshot lifecycle event: a stable kind name on the wire and a
+// loss-free JSON round trip, so downstream tooling can key on when
+// checkpoints were taken.
 func TestSnapshotEventsExportRoundTrip(t *testing.T) {
 	o := New(8)
 	o.Emit(EvSnapshotTaken, 1_500_000, 1_500_000, 12, 0)
-	o.Emit(EvSnapshotRestored, 1_500_000, 1_500_000, 1000, 2000)
 	want := o.TraceDump()
 
 	var buf bytes.Buffer
 	if err := want.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{`"kind": "snapshot_taken"`, `"kind": "snapshot_restored"`} {
-		if !strings.Contains(buf.String(), name) {
-			t.Errorf("trace JSON missing stable kind name %s:\n%s", name, buf.String())
-		}
+	if name := `"kind": "snapshot_taken"`; !strings.Contains(buf.String(), name) {
+		t.Errorf("trace JSON missing stable kind name %s:\n%s", name, buf.String())
 	}
 	got, err := ParseTrace(&buf)
 	if err != nil {
@@ -208,16 +206,16 @@ func TestSnapshotEventsExportRoundTrip(t *testing.T) {
 }
 
 func TestKindNamesComplete(t *testing.T) {
-	// The retired co-allocation decision kind's slot stays blank, so
-	// every later kind keeps its serialized number.
-	retired := EvPhaseChange + 1
-	if EvRecompile != retired+1 || EvOptRevert != 12 {
-		t.Fatalf("event kinds renumbered: recompile %d, opt_revert %d", EvRecompile, EvOptRevert)
+	// The retired co-allocation decision and divergent-restore kinds'
+	// slots stay blank, so every later kind keeps its serialized number.
+	retired := map[EventKind]bool{EvPhaseChange + 1: true, EvSnapshotTaken + 1: true}
+	if EvRecompile != EvPhaseChange+2 || EvOptDecision != EvSnapshotTaken+2 || EvOptRevert != 12 {
+		t.Fatalf("event kinds renumbered: recompile %d, opt_decision %d, opt_revert %d", EvRecompile, EvOptDecision, EvOptRevert)
 	}
 	for k := EventKind(0); k < numEventKinds; k++ {
 		name := k.String()
-		if k == retired {
-			if _, ok := KindFromString(name); ok || name != "event_kind_6" {
+		if retired[k] {
+			if _, ok := KindFromString(name); ok || name != fmt.Sprintf("event_kind_%d", k) {
 				t.Errorf("retired kind %d is named %q", k, name)
 			}
 			continue

@@ -52,13 +52,8 @@ const (
 	// to uninterrupted runs). Arg0 is the snapshot cycle, Arg1 the
 	// number of component states captured.
 	EvSnapshotTaken
-	// EvSnapshotRestored records a divergent (prefix) restore: the
-	// snapshot's exact fingerprint did not match but its prefix
-	// fingerprint did, and the system retargeted its own sampling
-	// interval. Arg0 is the snapshot cycle, Arg1 the snapshot's
-	// sampling interval, Arg2 the restored system's. Exact restores
-	// emit nothing.
-	EvSnapshotRestored
+	// Retired, like the slot above.
+	_
 	// EvOptDecision records a decision applied by a managed online
 	// optimization (internal/opt). Arg0 is the optimization's
 	// registration index with the manager, Arg1 the decision target
@@ -85,18 +80,17 @@ const (
 )
 
 var kindNames = [numEventKinds]string{
-	EvGCStart:          "gc_start",
-	EvGCEnd:            "gc_end",
-	EvPEBSInterrupt:    "pebs_interrupt",
-	EvPerfmonRead:      "perfmon_read",
-	EvMonitorPoll:      "monitor_poll",
-	EvPhaseChange:      "phase_change",
-	EvRecompile:        "recompile",
-	EvCacheWindow:      "cache_window",
-	EvSnapshotTaken:    "snapshot_taken",
-	EvSnapshotRestored: "snapshot_restored",
-	EvOptDecision:      "opt_decision",
-	EvOptRevert:        "opt_revert",
+	EvGCStart:       "gc_start",
+	EvGCEnd:         "gc_end",
+	EvPEBSInterrupt: "pebs_interrupt",
+	EvPerfmonRead:   "perfmon_read",
+	EvMonitorPoll:   "monitor_poll",
+	EvPhaseChange:   "phase_change",
+	EvRecompile:     "recompile",
+	EvCacheWindow:   "cache_window",
+	EvSnapshotTaken: "snapshot_taken",
+	EvOptDecision:   "opt_decision",
+	EvOptRevert:     "opt_revert",
 }
 
 // String returns the stable export name of the kind.

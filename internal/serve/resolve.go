@@ -166,11 +166,10 @@ func requestKey(workload string, maxCycles, warmCycles uint64, observe bool, opt
 // the workload, the pause cycle, the observer switch (it changes the
 // snapshot's component set) and the exact canonical options. Requests
 // that differ only in max_cycles share the snapshot — that is the
-// serve-level reuse axis; sampling-interval divergence is served at
-// the bench layer (Engine.RunFrom), not through this cache, so every
-// stored prefix replays byte-identically. The fleet coordinator
-// sticky-routes on this same key, so all requests sharing a prefix
-// land on the worker whose LRU holds the snapshot.
+// serve-level reuse axis — and every stored prefix replays
+// byte-identically. The fleet coordinator sticky-routes on this same
+// key, so all requests sharing a prefix land on the worker whose LRU
+// holds the snapshot.
 func snapshotKey(workload string, warmCycles uint64, observe bool, opts core.Options) string {
 	payload := fmt.Sprintf("snapshot;workload=%s;warm_start_cycles=%d;observe=%t;%s",
 		workload, warmCycles, observe, opts.CanonicalString())

@@ -187,7 +187,7 @@ func (s *Sampler) advance(horizon uint64) {
 			retired := c.RunBounded(horizon, s.left)
 			s.left -= retired
 			if s.left != 0 {
-				break // horizon reached (or halted) mid-phase
+				break // horizon reached, halted or yielded mid-phase
 			}
 		}
 		// Phase exhausted — or zero-length to begin with (a NoWarmup

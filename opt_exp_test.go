@@ -38,8 +38,8 @@ func optExpOptions(name string) bench.ExpOptions {
 	return bench.ExpOptions{Workloads: []string{"compress"}, Reps: 1, Seed: 1}
 }
 
-// hostTimeLine matches the three rendered lines that report wall clock.
-var hostTimeLine = regexp.MustCompile(`(?m)^(exact grid |wall clock \(serial-equivalent\)|warm-start speedup:).*$`)
+// hostTimeLine matches the rendered lines that report wall clock.
+var hostTimeLine = regexp.MustCompile(`(?m)^(exact grid ).*$`)
 
 // pinnedEntry strips what varies with the host from one run.
 func pinnedEntry(run bench.ExpRun) optExpEntry {

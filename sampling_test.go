@@ -283,12 +283,13 @@ func TestSamplingFig5Path(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pass, err := bench.RunSampledPass(b, bench.RunConfig{HeapFactor: factor, Seed: 1}, []uint64{0}, 1)
+			scfg := bench.CalibratedSampling("compress")
+			pass, err := bench.RunLanes(b, bench.RunConfig{HeapFactor: factor, Seed: 1, Sampling: &scfg}, []uint64{0}, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			baseErr := 100 * (pass.Estimate.Cycles/float64(exactBase.Cycles) - 1)
-			monErr := 100 * (pass.MonCycles[0][0]/float64(exactMon.Cycles) - 1)
+			baseErr := 100 * (pass.Base/float64(exactBase.Cycles) - 1)
+			monErr := 100 * (pass.Lanes[0][0].Cycles/float64(exactMon.Cycles) - 1)
 			t.Logf("%gx: base %+.2f%%, monitored-auto %+.2f%%", factor, baseErr, monErr)
 			if math.Abs(baseErr) > 2 {
 				t.Errorf("baseline estimate off by %+.2f%% at heap %gx", baseErr, factor)
