@@ -102,8 +102,9 @@ func (t *laneTicker) Deadline() uint64 {
 
 func (t *laneTicker) Tick() { t.mon.Tick() }
 
-// lane is one monitored configuration riding the shared pass.
-type lane struct {
+// laneStack is the private monitoring stack of one lane riding the
+// shared pass.
+type laneStack struct {
 	clk  *laneClock
 	unit *pebs.Unit
 	mod  *perfmon.Module
@@ -171,7 +172,7 @@ func RunLanes(b Builder, base RunConfig, intervals []uint64, reps int) (*LanePas
 		return nil, fmt.Errorf("bench: %s: a lane pass's base config cannot monitor, optimize or run adaptively — lanes carry the monitoring, and anything reading their clock would change the shared stream", prog.Name)
 	}
 
-	lanes := make([][]*lane, len(intervals))
+	lanes := make([][]*laneStack, len(intervals))
 	var units []*pebs.Unit
 	for j, iv := range intervals {
 		for r := 0; r < reps; r++ {
@@ -225,7 +226,7 @@ func RunLanes(b Builder, base RunConfig, intervals []uint64, reps int) (*LanePas
 // newLane wires one monitored lane onto the shared system with the
 // session of a separate monitored run (core.SessionConfig) and the same
 // configure/start charges — billed to the lane clock.
-func newLane(sys *core.System, interval uint64, seed int64) (*lane, error) {
+func newLane(sys *core.System, interval uint64, seed int64) (*laneStack, error) {
 	clk := &laneClock{cpu: sys.VM.CPU}
 	unit := pebs.NewUnit(clk, rand.New(rand.NewSource(seed)))
 	mod := perfmon.NewModule(unit, clk)
@@ -239,5 +240,5 @@ func newLane(sys *core.System, interval uint64, seed int64) (*lane, error) {
 	mod.Start()
 	mon.Arm()
 	sys.VM.AddTicker(&laneTicker{mon: mon, clk: clk})
-	return &lane{clk: clk, unit: unit, mod: mod, mon: mon}, nil
+	return &laneStack{clk: clk, unit: unit, mod: mod, mon: mon}, nil
 }

@@ -12,9 +12,9 @@ import (
 // FuzzCanonical fuzzes the cache-key contract over the Options space:
 // Canonical must be idempotent (canonicalization is a normal form) and
 // Fingerprint must be stable under it — the properties the serve result
-// cache and the snapshot restore validation both rest on. Runs over its seed corpus as a plain test
-// in CI; `go test -fuzz=FuzzCanonical ./internal/core` explores
-// further.
+// cache and the snapshot restore validation both rest on. Runs over its
+// seed corpus as a plain test in CI; `go test -fuzz=FuzzCanonical
+// ./internal/core` explores further.
 func FuzzCanonical(f *testing.F) {
 	f.Add(uint8(0), uint64(0), false, uint64(0), uint8(0), false, false, int64(0), "", false, false, uint32(0), false, uint32(0), false)
 	f.Add(uint8(1), uint64(12<<20), true, uint64(1000), uint8(1), false, false, int64(7), "String::value", true, true, uint32(0), true, uint32(0), true)

@@ -25,8 +25,9 @@ import (
 // with the origin's exact image), then the devices and policies, and
 // the observer last (overwriting any events the replay emitted).
 
-// SnapshotVersion is the container format version. Version 2 dropped
-// the prefix fingerprint and the sampling interval from the header.
+// SnapshotVersion is the container format version. A version-1
+// container, whose header also held a prefix fingerprint and a sampling
+// interval, is refused.
 const SnapshotVersion uint32 = 2
 
 // snapshotMagic leads the binary encoding.
@@ -34,9 +35,8 @@ const snapshotMagic = "hpmvmsnap"
 
 // ErrSnapshotMismatch is the sentinel wrapped when a snapshot is
 // restored into a System whose options do not match the snapshot's
-// fingerprint. Callers distinguish
-// configuration mismatches from corrupt payloads with
-// errors.Is(err, core.ErrSnapshotMismatch).
+// fingerprint. Callers distinguish configuration mismatches from
+// corrupt payloads with errors.Is(err, core.ErrSnapshotMismatch).
 var ErrSnapshotMismatch = errors.New("snapshot does not match system options")
 
 // Snapshot is a whole-system checkpoint: the component states plus the
@@ -137,9 +137,10 @@ func (s *System) Snapshot() (*Snapshot, error) {
 
 // Restore rebuilds the receiver to the snapshot's exact point. The
 // receiver must be freshly constructed (NewSystemOpts) and booted
-// (Boot) for the same workload, and must not have run, and the
-// snapshot's Fingerprint must equal the system's (else the error wraps
-// ErrSnapshotMismatch). The restored system is byte-identical to the
+// (Boot) for the same workload and must not have run. Its options must
+// have the snapshot's Fingerprint; any other options, a different
+// sampling interval included, fail with an error wrapping
+// ErrSnapshotMismatch. The restored system is byte-identical to the
 // origin; continuing it with ResumeContext reproduces the uninterrupted
 // run exactly. No event is emitted.
 func (s *System) Restore(sn *Snapshot) error {
@@ -177,8 +178,9 @@ func (s *System) Restore(sn *Snapshot) error {
 	}
 
 	// Reposition the PRNG stream. That is linear in the draw count, so a
-	// header claiming more draws than cycles is refused first: the sampling unit draws once per programmed session and once
-	// per sampled event, and either costs at least a cycle.
+	// header claiming more draws than cycles is refused first: the
+	// sampling unit draws once per programmed session and once per
+	// sampled event, and either costs at least a cycle.
 	if sn.RngDraws > sn.Cycle {
 		return fmt.Errorf("core: %w: %d PRNG draws in %d cycles", snap.ErrDecode, sn.RngDraws, sn.Cycle)
 	}

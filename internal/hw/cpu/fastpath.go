@@ -41,6 +41,7 @@ package cpu
 // unchecked until then. Equivalent to `for c.Cycles() < horizon {
 // c.Step() }` with the per-instruction overhead hoisted out.
 func (c *CPU) RunCycles(horizon uint64) {
+	c.stop &^= stopYield
 	c.runLoop(horizon, ^uint64(0))
 }
 
@@ -50,12 +51,17 @@ func (c *CPU) RunCycles(horizon uint64) {
 // accounting neither overshoots when a trap handler halts mid-
 // instruction nor breaks when instret wraps around 2^64.
 func (c *CPU) Run(maxInstr uint64) uint64 {
+	c.stop &^= stopYield
 	return c.runLoop(^uint64(0), maxInstr)
 }
 
 // runLoop is the shared tight interpreter loop. It retires whole
 // instructions while cycles < cycleHorizon and the instruction budget
-// lasts, and returns the number of instructions retired.
+// lasts, and no halt or Yield ends it, and returns the number of
+// instructions retired. Its callers clear a pending Yield first: the
+// request was made before the caller's own deadline scan, which has
+// answered it. A Yield from within the loop ends it through the test
+// that ends it on a halt.
 func (c *CPU) runLoop(cycleHorizon, budget uint64) uint64 {
 	code := c.code
 	cbase := c.cfg.CodeBase
@@ -71,10 +77,6 @@ func (c *CPU) runLoop(cycleHorizon, budget uint64) uint64 {
 	ins := c.instret
 	startBudget := budget
 	ifetchOn := c.ifetch != nil
-	// A yield requested before this call is answered by the caller's
-	// deadline scan that led here; one requested from now on ends the
-	// loop through the same test that ends it on a halt.
-	c.stop &^= stopYield
 
 run:
 	for c.stop == 0 && cyc < cycleHorizon && budget != 0 {

@@ -20,5 +20,6 @@ package cpu
 // at exact instruction counts while ticker deadlines keep firing on
 // time.
 func (c *CPU) RunBounded(cycleHorizon, maxInstr uint64) uint64 {
+	c.stop &^= stopYield
 	return c.runLoop(cycleHorizon, maxInstr)
 }
