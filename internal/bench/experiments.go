@@ -227,18 +227,28 @@ func (o ExpOptions) round(submit func()) (time.Duration, error) {
 	return o.eng.Stats().RunTime - before, nil
 }
 
-// submitLanes schedules one lane pass (see RunLanes) with o.Reps lanes
-// per interval; *dst is valid once the engine's Wait returns nil.
-func (o ExpOptions) submitLanes(dst **LanePass, b Builder, cfg RunConfig, intervals []uint64, label string) {
-	o.eng.Submit(label, func() error {
-		p, err := RunLanes(b, o.seeded(cfg), intervals, o.Reps)
-		if err != nil {
-			return err
+// lanePasses schedules one lane pass of cfg per workload (see
+// RunLanes), with o.Reps lanes per interval, sampled on the workload's
+// calibrated schedule when sampled is set; label marks the progress
+// labels. The passes are valid once the engine's Wait returns nil.
+func (o ExpOptions) lanePasses(cfg RunConfig, intervals []uint64, sampled bool, label string) []*LanePass {
+	passes := make([]*LanePass, len(o.names))
+	for i, name := range o.names {
+		c, l := o.seeded(cfg), name+"/"+label+"lanes"
+		if sampled {
+			c, l = calibrated(name, c), name+"/"+label+"sampled"
 		}
-		o.eng.AddSim(p.Cycles)
-		*dst = p
-		return nil
-	})
+		o.eng.Submit(l, func() error {
+			p, err := RunLanes(o.builders[i], c, intervals, o.Reps)
+			if err != nil {
+				return err
+			}
+			o.eng.AddSim(p.Cycles)
+			passes[i] = p
+			return nil
+		})
+	}
+	return passes
 }
 
 // calibrated returns cfg sampled on the workload's calibrated schedule.
@@ -369,7 +379,7 @@ var Fig2Labels = []string{"25K~", "50K~", "100K~", "auto"}
 // pass (see RunLanes), which reproduces the row's separate runs cycle
 // for cycle; the passes fan out on the engine.
 func fig2(opt ExpOptions) (string, error) {
-	passes := opt.fig2Passes(false)
+	passes := opt.lanePasses(RunConfig{}, Fig2Intervals, false, "")
 	if err := opt.eng.Wait(); err != nil {
 		return "", err
 	}
@@ -396,21 +406,6 @@ func fig2(opt ExpOptions) (string, error) {
 	return b.String(), nil
 }
 
-// fig2Passes schedules one Figure 2 lane pass per workload, sampled on
-// the workload's calibrated schedule when sampled is set; the passes
-// are valid once the engine's Wait returns nil.
-func (o ExpOptions) fig2Passes(sampled bool) []*LanePass {
-	passes := make([]*LanePass, len(o.names))
-	for i, name := range o.names {
-		cfg, label := RunConfig{}, name+"/lanes"
-		if sampled {
-			cfg, label = calibrated(name, cfg), name+"/sampled"
-		}
-		o.submitLanes(&passes[i], o.builders[i], cfg, Fig2Intervals, label)
-	}
-	return passes
-}
-
 // --- Sampled fig2: estimated vs exact ----------------------------------------
 
 // sampling is the sampled-simulation validation of Figure 2: per
@@ -422,11 +417,11 @@ func (o ExpOptions) fig2Passes(sampled bool) []*LanePass {
 // with lane multiplexing on both sides.
 func sampling(opt ExpOptions) (string, error) {
 	var exact, passes []*LanePass
-	exactTime, err := opt.round(func() { exact = opt.fig2Passes(false) })
+	exactTime, err := opt.round(func() { exact = opt.lanePasses(RunConfig{}, Fig2Intervals, false, "") })
 	if err != nil {
 		return "", err
 	}
-	sampledTime, err := opt.round(func() { passes = opt.fig2Passes(true) })
+	sampledTime, err := opt.round(func() { passes = opt.lanePasses(RunConfig{}, Fig2Intervals, true, "") })
 	if err != nil {
 		return "", err
 	}
@@ -465,17 +460,11 @@ func sampling(opt ExpOptions) (string, error) {
 // an overhead on a shared one (DESIGN.md §12). Monitoring, by
 // contract, only adds cycles.
 func samplingFig5(opt ExpOptions) (string, error) {
+	// heapPasses returns the passes indexed [heap factor][workload].
 	heapPasses := func(sampled bool) [][]*LanePass {
-		passes := make([][]*LanePass, len(opt.names))
-		for i, name := range opt.names {
-			passes[i] = make([]*LanePass, len(Fig5Factors))
-			for j, f := range Fig5Factors {
-				cfg, label := RunConfig{HeapFactor: f}, fmt.Sprintf("%s/%gx/lanes", name, f)
-				if sampled {
-					cfg, label = calibrated(name, cfg), fmt.Sprintf("%s/%gx/sampled", name, f)
-				}
-				opt.submitLanes(&passes[i][j], opt.builders[i], cfg, []uint64{0}, label)
-			}
+		passes := make([][]*LanePass, len(Fig5Factors))
+		for j, f := range Fig5Factors {
+			passes[j] = opt.lanePasses(RunConfig{HeapFactor: f}, []uint64{0}, sampled, fmt.Sprintf("%gx/", f))
 		}
 		return passes
 	}
@@ -503,7 +492,7 @@ func samplingFig5(opt ExpOptions) (string, error) {
 	for i, name := range opt.names {
 		fmt.Fprintf(&b, "%-11s", name)
 		for j, f := range Fig5Factors {
-			p, x, at := passes[i][j], exact[i][j], fmt.Sprintf("%s/%gx/", name, f)
+			p, x, at := passes[j][i], exact[j][i], fmt.Sprintf("%s/%gx/", name, f)
 			errs.cell(p.Base, x.Base, at+"base")
 			errs.cell(p.MeanCycles(0), x.MeanCycles(0), at+"mon")
 		}

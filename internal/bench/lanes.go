@@ -122,7 +122,6 @@ type Lane struct {
 
 // LanePass is the result of one lane pass.
 type LanePass struct {
-	Program string
 	// Base is the unmonitored baseline's full-run cycle count: the
 	// shared simulation's own in an exact pass, its extrapolation in a
 	// sampled one (the lanes' overhead never touches the shared
@@ -195,11 +194,7 @@ func RunLanes(b Builder, base RunConfig, intervals []uint64, reps int) (*LanePas
 		}
 	}
 
-	pass := &LanePass{
-		Program: prog.Name,
-		Base:    float64(sys.VM.Cycles()),
-		Cycles:  sys.VM.Cycles(),
-	}
+	pass := &LanePass{Base: float64(sys.VM.Cycles()), Cycles: sys.VM.Cycles()}
 	if base.Sampling != nil {
 		est, ok := sys.SamplingEstimate()
 		if !ok {
