@@ -40,7 +40,7 @@ verify-sampling:
 # grid — must equal its separate monitored run in cycles, monitor.Stats
 # and PEBS unit stats, and the pass's baseline the separate unmonitored
 # run. `make test` runs the same test on jess, antlr and compress.
-# About 3 minutes on 2 cores.
+# About 1.5 minutes on 2 cores.
 verify-lanes:
 	$(GO) test -run '^TestLanesMatchSeparateRuns$$' -timeout 30m -v . -lanes-all
 
