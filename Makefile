@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race bench bench-smoke bench-pairs profile experiments obs serve-smoke verify-sampling verify-opt verify-lanes fuzz-smoke loc traffic
+.PHONY: ci vet build test race bench bench-smoke bench-pairs profile experiments obs serve-smoke verify-opt verify-lanes fuzz-smoke loc traffic
 
 ci: vet build test race verify-opt verify-lanes fuzz-smoke bench-smoke serve-smoke loc
 
@@ -20,20 +20,6 @@ build:
 
 test:
 	$(GO) test ./...
-
-# Sampled-simulation calibration sweep: on a 4-workload subset spanning
-# the cache-behaviour extremes, each workload's calibrated region
-# schedule (internal/bench/calibration.go) must keep the full-run cycle
-# estimate within its documented bound of the cycle-exact simulation —
-# 2% on the default schedule, 0.5% on the phase-structured jack
-# workload's tighter table entry (DESIGN.md §12). The fig5 path test
-# covers the heap-size sweep axis: sampled base and monitored-auto
-# estimates at the sweep's extreme heap factors. Both tests run as part
-# of `make test` (they live in the root package); this target is the
-# focused, verbose entry point for re-calibrating after a change to the
-# sampler, the schedule table or the cost model.
-verify-sampling:
-	$(GO) test -run 'TestSamplingCalibration|TestSamplingFig5Path' -v .
 
 # Lane keystone on every workload: each exact lane of a lane pass
 # (bench.RunLanes) — 250, 500, 1000 and auto × 3 reps, the Figure 2

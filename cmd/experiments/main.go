@@ -10,8 +10,7 @@
 // Usage:
 //
 //	experiments -exp fig4                 # one experiment
-//	experiments -exp sampling,sampling-fig5
-//	                                      # several, in the given order
+//	experiments -exp fig3,fig4            # several, in the given order
 //	experiments -exp all                  # everything (slow)
 //	experiments -exp fig5 -workloads db   # restrict the benchmark set
 //	experiments -exp fig2 -reps 1         # fewer repetitions

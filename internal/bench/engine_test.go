@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"hpmvm/internal/vm/runtime"
 )
 
 func TestEngineRunsEverything(t *testing.T) {
@@ -158,8 +160,8 @@ func TestRepeatAsyncRejectsNoReps(t *testing.T) {
 }
 
 // TestRunLanesRefuses pins RunLanes's guard rails: no repetitions, no
-// interval, or a base config that itself monitors or runs adaptively
-// is an error, not a pass with empty or skewed lanes.
+// interval, or a base config that itself monitors, runs adaptively or
+// is sampled is an error, not a pass with empty or skewed lanes.
 func TestRunLanesRefuses(t *testing.T) {
 	b, _ := Get("_unit_tiny")
 	for _, tc := range []struct {
@@ -173,6 +175,7 @@ func TestRunLanesRefuses(t *testing.T) {
 		{"negative reps", RunConfig{}, []uint64{250}, -1, "reps must be at least 1, got -1"},
 		{"no interval", RunConfig{}, nil, 3, "without an interval"},
 		{"monitored base", RunConfig{Monitoring: true}, []uint64{250}, 1, "cannot monitor"},
+		{"sampled base", RunConfig{Sampling: &runtime.SamplingConfig{}}, []uint64{250}, 1, "cannot be sampled"},
 		{"optimizing base", RunConfig{SwPrefetch: true}, []uint64{250}, 1, "cannot monitor"},
 		{"adaptive base", RunConfig{Adaptive: true}, []uint64{250}, 1, "cannot monitor"},
 	} {

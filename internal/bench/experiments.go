@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"math"
 	"strings"
 	"time"
 
@@ -35,8 +34,6 @@ var experiments = []struct {
 	{"fig7", fig7},
 	{"fig8", fig8},
 	{"ablations", ablations},
-	{"sampling", sampling},
-	{"sampling-fig5", samplingFig5},
 	{"codelayout", CodeLayoutAblation.exp},
 	{"swprefetch", SwPrefetchAblation.exp},
 }
@@ -67,8 +64,9 @@ type ExpOptions struct {
 	Progress ProgressFunc
 
 	// Set by prepare: the resolved workload list, the engine the
-	// experiment executes on, and the named headline numbers (e.g. the
-	// warm-start speedup) it publishes for the JSON report.
+	// experiment executes on, and the named headline numbers it
+	// publishes for the JSON report (only the kind ablations publish
+	// any).
 	names    []string
 	builders []Builder
 	eng      *Engine
@@ -215,86 +213,6 @@ func heapConfigs(cfgs ...labeled) []labeled {
 	return out
 }
 
-// round runs one submit/wait round on the experiment's engine and
-// returns the wall clock its runs consumed, summed per run: the
-// serial-equivalent time, independent of the jobs setting.
-func (o ExpOptions) round(submit func()) (time.Duration, error) {
-	before := o.eng.Stats().RunTime
-	submit()
-	if err := o.eng.Wait(); err != nil {
-		return 0, err
-	}
-	return o.eng.Stats().RunTime - before, nil
-}
-
-// lanePasses schedules one lane pass of cfg per workload (see
-// RunLanes), with o.Reps lanes per interval, sampled on the workload's
-// calibrated schedule when sampled is set; label marks the progress
-// labels. The passes are valid once the engine's Wait returns nil.
-func (o ExpOptions) lanePasses(cfg RunConfig, intervals []uint64, sampled bool, label string) []*LanePass {
-	passes := make([]*LanePass, len(o.names))
-	for i, name := range o.names {
-		c, l := o.seeded(cfg), name+"/"+label+"lanes"
-		if sampled {
-			c, l = calibrated(name, c), name+"/"+label+"sampled"
-		}
-		o.eng.Submit(l, func() error {
-			p, err := RunLanes(o.builders[i], c, intervals, o.Reps)
-			if err != nil {
-				return err
-			}
-			o.eng.AddSim(p.Cycles)
-			passes[i] = p
-			return nil
-		})
-	}
-	return passes
-}
-
-// calibrated returns cfg sampled on the workload's calibrated schedule.
-func calibrated(name string, cfg RunConfig) RunConfig {
-	scfg := CalibratedSampling(name)
-	cfg.Sampling = &scfg
-	return cfg
-}
-
-// estErrors accumulates a sampled validation's per-cell estimation
-// errors as it renders them.
-type estErrors struct {
-	b          *strings.Builder
-	sum, worst float64
-	n          int
-	worstAt    string
-}
-
-// cell renders the signed relative error est/exact - 1 of one cell.
-func (a *estErrors) cell(est, exact float64, at string) {
-	e := est/exact - 1
-	fmt.Fprintf(a.b, " %+7.2f%%", 100*e)
-	ae := math.Abs(e)
-	a.sum += ae
-	a.n++
-	if ae > a.worst {
-		a.worst, a.worstAt = ae, at
-	}
-}
-
-// footer renders the mean and worst |error| and the speedup of the
-// sampled lane passes over the exact ones, and records them as the
-// <prefix>_speedup / _max_err_pct / _mean_err_pct metrics. Both times
-// are serial-equivalent (see round).
-func (a *estErrors) footer(o ExpOptions, prefix string, exact, sampled time.Duration) {
-	mean := a.sum / float64(a.n)
-	speedup := float64(exact) / float64(sampled)
-	fmt.Fprintf(a.b, "\nmean |error| %.2f%%, worst |error| %.2f%% (%s)\n",
-		100*mean, 100*a.worst, a.worstAt)
-	fmt.Fprintf(a.b, "exact grid %v serial-equivalent, sampled passes %v -> %.1fx speedup\n",
-		exact.Round(time.Millisecond), sampled.Round(time.Millisecond), speedup)
-	o.recordMetric(prefix+"_speedup", speedup)
-	o.recordMetric(prefix+"_max_err_pct", 100*a.worst)
-	o.recordMetric(prefix+"_mean_err_pct", 100*mean)
-}
-
 // fieldCounter returns a finished run's monitor counter for the named
 // field.
 func fieldCounter(exp string, h *RunHandle, field string) (*monitor.FieldCounter, error) {
@@ -379,7 +297,18 @@ var Fig2Labels = []string{"25K~", "50K~", "100K~", "auto"}
 // pass (see RunLanes), which reproduces the row's separate runs cycle
 // for cycle; the passes fan out on the engine.
 func fig2(opt ExpOptions) (string, error) {
-	passes := opt.lanePasses(RunConfig{}, Fig2Intervals, false, "")
+	passes := make([]*LanePass, len(opt.names))
+	for i, name := range opt.names {
+		opt.eng.Submit(name+"/lanes", func() error {
+			p, err := RunLanes(opt.builders[i], opt.seeded(RunConfig{}), Fig2Intervals, opt.Reps)
+			if err != nil {
+				return err
+			}
+			opt.eng.AddSim(p.Base)
+			passes[i] = p
+			return nil
+		})
+	}
 	if err := opt.eng.Wait(); err != nil {
 		return "", err
 	}
@@ -392,7 +321,7 @@ func fig2(opt ExpOptions) (string, error) {
 		fmt.Fprintf(&b, "%-11s", name)
 		p := passes[i]
 		for j := range Fig2Intervals {
-			ov := p.MeanCycles(j)/p.Base - 1
+			ov := p.MeanCycles(j)/float64(p.Base) - 1
 			fmt.Fprintf(&b, " %7.2f%%", 100*ov)
 			means[j] += ov
 		}
@@ -403,102 +332,6 @@ func fig2(opt ExpOptions) (string, error) {
 		fmt.Fprintf(&b, " %7.2f%%", 100*m/float64(len(opt.names)))
 	}
 	fmt.Fprintln(&b)
-	return b.String(), nil
-}
-
-// --- Sampled fig2: estimated vs exact ----------------------------------------
-
-// sampling is the sampled-simulation validation of Figure 2: per
-// workload, one exact lane pass (see RunLanes), which reproduces the
-// fig2 grid's separate runs cycle for cycle, against one sampled lane
-// pass on the workload's calibrated schedule. It renders each cell's
-// estimation error and the wall-clock speedup of the sampled passes
-// over the exact ones — the fast-forward against detailed simulation,
-// with lane multiplexing on both sides.
-func sampling(opt ExpOptions) (string, error) {
-	var exact, passes []*LanePass
-	exactTime, err := opt.round(func() { exact = opt.lanePasses(RunConfig{}, Fig2Intervals, false, "") })
-	if err != nil {
-		return "", err
-	}
-	sampledTime, err := opt.round(func() { passes = opt.lanePasses(RunConfig{}, Fig2Intervals, true, "") })
-	if err != nil {
-		return "", err
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "Sampled fig2: estimated vs exact full-run cycles (heap = 4x min)\n")
-	fmt.Fprintf(&b, "(one multiplexed sampled pass per workload hosts the baseline and all\n")
-	fmt.Fprintf(&b, " %d monitored lanes of the exact grid; error is est/exact - 1 per cell)\n",
-		len(Fig2Intervals)*opt.Reps)
-	fmt.Fprintf(&b, "%-11s %8s %8s %8s %8s %8s\n", "program",
-		"base", Fig2Labels[0], Fig2Labels[1], Fig2Labels[2], Fig2Labels[3])
-	errs := estErrors{b: &b}
-	for i, name := range opt.names {
-		p, x := passes[i], exact[i]
-		fmt.Fprintf(&b, "%-11s", name)
-		errs.cell(p.Base, x.Base, name+"/base")
-		for j, label := range Fig2Labels {
-			errs.cell(p.MeanCycles(j), x.MeanCycles(j), name+"/"+label)
-		}
-		fmt.Fprintln(&b)
-	}
-	errs.footer(opt, "sampling", exactTime, sampledTime)
-	return b.String(), nil
-}
-
-// --- Sampled fig5: estimated vs exact across heap sizes -----------------------
-
-// samplingFig5 validates the sampled passes along the fig5 heap-size
-// axis: per heap point, one exact lane pass hosting the baseline plus
-// reps monitored-auto lanes against the sampled pass of the same shape.
-//
-// The sampled half covers fig5's heap-size axis with monitoring, not
-// fig5's co-allocation configuration: co-allocation cannot ride a
-// lane. Its whole point is feeding samples back into GC placement
-// decisions, which changes object addresses and therefore the shared
-// cache-state evolution — it is a different architectural stream, not
-// an overhead on a shared one (DESIGN.md §12). Monitoring, by
-// contract, only adds cycles.
-func samplingFig5(opt ExpOptions) (string, error) {
-	// heapPasses returns the passes indexed [heap factor][workload].
-	heapPasses := func(sampled bool) [][]*LanePass {
-		passes := make([][]*LanePass, len(Fig5Factors))
-		for j, f := range Fig5Factors {
-			passes[j] = opt.lanePasses(RunConfig{HeapFactor: f}, []uint64{0}, sampled, fmt.Sprintf("%gx/", f))
-		}
-		return passes
-	}
-	var exact, passes [][]*LanePass
-	exactTime, err := opt.round(func() { exact = heapPasses(false) })
-	if err != nil {
-		return "", err
-	}
-	sampledTime, err := opt.round(func() { passes = heapPasses(true) })
-	if err != nil {
-		return "", err
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "Sampled fig5: estimated vs exact full-run cycles across heap sizes\n")
-	fmt.Fprintf(&b, "(per heap point, one multiplexed sampled pass hosts the baseline and %d\n", opt.Reps)
-	fmt.Fprintf(&b, " monitored-auto lanes, replacing %d exact runs; co-allocation cannot be\n", 2*opt.Reps)
-	fmt.Fprintf(&b, " multiplexed — its feedback changes the architectural stream — so the\n")
-	fmt.Fprintf(&b, " sampled sweep covers the monitored heap-size axis; error per cell, b=base m=monitored)\n")
-	fmt.Fprintf(&b, "%-11s", "program")
-	for _, f := range Fig5Factors {
-		fmt.Fprintf(&b, " %8s %8s", fmt.Sprintf("%gx b", f), fmt.Sprintf("%gx m", f))
-	}
-	fmt.Fprintln(&b)
-	errs := estErrors{b: &b}
-	for i, name := range opt.names {
-		fmt.Fprintf(&b, "%-11s", name)
-		for j, f := range Fig5Factors {
-			p, x, at := passes[j][i], exact[j][i], fmt.Sprintf("%s/%gx/", name, f)
-			errs.cell(p.Base, x.Base, at+"base")
-			errs.cell(p.MeanCycles(0), x.MeanCycles(0), at+"mon")
-		}
-		fmt.Fprintln(&b)
-	}
-	errs.footer(opt, "sampling_fig5", exactTime, sampledTime)
 	return b.String(), nil
 }
 

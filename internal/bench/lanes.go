@@ -19,9 +19,7 @@ package bench
 //     instead, so lanes never see each other's overhead.
 //   - a private PEBS unit fed by a fan-out listener, its PRNG seeded
 //     per lane exactly like the separate runs' rep seeds, so it takes
-//     the same samples. In a sampled pass, functional warming delivers
-//     the full hardware event stream during fast-forward
-//     (cache.Hierarchy.warmAccess), so the same holds there.
+//     the same samples.
 //   - a private perfmon module and monitor, polled through a ticker
 //     wrapper that translates the lane's deadline back to shared time.
 //
@@ -29,10 +27,8 @@ package bench
 // run loop has fixed its horizon, so every lane charge asks the CPU to
 // yield at the next instruction boundary: the VM then re-reads every
 // deadline, and each lane polls exactly when its separate run would.
-// An exact pass therefore reproduces each separate run's cycles and
-// monitoring counters bit for bit (TestLanesMatchSeparateRuns). A
-// sampled pass's lane cycles are its extrapolated baseline plus the
-// lane's exactly-counted overhead.
+// A pass therefore reproduces each separate run's cycles and
+// monitoring counters bit for bit (TestLanesMatchSeparateRuns).
 
 import (
 	"fmt"
@@ -115,7 +111,7 @@ type laneStack struct {
 type Lane struct {
 	// Cycles is the lane's full-run cycle count: the pass's Base plus
 	// the lane's monitoring overhead.
-	Cycles  float64
+	Cycles  uint64
 	Monitor monitor.Stats
 	PEBS    pebs.Stats
 }
@@ -123,24 +119,19 @@ type Lane struct {
 // LanePass is the result of one lane pass.
 type LanePass struct {
 	// Base is the unmonitored baseline's full-run cycle count: the
-	// shared simulation's own in an exact pass, its extrapolation in a
-	// sampled one (the lanes' overhead never touches the shared
-	// counter).
-	Base float64
+	// shared simulation's own (the lanes' overhead never touches the
+	// shared counter).
+	Base uint64
 	// Lanes[j][r] is the lane of interval j (in the order given to
 	// RunLanes), repetition r.
 	Lanes [][]Lane
-	// Cycles is the shared simulation's raw cycle count (in a sampled
-	// pass its distorted sampled clock), for engine throughput
-	// accounting.
-	Cycles uint64
 }
 
 // MeanCycles returns the mean full-run cycles of interval j's lanes.
 func (p *LanePass) MeanCycles(j int) float64 {
 	cycles := make([]float64, len(p.Lanes[j]))
 	for r, ln := range p.Lanes[j] {
-		cycles[r] = ln.Cycles
+		cycles[r] = float64(ln.Cycles)
 	}
 	return stats.Mean(cycles)
 }
@@ -148,19 +139,23 @@ func (p *LanePass) MeanCycles(j int) float64 {
 // RunLanes executes one lane pass for the workload: a single
 // simulation under base hosting the unmonitored baseline plus one
 // monitored lane per (interval × rep) cell, interval 0 meaning auto.
-// base.Sampling nil runs the pass exactly; non-nil runs it sampled on
-// that schedule. base must not monitor, run an optimization or run
-// the adaptive system: each of those reads the clock a lane charges,
-// which would make the shared stream depend on the lane. Heap sizing,
-// seed and cycle budget apply to the shared simulation. Lane rep seeds
-// follow RepeatAsync (seed + rep*7919), so lane r samples with the
-// PRNG stream of separate repetition r.
+// base must not monitor, run an optimization or run the adaptive
+// system: each of those reads the clock a lane charges, which would
+// make the shared stream depend on the lane. Nor may it be sampled: a
+// sampled run's clock is distorted, and its lanes would report that
+// clock as exact cycles. Heap sizing, seed and cycle budget apply to
+// the shared simulation. Lane rep seeds follow RepeatAsync (seed +
+// rep*7919), so lane r samples with the PRNG stream of separate
+// repetition r.
 func RunLanes(b Builder, base RunConfig, intervals []uint64, reps int) (*LanePass, error) {
 	if reps < 1 {
 		return nil, fmt.Errorf("reps must be at least 1, got %d", reps)
 	}
 	if len(intervals) == 0 {
 		return nil, fmt.Errorf("bench: lane pass without an interval")
+	}
+	if base.Sampling != nil {
+		return nil, fmt.Errorf("bench: a lane pass runs exactly; its base config cannot be sampled")
 	}
 	prog := b()
 	sys, opts, err := buildSystem(prog, base)
@@ -194,21 +189,14 @@ func RunLanes(b Builder, base RunConfig, intervals []uint64, reps int) (*LanePas
 		}
 	}
 
-	pass := &LanePass{Base: float64(sys.VM.Cycles()), Cycles: sys.VM.Cycles()}
-	if base.Sampling != nil {
-		est, ok := sys.SamplingEstimate()
-		if !ok {
-			return nil, fmt.Errorf("bench: %s: sampled lane pass produced no estimate", prog.Name)
-		}
-		pass.Base = est.Cycles
-	}
+	pass := &LanePass{Base: sys.VM.Cycles()}
 	for _, ivLanes := range lanes {
 		out := make([]Lane, len(ivLanes))
 		for r, ln := range ivLanes {
 			ln.mod.Stop()
 			ln.mon.Flush()
 			out[r] = Lane{
-				Cycles:  pass.Base + float64(ln.clk.off),
+				Cycles:  pass.Base + ln.clk.off,
 				Monitor: ln.mon.Stats(),
 				PEBS:    ln.unit.Stats(),
 			}

@@ -15,15 +15,6 @@ import (
 	"hpmvm/internal/stats"
 )
 
-// NoWarmup is the sentinel WarmupInstrs value requesting a genuinely
-// zero-length warmup phase. A literal zero cannot express it — the
-// zero value of every SamplingConfig field means "default" — so
-// calibration sweeps that want to measure straight out of fast-forward
-// set WarmupInstrs = NoWarmup. WithDefaults passes the sentinel
-// through unchanged (the canonical serialization stays idempotent);
-// the scheduler maps it to an empty phase via warmup().
-const NoWarmup = ^uint64(0)
-
 // SamplingConfig parameterizes sampled simulation. The zero value of
 // any field means "default" (see DefaultSamplingConfig); an all-zero
 // config is therefore the default operating point.
@@ -34,7 +25,6 @@ type SamplingConfig struct {
 	// WarmupInstrs is the detailed slice executed before each measured
 	// region to let cache/TLB state refill naturally after a
 	// fast-forward. It is simulated cycle-exactly but discarded.
-	// NoWarmup requests a zero-length warmup; 0 means default.
 	WarmupInstrs uint64
 	// MeasureInstrs is the length of each measured detailed region.
 	MeasureInstrs uint64
@@ -47,9 +37,10 @@ type SamplingConfig struct {
 // instruction measured region preceded by a 10 K warmup slice every
 // 140 K instructions (~21% of the stream measured), with fast-forward
 // memory charged at the L1 hit cost. Calibrated against the exact
-// golden corpus (make verify-sampling): across the 16 fig2 workloads
-// this schedule estimates full-run cycles within 1.1% worst-case
-// (0.3% mean) of the cycle-exact simulation.
+// golden corpus: across the 16 fig2 workloads this schedule estimates
+// full-run cycles within 1.1% worst-case (0.3% mean) of the
+// cycle-exact simulation (TestSamplingCalibration holds four of them
+// to it).
 func DefaultSamplingConfig() SamplingConfig {
 	return SamplingConfig{
 		FFInstrs:      100_000,
@@ -59,9 +50,8 @@ func DefaultSamplingConfig() SamplingConfig {
 	}
 }
 
-// WithDefaults fills zero fields from DefaultSamplingConfig. The
-// NoWarmup sentinel is not a zero field and passes through unchanged,
-// so WithDefaults is idempotent over it.
+// WithDefaults fills zero fields from DefaultSamplingConfig, so no
+// phase of a resolved schedule is empty.
 func (c SamplingConfig) WithDefaults() SamplingConfig {
 	d := DefaultSamplingConfig()
 	if c.FFInstrs == 0 {
@@ -77,15 +67,6 @@ func (c SamplingConfig) WithDefaults() SamplingConfig {
 		c.FlatMemCycles = d.FlatMemCycles
 	}
 	return c
-}
-
-// warmup returns the effective warmup phase length: WarmupInstrs with
-// the NoWarmup sentinel mapped to an actual zero.
-func (c SamplingConfig) warmup() uint64 {
-	if c.WarmupInstrs == NoWarmup {
-		return 0
-	}
-	return c.WarmupInstrs
 }
 
 // Scheduler phases. A period is warmup → measure → fast-forward: the
@@ -150,12 +131,8 @@ func (vm *VM) EnableSampling(cfg SamplingConfig) (*Sampler, error) {
 		return nil, fmt.Errorf("runtime: EnableSampling after Start")
 	}
 	s := &Sampler{vm: vm, cfg: cfg.WithDefaults()}
-	// The machine opens in the warmup phase even under NoWarmup (left =
-	// 0): beginMeasure must not fire until the run is live — Boot resets
-	// the hierarchy statistics after this point — so the scheduler
-	// rotates into the first measured region on the first advance.
 	s.phase = phaseWarm
-	s.left = s.cfg.warmup()
+	s.left = s.cfg.WarmupInstrs
 	vm.sampler = s
 	return s, nil
 }
@@ -183,15 +160,10 @@ func (s *Sampler) Estimate() stats.Estimate {
 func (s *Sampler) advance(horizon uint64) {
 	c := s.vm.CPU
 	for !c.Halted() && c.Cycles() < horizon {
+		s.left -= c.RunBounded(horizon, s.left)
 		if s.left != 0 {
-			retired := c.RunBounded(horizon, s.left)
-			s.left -= retired
-			if s.left != 0 {
-				break // horizon reached, halted or yielded mid-phase
-			}
+			break // horizon reached, halted or yielded mid-phase
 		}
-		// Phase exhausted — or zero-length to begin with (a NoWarmup
-		// schedule enters here with left == 0 before anything ran).
 		s.nextPhase()
 	}
 	if c.Halted() {
@@ -215,15 +187,7 @@ func (s *Sampler) nextPhase() {
 	case phaseFF:
 		s.vm.Hier.SetDetailed()
 		s.phase = phaseWarm
-		s.left = s.cfg.warmup()
-		if s.left == 0 {
-			// NoWarmup: measure straight out of fast-forward. Recursing
-			// here (rather than letting advance rotate on its next
-			// iteration) keeps the region boundary snapshot eager — a
-			// horizon landing exactly on the phase edge must not let
-			// ticker work slip between fast-forward and beginMeasure.
-			s.nextPhase()
-		}
+		s.left = s.cfg.WarmupInstrs
 	}
 }
 

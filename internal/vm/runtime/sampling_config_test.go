@@ -14,29 +14,4 @@ func TestSamplingConfigZeroMeansDefault(t *testing.T) {
 	if again := got.WithDefaults(); again != got {
 		t.Errorf("WithDefaults not idempotent: %+v -> %+v", got, again)
 	}
-	if got.warmup() != want.WarmupInstrs {
-		t.Errorf("default warmup() = %d, want %d", got.warmup(), want.WarmupInstrs)
-	}
-}
-
-// TestSamplingConfigNoWarmup pins the explicit-zero path: the NoWarmup
-// sentinel survives WithDefaults unchanged (it is not a zero field, so
-// the canonical serialization of a no-warmup config stays distinct and
-// idempotent) and maps to a genuinely empty warmup phase.
-func TestSamplingConfigNoWarmup(t *testing.T) {
-	cfg := SamplingConfig{WarmupInstrs: NoWarmup}.WithDefaults()
-	if cfg.WarmupInstrs != NoWarmup {
-		t.Errorf("WithDefaults rewrote the NoWarmup sentinel to %d", cfg.WarmupInstrs)
-	}
-	if cfg.warmup() != 0 {
-		t.Errorf("NoWarmup warmup() = %d, want 0", cfg.warmup())
-	}
-	if again := cfg.WithDefaults(); again != cfg {
-		t.Errorf("WithDefaults not idempotent over NoWarmup: %+v -> %+v", cfg, again)
-	}
-	// The other fields still default-fill around the sentinel.
-	d := DefaultSamplingConfig()
-	if cfg.FFInstrs != d.FFInstrs || cfg.MeasureInstrs != d.MeasureInstrs || cfg.FlatMemCycles != d.FlatMemCycles {
-		t.Errorf("NoWarmup config did not default-fill the other fields: %+v", cfg)
-	}
 }

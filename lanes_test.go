@@ -1,6 +1,5 @@
-// Lane keystone: an exact lane pass (bench.RunLanes with Sampling nil)
-// is the Figure 2 grid's separate runs, multiplexed — not an
-// approximation of them.
+// Lane keystone: a lane pass (bench.RunLanes) is the Figure 2 grid's
+// separate runs, multiplexed — not an approximation of them.
 package hpmvm_test
 
 import (
@@ -46,8 +45,8 @@ func TestLanesMatchSeparateRuns(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if pass.Base != float64(plain.Cycles) || pass.Cycles != plain.Cycles {
-				t.Errorf("base: pass %.0f cycles, separate run %d", pass.Base, plain.Cycles)
+			if pass.Base != plain.Cycles {
+				t.Errorf("base: pass %d cycles, separate run %d", pass.Base, plain.Cycles)
 			}
 			for j, iv := range bench.Fig2Intervals {
 				for r := 0; r < reps; r++ {
@@ -59,8 +58,8 @@ func TestLanesMatchSeparateRuns(t *testing.T) {
 					}
 					at := fmt.Sprintf("iv=%s rep %d", bench.Fig2Labels[j], r)
 					ln := pass.Lanes[j][r]
-					if ln.Cycles != float64(res.Cycles) {
-						t.Errorf("%s: lane %.0f cycles, separate run %d (%+.0f)", at, ln.Cycles, res.Cycles, ln.Cycles-float64(res.Cycles))
+					if ln.Cycles != res.Cycles {
+						t.Errorf("%s: lane %d cycles, separate run %d (%+d)", at, ln.Cycles, res.Cycles, int64(ln.Cycles-res.Cycles))
 					}
 					if ln.Monitor != res.MonitorStats {
 						t.Errorf("%s: monitor stats\n lane     %+v\n separate %+v", at, ln.Monitor, res.MonitorStats)

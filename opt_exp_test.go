@@ -3,8 +3,8 @@
 // testdata/exp_text.json. The workload-list experiments run on compress
 // at one repetition; the db-only ones ignore the list. codelayout and
 // swprefetch keep their db entries, recorded when each had its own
-// driver. Lines and metrics that report host time are masked, so the
-// pin holds exactly what the simulation decides.
+// driver. No experiment renders or publishes host time, so the pin
+// holds exactly what the simulation decides.
 //
 // Regenerate only after an intentional change to an experiment's text:
 // go test -run '^TestOptExpText$' -golden-regen .
@@ -15,8 +15,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"regexp"
-	"strings"
 	"testing"
 
 	"hpmvm/internal/bench"
@@ -38,24 +36,6 @@ func optExpOptions(name string) bench.ExpOptions {
 	return bench.ExpOptions{Workloads: []string{"compress"}, Reps: 1, Seed: 1}
 }
 
-// hostTimeLine matches the rendered lines that report wall clock.
-var hostTimeLine = regexp.MustCompile(`(?m)^(exact grid ).*$`)
-
-// pinnedEntry strips what varies with the host from one run.
-func pinnedEntry(run bench.ExpRun) optExpEntry {
-	e := optExpEntry{Output: hostTimeLine.ReplaceAllString(run.Output, "$1<host time>")}
-	for k, v := range run.Metrics {
-		if strings.Contains(k, "speedup") {
-			continue
-		}
-		if e.Metrics == nil {
-			e.Metrics = map[string]float64{}
-		}
-		e.Metrics[k] = v
-	}
-	return e
-}
-
 func TestOptExpText(t *testing.T) {
 	if len(goldenRaceSubset) > 0 {
 		t.Skip("the pin runs workloads outside the race lane's subset")
@@ -66,7 +46,7 @@ func TestOptExpText(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		got[name] = pinnedEntry(run)
+		got[name] = optExpEntry{Output: run.Output, Metrics: run.Metrics}
 	}
 	if *goldenRegen {
 		data, err := json.MarshalIndent(got, "", "  ")
@@ -86,6 +66,11 @@ func TestOptExpText(t *testing.T) {
 	var want map[string]optExpEntry
 	if err := json.Unmarshal(data, &want); err != nil {
 		t.Fatalf("corrupt pin: %v", err)
+	}
+	for name := range want {
+		if _, ok := got[name]; !ok {
+			t.Errorf("pin entry %s names no experiment", name)
+		}
 	}
 	for name, g := range got {
 		w, ok := want[name]

@@ -7,7 +7,7 @@
 // a fast-forwarded machine sees exactly the cache/TLB state the
 // cycle-exact run would have at the same instruction. The tests here
 // verify that property end to end, region by region, and calibrate the
-// estimator's error bound (`make verify-sampling`).
+// estimator's error bound.
 package hpmvm_test
 
 import (
@@ -151,11 +151,11 @@ func TestSamplingAllMeasureMatchesExact(t *testing.T) {
 	}
 }
 
-// TestSamplingCalibration is the calibration sweep behind
-// `make verify-sampling`: on a 4-workload subset spanning the cache
-// behaviour extremes (compress: tight loops; jess: allocation-heavy;
-// jack: phase-structured, the worst case under the default schedule;
-// db: pointer-chasing), each workload's *calibrated* schedule
+// TestSamplingCalibration is the calibration sweep: on a 4-workload
+// subset spanning the cache behaviour extremes (compress: tight loops;
+// jess: allocation-heavy; jack: phase-structured, the worst case under
+// the default schedule; db: pointer-chasing), each workload's
+// *calibrated* schedule
 // (bench.CalibratedSampling — the default for all but jack) must hold
 // its full-run cycle estimate within its documented bound of the
 // cycle-exact simulation, and the sampled run must retire the
@@ -208,94 +208,35 @@ func TestSamplingCalibration(t *testing.T) {
 	}
 }
 
-// TestSamplingNoWarmup pins the explicit-zero warmup path end to end:
-// a NoWarmup schedule — previously inexpressible, since a zero field
-// means "default" — must actually run with empty warmup phases
-// (producing a different region placement than the default schedule,
-// measured straight out of fast-forward) while retiring the identical
-// architectural stream and still estimating within a loose bound. The
-// companion config-level test (internal/vm/runtime) pins the sentinel
-// semantics; this one proves the scheduler survives a zero-length
-// phase at run start and at every period boundary.
-func TestSamplingNoWarmup(t *testing.T) {
-	b, err := bench.Lookup("fop")
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, _, err := bench.Run(b, bench.RunConfig{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nw := runtime.SamplingConfig{WarmupInstrs: runtime.NoWarmup}
-	sampled, ssys, err := bench.Run(b, bench.RunConfig{Seed: 1, Sampling: &nw})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sampled.Instret != exact.Instret {
-		t.Errorf("no-warmup run retired %d instructions, exact %d", sampled.Instret, exact.Instret)
-	}
-	regions := ssys.VM.Sampler().Regions()
-	if len(regions) < 5 {
-		t.Fatalf("only %d measured regions", len(regions))
-	}
-	// The schedule must differ from the default one: without warmup
-	// slices the periods are 10K instructions shorter, so the region
-	// placement diverges — proof the sentinel did not fall back to the
-	// default warmup.
-	def := runtime.DefaultSamplingConfig()
-	_, dsys, err := bench.Run(b, bench.RunConfig{Seed: 1, Sampling: &def})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dregions := dsys.VM.Sampler().Regions()
-	if len(regions) > 1 && len(dregions) > 1 && regions[1].StartInstret == dregions[1].StartInstret {
-		t.Errorf("no-warmup schedule placed region 1 at instret %d, identical to the default schedule — sentinel ignored?", regions[1].StartInstret)
-	}
-	if est := sampled.Estimated; est == nil {
-		t.Error("no-warmup run carries no estimate")
-	} else if errPct := 100 * (est.Cycles/float64(exact.Cycles) - 1); math.Abs(errPct) > 5 {
-		// Unwarmed regions see cold-ish caches after fast-forward, so the
-		// bound is loose — the point is a sane estimate, not a calibrated
-		// one.
-		t.Errorf("no-warmup estimate off by %+.2f%%", errPct)
-	}
-}
-
-// TestSamplingFig5Path pins the heap-size axis of the sampled-pass
-// machinery (the sampling-fig5 experiment): at the extreme fig5 heap
-// factors, a multiplexed pass's baseline and monitored-auto estimates
-// must stay within the documented 2% bound of their exact
-// counterparts. Heap sizing changes GC pressure and therefore the
-// service-cycle share, so this covers estimator behaviour the fig2
-// grid (fixed 4x heap) cannot.
+// TestSamplingFig5Path pins the sampled estimator along Figure 5's
+// heap-size axis: at the extreme heap factors, compress's calibrated
+// baseline estimate must stay within the documented 2% bound of the
+// exact run. Heap sizing changes GC pressure and therefore the
+// service-cycle share, so this covers estimator behaviour the fixed 4x
+// heap of TestSamplingCalibration cannot.
 func TestSamplingFig5Path(t *testing.T) {
 	b, err := bench.Lookup("compress")
 	if err != nil {
 		t.Fatal(err)
 	}
+	scfg := bench.CalibratedSampling("compress")
 	for _, factor := range []float64{1, 4} {
 		t.Run(fmt.Sprintf("%gx", factor), func(t *testing.T) {
-			exactBase, _, err := bench.Run(b, bench.RunConfig{HeapFactor: factor, Seed: 1})
+			exact, _, err := bench.Run(b, bench.RunConfig{HeapFactor: factor, Seed: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			exactMon, _, err := bench.Run(b, bench.RunConfig{HeapFactor: factor, Monitoring: true, Seed: 1})
+			sampled, _, err := bench.Run(b, bench.RunConfig{HeapFactor: factor, Seed: 1, Sampling: &scfg})
 			if err != nil {
 				t.Fatal(err)
 			}
-			scfg := bench.CalibratedSampling("compress")
-			pass, err := bench.RunLanes(b, bench.RunConfig{HeapFactor: factor, Seed: 1, Sampling: &scfg}, []uint64{0}, 1)
-			if err != nil {
-				t.Fatal(err)
+			if sampled.Estimated == nil {
+				t.Fatal("sampled run carries no estimate")
 			}
-			baseErr := 100 * (pass.Base/float64(exactBase.Cycles) - 1)
-			monErr := 100 * (pass.Lanes[0][0].Cycles/float64(exactMon.Cycles) - 1)
-			t.Logf("%gx: base %+.2f%%, monitored-auto %+.2f%%", factor, baseErr, monErr)
-			if math.Abs(baseErr) > 2 {
-				t.Errorf("baseline estimate off by %+.2f%% at heap %gx", baseErr, factor)
-			}
-			if math.Abs(monErr) > 2 {
-				t.Errorf("monitored estimate off by %+.2f%% at heap %gx", monErr, factor)
+			errPct := 100 * (sampled.Estimated.Cycles/float64(exact.Cycles) - 1)
+			t.Logf("%gx: base %+.2f%%", factor, errPct)
+			if math.Abs(errPct) > 2 {
+				t.Errorf("baseline estimate off by %+.2f%% at heap %gx", errPct, factor)
 			}
 		})
 	}
