@@ -8,12 +8,21 @@ GO ?= go
 
 ci: vet build test race verify-opt verify-lanes fuzz-smoke bench-smoke serve-smoke loc
 
-# go vet plus the gofmt gate: any file `gofmt -l` names (outside the
-# benchmark's build directory) fails the target.
+# go vet, the gofmt gate — any file `gofmt -l` names (outside the
+# benchmark's build directory) fails the target — and the inlining
+# gate: the simulator's inlinable lanes, Hierarchy.Hit and mem's
+# Load*/Store*, must still inline. A lane that grows past Go's
+# inlining budget silently becomes a call, and no test would notice.
+INLINE_LANES = '(*Hierarchy).Hit' '(*Memory).Load8' '(*Memory).Load4' '(*Memory).Load2' \
+	'(*Memory).Load1' '(*Memory).Store8' '(*Memory).Store4' '(*Memory).Store2' '(*Memory).Store1'
 vet:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l . | grep -v '^\.bench_build/'); \
 		test -z "$$unformatted" || { echo "gofmt -l flags:"; echo "$$unformatted"; exit 1; }
+	@inl=$$($(GO) build -gcflags=-m ./internal/hw/cache ./internal/hw/mem 2>&1) || { echo "$$inl"; exit 1; }; \
+		for f in $(INLINE_LANES); do \
+			echo "$$inl" | grep -qF "can inline $$f" || { echo "inlining gate: $$f no longer inlines"; exit 1; }; \
+		done
 
 build:
 	$(GO) build ./...
@@ -143,7 +152,7 @@ race:
 serve-smoke:
 	sh scripts/serve_smoke.sh
 
-# Cache hot-path microbenchmarks (BenchmarkHierarchyAccess*).
+# Cache hot-path microbenchmarks (BenchmarkHierarchyAccess*, BenchmarkHierarchyHitLane).
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkHierarchy -benchtime=2s ./internal/hw/cache/
 
@@ -153,7 +162,7 @@ bench:
 # without paying for a statistically meaningful measurement in CI.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkCPUStep|BenchmarkCPURunLoop' -benchtime=1x ./internal/hw/cpu/
-	$(GO) test -run '^$$' -bench 'BenchmarkHierarchyAccess' -benchtime=1x ./internal/hw/cache/
+	$(GO) test -run '^$$' -bench 'BenchmarkHierarchyAccess|BenchmarkHierarchyHitLane' -benchtime=1x ./internal/hw/cache/
 	$(GO) test -run '^$$' -bench 'BenchmarkMemory' -benchtime=1x ./internal/hw/mem/
 	$(GO) test -run '^$$' -bench 'BenchmarkCanonicalString' -benchtime=1x ./internal/core/
 

@@ -2,11 +2,11 @@ package cache
 
 import "testing"
 
-// The Access benchmarks pin the cost of the single most-executed
-// function in the simulator: every load and store of every simulated
-// instruction goes through Hierarchy.Access. Hit is the steady-state
-// L1-hit fast path; Miss is the full L1+L2+TLB miss path including
-// prefetcher training.
+// The Access benchmarks pin the cost of the simulator's memory-access
+// entry point: every simulated load and store that the resident-line
+// lane (Hierarchy.Hit) does not serve goes through Hierarchy.Access. Hit is the steady-state L1-hit fast path; Miss is
+// the full L1+L2+TLB miss path including prefetcher training; HitLane
+// is the lane in front of Access.
 
 // BenchmarkHierarchyAccessHit measures the L1-hit fast path with no
 // listener attached (the monitoring-off configuration every baseline
@@ -38,7 +38,13 @@ func BenchmarkHierarchyAccessHitListener(b *testing.B) {
 // in L1 (hits spread over several sets, loads and stores mixed) —
 // closer to real hit traffic than a single hot line.
 func BenchmarkHierarchyAccessHitMixed(b *testing.B) {
-	benchHitMixed(b, New(DefaultP4()))
+	benchHitMixed(b, New(DefaultP4()), false)
+}
+
+// BenchmarkHierarchyHitLane is the same walk as runLoop takes it: Hit
+// first, Access when Hit declines.
+func BenchmarkHierarchyHitLane(b *testing.B) {
+	benchHitMixed(b, New(DefaultP4()), true)
 }
 
 // BenchmarkHierarchyAccessFunctional is the same walk on the warming
@@ -47,10 +53,12 @@ func BenchmarkHierarchyAccessHitMixed(b *testing.B) {
 func BenchmarkHierarchyAccessFunctional(b *testing.B) {
 	h := New(DefaultP4())
 	h.SetFunctional(3)
-	benchHitMixed(b, h)
+	benchHitMixed(b, h, false)
 }
 
-func benchHitMixed(b *testing.B, h *Hierarchy) {
+// benchHitMixed walks the working set through Access, or with lane
+// through Hit and then Access.
+func benchHitMixed(b *testing.B, h *Hierarchy, lane bool) {
 	// 8 KB working set: half the 16 KB L1, always resident.
 	const ws = 8 * 1024
 	for a := uint64(0); a < ws; a += 8 {
@@ -59,7 +67,9 @@ func benchHitMixed(b *testing.B, h *Hierarchy) {
 	b.ResetTimer()
 	addr := uint64(0)
 	for i := 0; i < b.N; i++ {
-		h.Access(addr, 8, i&7 == 0)
+		if write := i&7 == 0; !lane || !h.Hit(addr, write) {
+			h.Access(addr, 8, write)
+		}
 		addr = (addr + 264) & (ws - 1) // coprime-ish stride over the set
 	}
 }

@@ -153,6 +153,10 @@ func (c Config) Validate() error {
 		// only an unshifted address could equal.
 		return fmt.Errorf("cache: LineSize and PageSize must be at least 2, got %d and %d", c.LineSize, c.PageSize)
 	}
+	if c.PageSize < c.LineSize {
+		// A line would span pages and so have no single DTLB way.
+		return fmt.Errorf("cache: PageSize %d is smaller than LineSize %d", c.PageSize, c.LineSize)
+	}
 	if c.L1Size < c.LineSize*c.L1Assoc {
 		return fmt.Errorf("cache: L1 too small for %d-way associativity", c.L1Assoc)
 	}
@@ -179,6 +183,7 @@ type setAssoc struct {
 	assoc   int
 	setMask uint64 // selects the set from a key
 	stamp   uint64
+	evicted uint64 // the key the last fill replaced, emptyKey for an empty way
 }
 
 func newSetAssoc(totalLines, assoc int) *setAssoc {
@@ -233,6 +238,7 @@ func (sa *setAssoc) access(key uint64, markDirty bool) (way int, hit, writeback 
 		}
 	}
 	writeback = sa.dirty[way]
+	sa.evicted = sa.keys[way]
 	sa.keys[way], sa.lru[way], sa.dirty[way] = key, sa.stamp, markDirty
 	return way, false, writeback
 }
@@ -421,6 +427,24 @@ type Hierarchy struct {
 	// Host-side only, never serialized.
 	tlbPred [1 << tlbPredBits]uint32
 
+	// resident is the resident-line table behind Hit, direct-mapped by
+	// the low bits of the line (residentSlot). A slot names a line that
+	// is L1-resident in a way whose pending flag is clear, on a page the
+	// DTLB holds, and points at the three words an L1 hit on it writes.
+	// It is a memo kept exact by dropping, never by checking itself: a
+	// slot goes when a demand fill or install evicts its line, when
+	// install marks its way pending, and when its page leaves the DTLB
+	// (tlbAccess), in either lane; the whole table goes on Flush,
+	// Restore and EnableSwPrefetch. Only detailed accesses table lines,
+	// and none while the software-prefetch model is on, whose hits issue
+	// prefetches. Host-side only, never serialized.
+	resident [residentSlots]residentLine
+	// laneHits and laneStores count Hit's accesses since the last
+	// settle. Hit stamps each way with its array's stamp plus laneHits,
+	// so the arrays' stamps and the counters lag until settle adds the
+	// counts in; everything that reads either settles first.
+	laneHits, laneStores uint64
+
 	// functional, when set, switches Access to the fast-forward lane of
 	// sampled simulation (DESIGN.md §12): every access charges the flat
 	// flatCost and produces no stats, but the tag state (TLB, L1, L2,
@@ -455,6 +479,7 @@ func New(cfg Config) *Hierarchy {
 	if cfg.PrefetchEnabled {
 		h.streams = make([]stream, cfg.PrefetchStreams)
 	}
+	h.clearResident()
 	return h
 }
 
@@ -482,22 +507,22 @@ func (h *Hierarchy) SetObserver(o *obs.Observer, now func() uint64) {
 	if o == nil {
 		return
 	}
-	o.RegisterSampled("cache.accesses", func() uint64 { return h.stats.Accesses })
-	o.RegisterSampled("cache.loads", func() uint64 { return h.stats.Loads })
-	o.RegisterSampled("cache.stores", func() uint64 { return h.stats.Stores })
-	o.RegisterSampled("cache.l1_misses", func() uint64 { return h.stats.L1Misses })
-	o.RegisterSampled("cache.l2_misses", func() uint64 { return h.stats.L2Misses })
-	o.RegisterSampled("cache.tlb_misses", func() uint64 { return h.stats.TLBMisses })
-	o.RegisterSampled("cache.writebacks", func() uint64 { return h.stats.Writebacks })
-	o.RegisterSampled("cache.prefetches", func() uint64 { return h.stats.Prefetches })
-	o.RegisterSampled("cache.prefetch_hits", func() uint64 { return h.stats.PrefetchHits })
-	o.RegisterSampled("cache.cycles", func() uint64 { return h.stats.Cycles })
+	o.RegisterSampled("cache.accesses", func() uint64 { return h.Stats().Accesses })
+	o.RegisterSampled("cache.loads", func() uint64 { return h.Stats().Loads })
+	o.RegisterSampled("cache.stores", func() uint64 { return h.Stats().Stores })
+	o.RegisterSampled("cache.l1_misses", func() uint64 { return h.Stats().L1Misses })
+	o.RegisterSampled("cache.l2_misses", func() uint64 { return h.Stats().L2Misses })
+	o.RegisterSampled("cache.tlb_misses", func() uint64 { return h.Stats().TLBMisses })
+	o.RegisterSampled("cache.writebacks", func() uint64 { return h.Stats().Writebacks })
+	o.RegisterSampled("cache.prefetches", func() uint64 { return h.Stats().Prefetches })
+	o.RegisterSampled("cache.prefetch_hits", func() uint64 { return h.Stats().PrefetchHits })
+	o.RegisterSampled("cache.cycles", func() uint64 { return h.Stats().Cycles })
 	// The software-prefetch rows register only when the model is on:
 	// the golden corpus freezes the disabled configurations' counter
 	// set, and EnableSwPrefetch runs before the observer attaches.
 	if h.sw != nil {
-		o.RegisterSampled("cache.sw_prefetches", func() uint64 { return h.stats.SwPrefetches })
-		o.RegisterSampled("cache.sw_prefetch_hits", func() uint64 { return h.stats.SwPrefetchHits })
+		o.RegisterSampled("cache.sw_prefetches", func() uint64 { return h.Stats().SwPrefetches })
+		o.RegisterSampled("cache.sw_prefetch_hits", func() uint64 { return h.Stats().SwPrefetchHits })
 	}
 }
 
@@ -505,7 +530,10 @@ func (h *Hierarchy) SetObserver(o *obs.Observer, now func() uint64) {
 func (h *Hierarchy) Config() Config { return h.cfg }
 
 // Stats returns a snapshot of the counters.
-func (h *Hierarchy) Stats() Stats { return h.stats }
+func (h *Hierarchy) Stats() Stats {
+	h.settle()
+	return h.stats
+}
 
 // EnableICache attaches the opt-in instruction-cache model: a small
 // L1I of the given total size and associativity (sharing the unified
@@ -563,6 +591,10 @@ func (h *Hierarchy) IFetch(addr uint64) uint64 {
 // calling it twice replaces the model's state.
 func (h *Hierarchy) EnableSwPrefetch(cpu SwPrefetchCPU, issueCost uint64) {
 	h.sw = &swState{cpu: cpu, issueCost: issueCost, prefetched: newPfSet()}
+	// Hit never runs under the model, and SoftwarePrefetch touches the
+	// arrays without settling.
+	h.settle()
+	h.clearResident()
 }
 
 // SetSwPrefetchSites replaces the installed software-prefetch site
@@ -640,6 +672,7 @@ func (h *Hierarchy) swSiteIssue(addr uint64) uint64 {
 // window close must never do. Use Flush for a full hardware reset.
 // TestResetStatsWindowIndependence pins both halves of this contract.
 func (h *Hierarchy) ResetStats() {
+	h.settle()
 	if h.obs != nil {
 		st := &h.stats
 		h.obs.Emit(obs.EvCacheWindow, h.obsNow(), st.Accesses, st.L1Misses, st.Cycles)
@@ -672,6 +705,7 @@ func (h *Hierarchy) Flush() {
 		// prefetch instructions) and survives a hardware flush.
 		h.sw.prefetched.Clear()
 	}
+	h.clearResident()
 }
 
 // SetFunctional switches the hierarchy into functional fast-forward
@@ -698,21 +732,131 @@ const tlbPredBits = 8
 // hottest pages agree in the low page bits.
 func tlbPredSlot(page uint64) uint64 { return pfHash(page) >> (64 - tlbPredBits) }
 
+// residentSlots is the number of resident-line table slots, twice the
+// P4 L1's 128 lines; a power of two.
+const residentSlots = 256
+
+// residentSlot masks rather than hashes: the low line bits spread a
+// working set about as well as a hash does (the lane serves about as
+// many accesses either way), and a hash would cost Hit six more units
+// of its inlining budget.
+func residentSlot(line uint64) uint64 { return line & (residentSlots - 1) }
+
+// residentLine is one slot of the resident-line table: the line, or
+// emptyKey, and the L1 stamp, L1 dirty bit and DTLB stamp of the ways
+// holding the line and its page.
+type residentLine struct {
+	line  uint64
+	l1    *uint64
+	dirty *bool
+	tlb   *uint64
+}
+
+// Hit is the resident-line lane, the inlinable front of Access: in the
+// detailed lane, when the line holding addr is in the resident-line
+// table, it performs the L1 hit Access would — both stamps and the
+// dirty bit written, the access counted — and reports true; the access
+// costs L1HitCycles and raises no event. Otherwise, the warming lane
+// included, it changes nothing and reports false, and the caller calls
+// Access. The table is empty under the software-prefetch model, so
+// there Hit always declines. Its counts reach Stats and the arrays'
+// stamps at the next settle.
+func (h *Hierarchy) Hit(addr uint64, write bool) bool {
+	line := addr >> h.lineBits
+	e := &h.resident[residentSlot(line)]
+	if h.functional || e.line != line {
+		return false
+	}
+	h.laneHits++
+	*e.l1 = h.l1.stamp + h.laneHits
+	*e.tlb = h.tlb.stamp + h.laneHits
+	if write {
+		*e.dirty = true
+		h.laneStores++
+	}
+	return true
+}
+
+// settle adds the accesses Hit has served since the last settle to the
+// counters and to the L1 and DTLB stamps: after it the hierarchy holds
+// exactly what Access would have left.
+func (h *Hierarchy) settle() {
+	n := h.laneHits
+	if n == 0 {
+		return
+	}
+	h.l1.stamp += n
+	h.tlb.stamp += n
+	st := &h.stats
+	st.Accesses += n
+	st.Stores += h.laneStores
+	st.Loads += n - h.laneStores
+	st.Cycles += n * h.cfg.L1HitCycles
+	h.laneHits, h.laneStores = 0, 0
+}
+
+// remember tables the line of addr, which the detailed access that is
+// returning left in L1 way. It checks first that the line is still
+// there, its way is not pending and its page is in the predicted DTLB
+// way: a listener may have run a nested access since, and the
+// prefetcher may have filled over the line.
+func (h *Hierarchy) remember(addr uint64, way int) {
+	page, lineAddr := addr>>h.pageBits, addr>>h.lineBits
+	tw := h.tlbPred[tlbPredSlot(page)]
+	if h.l1.keys[way] != lineAddr || h.l1Pending[way] || h.tlb.keys[tw] != page {
+		return
+	}
+	h.resident[residentSlot(lineAddr)] = residentLine{lineAddr, &h.l1.lru[way], &h.l1.dirty[way], &h.tlb.lru[tw]}
+}
+
+// drop removes line from the resident-line table.
+func (h *Hierarchy) drop(line uint64) {
+	if e := &h.resident[residentSlot(line)]; e.line == line {
+		*e = residentLine{line: emptyKey}
+	}
+}
+
+// dropPage removes every line of page from the resident-line table.
+func (h *Hierarchy) dropPage(page uint64) {
+	shift := h.pageBits - h.lineBits
+	if lines := uint64(1) << shift; lines <= residentSlots {
+		for i := range lines {
+			h.drop(page<<shift + i)
+		}
+		return
+	}
+	for i := range h.resident {
+		if h.resident[i].line>>shift == page {
+			h.resident[i] = residentLine{line: emptyKey}
+		}
+	}
+}
+
+// clearResident empties the resident-line table.
+func (h *Hierarchy) clearResident() {
+	for i := range h.resident {
+		h.resident[i] = residentLine{line: emptyKey}
+	}
+}
+
 // Access simulates one demand access of the given size at addr and
 // returns the cycle cost. write distinguishes stores from loads.
 // Accesses are assumed not to cross a cache line (the CPU only issues
 // naturally aligned accesses of at most 8 bytes).
 //
-// This is the single hottest function in the simulator — every load
-// and store of every simulated instruction lands here — so the common
-// case of both lanes (DTLB hit in the predicted way, L1 hit, line not
-// awaiting its first demand touch) is written out here with no call:
-// one compare for the DTLB, one per way over the set's key row, the
-// two stamp stores, the counters. Everything else — a miss anywhere, a
-// stale prediction, a pending way — has changed nothing yet and starts
-// over in accessSlow (TestAccessFingerprint and TestOracleLockStep pin
-// the exact behavior).
+// Every simulated load and store that Hit does not serve lands here —
+// runLoop's when Hit declines, Step's and the timed accessors' always —
+// so the common case of both lanes (DTLB hit in the predicted way, L1
+// hit, line not awaiting its first demand touch) is written out here
+// with no call: one compare for the DTLB, one per way over the set's
+// key row, the two stamp stores, the counters. A detailed hit outside
+// the software-prefetch model also tables its line for Hit. Everything
+// else — a miss anywhere, a stale prediction, a pending way — has
+// changed nothing yet and starts over in accessSlow
+// (TestAccessFingerprint and TestOracleLockStep pin the exact
+// behavior).
 func (h *Hierarchy) Access(addr uint64, size int, write bool) uint64 {
+	h.settle()
 	tlb, l1 := h.tlb, h.l1
 	page, lineAddr := addr>>h.pageBits, addr>>h.lineBits
 	if tw := h.tlbPred[tlbPredSlot(page)]; tlb.keys[tw] == page {
@@ -745,6 +889,10 @@ func (h *Hierarchy) Access(addr uint64, size int, write bool) uint64 {
 			cycles := h.cfg.L1HitCycles
 			if h.sw != nil {
 				cycles += h.swSiteIssue(addr)
+			} else if e := &h.resident[residentSlot(lineAddr)]; e.line != lineAddr {
+				// A tabled line's slot already points at these ways:
+				// a change of way would have dropped it.
+				*e = residentLine{lineAddr, &l1.lru[way], &l1.dirty[way], &tlb.lru[tw]}
 			}
 			st.Cycles += cycles
 			return cycles
@@ -766,6 +914,9 @@ func (h *Hierarchy) tlbAccess(addr uint64) bool {
 	}
 	way, hit, _ := tlb.access(page, false)
 	*slot = uint32(way)
+	if !hit && tlb.evicted != emptyKey {
+		h.dropPage(tlb.evicted)
+	}
 	return hit
 }
 
@@ -813,6 +964,7 @@ func (h *Hierarchy) accessSlow(addr uint64, write bool) uint64 {
 	}
 
 	if !hit {
+		h.drop(h.l1.evicted)
 		if writeback {
 			st.Writebacks++
 		}
@@ -836,6 +988,8 @@ func (h *Hierarchy) accessSlow(addr uint64, write bool) uint64 {
 
 	if h.sw != nil {
 		cycles += h.swSiteIssue(addr)
+	} else {
+		h.remember(addr, way)
 	}
 	st.Cycles += cycles
 	return cycles
@@ -866,6 +1020,7 @@ func (h *Hierarchy) warmAccess(addr uint64, write bool) {
 	if hit {
 		return
 	}
+	h.drop(h.l1.evicted)
 	h.l1Pending[way] = true
 	if h.listener != nil {
 		h.listener.HardwareEvent(EventL1Miss, addr)
@@ -958,11 +1113,18 @@ func (h *Hierarchy) prefetchLine(lineAddr uint64) {
 
 // install brings a prefetched line into L2 and L1 and marks its L1 way
 // pending — also when the line was already L1-resident, since the
-// caller is about to add it to an attribution set.
+// caller is about to add it to an attribution set. The resident-line
+// table loses the line when it was resident, since its way is pending
+// now, and otherwise the line the fill evicted.
 func (h *Hierarchy) install(lineAddr uint64) {
 	h.l2.access(lineAddr, false)
-	way, _, _ := h.l1.access(lineAddr, false)
+	way, hit, _ := h.l1.access(lineAddr, false)
 	h.l1Pending[way] = true
+	if hit {
+		h.drop(lineAddr)
+	} else {
+		h.drop(h.l1.evicted)
+	}
 }
 
 // L1Contains reports whether the line holding addr is resident in L1.

@@ -37,6 +37,11 @@ func TestValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("expected error for zero TLB entries")
 	}
+	bad = DefaultP4()
+	bad.PageSize = bad.LineSize / 2 // a line would span two pages
+	if err := bad.Validate(); err == nil {
+		t.Error("expected error for pages smaller than lines")
+	}
 }
 
 func TestColdMissThenHit(t *testing.T) {

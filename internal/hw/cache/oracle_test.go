@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -10,12 +11,14 @@ import (
 // Differential oracle for the hierarchy's host-side fast paths. ref is
 // a deliberately naive model of the same machine — per-set slices
 // scanned linearly, a Go map for each prefetched-line set, no way
-// predictor, no way index, no pending flags — driven in lock-step with
-// Hierarchy over seeded random streams. Anything the fast paths get
-// wrong (a prediction trusted without its compare, a way index out of
-// step with the keys, a pending flag lost) shows up as a differing
-// cost, event, counter or residency answer on the access where it first
-// matters.
+// predictor, no way index, no pending flags, no resident-line table —
+// driven in lock-step with Hierarchy over seeded random streams.
+// Anything the fast paths get wrong (a prediction trusted without its
+// compare, a way index out of step with the keys, a pending flag lost,
+// a table slot outliving its line) shows up as a differing cost, event,
+// counter or residency answer on the access where it first matters.
+// A second Hierarchy takes the same stream through Access alone, and
+// its snapshot bytes hold the lane's stamps and dirty bits exact.
 
 type refLine struct {
 	key          uint64
@@ -373,6 +376,10 @@ func TestOracleLockStep(t *testing.T) {
 	// them, so the DTLB must handle any way count.
 	dtlb48, dtlb96 := DefaultP4(), DefaultP4()
 	dtlb48.TLBEntries, dtlb96.TLBEntries = 48, 96
+	// Pages of more lines than the resident-line table has slots: a
+	// DTLB eviction drops them by scanning the table.
+	bigPages := DefaultP4()
+	bigPages.PageSize = 64 * 1024
 	for _, tc := range []struct {
 		name string
 		cfg  Config
@@ -386,6 +393,7 @@ func TestOracleLockStep(t *testing.T) {
 		{"shallow-sw", shallow, true},
 		{"dtlb48", dtlb48, false},
 		{"dtlb96", dtlb96, false},
+		{"bigpages", bigPages, false},
 	} {
 		for seed := int64(1); seed <= 4; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", tc.name, seed), func(t *testing.T) {
@@ -395,14 +403,25 @@ func TestOracleLockStep(t *testing.T) {
 	}
 }
 
+// laneAccess is one demand access as runLoop makes it: Hit first, and
+// Access when Hit declines.
+func laneAccess(h *Hierarchy, addr uint64, write bool) uint64 {
+	if h.Hit(addr, write) {
+		return h.cfg.L1HitCycles
+	}
+	return h.Access(addr, 8, write)
+}
+
 func oracleRun(t *testing.T, cfg Config, sw bool, seed int64, n int) {
-	h, r := New(cfg), newRef(cfg)
+	// h takes every access through laneAccess, twin through Access.
+	h, twin, r := New(cfg), New(cfg), newRef(cfg)
+	both := func(f func(*Hierarchy)) { f(h); f(twin) }
 	// Accesses execute at one of a few PCs, some of which the op mix
 	// turns into prefetch sites.
 	cpu := &swCPU{user: true}
 	r.swCPU = cpu
 	if sw {
-		h.EnableSwPrefetch(cpu, 2)
+		both(func(h *Hierarchy) { h.EnableSwPrefetch(cpu, 2) })
 		r.swIssueCost = 2
 	}
 	var hEv, rEv eventLog
@@ -411,53 +430,68 @@ func oracleRun(t *testing.T, cfg Config, sw bool, seed int64, n int) {
 	rng := rand.New(rand.NewSource(seed))
 	s := &oracleStream{rng: rng, cfg: cfg, pages: 5 * cfg.TLBEntries}
 	for i := 0; i < n; i++ {
+		// Stats and snapshots settle the lane's counts, so h is compared
+		// whole on a few accesses only and its counts pile up between.
+		settle := false
 		switch op := rng.Intn(4000); {
 		case op == 0:
-			h.Flush()
+			both((*Hierarchy).Flush)
 			r.Flush()
 		case op < 4:
-			h.ResetStats()
+			both((*Hierarchy).ResetStats)
 			r.ResetStats()
 		case op < 24:
 			if h.Functional() {
-				h.SetDetailed()
+				both((*Hierarchy).SetDetailed)
 			} else {
-				h.SetFunctional(3)
+				both(func(h *Hierarchy) { h.SetFunctional(3) })
 			}
 			r.functional, r.flatCost = h.Functional(), 3
 		case op < 28:
-			// Snapshot, run on alone so every prediction, index entry and
-			// pending flag moves, then restore: the fast paths must come
-			// back in step with the restored state, not the abandoned one.
+			// Snapshot, run on alone so every prediction, index entry,
+			// pending flag and table slot moves, then restore: the fast
+			// paths must come back in step with the restored state, not
+			// the abandoned one. Half the accesses revisit recent
+			// addresses, so Hit serves some, and its counts must not
+			// outlive the restore.
 			st := h.Snapshot()
 			h.SetListener(nil)
+			recent := s.history[max(0, len(s.history)-64):]
 			for j := 0; j < 200; j++ {
-				h.Access(uint64(rng.Intn(s.pages*cfg.PageSize))&^7, 8, j&1 == 0)
+				addr := uint64(rng.Intn(s.pages*cfg.PageSize)) &^ 7
+				if j&2 == 0 && len(recent) > 0 {
+					addr = recent[rng.Intn(len(recent))]
+				}
+				laneAccess(h, addr, j&1 == 0)
 			}
 			h.SetListener(&hEv)
 			if err := h.Restore(st); err != nil {
 				t.Fatal(err)
 			}
+		case op < 44:
+			settle = true
 		case !sw: // the remaining operations need the software-prefetch model
-		case op < 36:
+		case op < 52:
 			// Replace the site table: up to three of the PCs, prefetching a
 			// few lines ahead or behind (some targets leave the page).
 			sites := map[uint64]int64{}
 			for j := rng.Intn(4); j > 0; j-- {
 				sites[uint64(rng.Intn(8))] = int64(rng.Intn(9)-4) * int64(cfg.LineSize)
 			}
-			h.SetSwPrefetchSites(sites)
+			both(func(h *Hierarchy) { h.SetSwPrefetchSites(sites) })
 			r.swSites = sites
-		case op < 200 && i > 0:
+		case op < 216 && i > 0:
 			// An explicit prefetch near the stream, in either lane.
 			addr := s.history[rng.Intn(len(s.history))] + uint64(rng.Intn(4*cfg.LineSize))
+			twin.SoftwarePrefetch(addr)
 			if got, want := h.SoftwarePrefetch(addr), r.SoftwarePrefetch(addr); got != want {
 				t.Fatalf("before access %d: SoftwarePrefetch(%#x) cost %d, reference %d", i, addr, got, want)
 			}
 		}
 		addr, write := s.next()
 		cpu.pc, cpu.user = uint64(rng.Intn(8)), rng.Intn(16) != 0
-		got, want := h.Access(addr, 8, write), r.Access(addr, write)
+		twin.Access(addr, 8, write)
+		got, want := laneAccess(h, addr, write), r.Access(addr, write)
 		if got != want {
 			t.Fatalf("access %d (%#x write=%v): cost %d, reference %d", i, addr, write, got, want)
 		}
@@ -465,8 +499,16 @@ func oracleRun(t *testing.T, cfg Config, sw bool, seed int64, n int) {
 			t.Fatalf("access %d (%#x): events %v, reference %v", i, addr, hEv, rEv)
 		}
 		hEv, rEv = hEv[:0], rEv[:0]
-		if h.Stats() != r.stats {
-			t.Fatalf("access %d (%#x): stats %+v, reference %+v", i, addr, h.Stats(), r.stats)
+		if twin.Stats() != r.stats {
+			t.Fatalf("access %d (%#x): stats %+v, reference %+v", i, addr, twin.Stats(), r.stats)
+		}
+		if settle || i == n-1 {
+			if h.Stats() != r.stats {
+				t.Fatalf("access %d (%#x): lane stats %+v, reference %+v", i, addr, h.Stats(), r.stats)
+			}
+			if got, want := h.Snapshot(), twin.Snapshot(); !bytes.Equal(got.Data, want.Data) {
+				t.Fatalf("access %d (%#x): lane snapshot differs from Access alone", i, addr)
+			}
 		}
 		probe := s.history[rng.Intn(len(s.history))]
 		if got, want := h.L1Contains(probe), r.l1.contains(probe/r.line); got != want {

@@ -126,6 +126,7 @@ func (h *Hierarchy) walk(c *snap.Codec) {
 
 // Snapshot serializes the hierarchy's hardware and counter state.
 func (h *Hierarchy) Snapshot() snap.ComponentState {
+	h.settle()
 	return snap.Encode(snapComponent, snapVersion, h.walk)
 }
 
@@ -144,10 +145,14 @@ func (h *Hierarchy) Restore(st snap.ComponentState) error {
 	if err := snap.Decode(st, snapComponent, snapVersion, next.walk); err != nil {
 		return err
 	}
-	// Any restored L1 line may be in a restored attribution set.
+	// Any restored L1 line may be in a restored attribution set. The
+	// resident-line table points into the abandoned arrays, and Hit's
+	// counts belong to the abandoned state.
 	for i := range next.l1Pending {
 		next.l1Pending[i] = true
 	}
+	next.clearResident()
+	next.laneHits, next.laneStores = 0, 0
 	*h = next
 	return nil
 }

@@ -15,12 +15,18 @@ package cpu
 //     flushed first, and cycles/instret are reloaded afterwards. This
 //     reproduces Step's `c.cycles += c.Hier.Access(...)` semantics,
 //     where the Go evaluation order reads c.cycles after the call.
+//   - Every load and store first tries Hierarchy.Hit, the inlined
+//     resident-line lane. A lane hit is an L1 hit with a DTLB hit: no
+//     listener fires on one and nothing else runs, so nothing can
+//     observe the CPU during it, and the loop adds L1HitCycles to its
+//     local cycle count without a flush. Only when Hit declines does
+//     the access flush and call Access.
 //   - Every load and store does its data operation after the access,
 //     through the memory's inlinable lane (mem.Memory.Load8, Store8,
 //     …). Only when the lane declines — first touch of a page, or a
-//     fault — does it call Read*/Write*, with cycles flushed first, so
-//     a fault leaves the counters exactly as Step's does
-//     (TestRunLoopStepFaultsAgree).
+//     fault — does it call Read*/Write*, with PC, cycles and instret
+//     flushed first, so a fault leaves the counters exactly as Step's
+//     does (TestRunLoopStepFaultsAgree).
 //   - The register file and SP/FP stay struct-resident, so samples
 //     taken mid-access read exactly what Step's would.
 //   - Rare or intricate opcodes (calls, divides, traps, unknown)
@@ -70,6 +76,7 @@ func (c *CPU) runLoop(cycleHorizon, budget uint64) uint64 {
 	takenBranch := c.cfg.TakenBranchCycles
 	callCycles := c.cfg.CallCycles
 	barrierCycles := c.cfg.BarrierCycles
+	l1Hit := c.Hier.Config().L1HitCycles
 
 	// Hot state in locals; flushed at every call-out and at loop exit.
 	pc := c.PC
@@ -143,66 +150,90 @@ run:
 
 		case OpLd8:
 			a := c.base(in.Rs1) + uint64(in.Imm)
-			c.PC, c.cycles, c.instret = pc, cyc, ins
-			cost := c.Hier.Access(a, 8, false)
-			cyc = c.cycles + cost
+			if c.Hier.Hit(a, false) {
+				cyc += l1Hit
+			} else {
+				c.PC, c.cycles, c.instret = pc, cyc, ins
+				cost := c.Hier.Access(a, 8, false)
+				cyc = c.cycles + cost
+			}
 			v, ok := c.Mem.Load8(a)
 			if !ok {
-				c.cycles = cyc
+				c.PC, c.cycles, c.instret = pc, cyc, ins
 				v = c.Mem.Read8(a)
 			}
 			c.setReg(in.Rd, v)
 		case OpLd4:
 			a := c.base(in.Rs1) + uint64(in.Imm)
-			c.PC, c.cycles, c.instret = pc, cyc, ins
-			cost := c.Hier.Access(a, 4, false)
-			cyc = c.cycles + cost
+			if c.Hier.Hit(a, false) {
+				cyc += l1Hit
+			} else {
+				c.PC, c.cycles, c.instret = pc, cyc, ins
+				cost := c.Hier.Access(a, 4, false)
+				cyc = c.cycles + cost
+			}
 			v, ok := c.Mem.Load4(a)
 			if !ok {
-				c.cycles = cyc
+				c.PC, c.cycles, c.instret = pc, cyc, ins
 				v = c.Mem.Read4(a)
 			}
 			c.setReg(in.Rd, uint64(v))
 		case OpLd2:
 			a := c.base(in.Rs1) + uint64(in.Imm)
-			c.PC, c.cycles, c.instret = pc, cyc, ins
-			cost := c.Hier.Access(a, 2, false)
-			cyc = c.cycles + cost
+			if c.Hier.Hit(a, false) {
+				cyc += l1Hit
+			} else {
+				c.PC, c.cycles, c.instret = pc, cyc, ins
+				cost := c.Hier.Access(a, 2, false)
+				cyc = c.cycles + cost
+			}
 			v, ok := c.Mem.Load2(a)
 			if !ok {
-				c.cycles = cyc
+				c.PC, c.cycles, c.instret = pc, cyc, ins
 				v = c.Mem.Read2(a)
 			}
 			c.setReg(in.Rd, uint64(v))
 		case OpLd1:
 			a := c.base(in.Rs1) + uint64(in.Imm)
-			c.PC, c.cycles, c.instret = pc, cyc, ins
-			cost := c.Hier.Access(a, 1, false)
-			cyc = c.cycles + cost
+			if c.Hier.Hit(a, false) {
+				cyc += l1Hit
+			} else {
+				c.PC, c.cycles, c.instret = pc, cyc, ins
+				cost := c.Hier.Access(a, 1, false)
+				cyc = c.cycles + cost
+			}
 			v, ok := c.Mem.Load1(a)
 			if !ok {
-				c.cycles = cyc
+				c.PC, c.cycles, c.instret = pc, cyc, ins
 				v = c.Mem.Read1(a)
 			}
 			c.setReg(in.Rd, uint64(v))
 
 		case OpSt8:
 			a := c.base(in.Rs1) + uint64(in.Imm)
-			c.PC, c.cycles, c.instret = pc, cyc, ins
-			cost := c.Hier.Access(a, 8, true)
-			cyc = c.cycles + cost
+			if c.Hier.Hit(a, true) {
+				cyc += l1Hit
+			} else {
+				c.PC, c.cycles, c.instret = pc, cyc, ins
+				cost := c.Hier.Access(a, 8, true)
+				cyc = c.cycles + cost
+			}
 			if v := c.reg(in.Rs2); !c.Mem.Store8(a, v) {
-				c.cycles = cyc
+				c.PC, c.cycles, c.instret = pc, cyc, ins
 				c.Mem.Write8(a, v)
 			}
 		case OpStRef:
 			a := c.base(in.Rs1) + uint64(in.Imm)
-			c.PC, c.cycles, c.instret = pc, cyc, ins
-			cost := c.Hier.Access(a, 8, true)
-			cyc = c.cycles + cost
+			if c.Hier.Hit(a, true) {
+				cyc += l1Hit
+			} else {
+				c.PC, c.cycles, c.instret = pc, cyc, ins
+				cost := c.Hier.Access(a, 8, true)
+				cyc = c.cycles + cost
+			}
 			v := c.reg(in.Rs2)
 			if !c.Mem.Store8(a, v) {
-				c.cycles = cyc
+				c.PC, c.cycles, c.instret = pc, cyc, ins
 				c.Mem.Write8(a, v)
 			}
 			cyc += barrierCycles
@@ -210,57 +241,77 @@ run:
 				// The barrier charges AddCycles for remembered-set
 				// records; it must see (and we must keep) the live
 				// counter.
-				c.cycles = cyc
+				c.PC, c.cycles, c.instret = pc, cyc, ins
 				c.Barrier(a, v)
 				cyc = c.cycles
 			}
 		case OpSt4:
 			a := c.base(in.Rs1) + uint64(in.Imm)
-			c.PC, c.cycles, c.instret = pc, cyc, ins
-			cost := c.Hier.Access(a, 4, true)
-			cyc = c.cycles + cost
+			if c.Hier.Hit(a, true) {
+				cyc += l1Hit
+			} else {
+				c.PC, c.cycles, c.instret = pc, cyc, ins
+				cost := c.Hier.Access(a, 4, true)
+				cyc = c.cycles + cost
+			}
 			if v := uint32(c.reg(in.Rs2)); !c.Mem.Store4(a, v) {
-				c.cycles = cyc
+				c.PC, c.cycles, c.instret = pc, cyc, ins
 				c.Mem.Write4(a, v)
 			}
 		case OpSt2:
 			a := c.base(in.Rs1) + uint64(in.Imm)
-			c.PC, c.cycles, c.instret = pc, cyc, ins
-			cost := c.Hier.Access(a, 2, true)
-			cyc = c.cycles + cost
+			if c.Hier.Hit(a, true) {
+				cyc += l1Hit
+			} else {
+				c.PC, c.cycles, c.instret = pc, cyc, ins
+				cost := c.Hier.Access(a, 2, true)
+				cyc = c.cycles + cost
+			}
 			if v := uint16(c.reg(in.Rs2)); !c.Mem.Store2(a, v) {
-				c.cycles = cyc
+				c.PC, c.cycles, c.instret = pc, cyc, ins
 				c.Mem.Write2(a, v)
 			}
 		case OpSt1:
 			a := c.base(in.Rs1) + uint64(in.Imm)
-			c.PC, c.cycles, c.instret = pc, cyc, ins
-			cost := c.Hier.Access(a, 1, true)
-			cyc = c.cycles + cost
+			if c.Hier.Hit(a, true) {
+				cyc += l1Hit
+			} else {
+				c.PC, c.cycles, c.instret = pc, cyc, ins
+				cost := c.Hier.Access(a, 1, true)
+				cyc = c.cycles + cost
+			}
 			if v := uint8(c.reg(in.Rs2)); !c.Mem.Store1(a, v) {
-				c.cycles = cyc
+				c.PC, c.cycles, c.instret = pc, cyc, ins
 				c.Mem.Write1(a, v)
 			}
 
 		case OpEnter:
 			c.SP -= 8
-			c.PC, c.cycles, c.instret = pc, cyc, ins
-			cost := c.Hier.Access(c.SP, 8, true)
-			cyc = c.cycles + cost
+			if c.Hier.Hit(c.SP, true) {
+				cyc += l1Hit
+			} else {
+				c.PC, c.cycles, c.instret = pc, cyc, ins
+				cost := c.Hier.Access(c.SP, 8, true)
+				cyc = c.cycles + cost
+			}
 			if !c.Mem.Store8(c.SP, c.FP) {
-				c.cycles = cyc
+				c.PC, c.cycles, c.instret = pc, cyc, ins
 				c.Mem.Write8(c.SP, c.FP)
 			}
 			c.FP = c.SP
 			c.SP -= uint64(in.Imm)
 		case OpLeave:
 			c.SP = c.FP
-			c.PC, c.cycles, c.instret = pc, cyc, ins
-			cost := c.Hier.Access(c.SP, 8, false)
-			cyc = c.cycles + cost
+			if c.Hier.Hit(c.SP, false) {
+				cyc += l1Hit
+			} else {
+				c.PC, c.cycles, c.instret = pc, cyc, ins
+				cost := c.Hier.Access(c.SP, 8, false)
+				cyc = c.cycles + cost
+			}
 			fp, ok := c.Mem.Load8(c.SP)
 			if !ok {
-				c.cycles = cyc
+				c.PC, c.cycles, c.instret = pc, cyc, ins
 				fp = c.Mem.Read8(c.SP)
 			}
 			c.FP = fp
@@ -268,12 +319,16 @@ run:
 
 		case OpRet:
 			cyc += callCycles
-			c.PC, c.cycles, c.instret = pc, cyc, ins
-			cost := c.Hier.Access(c.SP, 8, false)
-			cyc = c.cycles + cost
+			if c.Hier.Hit(c.SP, false) {
+				cyc += l1Hit
+			} else {
+				c.PC, c.cycles, c.instret = pc, cyc, ins
+				cost := c.Hier.Access(c.SP, 8, false)
+				cyc = c.cycles + cost
+			}
 			target, ok := c.Mem.Load8(c.SP)
 			if !ok {
-				c.cycles = cyc
+				c.PC, c.cycles, c.instret = pc, cyc, ins
 				target = c.Mem.Read8(c.SP)
 			}
 			c.SP += 8
