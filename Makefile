@@ -75,8 +75,9 @@ verify-opt:
 # a panic; its inputs are ~1 MB, so minimizing a new one is capped at
 # ten runs — the default minute would eat the whole budget),
 # FuzzCanonical (the cache-key contract over the Options space),
-# FuzzResolve (request bytes → decodeRequest → Resolver.resolve: stable
-# error codes, stable keys), FuzzGCGraph (a seeded random object-graph
+# FuzzResolve (request bytes → the edge's read → memo → decode →
+# resolve: stable error codes, no failure memoized, the same keys
+# memoized or fresh), FuzzGCGraph (a seeded random object-graph
 # mutation sequence under baseline/opt2 × GenMS/GenCopy in a 1 MB heap
 # must checksum like its Go mirror) and FuzzStreamDecoder (the SSE
 # decoder the client reads /v1/stream through: no panic on any bytes,
@@ -157,14 +158,17 @@ bench:
 	$(GO) test -run '^$$' -bench BenchmarkHierarchy -benchtime=2s ./internal/hw/cache/
 
 # One-iteration compile-and-run of every hot-path microbenchmark (the
-# simulator's, plus the canonical key every hpmvmd request computes):
-# catches benchmarks that rot (build breaks, panics, bad metrics)
-# without paying for a statistically meaningful measurement in CI.
+# simulator's, the canonical key every resolved hpmvmd request
+# computes, and the /v1/run hit path through a server's and a fleet's
+# edge): catches benchmarks that rot (build breaks, panics, bad
+# metrics) without paying for a statistically meaningful measurement
+# in CI.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkCPUStep|BenchmarkCPURunLoop' -benchtime=1x ./internal/hw/cpu/
 	$(GO) test -run '^$$' -bench 'BenchmarkHierarchyAccess|BenchmarkHierarchyHitLane' -benchtime=1x ./internal/hw/cache/
 	$(GO) test -run '^$$' -bench 'BenchmarkMemory' -benchtime=1x ./internal/hw/mem/
 	$(GO) test -run '^$$' -bench 'BenchmarkCanonicalString' -benchtime=1x ./internal/core/
+	$(GO) test -run '^$$' -bench 'BenchmarkEdgeRunHit' -benchtime=1x ./internal/serve/
 
 # Alternating parent/change pairs of one workload of the repo benchmark,
 # the measurement behind every speed claim (scripts/benchpairs): pair i

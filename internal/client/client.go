@@ -64,9 +64,20 @@ func New(cfg Config) *Client {
 	}
 	// A dedicated client with no global timeout: per-call ctx deadlines
 	// bound requests, since a cold simulation legitimately runs for
-	// minutes.
-	return &Client{cfg: cfg, http: &http.Client{}}
+	// minutes. Its own transport keeps idleConnsPerHost connections
+	// warm; the process-wide default keeps two, so a coordinator
+	// forwarding more concurrent requests than that to one worker would
+	// dial a fresh connection for each extra one and close it after.
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConns = idleConnsPerHost
+	t.MaxIdleConnsPerHost = idleConnsPerHost
+	return &Client{cfg: cfg, http: &http.Client{Transport: t}}
 }
+
+// idleConnsPerHost sizes a Client's idle connection pool. A client
+// talks to one host, so this is the most concurrent requests whose
+// connections it keeps for the next ones.
+const idleConnsPerHost = 64
 
 // Name implements serve.Backend.
 func (c *Client) Name() string { return c.cfg.Name }

@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -265,5 +269,60 @@ func TestClientStreamError(t *testing.T) {
 	var ae *api.Error
 	if !errors.As(err, &ae) || ae.Code != api.CodeDraining {
 		t.Fatalf("stream error = %v, want draining envelope", err)
+	}
+}
+
+// TestClientReusesConnections drives hot requests through a one-worker
+// coordinator whose backend is a Client, from more goroutines than the
+// default transport keeps idle connections per host. Once a first wave
+// has opened the connections it needs, the worker must see no more new
+// connections than requests ever ran at once: a pool that kept fewer
+// than that would open and close one for every request beyond it.
+func TestClientReusesConnections(t *testing.T) {
+	const concurrency, perWorker = 8, 250
+	srv := serve.New(serve.Config{Jobs: 1})
+	var newConns atomic.Int64
+	ts := httptest.NewUnstartedServer(srv.Handler())
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			newConns.Add(1)
+		}
+	}
+	ts.Start()
+	defer ts.Close()
+	f, err := serve.NewFleet(serve.FleetConfig{
+		Backends:       []serve.Backend{New(Config{BaseURL: ts.URL, Name: "w0"})},
+		HealthInterval: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	h := f.Handler()
+	const body = `{"workload":"serve_tiny","seed":9}`
+	wave := func(n int) {
+		var wg sync.WaitGroup
+		for range concurrency {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for range n {
+					rr := httptest.NewRecorder()
+					h.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, api.PathRun, strings.NewReader(body)))
+					if rr.Code != http.StatusOK {
+						t.Errorf("run: status %d: %s", rr.Code, rr.Body.String())
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	wave(4)
+	warm := newConns.Load()
+	wave(perWorker)
+	if n := newConns.Load() - warm; n > concurrency {
+		t.Errorf("%d hot requests at concurrency %d opened %d more worker connections after the first wave, want at most %d",
+			concurrency*perWorker, concurrency, n, concurrency)
 	}
 }

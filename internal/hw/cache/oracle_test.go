@@ -10,13 +10,14 @@ import (
 
 // Differential oracle for the hierarchy's host-side fast paths. ref is
 // a deliberately naive model of the same machine — per-set slices
-// scanned linearly, a Go map for each prefetched-line set, no way
-// predictor, no way index, no pending flags, no resident-line table —
-// driven in lock-step with Hierarchy over seeded random streams.
-// Anything the fast paths get wrong (a prediction trusted without its
-// compare, a way index out of step with the keys, a pending flag lost,
-// a table slot outliving its line) shows up as a differing cost, event,
-// counter or residency answer on the access where it first matters.
+// scanned linearly, a Go map for each prefetched-line set, no DTLB way
+// predictor, no pending flags, no resident-line table — driven in
+// lock-step with Hierarchy over seeded random streams. Anything the
+// fast paths get wrong (a prediction trusted without its compare, an
+// exact DTLB scan that picks another way or victim, a pending flag
+// lost, a table slot outliving its line) shows up as a differing cost,
+// event, counter or residency answer on the access where it first
+// matters.
 // A second Hierarchy takes the same stream through Access alone, and
 // its snapshot bytes hold the lane's stamps and dirty bits exact.
 
@@ -363,7 +364,10 @@ var predictorAliases = func() [][]uint64 {
 
 func TestOracleLockStep(t *testing.T) {
 	pressured := tiny()
-	pressured.TLBEntries = 32 // smallest array that still gets a way index
+	// A 32-entry DTLB behind tlbPred: the aliasing pages overflow it,
+	// so predictions go stale and the exact scan finds, fills and
+	// evicts.
+	pressured.TLBEntries = 32
 	pressured.PrefetchEnabled = true
 	pressured.PrefetchStreams = 4
 	// An L2 smaller than the L1: lines outlive their L2 copy, so the

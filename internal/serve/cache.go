@@ -14,54 +14,56 @@ import (
 // re-simulating — byte-identical by construction, and N concurrent
 // identical requests cost one simulation.
 
-// cacheEntry is one cached response.
-type cacheEntry struct {
-	key  string
-	body []byte
+// lruEntry is one cached value.
+type lruEntry[K comparable, V any] struct {
+	key K
+	val V
 }
 
-// resultCache is a plain LRU over response bodies. Not safe for
-// concurrent use; the Server serializes access under its mutex.
-type resultCache struct {
+// lru is a plain LRU map, the one shape behind the result cache, the
+// snapshot-prefix cache and the Resolver's resolution memo. Not safe
+// for concurrent use; each owner serializes access under its mutex.
+type lru[K comparable, V any] struct {
 	cap int
 	ll  *list.List // front = most recently used
-	m   map[string]*list.Element
+	m   map[K]*list.Element
 }
 
-func newResultCache(capacity int) *resultCache {
-	return &resultCache{cap: capacity, ll: list.New(), m: make(map[string]*list.Element)}
+func newLRU[K comparable, V any](capacity int) *lru[K, V] {
+	return &lru[K, V]{cap: capacity, ll: list.New(), m: make(map[K]*list.Element)}
 }
 
-// get returns the cached body and marks the entry most recently used.
-func (c *resultCache) get(key string) ([]byte, bool) {
+// get returns the cached value and marks the entry most recently used.
+func (c *lru[K, V]) get(key K) (V, bool) {
 	el, ok := c.m[key]
 	if !ok {
-		return nil, false
+		var zero V
+		return zero, false
 	}
 	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).body, true
+	return el.Value.(*lruEntry[K, V]).val, true
 }
 
 // add inserts (or refreshes) an entry and returns how many entries
 // were evicted to stay within capacity.
-func (c *resultCache) add(key string, body []byte) int {
+func (c *lru[K, V]) add(key K, val V) int {
 	if el, ok := c.m[key]; ok {
 		c.ll.MoveToFront(el)
-		el.Value.(*cacheEntry).body = body
+		el.Value.(*lruEntry[K, V]).val = val
 		return 0
 	}
-	c.m[key] = c.ll.PushFront(&cacheEntry{key: key, body: body})
+	c.m[key] = c.ll.PushFront(&lruEntry[K, V]{key: key, val: val})
 	evicted := 0
 	for c.ll.Len() > c.cap {
 		back := c.ll.Back()
 		c.ll.Remove(back)
-		delete(c.m, back.Value.(*cacheEntry).key)
+		delete(c.m, back.Value.(*lruEntry[K, V]).key)
 		evicted++
 	}
 	return evicted
 }
 
-func (c *resultCache) len() int { return c.ll.Len() }
+func (c *lru[K, V]) len() int { return c.ll.Len() }
 
 // call is one in-flight single-flight execution. body and err are
 // written before done is closed; waiters read them only after done.

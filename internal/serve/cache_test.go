@@ -9,7 +9,7 @@ import (
 )
 
 func TestResultCacheLRU(t *testing.T) {
-	c := newResultCache(2)
+	c := newLRU[string, []byte](2)
 	if _, ok := c.get("a"); ok {
 		t.Fatal("empty cache returned a hit")
 	}

@@ -56,13 +56,7 @@ func (e *edge) Handler() http.Handler {
 // keys the workers themselves compute. Pre-admission failures answer
 // as plain JSON errors; a stream only opens once the request is valid.
 func (e *edge) handleRun(w http.ResponseWriter, r *http.Request, stream bool) {
-	req, err := decodeRequest(w, r)
-	if err != nil {
-		writeAPIError(w, toAPIError(err))
-		return
-	}
-	e.onRequest()
-	res, err := e.resolver.resolve(req)
+	req, res, err := e.request(w, r)
 	if err != nil {
 		writeAPIError(w, toAPIError(err))
 		return
@@ -82,6 +76,32 @@ func (e *edge) handleRun(w http.ResponseWriter, r *http.Request, stream bool) {
 		return
 	}
 	writeRunResult(w, result)
+}
+
+// request reads the body once, then takes its decode and resolution
+// from the Resolver's memo, or decodes and resolves it and memoizes
+// the success. onRequest ticks for every body that decodes, whether it
+// was memoized or not, and whether it resolves or not.
+func (e *edge) request(w http.ResponseWriter, r *http.Request) (api.Request, resolved, error) {
+	body, err := readBody(w, r)
+	if err != nil {
+		return api.Request{}, resolved{}, err
+	}
+	if m, ok := e.resolver.recall(body); ok {
+		e.onRequest()
+		return m.req, m.res, nil
+	}
+	req, err := decodeRequest(body)
+	if err != nil {
+		return req, resolved{}, err
+	}
+	e.onRequest()
+	res, err := e.resolver.resolve(req)
+	if err != nil {
+		return req, res, err
+	}
+	e.resolver.memoize(body, memoized{req, res})
+	return req, res, nil
 }
 
 // handleHealthz is GET /v1/healthz: 200 with the owner's verdict body

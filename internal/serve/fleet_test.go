@@ -18,7 +18,7 @@ import (
 // newTestFleet builds an in-process fleet of n workers plus the fleet
 // handler. Background health probing is disabled so tests control the
 // healthy bits deterministically.
-func newTestFleet(t *testing.T, n int, cfg Config) (*Fleet, []*Server, http.Handler) {
+func newTestFleet(t testing.TB, n int, cfg Config) (*Fleet, []*Server, http.Handler) {
 	t.Helper()
 	backends := make([]Backend, n)
 	servers := make([]*Server, n)

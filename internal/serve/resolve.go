@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
+	"sync"
 
 	"hpmvm/internal/api"
 	"hpmvm/internal/bench"
@@ -29,15 +30,38 @@ type workloadMeta struct {
 	builder bench.Builder
 }
 
+// memoEntries bounds the resolution memo and memoMaxBody is the largest
+// body it keys, so its keys hold at most memoEntries × memoMaxBody =
+// 1 MiB however large the bodies maxRequestBody admits. A larger body
+// is decoded and resolved on every request.
+const (
+	memoEntries = 256
+	memoMaxBody = 4 << 10
+)
+
+// memoized is one request body's decode and resolution.
+type memoized struct {
+	req api.Request
+	res resolved
+}
+
 // Resolver canonicalizes requests over the frozen workload registry.
 type Resolver struct {
 	meta map[string]workloadMeta // immutable after newResolver
+
+	// memo maps exact request body bytes to their decode and
+	// resolution. Both are pure functions of the bytes and the frozen
+	// registry, so a hit is the value a fresh decode and resolve would
+	// return. It holds successes only: a body that fails either step
+	// is never stored and earns its error afresh every time.
+	mu   sync.Mutex
+	memo *lru[string, memoized]
 }
 
 // newResolver captures the registry's declared metadata. It builds
 // nothing: a program is built only when a run needs it.
 func newResolver() *Resolver {
-	r := &Resolver{meta: make(map[string]workloadMeta)}
+	r := &Resolver{meta: make(map[string]workloadMeta), memo: newLRU[string, memoized](memoEntries)}
 	for _, name := range bench.Names() {
 		b, _ := bench.Get(name)
 		m, _ := bench.MetaOf(name)
@@ -58,7 +82,29 @@ func (r *Resolver) workloads() []api.WorkloadInfo {
 	return rows
 }
 
-// resolved is a request after canonicalization.
+// recall returns the memoized decode and resolution of body.
+func (r *Resolver) recall(body []byte) (memoized, bool) {
+	if len(body) > memoMaxBody {
+		return memoized{}, false
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.memo.get(string(body))
+}
+
+// memoize stores body's successful decode and resolution.
+func (r *Resolver) memoize(body []byte, m memoized) {
+	if len(body) > memoMaxBody {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.memo.add(string(body), m)
+}
+
+// resolved is a request after canonicalization. A memoized one is
+// shared by every request with the same body, so nothing downstream
+// of the edge may mutate it or what its fields point to.
 type resolved struct {
 	meta workloadMeta
 	cfg  bench.RunConfig

@@ -4,16 +4,18 @@ import (
 	"bytes"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 
 	"hpmvm/internal/api"
 )
 
 // FuzzResolve feeds arbitrary bytes through the request trust boundary
-// (decodeRequest → Resolver.resolve): it never panics, every rejection
-// carries one of the three stable codes a malformed request can earn,
-// and every accepted request resolves to valid options and to the same
-// content addresses each time — the property the result cache, the
+// (the edge's read → memo → decode → resolve): it never panics, every
+// rejection carries one of the three stable codes a malformed request
+// can earn and leaves nothing in the memo, and every accepted request
+// resolves to valid options and to the same content addresses each
+// time, memoized or fresh — the property the result cache, the
 // snapshot cache and the coordinator's sticky routing all rest on.
 // Runs over its seeds as a plain test; `make fuzz-smoke` explores
 // further.
@@ -25,28 +27,45 @@ func FuzzResolve(f *testing.F) {
 	f.Add([]byte(`{"workload":"serve_tiny","heap_factor":-1}`))
 
 	r := newResolver()
-	f.Fuzz(func(t *testing.T, body []byte) {
+	e := &edge{resolver: r, onRequest: func() {}}
+	request := func(body []byte) (api.Request, resolved, error) {
 		hr := httptest.NewRequest(http.MethodPost, api.PathRun, bytes.NewReader(body))
-		req, err := decodeRequest(httptest.NewRecorder(), hr)
-		var res resolved
-		if err == nil {
-			res, err = r.resolve(req)
-		}
+		return e.request(httptest.NewRecorder(), hr)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		req, res, err := request(body)
 		if err != nil {
 			switch code := toAPIError(err).Code; code {
 			case api.CodeBadRequest, api.CodeUnknownWorkload, api.CodeMethodNotAllowed:
 			default:
 				t.Fatalf("rejection of %q carries code %q: %v", body, code, err)
 			}
+			if _, ok := r.recall(body); ok {
+				t.Fatalf("rejected %q was memoized", body)
+			}
 			return
 		}
 		if err := res.opts.Validate(); err != nil {
 			t.Fatalf("accepted %q resolves to invalid options: %v", body, err)
 		}
-		again, err := r.resolve(req)
-		if err != nil || again.key != res.key || again.snapKey != res.snapKey {
-			t.Fatalf("second resolve of %q: keys (%s, %s) then (%s, %s), err %v",
+		fresh, err := r.resolve(req)
+		if err != nil || !sameResolution(fresh, res) {
+			t.Fatalf("fresh resolve of %q: keys (%s, %s) then (%s, %s), err %v",
+				body, res.key, res.snapKey, fresh.key, fresh.snapKey, err)
+		}
+		req2, again, err := request(body)
+		if err != nil || !reflect.DeepEqual(req2, req) || !sameResolution(again, res) {
+			t.Fatalf("second request of %q: keys (%s, %s) then (%s, %s), err %v",
 				body, res.key, res.snapKey, again.key, again.snapKey, err)
 		}
 	})
+}
+
+// sameResolution reports whether a and b resolve the same run: the
+// workload, the canonical options, the warm-start prefix and both
+// content addresses.
+func sameResolution(a, b resolved) bool {
+	return a.meta.name == b.meta.name && a.key == b.key && a.snapKey == b.snapKey &&
+		a.warmCycles == b.warmCycles && a.opts.CanonicalString() == b.opts.CanonicalString() &&
+		reflect.DeepEqual(a.cfg, b.cfg)
 }

@@ -30,6 +30,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -118,8 +119,8 @@ type Server struct {
 	cStreams   *obs.Counter
 
 	mu          sync.Mutex
-	cache       *resultCache
-	snapshots   *resultCache
+	cache       *lru[string, []byte]
+	snapshots   *lru[string, []byte]
 	inflight    map[string]*call
 	outstanding int
 	draining    bool
@@ -152,8 +153,8 @@ func New(cfg Config) *Server {
 		engine:      bench.NewEngine(cfg.Jobs),
 		obs:         obs.New(0),
 		resolver:    newResolver(),
-		cache:       newResultCache(cfg.CacheEntries),
-		snapshots:   newResultCache(snapshotEntries),
+		cache:       newLRU[string, []byte](cfg.CacheEntries),
+		snapshots:   newLRU[string, []byte](snapshotEntries),
 		inflight:    make(map[string]*call),
 		perWorkload: make(map[string]*wlStat),
 		perOpt:      make(map[string]opt.KindStats),
@@ -206,14 +207,23 @@ func (s *Server) Handler() http.Handler {
 	}).Handler()
 }
 
-// decodeRequest reads and validates one JSON request body: exactly one
-// value, nothing but whitespace after it.
-func decodeRequest(w http.ResponseWriter, r *http.Request) (api.Request, error) {
-	var req api.Request
+// readBody reads one POST body, bounded by maxRequestBody.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	if r.Method != http.MethodPost {
-		return req, errMethod
+		return nil, errMethod
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	if err != nil {
+		return nil, fmt.Errorf("serve: %w: bad request body: %v", core.ErrBadOptions, err)
+	}
+	return body, nil
+}
+
+// decodeRequest validates and decodes one JSON request body: exactly
+// one value, no unknown field, nothing but whitespace after it.
+func decodeRequest(body []byte) (api.Request, error) {
+	var req api.Request
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		return req, fmt.Errorf("serve: %w: bad request body: %v", core.ErrBadOptions, err)
