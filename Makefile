@@ -75,9 +75,9 @@ verify-opt:
 # a panic; its inputs are ~1 MB, so minimizing a new one is capped at
 # ten runs — the default minute would eat the whole budget),
 # FuzzCanonical (the cache-key contract over the Options space),
-# FuzzResolve (request bytes → the edge's read → memo → decode →
-# resolve: stable error codes, no failure memoized, the same keys
-# memoized or fresh), FuzzGCGraph (a seeded random object-graph
+# FuzzResolve (request bytes → Resolver.request, the one
+# body-to-resolution step: memo → decode → resolve; stable error codes,
+# no failure memoized, the same keys memoized or fresh), FuzzGCGraph (a seeded random object-graph
 # mutation sequence under baseline/opt2 × GenMS/GenCopy in a 1 MB heap
 # must checksum like its Go mirror) and FuzzStreamDecoder (the SSE
 # decoder the client reads /v1/stream through: no panic on any bytes,
@@ -132,8 +132,12 @@ loc:
 # concurrent run hammers, the observability layer host-side
 # consumers snapshot while producers emit, the hpmvmd serve layer
 # (single-flight cache + bounded queue under 32 concurrent handler
-# requests), and the core snapshot/restore keystone (byte-identical
-# warm starts across collectors and policies).
+# requests; request bytes relayed coordinator → client → worker and
+# each process's resolution memo), the smoke checker's per-worker
+# probe (TestProbeWorkers: a coordinator over in-process workers, one
+# behind a serve.Backend wrapper, the only test outside internal/serve
+# that implements one), and the core snapshot/restore keystone
+# (byte-identical warm starts across collectors and policies).
 # Race instrumentation slows the workload suite well past go test's
 # default 10m timeout, hence the explicit budget. The root package
 # contributes the golden-equivalence subset (fop/compress/jess), which
@@ -141,7 +145,7 @@ loc:
 # internal/opt rides along because the manager's observer callbacks run
 # inside every concurrently executing monitored run.
 race:
-	$(GO) test -race -timeout 60m . ./internal/bench/... ./internal/core/... ./internal/hw/cache/... ./internal/obs/... ./internal/opt/... ./internal/serve/... ./internal/api/... ./internal/client/... ./internal/stats/... ./cmd/experiments/...
+	$(GO) test -race -timeout 60m . ./internal/bench/... ./internal/core/... ./internal/hw/cache/... ./internal/obs/... ./internal/opt/... ./internal/serve/... ./internal/api/... ./internal/client/... ./internal/stats/... ./cmd/experiments/... ./scripts/servesmoke/...
 
 # End-to-end hpmvmd smoke test, run for a single server and then for a
 # 2-worker process fleet: boot the daemon, run the client-based

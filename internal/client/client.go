@@ -5,7 +5,7 @@
 // speak through it, so the coordinator↔worker protocol is exercised by
 // exactly the code paths external clients use.
 //
-// A *Client implements serve.Backend (Name/Run/Statsz/Healthz), which
+// A *Client implements serve.Backend (Name/RunBody/Statsz/Healthz), which
 // is what lets the fleet coordinator treat a remote worker process and
 // an in-process server identically.
 package client
@@ -82,24 +82,31 @@ const idleConnsPerHost = 64
 // Name implements serve.Backend.
 func (c *Client) Name() string { return c.cfg.Name }
 
-// decodeError turns a non-200 response into *api.Error. Responses
-// from anything other than hpmvmd (a proxy, a wrong port) lack the
-// envelope; they become CodeUnavailable with the body as context.
-func decodeError(status int, body []byte) *api.Error {
+// decodeError turns a non-200 response and its body into *api.Error.
+// Responses from anything other than hpmvmd (a proxy, a wrong port)
+// lack the envelope; they become CodeUnavailable with the body as
+// context. The Retry-After header mirrors the envelope's retry_after
+// and is trusted when the envelope carries none.
+func decodeError(resp *http.Response, body []byte) *api.Error {
 	var ae api.Error
-	if err := json.Unmarshal(body, &ae); err == nil && ae.Message != "" && ae.Code != "" {
-		return &ae
+	if err := json.Unmarshal(body, &ae); err != nil || ae.Message == "" || ae.Code == "" {
+		const max = 200
+		trimmed := bytes.TrimSpace(body)
+		if len(trimmed) > max {
+			trimmed = trimmed[:max]
+		}
+		ae = api.Error{
+			Version: api.Version,
+			Message: fmt.Sprintf("client: HTTP %d: %s", resp.StatusCode, trimmed),
+			Code:    api.CodeUnavailable,
+		}
 	}
-	const max = 200
-	trimmed := bytes.TrimSpace(body)
-	if len(trimmed) > max {
-		trimmed = trimmed[:max]
+	if ae.RetryAfter == 0 {
+		if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
+			ae.RetryAfter = secs
+		}
 	}
-	return &api.Error{
-		Version: api.Version,
-		Message: fmt.Sprintf("client: HTTP %d: %s", status, trimmed),
-		Code:    api.CodeUnavailable,
-	}
+	return &ae
 }
 
 // retryDelay computes the wait before attempt n (0-based), honoring a
@@ -116,15 +123,22 @@ func retriable(ae *api.Error) bool {
 	return ae.Code == api.CodeQueueFull || ae.Code == api.CodeDraining
 }
 
-// Run executes one request via POST /v1/run, retrying enveloped
-// queue_full/draining refusals with exponential backoff (server
-// Retry-After hints override the schedule). The result carries the
-// exact response bytes plus header metadata; failures are *api.Error.
+// Run executes one request via POST /v1/run: RunBody of its JSON
+// encoding.
 func (c *Client) Run(ctx context.Context, req api.Request) (*api.RunResult, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, fmt.Errorf("client: marshal request: %w", err)
 	}
+	return c.RunBody(ctx, body)
+}
+
+// RunBody implements serve.Backend: it POSTs body to /v1/run
+// unchanged, retrying enveloped queue_full/draining refusals with
+// exponential backoff (server Retry-After hints override the
+// schedule). The result carries the exact response bytes plus header
+// metadata; failures are *api.Error.
+func (c *Client) RunBody(ctx context.Context, body []byte) (*api.RunResult, error) {
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		res, err := c.runOnce(ctx, body)
@@ -168,15 +182,7 @@ func (c *Client) runOnce(ctx context.Context, body []byte) (*api.RunResult, erro
 		return nil, fmt.Errorf("client: read response: %w", err)
 	}
 	if resp.StatusCode != http.StatusOK {
-		ae := decodeError(resp.StatusCode, data)
-		if ae.RetryAfter == 0 {
-			// The header hint mirrors the envelope's retry_after; trust
-			// it when the envelope omitted one.
-			if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
-				ae.RetryAfter = secs
-			}
-		}
-		return nil, ae
+		return nil, decodeError(resp, data)
 	}
 	return &api.RunResult{
 		Body:     data,
@@ -216,7 +222,7 @@ func (c *Client) getJSON(ctx context.Context, path string, v any) error {
 		return fmt.Errorf("client: read response: %w", err)
 	}
 	if resp.StatusCode != http.StatusOK {
-		return decodeError(resp.StatusCode, data)
+		return decodeError(resp, data)
 	}
 	if err := json.Unmarshal(data, v); err != nil {
 		return fmt.Errorf("client: decode %s: %w", path, err)
@@ -251,7 +257,7 @@ func (c *Client) Healthz(ctx context.Context) error {
 	defer resp.Body.Close()
 	data, _ := io.ReadAll(resp.Body)
 	if resp.StatusCode != http.StatusOK {
-		return decodeError(resp.StatusCode, data)
+		return decodeError(resp, data)
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -324,5 +325,79 @@ func TestClientReusesConnections(t *testing.T) {
 	if n := newConns.Load() - warm; n > concurrency {
 		t.Errorf("%d hot requests at concurrency %d opened %d more worker connections after the first wave, want at most %d",
 			concurrency*perWorker, concurrency, n, concurrency)
+	}
+}
+
+// TestClientStreamRetryAfterHeader: a pre-admission refusal on
+// /v1/stream that lacks the envelope still carries the Retry-After
+// header's hint, as a refusal on /v1/run does.
+func TestClientStreamRetryAfterHeader(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Retry-After", "3")
+		http.Error(w, "slow down", http.StatusTooManyRequests)
+	}))
+	defer ts.Close()
+	c := New(Config{BaseURL: ts.URL, MaxRetries: -1})
+	_, err := c.RunStream(context.Background(), api.Request{Workload: "serve_tiny"}, nil)
+	var ae *api.Error
+	if !errors.As(err, &ae) || ae.Code != api.CodeUnavailable || ae.RetryAfter != 3 {
+		t.Fatalf("stream refusal = %#v (err %v), want unavailable with retry_after 3", ae, err)
+	}
+}
+
+// TestFleetRelaysRequestBytes: a coordinator that reaches its worker
+// through a Client forwards each request body exactly as the client
+// sent it, whitespace and key order included, and answers with the
+// bytes a single server answers.
+func TestFleetRelaysRequestBytes(t *testing.T) {
+	srv := serve.New(serve.Config{Jobs: 1})
+	var (
+		mu       sync.Mutex
+		received [][]byte
+	)
+	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			t.Errorf("worker read: %v", err)
+		}
+		mu.Lock()
+		received = append(received, body)
+		mu.Unlock()
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		srv.Handler().ServeHTTP(w, r)
+	}))
+	defer worker.Close()
+	f, err := serve.NewFleet(serve.FleetConfig{
+		Backends:       []serve.Backend{New(Config{BaseURL: worker.URL, Name: "w0"})},
+		HealthInterval: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	single := serve.New(serve.Config{Jobs: 1}).Handler()
+	for _, body := range []string{
+		"{ \"seed\" : 31,\n\t\"workload\":\"serve_tiny\" }",
+		`{"monitoring":true,"interval":1000,"seed":32,"workload":"serve_tiny"}` + "\n\n",
+		"\t{\"seed\":33, \"warm_start_cycles\":100000, \"workload\":\"serve_tiny\"}",
+	} {
+		mu.Lock()
+		received = nil
+		mu.Unlock()
+		got := httptest.NewRecorder()
+		f.Handler().ServeHTTP(got, httptest.NewRequest(http.MethodPost, api.PathRun, strings.NewReader(body)))
+		want := httptest.NewRecorder()
+		single.ServeHTTP(want, httptest.NewRequest(http.MethodPost, api.PathRun, strings.NewReader(body)))
+		if got.Code != http.StatusOK || want.Code != http.StatusOK {
+			t.Fatalf("%q: fleet %d, server %d: %s", body, got.Code, want.Code, got.Body.String())
+		}
+		mu.Lock()
+		if len(received) != 1 || string(received[0]) != body {
+			t.Errorf("worker received %q, client sent %q", received, body)
+		}
+		mu.Unlock()
+		if !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+			t.Errorf("%q: fleet answered other bytes than a single server", body)
+		}
 	}
 }

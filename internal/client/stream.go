@@ -60,7 +60,7 @@ func (c *Client) RunStream(ctx context.Context, req api.Request, update func(Str
 		if rerr != nil {
 			return nil, fmt.Errorf("client: read response: %w", rerr)
 		}
-		return nil, decodeError(resp.StatusCode, data)
+		return nil, decodeError(resp, data)
 	}
 
 	dec := api.NewStreamDecoder(resp.Body)

@@ -366,9 +366,6 @@ func (c *CPU) Step() bool {
 
 	case OpAddImm:
 		c.setReg(in.Rd, c.reg(in.Rs1)+uint64(in.Imm))
-	case OpMulImm:
-		c.cycles += c.cfg.MulCycles
-		c.setReg(in.Rd, uint64(int64(c.reg(in.Rs1))*in.Imm))
 	case OpShlImm:
 		c.setReg(in.Rd, c.reg(in.Rs1)<<uint64(in.Imm&63))
 
@@ -402,10 +399,6 @@ func (c *CPU) Step() bool {
 		if c.Barrier != nil {
 			c.Barrier(a, v)
 		}
-	case OpSt4:
-		a := c.base(in.Rs1) + uint64(in.Imm)
-		c.cycles += c.Hier.Access(a, 4, true)
-		c.Mem.Write4(a, uint32(c.reg(in.Rs2)))
 	case OpSt2:
 		a := c.base(in.Rs1) + uint64(in.Imm)
 		c.cycles += c.Hier.Access(a, 2, true)
@@ -486,7 +479,7 @@ func (c *CPU) Step() bool {
 		c.PC = uint64(in.Imm)
 		return !c.Halted()
 
-	case OpBrEQ, OpBrNE, OpBrLT, OpBrLE, OpBrGT, OpBrGE, OpBrULT, OpBrUGE:
+	case OpBrEQ, OpBrNE, OpBrLT, OpBrLE, OpBrGT, OpBrGE, OpBrUGE:
 		a, b := c.reg(in.Rs1), c.reg(in.Rs2)
 		var taken bool
 		switch in.Op {
@@ -502,8 +495,6 @@ func (c *CPU) Step() bool {
 			taken = int64(a) > int64(b)
 		case OpBrGE:
 			taken = int64(a) >= int64(b)
-		case OpBrULT:
-			taken = a < b
 		case OpBrUGE:
 			taken = a >= b
 		}

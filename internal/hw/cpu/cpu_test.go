@@ -77,7 +77,8 @@ func TestImmediateOps(t *testing.T) {
 	run(t, c, []Instr{
 		{Op: OpMovImm, Rd: 1, Imm: 10},
 		{Op: OpAddImm, Rd: 2, Rs1: 1, Imm: -3},
-		{Op: OpMulImm, Rd: 3, Rs1: 1, Imm: 7},
+		{Op: OpMovImm, Rd: 3, Imm: 7},
+		{Op: OpMul, Rd: 3, Rs1: 1, Rs2: 3},
 		{Op: OpShlImm, Rd: 4, Rs1: 1, Imm: 3},
 		{Op: OpMov, Rd: 5, Rs1: 4},
 		{Op: OpRet},

@@ -142,9 +142,6 @@ run:
 
 		case OpAddImm:
 			c.setReg(in.Rd, c.reg(in.Rs1)+uint64(in.Imm))
-		case OpMulImm:
-			cyc += mulCycles
-			c.setReg(in.Rd, uint64(int64(c.reg(in.Rs1))*in.Imm))
 		case OpShlImm:
 			c.setReg(in.Rd, c.reg(in.Rs1)<<uint64(in.Imm&63))
 
@@ -244,19 +241,6 @@ run:
 				c.PC, c.cycles, c.instret = pc, cyc, ins
 				c.Barrier(a, v)
 				cyc = c.cycles
-			}
-		case OpSt4:
-			a := c.base(in.Rs1) + uint64(in.Imm)
-			if c.Hier.Hit(a, true) {
-				cyc += l1Hit
-			} else {
-				c.PC, c.cycles, c.instret = pc, cyc, ins
-				cost := c.Hier.Access(a, 4, true)
-				cyc = c.cycles + cost
-			}
-			if v := uint32(c.reg(in.Rs2)); !c.Mem.Store4(a, v) {
-				c.PC, c.cycles, c.instret = pc, cyc, ins
-				c.Mem.Write4(a, v)
 			}
 		case OpSt2:
 			a := c.base(in.Rs1) + uint64(in.Imm)
@@ -378,12 +362,6 @@ run:
 			}
 		case OpBrGE:
 			if int64(c.reg(in.Rs1)) >= int64(c.reg(in.Rs2)) {
-				cyc += takenBranch
-				pc = uint64(in.Imm)
-				continue
-			}
-		case OpBrULT:
-			if c.reg(in.Rs1) < c.reg(in.Rs2) {
 				cyc += takenBranch
 				pc = uint64(in.Imm)
 				continue

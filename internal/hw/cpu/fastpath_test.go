@@ -142,8 +142,9 @@ func TestRunLoopStepEquivalence(t *testing.T) {
 			{Op: OpEnter, Imm: 32},
 			{Op: OpSt8, Rs1: BaseFP, Imm: -8, Rs2: 1},
 			{Op: OpLd8, Rd: 4, Rs1: BaseFP, Imm: -8},
-			{Op: OpMulImm, Rd: 5, Rs1: 1, Imm: 0x0102030405060708},
-			{Op: OpSt4, Rs1: 3, Imm: 8, Rs2: 5},
+			{Op: OpMovImm, Rd: 5, Imm: 0x0102030405060708},
+			{Op: OpMul, Rd: 5, Rs1: 1, Rs2: 5},
+			{Op: OpSt8, Rs1: 3, Imm: 8, Rs2: 5},
 			{Op: OpSt2, Rs1: 3, Imm: 12, Rs2: 5},
 			{Op: OpSt1, Rs1: 3, Imm: 15, Rs2: 5},
 			{Op: OpSt1, Rs1: 3, Imm: 17, Rs2: 5},
@@ -227,7 +228,7 @@ func TestRunLoopStepFaultsAgree(t *testing.T) {
 		width uint64
 	}{
 		{OpLd8, 8}, {OpLd4, 4}, {OpLd2, 2}, {OpLd1, 1},
-		{OpSt8, 8}, {OpStRef, 8}, {OpSt4, 4}, {OpSt2, 2}, {OpSt1, 1},
+		{OpSt8, 8}, {OpStRef, 8}, {OpSt2, 2}, {OpSt1, 1},
 		{OpEnter, 8}, {OpLeave, 8}, {OpRet, 8},
 	}
 	for _, w := range ops {

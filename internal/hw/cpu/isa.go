@@ -44,7 +44,6 @@ const (
 	OpSar // Rd <- Rs1 >> (Rs2 & 63) (arithmetic)
 
 	OpAddImm // Rd <- Rs1 + Imm
-	OpMulImm // Rd <- Rs1 * Imm
 	OpShlImm // Rd <- Rs1 << Imm
 
 	OpLd8 // Rd <- mem64[base(Rs1) + Imm]
@@ -54,7 +53,6 @@ const (
 
 	OpSt8   // mem64[base(Rs1) + Imm] <- Rs2
 	OpStRef // reference store: OpSt8 plus the generational write barrier
-	OpSt4   // mem32[base(Rs1) + Imm] <- low32(Rs2)
 	OpSt2   // mem16[base(Rs1) + Imm] <- low16(Rs2)
 	OpSt1   // mem8[base(Rs1) + Imm] <- low8(Rs2)
 
@@ -72,7 +70,6 @@ const (
 	OpBrLE
 	OpBrGT
 	OpBrGE
-	OpBrULT // unsigned <, for bounds checks
 	OpBrUGE // unsigned >=, for bounds checks
 
 	OpTrap // VM service call, service number in Imm
@@ -84,14 +81,13 @@ var opNames = [numOps]string{
 	OpNop: "nop", OpMovImm: "movi", OpMov: "mov",
 	OpAdd: "add", OpSub: "sub", OpMul: "mul", OpDiv: "div", OpRem: "rem",
 	OpAnd: "and", OpOr: "or", OpXor: "xor", OpShl: "shl", OpShr: "shr", OpSar: "sar",
-	OpAddImm: "addi", OpMulImm: "muli", OpShlImm: "shli",
+	OpAddImm: "addi", OpShlImm: "shli",
 	OpLd8: "ld8", OpLd4: "ld4", OpLd2: "ld2", OpLd1: "ld1",
-	OpSt8: "st8", OpStRef: "stref", OpSt4: "st4", OpSt2: "st2", OpSt1: "st1",
+	OpSt8: "st8", OpStRef: "stref", OpSt2: "st2", OpSt1: "st1",
 	OpEnter: "enter", OpLeave: "leave",
 	OpCallM: "callm", OpCallV: "callv", OpRet: "ret",
 	OpJmp: "jmp", OpBrEQ: "breq", OpBrNE: "brne", OpBrLT: "brlt",
-	OpBrLE: "brle", OpBrGT: "brgt", OpBrGE: "brge",
-	OpBrULT: "brult", OpBrUGE: "bruge",
+	OpBrLE: "brle", OpBrGT: "brgt", OpBrGE: "brge", OpBrUGE: "bruge",
 	OpTrap: "trap",
 }
 
@@ -160,11 +156,11 @@ func (i Instr) String() string {
 		return fmt.Sprintf("%s %s, %s", i.Op, r(i.Rd), r(i.Rs1))
 	case OpAdd, OpSub, OpMul, OpDiv, OpRem, OpAnd, OpOr, OpXor, OpShl, OpShr, OpSar:
 		return fmt.Sprintf("%s %s, %s, %s", i.Op, r(i.Rd), r(i.Rs1), r(i.Rs2))
-	case OpAddImm, OpMulImm, OpShlImm:
+	case OpAddImm, OpShlImm:
 		return fmt.Sprintf("%s %s, %s, %d", i.Op, r(i.Rd), r(i.Rs1), i.Imm)
 	case OpLd8, OpLd4, OpLd2, OpLd1:
 		return fmt.Sprintf("%s %s, [%s%+d]", i.Op, r(i.Rd), r(i.Rs1), i.Imm)
-	case OpSt8, OpStRef, OpSt4, OpSt2, OpSt1:
+	case OpSt8, OpStRef, OpSt2, OpSt1:
 		return fmt.Sprintf("%s [%s%+d], %s", i.Op, r(i.Rs1), i.Imm, r(i.Rs2))
 	case OpEnter:
 		return fmt.Sprintf("enter %d", i.Imm)
@@ -174,7 +170,7 @@ func (i Instr) String() string {
 		return fmt.Sprintf("callv [%s], slot %d", r(i.Rs1), i.Imm)
 	case OpJmp:
 		return fmt.Sprintf("jmp %#x", uint64(i.Imm))
-	case OpBrEQ, OpBrNE, OpBrLT, OpBrLE, OpBrGT, OpBrGE, OpBrULT, OpBrUGE:
+	case OpBrEQ, OpBrNE, OpBrLT, OpBrLE, OpBrGT, OpBrGE, OpBrUGE:
 		return fmt.Sprintf("%s %s, %s, %#x", i.Op, r(i.Rs1), r(i.Rs2), uint64(i.Imm))
 	case OpTrap:
 		return fmt.Sprintf("trap %d", i.Imm)

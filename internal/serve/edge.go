@@ -24,8 +24,9 @@ type edge struct {
 	resolver  *Resolver
 	heartbeat time.Duration
 
-	// run executes one resolved request; pin is the HeaderRoute value.
-	run func(ctx context.Context, req api.Request, res resolved, pin string) (*api.RunResult, error)
+	// run executes one resolved request from the exact body it was
+	// resolved from; pin is the HeaderRoute value.
+	run func(ctx context.Context, body []byte, res resolved, pin string) (*api.RunResult, error)
 	// healthz is the liveness verdict and its JSON body.
 	healthz func() (ok bool, body string)
 	// statsz is the value /v1/statsz renders.
@@ -50,13 +51,17 @@ func (e *edge) Handler() http.Handler {
 }
 
 // handleRun is POST /v1/run and, with stream set, POST /v1/stream —
-// the same run delivered as Server-Sent Events. The request is
-// resolved here, before any worker sees it: bad requests bounce
+// the same run delivered as Server-Sent Events. The body is read once
+// and resolved here, before any worker sees it: bad requests bounce
 // without burning a round trip, and the resolution yields the exact
 // keys the workers themselves compute. Pre-admission failures answer
 // as plain JSON errors; a stream only opens once the request is valid.
 func (e *edge) handleRun(w http.ResponseWriter, r *http.Request, stream bool) {
-	req, res, err := e.request(w, r)
+	body, err := readBody(w, r)
+	var res resolved
+	if err == nil {
+		res, err = e.resolver.request(body, e.onRequest)
+	}
 	if err != nil {
 		writeAPIError(w, toAPIError(err))
 		return
@@ -66,42 +71,16 @@ func (e *edge) handleRun(w http.ResponseWriter, r *http.Request, stream bool) {
 		e.onStream()
 		queued := api.StreamQueued{Version: api.Version, Workload: res.meta.name, Key: res.key}
 		serveStream(w, r, e.heartbeat, queued, func(ctx context.Context) (*api.RunResult, error) {
-			return e.run(ctx, req, res, pin)
+			return e.run(ctx, body, res, pin)
 		})
 		return
 	}
-	result, err := e.run(r.Context(), req, res, pin)
+	result, err := e.run(r.Context(), body, res, pin)
 	if err != nil {
 		writeAPIError(w, toAPIError(err))
 		return
 	}
 	writeRunResult(w, result)
-}
-
-// request reads the body once, then takes its decode and resolution
-// from the Resolver's memo, or decodes and resolves it and memoizes
-// the success. onRequest ticks for every body that decodes, whether it
-// was memoized or not, and whether it resolves or not.
-func (e *edge) request(w http.ResponseWriter, r *http.Request) (api.Request, resolved, error) {
-	body, err := readBody(w, r)
-	if err != nil {
-		return api.Request{}, resolved{}, err
-	}
-	if m, ok := e.resolver.recall(body); ok {
-		e.onRequest()
-		return m.req, m.res, nil
-	}
-	req, err := decodeRequest(body)
-	if err != nil {
-		return req, resolved{}, err
-	}
-	e.onRequest()
-	res, err := e.resolver.resolve(req)
-	if err != nil {
-		return req, res, err
-	}
-	e.resolver.memoize(body, memoized{req, res})
-	return req, res, nil
 }
 
 // handleHealthz is GET /v1/healthz: 200 with the owner's verdict body

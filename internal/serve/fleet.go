@@ -41,9 +41,10 @@ import (
 //     state, a steal can never change a response byte; servesmoke's
 //     per-worker probe and TestFleetByteIdentical pin this.
 //
-// Byte-identity: the coordinator relays worker response bodies
-// verbatim (api.RunResult.Body), adding only the X-Hpmvmd-Worker
-// header — a fleet of any size answers byte-identically to one Server.
+// Byte-identity: the coordinator relays the exact request body it read
+// to the worker, and the worker's response body verbatim
+// (api.RunResult.Body), adding only the X-Hpmvmd-Worker header — a
+// fleet of any size answers byte-identically to one Server.
 
 // Backend is one worker the coordinator can route to. *client.Client
 // (remote worker process) and *LocalBackend (in-process Server)
@@ -51,10 +52,11 @@ import (
 type Backend interface {
 	// Name identifies the worker in routing, headers and statsz.
 	Name() string
-	// Run executes one request and returns the exact response bytes
-	// plus header metadata. Refusals arrive as *api.Error (the worker's
-	// envelope, code intact); any other error is a transport failure.
-	Run(ctx context.Context, req api.Request) (*api.RunResult, error)
+	// RunBody executes one request from the exact body bytes a client
+	// sent and returns the exact response bytes plus header metadata.
+	// Refusals arrive as *api.Error (the worker's envelope, code
+	// intact); any other error is a transport failure.
+	RunBody(ctx context.Context, body []byte) (*api.RunResult, error)
 	// Statsz fetches the worker's own statsz snapshot.
 	Statsz(ctx context.Context) (api.Statsz, error)
 	// Healthz reports liveness.
@@ -76,11 +78,11 @@ func NewLocalBackend(name string, srv *Server) *LocalBackend {
 // Name implements Backend.
 func (l *LocalBackend) Name() string { return l.name }
 
-// Run implements Backend; errors are wrapped in the api.Error envelope
-// so the coordinator dispatches on codes exactly as it does for remote
-// workers.
-func (l *LocalBackend) Run(ctx context.Context, req api.Request) (*api.RunResult, error) {
-	res, err := l.srv.RunBytes(ctx, req)
+// RunBody implements Backend; errors are wrapped in the api.Error
+// envelope so the coordinator dispatches on codes exactly as it does
+// for remote workers.
+func (l *LocalBackend) RunBody(ctx context.Context, body []byte) (*api.RunResult, error) {
+	res, err := l.srv.runBody(ctx, body)
 	if err != nil {
 		return nil, toAPIError(err)
 	}
@@ -234,11 +236,11 @@ func (f *Fleet) backendByName(name string) (int, bool) {
 	return -1, false
 }
 
-// runOn executes req on backend i with inflight accounting.
-func (f *Fleet) runOn(ctx context.Context, i int, req api.Request) (*api.RunResult, error) {
+// runOn executes body on backend i with inflight accounting.
+func (f *Fleet) runOn(ctx context.Context, i int, body []byte) (*api.RunResult, error) {
 	f.inflight[i].Add(1)
 	defer f.inflight[i].Add(-1)
-	res, err := f.backends[i].Run(ctx, req)
+	res, err := f.backends[i].RunBody(ctx, body)
 	if err != nil {
 		return nil, err
 	}
@@ -257,8 +259,9 @@ func isRefusal(err error) bool {
 }
 
 // route serves one resolved request: pick the home worker, steal on
-// refusal, fail over on transport errors.
-func (f *Fleet) route(ctx context.Context, req api.Request, res resolved, pin string) (*api.RunResult, error) {
+// refusal, fail over on transport errors. Every attempt forwards the
+// exact body the edge read.
+func (f *Fleet) route(ctx context.Context, body []byte, res resolved, pin string) (*api.RunResult, error) {
 	if f.draining.Load() {
 		return nil, ErrDraining
 	}
@@ -271,7 +274,7 @@ func (f *Fleet) route(ctx context.Context, req api.Request, res resolved, pin st
 				core.ErrBadOptions, pin, api.HeaderRoute)
 		}
 		f.cPinned.Add(1)
-		return f.runOn(ctx, i, req)
+		return f.runOn(ctx, i, body)
 	}
 
 	warm := res.snapKey != ""
@@ -299,7 +302,7 @@ func (f *Fleet) route(ctx context.Context, req api.Request, res resolved, pin st
 	var lastErr error
 	for n := 0; n < len(candidates); n++ {
 		i := candidates[n]
-		result, err := f.runOn(ctx, i, req)
+		result, err := f.runOn(ctx, i, body)
 		if err == nil {
 			if n > 0 {
 				f.cStolen.Add(1)

@@ -316,7 +316,7 @@ func TestFleetTransportFailover(t *testing.T) {
 type deadBackend struct{ name string }
 
 func (d *deadBackend) Name() string { return d.name }
-func (d *deadBackend) Run(context.Context, api.Request) (*api.RunResult, error) {
+func (d *deadBackend) RunBody(context.Context, []byte) (*api.RunResult, error) {
 	return nil, errors.New("dial tcp: connection refused")
 }
 func (d *deadBackend) Statsz(context.Context) (api.Statsz, error) {
@@ -383,5 +383,25 @@ func TestFleetStatszShape(t *testing.T) {
 		if row.Statsz == nil || !row.Healthy {
 			t.Errorf("worker row %s missing statsz or unhealthy: %+v", row.Name, row)
 		}
+	}
+}
+
+// TestLocalBackendHitsWorkerMemo: identical requests through an
+// in-process fleet reach the worker as the same body, so the worker
+// resolves it once and answers the rest from its memo, while its
+// serve.requests counts every one.
+func TestLocalBackendHitsWorkerMemo(t *testing.T) {
+	const n = 5
+	_, servers, fh := newTestFleet(t, 1, Config{Jobs: 1})
+	for range n {
+		if rr := doReq(fh, nil, http.MethodPost, api.PathRun, memoBodies["hot"]); rr.Code != http.StatusOK {
+			t.Fatalf("run: %d %s", rr.Code, rr.Body.String())
+		}
+	}
+	if got := servers[0].resolver.memoLen(); got != 1 {
+		t.Errorf("worker memo holds %d bodies, want 1", got)
+	}
+	if got := servers[0].cRequests.Value(); got != n {
+		t.Errorf("worker serve.requests = %d, want %d", got, n)
 	}
 }

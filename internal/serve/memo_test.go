@@ -29,7 +29,14 @@ var memoBodies = map[string]string{
 func (r *Resolver) forget() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.memo = newLRU[string, memoized](memoEntries)
+	r.memo = newLRU[string, resolved](memoEntries)
+}
+
+// recall returns r's memoized resolution of body.
+func (r *Resolver) recall(body []byte) (resolved, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.memo.get(string(body))
 }
 
 // memoLen is the number of bodies r has memoized.
@@ -162,12 +169,10 @@ func TestMemoBounded(t *testing.T) {
 		t.Fatalf("memo worst case %d × %d bytes exceeds the 1 MiB DESIGN §13 states", memoEntries, memoMaxBody)
 	}
 	r := newResolver()
-	e := &edge{resolver: r, onRequest: func() {}}
 	for seed := range memoEntries + memoEntries/2 {
 		body := fmt.Sprintf(`{"workload":"serve_tiny","seed":%d}`, seed)
 		body += strings.Repeat(" ", memoMaxBody-len(body))
-		hr := httptest.NewRequest(http.MethodPost, api.PathRun, strings.NewReader(body))
-		if _, _, err := e.request(httptest.NewRecorder(), hr); err != nil {
+		if _, err := r.request([]byte(body), func() {}); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		if n := r.memoLen(); n > memoEntries {
@@ -190,7 +195,7 @@ func TestMemoBounded(t *testing.T) {
 // shape at once through /v1/run and /v1/stream, on a server and on a
 // fleet (there also pinned to each worker, so two workers simulate the
 // request the coordinator memoized at once). Run under -race it shows
-// that nothing downstream of the edge writes to a memoized request or
+// that nothing downstream of the edge writes to a memoized
 // resolution; every answer must carry the same result bytes.
 func TestMemoConcurrentColdRequests(t *testing.T) {
 	srv := New(Config{Jobs: 2})

@@ -1,9 +1,12 @@
 package serve
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
+	"io"
 	"sort"
 	"sync"
 
@@ -13,13 +16,14 @@ import (
 	"hpmvm/internal/hw/cache"
 )
 
-// This file is the request resolver: canonicalization of an
-// api.Request into a validated bench.RunConfig + core.Options and the
-// content addresses (result-cache key, snapshot key) derived from
-// them. It is shared by the single-process Server and the fleet
-// coordinator — the coordinator resolves requests itself so it can
-// reject bad ones at the edge and sticky-route warm starts by the
-// exact snapshot key its workers will compute.
+// This file is the request resolver: the one step from request body
+// bytes to their decoded api.Request, its canonicalization into a
+// validated bench.RunConfig + core.Options, and the content addresses
+// (result-cache key, snapshot key) derived from them. It is shared by
+// the single-process Server and the fleet coordinator — the
+// coordinator resolves requests itself so it can reject bad ones at
+// the edge and sticky-route warm starts by the exact snapshot key its
+// workers will compute.
 
 // workloadMeta is the per-workload data needed to canonicalize a
 // request without executing it: the metadata the workload declared at
@@ -39,29 +43,23 @@ const (
 	memoMaxBody = 4 << 10
 )
 
-// memoized is one request body's decode and resolution.
-type memoized struct {
-	req api.Request
-	res resolved
-}
-
 // Resolver canonicalizes requests over the frozen workload registry.
 type Resolver struct {
 	meta map[string]workloadMeta // immutable after newResolver
 
-	// memo maps exact request body bytes to their decode and
-	// resolution. Both are pure functions of the bytes and the frozen
-	// registry, so a hit is the value a fresh decode and resolve would
-	// return. It holds successes only: a body that fails either step
-	// is never stored and earns its error afresh every time.
+	// memo maps exact request body bytes to their resolution, a pure
+	// function of the bytes and the frozen registry, so a hit is the
+	// value a fresh decode and resolve would return. It holds
+	// successes only: a body that fails to decode or resolve is never
+	// stored and earns its error afresh every time.
 	mu   sync.Mutex
-	memo *lru[string, memoized]
+	memo *lru[string, resolved]
 }
 
 // newResolver captures the registry's declared metadata. It builds
 // nothing: a program is built only when a run needs it.
 func newResolver() *Resolver {
-	r := &Resolver{meta: make(map[string]workloadMeta), memo: newLRU[string, memoized](memoEntries)}
+	r := &Resolver{meta: make(map[string]workloadMeta), memo: newLRU[string, resolved](memoEntries)}
 	for _, name := range bench.Names() {
 		b, _ := bench.Get(name)
 		m, _ := bench.MetaOf(name)
@@ -82,24 +80,48 @@ func (r *Resolver) workloads() []api.WorkloadInfo {
 	return rows
 }
 
-// recall returns the memoized decode and resolution of body.
-func (r *Resolver) recall(body []byte) (memoized, bool) {
-	if len(body) > memoMaxBody {
-		return memoized{}, false
+// decodeRequest validates and decodes one JSON request body: exactly
+// one value, no unknown field, nothing but whitespace after it.
+func decodeRequest(body []byte) (api.Request, error) {
+	var req api.Request
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return req, fmt.Errorf("serve: %w: bad request body: %v", core.ErrBadOptions, err)
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.memo.get(string(body))
+	if _, err := dec.Token(); err != io.EOF {
+		return req, fmt.Errorf("serve: %w: bad request body: data after the request object", core.ErrBadOptions)
+	}
+	return req, nil
 }
 
-// memoize stores body's successful decode and resolution.
-func (r *Resolver) memoize(body []byte, m memoized) {
-	if len(body) > memoMaxBody {
-		return
+// request is the one step from request body bytes to a resolution:
+// the memo's entry for body, or else body decoded, resolved and, on
+// success, memoized. decoded runs once for every body that decodes,
+// memoized or not, resolvable or not.
+func (r *Resolver) request(body []byte, decoded func()) (resolved, error) {
+	memo := len(body) <= memoMaxBody
+	if memo {
+		r.mu.Lock()
+		res, ok := r.memo.get(string(body))
+		r.mu.Unlock()
+		if ok {
+			decoded()
+			return res, nil
+		}
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.memo.add(string(body), m)
+	req, err := decodeRequest(body)
+	if err != nil {
+		return resolved{}, err
+	}
+	decoded()
+	res, err := r.resolve(req)
+	if err == nil && memo {
+		r.mu.Lock()
+		r.memo.add(string(body), res)
+		r.mu.Unlock()
+	}
+	return res, err
 }
 
 // resolved is a request after canonicalization. A memoized one is

@@ -1,9 +1,6 @@
 package serve
 
 import (
-	"bytes"
-	"net/http"
-	"net/http/httptest"
 	"reflect"
 	"testing"
 
@@ -11,8 +8,8 @@ import (
 )
 
 // FuzzResolve feeds arbitrary bytes through the request trust boundary
-// (the edge's read → memo → decode → resolve): it never panics, every
-// rejection carries one of the three stable codes a malformed request
+// (Resolver.request: memo → decode → resolve): it never panics, every
+// rejection carries one of the two stable codes a malformed request
 // can earn and leaves nothing in the memo, and every accepted request
 // resolves to valid options and to the same content addresses each
 // time, memoized or fresh — the property the result cache, the
@@ -27,16 +24,12 @@ func FuzzResolve(f *testing.F) {
 	f.Add([]byte(`{"workload":"serve_tiny","heap_factor":-1}`))
 
 	r := newResolver()
-	e := &edge{resolver: r, onRequest: func() {}}
-	request := func(body []byte) (api.Request, resolved, error) {
-		hr := httptest.NewRequest(http.MethodPost, api.PathRun, bytes.NewReader(body))
-		return e.request(httptest.NewRecorder(), hr)
-	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		req, res, err := request(body)
+		decoded := 0
+		res, err := r.request(body, func() { decoded++ })
 		if err != nil {
 			switch code := toAPIError(err).Code; code {
-			case api.CodeBadRequest, api.CodeUnknownWorkload, api.CodeMethodNotAllowed:
+			case api.CodeBadRequest, api.CodeUnknownWorkload:
 			default:
 				t.Fatalf("rejection of %q carries code %q: %v", body, code, err)
 			}
@@ -45,16 +38,23 @@ func FuzzResolve(f *testing.F) {
 			}
 			return
 		}
+		if decoded != 1 {
+			t.Fatalf("accepted %q ticked decoded %d times, want 1", body, decoded)
+		}
 		if err := res.opts.Validate(); err != nil {
 			t.Fatalf("accepted %q resolves to invalid options: %v", body, err)
+		}
+		req, err := decodeRequest(body)
+		if err != nil {
+			t.Fatalf("accepted %q does not decode: %v", body, err)
 		}
 		fresh, err := r.resolve(req)
 		if err != nil || !sameResolution(fresh, res) {
 			t.Fatalf("fresh resolve of %q: keys (%s, %s) then (%s, %s), err %v",
 				body, res.key, res.snapKey, fresh.key, fresh.snapKey, err)
 		}
-		req2, again, err := request(body)
-		if err != nil || !reflect.DeepEqual(req2, req) || !sameResolution(again, res) {
+		again, err := r.request(body, func() { decoded++ })
+		if err != nil || decoded != 2 || !sameResolution(again, res) {
 			t.Fatalf("second request of %q: keys (%s, %s) then (%s, %s), err %v",
 				body, res.key, res.snapKey, again.key, again.snapKey, err)
 		}

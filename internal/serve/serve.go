@@ -30,7 +30,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -79,9 +78,6 @@ type Config struct {
 	// Timeout caps one run's wall clock; the run is cancelled at its
 	// next safepoint when exceeded (0 = no cap).
 	Timeout time.Duration
-	// StreamHeartbeat is the /v1/stream progress-frame interval
-	// (0 selects 1s).
-	StreamHeartbeat time.Duration
 }
 
 // wlStat is the per-workload latency accounting surfaced by /v1/statsz.
@@ -99,6 +95,9 @@ type Server struct {
 	engine   *bench.Engine
 	obs      *obs.Observer
 	resolver *Resolver
+	// heartbeat is the /v1/stream progress-frame interval; tests
+	// shorten it before mounting Handler.
+	heartbeat time.Duration
 	// runner executes one run; tests swap it to count and gate
 	// executions.
 	runner func(ctx context.Context, b bench.Builder, cfg bench.RunConfig, label string) (*bench.Result, error)
@@ -145,14 +144,12 @@ func New(cfg Config) *Server {
 	if cfg.CacheEntries <= 0 {
 		cfg.CacheEntries = 256
 	}
-	if cfg.StreamHeartbeat <= 0 {
-		cfg.StreamHeartbeat = streamHeartbeat
-	}
 	s := &Server{
 		cfg:         cfg,
 		engine:      bench.NewEngine(cfg.Jobs),
 		obs:         obs.New(0),
 		resolver:    newResolver(),
+		heartbeat:   streamHeartbeat,
 		cache:       newLRU[string, []byte](cfg.CacheEntries),
 		snapshots:   newLRU[string, []byte](snapshotEntries),
 		inflight:    make(map[string]*call),
@@ -196,8 +193,8 @@ func (s *Server) Drain() {
 func (s *Server) Handler() http.Handler {
 	return (&edge{
 		resolver:  s.resolver,
-		heartbeat: s.cfg.StreamHeartbeat,
-		run: func(ctx context.Context, _ api.Request, res resolved, _ string) (*api.RunResult, error) {
+		heartbeat: s.heartbeat,
+		run: func(ctx context.Context, _ []byte, res resolved, _ string) (*api.RunResult, error) {
 			return s.runResolved(ctx, res)
 		},
 		healthz:   s.healthz,
@@ -219,28 +216,25 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	return body, nil
 }
 
-// decodeRequest validates and decodes one JSON request body: exactly
-// one value, no unknown field, nothing but whitespace after it.
-func decodeRequest(body []byte) (api.Request, error) {
-	var req api.Request
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return req, fmt.Errorf("serve: %w: bad request body: %v", core.ErrBadOptions, err)
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return req, fmt.Errorf("serve: %w: bad request body: data after the request object", core.ErrBadOptions)
-	}
-	return req, nil
-}
-
 // RunBytes executes (or replays) one run and returns the transport
 // view: the exact response bytes plus the cache/snapshot dispositions
-// the X-Hpmvmd-* headers carry. It is POST /v1/run without the HTTP
-// transport, as the in-process fleet backend calls it.
+// the X-Hpmvmd-* headers carry. It is POST /v1/run of req's JSON
+// encoding without the HTTP transport. A request JSON cannot encode (a
+// NaN heap factor) is a bad request, counted like one that decodes.
 func (s *Server) RunBytes(ctx context.Context, req api.Request) (*api.RunResult, error) {
-	s.cRequests.Inc()
-	res, err := s.resolver.resolve(req)
+	body, err := json.Marshal(req)
+	if err != nil {
+		s.cRequests.Inc()
+		return nil, fmt.Errorf("serve: %w: %v", core.ErrBadOptions, err)
+	}
+	return s.runBody(ctx, body)
+}
+
+// runBody is POST /v1/run of body without the HTTP transport, as the
+// in-process fleet backend calls it: resolved through the memo, served
+// through the cache + single-flight front door.
+func (s *Server) runBody(ctx context.Context, body []byte) (*api.RunResult, error) {
+	res, err := s.resolver.request(body, s.cRequests.Inc)
 	if err != nil {
 		return nil, err
 	}

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -489,5 +491,16 @@ func TestResponseShape(t *testing.T) {
 	}
 	if resp.Key != rr.Header().Get("X-Hpmvmd-Key") {
 		t.Error("body key differs from X-Hpmvmd-Key header")
+	}
+}
+
+// TestRunBytesUnencodable: a request JSON cannot encode (a NaN heap
+// factor) is a bad request through RunBytes, as a heap factor that
+// sizes no heap is through /v1/run.
+func TestRunBytesUnencodable(t *testing.T) {
+	s := New(Config{Jobs: 1})
+	_, err := s.RunBytes(context.Background(), api.Request{Workload: "serve_tiny", HeapFactor: math.NaN()})
+	if !errors.Is(err, core.ErrBadOptions) || toAPIError(err).Code != api.CodeBadRequest {
+		t.Fatalf("NaN heap factor: %v, want a bad_request wrapping core.ErrBadOptions", err)
 	}
 }

@@ -109,7 +109,8 @@ func (g *progressGate) Write(p []byte) (int, error) {
 // until the client has been sent one, so the test does not depend on
 // how long the simulation takes.
 func TestStreamHeartbeat(t *testing.T) {
-	srv := New(Config{Jobs: 1, StreamHeartbeat: time.Millisecond})
+	srv := New(Config{Jobs: 1})
+	srv.heartbeat = time.Millisecond
 	gate := &progressGate{ResponseRecorder: httptest.NewRecorder(), seen: make(chan struct{})}
 	run := srv.runner
 	srv.runner = func(ctx context.Context, b bench.Builder, cfg bench.RunConfig, label string) (*bench.Result, error) {

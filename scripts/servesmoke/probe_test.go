@@ -17,8 +17,8 @@ import (
 // byte flipped.
 type flipBackend struct{ serve.Backend }
 
-func (b flipBackend) Run(ctx context.Context, req api.Request) (*api.RunResult, error) {
-	res, err := b.Backend.Run(ctx, req)
+func (b flipBackend) RunBody(ctx context.Context, body []byte) (*api.RunResult, error) {
+	res, err := b.Backend.RunBody(ctx, body)
 	if err != nil {
 		return nil, err
 	}
