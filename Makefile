@@ -9,12 +9,16 @@ GO ?= go
 ci: vet build test race verify-opt verify-lanes fuzz-smoke bench-smoke serve-smoke loc
 
 # go vet, the gofmt gate — any file `gofmt -l` names (outside the
-# benchmark's build directory) fails the target — and the inlining
-# gate: the simulator's inlinable lanes, Hierarchy.Hit and mem's
-# Load*/Store*, must still inline. A lane that grows past Go's
-# inlining budget silently becomes a call, and no test would notice.
-INLINE_LANES = '(*Hierarchy).Hit' '(*Memory).Load8' '(*Memory).Load4' '(*Memory).Load2' \
-	'(*Memory).Load1' '(*Memory).Store8' '(*Memory).Store4' '(*Memory).Store2' '(*Memory).Store1'
+# benchmark's build directory) fails the target — the inlining gate:
+# the simulator's inlinable lanes, Hierarchy.Hit and HitAt and mem's
+# Page, Load* and Store*, must still inline — and the call-free gate:
+# the assembly of cpu's fast loop may hold no CALL but a runtime panic
+# or stack growth. A lane that grows past Go's inlining budget silently
+# becomes a call, as does any call that creeps into the fast loop, and
+# no test would notice.
+INLINE_LANES = '(*Hierarchy).Hit' '(*Hierarchy).HitAt' '(*Memory).Page' \
+	'(*Memory).Load8' '(*Memory).Load4' '(*Memory).Load2' '(*Memory).Load1' \
+	'(*Memory).Store8' '(*Memory).Store4' '(*Memory).Store2' '(*Memory).Store1'
 vet:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l . | grep -v '^\.bench_build/'); \
@@ -23,6 +27,11 @@ vet:
 		for f in $(INLINE_LANES); do \
 			echo "$$inl" | grep -qF "can inline $$f" || { echo "inlining gate: $$f no longer inlines"; exit 1; }; \
 		done
+	@asm=$$($(GO) build -gcflags=-S ./internal/hw/cpu 2>&1) || { echo "$$asm"; exit 1; }; \
+		fast=$$(echo "$$asm" | awk '/STEXT/ { f = /^hpmvm\/internal\/hw\/cpu\.\(\*CPU\)\.fastLoop STEXT/ } f'); \
+		test -n "$$fast" || { echo "call-free gate: no listing of (*CPU).fastLoop"; exit 1; }; \
+		calls=$$(echo "$$fast" | grep -P '\tCALL\t' | grep -vP '\tCALL\truntime\.(panic|morestack)'); \
+		test -z "$$calls" || { echo "call-free gate: (*CPU).fastLoop calls out:"; echo "$$calls"; exit 1; }
 
 build:
 	$(GO) build ./...
@@ -128,8 +137,9 @@ loc:
 
 # Race check on the packages the parallel engine fans runs out of:
 # the engine itself (and its determinism sweep), the workload
-# builders it invokes concurrently, the cache hot path every
-# concurrent run hammers, the observability layer host-side
+# builders it invokes concurrently, the interpreter (internal/hw/cpu:
+# the fast loop and Step) and the cache hot path every concurrent run
+# hammers, the observability layer host-side
 # consumers snapshot while producers emit, the hpmvmd serve layer
 # (single-flight cache + bounded queue under 32 concurrent handler
 # requests; request bytes relayed coordinator → client → worker and
@@ -145,7 +155,7 @@ loc:
 # internal/opt rides along because the manager's observer callbacks run
 # inside every concurrently executing monitored run.
 race:
-	$(GO) test -race -timeout 60m . ./internal/bench/... ./internal/core/... ./internal/hw/cache/... ./internal/obs/... ./internal/opt/... ./internal/serve/... ./internal/api/... ./internal/client/... ./internal/stats/... ./cmd/experiments/... ./scripts/servesmoke/...
+	$(GO) test -race -timeout 60m . ./internal/bench/... ./internal/core/... ./internal/hw/cache/... ./internal/hw/cpu/... ./internal/obs/... ./internal/opt/... ./internal/serve/... ./internal/api/... ./internal/client/... ./internal/stats/... ./cmd/experiments/... ./scripts/servesmoke/...
 
 # End-to-end hpmvmd smoke test, run for a single server and then for a
 # 2-worker process fleet: boot the daemon, run the client-based

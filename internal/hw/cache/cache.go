@@ -410,10 +410,10 @@ type Hierarchy struct {
 	// l1Pending holds one flag per L1 way: set means the line in that
 	// way may be in prefetched or sw.prefetched, clear means it is in
 	// neither, so a hit on a clear way skips both set lookups exactly.
-	// The flag is set wherever a line enters either set and on every
-	// fill that is not a detailed demand fill (warming-lane fills,
-	// prefetch fills, Restore), and cleared only by the detailed demand
-	// access that has just run both exact lookups. It errs towards set —
+	// The flag is set wherever a line enters either set, on prefetch
+	// fills and on Restore; a warming-lane fill sets it when either set
+	// holds the line, and the detailed demand access that has just run
+	// both exact lookups clears it. It errs towards set —
 	// ResetStats and Flush empty the sets and leave it alone — which
 	// costs one slow-path visit per way. Host-side only, never
 	// serialized.
@@ -434,16 +434,23 @@ type Hierarchy struct {
 	// It is a memo kept exact by dropping, never by checking itself: a
 	// slot goes when a demand fill or install evicts its line, when
 	// install marks its way pending, and when its page leaves the DTLB
-	// (tlbAccess), in either lane; the whole table goes on Flush,
-	// Restore and EnableSwPrefetch. Only detailed accesses table lines,
-	// and none while the software-prefetch model is on, whose hits issue
-	// prefetches. Host-side only, never serialized.
+	// (tlbAccess), in either lane; the whole table goes on Flush and
+	// Restore. Demand accesses of both lanes table lines. Host-side
+	// only, never serialized.
 	resident [residentSlots]residentLine
-	// laneHits and laneStores count Hit's accesses since the last
-	// settle. Hit stamps each way with its array's stamp plus laneHits,
-	// so the arrays' stamps and the counters lag until settle adds the
-	// counts in; everything that reads either settles first.
+	// laneHits and laneStores count the lane's accesses since the last
+	// settle. The lane stamps each way with its array's stamp plus
+	// laneHits, so the arrays' stamps and the counters lag until settle
+	// adds the counts in; everything that reads either settles first,
+	// and so does every switch of lane.
 	laneHits, laneStores uint64
+	// swSite flags, by swSiteSlot, the instruction PCs that may be
+	// installed software-prefetch sites: every installed site sets its
+	// slot, and a slot may be set for a PC that is no site. HitAt
+	// declines at a flagged PC, whose hit may issue a prefetch. All
+	// clear without the model. Host-side only, rebuilt from the site
+	// table on Restore.
+	swSite [swSiteSlots]bool
 
 	// functional, when set, switches Access to the fast-forward lane of
 	// sampled simulation (DESIGN.md §12): every access charges the flat
@@ -591,10 +598,7 @@ func (h *Hierarchy) IFetch(addr uint64) uint64 {
 // calling it twice replaces the model's state.
 func (h *Hierarchy) EnableSwPrefetch(cpu SwPrefetchCPU, issueCost uint64) {
 	h.sw = &swState{cpu: cpu, issueCost: issueCost, prefetched: newPfSet()}
-	// Hit never runs under the model, and SoftwarePrefetch touches the
-	// arrays without settling.
-	h.settle()
-	h.clearResident()
+	h.flagSites()
 }
 
 // SetSwPrefetchSites replaces the installed software-prefetch site
@@ -608,6 +612,27 @@ func (h *Hierarchy) SetSwPrefetchSites(sites map[uint64]int64) {
 		m[pc] = d
 	}
 	h.sw.sites = m
+	h.flagSites()
+}
+
+// swSiteSlots is the number of swSite flags; a power of two.
+const swSiteSlots = 4096
+
+// swSiteSlot maps an instruction PC to its swSite flag. The CPU's
+// instruction slots are 4 bytes, so consecutive instructions take
+// consecutive flags. HitAt spells it out: the call would cost the lane
+// four units of its inlining budget.
+func swSiteSlot(pc uint64) uint64 { return pc >> 2 & (swSiteSlots - 1) }
+
+// flagSites rebuilds swSite from the installed site table.
+func (h *Hierarchy) flagSites() {
+	clear(h.swSite[:])
+	if h.sw == nil {
+		return
+	}
+	for pc := range h.sw.sites {
+		h.swSite[swSiteSlot(pc)] = true
+	}
 }
 
 // SoftwarePrefetch issues one software prefetch of the line holding
@@ -621,6 +646,7 @@ func (h *Hierarchy) SetSwPrefetchSites(sites map[uint64]int64) {
 // L2 when absent) and costs the configured issue cycles. Requires
 // EnableSwPrefetch.
 func (h *Hierarchy) SoftwarePrefetch(addr uint64) uint64 {
+	h.settle()
 	lineAddr := addr >> h.lineBits
 	if h.l1.find(lineAddr) >= 0 {
 		return 0
@@ -712,14 +738,28 @@ func (h *Hierarchy) Flush() {
 // mode: every Access returns flatCost and updates no stats, while tag
 // state keeps warming and listener events keep firing (see the
 // functional field). SetDetailed resumes cycle-exact timing from that
-// warmed state.
+// warmed state. Both settle first: the lane's counts belong to the lane
+// they were made in.
 func (h *Hierarchy) SetFunctional(flatCost uint64) {
+	h.settle()
 	h.functional = true
 	h.flatCost = flatCost
 }
 
 // SetDetailed returns the hierarchy to cycle-exact modeling.
-func (h *Hierarchy) SetDetailed() { h.functional = false }
+func (h *Hierarchy) SetDetailed() {
+	h.settle()
+	h.functional = false
+}
+
+// HitCycles returns what an access the lane serves costs: L1HitCycles
+// in the detailed lane, the flat cost in the warming lane.
+func (h *Hierarchy) HitCycles() uint64 {
+	if h.functional {
+		return h.flatCost
+	}
+	return h.cfg.L1HitCycles
+}
 
 // Functional reports whether the hierarchy is in fast-forward mode.
 func (h *Hierarchy) Functional() bool { return h.functional }
@@ -738,8 +778,9 @@ const residentSlots = 256
 
 // residentSlot masks rather than hashes: the low line bits spread a
 // working set about as well as a hash does (the lane serves about as
-// many accesses either way), and a hash would cost Hit six more units
-// of its inlining budget.
+// many accesses either way), and a hash would cost the lane six more
+// units of its inlining budget. serve spells the mask out: the call
+// would cost it four units.
 func residentSlot(line uint64) uint64 { return line & (residentSlots - 1) }
 
 // residentLine is one slot of the resident-line table: the line, or
@@ -752,19 +793,32 @@ type residentLine struct {
 	tlb   *uint64
 }
 
-// Hit is the resident-line lane, the inlinable front of Access: in the
-// detailed lane, when the line holding addr is in the resident-line
-// table, it performs the L1 hit Access would — both stamps and the
-// dirty bit written, the access counted — and reports true; the access
-// costs L1HitCycles and raises no event. Otherwise, the warming lane
-// included, it changes nothing and reports false, and the caller calls
-// Access. The table is empty under the software-prefetch model, so
-// there Hit always declines. Its counts reach Stats and the arrays'
-// stamps at the next settle.
+// Hit is the resident-line lane, the inlinable front of Access, for an
+// access no instruction makes (the VM's timed accessors): when the line
+// holding addr is in the resident-line table, it performs the L1 hit
+// Access would — both stamps and the dirty bit written, the access
+// counted — and reports true; the access costs HitCycles, the current
+// lane's hit cost, and raises no event. Otherwise it changes nothing
+// and reports false, and the caller calls Access. Under the
+// software-prefetch model, whose sites are matched against the PC,
+// Hit always declines. Its counts reach Stats and the arrays' stamps at
+// the next settle.
 func (h *Hierarchy) Hit(addr uint64, write bool) bool {
+	return h.sw == nil && h.serve(addr, write)
+}
+
+// HitAt is Hit for an access the instruction at pc makes. It serves
+// under the software-prefetch model too, except at a PC that may be an
+// installed site: a hit there may issue a prefetch.
+func (h *Hierarchy) HitAt(pc, addr uint64, write bool) bool {
+	return !h.swSite[pc>>2&(swSiteSlots-1)] && h.serve(addr, write)
+}
+
+// serve is the body of Hit and HitAt.
+func (h *Hierarchy) serve(addr uint64, write bool) bool {
 	line := addr >> h.lineBits
-	e := &h.resident[residentSlot(line)]
-	if h.functional || e.line != line {
+	e := &h.resident[line&(residentSlots-1)]
+	if e.line != line {
 		return false
 	}
 	h.laneHits++
@@ -777,9 +831,10 @@ func (h *Hierarchy) Hit(addr uint64, write bool) bool {
 	return true
 }
 
-// settle adds the accesses Hit has served since the last settle to the
-// counters and to the L1 and DTLB stamps: after it the hierarchy holds
-// exactly what Access would have left.
+// settle adds the accesses the lane has served since the last settle
+// to the L1 and DTLB stamps and, in the detailed lane, to the
+// counters: after it the hierarchy holds exactly what Access would have
+// left.
 func (h *Hierarchy) settle() {
 	n := h.laneHits
 	if n == 0 {
@@ -787,19 +842,21 @@ func (h *Hierarchy) settle() {
 	}
 	h.l1.stamp += n
 	h.tlb.stamp += n
-	st := &h.stats
-	st.Accesses += n
-	st.Stores += h.laneStores
-	st.Loads += n - h.laneStores
-	st.Cycles += n * h.cfg.L1HitCycles
+	if !h.functional {
+		st := &h.stats
+		st.Accesses += n
+		st.Stores += h.laneStores
+		st.Loads += n - h.laneStores
+		st.Cycles += n * h.cfg.L1HitCycles
+	}
 	h.laneHits, h.laneStores = 0, 0
 }
 
-// remember tables the line of addr, which the detailed access that is
+// remember tables the line of addr, which the demand access that is
 // returning left in L1 way. It checks first that the line is still
 // there, its way is not pending and its page is in the predicted DTLB
-// way: a listener may have run a nested access since, and the
-// prefetcher may have filled over the line.
+// way: a listener may have run a nested access since, and a hardware
+// or software prefetch may have filled over the line.
 func (h *Hierarchy) remember(addr uint64, way int) {
 	page, lineAddr := addr>>h.pageBits, addr>>h.lineBits
 	tw := h.tlbPred[tlbPredSlot(page)]
@@ -844,17 +901,16 @@ func (h *Hierarchy) clearResident() {
 // Accesses are assumed not to cross a cache line (the CPU only issues
 // naturally aligned accesses of at most 8 bytes).
 //
-// Every simulated load and store that Hit does not serve lands here —
-// runLoop's when Hit declines, Step's and the timed accessors' always —
-// so the common case of both lanes (DTLB hit in the predicted way, L1
-// hit, line not awaiting its first demand touch) is written out here
-// with no call: one compare for the DTLB, one per way over the set's
-// key row, the two stamp stores, the counters. A detailed hit outside
-// the software-prefetch model also tables its line for Hit. Everything
-// else — a miss anywhere, a stale prediction, a pending way — has
-// changed nothing yet and starts over in accessSlow
-// (TestAccessFingerprint and TestOracleLockStep pin the exact
-// behavior).
+// Every simulated load and store that the lane (Hit, HitAt) does not
+// serve lands here, so the common case of both lanes (DTLB hit in the
+// predicted way, L1 hit, line not awaiting its first demand touch) is
+// written out here with no call: one compare for the DTLB, one per way
+// over the set's key row, the two stamp stores, the counters. A hit on
+// a way that is not pending also tables its line for the lane.
+// Everything else — a miss anywhere, a stale prediction, a pending way
+// in the detailed lane — has changed nothing yet and starts over in
+// accessSlow (TestAccessFingerprint and TestOracleLockStep pin the
+// exact behavior).
 func (h *Hierarchy) Access(addr uint64, size int, write bool) uint64 {
 	h.settle()
 	tlb, l1 := h.tlb, h.l1
@@ -876,6 +932,11 @@ func (h *Hierarchy) Access(addr uint64, size int, write bool) uint64 {
 			if write {
 				l1.dirty[way] = true
 			}
+			if e := &h.resident[residentSlot(lineAddr)]; e.line != lineAddr && !h.l1Pending[way] {
+				// A tabled line's slot already points at these ways:
+				// a change of way would have dropped it.
+				*e = residentLine{lineAddr, &l1.lru[way], &l1.dirty[way], &tlb.lru[tw]}
+			}
 			if h.functional {
 				return h.flatCost
 			}
@@ -888,11 +949,8 @@ func (h *Hierarchy) Access(addr uint64, size int, write bool) uint64 {
 			}
 			cycles := h.cfg.L1HitCycles
 			if h.sw != nil {
+				// A prefetch this issues drops what its fill evicts.
 				cycles += h.swSiteIssue(addr)
-			} else if e := &h.resident[residentSlot(lineAddr)]; e.line != lineAddr {
-				// A tabled line's slot already points at these ways:
-				// a change of way would have dropped it.
-				*e = residentLine{lineAddr, &l1.lru[way], &l1.dirty[way], &tlb.lru[tw]}
 			}
 			st.Cycles += cycles
 			return cycles
@@ -988,9 +1046,8 @@ func (h *Hierarchy) accessSlow(addr uint64, write bool) uint64 {
 
 	if h.sw != nil {
 		cycles += h.swSiteIssue(addr)
-	} else {
-		h.remember(addr, way)
 	}
+	h.remember(addr, way)
 	st.Cycles += cycles
 	return cycles
 }
@@ -1000,10 +1057,11 @@ func (h *Hierarchy) accessSlow(addr uint64, write bool) uint64 {
 // no cycle charges and no Stats counters. The set-internal LRU stamps
 // advance exactly as in detailed mode, so replacement decisions
 // downstream of a fast-forward match the ones a cycle-exact run would
-// have made. The prefetched-line attribution set is left alone — it
-// only feeds the PrefetchHits statistic, which is not measured during
-// fast-forward — so a line filled here may still be in it from an
-// earlier detailed stretch, and its way is marked pending.
+// have made. The prefetched-line attribution sets are left alone — they
+// only feed the PrefetchHits statistics, which are not measured during
+// fast-forward — so a line filled here may still be in one from an
+// earlier detailed stretch, and its way is marked pending when it is.
+// Like a detailed access it tables its line for the lane when it can.
 //
 // Listener events ARE delivered: the misses are architecturally real
 // (the warmed tag state evolves exactly as the detailed lane's), and a
@@ -1018,10 +1076,11 @@ func (h *Hierarchy) warmAccess(addr uint64, write bool) {
 	lineAddr := addr >> h.lineBits
 	way, hit, _ := h.l1.access(lineAddr, write)
 	if hit {
+		h.remember(addr, way)
 		return
 	}
 	h.drop(h.l1.evicted)
-	h.l1Pending[way] = true
+	h.l1Pending[way] = h.prefetched.Contains(lineAddr) || h.sw != nil && h.sw.prefetched.Contains(lineAddr)
 	if h.listener != nil {
 		h.listener.HardwareEvent(EventL1Miss, addr)
 	}
@@ -1031,6 +1090,7 @@ func (h *Hierarchy) warmAccess(addr uint64, write bool) {
 		}
 		h.trainPrefetcher(lineAddr)
 	}
+	h.remember(addr, way)
 }
 
 // trainPrefetcher observes a memory-level miss and, on a detected

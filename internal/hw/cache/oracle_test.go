@@ -407,11 +407,11 @@ func TestOracleLockStep(t *testing.T) {
 	}
 }
 
-// laneAccess is one demand access as runLoop makes it: Hit first, and
+// laneAccess is one demand access through the lane: Hit first, and
 // Access when Hit declines.
 func laneAccess(h *Hierarchy, addr uint64, write bool) uint64 {
 	if h.Hit(addr, write) {
-		return h.cfg.L1HitCycles
+		return h.HitCycles()
 	}
 	return h.Access(addr, 8, write)
 }

@@ -1,6 +1,11 @@
 package cache
 
-import "testing"
+import (
+	"bytes"
+	"math/rand"
+	"slices"
+	"testing"
+)
 
 // The resident-line table is exact only because every change of
 // residency drops what it invalidates. Each test below tables one line,
@@ -162,16 +167,37 @@ func TestHitDeclinesAfterFlush(t *testing.T) {
 	declines(t, h, addr, "Flush")
 }
 
-func TestHitDeclinesInWarmingLane(t *testing.T) {
+// In the warming lane Hit serves a tabled line as the lane's Access
+// would: the stamps and the dirty bit move, nothing is counted, and the
+// hit costs the flat cost.
+func TestHitServesWarmingLane(t *testing.T) {
 	const addr = 0x4000
-	h := tabled(t, DefaultP4(), addr)
+	h, twin := tabled(t, DefaultP4(), addr), New(DefaultP4())
+	for range 3 {
+		twin.Access(addr, 8, false)
+	}
+	counted := h.Stats()
 	h.SetFunctional(3)
-	declines(t, h, addr, "SetFunctional")
-	h.Access(addr, 8, false)
-	declines(t, h, addr, "a warming-lane hit")
+	twin.SetFunctional(3)
+	if h.HitCycles() != 3 {
+		t.Fatalf("HitCycles = %d in the warming lane, want the flat cost 3", h.HitCycles())
+	}
+	for i := range 10 {
+		write := i%3 == 0
+		if !h.Hit(addr+uint64(i*8), write) {
+			t.Fatalf("Hit %d declined in the warming lane", i)
+		}
+		twin.Access(addr+uint64(i*8), 8, write)
+	}
+	if h.Stats() != counted {
+		t.Fatalf("stats %+v after warming-lane hits, %+v before", h.Stats(), counted)
+	}
+	if string(h.Snapshot().Data) != string(twin.Snapshot().Data) {
+		t.Fatal("snapshot differs from Access alone")
+	}
 	h.SetDetailed()
 	if !h.Hit(addr, false) {
-		t.Fatal("SetDetailed did not bring back a line that stayed resident")
+		t.Fatal("SetDetailed dropped a line that stayed resident")
 	}
 }
 
@@ -189,6 +215,89 @@ func TestHitDeclinesAfterWarmingEviction(t *testing.T) {
 		t.Fatal("the set's fills did not evict the line")
 	}
 	declines(t, h, addr, "an L1 eviction in the warming lane")
+}
+
+// TestHitAtLockStep holds HitAt under the software-prefetch model to a
+// twin hierarchy driven by Access alone, on a random stream whose
+// accesses run at PCs some of which are installed sites: HitAt must
+// decline wherever Access would issue a prefetch, across site table
+// changes, lane switches and a Restore to an earlier site table.
+func TestHitAtLockStep(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		cfg := DefaultP4()
+		cfg.L1Size = 4 * 1024
+		h, twin := New(cfg), New(cfg)
+		cpu := &swCPU{user: true}
+		var hEv, twinEv eventLog
+		for _, x := range []*Hierarchy{h, twin} {
+			x.EnableSwPrefetch(cpu, 2)
+		}
+		h.SetListener(&hEv)
+		twin.SetListener(&twinEv)
+		rng := rand.New(rand.NewSource(seed))
+		s := &oracleStream{rng: rng, cfg: cfg, pages: 2 * cfg.TLBEntries}
+		var saved [2][]byte
+		for i := 0; i < 40_000; i++ {
+			switch op := rng.Intn(2000); {
+			case op < 4:
+				// Up to four of the eight PCs become sites.
+				sites := map[uint64]int64{}
+				for j := rng.Intn(5); j > 0; j-- {
+					sites[4*uint64(rng.Intn(8))] = int64(rng.Intn(9)-4) * int64(cfg.LineSize)
+				}
+				h.SetSwPrefetchSites(sites)
+				twin.SetSwPrefetchSites(sites)
+			case op < 12:
+				if h.Functional() {
+					h.SetDetailed()
+					twin.SetDetailed()
+				} else {
+					h.SetFunctional(3)
+					twin.SetFunctional(3)
+				}
+			case op < 40 && i > 0:
+				// An explicit prefetch near the stream, after lane hits.
+				a := s.history[rng.Intn(len(s.history))] + uint64(rng.Intn(4*cfg.LineSize))
+				if got, want := h.SoftwarePrefetch(a), twin.SoftwarePrefetch(a); got != want {
+					t.Fatalf("seed %d before access %d: SoftwarePrefetch(%#x) cost %d, Access alone %d", seed, i, a, got, want)
+				}
+			case op < 42:
+				saved = [2][]byte{h.Snapshot().Data, twin.Snapshot().Data}
+			case op < 44 && saved[0] != nil:
+				st := h.Snapshot()
+				st.Data = saved[0]
+				if err := h.Restore(st); err != nil {
+					t.Fatal(err)
+				}
+				st.Data = saved[1]
+				if err := twin.Restore(st); err != nil {
+					t.Fatal(err)
+				}
+			}
+			addr, write := s.next()
+			cpu.pc = 4 * uint64(rng.Intn(8))
+			want := twin.Access(addr, 8, write)
+			got := h.HitCycles()
+			if !h.HitAt(cpu.pc, addr, write) {
+				got = h.Access(addr, 8, write)
+			}
+			if got != want {
+				t.Fatalf("seed %d access %d (%#x at pc %d): cost %d, Access alone %d", seed, i, addr, cpu.pc, got, want)
+			}
+			if !slices.Equal(hEv, twinEv) {
+				t.Fatalf("seed %d access %d: events %v, Access alone %v", seed, i, hEv, twinEv)
+			}
+			hEv, twinEv = hEv[:0], twinEv[:0]
+			if i%1000 == 999 {
+				if h.Stats() != twin.Stats() {
+					t.Fatalf("seed %d access %d: stats %+v, Access alone %+v", seed, i, h.Stats(), twin.Stats())
+				}
+				if !bytes.Equal(h.Snapshot().Data, twin.Snapshot().Data) {
+					t.Fatalf("seed %d access %d: snapshot differs from Access alone", seed, i)
+				}
+			}
+		}
+	}
 }
 
 func TestHitDeclinesUnderSwPrefetch(t *testing.T) {

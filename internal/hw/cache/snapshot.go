@@ -146,13 +146,15 @@ func (h *Hierarchy) Restore(st snap.ComponentState) error {
 		return err
 	}
 	// Any restored L1 line may be in a restored attribution set. The
-	// resident-line table points into the abandoned arrays, and Hit's
-	// counts belong to the abandoned state.
+	// resident-line table points into the abandoned arrays, the lane's
+	// counts belong to the abandoned state, and the site flags to the
+	// abandoned site table.
 	for i := range next.l1Pending {
 		next.l1Pending[i] = true
 	}
 	next.clearResident()
 	next.laneHits, next.laneStores = 0, 0
+	next.flagSites()
 	*h = next
 	return nil
 }

@@ -86,14 +86,12 @@ type CPU struct {
 	Barrier func(slotAddr, value uint64)
 
 	// ifetch, when non-nil, models instruction fetch (the opt-in
-	// I-cache of the code-layout optimization): it is called once per
-	// code-line transition with the new PC and returns the stall
-	// cycles. lastFetchLine tracks the line the front end last fetched
-	// so straight-line execution inside one line costs nothing, and so
-	// the check is idempotent — runLoop and Step both test it, which
-	// makes runLoop's delegation to Step charge each fetch exactly
-	// once. Nil for every pre-framework configuration: the nil test is
-	// the only new work on the hot path.
+	// I-cache of the code-layout optimization): Step calls it once per
+	// code-line transition with the new PC and adds the stall cycles
+	// it returns. lastFetchLine tracks the line the front end last
+	// fetched, so straight-line execution inside one line costs
+	// nothing; the fast loop compares it inline and stops at a change
+	// of line. Nil for every pre-framework configuration.
 	ifetch        func(pc uint64) uint64
 	ifetchShift   uint
 	lastFetchLine uint64
@@ -229,14 +227,22 @@ func (c *CPU) InstrAt(addr uint64) (Instr, bool) {
 // The runtime and the collectors load and store through these: they run
 // on the same core and therefore share the same caches and cycle
 // counter (GC traffic evicting application data is a real effect the
-// paper's collectors contend with). Like runLoop, they take the
-// memory's lane and call Read*/Write* only when it declines; Step keeps
-// the plain Read*/Write* calls and is the reference runLoop is tested
-// against.
+// paper's collectors contend with). Like the fast loop, they take the
+// hierarchy's lane (Hit, for accesses no instruction makes) and the
+// memory's, and call Access and Read*/Write* only when a lane declines.
+
+// serviceAccess charges one demand access the VM makes on its own
+// behalf.
+func (c *CPU) serviceAccess(addr uint64, size int, write bool) uint64 {
+	if c.Hier.Hit(addr, write) {
+		return c.Hier.HitCycles()
+	}
+	return c.Hier.Access(addr, size, write)
+}
 
 // LoadWord performs a timed 64-bit load.
 func (c *CPU) LoadWord(addr uint64) uint64 {
-	c.cycles += c.Hier.Access(addr, 8, false)
+	c.cycles += c.serviceAccess(addr, 8, false)
 	if v, ok := c.Mem.Load8(addr); ok {
 		return v
 	}
@@ -245,7 +251,7 @@ func (c *CPU) LoadWord(addr uint64) uint64 {
 
 // StoreWord performs a timed 64-bit store.
 func (c *CPU) StoreWord(addr uint64, v uint64) {
-	c.cycles += c.Hier.Access(addr, 8, true)
+	c.cycles += c.serviceAccess(addr, 8, true)
 	if !c.Mem.Store8(addr, v) {
 		c.Mem.Write8(addr, v)
 	}
@@ -253,7 +259,7 @@ func (c *CPU) StoreWord(addr uint64, v uint64) {
 
 // LoadHalf performs a timed 32-bit load (zero-extended).
 func (c *CPU) LoadHalf(addr uint64) uint32 {
-	c.cycles += c.Hier.Access(addr, 4, false)
+	c.cycles += c.serviceAccess(addr, 4, false)
 	if v, ok := c.Mem.Load4(addr); ok {
 		return v
 	}
@@ -262,10 +268,19 @@ func (c *CPU) LoadHalf(addr uint64) uint32 {
 
 // StoreHalf performs a timed 32-bit store.
 func (c *CPU) StoreHalf(addr uint64, v uint32) {
-	c.cycles += c.Hier.Access(addr, 4, true)
+	c.cycles += c.serviceAccess(addr, 4, true)
 	if !c.Mem.Store4(addr, v) {
 		c.Mem.Write4(addr, v)
 	}
+}
+
+// access charges one demand access of the instruction executing at
+// c.PC: the lane's hit when it serves, Access otherwise.
+func (c *CPU) access(addr uint64, size int, write bool) uint64 {
+	if c.Hier.HitAt(c.PC, addr, write) {
+		return c.Hier.HitCycles()
+	}
+	return c.Hier.Access(addr, size, write)
 }
 
 // base resolves a memory-operand base register encoding.
@@ -371,28 +386,28 @@ func (c *CPU) Step() bool {
 
 	case OpLd8:
 		a := c.base(in.Rs1) + uint64(in.Imm)
-		c.cycles += c.Hier.Access(a, 8, false)
+		c.cycles += c.access(a, 8, false)
 		c.setReg(in.Rd, c.Mem.Read8(a))
 	case OpLd4:
 		a := c.base(in.Rs1) + uint64(in.Imm)
-		c.cycles += c.Hier.Access(a, 4, false)
+		c.cycles += c.access(a, 4, false)
 		c.setReg(in.Rd, uint64(c.Mem.Read4(a)))
 	case OpLd2:
 		a := c.base(in.Rs1) + uint64(in.Imm)
-		c.cycles += c.Hier.Access(a, 2, false)
+		c.cycles += c.access(a, 2, false)
 		c.setReg(in.Rd, uint64(c.Mem.Read2(a)))
 	case OpLd1:
 		a := c.base(in.Rs1) + uint64(in.Imm)
-		c.cycles += c.Hier.Access(a, 1, false)
+		c.cycles += c.access(a, 1, false)
 		c.setReg(in.Rd, uint64(c.Mem.Read1(a)))
 
 	case OpSt8:
 		a := c.base(in.Rs1) + uint64(in.Imm)
-		c.cycles += c.Hier.Access(a, 8, true)
+		c.cycles += c.access(a, 8, true)
 		c.Mem.Write8(a, c.reg(in.Rs2))
 	case OpStRef:
 		a := c.base(in.Rs1) + uint64(in.Imm)
-		c.cycles += c.Hier.Access(a, 8, true)
+		c.cycles += c.access(a, 8, true)
 		v := c.reg(in.Rs2)
 		c.Mem.Write8(a, v)
 		c.cycles += c.cfg.BarrierCycles
@@ -401,23 +416,23 @@ func (c *CPU) Step() bool {
 		}
 	case OpSt2:
 		a := c.base(in.Rs1) + uint64(in.Imm)
-		c.cycles += c.Hier.Access(a, 2, true)
+		c.cycles += c.access(a, 2, true)
 		c.Mem.Write2(a, uint16(c.reg(in.Rs2)))
 	case OpSt1:
 		a := c.base(in.Rs1) + uint64(in.Imm)
-		c.cycles += c.Hier.Access(a, 1, true)
+		c.cycles += c.access(a, 1, true)
 		c.Mem.Write1(a, uint8(c.reg(in.Rs2)))
 
 	case OpEnter:
 		c.SP -= 8
-		c.cycles += c.Hier.Access(c.SP, 8, true)
+		c.cycles += c.access(c.SP, 8, true)
 		c.Mem.Write8(c.SP, c.FP)
 		c.FP = c.SP
 		c.SP -= uint64(in.Imm)
 
 	case OpLeave:
 		c.SP = c.FP
-		c.cycles += c.Hier.Access(c.SP, 8, false)
+		c.cycles += c.access(c.SP, 8, false)
 		c.FP = c.Mem.Read8(c.SP)
 		c.SP += 8
 
@@ -425,7 +440,7 @@ func (c *CPU) Step() bool {
 		c.cycles += c.cfg.CallCycles
 		// Load the target from the method entry table.
 		slot := c.cfg.MethodTableBase + uint64(in.Imm)*8
-		c.cycles += c.Hier.Access(slot, 8, false)
+		c.cycles += c.access(slot, 8, false)
 		target := c.Mem.Read8(slot)
 		if target == 0 {
 			c.fault(fmt.Sprintf("call to unresolved method %d", in.Imm))
@@ -443,16 +458,16 @@ func (c *CPU) Step() bool {
 		}
 		// Load the class ID from the object header, then the vtable
 		// pointer, then the method entry — all real, cached loads.
-		c.cycles += c.Hier.Access(recv, 4, false)
+		c.cycles += c.access(recv, 4, false)
 		classID := uint64(c.Mem.Read4(recv))
 		vtSlot := c.cfg.VTableMapBase + classID*8
-		c.cycles += c.Hier.Access(vtSlot, 8, false)
+		c.cycles += c.access(vtSlot, 8, false)
 		vt := c.Mem.Read8(vtSlot)
 		if vt == 0 {
 			c.fault(fmt.Sprintf("virtual call on class %d without vtable", classID))
 		}
 		entry := vt + uint64(in.Imm)*8
-		c.cycles += c.Hier.Access(entry, 8, false)
+		c.cycles += c.access(entry, 8, false)
 		target := c.Mem.Read8(entry)
 		if target == 0 {
 			c.fault(fmt.Sprintf("virtual slot %d of class %d unresolved", in.Imm, classID))
@@ -463,7 +478,7 @@ func (c *CPU) Step() bool {
 
 	case OpRet:
 		c.cycles += c.cfg.CallCycles
-		c.cycles += c.Hier.Access(c.SP, 8, false)
+		c.cycles += c.access(c.SP, 8, false)
 		target := c.Mem.Read8(c.SP)
 		c.SP += 8
 		if target == 0 {
@@ -520,7 +535,7 @@ func (c *CPU) Step() bool {
 
 func (c *CPU) pushRet(ret uint64) {
 	c.SP -= 8
-	c.cycles += c.Hier.Access(c.SP, 8, true)
+	c.cycles += c.access(c.SP, 8, true)
 	c.Mem.Write8(c.SP, ret)
 }
 

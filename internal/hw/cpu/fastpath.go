@@ -1,43 +1,35 @@
 package cpu
 
-// Fast-path interpreter: a horizon-bounded inner loop over the
-// installed code that executes the common opcodes without
-// per-instruction Step overhead while remaining cycle- and
-// state-identical to Step (DESIGN.md §11, pinned by
-// TestGoldenEquivalence and TestRunLoopStepEquivalence).
+// The run loop: a call-free fast loop retires the common instructions,
+// and Step executes every other one (DESIGN.md §11, pinned by
+// TestGoldenEquivalence, TestRunLoopStepEquivalence and
+// TestFastLoopExits).
 //
 // Identity argument, in brief:
 //
-//   - PC, cycles and instret live in locals, but every call-out that
-//     can observe or mutate CPU state — Hierarchy.Access (whose event
-//     listeners run PEBS capture: SamplePC/SampleRegs/AddCycles), the
-//     write barrier (AddCycles), and the trap handler — sees them
-//     flushed first, and cycles/instret are reloaded afterwards. This
-//     reproduces Step's `c.cycles += c.Hier.Access(...)` semantics,
-//     where the Go evaluation order reads c.cycles after the call.
-//   - Every load and store first tries Hierarchy.Hit, the inlined
-//     resident-line lane. A lane hit is an L1 hit with a DTLB hit: no
-//     listener fires on one and nothing else runs, so nothing can
-//     observe the CPU during it, and the loop adds L1HitCycles to its
-//     local cycle count without a flush. Only when Hit declines does
-//     the access flush and call Access.
-//   - Every load and store does its data operation after the access,
-//     through the memory's inlinable lane (mem.Memory.Load8, Store8,
-//     …). Only when the lane declines — first touch of a page, or a
-//     fault — does it call Read*/Write*, with PC, cycles and instret
-//     flushed first, so a fault leaves the counters exactly as Step's
-//     does (TestRunLoopStepFaultsAgree).
-//   - The register file and SP/FP stay struct-resident, so samples
-//     taken mid-access read exactly what Step's would.
-//   - Rare or intricate opcodes (calls, divides, traps, unknown)
-//     delegate to Step itself with state flushed, so the two
-//     interpreters cannot drift on them.
+//   - The fast loop makes no call at all: its lanes (Hierarchy.HitAt,
+//     Memory.Page and the Page accessors) inline, and `make vet` fails
+//     when its listing holds a CALL other than a runtime panic or stack
+//     growth. So no listener, barrier, trap handler or I-fetch hook can
+//     run while PC, cycles and instret sit in its locals, and nothing
+//     can observe the CPU inside it.
+//   - It retires an instruction only when it can do all of it: ALU ops
+//     (a divide by a nonzero divisor), jumps and branches, and the
+//     loads, stores, Enter, Leave and Ret
+//     whose access the lane serves (an L1 hit with a DTLB hit, which
+//     raises no event and costs HitCycles) on a page the memory already
+//     holds, which cannot fault. Before any other instruction it
+//     stops, having changed nothing for it: every test that can send
+//     an instruction to Step comes before the instruction's first
+//     effect, and the lane itself changes nothing when it declines.
+//   - Step executes the instruction the fast loop stopped at, so every
+//     miss, fault, barrier, call, trap, halt and fetch-line change runs
+//     through the one reference implementation.
 //   - The cycle horizon and instruction budget are checked before
-//     every instruction, so ticker scheduling, pause points and
+//     every instruction in both, so ticker scheduling, pause points and
 //     Run(maxInstr) accounting are bit-identical to a Step loop.
-//   - The halt flag and a pending Yield share one byte (CPU.stop), so
-//     the loop tests both with the load the halt test alone would
-//     take.
+//   - The halt flag and a pending Yield share one byte (CPU.stop), set
+//     only by calls, so runLoop tests it after each Step.
 
 // RunCycles executes instructions until the cycle counter reaches
 // horizon, the CPU halts, or a fault aborts the run. It is the
@@ -61,56 +53,54 @@ func (c *CPU) Run(maxInstr uint64) uint64 {
 	return c.runLoop(^uint64(0), maxInstr)
 }
 
-// runLoop is the shared tight interpreter loop. It retires whole
-// instructions while cycles < cycleHorizon and the instruction budget
-// lasts, and no halt or Yield ends it, and returns the number of
-// instructions retired. Its callers clear a pending Yield first: the
-// request was made before the caller's own deadline scan, which has
-// answered it. A Yield from within the loop ends it through the test
-// that ends it on a halt.
+// runLoop retires whole instructions while cycles < cycleHorizon and
+// the instruction budget lasts, and no halt or Yield ends it, and
+// returns the number of instructions retired. Its callers clear a
+// pending Yield first: the request was made before the caller's own
+// deadline scan, which has answered it. A Yield from within Step ends
+// the loop through the test that ends it on a halt.
 func (c *CPU) runLoop(cycleHorizon, budget uint64) uint64 {
+	start := budget
+	for c.stop == 0 && c.cycles < cycleHorizon && budget != 0 {
+		budget -= c.fastLoop(cycleHorizon, budget)
+		if c.cycles < cycleHorizon && budget != 0 {
+			c.Step()
+			budget--
+		}
+	}
+	return start - budget
+}
+
+// fastLoop retires instructions while cycles < cycleHorizon and fewer
+// than budget have retired, and stops earlier at the first instruction
+// it cannot retire without a call, with PC at that instruction and
+// nothing of it done. It returns the number of instructions retired.
+func (c *CPU) fastLoop(cycleHorizon, budget uint64) uint64 {
 	code := c.code
 	cbase := c.cfg.CodeBase
-	clen := uint64(len(code))
-	mulCycles := c.cfg.MulCycles
 	takenBranch := c.cfg.TakenBranchCycles
-	callCycles := c.cfg.CallCycles
-	barrierCycles := c.cfg.BarrierCycles
-	l1Hit := c.Hier.Config().L1HitCycles
+	hitCycles := c.Hier.HitCycles()
+	// Without the fetch hook every PC lies on fetch line 0 (PCs stay
+	// below 2^63), so the line test needs no test of the hook.
+	fetchShift, fetchLine := uint(63), uint64(0)
+	if c.ifetch != nil {
+		fetchShift, fetchLine = c.ifetchShift, c.lastFetchLine
+	}
 
-	// Hot state in locals; flushed at every call-out and at loop exit.
-	pc := c.PC
-	cyc := c.cycles
-	ins := c.instret
-	startBudget := budget
-	ifetchOn := c.ifetch != nil
-
+	pc, cyc := c.PC, c.cycles
+	left := budget
 run:
-	for c.stop == 0 && cyc < cycleHorizon && budget != 0 {
-		if pc < cbase {
-			c.PC, c.cycles, c.instret = pc, cyc, ins
-			c.fault("PC outside code space")
-		}
+	for cyc < cycleHorizon && left != 0 {
+		// Below the code base pc-cbase wraps to beyond the code.
 		idx := (pc - cbase) / InstrBytes
-		if idx >= clen {
-			c.PC, c.cycles, c.instret = pc, cyc, ins
-			c.fault("PC beyond installed code")
+		if idx >= uint64(len(code)) {
+			break // Step faults
+		}
+		if pc>>(fetchShift&63) != fetchLine {
+			break // Step charges the fetch
 		}
 		in := &code[idx]
-		if ifetchOn {
-			if line := pc >> c.ifetchShift; line != c.lastFetchLine {
-				// Same flush-reload discipline as a data access: the
-				// fetch can miss, fire the listener, and run PEBS
-				// capture, all of which must see live counters.
-				c.lastFetchLine = line
-				c.PC, c.cycles, c.instret = pc, cyc, ins
-				cost := c.ifetch(pc)
-				cyc = c.cycles + cost
-			}
-		}
-		budget--
-		cyc++
-		ins++
+		next := pc + InstrBytes
 
 		switch in.Op {
 		case OpNop:
@@ -125,8 +115,22 @@ run:
 		case OpSub:
 			c.setReg(in.Rd, c.reg(in.Rs1)-c.reg(in.Rs2))
 		case OpMul:
-			cyc += mulCycles
+			cyc += c.cfg.MulCycles
 			c.setReg(in.Rd, uint64(int64(c.reg(in.Rs1))*int64(c.reg(in.Rs2))))
+		case OpDiv:
+			d := int64(c.reg(in.Rs2))
+			if d == 0 {
+				break run // Step traps
+			}
+			cyc += c.cfg.DivCycles
+			c.setReg(in.Rd, uint64(int64(c.reg(in.Rs1))/d))
+		case OpRem:
+			d := int64(c.reg(in.Rs2))
+			if d == 0 {
+				break run // Step traps
+			}
+			cyc += c.cfg.DivCycles
+			c.setReg(in.Rd, uint64(int64(c.reg(in.Rs1))%d))
 		case OpAnd:
 			c.setReg(in.Rd, c.reg(in.Rs1)&c.reg(in.Rs2))
 		case OpOr:
@@ -147,251 +151,148 @@ run:
 
 		case OpLd8:
 			a := c.base(in.Rs1) + uint64(in.Imm)
-			if c.Hier.Hit(a, false) {
-				cyc += l1Hit
-			} else {
-				c.PC, c.cycles, c.instret = pc, cyc, ins
-				cost := c.Hier.Access(a, 8, false)
-				cyc = c.cycles + cost
+			p := c.Mem.Page(a, 8)
+			if p == nil || !c.Hier.HitAt(pc, a, false) {
+				break run
 			}
-			v, ok := c.Mem.Load8(a)
-			if !ok {
-				c.PC, c.cycles, c.instret = pc, cyc, ins
-				v = c.Mem.Read8(a)
-			}
-			c.setReg(in.Rd, v)
+			cyc += hitCycles
+			c.setReg(in.Rd, p.Load8(a))
 		case OpLd4:
 			a := c.base(in.Rs1) + uint64(in.Imm)
-			if c.Hier.Hit(a, false) {
-				cyc += l1Hit
-			} else {
-				c.PC, c.cycles, c.instret = pc, cyc, ins
-				cost := c.Hier.Access(a, 4, false)
-				cyc = c.cycles + cost
+			p := c.Mem.Page(a, 4)
+			if p == nil || !c.Hier.HitAt(pc, a, false) {
+				break run
 			}
-			v, ok := c.Mem.Load4(a)
-			if !ok {
-				c.PC, c.cycles, c.instret = pc, cyc, ins
-				v = c.Mem.Read4(a)
-			}
-			c.setReg(in.Rd, uint64(v))
+			cyc += hitCycles
+			c.setReg(in.Rd, uint64(p.Load4(a)))
 		case OpLd2:
 			a := c.base(in.Rs1) + uint64(in.Imm)
-			if c.Hier.Hit(a, false) {
-				cyc += l1Hit
-			} else {
-				c.PC, c.cycles, c.instret = pc, cyc, ins
-				cost := c.Hier.Access(a, 2, false)
-				cyc = c.cycles + cost
+			p := c.Mem.Page(a, 2)
+			if p == nil || !c.Hier.HitAt(pc, a, false) {
+				break run
 			}
-			v, ok := c.Mem.Load2(a)
-			if !ok {
-				c.PC, c.cycles, c.instret = pc, cyc, ins
-				v = c.Mem.Read2(a)
-			}
-			c.setReg(in.Rd, uint64(v))
+			cyc += hitCycles
+			c.setReg(in.Rd, uint64(p.Load2(a)))
 		case OpLd1:
 			a := c.base(in.Rs1) + uint64(in.Imm)
-			if c.Hier.Hit(a, false) {
-				cyc += l1Hit
-			} else {
-				c.PC, c.cycles, c.instret = pc, cyc, ins
-				cost := c.Hier.Access(a, 1, false)
-				cyc = c.cycles + cost
+			p := c.Mem.Page(a, 1)
+			if p == nil || !c.Hier.HitAt(pc, a, false) {
+				break run
 			}
-			v, ok := c.Mem.Load1(a)
-			if !ok {
-				c.PC, c.cycles, c.instret = pc, cyc, ins
-				v = c.Mem.Read1(a)
-			}
-			c.setReg(in.Rd, uint64(v))
+			cyc += hitCycles
+			c.setReg(in.Rd, uint64(p.Load1(a)))
 
 		case OpSt8:
 			a := c.base(in.Rs1) + uint64(in.Imm)
-			if c.Hier.Hit(a, true) {
-				cyc += l1Hit
-			} else {
-				c.PC, c.cycles, c.instret = pc, cyc, ins
-				cost := c.Hier.Access(a, 8, true)
-				cyc = c.cycles + cost
-			}
-			if v := c.reg(in.Rs2); !c.Mem.Store8(a, v) {
-				c.PC, c.cycles, c.instret = pc, cyc, ins
-				c.Mem.Write8(a, v)
-			}
-		case OpStRef:
-			a := c.base(in.Rs1) + uint64(in.Imm)
-			if c.Hier.Hit(a, true) {
-				cyc += l1Hit
-			} else {
-				c.PC, c.cycles, c.instret = pc, cyc, ins
-				cost := c.Hier.Access(a, 8, true)
-				cyc = c.cycles + cost
-			}
-			v := c.reg(in.Rs2)
-			if !c.Mem.Store8(a, v) {
-				c.PC, c.cycles, c.instret = pc, cyc, ins
-				c.Mem.Write8(a, v)
-			}
-			cyc += barrierCycles
-			if c.Barrier != nil {
-				// The barrier charges AddCycles for remembered-set
-				// records; it must see (and we must keep) the live
-				// counter.
-				c.PC, c.cycles, c.instret = pc, cyc, ins
-				c.Barrier(a, v)
-				cyc = c.cycles
-			}
-		case OpSt2:
-			a := c.base(in.Rs1) + uint64(in.Imm)
-			if c.Hier.Hit(a, true) {
-				cyc += l1Hit
-			} else {
-				c.PC, c.cycles, c.instret = pc, cyc, ins
-				cost := c.Hier.Access(a, 2, true)
-				cyc = c.cycles + cost
-			}
-			if v := uint16(c.reg(in.Rs2)); !c.Mem.Store2(a, v) {
-				c.PC, c.cycles, c.instret = pc, cyc, ins
-				c.Mem.Write2(a, v)
-			}
-		case OpSt1:
-			a := c.base(in.Rs1) + uint64(in.Imm)
-			if c.Hier.Hit(a, true) {
-				cyc += l1Hit
-			} else {
-				c.PC, c.cycles, c.instret = pc, cyc, ins
-				cost := c.Hier.Access(a, 1, true)
-				cyc = c.cycles + cost
-			}
-			if v := uint8(c.reg(in.Rs2)); !c.Mem.Store1(a, v) {
-				c.PC, c.cycles, c.instret = pc, cyc, ins
-				c.Mem.Write1(a, v)
-			}
-
-		case OpEnter:
-			c.SP -= 8
-			if c.Hier.Hit(c.SP, true) {
-				cyc += l1Hit
-			} else {
-				c.PC, c.cycles, c.instret = pc, cyc, ins
-				cost := c.Hier.Access(c.SP, 8, true)
-				cyc = c.cycles + cost
-			}
-			if !c.Mem.Store8(c.SP, c.FP) {
-				c.PC, c.cycles, c.instret = pc, cyc, ins
-				c.Mem.Write8(c.SP, c.FP)
-			}
-			c.FP = c.SP
-			c.SP -= uint64(in.Imm)
-		case OpLeave:
-			c.SP = c.FP
-			if c.Hier.Hit(c.SP, false) {
-				cyc += l1Hit
-			} else {
-				c.PC, c.cycles, c.instret = pc, cyc, ins
-				cost := c.Hier.Access(c.SP, 8, false)
-				cyc = c.cycles + cost
-			}
-			fp, ok := c.Mem.Load8(c.SP)
-			if !ok {
-				c.PC, c.cycles, c.instret = pc, cyc, ins
-				fp = c.Mem.Read8(c.SP)
-			}
-			c.FP = fp
-			c.SP += 8
-
-		case OpRet:
-			cyc += callCycles
-			if c.Hier.Hit(c.SP, false) {
-				cyc += l1Hit
-			} else {
-				c.PC, c.cycles, c.instret = pc, cyc, ins
-				cost := c.Hier.Access(c.SP, 8, false)
-				cyc = c.cycles + cost
-			}
-			target, ok := c.Mem.Load8(c.SP)
-			if !ok {
-				c.PC, c.cycles, c.instret = pc, cyc, ins
-				target = c.Mem.Read8(c.SP)
-			}
-			c.SP += 8
-			if target == 0 {
-				// Return from the entry frame: the program is done.
-				// PC stays at the Ret, exactly like Step.
-				c.Halt(0)
+			p := c.Mem.Page(a, 8)
+			if p == nil || !c.Hier.HitAt(pc, a, true) {
 				break run
 			}
-			pc = target
-			continue
+			cyc += hitCycles
+			p.Store8(a, c.reg(in.Rs2))
+		case OpSt2:
+			a := c.base(in.Rs1) + uint64(in.Imm)
+			p := c.Mem.Page(a, 2)
+			if p == nil || !c.Hier.HitAt(pc, a, true) {
+				break run
+			}
+			cyc += hitCycles
+			p.Store2(a, uint16(c.reg(in.Rs2)))
+		case OpSt1:
+			a := c.base(in.Rs1) + uint64(in.Imm)
+			p := c.Mem.Page(a, 1)
+			if p == nil || !c.Hier.HitAt(pc, a, true) {
+				break run
+			}
+			cyc += hitCycles
+			p.Store1(a, uint8(c.reg(in.Rs2)))
+
+		case OpEnter:
+			a := c.SP - 8
+			p := c.Mem.Page(a, 8)
+			if p == nil || !c.Hier.HitAt(pc, a, true) {
+				break run
+			}
+			cyc += hitCycles
+			p.Store8(a, c.FP)
+			c.FP = a
+			c.SP = a - uint64(in.Imm)
+		case OpLeave:
+			a := c.FP
+			p := c.Mem.Page(a, 8)
+			if p == nil || !c.Hier.HitAt(pc, a, false) {
+				break run
+			}
+			cyc += hitCycles
+			c.FP = p.Load8(a)
+			c.SP = a + 8
+
+		case OpRet:
+			a := c.SP
+			p := c.Mem.Page(a, 8)
+			if p == nil {
+				break run
+			}
+			// A return to 0 leaves the entry frame: Step halts.
+			target := p.Load8(a)
+			if target == 0 || !c.Hier.HitAt(pc, a, false) {
+				break run
+			}
+			cyc += c.cfg.CallCycles + hitCycles
+			c.SP = a + 8
+			next = target
 
 		case OpJmp:
 			cyc += takenBranch
-			pc = uint64(in.Imm)
-			continue
+			next = uint64(in.Imm)
 
 		case OpBrEQ:
 			if c.reg(in.Rs1) == c.reg(in.Rs2) {
 				cyc += takenBranch
-				pc = uint64(in.Imm)
-				continue
+				next = uint64(in.Imm)
 			}
 		case OpBrNE:
 			if c.reg(in.Rs1) != c.reg(in.Rs2) {
 				cyc += takenBranch
-				pc = uint64(in.Imm)
-				continue
+				next = uint64(in.Imm)
 			}
 		case OpBrLT:
 			if int64(c.reg(in.Rs1)) < int64(c.reg(in.Rs2)) {
 				cyc += takenBranch
-				pc = uint64(in.Imm)
-				continue
+				next = uint64(in.Imm)
 			}
 		case OpBrLE:
 			if int64(c.reg(in.Rs1)) <= int64(c.reg(in.Rs2)) {
 				cyc += takenBranch
-				pc = uint64(in.Imm)
-				continue
+				next = uint64(in.Imm)
 			}
 		case OpBrGT:
 			if int64(c.reg(in.Rs1)) > int64(c.reg(in.Rs2)) {
 				cyc += takenBranch
-				pc = uint64(in.Imm)
-				continue
+				next = uint64(in.Imm)
 			}
 		case OpBrGE:
 			if int64(c.reg(in.Rs1)) >= int64(c.reg(in.Rs2)) {
 				cyc += takenBranch
-				pc = uint64(in.Imm)
-				continue
+				next = uint64(in.Imm)
 			}
 		case OpBrUGE:
 			if c.reg(in.Rs1) >= c.reg(in.Rs2) {
 				cyc += takenBranch
-				pc = uint64(in.Imm)
-				continue
+				next = uint64(in.Imm)
 			}
 
 		default:
-			// Calls, divides, traps, and unimplemented opcodes: undo
-			// the pre-charge (Step charges its own) and delegate, so
-			// the rare cases share one implementation with Step.
-			cyc--
-			ins--
-			c.PC, c.cycles, c.instret = pc, cyc, ins
-			c.Step()
-			cyc, ins = c.cycles, c.instret
-			pc = c.PC
-			// A trap handler may have installed code (recompilation).
-			code = c.code
-			clen = uint64(len(code))
-			continue
+			// StRef (the barrier), calls, traps and unimplemented
+			// opcodes.
+			break run
 		}
-
-		pc += InstrBytes
+		cyc++
+		left--
+		pc = next
 	}
-
-	c.PC, c.cycles, c.instret = pc, cyc, ins
-	return startBudget - budget
+	retired := budget - left
+	c.PC, c.cycles = pc, cyc
+	c.instret += retired
+	return retired
 }

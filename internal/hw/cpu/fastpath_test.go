@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -350,4 +351,257 @@ func TestRunLoopSeesCodeInstalledByTrap(t *testing.T) {
 		t.Fatal("the installed body never ran")
 	}
 	requireSameState(t, "program", ref, fast)
+}
+
+// chargingTrap is a trap handler that does what the VM's services do:
+// it charges cycles and loads and stores through the timed accessors.
+// It resumes a divide by zero at the next instruction.
+type chargingTrap struct{}
+
+func (chargingTrap) Trap(c *CPU, num int64) {
+	if num == TrapDivZero {
+		c.PC += InstrBytes
+	}
+	c.AddCycles(uint64(num))
+	v := c.LoadWord(0x0100_0000)
+	c.StoreWord(0x0100_0040, v+uint64(num))
+	c.StoreHalf(0x0100_0048, c.LoadHalf(0x0100_0040))
+}
+
+// exitProgram is a program that takes every way out of the fast loop,
+// and the code addresses of the instructions it must stop at.
+type exitProgram struct {
+	c     *CPU
+	stops map[string]uint64 // why the fast loop stops -> where
+}
+
+// buildExitProgram builds the program on a fresh CPU. ifetch turns on
+// the I-cache model and swSite installs a software-prefetch site at a
+// load of a line the lane holds. fault, when not "", ends the loop's
+// last iteration with an access at a null or an unaligned address.
+func buildExitProgram(ifetch, swSite bool, fault string) exitProgram {
+	// A small L2 keeps the hierarchy snapshots that the test compares
+	// after every instruction cheap.
+	geom := cache.DefaultP4()
+	geom.L2Size = 64 * 1024
+	c := New(mem.New(), cache.New(geom), DefaultConfig())
+	c.SetTrapHandler(chargingTrap{})
+	c.Barrier = func(slot, value uint64) { c.AddCycles(1 + slot>>3&3) }
+	if ifetch {
+		c.Hier.EnableICache(1024, 2)
+		c.SetIFetch(c.Hier.IFetch, c.Hier.Config().LineSize)
+	}
+	stops := map[string]uint64{}
+	var code []Instr
+	base := c.NextCodeAddr()
+	emit := func(why string, in ...Instr) uint64 {
+		pc := base + uint64(len(code))*InstrBytes
+		if why != "" {
+			stops[why] = pc
+		}
+		code = append(code, in...)
+		return pc
+	}
+	const buf, obj, fresh = 0x0100_0000, 0x0180_0000, 0x0300_0000
+	emit("", Instr{Op: OpJmp}) // to main, patched below
+
+	// Method 0, called by CallM: a frame, a spill and its reload.
+	m0 := emit("", Instr{Op: OpEnter, Imm: 16})
+	emit("", Instr{Op: OpSt8, Rs1: BaseFP, Imm: -8, Rs2: 1},
+		Instr{Op: OpLd8, Rd: 4, Rs1: BaseFP, Imm: -8},
+		Instr{Op: OpLeave}, Instr{Op: OpRet})
+	// Virtual slot 1 of class 3, called by CallV.
+	m1 := emit("", Instr{Op: OpAddImm, Rd: 2, Rs1: 2, Imm: 1}, Instr{Op: OpRet})
+
+	main := emit("", Instr{Op: OpMovImm, Rd: 1, Imm: 2}, // iterations
+		Instr{Op: OpMovImm, Rd: 3, Imm: buf},
+		Instr{Op: OpMovImm, Rd: 5, Imm: obj},
+		Instr{Op: OpMovImm, Rd: 9, Imm: 0x1230},
+		Instr{Op: OpMovImm, Rd: 10, Imm: fresh - mem.PageSize})
+	code[0].Imm = int64(main)
+	loop := emit("CallM", Instr{Op: OpCallM, Imm: 0})
+	emit("CallV", Instr{Op: OpCallV, Rs1: 5, Imm: 1})
+	emit("", Instr{Op: OpSt8, Rs1: 3, Imm: 0, Rs2: 1})
+	emit("site", Instr{Op: OpLd8, Rd: 6, Rs1: 3, Imm: 0})
+	emit("StRef", Instr{Op: OpStRef, Rs1: 3, Imm: 8, Rs2: 9})
+	emit("", Instr{Op: OpDiv, Rd: 7, Rs1: 6, Rs2: 1},
+		Instr{Op: OpRem, Rd: 8, Rs1: 9, Rs2: 1})
+	emit("divide by zero", Instr{Op: OpRem, Rd: 8, Rs1: 9, Rs2: RegZero})
+	emit("Trap", Instr{Op: OpTrap, Imm: 7})
+	emit("", Instr{Op: OpSt2, Rs1: 3, Imm: 18, Rs2: 9},
+		Instr{Op: OpSt1, Rs1: 3, Imm: 21, Rs2: 9},
+		Instr{Op: OpLd4, Rd: 11, Rs1: 3, Imm: 16},
+		Instr{Op: OpLd2, Rd: 12, Rs1: 3, Imm: 18},
+		Instr{Op: OpLd1, Rd: 13, Rs1: 3, Imm: 21},
+		Instr{Op: OpMul, Rd: 11, Rs1: 11, Rs2: 12},
+		Instr{Op: OpAddImm, Rd: 10, Rs1: 10, Imm: mem.PageSize},
+		Instr{Op: OpBrLT, Rs1: 1, Rs2: RegZero, Imm: int64(base)}) // not taken
+	next := base + uint64(len(code)+1)*InstrBytes
+	emit("", Instr{Op: OpBrUGE, Rs1: 1, Rs2: 1, Imm: int64(next)}) // taken
+	emit("page", Instr{Op: OpLd8, Rd: 14, Rs1: 10, Imm: 0})
+	emit("decline", Instr{Op: OpLd8, Rd: 14, Rs1: 3, Imm: 256})
+	emit("", Instr{Op: OpAddImm, Rd: 3, Rs1: 3, Imm: 512},
+		Instr{Op: OpAddImm, Rd: 1, Rs1: 1, Imm: -1})
+	switch fault {
+	case "null":
+		emit("", Instr{Op: OpBrNE, Rs1: 1, Rs2: RegZero, Imm: int64(loop)},
+			Instr{Op: OpMovImm, Rd: 3, Imm: 0})
+		emit("fault", Instr{Op: OpLd8, Rd: 4, Rs1: 3})
+	case "unaligned":
+		// The stack's line, which the lane holds by now.
+		emit("", Instr{Op: OpBrNE, Rs1: 1, Rs2: RegZero, Imm: int64(loop)})
+		emit("fault", Instr{Op: OpSt8, Rs1: BaseSP, Imm: 4, Rs2: 1})
+	}
+	// Straight-line code across fetch lines, then the return to 0.
+	for range 40 {
+		emit("", Instr{Op: OpXor, Rd: 2, Rs1: 2, Rs2: 1})
+	}
+	emit("", Instr{Op: OpBrNE, Rs1: 1, Rs2: RegZero, Imm: int64(loop)})
+	emit("Ret to 0", Instr{Op: OpRet})
+	c.InstallCode(code)
+
+	c.Mem.Write8(c.Config().MethodTableBase, m0)
+	c.Mem.Write4(obj, 3)
+	c.Mem.Write8(c.Config().VTableMapBase+3*8, obj+64)
+	c.Mem.Write8(obj+64+8, m1)
+	c.Mem.Write8(buf, 1) // materializes the buffer's page
+	if swSite {
+		c.Hier.EnableSwPrefetch(c, 2)
+		c.Hier.SetSwPrefetchSites(map[uint64]int64{stops["site"]: 384})
+	} else {
+		delete(stops, "site")
+	}
+	if fault != "" {
+		delete(stops, "Ret to 0")
+	}
+	c.SP = 0x0200_0000 - 8
+	c.Mem.Write8(c.SP, 0)
+	c.PC = base
+	return exitProgram{c: c, stops: stops}
+}
+
+// faultOf runs f and returns what it panicked with, or nil.
+func faultOf(f func()) (v any) {
+	defer func() { v = recover() }()
+	f()
+	return nil
+}
+
+// TestFastLoopExits runs a program that takes every way out of the
+// fast loop — a lane decline, an unmaterialized page, StRef's barrier,
+// CallM and CallV, a divide by zero, a trap, a fetch-line change, a
+// software-prefetch site, Ret to 0, a null and an unaligned access —
+// and holds runLoop to a Step-only run at every instruction budget and
+// at the cycle horizons at and after every instruction's end: PC,
+// cycles, instret, registers and the hierarchy snapshot must agree
+// (memory too, after the whole program), and a faulting run must fault
+// the same way.
+func TestFastLoopExits(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		ifetch, swSite bool
+		fault          string
+	}{
+		{"plain", false, false, ""},
+		{"ifetch", true, false, ""},
+		{"swprefetch", false, true, ""},
+		{"null", false, false, "null"},
+		{"unaligned", true, true, "unaligned"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			build := func() *CPU { return buildExitProgram(tc.ifetch, tc.swSite, tc.fault).c }
+
+			// The reference: Step alone, its state after every instruction.
+			ref := build()
+			var cycles []uint64
+			refFault := faultOf(func() {
+				for ref.Step() {
+					cycles = append(cycles, ref.cycles)
+				}
+			})
+			if (refFault != nil) != (tc.fault != "") {
+				t.Fatalf("reference run recovered %v", refFault)
+			}
+			if refFault == nil {
+				cycles = append(cycles, ref.cycles)
+			}
+			steps := len(cycles)
+
+			// Where the fast loop stops, run as runLoop runs it.
+			prog := buildExitProgram(tc.ifetch, tc.swSite, tc.fault)
+			stopped := map[uint64]bool{}
+			fast, lines := uint64(0), 0
+			faultOf(func() {
+				for c := prog.c; !c.Halted(); c.Step() {
+					fast += c.fastLoop(^uint64(0), ^uint64(0))
+					stopped[c.PC] = true
+					if c.ifetch != nil && c.PC>>c.ifetchShift != c.lastFetchLine {
+						lines++
+					}
+				}
+			})
+			for why, pc := range prog.stops {
+				if !stopped[pc] {
+					t.Errorf("the fast loop never stopped at the %s at %#x", why, pc)
+				}
+			}
+			if tc.ifetch && lines == 0 {
+				t.Error("the fast loop never stopped at a fetch-line change")
+			}
+			if fast < uint64(steps)/2 {
+				t.Errorf("the fast loop retired %d of %d instructions", fast, steps)
+			}
+
+			// Every budget, from a fresh start: the instruction budget's
+			// edge falls after every instruction once.
+			// Memory is compared once, after the whole program: its
+			// snapshots would cost this test most of its time.
+			check := func(what string, run func(c *CPU), refRun func(c *CPU)) {
+				t.Helper()
+				c, r := build(), build()
+				fastFault := faultOf(func() { run(c) })
+				stepFault := faultOf(func() { refRun(r) })
+				if fastFault != stepFault {
+					t.Fatalf("%s: runLoop recovered %v, Step %v", what, fastFault, stepFault)
+				}
+				if r.PC != c.PC || r.cycles != c.cycles || r.instret != c.instret ||
+					r.Regs != c.Regs || r.SP != c.SP || r.FP != c.FP {
+					t.Fatalf("%s: runLoop pc/cycles/instret %#x/%d/%d sp/fp %#x/%#x regs %v,\nStep %#x/%d/%d sp/fp %#x/%#x regs %v",
+						what, c.PC, c.cycles, c.instret, c.SP, c.FP, c.Regs, r.PC, r.cycles, r.instret, r.SP, r.FP, r.Regs)
+				}
+				if string(r.Hier.Snapshot().Data) != string(c.Hier.Snapshot().Data) {
+					t.Fatalf("%s: cache hierarchy state diverges between Step and runLoop", what)
+				}
+				if what == "the whole program" {
+					requireSameState(t, what, r, c)
+				}
+			}
+			check("the whole program", func(c *CPU) { c.Run(^uint64(0)) }, func(c *CPU) {
+				for c.Step() {
+				}
+			})
+			stepN := func(n int) func(c *CPU) {
+				return func(c *CPU) {
+					for i := 0; i < n && c.Step(); i++ {
+					}
+				}
+			}
+			for k := 1; k <= steps+1; k++ {
+				check(fmt.Sprintf("Run(%d)", k), func(c *CPU) { c.Run(uint64(k)) }, stepN(k))
+			}
+			// The cycle horizon's edge at and just after the end of every
+			// instruction.
+			for _, end := range cycles {
+				for _, h := range []uint64{end, end + 1} {
+					check(fmt.Sprintf("RunCycles(%d)", h), func(c *CPU) { c.RunCycles(h) }, func(c *CPU) {
+						for c.cycles < h && c.Step() {
+						}
+					})
+				}
+			}
+			if tc.fault != "" && refFault == nil {
+				t.Fatal("the faulting program did not fault")
+			}
+		})
+	}
 }

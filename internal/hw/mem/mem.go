@@ -24,6 +24,11 @@ const PageSize = 1 << PageBits
 
 const pageMask = PageSize - 1
 
+// Page is one materialized backing page. Its Load* and Store* methods
+// do an access of their width at addr's offset in the page; the byte
+// layout lives only in them.
+type Page [PageSize]byte
+
 // Addr is an address in the simulated physical address space.
 type Addr = uint64
 
@@ -41,14 +46,14 @@ type Memory struct {
 	// dir holds the materialized pages, indexed by page number. Pages
 	// are never unmapped: an entry, once set, stays until Restore
 	// replaces the directory wholesale.
-	dir *[dirPages]*[PageSize]byte
+	dir *[dirPages]*Page
 	// touched counts pages materialized, for footprint reporting.
 	touched int
 }
 
 // New returns an empty address space.
 func New() *Memory {
-	return &Memory{dir: new([dirPages]*[PageSize]byte)}
+	return &Memory{dir: new([dirPages]*Page)}
 }
 
 // FootprintBytes returns the number of bytes of backing store
@@ -61,7 +66,7 @@ func (m *Memory) FootprintBytes() uint64 {
 // it faults on a null, unaligned or beyond-the-directory access, and
 // otherwise returns addr's page, materializing it on first touch, so
 // that the access's lane accepts it from now on.
-func (m *Memory) materialize(addr Addr, size uint64) *[PageSize]byte {
+func (m *Memory) materialize(addr Addr, size uint64) *Page {
 	if addr == 0 {
 		panic(fmt.Sprintf("mem: null dereference (size %d)", size))
 	}
@@ -74,7 +79,7 @@ func (m *Memory) materialize(addr Addr, size uint64) *[PageSize]byte {
 	}
 	p := m.dir[key]
 	if p == nil {
-		p = new([PageSize]byte)
+		p = new(Page)
 		m.touched++
 		m.dir[key] = p
 	}
@@ -83,18 +88,20 @@ func (m *Memory) materialize(addr Addr, size uint64) *[PageSize]byte {
 
 // --- Lanes ------------------------------------------------------------------
 //
-// Load* and Store* are the inlinable fast lane of every access width:
-// they do the access only when it is non-null, aligned, below
-// DirectoryEnd and on a page that is already materialized, and
-// otherwise report !ok and change nothing. The caller then falls back
-// to the matching Read* or Write*, which materializes the page or
-// faults. The fallback cannot live in the lane: a function that
-// contains a call exceeds the compiler's inlining budget, so the lane
-// would become a call of its own.
+// Page is the inlinable page lane: it returns the page an access of a
+// given width may use, and changes nothing. Load* and Store* are the
+// inlinable fast lane of every access width: they do the access only
+// when Page accepts it, and otherwise report !ok and change nothing.
+// The caller then falls back to the matching Read* or Write*, which
+// materializes the page or faults. The fallback cannot live in the
+// lane: a function that contains a call exceeds the compiler's
+// inlining budget, so the lane would become a call of its own.
 
-// lane returns the materialized page an access of size bytes at addr
-// may use without a fallback, or nil.
-func (m *Memory) lane(addr Addr, size uint64) *[PageSize]byte {
+// Page returns the materialized page an access of size bytes at addr
+// may use without a fallback, or nil when the access is null,
+// unaligned, at or beyond DirectoryEnd or on a page not yet
+// materialized.
+func (m *Memory) Page(addr Addr, size uint64) *Page {
 	key := addr >> PageBits
 	if addr == 0 || key >= dirPages || addr&(size-1) != 0 {
 		return nil
@@ -104,85 +111,113 @@ func (m *Memory) lane(addr Addr, size uint64) *[PageSize]byte {
 
 // Load8 is Read8's lane.
 func (m *Memory) Load8(addr Addr) (uint64, bool) {
-	p := m.lane(addr, 8)
-	if p == nil {
-		return 0, false
+	if p := m.Page(addr, 8); p != nil {
+		return p.Load8(addr), true
 	}
-	off := addr & pageMask
-	return binary.LittleEndian.Uint64(p[off : off+8]), true
+	return 0, false
 }
 
 // Load4 is Read4's lane.
 func (m *Memory) Load4(addr Addr) (uint32, bool) {
-	p := m.lane(addr, 4)
-	if p == nil {
-		return 0, false
+	if p := m.Page(addr, 4); p != nil {
+		return p.Load4(addr), true
 	}
-	off := addr & pageMask
-	return binary.LittleEndian.Uint32(p[off : off+4]), true
+	return 0, false
 }
 
 // Load2 is Read2's lane.
 func (m *Memory) Load2(addr Addr) (uint16, bool) {
-	p := m.lane(addr, 2)
-	if p == nil {
-		return 0, false
+	if p := m.Page(addr, 2); p != nil {
+		return p.Load2(addr), true
 	}
-	off := addr & pageMask
-	return binary.LittleEndian.Uint16(p[off : off+2]), true
+	return 0, false
 }
 
 // Load1 is Read1's lane.
 func (m *Memory) Load1(addr Addr) (uint8, bool) {
-	p := m.lane(addr, 1)
-	if p == nil {
-		return 0, false
+	if p := m.Page(addr, 1); p != nil {
+		return p.Load1(addr), true
 	}
-	return p[addr&pageMask], true
+	return 0, false
 }
 
 // Store8 is Write8's lane.
 func (m *Memory) Store8(addr Addr, v uint64) bool {
-	p := m.lane(addr, 8)
-	if p == nil {
-		return false
+	p := m.Page(addr, 8)
+	if p != nil {
+		p.Store8(addr, v)
 	}
-	off := addr & pageMask
-	binary.LittleEndian.PutUint64(p[off:off+8], v)
-	return true
+	return p != nil
 }
 
 // Store4 is Write4's lane.
 func (m *Memory) Store4(addr Addr, v uint32) bool {
-	p := m.lane(addr, 4)
-	if p == nil {
-		return false
+	p := m.Page(addr, 4)
+	if p != nil {
+		p.Store4(addr, v)
 	}
-	off := addr & pageMask
-	binary.LittleEndian.PutUint32(p[off:off+4], v)
-	return true
+	return p != nil
 }
 
 // Store2 is Write2's lane.
 func (m *Memory) Store2(addr Addr, v uint16) bool {
-	p := m.lane(addr, 2)
-	if p == nil {
-		return false
+	p := m.Page(addr, 2)
+	if p != nil {
+		p.Store2(addr, v)
 	}
-	off := addr & pageMask
-	binary.LittleEndian.PutUint16(p[off:off+2], v)
-	return true
+	return p != nil
 }
 
 // Store1 is Write1's lane.
 func (m *Memory) Store1(addr Addr, v uint8) bool {
-	p := m.lane(addr, 1)
-	if p == nil {
-		return false
+	p := m.Page(addr, 1)
+	if p != nil {
+		p.Store1(addr, v)
 	}
-	p[addr&pageMask] = v
-	return true
+	return p != nil
 }
+
+// Load8 reads the 64-bit word at addr's offset.
+func (p *Page) Load8(addr Addr) uint64 {
+	off := addr & pageMask
+	return binary.LittleEndian.Uint64(p[off : off+8])
+}
+
+// Load4 reads the 32-bit word at addr's offset.
+func (p *Page) Load4(addr Addr) uint32 {
+	off := addr & pageMask
+	return binary.LittleEndian.Uint32(p[off : off+4])
+}
+
+// Load2 reads the 16-bit half-word at addr's offset.
+func (p *Page) Load2(addr Addr) uint16 {
+	off := addr & pageMask
+	return binary.LittleEndian.Uint16(p[off : off+2])
+}
+
+// Load1 reads the byte at addr's offset.
+func (p *Page) Load1(addr Addr) uint8 { return p[addr&pageMask] }
+
+// Store8 writes the 64-bit word at addr's offset.
+func (p *Page) Store8(addr Addr, v uint64) {
+	off := addr & pageMask
+	binary.LittleEndian.PutUint64(p[off:off+8], v)
+}
+
+// Store4 writes the 32-bit word at addr's offset.
+func (p *Page) Store4(addr Addr, v uint32) {
+	off := addr & pageMask
+	binary.LittleEndian.PutUint32(p[off:off+4], v)
+}
+
+// Store2 writes the 16-bit half-word at addr's offset.
+func (p *Page) Store2(addr Addr, v uint16) {
+	off := addr & pageMask
+	binary.LittleEndian.PutUint16(p[off:off+2], v)
+}
+
+// Store1 writes the byte at addr's offset.
+func (p *Page) Store1(addr Addr, v uint8) { p[addr&pageMask] = v }
 
 // --- Loads and stores -------------------------------------------------------
 //

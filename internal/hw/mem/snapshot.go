@@ -41,7 +41,7 @@ func (m *Memory) walk(c *snap.Codec) {
 				!c.Check(k < dirPages, "page %#x lies beyond the directory", k) {
 				break
 			}
-			p := new([PageSize]byte)
+			p := new(Page)
 			copy(p[:], b)
 			m.dir[k] = p
 		}
