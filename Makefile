@@ -1,24 +1,36 @@
 # CI entry points. `make ci` is the tier-1 gate plus the race check on
-# the packages the parallel experiment engine touches; it ends by
-# printing `make loc`, so every PR's log carries the number.
+# the packages the parallel experiment engine touches; its last target
+# is `make loc`, so every PR's log carries the number. It runs its
+# targets one after another in the order listed and stops at the first
+# that fails, printing each one's wall time, so a skipped or slow gate
+# shows in the log.
 
 GO ?= go
 
 .PHONY: ci vet build test race bench bench-smoke bench-pairs profile experiments obs serve-smoke verify-opt verify-lanes fuzz-smoke loc traffic
 
-ci: vet build test race verify-opt verify-lanes fuzz-smoke bench-smoke serve-smoke loc
+CI_TARGETS = vet build test race verify-opt verify-lanes fuzz-smoke bench-smoke serve-smoke loc
+ci:
+	@for t in $(CI_TARGETS); do \
+		start=$$(date +%s); \
+		$(MAKE) --no-print-directory $$t || { echo "make ci: $$t failed after $$(( $$(date +%s) - start )) s"; exit 1; }; \
+		echo "make ci: $$t took $$(( $$(date +%s) - start )) s"; \
+	done
 
 # go vet, the gofmt gate — any file `gofmt -l` names (outside the
 # benchmark's build directory) fails the target — the inlining gate:
-# the simulator's inlinable lanes, Hierarchy.Hit and HitAt and mem's
-# Page, Load* and Store*, must still inline — and the call-free gate:
-# the assembly of cpu's fast loop may hold no CALL but a runtime panic
-# or stack growth. A lane that grows past Go's inlining budget silently
-# becomes a call, as does any call that creeps into the fast loop, and
-# no test would notice.
-INLINE_LANES = '(*Hierarchy).Hit' '(*Hierarchy).HitAt' '(*Memory).Page' \
-	'(*Memory).Load8' '(*Memory).Load4' '(*Memory).Load2' '(*Memory).Load1' \
-	'(*Memory).Store8' '(*Memory).Store4' '(*Memory).Store2' '(*Memory).Store1'
+# the simulator's one lane per layer, the cache's Hierarchy.HitAt and
+# mem's page lane (Memory.Page and the eight Page accessors), must
+# still inline — and the call-free gate: the assembly of cpu's fast
+# loop may hold no CALL but a runtime panic or stack growth. A lane
+# that grows past Go's inlining budget silently becomes a call, as does
+# any call that creeps into the fast loop, and no test would notice.
+# The inlining gate also covers the timed accessors, which take the
+# same lanes outside the fast loop: the call-free gate never sees
+# them, and the fast loop uses no Page.Store4.
+INLINE_LANES = '(*Hierarchy).HitAt' '(*Memory).Page' \
+	'(*Page).Load8' '(*Page).Load4' '(*Page).Load2' '(*Page).Load1' \
+	'(*Page).Store8' '(*Page).Store4' '(*Page).Store2' '(*Page).Store1'
 vet:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l . | grep -v '^\.bench_build/'); \

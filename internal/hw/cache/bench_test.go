@@ -3,12 +3,13 @@ package cache
 import "testing"
 
 // The Access benchmarks pin the cost of the simulator's memory-access
-// entry point: every simulated load and store that the resident-line
-// lane (Hierarchy.Hit) does not serve goes through Hierarchy.Access. Hit is the steady-state L1-hit fast path; Miss is
-// the full L1+L2+TLB miss path including prefetcher training; HitLane
-// is the lane in front of Access.
+// slow path: every simulated load and store that the resident-line
+// lane (Hierarchy.HitAt) does not serve goes through Hierarchy.Access.
+// Hit is an L1 hit Access serves; Miss is the full L1+L2+TLB miss path
+// including prefetcher training; HitLane is the lane in front of
+// Access.
 
-// BenchmarkHierarchyAccessHit measures the L1-hit fast path with no
+// BenchmarkHierarchyAccessHit measures an L1 hit through Access with no
 // listener attached (the monitoring-off configuration every baseline
 // run uses).
 func BenchmarkHierarchyAccessHit(b *testing.B) {
@@ -41,8 +42,8 @@ func BenchmarkHierarchyAccessHitMixed(b *testing.B) {
 	benchHitMixed(b, New(DefaultP4()), false)
 }
 
-// BenchmarkHierarchyHitLane is the same walk as runLoop takes it: Hit
-// first, Access when Hit declines.
+// BenchmarkHierarchyHitLane is the same walk as the interpreter takes
+// it: HitAt first, Access when HitAt declines.
 func BenchmarkHierarchyHitLane(b *testing.B) {
 	benchHitMixed(b, New(DefaultP4()), true)
 }
@@ -57,7 +58,7 @@ func BenchmarkHierarchyAccessFunctional(b *testing.B) {
 }
 
 // benchHitMixed walks the working set through Access, or with lane
-// through Hit and then Access.
+// through HitAt and then Access.
 func benchHitMixed(b *testing.B, h *Hierarchy, lane bool) {
 	// 8 KB working set: half the 16 KB L1, always resident.
 	const ws = 8 * 1024
@@ -67,7 +68,7 @@ func benchHitMixed(b *testing.B, h *Hierarchy, lane bool) {
 	b.ResetTimer()
 	addr := uint64(0)
 	for i := 0; i < b.N; i++ {
-		if write := i&7 == 0; !lane || !h.Hit(addr, write) {
+		if write := i&7 == 0; !lane || !h.HitAt(0, addr, write) {
 			h.Access(addr, 8, write)
 		}
 		addr = (addr + 264) & (ws - 1) // coprime-ish stride over the set

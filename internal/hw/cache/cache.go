@@ -340,10 +340,11 @@ func (s IStats) MissRate() float64 { return ratio(s.Misses, s.Fetches) }
 
 // SwPrefetchCPU gives the hierarchy read access to the issuing CPU's
 // architectural state: the software-prefetch model needs the PC of the
-// instruction performing the current demand access (both interpreter
-// loops flush the PC before every Access call-out) to decide whether an
-// injected prefetch site is executing, and the privilege mode to ignore
-// VM-service accesses made with a stale user PC.
+// instruction performing the current demand access (the fast loop
+// hands its PC to Step before any access that needs Access, and Step
+// and the timed accessors call out with it in place) to decide whether
+// an injected prefetch site is executing, and the privilege mode to
+// ignore VM-service accesses made with a stale user PC.
 type SwPrefetchCPU interface {
 	SamplePC() uint64
 	UserMode() bool
@@ -427,7 +428,7 @@ type Hierarchy struct {
 	// Host-side only, never serialized.
 	tlbPred [1 << tlbPredBits]uint32
 
-	// resident is the resident-line table behind Hit, direct-mapped by
+	// resident is the resident-line table behind HitAt, direct-mapped by
 	// the low bits of the line (residentSlot). A slot names a line that
 	// is L1-resident in a way whose pending flag is clear, on a page the
 	// DTLB holds, and points at the three words an L1 hit on it writes.
@@ -435,8 +436,9 @@ type Hierarchy struct {
 	// slot goes when a demand fill or install evicts its line, when
 	// install marks its way pending, and when its page leaves the DTLB
 	// (tlbAccess), in either lane; the whole table goes on Flush and
-	// Restore. Demand accesses of both lanes table lines. Host-side
-	// only, never serialized.
+	// Restore. remember, at the end of a demand access in either lane,
+	// is the one place that tables a line. Host-side only, never
+	// serialized.
 	resident [residentSlots]residentLine
 	// laneHits and laneStores count the lane's accesses since the last
 	// settle. The lane stamps each way with its array's stamp plus
@@ -779,7 +781,7 @@ const residentSlots = 256
 // residentSlot masks rather than hashes: the low line bits spread a
 // working set about as well as a hash does (the lane serves about as
 // many accesses either way), and a hash would cost the lane six more
-// units of its inlining budget. serve spells the mask out: the call
+// units of its inlining budget. HitAt spells the mask out: the call
 // would cost it four units.
 func residentSlot(line uint64) uint64 { return line & (residentSlots - 1) }
 
@@ -793,32 +795,20 @@ type residentLine struct {
 	tlb   *uint64
 }
 
-// Hit is the resident-line lane, the inlinable front of Access, for an
-// access no instruction makes (the VM's timed accessors): when the line
+// HitAt is the resident-line lane, the inlinable front of Access, for
+// an access made while the instruction at pc executes: when the line
 // holding addr is in the resident-line table, it performs the L1 hit
 // Access would — both stamps and the dirty bit written, the access
 // counted — and reports true; the access costs HitCycles, the current
-// lane's hit cost, and raises no event. Otherwise it changes nothing
-// and reports false, and the caller calls Access. Under the
-// software-prefetch model, whose sites are matched against the PC,
-// Hit always declines. Its counts reach Stats and the arrays' stamps at
-// the next settle.
-func (h *Hierarchy) Hit(addr uint64, write bool) bool {
-	return h.sw == nil && h.serve(addr, write)
-}
-
-// HitAt is Hit for an access the instruction at pc makes. It serves
-// under the software-prefetch model too, except at a PC that may be an
-// installed site: a hit there may issue a prefetch.
+// lane's hit cost, and raises no event. Otherwise, and at a pc that may
+// be an installed software-prefetch site (a hit there may issue a
+// prefetch), it changes nothing and reports false, and the caller calls
+// Access. Its counts reach Stats and the arrays' stamps at the next
+// settle.
 func (h *Hierarchy) HitAt(pc, addr uint64, write bool) bool {
-	return !h.swSite[pc>>2&(swSiteSlots-1)] && h.serve(addr, write)
-}
-
-// serve is the body of Hit and HitAt.
-func (h *Hierarchy) serve(addr uint64, write bool) bool {
 	line := addr >> h.lineBits
 	e := &h.resident[line&(residentSlots-1)]
-	if e.line != line {
+	if h.swSite[pc>>2&(swSiteSlots-1)] || e.line != line {
 		return false
 	}
 	h.laneHits++
@@ -896,69 +886,6 @@ func (h *Hierarchy) clearResident() {
 	}
 }
 
-// Access simulates one demand access of the given size at addr and
-// returns the cycle cost. write distinguishes stores from loads.
-// Accesses are assumed not to cross a cache line (the CPU only issues
-// naturally aligned accesses of at most 8 bytes).
-//
-// Every simulated load and store that the lane (Hit, HitAt) does not
-// serve lands here, so the common case of both lanes (DTLB hit in the
-// predicted way, L1 hit, line not awaiting its first demand touch) is
-// written out here with no call: one compare for the DTLB, one per way
-// over the set's key row, the two stamp stores, the counters. A hit on
-// a way that is not pending also tables its line for the lane.
-// Everything else — a miss anywhere, a stale prediction, a pending way
-// in the detailed lane — has changed nothing yet and starts over in
-// accessSlow (TestAccessFingerprint and TestOracleLockStep pin the
-// exact behavior).
-func (h *Hierarchy) Access(addr uint64, size int, write bool) uint64 {
-	h.settle()
-	tlb, l1 := h.tlb, h.l1
-	page, lineAddr := addr>>h.pageBits, addr>>h.lineBits
-	if tw := h.tlbPred[tlbPredSlot(page)]; tlb.keys[tw] == page {
-		base := int(lineAddr&l1.setMask) * l1.assoc
-		for i, k := range l1.keys[base : base+l1.assoc] {
-			if k != lineAddr {
-				continue
-			}
-			way := base + i
-			if h.l1Pending[way] && !h.functional {
-				break
-			}
-			tlb.stamp++
-			tlb.lru[tw] = tlb.stamp
-			l1.stamp++
-			l1.lru[way] = l1.stamp
-			if write {
-				l1.dirty[way] = true
-			}
-			if e := &h.resident[residentSlot(lineAddr)]; e.line != lineAddr && !h.l1Pending[way] {
-				// A tabled line's slot already points at these ways:
-				// a change of way would have dropped it.
-				*e = residentLine{lineAddr, &l1.lru[way], &l1.dirty[way], &tlb.lru[tw]}
-			}
-			if h.functional {
-				return h.flatCost
-			}
-			st := &h.stats
-			st.Accesses++
-			if write {
-				st.Stores++
-			} else {
-				st.Loads++
-			}
-			cycles := h.cfg.L1HitCycles
-			if h.sw != nil {
-				// A prefetch this issues drops what its fill evicts.
-				cycles += h.swSiteIssue(addr)
-			}
-			st.Cycles += cycles
-			return cycles
-		}
-	}
-	return h.accessSlow(addr, write)
-}
-
 // tlbAccess touches addr's page in the DTLB, filling it on a miss, and
 // reports whether it hit. The predictor is consulted first and left
 // naming the page's way.
@@ -978,9 +905,16 @@ func (h *Hierarchy) tlbAccess(addr uint64) bool {
 	return hit
 }
 
-// accessSlow is Access without the shortcut: the full detailed access,
-// or the warming lane's.
-func (h *Hierarchy) accessSlow(addr uint64, write bool) uint64 {
+// Access simulates one demand access of the given size at addr and
+// returns the cycle cost. write distinguishes stores from loads.
+// Accesses are assumed not to cross a cache line (the CPU only issues
+// naturally aligned accesses of at most 8 bytes). It is the one slow
+// path behind the lane (HitAt): every access the lane declines lands
+// here, and it settles the lane's counts first. In the warming lane it
+// is warmAccess at the flat cost (TestAccessFingerprint and
+// TestOracleLockStep pin the exact behavior).
+func (h *Hierarchy) Access(addr uint64, size int, write bool) uint64 {
+	h.settle()
 	if h.functional {
 		h.warmAccess(addr, write)
 		return h.flatCost

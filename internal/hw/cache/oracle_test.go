@@ -407,10 +407,10 @@ func TestOracleLockStep(t *testing.T) {
 	}
 }
 
-// laneAccess is one demand access through the lane: Hit first, and
-// Access when Hit declines.
-func laneAccess(h *Hierarchy, addr uint64, write bool) uint64 {
-	if h.Hit(addr, write) {
+// laneAccess is one demand access through the lane: HitAt at pc first,
+// and Access when HitAt declines.
+func laneAccess(h *Hierarchy, pc, addr uint64, write bool) uint64 {
+	if h.HitAt(pc, addr, write) {
 		return h.HitCycles()
 	}
 	return h.Access(addr, 8, write)
@@ -456,7 +456,7 @@ func oracleRun(t *testing.T, cfg Config, sw bool, seed int64, n int) {
 			// pending flag and table slot moves, then restore: the fast
 			// paths must come back in step with the restored state, not
 			// the abandoned one. Half the accesses revisit recent
-			// addresses, so Hit serves some, and its counts must not
+			// addresses, so HitAt serves some, and its counts must not
 			// outlive the restore.
 			st := h.Snapshot()
 			h.SetListener(nil)
@@ -466,7 +466,7 @@ func oracleRun(t *testing.T, cfg Config, sw bool, seed int64, n int) {
 				if j&2 == 0 && len(recent) > 0 {
 					addr = recent[rng.Intn(len(recent))]
 				}
-				laneAccess(h, addr, j&1 == 0)
+				laneAccess(h, cpu.pc, addr, j&1 == 0)
 			}
 			h.SetListener(&hEv)
 			if err := h.Restore(st); err != nil {
@@ -495,7 +495,7 @@ func oracleRun(t *testing.T, cfg Config, sw bool, seed int64, n int) {
 		addr, write := s.next()
 		cpu.pc, cpu.user = uint64(rng.Intn(8)), rng.Intn(16) != 0
 		twin.Access(addr, 8, write)
-		got, want := laneAccess(h, addr, write), r.Access(addr, write)
+		got, want := laneAccess(h, cpu.pc, addr, write), r.Access(addr, write)
 		if got != want {
 			t.Fatalf("access %d (%#x write=%v): cost %d, reference %d", i, addr, write, got, want)
 		}

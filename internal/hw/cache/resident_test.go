@@ -9,28 +9,28 @@ import (
 
 // The resident-line table is exact only because every change of
 // residency drops what it invalidates. Each test below tables one line,
-// makes one such change, and requires the next Hit on that line to
+// makes one such change, and requires the next HitAt on that line to
 // decline; TestOracleLockStep holds the lane to the reference on random
 // streams.
 
 // tabled returns a hierarchy built from cfg in which the line of addr
-// has been accessed twice through Access, and checks that Hit now
+// has been accessed twice through Access, and checks that HitAt now
 // serves it.
 func tabled(t *testing.T, cfg Config, addr uint64) *Hierarchy {
 	t.Helper()
 	h := New(cfg)
 	h.Access(addr, 8, false)
 	h.Access(addr, 8, false)
-	if !h.Hit(addr, false) {
-		t.Fatalf("Hit(%#x) declined a line two accesses made resident", addr)
+	if !h.HitAt(0, addr, false) {
+		t.Fatalf("HitAt(%#x) declined a line two accesses made resident", addr)
 	}
 	return h
 }
 
 func declines(t *testing.T, h *Hierarchy, addr uint64, after string) {
 	t.Helper()
-	if h.Hit(addr, false) {
-		t.Fatalf("Hit(%#x) served the line after %s", addr, after)
+	if h.HitAt(0, addr, false) {
+		t.Fatalf("HitAt(%#x) served the line after %s", addr, after)
 	}
 }
 
@@ -42,8 +42,8 @@ func TestHitServesLikeAccess(t *testing.T) {
 	}
 	for i := range 10 {
 		write := i%3 == 0
-		if !h.Hit(addr+uint64(i*8), write) {
-			t.Fatalf("Hit %d declined", i)
+		if !h.HitAt(0, addr+uint64(i*8), write) {
+			t.Fatalf("HitAt %d declined", i)
 		}
 		twin.Access(addr+uint64(i*8), 8, write)
 	}
@@ -119,7 +119,7 @@ func TestHitDeclinesAfterInstallMarksPending(t *testing.T) {
 	// not out of the 4-way L1; the stream then prefetches it again.
 	h.Access((line+4)<<6, 8, false)
 	h.Access((line+8)<<6, 8, false)
-	if !h.Hit(line<<6, false) {
+	if !h.HitAt(0, line<<6, false) {
 		t.Fatal("the L2 fills dropped the L1-resident line")
 	}
 	streamTo(h, line)
@@ -150,7 +150,7 @@ func TestHitDeclinesAfterRestore(t *testing.T) {
 	h := tabled(t, DefaultP4(), addr)
 	st, want := h.Snapshot(), h.Stats()
 	// A hit the restore abandons.
-	h.Hit(addr, true)
+	h.HitAt(0, addr, true)
 	if err := h.Restore(st); err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestHitDeclinesAfterFlush(t *testing.T) {
 	declines(t, h, addr, "Flush")
 }
 
-// In the warming lane Hit serves a tabled line as the lane's Access
+// In the warming lane HitAt serves a tabled line as the lane's Access
 // would: the stamps and the dirty bit move, nothing is counted, and the
 // hit costs the flat cost.
 func TestHitServesWarmingLane(t *testing.T) {
@@ -184,8 +184,8 @@ func TestHitServesWarmingLane(t *testing.T) {
 	}
 	for i := range 10 {
 		write := i%3 == 0
-		if !h.Hit(addr+uint64(i*8), write) {
-			t.Fatalf("Hit %d declined in the warming lane", i)
+		if !h.HitAt(0, addr+uint64(i*8), write) {
+			t.Fatalf("HitAt %d declined in the warming lane", i)
 		}
 		twin.Access(addr+uint64(i*8), 8, write)
 	}
@@ -196,7 +196,7 @@ func TestHitServesWarmingLane(t *testing.T) {
 		t.Fatal("snapshot differs from Access alone")
 	}
 	h.SetDetailed()
-	if !h.Hit(addr, false) {
+	if !h.HitAt(0, addr, false) {
 		t.Fatal("SetDetailed dropped a line that stayed resident")
 	}
 }
@@ -298,15 +298,6 @@ func TestHitAtLockStep(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestHitDeclinesUnderSwPrefetch(t *testing.T) {
-	const addr = 0x4000
-	h := tabled(t, DefaultP4(), addr)
-	h.EnableSwPrefetch(&swCPU{user: true}, 2)
-	declines(t, h, addr, "EnableSwPrefetch")
-	h.Access(addr, 8, false)
-	declines(t, h, addr, "a hit under the software-prefetch model")
 }
 
 // evictingListener, on the first L1 miss it sees, runs nested accesses

@@ -228,54 +228,53 @@ func (c *CPU) InstrAt(addr uint64) (Instr, bool) {
 // on the same core and therefore share the same caches and cycle
 // counter (GC traffic evicting application data is a real effect the
 // paper's collectors contend with). Like the fast loop, they take the
-// hierarchy's lane (Hit, for accesses no instruction makes) and the
-// memory's, and call Access and Read*/Write* only when a lane declines.
-
-// serviceAccess charges one demand access the VM makes on its own
-// behalf.
-func (c *CPU) serviceAccess(addr uint64, size int, write bool) uint64 {
-	if c.Hier.Hit(addr, write) {
-		return c.Hier.HitCycles()
-	}
-	return c.Hier.Access(addr, size, write)
-}
+// hierarchy's lane through access and the memory's page lane, and call
+// Access and Read*/Write* only when a lane declines.
 
 // LoadWord performs a timed 64-bit load.
 func (c *CPU) LoadWord(addr uint64) uint64 {
-	c.cycles += c.serviceAccess(addr, 8, false)
-	if v, ok := c.Mem.Load8(addr); ok {
-		return v
+	c.cycles += c.access(addr, 8, false)
+	if p := c.Mem.Page(addr, 8); p != nil {
+		return p.Load8(addr)
 	}
 	return c.Mem.Read8(addr)
 }
 
 // StoreWord performs a timed 64-bit store.
 func (c *CPU) StoreWord(addr uint64, v uint64) {
-	c.cycles += c.serviceAccess(addr, 8, true)
-	if !c.Mem.Store8(addr, v) {
-		c.Mem.Write8(addr, v)
+	c.cycles += c.access(addr, 8, true)
+	if p := c.Mem.Page(addr, 8); p != nil {
+		p.Store8(addr, v)
+		return
 	}
+	c.Mem.Write8(addr, v)
 }
 
 // LoadHalf performs a timed 32-bit load (zero-extended).
 func (c *CPU) LoadHalf(addr uint64) uint32 {
-	c.cycles += c.serviceAccess(addr, 4, false)
-	if v, ok := c.Mem.Load4(addr); ok {
-		return v
+	c.cycles += c.access(addr, 4, false)
+	if p := c.Mem.Page(addr, 4); p != nil {
+		return p.Load4(addr)
 	}
 	return c.Mem.Read4(addr)
 }
 
 // StoreHalf performs a timed 32-bit store.
 func (c *CPU) StoreHalf(addr uint64, v uint32) {
-	c.cycles += c.serviceAccess(addr, 4, true)
-	if !c.Mem.Store4(addr, v) {
-		c.Mem.Write4(addr, v)
+	c.cycles += c.access(addr, 4, true)
+	if p := c.Mem.Page(addr, 4); p != nil {
+		p.Store4(addr, v)
+		return
 	}
+	c.Mem.Write4(addr, v)
 }
 
-// access charges one demand access of the instruction executing at
-// c.PC: the lane's hit when it serves, Access otherwise.
+// access charges one demand access made while the instruction at c.PC
+// executes: the lane's hit when it serves, Access otherwise. The VM's
+// own accesses (the timed accessors) pass the same PC: HitAt declines
+// at every PC that may be a software-prefetch site, and only at such a
+// PC, in user mode, can Access issue a prefetch, so the lane serves
+// nothing Access would treat differently.
 func (c *CPU) access(addr uint64, size int, write bool) uint64 {
 	if c.Hier.HitAt(c.PC, addr, write) {
 		return c.Hier.HitCycles()

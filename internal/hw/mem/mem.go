@@ -65,7 +65,7 @@ func (m *Memory) FootprintBytes() uint64 {
 // materialize is the slow path of every access of size bytes at addr:
 // it faults on a null, unaligned or beyond-the-directory access, and
 // otherwise returns addr's page, materializing it on first touch, so
-// that the access's lane accepts it from now on.
+// that the page lane accepts it from now on.
 func (m *Memory) materialize(addr Addr, size uint64) *Page {
 	if addr == 0 {
 		panic(fmt.Sprintf("mem: null dereference (size %d)", size))
@@ -86,16 +86,15 @@ func (m *Memory) materialize(addr Addr, size uint64) *Page {
 	return p
 }
 
-// --- Lanes ------------------------------------------------------------------
+// --- The page lane -----------------------------------------------------------
 //
 // Page is the inlinable page lane: it returns the page an access of a
-// given width may use, and changes nothing. Load* and Store* are the
-// inlinable fast lane of every access width: they do the access only
-// when Page accepts it, and otherwise report !ok and change nothing.
-// The caller then falls back to the matching Read* or Write*, which
-// materializes the page or faults. The fallback cannot live in the
-// lane: a function that contains a call exceeds the compiler's
-// inlining budget, so the lane would become a call of its own.
+// given width may use, and changes nothing; the Page accessors below
+// then do the access. When Page declines, the caller falls back to the
+// matching Read* or Write*, which materializes the page or faults. The
+// fallback cannot live in the lane: a function that contains a call
+// exceeds the compiler's inlining budget, so the lane would become a
+// call of its own.
 
 // Page returns the materialized page an access of size bytes at addr
 // may use without a fallback, or nil when the access is null,
@@ -107,74 +106,6 @@ func (m *Memory) Page(addr Addr, size uint64) *Page {
 		return nil
 	}
 	return m.dir[key]
-}
-
-// Load8 is Read8's lane.
-func (m *Memory) Load8(addr Addr) (uint64, bool) {
-	if p := m.Page(addr, 8); p != nil {
-		return p.Load8(addr), true
-	}
-	return 0, false
-}
-
-// Load4 is Read4's lane.
-func (m *Memory) Load4(addr Addr) (uint32, bool) {
-	if p := m.Page(addr, 4); p != nil {
-		return p.Load4(addr), true
-	}
-	return 0, false
-}
-
-// Load2 is Read2's lane.
-func (m *Memory) Load2(addr Addr) (uint16, bool) {
-	if p := m.Page(addr, 2); p != nil {
-		return p.Load2(addr), true
-	}
-	return 0, false
-}
-
-// Load1 is Read1's lane.
-func (m *Memory) Load1(addr Addr) (uint8, bool) {
-	if p := m.Page(addr, 1); p != nil {
-		return p.Load1(addr), true
-	}
-	return 0, false
-}
-
-// Store8 is Write8's lane.
-func (m *Memory) Store8(addr Addr, v uint64) bool {
-	p := m.Page(addr, 8)
-	if p != nil {
-		p.Store8(addr, v)
-	}
-	return p != nil
-}
-
-// Store4 is Write4's lane.
-func (m *Memory) Store4(addr Addr, v uint32) bool {
-	p := m.Page(addr, 4)
-	if p != nil {
-		p.Store4(addr, v)
-	}
-	return p != nil
-}
-
-// Store2 is Write2's lane.
-func (m *Memory) Store2(addr Addr, v uint16) bool {
-	p := m.Page(addr, 2)
-	if p != nil {
-		p.Store2(addr, v)
-	}
-	return p != nil
-}
-
-// Store1 is Write1's lane.
-func (m *Memory) Store1(addr Addr, v uint8) bool {
-	p := m.Page(addr, 1)
-	if p != nil {
-		p.Store1(addr, v)
-	}
-	return p != nil
 }
 
 // Load8 reads the 64-bit word at addr's offset.
@@ -221,80 +152,33 @@ func (p *Page) Store1(addr Addr, v uint8) { p[addr&pageMask] = v }
 
 // --- Loads and stores -------------------------------------------------------
 //
-// Read* and Write* take the lane; when it declines they materialize
-// the page, or fault, and take it again.
+// Read* and Write* are the slow path: materialize checks the access,
+// faulting on a wild one, and returns its page, materializing it on
+// first touch.
 
 // Read8 loads an unsigned 64-bit word. addr must be 8-byte aligned.
-func (m *Memory) Read8(addr Addr) uint64 {
-	v, ok := m.Load8(addr)
-	if !ok {
-		m.materialize(addr, 8)
-		v, _ = m.Load8(addr)
-	}
-	return v
-}
+func (m *Memory) Read8(addr Addr) uint64 { return m.materialize(addr, 8).Load8(addr) }
 
 // Read4 loads an unsigned 32-bit word. addr must be 4-byte aligned.
-func (m *Memory) Read4(addr Addr) uint32 {
-	v, ok := m.Load4(addr)
-	if !ok {
-		m.materialize(addr, 4)
-		v, _ = m.Load4(addr)
-	}
-	return v
-}
+func (m *Memory) Read4(addr Addr) uint32 { return m.materialize(addr, 4).Load4(addr) }
 
 // Read2 loads an unsigned 16-bit half-word. addr must be 2-byte aligned.
-func (m *Memory) Read2(addr Addr) uint16 {
-	v, ok := m.Load2(addr)
-	if !ok {
-		m.materialize(addr, 2)
-		v, _ = m.Load2(addr)
-	}
-	return v
-}
+func (m *Memory) Read2(addr Addr) uint16 { return m.materialize(addr, 2).Load2(addr) }
 
 // Read1 loads one byte.
-func (m *Memory) Read1(addr Addr) uint8 {
-	v, ok := m.Load1(addr)
-	if !ok {
-		m.materialize(addr, 1)
-		v, _ = m.Load1(addr)
-	}
-	return v
-}
+func (m *Memory) Read1(addr Addr) uint8 { return m.materialize(addr, 1).Load1(addr) }
 
 // Write8 stores an unsigned 64-bit word. addr must be 8-byte aligned.
-func (m *Memory) Write8(addr Addr, v uint64) {
-	if !m.Store8(addr, v) {
-		m.materialize(addr, 8)
-		m.Store8(addr, v)
-	}
-}
+func (m *Memory) Write8(addr Addr, v uint64) { m.materialize(addr, 8).Store8(addr, v) }
 
 // Write4 stores an unsigned 32-bit word. addr must be 4-byte aligned.
-func (m *Memory) Write4(addr Addr, v uint32) {
-	if !m.Store4(addr, v) {
-		m.materialize(addr, 4)
-		m.Store4(addr, v)
-	}
-}
+func (m *Memory) Write4(addr Addr, v uint32) { m.materialize(addr, 4).Store4(addr, v) }
 
 // Write2 stores an unsigned 16-bit half-word. addr must be 2-byte aligned.
-func (m *Memory) Write2(addr Addr, v uint16) {
-	if !m.Store2(addr, v) {
-		m.materialize(addr, 2)
-		m.Store2(addr, v)
-	}
-}
+func (m *Memory) Write2(addr Addr, v uint16) { m.materialize(addr, 2).Store2(addr, v) }
 
 // Write1 stores one byte.
-func (m *Memory) Write1(addr Addr, v uint8) {
-	if !m.Store1(addr, v) {
-		m.materialize(addr, 1)
-		m.Store1(addr, v)
-	}
-}
+func (m *Memory) Write1(addr Addr, v uint8) { m.materialize(addr, 1).Store1(addr, v) }
 
 // Zero clears n bytes starting at addr. Like any store it faults at
 // address 0, unless it clears nothing.

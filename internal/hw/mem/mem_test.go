@@ -158,13 +158,14 @@ func TestMemoryVsShadowProperty(t *testing.T) {
 	}
 }
 
-// TestLanesAgainstSlowPath drives every lane with addresses drawn from
-// a pool of null, unaligned, unmaterialized, last-page, DirectoryEnd
-// and wild addresses, against a byte-wise shadow. A lane must accept
-// exactly the non-null, aligned accesses below DirectoryEnd on
-// materialized pages, and then load or store what Read*/Write* would;
-// a lane that declines must leave the footprint and the directory as
-// they were. After a decline the test takes the slow path, which must
+// TestLanesAgainstSlowPath drives the page lane (Page, then the Page
+// accessor of the width) with addresses drawn from a pool of null,
+// unaligned, unmaterialized, last-page, DirectoryEnd and wild
+// addresses, against a byte-wise shadow. Page must accept exactly the
+// non-null, aligned accesses below DirectoryEnd on materialized pages,
+// and the accessor then load or store what Read*/Write* would; a
+// declining Page must leave the footprint and the directory as they
+// were. After a decline the test takes the slow path, which must
 // fault exactly on the addresses no program may touch and otherwise
 // materialize the page.
 func TestLanesAgainstSlowPath(t *testing.T) {
@@ -180,17 +181,17 @@ func TestLanesAgainstSlowPath(t *testing.T) {
 		}
 		return v
 	}
-	loadLane := map[uint64]func(Addr) (uint64, bool){
-		1: func(a Addr) (uint64, bool) { v, ok := m.Load1(a); return uint64(v), ok },
-		2: func(a Addr) (uint64, bool) { v, ok := m.Load2(a); return uint64(v), ok },
-		4: func(a Addr) (uint64, bool) { v, ok := m.Load4(a); return uint64(v), ok },
-		8: m.Load8,
+	loadPage := map[uint64]func(*Page, Addr) uint64{
+		1: func(p *Page, a Addr) uint64 { return uint64(p.Load1(a)) },
+		2: func(p *Page, a Addr) uint64 { return uint64(p.Load2(a)) },
+		4: func(p *Page, a Addr) uint64 { return uint64(p.Load4(a)) },
+		8: (*Page).Load8,
 	}
-	storeLane := map[uint64]func(Addr, uint64) bool{
-		1: func(a Addr, v uint64) bool { return m.Store1(a, uint8(v)) },
-		2: func(a Addr, v uint64) bool { return m.Store2(a, uint16(v)) },
-		4: func(a Addr, v uint64) bool { return m.Store4(a, uint32(v)) },
-		8: m.Store8,
+	storePage := map[uint64]func(*Page, Addr, uint64){
+		1: func(p *Page, a Addr, v uint64) { p.Store1(a, uint8(v)) },
+		2: func(p *Page, a Addr, v uint64) { p.Store2(a, uint16(v)) },
+		4: func(p *Page, a Addr, v uint64) { p.Store4(a, uint32(v)) },
+		8: (*Page).Store8,
 	}
 	slowLoad := map[uint64]func(Addr) uint64{
 		1: func(a Addr) uint64 { return uint64(m.Read1(a)) },
@@ -229,31 +230,25 @@ func TestLanesAgainstSlowPath(t *testing.T) {
 		want := legal && m.dir[addr>>PageBits] != nil
 		footprint, dir := m.FootprintBytes(), *m.dir
 
-		var ok bool
-		if store {
-			ok = storeLane[size](addr, v)
-		} else {
-			var got uint64
-			got, ok = loadLane[size](addr)
-			if ok && got != load(addr, size) {
-				t.Fatalf("step %d: Load%d(%#x) = %#x, shadow holds %#x", step, size, addr, got, load(addr, size))
-			}
+		p := m.Page(addr, size)
+		if (p != nil) != want {
+			t.Fatalf("step %d: Page(%#x, %d) accepted=%v, want %v", step, addr, size, p != nil, want)
 		}
-		if ok != want {
-			t.Fatalf("step %d: lane of width %d at %#x reported ok=%v, want %v", step, size, addr, ok, want)
-		}
-		if ok {
+		if p != nil {
 			accepted++
 			if store {
+				storePage[size](p, addr, v)
 				for i := uint64(0); i < size; i++ {
 					shadow[addr+i] = byte(v >> (8 * i))
 				}
+			} else if got := loadPage[size](p, addr); got != load(addr, size) {
+				t.Fatalf("step %d: Load%d(%#x) = %#x, shadow holds %#x", step, size, addr, got, load(addr, size))
 			}
 			continue
 		}
 		declined++
 		if m.FootprintBytes() != footprint || *m.dir != dir {
-			t.Fatalf("step %d: declined lane of width %d at %#x changed the directory", step, size, addr)
+			t.Fatalf("step %d: Page declined width %d at %#x and changed the directory", step, size, addr)
 		}
 		// The fallback: the slow path faults exactly on illegal
 		// addresses, and otherwise materializes the page.
@@ -282,7 +277,7 @@ func TestLanesAgainstSlowPath(t *testing.T) {
 		}
 	}
 	if accepted < 1000 || declined < 1000 {
-		t.Errorf("lanes accepted %d and declined %d accesses, want both at least 1000", accepted, declined)
+		t.Errorf("Page accepted %d and declined %d accesses, want both at least 1000", accepted, declined)
 	}
 	if m.dir[dirPages-1] == nil {
 		t.Error("pool did not reach the last directory page")
@@ -390,15 +385,16 @@ func BenchmarkMemoryRead8(b *testing.B) {
 	benchSink = sum
 }
 
-// BenchmarkMemoryLoad8 meters Read8's lane over the same walk; the
-// difference to BenchmarkMemoryRead8 is the call the lane saves.
+// BenchmarkMemoryLoad8 meters the page lane (Page, then Page.Load8)
+// over the same walk; the difference to BenchmarkMemoryRead8 is the
+// call the lane saves.
 func BenchmarkMemoryLoad8(b *testing.B) {
 	m := benchMemory()
 	var sum uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v, _ := m.Load8(benchAddr(i))
-		sum += v
+		a := benchAddr(i)
+		sum += m.Page(a, 8).Load8(a)
 	}
 	benchSink = sum
 }
