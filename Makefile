@@ -3,7 +3,7 @@
 # is `make loc`, so every PR's log carries the number. It runs its
 # targets one after another in the order listed and stops at the first
 # that fails, printing each one's wall time, so a skipped or slow gate
-# shows in the log.
+# shows in the log; `make test` also lists the ten slowest tests.
 
 GO ?= go
 
@@ -48,8 +48,10 @@ vet:
 build:
 	$(GO) build ./...
 
+# go test ./... through scripts/slowtests: the same per-package lines,
+# failure output and exit status, then the ten slowest tests.
 test:
-	$(GO) test ./...
+	$(GO) run ./scripts/slowtests -go "$(GO)" ./...
 
 # Lane keystone on every workload: each exact lane of a lane pass
 # (bench.RunLanes) — 250, 500, 1000 and auto × 3 reps, the Figure 2

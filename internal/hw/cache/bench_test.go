@@ -5,9 +5,9 @@ import "testing"
 // The Access benchmarks pin the cost of the simulator's memory-access
 // slow path: every simulated load and store that the resident-line
 // lane (Hierarchy.HitAt) does not serve goes through Hierarchy.Access.
-// Hit is an L1 hit Access serves; Miss is the full L1+L2+TLB miss path
-// including prefetcher training; HitLane is the lane in front of
-// Access.
+// Hit is an L1 hit Access serves; TLBMiss is a DTLB miss on an L1 hit;
+// Miss is the full L1+L2+TLB miss path including prefetcher training;
+// HitLane is the lane in front of Access.
 
 // BenchmarkHierarchyAccessHit measures an L1 hit through Access with no
 // listener attached (the monitoring-off configuration every baseline
@@ -72,6 +72,27 @@ func benchHitMixed(b *testing.B, h *Hierarchy, lane bool) {
 			h.Access(addr, 8, write)
 		}
 		addr = (addr + 264) & (ws - 1) // coprime-ish stride over the set
+	}
+}
+
+// BenchmarkHierarchyAccessTLBMiss measures a DTLB miss on an L1 hit:
+// one line on each of 128 pages, in round robin, misses the 64-entry
+// LRU DTLB every time, while the 128 lines, one stride of 33 lines
+// apart, fill the 32 sets of the L1 four deep and stay resident.
+func BenchmarkHierarchyAccessTLBMiss(b *testing.B) {
+	const pages, stride = 128, 4096 + 128
+	h := New(DefaultP4())
+	for i := range uint64(pages) {
+		h.Access(i*stride, 8, false)
+	}
+	h.ResetStats()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Access(uint64(i%pages)*stride, 8, false)
+	}
+	b.StopTimer()
+	if st := h.Stats(); st.TLBMisses != uint64(b.N) || st.L1Misses != 0 {
+		b.Fatalf("%d DTLB and %d L1 misses in %d accesses, want %[3]d and 0", st.TLBMisses, st.L1Misses, b.N)
 	}
 }
 

@@ -12,6 +12,8 @@ package cache
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 
 	"hpmvm/internal/obs"
@@ -148,6 +150,10 @@ func (c Config) Validate() error {
 	if c.TLBEntries <= 0 {
 		return fmt.Errorf("cache: TLBEntries must be positive, got %d", c.TLBEntries)
 	}
+	if uint64(c.TLBEntries) > math.MaxUint32 {
+		// The DTLB's page counts are uint32s (Hierarchy.tlbPages).
+		return fmt.Errorf("cache: TLBEntries must be below 2^32, got %d", c.TLBEntries)
+	}
 	if c.LineSize < 2 || c.PageSize < 2 {
 		// The tag arrays mark an empty way with the all-ones key, which
 		// only an unshifted address could equal.
@@ -215,11 +221,11 @@ func (sa *setAssoc) find(key uint64) int {
 
 // access touches the line identified by key: a hit refreshes its LRU
 // stamp and dirty bit, a miss fills it over the least recently used way
-// — empty ways carry stamp 0, below every resident stamp, so one pass
-// over the stamp row picks the first empty way when there is one. It
-// returns the way now holding key, whether that was a hit, and whether
-// the fill evicted a dirty line. Every access advances the stamp
-// exactly once.
+// — empty ways carry stamp 0, below every resident stamp, so the first
+// way holding the least stamp is the first empty way when there is one.
+// It returns the way now holding key, whether that was a hit, and
+// whether the fill evicted a dirty line. Every access advances the
+// stamp exactly once.
 func (sa *setAssoc) access(key uint64, markDirty bool) (way int, hit, writeback bool) {
 	sa.stamp++
 	if way = sa.find(key); way >= 0 {
@@ -229,18 +235,36 @@ func (sa *setAssoc) access(key uint64, markDirty bool) (way int, hit, writeback 
 		}
 		return way, true, false
 	}
+	way, writeback = sa.fill(key, markDirty)
+	return way, false, writeback
+}
+
+// fill is the miss half of access, for a key the array does not hold:
+// it puts key in the victim way at the current stamp, records the key
+// it replaced in evicted and reports whether that line was dirty. The
+// caller has advanced the stamp.
+//
+// The victim is the first way holding the row's least stamp. The pass
+// that finds the least stamp keeps four minima, one per way modulo
+// four, so it takes no branch on the stamps' order and its dependency
+// chain is a quarter of the row: over the DTLB's 64 ways, in no
+// particular order, a running minimum's updates mispredict.
+func (sa *setAssoc) fill(key uint64, markDirty bool) (way int, writeback bool) {
 	base := int(key&sa.setMask) * sa.assoc
-	way = base
-	oldest := sa.lru[base]
-	for i, s := range sa.lru[base : base+sa.assoc] {
-		if s < oldest {
-			way, oldest = base+i, s
-		}
+	row := sa.lru[base : base+sa.assoc]
+	m0, m1, m2, m3 := row[0], row[0], row[0], row[0]
+	i := 0
+	for ; i+4 <= len(row); i += 4 {
+		m0, m1, m2, m3 = min(m0, row[i]), min(m1, row[i+1]), min(m2, row[i+2]), min(m3, row[i+3])
 	}
+	for ; i < len(row); i++ {
+		m0 = min(m0, row[i])
+	}
+	way = base + slices.Index(row, min(m0, m1, m2, m3))
 	writeback = sa.dirty[way]
 	sa.evicted = sa.keys[way]
 	sa.keys[way], sa.lru[way], sa.dirty[way] = key, sa.stamp, markDirty
-	return way, false, writeback
+	return way, writeback
 }
 
 // invalidateAll empties every way (used when a run is reset).
@@ -427,11 +451,21 @@ type Hierarchy struct {
 	// nothing ever invalidates it — not eviction, Flush or Restore.
 	// Host-side only, never serialized.
 	tlbPred [1 << tlbPredBits]uint32
+	// tlbPages counts the DTLB's resident pages by a hash of the page
+	// (tlbPagesSlot): each slot holds exactly how many of the keys in
+	// the tag array hash to it. A page whose slot reads 0 is certainly
+	// not resident, so its predictor miss fills without scanning the
+	// ways. A fill adds its page, the eviction it makes takes the old
+	// page away, Flush zeroes the table and Restore recounts it from the
+	// restored keys. A slot never exceeds TLBEntries, which Validate
+	// keeps within uint32. Host-side only, never serialized.
+	tlbPages [1 << tlbPagesBits]uint32
 
 	// resident is the resident-line table behind HitAt, direct-mapped by
-	// the low bits of the line (residentSlot). A slot names a line that
-	// is L1-resident in a way whose pending flag is clear, on a page the
-	// DTLB holds, and points at the three words an L1 hit on it writes.
+	// the line's low bits with its high bits folded in (residentSlot). A
+	// slot names a line that is L1-resident in a way whose pending flag
+	// is clear, on a page the DTLB holds, and points at the three words
+	// an L1 hit on it writes.
 	// It is a memo kept exact by dropping, never by checking itself: a
 	// slot goes when a demand fill or install evicts its line, when
 	// install marks its way pending, and when its page leaves the DTLB
@@ -726,6 +760,7 @@ func (h *Hierarchy) Flush() {
 	for i := range h.streams {
 		h.streams[i] = stream{}
 	}
+	clear(h.tlbPages[:])
 	h.prefetched.Clear()
 	if h.sw != nil {
 		// The attribution set is hardware-adjacent state and clears with
@@ -774,16 +809,40 @@ const tlbPredBits = 8
 // hottest pages agree in the low page bits.
 func tlbPredSlot(page uint64) uint64 { return pfHash(page) >> (64 - tlbPredBits) }
 
+// tlbPagesBits is the log2 of the number of tlbPages slots: sixteen per
+// entry of the P4's 64-entry DTLB, so a fill finds its slot empty about
+// 94 % of the time.
+const tlbPagesBits = 10
+
+// tlbPagesSlot hashes like tlbPredSlot, for the same reason.
+func tlbPagesSlot(page uint64) uint64 { return pfHash(page) >> (64 - tlbPagesBits) }
+
+// countTLBPages rebuilds tlbPages from the DTLB's keys.
+func (h *Hierarchy) countTLBPages() {
+	clear(h.tlbPages[:])
+	for _, page := range h.tlb.keys {
+		if page != emptyKey {
+			h.tlbPages[tlbPagesSlot(page)]++
+		}
+	}
+}
+
 // residentSlots is the number of resident-line table slots, twice the
 // P4 L1's 128 lines; a power of two.
 const residentSlots = 256
 
-// residentSlot masks rather than hashes: the low line bits spread a
-// working set about as well as a hash does (the lane serves about as
-// many accesses either way), and a hash would cost the lane six more
-// units of its inlining budget. HitAt spells the mask out: the call
+// residentSlot folds the line's bits from 16 up onto its low bits
+// before it masks. The mask alone keeps contiguous lines apart, but the
+// simulated regions start on power-of-two boundaries (immortal space,
+// nursery, mature space and large objects at 0x400_0000, 0x1000_0000,
+// 0x2000_0000 and 0x5000_0000), so lines at one offset into each share
+// the low bits, and pairs of L1-resident lines kept evicting each other
+// from one slot. The fold sets those regions' slots apart and keeps 256
+// contiguous lines in 256 slots unless they cross a 64 K-line boundary.
+// A multiplicative hash spreads no better and costs the lane six more
+// units of its inlining budget. HitAt spells the fold out: the call
 // would cost it four units.
-func residentSlot(line uint64) uint64 { return line & (residentSlots - 1) }
+func residentSlot(line uint64) uint64 { return (line ^ line>>16) & (residentSlots - 1) }
 
 // residentLine is one slot of the resident-line table: the line, or
 // emptyKey, and the L1 stamp, L1 dirty bit and DTLB stamp of the ways
@@ -807,7 +866,7 @@ type residentLine struct {
 // settle.
 func (h *Hierarchy) HitAt(pc, addr uint64, write bool) bool {
 	line := addr >> h.lineBits
-	e := &h.resident[line&(residentSlots-1)]
+	e := &h.resident[(line^line>>16)&(residentSlots-1)]
 	if h.swSite[pc>>2&(swSiteSlots-1)] || e.line != line {
 		return false
 	}
@@ -863,18 +922,19 @@ func (h *Hierarchy) drop(line uint64) {
 	}
 }
 
-// dropPage removes every line of page from the resident-line table.
+// dropPage removes every line of page from the resident-line table by
+// scanning the one aligned block of slots its lines can take: they
+// differ only in their low bits, to which residentSlot's fold adds the
+// same bits, so the block has as many slots as the page has lines, or
+// is the whole table when the page has more lines than that.
 func (h *Hierarchy) dropPage(page uint64) {
 	shift := h.pageBits - h.lineBits
-	if lines := uint64(1) << shift; lines <= residentSlots {
-		for i := range lines {
-			h.drop(page<<shift + i)
-		}
-		return
-	}
-	for i := range h.resident {
-		if h.resident[i].line>>shift == page {
-			h.resident[i] = residentLine{line: emptyKey}
+	n := min(uint64(1)<<shift, residentSlots)
+	first := residentSlot(page<<shift) &^ (n - 1)
+	block := h.resident[first : first+n]
+	for i := range block {
+		if block[i].line>>shift == page {
+			block[i] = residentLine{line: emptyKey}
 		}
 	}
 }
@@ -888,21 +948,32 @@ func (h *Hierarchy) clearResident() {
 
 // tlbAccess touches addr's page in the DTLB, filling it on a miss, and
 // reports whether it hit. The predictor is consulted first and left
-// naming the page's way.
+// naming the page's way; when it misses, the page count decides whether
+// the ways need scanning before the fill.
 func (h *Hierarchy) tlbAccess(addr uint64) bool {
 	tlb, page := h.tlb, addr>>h.pageBits
 	slot := &h.tlbPred[tlbPredSlot(page)]
+	tlb.stamp++
 	if tlb.keys[*slot] == page {
-		tlb.stamp++
 		tlb.lru[*slot] = tlb.stamp
 		return true
 	}
-	way, hit, _ := tlb.access(page, false)
-	*slot = uint32(way)
-	if !hit && tlb.evicted != emptyKey {
-		h.dropPage(tlb.evicted)
+	count := &h.tlbPages[tlbPagesSlot(page)]
+	if *count != 0 {
+		if way := tlb.find(page); way >= 0 {
+			tlb.lru[way] = tlb.stamp
+			*slot = uint32(way)
+			return true
+		}
 	}
-	return hit
+	way, _ := tlb.fill(page, false)
+	*slot = uint32(way)
+	*count++
+	if old := tlb.evicted; old != emptyKey {
+		h.tlbPages[tlbPagesSlot(old)]--
+		h.dropPage(old)
+	}
+	return false
 }
 
 // Access simulates one demand access of the given size at addr and

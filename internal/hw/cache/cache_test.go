@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -36,6 +37,12 @@ func TestValidate(t *testing.T) {
 	bad.TLBEntries = 0
 	if err := bad.Validate(); err == nil {
 		t.Error("expected error for zero TLB entries")
+	}
+	bad = DefaultP4()
+	tooMany := uint64(math.MaxUint32) + 1 // the DTLB's page counts are uint32s
+	bad.TLBEntries = int(tooMany)
+	if err := bad.Validate(); err == nil {
+		t.Error("expected error for 2^32 TLB entries")
 	}
 	bad = DefaultP4()
 	bad.PageSize = bad.LineSize / 2 // a line would span two pages

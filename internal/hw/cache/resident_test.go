@@ -329,3 +329,115 @@ func TestHitDeclinesLineANestedAccessEvicted(t *testing.T) {
 	}
 	declines(t, h, addr, "a listener's nested accesses evicted it")
 }
+
+// The simulated regions start on power-of-two boundaries, so lines at
+// one offset into each agree in their low bits. Under a mask of those
+// bits the regions' first lines took one table slot, and two of them
+// both L1-resident evicted each other from it at every alternation.
+// The pairs are the ones a census of compress, db and jess found most
+// often.
+func TestHitServesRegionBasePairs(t *testing.T) {
+	cfg := DefaultP4()
+	// Every base falls in L1 set 0; eight ways keep all seven lines.
+	cfg.L1Assoc = 8
+	h := New(cfg)
+	// Code, method table and vtable map lie below 8 MB, where the fold
+	// adds nothing, so they still share one slot: the vtable map, tabled
+	// last, holds it.
+	for _, base := range []uint64{
+		0x10_0000,   // code
+		0x8_0000,    // method table
+		0xC_0000,    // vtable map
+		0x400_0000,  // immortal space
+		0x1000_0000, // nursery
+		0x2000_0000, // mature space
+		0x5000_0000, // large objects
+	} {
+		h.Access(base, 8, false)
+		if !h.L1Contains(base) {
+			t.Fatalf("line %#x is not L1-resident after its access", base)
+		}
+	}
+	for _, pair := range [][2]uint64{
+		{0x2000_0000, 0x5000_0000},
+		{0xC_0000, 0x400_0000},
+		{0x1000_0000, 0x5000_0000},
+	} {
+		for range 2 {
+			for _, addr := range pair {
+				if !h.HitAt(0, addr, false) {
+					t.Fatalf("HitAt(%#x) declined an L1-resident line of the pair %#x", addr, pair)
+				}
+			}
+		}
+	}
+}
+
+// recountTLBPages counts the DTLB's keys by tlbPagesSlot.
+func recountTLBPages(h *Hierarchy) (n [1 << tlbPagesBits]uint32) {
+	for _, page := range h.tlb.keys {
+		if page != emptyKey {
+			n[tlbPagesSlot(page)]++
+		}
+	}
+	return n
+}
+
+// TestTLBPageCountsExact holds the DTLB's page counts to a recount of
+// its keys after every operation of random streams: fills and
+// evictions in both lanes, Flush, Restore and a Restore that fails. A
+// count that reads too low would fill a resident page a second time; one
+// that reads too high only costs a scan, so only this test sees it.
+func TestTLBPageCountsExact(t *testing.T) {
+	for _, entries := range []int{32, 48, 64, 96} {
+		for seed := int64(1); seed <= 2; seed++ {
+			cfg := DefaultP4()
+			cfg.TLBEntries = entries
+			h := New(cfg)
+			rng := rand.New(rand.NewSource(seed))
+			s := &oracleStream{rng: rng, cfg: cfg, pages: 5 * entries}
+			saved := h.Snapshot()
+			for i := 0; i < 20_000; i++ {
+				var op string
+				switch r := rng.Intn(1000); {
+				case r == 0:
+					op = "Flush"
+					h.Flush()
+				case r < 4:
+					op = "Snapshot"
+					saved = h.Snapshot()
+				case r < 8:
+					op = "Restore"
+					if err := h.Restore(saved); err != nil {
+						t.Fatal(err)
+					}
+				case r < 10:
+					// One byte short: the walk decodes the whole DTLB
+					// before the decoder finds the snapshot truncated.
+					op = "a failed Restore"
+					bad := saved
+					bad.Data = bad.Data[:len(bad.Data)-1]
+					if err := h.Restore(bad); err == nil {
+						t.Fatal("Restore accepted a truncated snapshot")
+					}
+				case r < 20:
+					op = "a switch of lane"
+					if h.Functional() {
+						h.SetDetailed()
+					} else {
+						h.SetFunctional(3)
+					}
+				default:
+					op = "an access"
+					addr, write := s.next()
+					if !h.HitAt(0, addr, write) {
+						h.Access(addr, 8, write)
+					}
+				}
+				if h.tlbPages != recountTLBPages(h) {
+					t.Fatalf("%d entries, seed %d, step %d: page counts differ from a recount after %s", entries, seed, i, op)
+				}
+			}
+		}
+	}
+}

@@ -147,12 +147,13 @@ func (h *Hierarchy) Restore(st snap.ComponentState) error {
 	}
 	// Any restored L1 line may be in a restored attribution set. The
 	// resident-line table points into the abandoned arrays, the lane's
-	// counts belong to the abandoned state, and the site flags to the
-	// abandoned site table.
+	// counts and the DTLB's page counts belong to the abandoned state,
+	// and the site flags to the abandoned site table.
 	for i := range next.l1Pending {
 		next.l1Pending[i] = true
 	}
 	next.clearResident()
+	next.countTLBPages()
 	next.laneHits, next.laneStores = 0, 0
 	next.flagSites()
 	*h = next
