@@ -144,10 +144,12 @@ traffic:
 	cat "$$dir/zero.txt" && echo "$$(wc -l <"$$dir/zero.txt") zero-count blocks under internal/hw/"
 
 # Lines of non-test Go outside the frozen benchmark harness and the
-# benchmark's build directory (where bench-pairs exports the parent) —
-# the number simplicity PRs quote before/after in CHANGES.md.
+# benchmark's build directory (where bench-pairs exports the parent),
+# then DESIGN.md's size in bytes — the two numbers simplicity PRs quote
+# before/after in CHANGES.md.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs cat | wc -l
+	@wc -c <DESIGN.md
 
 # Race check on the packages the parallel engine fans runs out of:
 # the engine itself (and its determinism sweep), the workload
@@ -215,7 +217,7 @@ bench-pairs:
 
 # CPU and heap profiles of the fig2 hot loop (the simulator's
 # steady-state inner loop). Inspect with `go tool pprof cpu.prof`; see
-# DESIGN.md §11 for the profiling workflow this feeds.
+# DESIGN.md §14 for the profiling workflow this feeds.
 profile:
 	$(GO) run ./cmd/experiments -exp fig2 -workloads db -reps 1 -progress=false \
 		-cpuprofile cpu.prof -memprofile mem.prof

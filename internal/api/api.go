@@ -9,7 +9,7 @@
 // types in this package, so anything a worker can serve, the fleet can
 // serve, byte-for-byte.
 //
-// Compatibility rules (DESIGN.md §13):
+// Compatibility rules (DESIGN.md §12):
 //
 //   - The current version is "v1", rooted at /v1/. There is no other
 //     surface: the pre-v1 unversioned paths are not mounted, and this

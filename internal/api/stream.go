@@ -48,7 +48,7 @@ type StreamQueued struct {
 // StreamProgress is the heartbeat payload: proof of liveness while the
 // simulation runs. Simulation state is single-writer and carries no
 // atomic cycle counter, so the heartbeat reports wall-clock progress,
-// not simulated cycles (DESIGN.md §13).
+// not simulated cycles (DESIGN.md §12).
 type StreamProgress struct {
 	ElapsedMS int64 `json:"elapsed_ms"`
 }

@@ -284,7 +284,7 @@ func table2(opt ExpOptions) (string, error) {
 
 // Fig2Intervals are the hardware sampling intervals the paper sweeps
 // (25K, 50K, 100K events), scaled by the ~1/100 run-length factor of
-// the simulation (DESIGN.md §7): the interval-to-event-volume ratio —
+// the simulation (DESIGN.md §1): the interval-to-event-volume ratio —
 // what determines both overhead and coverage — matches the paper's.
 var Fig2Intervals = []uint64{250, 500, 1000, 0} // 0 = auto
 

@@ -2,7 +2,7 @@
 // Table 1 (SPECjvm98, DaCapo and pseudojbb analogues). Each program is
 // written in the VM's bytecode via builders and reproduces the heap
 // shape and access signature of the benchmark it is named after (see
-// DESIGN.md §4); all programs are deterministic and self-checking.
+// DESIGN.md §11); all programs are deterministic and self-checking.
 //
 // The shared class library here (String, Vector, Rand) is written
 // javac-style: field access paths like s.value[i] are re-evaluated

@@ -7,7 +7,7 @@ import (
 
 // SPECjvm98 analogues (Table 1): compress, jess, javac, mpegaudio,
 // mtrt, jack (db lives in db.go). Each reproduces the original's heap
-// signature; see DESIGN.md §4.
+// signature; see DESIGN.md §11.
 
 // --- compress ---------------------------------------------------------------
 //

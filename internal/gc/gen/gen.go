@@ -139,7 +139,7 @@ func (h *Heap) Collections() (minor, major uint64) { return h.MinorGCs, h.MajorG
 func (h *Heap) barrier(slot, value uint64) {
 	if heap.InImmortal(slot) && (heap.InNursery(value) || heap.InMature(value) || heap.InLOS(value)) {
 		// Immortal objects are immutable after setup by design
-		// (DESIGN.md §7): the collectors do not scan the immortal
+		// (DESIGN.md §8): the collectors do not scan the immortal
 		// space, so such a store would create an untraced edge.
 		panic(fmt.Sprintf("%s: reference store into immortal object (slot %#x <- %#x)", h.name, slot, value))
 	}

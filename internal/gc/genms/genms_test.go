@@ -396,7 +396,7 @@ func TestLargeObjectsGoToLOS(t *testing.T) {
 }
 
 func TestStoreIntoImmortalPanics(t *testing.T) {
-	// Immortal objects are immutable after setup (DESIGN.md §7); a
+	// Immortal objects are immutable after setup (DESIGN.md §8); a
 	// compiled reference store into one must fail fast instead of
 	// silently creating an edge the collectors never trace.
 	u := classfile.NewUniverse()

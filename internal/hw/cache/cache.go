@@ -309,11 +309,6 @@ func (s Stats) L2MissRate() float64 {
 	return ratio(s.L2Misses, s.Accesses)
 }
 
-// L2LocalMissRate returns L2 misses per L2 lookup (i.e. per L1 miss).
-func (s Stats) L2LocalMissRate() float64 {
-	return ratio(s.L2Misses, s.L1Misses)
-}
-
 // TLBMissRate returns DTLB misses per demand access.
 func (s Stats) TLBMissRate() float64 {
 	return ratio(s.TLBMisses, s.Accesses)
@@ -331,11 +326,6 @@ func (s Stats) PrefetchAccuracy() float64 {
 // that were later demanded within the same measurement window.
 func (s Stats) SwPrefetchAccuracy() float64 {
 	return ratio(s.SwPrefetchHits, s.SwPrefetches)
-}
-
-// CyclesPerAccess returns the mean memory-access cost in cycles.
-func (s Stats) CyclesPerAccess() float64 {
-	return ratio(s.Cycles, s.Accesses)
 }
 
 // ratio divides two counters, mapping an empty denominator to 0 so
@@ -489,7 +479,7 @@ type Hierarchy struct {
 	swSite [swSiteSlots]bool
 
 	// functional, when set, switches Access to the fast-forward lane of
-	// sampled simulation (DESIGN.md §12): every access charges the flat
+	// sampled simulation (DESIGN.md §11): every access charges the flat
 	// flatCost and produces no stats, but the tag state (TLB, L1, L2,
 	// stream detector) keeps evolving exactly as in detailed mode and
 	// listener events still fire. This is SMARTS-style functional warming: a

@@ -10,7 +10,7 @@ func TestStatsDerivedRates(t *testing.T) {
 		name string
 		st   Stats
 
-		l1, l2, l2local, tlb, pfAcc, cpa float64
+		l1, l2, tlb, pfAcc float64
 	}{
 		{
 			name: "zero window",
@@ -21,27 +21,24 @@ func TestStatsDerivedRates(t *testing.T) {
 			name: "typical mix",
 			st: Stats{
 				Accesses: 100, L1Misses: 10, L2Misses: 5, TLBMisses: 2,
-				Prefetches: 4, PrefetchHits: 3, Cycles: 500,
+				Prefetches: 4, PrefetchHits: 3,
 			},
-			l1: 0.10, l2: 0.05, l2local: 0.5, tlb: 0.02, pfAcc: 0.75, cpa: 5,
+			l1: 0.10, l2: 0.05, tlb: 0.02, pfAcc: 0.75,
 		},
 		{
 			name: "every access misses everywhere",
 			st: Stats{
-				Accesses: 4, L1Misses: 4, L2Misses: 4, TLBMisses: 4, Cycles: 1000,
+				Accesses: 4, L1Misses: 4, L2Misses: 4, TLBMisses: 4,
 			},
-			l1: 1, l2: 1, l2local: 1, tlb: 1, cpa: 250,
+			l1: 1, l2: 1, tlb: 1,
 		},
 		{
 			name: "hits only",
-			st:   Stats{Accesses: 8, Cycles: 16},
-			// L2LocalMissRate has an empty denominator (no L1 misses)
-			cpa: 2,
+			st:   Stats{Accesses: 8},
 		},
 		{
 			name: "prefetches issued, none demanded",
-			st:   Stats{Accesses: 2, Prefetches: 6, Cycles: 4},
-			cpa:  2,
+			st:   Stats{Accesses: 2, Prefetches: 6},
 		},
 	}
 	for _, c := range cases {
@@ -53,10 +50,8 @@ func TestStatsDerivedRates(t *testing.T) {
 			}{
 				{"L1MissRate", c.st.L1MissRate(), c.l1},
 				{"L2MissRate", c.st.L2MissRate(), c.l2},
-				{"L2LocalMissRate", c.st.L2LocalMissRate(), c.l2local},
 				{"TLBMissRate", c.st.TLBMissRate(), c.tlb},
 				{"PrefetchAccuracy", c.st.PrefetchAccuracy(), c.pfAcc},
-				{"CyclesPerAccess", c.st.CyclesPerAccess(), c.cpa},
 			}
 			for _, ch := range checks {
 				if ch.got != ch.want {

@@ -16,8 +16,8 @@ type TrapHandler interface {
 	Trap(c *CPU, num int64)
 }
 
-// Config holds CPU cost-model parameters and the addresses of the
-// runtime dispatch tables (set by the VM when it lays out its spaces).
+// Config holds the addresses of the code space and the runtime
+// dispatch tables (set by the VM when it lays out its spaces).
 type Config struct {
 	CodeBase uint64 // base address of the code space
 
@@ -30,26 +30,24 @@ type Config struct {
 	// VTableMapBase maps class IDs to vtable addresses: the vtable
 	// pointer for class c lives at VTableMapBase + 8*c.
 	VTableMapBase uint64
-
-	// Cost model: extra cycles beyond the 1-cycle base per instruction.
-	MulCycles         uint64 // extra cost of multiply
-	DivCycles         uint64 // extra cost of divide/remainder
-	TakenBranchCycles uint64 // extra cost of a taken branch/jump
-	CallCycles        uint64 // extra cost of a call or return
-	BarrierCycles     uint64 // extra cost of a reference-store barrier check
 }
 
-// DefaultConfig returns the standard cost model.
+// The cost model: extra cycles beyond the 1-cycle base per instruction.
+const (
+	mulCycles         = 3  // multiply
+	divCycles         = 20 // divide/remainder
+	takenBranchCycles = 1  // taken branch/jump
+	callCycles        = 2  // call or return
+	barrierCycles     = 2  // reference-store barrier check
+)
+
+// DefaultConfig returns the standard layout of the code space and the
+// dispatch tables.
 func DefaultConfig() Config {
 	return Config{
-		CodeBase:          0x0010_0000,
-		MethodTableBase:   0x0008_0000,
-		VTableMapBase:     0x000C_0000,
-		MulCycles:         3,
-		DivCycles:         20,
-		TakenBranchCycles: 1,
-		CallCycles:        2,
-		BarrierCycles:     2,
+		CodeBase:        0x0010_0000,
+		MethodTableBase: 0x0008_0000,
+		VTableMapBase:   0x000C_0000,
 	}
 }
 
@@ -82,7 +80,7 @@ type CPU struct {
 
 	// Barrier, when set, observes every reference store (slot address
 	// and stored value) — the generational collectors' remembered-set
-	// hook. The check itself costs BarrierCycles.
+	// hook. The check itself costs barrierCycles.
 	Barrier func(slotAddr, value uint64)
 
 	// ifetch, when non-nil, models instruction fetch (the opt-in
@@ -347,10 +345,10 @@ func (c *CPU) Step() bool {
 	case OpSub:
 		c.setReg(in.Rd, c.reg(in.Rs1)-c.reg(in.Rs2))
 	case OpMul:
-		c.cycles += c.cfg.MulCycles
+		c.cycles += mulCycles
 		c.setReg(in.Rd, uint64(int64(c.reg(in.Rs1))*int64(c.reg(in.Rs2))))
 	case OpDiv:
-		c.cycles += c.cfg.DivCycles
+		c.cycles += divCycles
 		d := int64(c.reg(in.Rs2))
 		if d == 0 {
 			c.trap(TrapDivZero)
@@ -358,7 +356,7 @@ func (c *CPU) Step() bool {
 		}
 		c.setReg(in.Rd, uint64(int64(c.reg(in.Rs1))/d))
 	case OpRem:
-		c.cycles += c.cfg.DivCycles
+		c.cycles += divCycles
 		d := int64(c.reg(in.Rs2))
 		if d == 0 {
 			c.trap(TrapDivZero)
@@ -409,7 +407,7 @@ func (c *CPU) Step() bool {
 		c.cycles += c.access(a, 8, true)
 		v := c.reg(in.Rs2)
 		c.Mem.Write8(a, v)
-		c.cycles += c.cfg.BarrierCycles
+		c.cycles += barrierCycles
 		if c.Barrier != nil {
 			c.Barrier(a, v)
 		}
@@ -436,7 +434,7 @@ func (c *CPU) Step() bool {
 		c.SP += 8
 
 	case OpCallM:
-		c.cycles += c.cfg.CallCycles
+		c.cycles += callCycles
 		// Load the target from the method entry table.
 		slot := c.cfg.MethodTableBase + uint64(in.Imm)*8
 		c.cycles += c.access(slot, 8, false)
@@ -449,7 +447,7 @@ func (c *CPU) Step() bool {
 		return !c.Halted()
 
 	case OpCallV:
-		c.cycles += c.cfg.CallCycles
+		c.cycles += callCycles
 		recv := c.reg(in.Rs1)
 		if recv == 0 {
 			c.trap(TrapNullPtr)
@@ -476,7 +474,7 @@ func (c *CPU) Step() bool {
 		return !c.Halted()
 
 	case OpRet:
-		c.cycles += c.cfg.CallCycles
+		c.cycles += callCycles
 		c.cycles += c.access(c.SP, 8, false)
 		target := c.Mem.Read8(c.SP)
 		c.SP += 8
@@ -489,7 +487,7 @@ func (c *CPU) Step() bool {
 		return !c.Halted()
 
 	case OpJmp:
-		c.cycles += c.cfg.TakenBranchCycles
+		c.cycles += takenBranchCycles
 		c.PC = uint64(in.Imm)
 		return !c.Halted()
 
@@ -513,7 +511,7 @@ func (c *CPU) Step() bool {
 			taken = a >= b
 		}
 		if taken {
-			c.cycles += c.cfg.TakenBranchCycles
+			c.cycles += takenBranchCycles
 			c.PC = uint64(in.Imm)
 			return !c.Halted()
 		}

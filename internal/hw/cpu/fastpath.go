@@ -1,7 +1,7 @@
 package cpu
 
 // The run loop: a call-free fast loop retires the common instructions,
-// and Step executes every other one (DESIGN.md §11, pinned by
+// and Step executes every other one (DESIGN.md §2, pinned by
 // TestGoldenEquivalence, TestRunLoopStepEquivalence and
 // TestFastLoopExits).
 //
@@ -78,7 +78,6 @@ func (c *CPU) runLoop(cycleHorizon, budget uint64) uint64 {
 func (c *CPU) fastLoop(cycleHorizon, budget uint64) uint64 {
 	code := c.code
 	cbase := c.cfg.CodeBase
-	takenBranch := c.cfg.TakenBranchCycles
 	hitCycles := c.Hier.HitCycles()
 	// Without the fetch hook every PC lies on fetch line 0 (PCs stay
 	// below 2^63), so the line test needs no test of the hook.
@@ -115,21 +114,21 @@ run:
 		case OpSub:
 			c.setReg(in.Rd, c.reg(in.Rs1)-c.reg(in.Rs2))
 		case OpMul:
-			cyc += c.cfg.MulCycles
+			cyc += mulCycles
 			c.setReg(in.Rd, uint64(int64(c.reg(in.Rs1))*int64(c.reg(in.Rs2))))
 		case OpDiv:
 			d := int64(c.reg(in.Rs2))
 			if d == 0 {
 				break run // Step traps
 			}
-			cyc += c.cfg.DivCycles
+			cyc += divCycles
 			c.setReg(in.Rd, uint64(int64(c.reg(in.Rs1))/d))
 		case OpRem:
 			d := int64(c.reg(in.Rs2))
 			if d == 0 {
 				break run // Step traps
 			}
-			cyc += c.cfg.DivCycles
+			cyc += divCycles
 			c.setReg(in.Rd, uint64(int64(c.reg(in.Rs1))%d))
 		case OpAnd:
 			c.setReg(in.Rd, c.reg(in.Rs1)&c.reg(in.Rs2))
@@ -238,47 +237,47 @@ run:
 			if target == 0 || !c.Hier.HitAt(pc, a, false) {
 				break run
 			}
-			cyc += c.cfg.CallCycles + hitCycles
+			cyc += callCycles + hitCycles
 			c.SP = a + 8
 			next = target
 
 		case OpJmp:
-			cyc += takenBranch
+			cyc += takenBranchCycles
 			next = uint64(in.Imm)
 
 		case OpBrEQ:
 			if c.reg(in.Rs1) == c.reg(in.Rs2) {
-				cyc += takenBranch
+				cyc += takenBranchCycles
 				next = uint64(in.Imm)
 			}
 		case OpBrNE:
 			if c.reg(in.Rs1) != c.reg(in.Rs2) {
-				cyc += takenBranch
+				cyc += takenBranchCycles
 				next = uint64(in.Imm)
 			}
 		case OpBrLT:
 			if int64(c.reg(in.Rs1)) < int64(c.reg(in.Rs2)) {
-				cyc += takenBranch
+				cyc += takenBranchCycles
 				next = uint64(in.Imm)
 			}
 		case OpBrLE:
 			if int64(c.reg(in.Rs1)) <= int64(c.reg(in.Rs2)) {
-				cyc += takenBranch
+				cyc += takenBranchCycles
 				next = uint64(in.Imm)
 			}
 		case OpBrGT:
 			if int64(c.reg(in.Rs1)) > int64(c.reg(in.Rs2)) {
-				cyc += takenBranch
+				cyc += takenBranchCycles
 				next = uint64(in.Imm)
 			}
 		case OpBrGE:
 			if int64(c.reg(in.Rs1)) >= int64(c.reg(in.Rs2)) {
-				cyc += takenBranch
+				cyc += takenBranchCycles
 				next = uint64(in.Imm)
 			}
 		case OpBrUGE:
 			if c.reg(in.Rs1) >= c.reg(in.Rs2) {
-				cyc += takenBranch
+				cyc += takenBranchCycles
 				next = uint64(in.Imm)
 			}
 

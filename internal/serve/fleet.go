@@ -22,7 +22,7 @@ import (
 // through internal/client; the coordinator cannot tell them apart
 // because both speak api.RunResult.
 //
-// Routing (DESIGN.md §13):
+// Routing (DESIGN.md §12):
 //
 //   - Every request has a sticky key: the warm-start snapshot key when
 //     warm_start_cycles is set, else the result-cache key. Rendezvous

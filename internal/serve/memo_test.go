@@ -162,11 +162,11 @@ func TestMemoBypassesLargeBodies(t *testing.T) {
 
 // TestMemoBounded resolves more distinct limit-sized bodies than the
 // memo holds: its length never exceeds memoEntries, and its keys never
-// hold more than the memoEntries × memoMaxBody bytes DESIGN §13 states
+// hold more than the memoEntries × memoMaxBody bytes DESIGN §12 states
 // as its worst case (1 MiB).
 func TestMemoBounded(t *testing.T) {
 	if memoEntries*memoMaxBody > 1<<20 {
-		t.Fatalf("memo worst case %d × %d bytes exceeds the 1 MiB DESIGN §13 states", memoEntries, memoMaxBody)
+		t.Fatalf("memo worst case %d × %d bytes exceeds the 1 MiB DESIGN §12 states", memoEntries, memoMaxBody)
 	}
 	r := newResolver()
 	for seed := range memoEntries + memoEntries/2 {

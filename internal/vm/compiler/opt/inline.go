@@ -14,24 +14,20 @@ import (
 // analysis (the universe cannot load classes at runtime), with an
 // explicit null check standing in for the dispatch's receiver check.
 
-// InlineConfig bounds the inliner.
-type InlineConfig struct {
-	// MaxCalleeSize is the largest callee body considered, in
+// The inliner's budgets.
+const (
+	// maxCalleeSize is the largest callee body considered, in
 	// bytecodes.
-	MaxCalleeSize int
-	// MaxGrowth caps the caller's size increase in bytecodes.
-	MaxGrowth int
-	// MaxLocals caps the combined local-slot count (the GC map budget).
-	MaxLocals int
-	// Passes is the number of inlining sweeps (2 inlines through
+	maxCalleeSize = 48
+	// maxGrowth caps the caller's size increase per pass, in
+	// bytecodes.
+	maxGrowth = 400
+	// maxLocals caps the combined local-slot count (the GC map budget).
+	maxLocals = 56
+	// inlinePasses is the number of inlining sweeps (2 inlines through
 	// one level of wrappers).
-	Passes int
-}
-
-// DefaultInlineConfig returns the standard budgets.
-func DefaultInlineConfig() InlineConfig {
-	return InlineConfig{MaxCalleeSize: 48, MaxGrowth: 400, MaxLocals: 56, Passes: 2}
-}
+	inlinePasses = 2
+)
 
 // soleImplementation returns the single implementation a virtual call
 // can dispatch to, or nil when the slot is polymorphic.
@@ -63,12 +59,12 @@ func soleImplementation(u *classfile.Universe, m *classfile.Method) *classfile.M
 }
 
 // inlinable reports whether callee can be spliced into a caller.
-func inlinable(callee *classfile.Method, cfg InlineConfig) (*bytecode.Code, bool) {
+func inlinable(callee *classfile.Method) (*bytecode.Code, bool) {
 	code, ok := callee.Code.(*bytecode.Code)
 	if !ok || code == nil {
 		return nil, false
 	}
-	if len(code.Instrs) > cfg.MaxCalleeSize {
+	if len(code.Instrs) > maxCalleeSize {
 		return nil, false
 	}
 	return code, true
@@ -77,10 +73,10 @@ func inlinable(callee *classfile.Method, cfg InlineConfig) (*bytecode.Code, bool
 // InlineCalls returns a new verified Code for the caller with eligible
 // call sites expanded, or the original code when nothing was inlined.
 // The input code is never mutated (it is the method's canonical body).
-func InlineCalls(u *classfile.Universe, code *bytecode.Code, cfg InlineConfig) (*bytecode.Code, error) {
+func InlineCalls(u *classfile.Universe, code *bytecode.Code) (*bytecode.Code, error) {
 	cur := code
-	for pass := 0; pass < cfg.Passes; pass++ {
-		next, changed, err := inlineOnePass(u, cur, cfg)
+	for pass := 0; pass < inlinePasses; pass++ {
+		next, changed, err := inlineOnePass(u, cur)
 		if err != nil {
 			return nil, err
 		}
@@ -92,7 +88,7 @@ func InlineCalls(u *classfile.Universe, code *bytecode.Code, cfg InlineConfig) (
 	return cur, nil
 }
 
-func inlineOnePass(u *classfile.Universe, code *bytecode.Code, cfg InlineConfig) (*bytecode.Code, bool, error) {
+func inlineOnePass(u *classfile.Universe, code *bytecode.Code) (*bytecode.Code, bool, error) {
 	caller := code.Method
 
 	// Select the call sites to expand under the growth budgets.
@@ -121,15 +117,15 @@ func inlineOnePass(u *classfile.Universe, code *bytecode.Code, cfg InlineConfig)
 		if target == caller {
 			continue // no self-inlining
 		}
-		callee, ok := inlinable(target, cfg)
+		callee, ok := inlinable(target)
 		if !ok {
 			continue
 		}
 		extra := len(callee.Instrs) + len(target.Args) + 2*(callee.NumLocals-len(target.Args)) + 4
-		if growth+extra > cfg.MaxGrowth {
+		if growth+extra > maxGrowth {
 			continue
 		}
-		if locals+callee.NumLocals+1 > cfg.MaxLocals {
+		if locals+callee.NumLocals+1 > maxLocals {
 			continue
 		}
 		growth += extra

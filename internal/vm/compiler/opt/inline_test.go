@@ -105,7 +105,7 @@ func TestInlineSkipsPolymorphicCalls(t *testing.T) {
 	// The slot is polymorphic; inlining must keep the dispatch so the
 	// override is honored.
 	code := main.Code.(*bytecode.Code)
-	inlined, err := opt.InlineCalls(u, code, opt.DefaultInlineConfig())
+	inlined, err := opt.InlineCalls(u, code)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestInlineSkipsRecursion(t *testing.T) {
 	u.Layout()
 
 	code := fib.Code.(*bytecode.Code)
-	inlined, err := opt.InlineCalls(u, code, opt.DefaultInlineConfig())
+	inlined, err := opt.InlineCalls(u, code)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,13 +184,12 @@ func TestInlineGrowthBudget(t *testing.T) {
 	u.Layout()
 
 	code := main.Code.(*bytecode.Code)
-	cfg := opt.DefaultInlineConfig()
-	inlined, err := opt.InlineCalls(u, code, cfg)
+	inlined, err := opt.InlineCalls(u, code)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if grow := len(inlined.Instrs) - len(code.Instrs); grow > 2*cfg.MaxGrowth {
-		t.Fatalf("growth %d exceeds budget (passes x %d)", grow, cfg.MaxGrowth)
+	if grow := len(inlined.Instrs) - len(code.Instrs); grow > opt.MaxInlineGrowth {
+		t.Fatalf("growth %d exceeds budget %d", grow, opt.MaxInlineGrowth)
 	}
 	// Not every call site fits the budget; some must remain.
 	remaining := 0

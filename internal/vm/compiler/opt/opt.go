@@ -53,7 +53,7 @@ type Result struct {
 // resulting map.
 func Compile(u *classfile.Universe, c *cpu.CPU, code *bytecode.Code, level int) (*Result, error) {
 	if level >= 2 {
-		if inlined, err := InlineCalls(u, code, DefaultInlineConfig()); err == nil {
+		if inlined, err := InlineCalls(u, code); err == nil {
 			if res, err := compileBody(u, c, inlined, level); err == nil {
 				return res, nil
 			}

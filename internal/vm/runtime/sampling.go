@@ -3,7 +3,7 @@ package runtime
 // Sampled simulation: the region scheduler that alternates the machine
 // between functional fast-forward and detailed measurement, in the
 // style of periodic region sampling (SMARTS/Pac-Sim; see DESIGN.md
-// §12). Phase boundaries are instruction counts, so the schedule is a
+// §11). Phase boundaries are instruction counts, so the schedule is a
 // pure function of the architectural instruction stream and identical
 // across cost models — the keystone tests rely on this to compare
 // sampled runs against exact ones region by region.

@@ -1,5 +1,5 @@
 // Sampled-simulation keystone tests: pin the two-lane CPU's region
-// scheduler against the cycle-exact simulation (DESIGN.md §12).
+// scheduler against the cycle-exact simulation (DESIGN.md §11).
 //
 // The load-bearing property is functional warming: during fast-forward
 // the hierarchy keeps evolving its tag state (and delivering hardware
