@@ -8,11 +8,13 @@
 // bench.RunConfig, core.Options or any kind's config must leave every
 // entry unchanged.
 //
-// A diff here re-keys every result cache entry and snapshot. Regenerate
-// only in a change that re-keys on purpose, and check that the diff of
-// each entry, split after ';' and '{', is what that change meant to
-// move:
-// go test -run '^TestCanonicalStringsPinned$' -golden-regen .
+// A diff here re-keys every result cache entry and snapshot. The test
+// reports it as the segments, split after ';' and '{', that entries
+// lost and gained, one line per distinct change with the number of
+// entries it applies to. Regenerate only in a change that re-keys on
+// purpose; the regeneration logs the same summary, which should name
+// only what that change meant to move:
+// go test -run '^TestCanonicalStringsPinned$' -golden-regen -v .
 package hpmvm_test
 
 import (
@@ -20,6 +22,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"hpmvm/internal/bench"
@@ -137,7 +141,15 @@ func TestCanonicalStringsPinned(t *testing.T) {
 	for name, cfg := range canonicalPinConfigs() {
 		got[name] = canonicalPinEntry{Canonical: cfg.Resolve(db.MinHeap, db.HotFieldName).CanonicalString()}
 	}
+	var want map[string]canonicalPinEntry
+	data, err := os.ReadFile(canonicalPinPath())
+	if err == nil {
+		err = json.Unmarshal(data, &want)
+	}
 	if *goldenRegen {
+		for _, line := range reKeys(want, got) {
+			t.Log(line)
+		}
 		data, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
 			t.Fatal(err)
@@ -148,27 +160,89 @@ func TestCanonicalStringsPinned(t *testing.T) {
 		t.Logf("recorded %s (%d configurations)", canonicalPinPath(), len(got))
 		return
 	}
-	data, err := os.ReadFile(canonicalPinPath())
 	if err != nil {
-		t.Fatalf("missing pin (go test -run '^TestCanonicalStringsPinned$' -golden-regen .): %v", err)
+		t.Fatalf("missing or corrupt pin (go test -run '^TestCanonicalStringsPinned$' -golden-regen .): %v", err)
 	}
-	var want map[string]canonicalPinEntry
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatalf("corrupt pin: %v", err)
+	for _, line := range reKeys(want, got) {
+		t.Error(line)
 	}
+}
+
+// reKeys describes how got differs from want: the entries only one of
+// them has, then one line per distinct segment change with the number
+// of entries it re-keys and their names.
+func reKeys(want, got map[string]canonicalPinEntry) []string {
+	var lines []string
+	changed := map[string][]string{} // change -> entry names
 	for name, g := range got {
 		w, ok := want[name]
-		if !ok {
-			t.Errorf("%s has no pin entry — regenerate", name)
-			continue
-		}
-		if g != w {
-			t.Errorf("%s re-keyed:\n got %+v\nwant %+v", name, g, w)
+		switch {
+		case !ok:
+			lines = append(lines, fmt.Sprintf("%s has no pin entry — regenerate", name))
+		case g != w:
+			lost, gained := segmentDiff(w.Canonical, g.Canonical)
+			change := fmt.Sprintf("lost %q, gained %q", lost, gained)
+			changed[change] = append(changed[change], name)
 		}
 	}
 	for name := range want {
 		if _, ok := got[name]; !ok {
-			t.Errorf("pin entry %s names no configuration — regenerate", name)
+			lines = append(lines, fmt.Sprintf("pin entry %s names no configuration — regenerate", name))
 		}
 	}
+	for change, names := range changed {
+		slices.Sort(names)
+		lines = append(lines, fmt.Sprintf("%d entries re-keyed: %s: %s", len(names), change, strings.Join(names, ", ")))
+	}
+	slices.Sort(lines)
+	return lines
+}
+
+// segments splits a canonical string after each ';' and '{'.
+func segments(s string) []string {
+	var segs []string
+	for s != "" {
+		i := strings.IndexAny(s, ";{") + 1
+		if i == 0 {
+			i = len(s)
+		}
+		segs = append(segs, s[:i])
+		s = s[i:]
+	}
+	return segs
+}
+
+// segmentDiff returns, in order, the segments of old outside a longest
+// common subsequence of the two strings' segments, and those of new.
+func segmentDiff(old, new string) (lost, gained []string) {
+	a, b := segments(old), segments(new)
+	// lcs[i][j] is the length of a longest common subsequence of a[i:]
+	// and b[j:].
+	lcs := make([][]int, len(a)+1)
+	for i := range lcs {
+		lcs[i] = make([]int, len(b)+1)
+	}
+	for i := len(a) - 1; i >= 0; i-- {
+		for j := len(b) - 1; j >= 0; j-- {
+			if a[i] == b[j] {
+				lcs[i][j] = lcs[i+1][j+1] + 1
+			} else {
+				lcs[i][j] = max(lcs[i+1][j], lcs[i][j+1])
+			}
+		}
+	}
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] == b[j]:
+			i, j = i+1, j+1
+		case lcs[i+1][j] >= lcs[i][j+1]:
+			lost = append(lost, a[i])
+			i++
+		default:
+			gained = append(gained, b[j])
+			j++
+		}
+	}
+	return append(lost, a[i:]...), append(gained, b[j:]...)
 }

@@ -7,16 +7,14 @@ import (
 	"testing/quick"
 )
 
-// tiny returns a small, easily reasoned-about hierarchy: L1 = 4 lines
-// of 64B direct-ish (2-way, 2 sets), L2 = 16 lines 2-way, no prefetch.
+// tiny returns a small, easily reasoned-about L1 — 4 lines of 64 B,
+// 2-way, 2 sets — in front of the P4's L2, DTLB and cycle costs, with
+// the stream prefetcher off.
 func tiny() Config {
-	return Config{
-		LineSize: 64,
-		L1Size:   4 * 64, L1Assoc: 2,
-		L2Size: 16 * 64, L2Assoc: 2,
-		TLBEntries: 4, PageSize: 4096,
-		L1HitCycles: 1, L2HitCycles: 10, MemCycles: 100, TLBMissCycles: 20,
-	}
+	cfg := DefaultP4()
+	cfg.LineSize, cfg.L1Size, cfg.L1Assoc = 64, 4*64, 2
+	cfg.PrefetchEnabled = false
+	return cfg
 }
 
 func TestValidate(t *testing.T) {
@@ -49,6 +47,13 @@ func TestValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("expected error for pages smaller than lines")
 	}
+	// One-byte lines and pages pass every other check, but an unshifted
+	// address could equal the all-ones key that marks an empty way.
+	bad = DefaultP4()
+	bad.LineSize, bad.PageSize = 1, 1
+	if err := bad.Validate(); err == nil {
+		t.Error("expected error for one-byte lines and pages")
+	}
 }
 
 func TestColdMissThenHit(t *testing.T) {
@@ -58,11 +63,11 @@ func TestColdMissThenHit(t *testing.T) {
 	if st.L1Misses != 1 || st.L2Misses != 1 || st.TLBMisses != 1 {
 		t.Fatalf("cold access stats: %+v", st)
 	}
-	if c1 != 1+10+100+20 {
+	if c1 != 2+18+200+30 {
 		t.Fatalf("cold access cost = %d", c1)
 	}
 	c2 := h.Access(0x1008, 8, false) // same line, same page
-	if c2 != 1 {
+	if c2 != 2 {
 		t.Fatalf("warm access cost = %d", c2)
 	}
 	st = h.Stats()
@@ -109,8 +114,9 @@ func TestTLB(t *testing.T) {
 	if got := h.Stats().TLBMisses; got != 1 {
 		t.Fatalf("TLBMisses = %d, want 1", got)
 	}
-	// Touch 5 distinct pages (TLB holds 4): first page gets evicted.
-	for p := 1; p <= 4; p++ {
+	// Touch as many other pages as the DTLB holds: the first page gets
+	// evicted.
+	for p := 1; p <= cfg.TLBEntries; p++ {
 		h.Access(uint64(p)*4096, 8, false)
 	}
 	before := h.Stats().TLBMisses
@@ -147,7 +153,6 @@ func TestPrefetcherDetectsStream(t *testing.T) {
 func TestPrefetchStreamWrapsBelowLineZero(t *testing.T) {
 	cfg := tiny()
 	cfg.PrefetchEnabled = true
-	cfg.PrefetchStreams = 4
 	h := New(cfg)
 	h.Access(0x40, 8, false)
 	h.Access(0x08, 8, false)

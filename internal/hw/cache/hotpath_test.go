@@ -80,7 +80,7 @@ func TestAccessFingerprint(t *testing.T) {
 		{"p4-noprefetch", nopf, true,
 			"cyc=23955996 acc=200000 ld=175000 st=25000 l1=106017 l2=93562 tlb=97843 wb=49965 pf=0 pfh=0 stc=23955996 ev=[106017 93562 97843 0]"},
 		{"tiny", tiny(), true,
-			"cyc=14787820 acc=200000 ld=175000 st=25000 l1=121854 l2=113683 tlb=100049 wb=49998 pf=0 pfh=0 stc=14787820 ev=[121854 113683 100049 0]"},
+			"cyc=25487262 acc=200000 ld=175000 st=25000 l1=121854 l2=99793 tlb=97843 wb=49967 pf=0 pfh=0 stc=25487262 ev=[121854 99793 97843 0]"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -30,6 +30,8 @@ type refLine struct {
 type refArray struct {
 	sets  [][]refLine
 	stamp uint64
+	// What the stream has made the array do, for the coverage check.
+	fills, evictions, writebacks int
 }
 
 func newRefArray(totalLines, assoc int) *refArray {
@@ -74,6 +76,13 @@ func (a *refArray) access(key uint64, dirty bool) (hit, writeback bool) {
 		}
 	}
 	writeback = set[victim].valid && set[victim].dirty
+	a.fills++
+	if set[victim].valid {
+		a.evictions++
+	}
+	if writeback {
+		a.writebacks++
+	}
 	set[victim] = refLine{key: key, valid: true, dirty: dirty, lru: a.stamp}
 	return false, writeback
 }
@@ -109,6 +118,9 @@ type ref struct {
 	functional   bool
 	flatCost     uint64
 	line, pageSz uint64
+	// orphans counts stream prefetches of a line L1 holds and L2 no
+	// longer does: the fill goes to L2 alone and the L1 way turns pending.
+	orphans int
 }
 
 func newRef(cfg Config) *ref {
@@ -255,8 +267,11 @@ func (r *ref) train(ln uint64) {
 }
 
 func (r *ref) prefetch(ln uint64) {
-	if r.l2.contains(ln) && r.l1.contains(ln) {
-		return
+	if r.l1.contains(ln) {
+		if r.l2.contains(ln) {
+			return
+		}
+		r.orphans++
 	}
 	r.l2.access(ln, false)
 	r.l1.access(ln, false)
@@ -298,11 +313,13 @@ func (l *eventLog) HardwareEvent(kind EventKind, addr uint64) {
 // from a pool wider than the DTLB, ascending and descending line runs
 // (stream prefetcher), revisits of the last few addresses and their
 // neighbouring lines (L1 hits, on demanded and on prefetched lines),
-// and segments confined to a few pages that share one way-predictor
-// slot. The last kind is what makes a wrong DTLB prediction observable:
-// while its pages sit in the TLB together the slot names the wrong way
-// for all but one of them, and it goes on naming a way after a long
-// segment of another kind has evicted the page and refilled the way.
+// segments confined to a few pages that share one way-predictor slot,
+// and scripted segments that leave a line in L1 but not in L2 and then
+// stream the prefetcher up to it. The predictor-slot kind is what makes
+// a wrong DTLB prediction observable: while its pages sit in the TLB
+// together the slot names the wrong way for all but one of them, and it
+// goes on naming a way after a long segment of another kind has evicted
+// the page and refilled the way.
 type oracleStream struct {
 	rng     *rand.Rand
 	cfg     Config
@@ -310,23 +327,36 @@ type oracleStream struct {
 	left    int
 	kind    int
 	aliases []uint64 // the current segment's pages of one predictor slot
+	script  []uint64 // the scripted segment's remaining addresses
 	cursor  uint64
 	history []uint64
 }
 
 func (s *oracleStream) next() (addr uint64, write bool) {
+	page, line := uint64(s.cfg.PageSize), uint64(s.cfg.LineSize)
 	if s.left == 0 {
-		s.kind = s.rng.Intn(5)
+		s.kind = s.rng.Intn(6)
 		s.left = 20 + s.rng.Intn(300)
 		s.aliases = predictorAliases[s.rng.Intn(len(predictorAliases))]
-		s.cursor = uint64(s.rng.Intn(s.pages)) * uint64(s.cfg.PageSize)
-		if s.kind == 2 {
+		s.cursor = uint64(s.rng.Intn(s.pages)) * page
+		switch s.kind {
+		case 2:
 			// Start a pool above so the run never descends below zero.
-			s.cursor += uint64(s.pages) * uint64(s.cfg.PageSize)
+			s.cursor += uint64(s.pages) * page
+		case 5:
+			// A line four pools up, where no other kind reaches, so the
+			// lines below it miss L2 and train a stream.
+			pool := uint64(s.pages) * page / line
+			orphan := 4*pool + uint64(s.rng.Intn(int(pool)))
+			s.script = s.script[:0]
+			lines := append([]uint64{orphan}, l2Orphan(orphan, l2Sets(s.cfg), s.cfg.L2Assoc)...)
+			for _, l := range append(lines, orphan-2, orphan-1, orphan) {
+				s.script = append(s.script, l*line)
+			}
+			s.left = len(s.script)
 		}
 	}
 	s.left--
-	page, line := uint64(s.cfg.PageSize), uint64(s.cfg.LineSize)
 	switch s.kind {
 	case 0: // any page of the pool
 		addr = uint64(s.rng.Intn(s.pages))*page + uint64(s.rng.Intn(int(page)))
@@ -342,8 +372,10 @@ func (s *oracleStream) next() (addr uint64, write bool) {
 			recent = []uint64{s.cursor}
 		}
 		addr = recent[s.rng.Intn(len(recent))] + uint64(s.rng.Intn(4))*line
-	default: // pages of one predictor slot
+	case 4: // pages of one predictor slot
 		addr = s.aliases[s.rng.Intn(len(s.aliases))]*page + uint64(s.rng.Intn(int(page)))
+	default: // the script
+		addr, s.script = s.script[0], s.script[1:]
 	}
 	addr &^= 7
 	s.history = append(s.history, addr)
@@ -362,24 +394,15 @@ var predictorAliases = func() [][]uint64 {
 	return slices.DeleteFunc(sets, func(pages []uint64) bool { return len(pages) < 4 })
 }()
 
+// l2Sets is the number of sets in cfg's L2.
+func l2Sets(cfg Config) int { return cfg.L2Size / cfg.LineSize / cfg.L2Assoc }
+
 func TestOracleLockStep(t *testing.T) {
+	// A 4-line L1 with the stream prefetcher on: most accesses miss L1,
+	// so its fills, evictions and write-backs, and the prefetcher's
+	// installs over demanded lines, come thick and fast.
 	pressured := tiny()
-	// A 32-entry DTLB behind tlbPred: the aliasing pages overflow it,
-	// so predictions go stale and the exact scan finds, fills and
-	// evicts.
-	pressured.TLBEntries = 32
 	pressured.PrefetchEnabled = true
-	pressured.PrefetchStreams = 4
-	// An L2 smaller than the L1: lines outlive their L2 copy, so the
-	// stream prefetcher keeps being asked for lines that are L1-resident
-	// already (and must still be attributed on their next touch).
-	shallow := pressured
-	shallow.L1Size, shallow.L1Assoc = 16*64, 4
-	shallow.L2Size, shallow.L2Assoc = 8*64, 2
-	// DTLBs whose entry count is not a power of two: Validate accepts
-	// them, so the DTLB must handle any way count.
-	dtlb48, dtlb96 := DefaultP4(), DefaultP4()
-	dtlb48.TLBEntries, dtlb96.TLBEntries = 48, 96
 	// Pages of more lines than the resident-line table has slots: a
 	// DTLB eviction drops them by scanning the table.
 	bigPages := DefaultP4()
@@ -391,12 +414,8 @@ func TestOracleLockStep(t *testing.T) {
 	}{
 		{"p4", DefaultP4(), false},
 		{"pressured", pressured, false},
-		{"shallow", shallow, false},
 		{"p4-sw", DefaultP4(), true},
 		{"pressured-sw", pressured, true},
-		{"shallow-sw", shallow, true},
-		{"dtlb48", dtlb48, false},
-		{"dtlb96", dtlb96, false},
 		{"bigpages", bigPages, false},
 	} {
 		for seed := int64(1); seed <= 4; seed++ {
@@ -518,5 +537,18 @@ func oracleRun(t *testing.T, cfg Config, sw bool, seed int64, n int) {
 		if got, want := h.L1Contains(probe), r.l1.contains(probe/r.line); got != want {
 			t.Fatalf("access %d: L1Contains(%#x) = %v, reference %v", i, probe, got, want)
 		}
+	}
+	// A path the stream never took is a path the comparison never held.
+	for _, a := range []struct {
+		name  string
+		arr   *refArray
+		dirty bool // the DTLB has no dirty bits and never writes back
+	}{{"L1", r.l1, true}, {"L2", r.l2, true}, {"DTLB", r.tlb, false}} {
+		if a.arr.fills == 0 || a.arr.evictions == 0 || a.dirty && a.arr.writebacks == 0 {
+			t.Errorf("%s: %d fills, %d evictions, %d write-backs", a.name, a.arr.fills, a.arr.evictions, a.arr.writebacks)
+		}
+	}
+	if r.orphans == 0 {
+		t.Error("no stream prefetch found its line in L1 but not in L2")
 	}
 }

@@ -100,49 +100,54 @@ func streamTo(h *Hierarchy, line uint64) {
 	}
 }
 
-// shallowCfg is a geometry whose L2 keeps fewer lines of a set than L1:
-// 4 sets in both, 4 ways in L1 and 2 in L2.
-func shallowCfg() Config {
-	cfg := tiny()
-	cfg.L1Size, cfg.L1Assoc = 16*64, 4
-	cfg.L2Size, cfg.L2Assoc = 8*64, 2
-	cfg.TLBEntries = 32
-	cfg.PrefetchEnabled, cfg.PrefetchStreams = true, 4
-	return cfg
+// l2Orphan returns, as line numbers, the accesses that push line out
+// of an L2 of the given sets and ways but keep it in an L1 whose set
+// count divides the L2's: a line of line's L2 set, which shares its L1
+// set too, then line itself, once per L2 way. Each hit on line keeps it
+// its L1 set's most recently used line while its L2 copy ages.
+func l2Orphan(line uint64, sets, ways int) []uint64 {
+	var lines []uint64
+	for i := 1; i <= ways; i++ {
+		lines = append(lines, line+uint64(i*sets), line)
+	}
+	return lines
 }
 
 func TestHitDeclinesAfterInstallMarksPending(t *testing.T) {
-	cfg := shallowCfg()
 	const line = 64
-	h := tabled(t, cfg, line<<6)
-	// Two more lines of the set push the line out of the 2-way L2 but
-	// not out of the 4-way L1; the stream then prefetches it again.
-	h.Access((line+4)<<6, 8, false)
-	h.Access((line+8)<<6, 8, false)
-	if !h.HitAt(0, line<<6, false) {
+	addr := uint64(line) << 7 // 128-byte lines
+	h := tabled(t, DefaultP4(), addr)
+	for _, l := range l2Orphan(line, len(h.l2.keys)/h.l2.assoc, h.l2.assoc) {
+		h.Access(l<<h.lineBits, 8, false)
+	}
+	if h.l2.find(line) >= 0 {
+		t.Fatal("the line survived in L2")
+	}
+	if !h.HitAt(0, addr, false) {
 		t.Fatal("the L2 fills dropped the L1-resident line")
 	}
+	// The stream prefetches the line, which L1 holds and L2 does not.
 	streamTo(h, line)
-	if !h.L1Contains(line<<6) || h.prefetched.Len() == 0 {
+	if !h.L1Contains(addr) || h.prefetched.Len() == 0 {
 		t.Fatal("the stream did not prefetch the resident line")
 	}
-	declines(t, h, line<<6, "a prefetch install marked its way pending")
+	declines(t, h, addr, "a prefetch install marked its way pending")
 }
 
 func TestHitDeclinesAfterInstallEviction(t *testing.T) {
-	cfg := shallowCfg()
 	const line = 64
-	h := tabled(t, cfg, line<<6)
-	// Fill the rest of the set so the line is its least recently used
-	// way, then have the stream prefetch a fifth line of the set.
+	h := tabled(t, DefaultP4(), line<<7)
+	// Fill the rest of the line's L1 set (32 sets of 4 ways) so the line
+	// is its least recently used way, then have the stream prefetch a
+	// fifth line of the set.
 	for i := uint64(1); i < 4; i++ {
-		h.Access((line+4*i)<<6, 8, false)
+		h.Access((line+32*i)<<7, 8, false)
 	}
-	streamTo(h, line+16)
-	if h.L1Contains(line << 6) {
+	streamTo(h, line+32*4)
+	if h.L1Contains(line << 7) {
 		t.Fatal("the prefetch did not evict the line")
 	}
-	declines(t, h, line<<6, "a prefetch install evicted it")
+	declines(t, h, line<<7, "a prefetch install evicted it")
 }
 
 func TestHitDeclinesAfterRestore(t *testing.T) {
@@ -384,18 +389,19 @@ func recountTLBPages(h *Hierarchy) (n [1 << tlbPagesBits]uint32) {
 }
 
 // TestTLBPageCountsExact holds the DTLB's page counts to a recount of
-// its keys after every operation of random streams: fills and
-// evictions in both lanes, Flush, Restore and a Restore that fails. A
-// count that reads too low would fill a resident page a second time; one
-// that reads too high only costs a scan, so only this test sees it.
+// its keys after every operation of random streams, over small and
+// large pages: fills and evictions in both lanes, Flush, Restore and a
+// Restore that fails. A count that reads too low would fill a resident
+// page a second time; one that reads too high only costs a scan, so
+// only this test sees it.
 func TestTLBPageCountsExact(t *testing.T) {
-	for _, entries := range []int{32, 48, 64, 96} {
-		for seed := int64(1); seed <= 2; seed++ {
+	for _, pageSize := range []int{4096, 64 * 1024} {
+		for seed := int64(1); seed <= 4; seed++ {
 			cfg := DefaultP4()
-			cfg.TLBEntries = entries
+			cfg.PageSize = pageSize
 			h := New(cfg)
 			rng := rand.New(rand.NewSource(seed))
-			s := &oracleStream{rng: rng, cfg: cfg, pages: 5 * entries}
+			s := &oracleStream{rng: rng, cfg: cfg, pages: 5 * cfg.TLBEntries}
 			saved := h.Snapshot()
 			for i := 0; i < 20_000; i++ {
 				var op string
@@ -435,7 +441,7 @@ func TestTLBPageCountsExact(t *testing.T) {
 					}
 				}
 				if h.tlbPages != recountTLBPages(h) {
-					t.Fatalf("%d entries, seed %d, step %d: page counts differ from a recount after %s", entries, seed, i, op)
+					t.Fatalf("%d-byte pages, seed %d, step %d: page counts differ from a recount after %s", pageSize, seed, i, op)
 				}
 			}
 		}

@@ -32,9 +32,9 @@ func TestSoftwarePrefetchHitAttribution(t *testing.T) {
 	h, cpu := swTiny(0x500, 64, 2)
 	cpu.pc = 0x500
 	c1 := h.Access(0x1000, 8, false)
-	// Demand cold miss (1+10+100+20) plus the issue cost of the
+	// Demand cold miss (2+18+200+30) plus the issue cost of the
 	// non-resident next-line prefetch.
-	if want := uint64(1 + 10 + 100 + 20 + 2); c1 != want {
+	if want := uint64(2 + 18 + 200 + 30 + 2); c1 != want {
 		t.Fatalf("site access cost = %d, want %d", c1, want)
 	}
 	st := h.Stats()
@@ -47,7 +47,7 @@ func TestSoftwarePrefetchHitAttribution(t *testing.T) {
 
 	cpu.pc = 0x999 // not a site
 	c2 := h.Access(0x1040, 8, false)
-	if c2 != 1 {
+	if c2 != 2 {
 		t.Fatalf("prefetched line not an L1 hit: cost %d", c2)
 	}
 	st = h.Stats()
@@ -73,7 +73,7 @@ func TestSoftwarePrefetchSquash(t *testing.T) {
 	h.Access(0x1040, 8, false) // make the would-be target resident
 	cpu.pc = 0x500
 	c := h.Access(0x1000, 8, false)
-	if want := uint64(1 + 10 + 100); c != want { // same page: no TLB miss
+	if want := uint64(2 + 18 + 200); c != want { // same page: no TLB miss
 		t.Fatalf("site access with resident target cost %d, want %d", c, want)
 	}
 	if st := h.Stats(); st.SwPrefetches != 0 {
@@ -129,7 +129,7 @@ func TestSoftwarePrefetchWindowIndependence(t *testing.T) {
 	h.ResetStats()
 	cpu.pc = 0x999
 	c := h.Access(0x1040, 8, false)
-	if c != 1 {
+	if c != 2 {
 		t.Fatalf("prefetched line evicted by ResetStats: cost %d", c)
 	}
 	if st := h.Stats(); st.SwPrefetches != 0 || st.SwPrefetchHits != 0 {

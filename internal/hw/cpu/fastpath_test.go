@@ -380,11 +380,7 @@ type exitProgram struct {
 // load of a line the lane holds. fault, when not "", ends the loop's
 // last iteration with an access at a null or an unaligned address.
 func buildExitProgram(ifetch, swSite bool, fault string) exitProgram {
-	// A small L2 keeps the hierarchy snapshots that the test compares
-	// after every instruction cheap.
-	geom := cache.DefaultP4()
-	geom.L2Size = 64 * 1024
-	c := New(mem.New(), cache.New(geom), DefaultConfig())
+	c := New(mem.New(), cache.New(cache.DefaultP4()), DefaultConfig())
 	c.SetTrapHandler(chargingTrap{})
 	c.Barrier = func(slot, value uint64) { c.AddCycles(1 + slot>>3&3) }
 	if ifetch {
