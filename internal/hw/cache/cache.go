@@ -12,7 +12,6 @@ package cache
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"strings"
 
@@ -80,31 +79,35 @@ type Listener interface {
 	HardwareEvent(kind EventKind, addr uint64)
 }
 
-// Config describes the cache geometry and the cycle cost model.
+// Config describes what varies between the hierarchies the repo
+// builds: the line size, the L1D geometry and the page size, which the
+// software-prefetch revert scenario shrinks, and the stream prefetcher,
+// which an ablation turns off. The rest of the machine is the P4's
+// alone (the constants below).
 type Config struct {
 	LineSize int // bytes per cache line (shared by L1 and L2)
 
 	L1Size  int // total L1D bytes
 	L1Assoc int // L1D associativity
 
-	L2Size  int // total L2 bytes
-	L2Assoc int // L2 associativity
-
-	TLBEntries int // DTLB entries (fully associative)
-	PageSize   int // virtual page size covered by one TLB entry
-
-	// Cycle costs. An access always pays L1HitCycles; misses add the
-	// corresponding penalty on top.
-	L1HitCycles   uint64 // cost of an L1 hit
-	L2HitCycles   uint64 // additional cost when L1 misses but L2 hits
-	MemCycles     uint64 // additional cost when L2 misses
-	TLBMissCycles uint64 // additional cost of a DTLB miss (page walk)
+	PageSize int // virtual page size covered by one TLB entry
 
 	// PrefetchEnabled turns on the stream prefetcher.
 	PrefetchEnabled bool
-	// PrefetchStreams is the number of concurrent streams tracked.
-	PrefetchStreams int
 }
+
+// The P4's unified L2, DTLB, cycle costs and stream tracker. An access
+// always pays l1HitCycles; misses add the corresponding penalty on top.
+const (
+	l2Size          = 1024 * 1024 // total L2 bytes
+	l2Assoc         = 8           // L2 associativity
+	tlbEntries      = 64          // DTLB entries (fully associative)
+	l1HitCycles     = 2           // cost of an L1 hit
+	l2HitCycles     = 18          // additional cost when L1 misses but L2 hits
+	memCycles       = 200         // additional cost when L2 misses
+	tlbMissCycles   = 30          // additional cost of a DTLB miss (page walk)
+	prefetchStreams = 8           // concurrent streams the prefetcher tracks
+)
 
 // DefaultP4 returns the configuration matching the paper's experimental
 // platform (§6.1): 3 GHz Pentium 4, 16 KB L1D, 1 MB L2, 128-byte lines,
@@ -115,16 +118,8 @@ func DefaultP4() Config {
 		LineSize:        128,
 		L1Size:          16 * 1024,
 		L1Assoc:         4,
-		L2Size:          1024 * 1024,
-		L2Assoc:         8,
-		TLBEntries:      64,
 		PageSize:        4096,
-		L1HitCycles:     2,
-		L2HitCycles:     18,
-		MemCycles:       200,
-		TLBMissCycles:   30,
 		PrefetchEnabled: true,
-		PrefetchStreams: 8,
 	}
 }
 
@@ -141,18 +136,11 @@ func (c Config) Validate() error {
 		v    int
 	}{
 		{"LineSize", c.LineSize}, {"L1Size", c.L1Size}, {"L1Assoc", c.L1Assoc},
-		{"L2Size", c.L2Size}, {"L2Assoc", c.L2Assoc}, {"PageSize", c.PageSize},
+		{"PageSize", c.PageSize},
 	} {
 		if err := checkPow2(p.name, p.v); err != nil {
 			return err
 		}
-	}
-	if c.TLBEntries <= 0 {
-		return fmt.Errorf("cache: TLBEntries must be positive, got %d", c.TLBEntries)
-	}
-	if uint64(c.TLBEntries) > math.MaxUint32 {
-		// The DTLB's page counts are uint32s (Hierarchy.tlbPages).
-		return fmt.Errorf("cache: TLBEntries must be below 2^32, got %d", c.TLBEntries)
 	}
 	if c.LineSize < 2 || c.PageSize < 2 {
 		// The tag arrays mark an empty way with the all-ones key, which
@@ -165,9 +153,6 @@ func (c Config) Validate() error {
 	}
 	if c.L1Size < c.LineSize*c.L1Assoc {
 		return fmt.Errorf("cache: L1 too small for %d-way associativity", c.L1Assoc)
-	}
-	if c.L2Size < c.LineSize*c.L2Assoc {
-		return fmt.Errorf("cache: L2 too small for %d-way associativity", c.L2Assoc)
 	}
 	return nil
 }
@@ -194,9 +179,6 @@ type setAssoc struct {
 
 func newSetAssoc(totalLines, assoc int) *setAssoc {
 	nsets := totalLines / assoc
-	if nsets < 1 {
-		nsets = 1
-	}
 	sa := &setAssoc{
 		keys:    make([]uint64, nsets*assoc),
 		lru:     make([]uint64, nsets*assoc),
@@ -447,8 +429,8 @@ type Hierarchy struct {
 	// not resident, so its predictor miss fills without scanning the
 	// ways. A fill adds its page, the eviction it makes takes the old
 	// page away, Flush zeroes the table and Restore recounts it from the
-	// restored keys. A slot never exceeds TLBEntries, which Validate
-	// keeps within uint32. Host-side only, never serialized.
+	// restored keys. A slot never exceeds tlbEntries. Host-side only,
+	// never serialized.
 	tlbPages [1 << tlbPagesBits]uint32
 
 	// resident is the resident-line table behind HitAt, direct-mapped by
@@ -503,14 +485,14 @@ func New(cfg Config) *Hierarchy {
 		cfg:        cfg,
 		l1:         newSetAssoc(cfg.L1Size/cfg.LineSize, cfg.L1Assoc),
 		l1Pending:  make([]bool, cfg.L1Size/cfg.LineSize),
-		l2:         newSetAssoc(cfg.L2Size/cfg.LineSize, cfg.L2Assoc),
-		tlb:        newSetAssoc(cfg.TLBEntries, cfg.TLBEntries),
+		l2:         newSetAssoc(l2Size/cfg.LineSize, l2Assoc),
+		tlb:        newSetAssoc(tlbEntries, tlbEntries),
 		lineBits:   lineBits,
 		pageBits:   pageBits,
 		prefetched: newPfSet(),
 	}
 	if cfg.PrefetchEnabled {
-		h.streams = make([]stream, cfg.PrefetchStreams)
+		h.streams = make([]stream, prefetchStreams)
 	}
 	h.clearResident()
 	return h
@@ -591,8 +573,8 @@ func (h *Hierarchy) IStats() IStats { return h.istats }
 // IFetch simulates the instruction fetch of the line holding addr and
 // returns the stall cycles. The CPU calls it once per code-line
 // transition: an L1I hit overlaps with execution and costs nothing; a
-// miss is filled from the unified L2 (L2HitCycles) or memory
-// (+MemCycles) and raises EventL1IMiss. The fetch is a read probe of
+// miss is filled from the unified L2 (l2HitCycles) or memory
+// (+memCycles) and raises EventL1IMiss. The fetch is a read probe of
 // the shared L2, so heavy I-misses evict data lines — the contention
 // hot/cold code layout exists to avoid.
 func (h *Hierarchy) IFetch(addr uint64) uint64 {
@@ -603,13 +585,13 @@ func (h *Hierarchy) IFetch(addr uint64) uint64 {
 		return 0
 	}
 	st.Misses++
-	cycles := h.cfg.L2HitCycles
+	cycles := uint64(l2HitCycles)
 	if h.listener != nil {
 		h.listener.HardwareEvent(EventL1IMiss, addr)
 	}
 	if _, hit, _ := h.l2.access(lineAddr, false); !hit {
 		st.MemFills++
-		cycles += h.cfg.MemCycles
+		cycles += memCycles
 	}
 	st.Cycles += cycles
 	return cycles
@@ -779,13 +761,13 @@ func (h *Hierarchy) SetDetailed() {
 	h.functional = false
 }
 
-// HitCycles returns what an access the lane serves costs: L1HitCycles
+// HitCycles returns what an access the lane serves costs: l1HitCycles
 // in the detailed lane, the flat cost in the warming lane.
 func (h *Hierarchy) HitCycles() uint64 {
 	if h.functional {
 		return h.flatCost
 	}
-	return h.cfg.L1HitCycles
+	return l1HitCycles
 }
 
 // Functional reports whether the hierarchy is in fast-forward mode.
@@ -886,7 +868,7 @@ func (h *Hierarchy) settle() {
 		st.Accesses += n
 		st.Stores += h.laneStores
 		st.Loads += n - h.laneStores
-		st.Cycles += n * h.cfg.L1HitCycles
+		st.Cycles += n * l1HitCycles
 	}
 	h.laneHits, h.laneStores = 0, 0
 }
@@ -987,11 +969,11 @@ func (h *Hierarchy) Access(addr uint64, size int, write bool) uint64 {
 	} else {
 		st.Loads++
 	}
-	cycles := h.cfg.L1HitCycles
+	cycles := uint64(l1HitCycles)
 
 	if !h.tlbAccess(addr) {
 		st.TLBMisses++
-		cycles += h.cfg.TLBMissCycles
+		cycles += tlbMissCycles
 		if h.listener != nil {
 			h.listener.HardwareEvent(EventDTLBMiss, addr)
 		}
@@ -1022,13 +1004,13 @@ func (h *Hierarchy) Access(addr uint64, size int, write bool) uint64 {
 			st.Writebacks++
 		}
 		st.L1Misses++
-		cycles += h.cfg.L2HitCycles
+		cycles += l2HitCycles
 		if h.listener != nil {
 			h.listener.HardwareEvent(EventL1Miss, addr)
 		}
 		if _, hit, writeback := h.l2.access(lineAddr, write); !hit {
 			st.L2Misses++
-			cycles += h.cfg.MemCycles
+			cycles += memCycles
 			if h.listener != nil {
 				h.listener.HardwareEvent(EventL2Miss, addr)
 			}

@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -30,17 +29,6 @@ func TestValidate(t *testing.T) {
 	bad.L1Assoc = 4096
 	if err := bad.Validate(); err == nil {
 		t.Error("expected error for oversized associativity")
-	}
-	bad = DefaultP4()
-	bad.TLBEntries = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("expected error for zero TLB entries")
-	}
-	bad = DefaultP4()
-	tooMany := uint64(math.MaxUint32) + 1 // the DTLB's page counts are uint32s
-	bad.TLBEntries = int(tooMany)
-	if err := bad.Validate(); err == nil {
-		t.Error("expected error for 2^32 TLB entries")
 	}
 	bad = DefaultP4()
 	bad.PageSize = bad.LineSize / 2 // a line would span two pages
@@ -116,7 +104,7 @@ func TestTLB(t *testing.T) {
 	}
 	// Touch as many other pages as the DTLB holds: the first page gets
 	// evicted.
-	for p := 1; p <= cfg.TLBEntries; p++ {
+	for p := 1; p <= tlbEntries; p++ {
 		h.Access(uint64(p)*4096, 8, false)
 	}
 	before := h.Stats().TLBMisses
@@ -240,7 +228,7 @@ func TestMissCountInvariants(t *testing.T) {
 			}
 			h.Access(addr, 8, false)
 			cost := h.Access(addr, 8, false)
-			if cost != uint64(tiny().L1HitCycles) {
+			if cost != l1HitCycles {
 				return false
 			}
 		}

@@ -104,7 +104,6 @@ type refStream struct {
 }
 
 type ref struct {
-	cfg          Config
 	l1, l2, tlb  *refArray
 	streams      []refStream
 	streamStamp  uint64
@@ -125,17 +124,16 @@ type ref struct {
 
 func newRef(cfg Config) *ref {
 	r := &ref{
-		cfg:          cfg,
 		l1:           newRefArray(cfg.L1Size/cfg.LineSize, cfg.L1Assoc),
-		l2:           newRefArray(cfg.L2Size/cfg.LineSize, cfg.L2Assoc),
-		tlb:          newRefArray(cfg.TLBEntries, cfg.TLBEntries),
+		l2:           newRefArray(l2Size/cfg.LineSize, l2Assoc),
+		tlb:          newRefArray(tlbEntries, tlbEntries),
 		prefetched:   map[uint64]bool{},
 		swPrefetched: map[uint64]bool{},
 		line:         uint64(cfg.LineSize),
 		pageSz:       uint64(cfg.PageSize),
 	}
 	if cfg.PrefetchEnabled {
-		r.streams = make([]refStream, cfg.PrefetchStreams)
+		r.streams = make([]refStream, prefetchStreams)
 	}
 	return r
 }
@@ -149,7 +147,7 @@ func (r *ref) event(kind EventKind, addr uint64) {
 func (r *ref) Access(addr uint64, write bool) uint64 {
 	count := !r.functional
 	st := &r.stats
-	cycles := r.cfg.L1HitCycles
+	cycles := uint64(l1HitCycles)
 	if count {
 		st.Accesses++
 		if write {
@@ -162,7 +160,7 @@ func (r *ref) Access(addr uint64, write bool) uint64 {
 		if count {
 			st.TLBMisses++
 		}
-		cycles += r.cfg.TLBMissCycles
+		cycles += tlbMissCycles
 		r.event(EventDTLBMiss, addr)
 	}
 	ln := addr / r.line
@@ -182,7 +180,7 @@ func (r *ref) Access(addr uint64, write bool) uint64 {
 				st.Writebacks++
 			}
 		}
-		cycles += r.cfg.L2HitCycles
+		cycles += l2HitCycles
 		r.event(EventL1Miss, addr)
 		hit, wb = r.l2.access(ln, write)
 		if !hit {
@@ -192,7 +190,7 @@ func (r *ref) Access(addr uint64, write bool) uint64 {
 					st.Writebacks++
 				}
 			}
-			cycles += r.cfg.MemCycles
+			cycles += memCycles
 			r.event(EventL2Miss, addr)
 			r.train(ln)
 		}
@@ -349,7 +347,7 @@ func (s *oracleStream) next() (addr uint64, write bool) {
 			pool := uint64(s.pages) * page / line
 			orphan := 4*pool + uint64(s.rng.Intn(int(pool)))
 			s.script = s.script[:0]
-			lines := append([]uint64{orphan}, l2Orphan(orphan, l2Sets(s.cfg), s.cfg.L2Assoc)...)
+			lines := append([]uint64{orphan}, l2Orphan(orphan, l2Size/s.cfg.LineSize/l2Assoc, l2Assoc)...)
 			for _, l := range append(lines, orphan-2, orphan-1, orphan) {
 				s.script = append(s.script, l*line)
 			}
@@ -393,9 +391,6 @@ var predictorAliases = func() [][]uint64 {
 	}
 	return slices.DeleteFunc(sets, func(pages []uint64) bool { return len(pages) < 4 })
 }()
-
-// l2Sets is the number of sets in cfg's L2.
-func l2Sets(cfg Config) int { return cfg.L2Size / cfg.LineSize / cfg.L2Assoc }
 
 func TestOracleLockStep(t *testing.T) {
 	// A 4-line L1 with the stream prefetcher on: most accesses miss L1,
@@ -451,7 +446,7 @@ func oracleRun(t *testing.T, cfg Config, sw bool, seed int64, n int) {
 	h.SetListener(&hEv)
 	r.listener = &rEv
 	rng := rand.New(rand.NewSource(seed))
-	s := &oracleStream{rng: rng, cfg: cfg, pages: 5 * cfg.TLBEntries}
+	s := &oracleStream{rng: rng, cfg: cfg, pages: 5 * tlbEntries}
 	for i := 0; i < n; i++ {
 		// Stats and snapshots settle the lane's counts, so h is compared
 		// whole on a few accesses only and its counts pile up between.

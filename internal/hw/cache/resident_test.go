@@ -80,9 +80,9 @@ func TestHitDeclinesAfterDTLBEviction(t *testing.T) {
 		cfg.PageSize = pageSize
 		const addr = 0x40000
 		h := tabled(t, cfg, addr)
-		// One line in each of TLBEntries other pages, all in another L1
+		// One line in each of tlbEntries other pages, all in another L1
 		// set.
-		for i := 1; i <= cfg.TLBEntries; i++ {
+		for i := 1; i <= tlbEntries; i++ {
 			h.Access(addr+uint64(i*cfg.PageSize+cfg.LineSize), 8, false)
 		}
 		if !h.L1Contains(addr) {
@@ -240,7 +240,7 @@ func TestHitAtLockStep(t *testing.T) {
 		h.SetListener(&hEv)
 		twin.SetListener(&twinEv)
 		rng := rand.New(rand.NewSource(seed))
-		s := &oracleStream{rng: rng, cfg: cfg, pages: 2 * cfg.TLBEntries}
+		s := &oracleStream{rng: rng, cfg: cfg, pages: 2 * tlbEntries}
 		var saved [2][]byte
 		for i := 0; i < 40_000; i++ {
 			switch op := rng.Intn(2000); {
@@ -401,7 +401,7 @@ func TestTLBPageCountsExact(t *testing.T) {
 			cfg.PageSize = pageSize
 			h := New(cfg)
 			rng := rand.New(rand.NewSource(seed))
-			s := &oracleStream{rng: rng, cfg: cfg, pages: 5 * cfg.TLBEntries}
+			s := &oracleStream{rng: rng, cfg: cfg, pages: 5 * tlbEntries}
 			saved := h.Snapshot()
 			for i := 0; i < 20_000; i++ {
 				var op string

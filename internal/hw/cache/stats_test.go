@@ -111,10 +111,10 @@ func TestResetStatsWindowIndependence(t *testing.T) {
 	// still resident, so re-touching it is a pure L1 hit at hit cost.
 	costBefore := h.Stats().Cycles
 	cost := h.Access(base, 8, false)
-	if cost != cfg.L1HitCycles {
-		t.Errorf("resident line cost %d after ResetStats, want L1 hit cost %d (cache contents must survive a window close)", cost, cfg.L1HitCycles)
+	if cost != l1HitCycles {
+		t.Errorf("resident line cost %d after ResetStats, want L1 hit cost %d (cache contents must survive a window close)", cost, l1HitCycles)
 	}
-	if st := h.Stats(); st.L1Misses != 0 || st.Cycles != costBefore+cfg.L1HitCycles {
+	if st := h.Stats(); st.L1Misses != 0 || st.Cycles != costBefore+l1HitCycles {
 		t.Errorf("window close perturbed timing: %+v", st)
 	}
 
