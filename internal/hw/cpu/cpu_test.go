@@ -314,12 +314,6 @@ func TestDisassembly(t *testing.T) {
 	if got := in.String(); !strings.Contains(got, "fp") || !strings.Contains(got, "r3") {
 		t.Errorf("disasm = %q", got)
 	}
-	if !(Instr{Op: OpBrEQ}).IsBranch() || (Instr{Op: OpJmp}).IsBranch() {
-		t.Error("IsBranch wrong")
-	}
-	if !(Instr{Op: OpCallM}).IsCall() {
-		t.Error("IsCall wrong")
-	}
 }
 
 func TestInstrAt(t *testing.T) {

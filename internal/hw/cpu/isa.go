@@ -179,14 +179,6 @@ func (i Instr) String() string {
 	}
 }
 
-// IsBranch reports whether the instruction is a conditional branch.
-func (i Instr) IsBranch() bool {
-	return i.Op >= OpBrEQ && i.Op <= OpBrUGE
-}
-
-// IsCall reports whether the instruction transfers control to a callee.
-func (i Instr) IsCall() bool { return i.Op == OpCallM || i.Op == OpCallV }
-
 // Trap service numbers, handled by the VM runtime (the "trap handler"
 // plays the role of Jikes' VM entrypoints).
 const (

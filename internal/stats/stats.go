@@ -108,15 +108,6 @@ func (s *Series) Values() []float64 {
 	return out
 }
 
-// Times returns just the observation times, in order.
-func (s *Series) Times() []uint64 {
-	out := make([]uint64, len(s.Samples))
-	for i, sm := range s.Samples {
-		out[i] = sm.Time
-	}
-	return out
-}
-
 // Cumulative returns a new series whose value at each point is the sum
 // of all values up to and including that point (Figure 7a is the
 // cumulative total count of cache misses).

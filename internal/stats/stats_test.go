@@ -134,8 +134,8 @@ func TestSeries(t *testing.T) {
 			t.Errorf("Cumulative[%d] = %v, want %v", i, v, want[i])
 		}
 	}
-	if times := cum.Times(); times[2] != 30 {
-		t.Errorf("Cumulative keeps times, got %v", times)
+	if cum.Samples[2].Time != 30 {
+		t.Errorf("Cumulative keeps times, got %v", cum.Samples)
 	}
 	sm := s.Smoothed(2)
 	if !almostEq(sm.Values()[2], 3) {

@@ -192,12 +192,6 @@ func (b *Builder) IfNull(label string) *Builder { return b.branch(OpIfNull, labe
 // IfNonNull pops a reference and branches when it is non-null.
 func (b *Builder) IfNonNull(label string) *Builder { return b.branch(OpIfNonNull, label) }
 
-// IfRefEQ pops two references and branches when they are identical.
-func (b *Builder) IfRefEQ(label string) *Builder { return b.branch(OpIfRefEQ, label) }
-
-// IfRefNE pops two references and branches when they differ.
-func (b *Builder) IfRefNE(label string) *Builder { return b.branch(OpIfRefNE, label) }
-
 // InvokeStatic calls a static method; arguments are popped (last
 // pushed = last parameter) and the return value, if any, is pushed.
 func (b *Builder) InvokeStatic(m *classfile.Method) *Builder {

@@ -59,8 +59,6 @@ const (
 	OpIfGE
 	OpIfNull    // pop ref, branch if null
 	OpIfNonNull // pop ref, branch if non-null
-	OpIfRefEQ   // pop two refs, branch if identical
-	OpIfRefNE   // pop two refs, branch if different
 
 	OpInvokeStatic  // A = method ID
 	OpInvokeVirtual // A = method ID (must be virtual)
@@ -89,7 +87,6 @@ var opcodeNames = [numOpcodes]string{
 	OpAnd: "and", OpOr: "or", OpXor: "xor", OpShl: "shl", OpShr: "shr", OpSar: "sar", OpNeg: "neg",
 	OpGoto: "goto", OpIfEQ: "ifeq", OpIfNE: "ifne", OpIfLT: "iflt", OpIfLE: "ifle",
 	OpIfGT: "ifgt", OpIfGE: "ifge", OpIfNull: "ifnull", OpIfNonNull: "ifnonnull",
-	OpIfRefEQ: "ifrefeq", OpIfRefNE: "ifrefne",
 	OpInvokeStatic: "invokestatic", OpInvokeVirtual: "invokevirtual",
 	OpReturn: "return", OpReturnVal: "returnval",
 	OpPop: "pop", OpDup: "dup", OpSwap: "swap", OpResult: "result",
@@ -107,18 +104,7 @@ func (o Opcode) String() string {
 // IsBranch reports whether the opcode is a conditional or unconditional
 // branch (operand A is a bytecode target index).
 func (o Opcode) IsBranch() bool {
-	return o == OpGoto || (o >= OpIfEQ && o <= OpIfRefNE)
-}
-
-// IsGCPoint reports whether executing this opcode can trigger a
-// garbage collection (allocations and calls — the points where the
-// compilers must emit GC maps).
-func (o Opcode) IsGCPoint() bool {
-	switch o {
-	case OpNewObject, OpNewArray, OpInvokeStatic, OpInvokeVirtual:
-		return true
-	}
-	return false
+	return o == OpGoto || (o >= OpIfEQ && o <= OpIfNonNull)
 }
 
 // Instr is one bytecode instruction.

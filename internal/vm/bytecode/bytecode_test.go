@@ -218,15 +218,6 @@ func TestStackInRecording(t *testing.T) {
 	}
 }
 
-func TestGCPointClassification(t *testing.T) {
-	if !OpNewObject.IsGCPoint() || !OpInvokeVirtual.IsGCPoint() {
-		t.Error("alloc/call not GC points")
-	}
-	if OpAdd.IsGCPoint() || OpGetField.IsGCPoint() {
-		t.Error("non-allocating op marked as GC point")
-	}
-}
-
 func TestDisassemble(t *testing.T) {
 	u, m := testMethod(t, nil, classfile.KindInt)
 	b := NewBuilder(u, m)

@@ -206,14 +206,6 @@ func Verify(u *classfile.Universe, c *Code) error {
 					return err
 				}
 				branch = int(in.A)
-			case OpIfRefEQ, OpIfRefNE:
-				if _, err = pop(classfile.KindRef); err != nil {
-					return err
-				}
-				if _, err = pop(classfile.KindRef); err != nil {
-					return err
-				}
-				branch = int(in.A)
 
 			case OpInvokeStatic, OpInvokeVirtual:
 				m := u.Method(int(in.A))

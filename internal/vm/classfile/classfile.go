@@ -164,9 +164,6 @@ type Class struct {
 	laidOut bool
 }
 
-// IsRefArray reports whether this is an array-of-references class.
-func (c *Class) IsRefArray() bool { return c.IsArray && c.ElemKind == KindRef }
-
 // ArraySize returns the total object size for an array of n elements.
 func (c *Class) ArraySize(n uint64) uint64 {
 	if !c.IsArray {
@@ -366,6 +363,3 @@ func (u *Universe) Methods() []*Method { return u.methods }
 
 // Fields returns all fields in definition order.
 func (u *Universe) Fields() []*Field { return u.fields }
-
-// NumClasses returns the number of defined classes.
-func (u *Universe) NumClasses() int { return len(u.classes) }

@@ -102,9 +102,6 @@ func TestArrayClasses(t *testing.T) {
 	if u.RefArray.ArraySize(2) != HeaderSize+16 {
 		t.Errorf("ref[2] size = %d", u.RefArray.ArraySize(2))
 	}
-	if !u.RefArray.IsRefArray() || u.IntArray.IsRefArray() {
-		t.Error("IsRefArray wrong")
-	}
 }
 
 func TestUniverseAccessors(t *testing.T) {
@@ -121,9 +118,6 @@ func TestUniverseAccessors(t *testing.T) {
 	}
 	if c.MethodByName("m") != m || c.MethodByName("nope") != nil {
 		t.Error("MethodByName broken")
-	}
-	if u.NumClasses() != 5 { // 4 array classes + C
-		t.Errorf("NumClasses = %d", u.NumClasses())
 	}
 }
 

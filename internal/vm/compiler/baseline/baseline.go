@@ -206,7 +206,7 @@ func Compile(u *classfile.Universe, c *cpu.CPU, code *bytecode.Code) *mcmap.MCMa
 		case bytecode.OpGoto:
 			a.EmitJump(cpu.Instr{Op: cpu.OpJmp}, targets[int(in.A)], bci, mcmap.NoBCI)
 		case bytecode.OpIfEQ, bytecode.OpIfNE, bytecode.OpIfLT, bytecode.OpIfLE,
-			bytecode.OpIfGT, bytecode.OpIfGE, bytecode.OpIfRefEQ, bytecode.OpIfRefNE:
+			bytecode.OpIfGT, bytecode.OpIfGE:
 			ldStack(t0, depth-2)
 			ldStack(t1, depth-1)
 			a.EmitJump(cpu.Instr{Op: branchOp(in.Op), Rs1: t0, Rs2: t1}, targets[int(in.A)], bci, mcmap.NoBCI)
@@ -366,9 +366,9 @@ func arithOp(op bytecode.Opcode) cpu.Op {
 
 func branchOp(op bytecode.Opcode) cpu.Op {
 	switch op {
-	case bytecode.OpIfEQ, bytecode.OpIfRefEQ:
+	case bytecode.OpIfEQ:
 		return cpu.OpBrEQ
-	case bytecode.OpIfNE, bytecode.OpIfRefNE:
+	case bytecode.OpIfNE:
 		return cpu.OpBrNE
 	case bytecode.OpIfLT:
 		return cpu.OpBrLT

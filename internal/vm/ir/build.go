@@ -213,14 +213,14 @@ func Build(u *classfile.Universe, code *bytecode.Code) (*Func, error) {
 				terminated = true
 
 			case bytecode.OpIfEQ, bytecode.OpIfNE, bytecode.OpIfLT, bytecode.OpIfLE,
-				bytecode.OpIfGT, bytecode.OpIfGE, bytecode.OpIfRefEQ, bytecode.OpIfRefNE:
+				bytecode.OpIfGT, bytecode.OpIfGE:
 				bo := pop()
 				ao := pop()
 				var cond Cond
 				switch in.Op {
-				case bytecode.OpIfEQ, bytecode.OpIfRefEQ:
+				case bytecode.OpIfEQ:
 					cond = EQ
-				case bytecode.OpIfNE, bytecode.OpIfRefNE:
+				case bytecode.OpIfNE:
 					cond = NE
 				case bytecode.OpIfLT:
 					cond = LT
