@@ -154,6 +154,9 @@ func (c Config) Validate() error {
 	if c.L1Size < c.LineSize*c.L1Assoc {
 		return fmt.Errorf("cache: L1 too small for %d-way associativity", c.L1Assoc)
 	}
+	if l2Size < c.LineSize*l2Assoc {
+		return fmt.Errorf("cache: LineSize %d leaves the %d-way L2 no set", c.LineSize, l2Assoc)
+	}
 	return nil
 }
 

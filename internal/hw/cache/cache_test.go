@@ -35,6 +35,11 @@ func TestValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("expected error for pages smaller than lines")
 	}
+	// Lines so long that the L2 holds fewer than one set of them.
+	bad = Config{LineSize: 256 << 10, L1Size: 256 << 10, L1Assoc: 1, PageSize: 256 << 10}
+	if err := bad.Validate(); err == nil {
+		t.Error("expected error for lines too long for the L2")
+	}
 	// One-byte lines and pages pass every other check, but an unshifted
 	// address could equal the all-ones key that marks an empty way.
 	bad = DefaultP4()

@@ -347,8 +347,7 @@ func (s *oracleStream) next() (addr uint64, write bool) {
 			pool := uint64(s.pages) * page / line
 			orphan := 4*pool + uint64(s.rng.Intn(int(pool)))
 			s.script = s.script[:0]
-			lines := append([]uint64{orphan}, l2Orphan(orphan, l2Size/s.cfg.LineSize/l2Assoc, l2Assoc)...)
-			for _, l := range append(lines, orphan-2, orphan-1, orphan) {
+			for _, l := range append(l2Orphan(orphan, s.cfg.LineSize), orphan-2, orphan-1, orphan) {
 				s.script = append(s.script, l*line)
 			}
 			s.left = len(s.script)

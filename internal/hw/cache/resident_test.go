@@ -100,24 +100,26 @@ func streamTo(h *Hierarchy, line uint64) {
 	}
 }
 
-// l2Orphan returns, as line numbers, the accesses that push line out
-// of an L2 of the given sets and ways but keep it in an L1 whose set
-// count divides the L2's: a line of line's L2 set, which shares its L1
-// set too, then line itself, once per L2 way. Each hit on line keeps it
-// its L1 set's most recently used line while its L2 copy ages.
-func l2Orphan(line uint64, sets, ways int) []uint64 {
-	var lines []uint64
-	for i := 1; i <= ways; i++ {
-		lines = append(lines, line+uint64(i*sets), line)
+// l2Orphan returns, as line numbers for lines of lineSize bytes, the
+// accesses that leave line in L1 but push it out of L2: line, then per
+// L2 way another line of its L2 set, which shares its L1 set too, and
+// line again. The hits on line keep it its L1 set's most recently used
+// line while its L2 copy ages.
+func l2Orphan(line uint64, lineSize int) []uint64 {
+	sets := uint64(l2Size / lineSize / l2Assoc)
+	lines := []uint64{line}
+	for i := uint64(1); i <= l2Assoc; i++ {
+		lines = append(lines, line+i*sets, line)
 	}
 	return lines
 }
 
 func TestHitDeclinesAfterInstallMarksPending(t *testing.T) {
 	const line = 64
-	addr := uint64(line) << 7 // 128-byte lines
-	h := tabled(t, DefaultP4(), addr)
-	for _, l := range l2Orphan(line, len(h.l2.keys)/h.l2.assoc, h.l2.assoc) {
+	cfg := DefaultP4()
+	addr := uint64(line * cfg.LineSize)
+	h := tabled(t, cfg, addr)
+	for _, l := range l2Orphan(line, cfg.LineSize) {
 		h.Access(l<<h.lineBits, 8, false)
 	}
 	if h.l2.find(line) >= 0 {
