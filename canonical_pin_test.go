@@ -212,10 +212,11 @@ func segments(s string) []string {
 	return segs
 }
 
-// segmentDiff returns, in order, the segments of old outside a longest
-// common subsequence of the two strings' segments, and those of new.
-func segmentDiff(old, new string) (lost, gained []string) {
-	a, b := segments(old), segments(new)
+// segmentDiff returns, in order, the segments of before outside a
+// longest common subsequence of the two strings' segments, and those of
+// after.
+func segmentDiff(before, after string) (lost, gained []string) {
+	a, b := segments(before), segments(after)
 	// lcs[i][j] is the length of a longest common subsequence of a[i:]
 	// and b[j:].
 	lcs := make([][]int, len(a)+1)
