@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race bench bench-smoke bench-pairs profile experiments obs serve-smoke verify-opt verify-lanes fuzz-smoke loc traffic
+.PHONY: ci vet build test race bench bench-smoke bench-pairs profile experiments obs serve-smoke verify-opt verify-lanes fuzz-smoke loc traffic census
 
 CI_TARGETS = vet build test race verify-opt verify-lanes fuzz-smoke bench-smoke serve-smoke loc
 ci:
@@ -142,6 +142,26 @@ traffic:
 	awk 'NR > 1 && $$1 ~ /\/internal\/hw\// { n[$$1] += $$3; s[$$1] = $$2 } \
 		END { for (b in n) if (n[b] == 0) print b, s[b] }' "$$dir/cov.txt" | sort >"$$dir/zero.txt" && \
 	cat "$$dir/zero.txt" && echo "$$(wc -l <"$$dir/zero.txt") zero-count blocks under internal/hw/"
+
+# Fast-loop exit census: builds cmd/hpmvm with `-tags census` and
+# writes results/census.txt, one line per workload run plain and with
+# -coalloc -interval 250: the instructions the run loops retired, the
+# share they handed to Step, and that share by cause (a fetch-line
+# change, else the opcode; a load or store there is a lane decline or
+# an unmaterialized page), as percentages of the retired instructions.
+# The simulation is deterministic, so a change that keeps the fast
+# loop's exits leaves the file as it is. About 15 s on two cores; not
+# part of `make ci`.
+census:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) build -tags census -o "$$dir/hpmvm" ./cmd/hpmvm && \
+	{ echo "# make census: fast-loop exits per workload (hpmvm -tags census; coalloc = -coalloc -interval 250)"; \
+	for w in $$("$$dir/hpmvm" -list | awk '{print $$1}'); do \
+		line=$$("$$dir/hpmvm" -workload $$w | sed -n 's/^census *//p') && test -n "$$line" || exit 1; \
+		printf '%-10s exact    %s\n' $$w "$$line"; \
+		line=$$("$$dir/hpmvm" -workload $$w -coalloc -interval 250 | sed -n 's/^census *//p') && test -n "$$line" || exit 1; \
+		printf '%-10s coalloc  %s\n' $$w "$$line"; \
+	done; } >results/census.txt.tmp && mv results/census.txt.tmp results/census.txt && cat results/census.txt
 
 # Lines of non-test Go outside the frozen benchmark harness and the
 # benchmark's build directory (where bench-pairs exports the parent),

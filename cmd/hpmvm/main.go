@@ -133,6 +133,9 @@ func main() {
 		fmt.Printf("monitor     %d polls, %d samples (%d dropped), %d cycles\n",
 			ms.Polls, ms.SamplesDecoded, ms.SamplesDropped, ms.MonitorCycles)
 	}
+	if census := cpu.Census(); census != "" {
+		fmt.Printf("census      %s\n", census)
+	}
 	if *verbose {
 		if sys.Monitor != nil {
 			fmt.Println()

@@ -64,9 +64,15 @@ func (c *CPU) runLoop(cycleHorizon, budget uint64) uint64 {
 	for c.stop == 0 && c.cycles < cycleHorizon && budget != 0 {
 		budget -= c.fastLoop(cycleHorizon, budget)
 		if c.cycles < cycleHorizon && budget != 0 {
+			if census {
+				c.countExit()
+			}
 			c.Step()
 			budget--
 		}
+	}
+	if census {
+		censusRetired.Add(start - budget)
 	}
 	return start - budget
 }
