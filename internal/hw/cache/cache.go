@@ -375,9 +375,11 @@ type stream struct {
 // Hierarchy is the complete simulated memory hierarchy.
 type Hierarchy struct {
 	cfg Config
-	l1  *setAssoc
-	l2  *setAssoc
-	tlb *setAssoc
+	// The data-side arrays are held by value, so HitAt reads their
+	// stamps, and every access their rows, without loading a pointer.
+	l1  setAssoc
+	l2  setAssoc
+	tlb setAssoc
 	// l1i, when non-nil, is the opt-in instruction cache
 	// (EnableICache): probed by IFetch on code-line transitions,
 	// backed by the unified L2. Disabled (nil) for every
@@ -486,10 +488,10 @@ func New(cfg Config) *Hierarchy {
 	pageBits := log2(cfg.PageSize)
 	h := &Hierarchy{
 		cfg:        cfg,
-		l1:         newSetAssoc(cfg.L1Size/cfg.LineSize, cfg.L1Assoc),
+		l1:         *newSetAssoc(cfg.L1Size/cfg.LineSize, cfg.L1Assoc),
 		l1Pending:  make([]bool, cfg.L1Size/cfg.LineSize),
-		l2:         newSetAssoc(l2Size/cfg.LineSize, l2Assoc),
-		tlb:        newSetAssoc(tlbEntries, tlbEntries),
+		l2:         *newSetAssoc(l2Size/cfg.LineSize, l2Assoc),
+		tlb:        *newSetAssoc(tlbEntries, tlbEntries),
 		lineBits:   lineBits,
 		pageBits:   pageBits,
 		prefetched: newPfSet(),
@@ -926,7 +928,7 @@ func (h *Hierarchy) clearResident() {
 // naming the page's way; when it misses, the page count decides whether
 // the ways need scanning before the fill.
 func (h *Hierarchy) tlbAccess(addr uint64) bool {
-	tlb, page := h.tlb, addr>>h.pageBits
+	tlb, page := &h.tlb, addr>>h.pageBits
 	slot := &h.tlbPred[tlbPredSlot(page)]
 	tlb.stamp++
 	if tlb.keys[*slot] == page {

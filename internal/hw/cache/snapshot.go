@@ -134,7 +134,7 @@ func (h *Hierarchy) Snapshot() snap.ComponentState {
 // listener and observer wiring is untouched.
 func (h *Hierarchy) Restore(st snap.ComponentState) error {
 	next := *h
-	next.l1, next.l2, next.tlb = h.l1.blank(), h.l2.blank(), h.tlb.blank()
+	next.l1, next.l2, next.tlb = *h.l1.blank(), *h.l2.blank(), *h.tlb.blank()
 	next.streams = slices.Clone(h.streams)
 	if h.l1i != nil {
 		next.l1i = h.l1i.blank()

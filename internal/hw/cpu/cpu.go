@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"fmt"
+	"unsafe"
 
 	"hpmvm/internal/hw/cache"
 	"hpmvm/internal/hw/mem"
@@ -69,10 +70,16 @@ type CPU struct {
 	Mem  *mem.Memory
 	Hier *cache.Hierarchy
 
+	// Regs, SP and FP are the register file: laid out back to back, so
+	// that file views them as one array indexed by register encoding,
+	// the GPRs, then SP at BaseSP and FP at BaseFP. InstallCode admits
+	// only register fields that index it as their opcode means, and
+	// Regs[RegZero] stays 0.
 	Regs [NumRegs]uint64
 	SP   uint64
 	FP   uint64
-	PC   uint64
+
+	PC uint64
 
 	cfg     Config
 	code    []Instr
@@ -103,6 +110,21 @@ type CPU struct {
 
 	// exitStatus is set by TrapExit via Halt.
 	exitStatus int64
+}
+
+// numFile is the register file's length: the GPRs, SP and FP.
+const numFile = BaseFP + 1
+
+// The register file's layout: SP and FP follow the GPRs directly. A
+// field moved between them fails to compile here.
+var (
+	_ = [1]struct{}{}[unsafe.Offsetof(CPU{}.SP)-unsafe.Offsetof(CPU{}.Regs)-BaseSP*8]
+	_ = [1]struct{}{}[unsafe.Offsetof(CPU{}.FP)-unsafe.Offsetof(CPU{}.Regs)-BaseFP*8]
+)
+
+// file returns the register file, Regs, SP and FP, as one array.
+func (c *CPU) file() *[numFile]uint64 {
+	return (*[numFile]uint64)(unsafe.Pointer(&c.Regs))
 }
 
 // New builds a CPU over the given memory and hierarchy.
@@ -165,8 +187,13 @@ func (c *CPU) CycleCount() uint64 { return c.cycles }
 
 // SetIFetch installs (or, with nil, removes) the instruction-fetch
 // hook. lineSize is the fetch granularity in bytes (the I-cache line
-// size; a power of two).
+// size; a power of two). A line must hold whole instructions: SetIFetch
+// panics on a line shorter than InstrBytes or a code base off an
+// instruction boundary.
 func (c *CPU) SetIFetch(fn func(pc uint64) uint64, lineSize int) {
+	if fn != nil && (lineSize < InstrBytes || c.cfg.CodeBase%InstrBytes != 0) {
+		panic(fmt.Sprintf("cpu: fetch line of %d bytes at code base %#x splits instructions", lineSize, c.cfg.CodeBase))
+	}
 	c.ifetch = fn
 	c.ifetchShift = 0
 	for 1<<c.ifetchShift < lineSize {
@@ -193,9 +220,17 @@ func (c *CPU) fault(reason string) {
 // InstallCode appends instructions to the code space and returns the
 // address of the first one. The returned address is stable for the
 // lifetime of the CPU (code is never moved; the VM allocates compiled
-// code in the immortal space, §4.2).
+// code in the immortal space, §4.2). It faults, installing nothing, on
+// an instruction with a register field its opcode cannot name (see
+// Instr.fieldsValid): the interpreter indexes the register file with
+// the fields as they are.
 func (c *CPU) InstallCode(instrs []Instr) uint64 {
-	addr := c.cfg.CodeBase + uint64(len(c.code))*InstrBytes
+	addr := c.NextCodeAddr()
+	for i, in := range instrs {
+		if !in.fieldsValid() {
+			panic(&Fault{PC: addr + uint64(i)*InstrBytes, Reason: fmt.Sprintf("%v: register field out of range", in)})
+		}
+	}
 	c.code = append(c.code, instrs...)
 	return addr
 }
@@ -267,6 +302,42 @@ func (c *CPU) StoreHalf(addr uint64, v uint32) {
 	c.Mem.Write4(addr, v)
 }
 
+// load2, load1, store2 and store1 are the timed accessors of Step's
+// narrow loads and stores.
+func (c *CPU) load2(addr uint64) uint16 {
+	c.cycles += c.access(addr, 2, false)
+	if p := c.Mem.Page(addr, 2); p != nil {
+		return p.Load2(addr)
+	}
+	return c.Mem.Read2(addr)
+}
+
+func (c *CPU) load1(addr uint64) uint8 {
+	c.cycles += c.access(addr, 1, false)
+	if p := c.Mem.Page(addr, 1); p != nil {
+		return p.Load1(addr)
+	}
+	return c.Mem.Read1(addr)
+}
+
+func (c *CPU) store2(addr uint64, v uint16) {
+	c.cycles += c.access(addr, 2, true)
+	if p := c.Mem.Page(addr, 2); p != nil {
+		p.Store2(addr, v)
+		return
+	}
+	c.Mem.Write2(addr, v)
+}
+
+func (c *CPU) store1(addr uint64, v uint8) {
+	c.cycles += c.access(addr, 1, true)
+	if p := c.Mem.Page(addr, 1); p != nil {
+		p.Store1(addr, v)
+		return
+	}
+	c.Mem.Write1(addr, v)
+}
+
 // access charges one demand access made while the instruction at c.PC
 // executes: the lane's hit when it serves, Access otherwise. The VM's
 // own accesses (the timed accessors) pass the same PC: HitAt declines
@@ -278,34 +349,6 @@ func (c *CPU) access(addr uint64, size int, write bool) uint64 {
 		return c.Hier.HitCycles()
 	}
 	return c.Hier.Access(addr, size, write)
-}
-
-// base resolves a memory-operand base register encoding.
-func (c *CPU) base(r uint8) uint64 {
-	switch r {
-	case BaseSP:
-		return c.SP
-	case BaseFP:
-		return c.FP
-	case RegZero:
-		return 0
-	default:
-		return c.Regs[r]
-	}
-}
-
-func (c *CPU) setReg(r uint8, v uint64) {
-	if r == RegZero {
-		return
-	}
-	c.Regs[r] = v
-}
-
-func (c *CPU) reg(r uint8) uint64 {
-	if r == RegZero {
-		return 0
-	}
-	return c.Regs[r]
 }
 
 // Step executes a single instruction. It returns false once the CPU is
@@ -322,6 +365,7 @@ func (c *CPU) Step() bool {
 		c.fault("PC beyond installed code")
 	}
 	in := c.code[idx]
+	r := c.file()
 	next := c.PC + InstrBytes
 	if c.ifetch != nil {
 		if line := c.PC >> c.ifetchShift; line != c.lastFetchLine {
@@ -336,109 +380,89 @@ func (c *CPU) Step() bool {
 	case OpNop:
 
 	case OpMovImm:
-		c.setReg(in.Rd, uint64(in.Imm))
+		r[in.Rd] = uint64(in.Imm)
 	case OpMov:
-		c.setReg(in.Rd, c.reg(in.Rs1))
+		r[in.Rd] = r[in.Rs1]
 
 	case OpAdd:
-		c.setReg(in.Rd, c.reg(in.Rs1)+c.reg(in.Rs2))
+		r[in.Rd] = r[in.Rs1] + r[in.Rs2]
 	case OpSub:
-		c.setReg(in.Rd, c.reg(in.Rs1)-c.reg(in.Rs2))
+		r[in.Rd] = r[in.Rs1] - r[in.Rs2]
 	case OpMul:
 		c.cycles += mulCycles
-		c.setReg(in.Rd, uint64(int64(c.reg(in.Rs1))*int64(c.reg(in.Rs2))))
+		r[in.Rd] = uint64(int64(r[in.Rs1]) * int64(r[in.Rs2]))
 	case OpDiv:
 		c.cycles += divCycles
-		d := int64(c.reg(in.Rs2))
+		d := int64(r[in.Rs2])
 		if d == 0 {
 			c.trap(TrapDivZero)
 			return !c.Halted()
 		}
-		c.setReg(in.Rd, uint64(int64(c.reg(in.Rs1))/d))
+		r[in.Rd] = uint64(int64(r[in.Rs1]) / d)
 	case OpRem:
 		c.cycles += divCycles
-		d := int64(c.reg(in.Rs2))
+		d := int64(r[in.Rs2])
 		if d == 0 {
 			c.trap(TrapDivZero)
 			return !c.Halted()
 		}
-		c.setReg(in.Rd, uint64(int64(c.reg(in.Rs1))%d))
+		r[in.Rd] = uint64(int64(r[in.Rs1]) % d)
 	case OpAnd:
-		c.setReg(in.Rd, c.reg(in.Rs1)&c.reg(in.Rs2))
+		r[in.Rd] = r[in.Rs1] & r[in.Rs2]
 	case OpOr:
-		c.setReg(in.Rd, c.reg(in.Rs1)|c.reg(in.Rs2))
+		r[in.Rd] = r[in.Rs1] | r[in.Rs2]
 	case OpXor:
-		c.setReg(in.Rd, c.reg(in.Rs1)^c.reg(in.Rs2))
+		r[in.Rd] = r[in.Rs1] ^ r[in.Rs2]
 	case OpShl:
-		c.setReg(in.Rd, c.reg(in.Rs1)<<(c.reg(in.Rs2)&63))
+		r[in.Rd] = r[in.Rs1] << (r[in.Rs2] & 63)
 	case OpShr:
-		c.setReg(in.Rd, c.reg(in.Rs1)>>(c.reg(in.Rs2)&63))
+		r[in.Rd] = r[in.Rs1] >> (r[in.Rs2] & 63)
 	case OpSar:
-		c.setReg(in.Rd, uint64(int64(c.reg(in.Rs1))>>(c.reg(in.Rs2)&63)))
+		r[in.Rd] = uint64(int64(r[in.Rs1]) >> (r[in.Rs2] & 63))
 
 	case OpAddImm:
-		c.setReg(in.Rd, c.reg(in.Rs1)+uint64(in.Imm))
+		r[in.Rd] = r[in.Rs1] + uint64(in.Imm)
 	case OpShlImm:
-		c.setReg(in.Rd, c.reg(in.Rs1)<<uint64(in.Imm&63))
+		r[in.Rd] = r[in.Rs1] << uint64(in.Imm&63)
 
 	case OpLd8:
-		a := c.base(in.Rs1) + uint64(in.Imm)
-		c.cycles += c.access(a, 8, false)
-		c.setReg(in.Rd, c.Mem.Read8(a))
+		r[in.Rd] = c.LoadWord(r[in.Rs1] + uint64(in.Imm))
 	case OpLd4:
-		a := c.base(in.Rs1) + uint64(in.Imm)
-		c.cycles += c.access(a, 4, false)
-		c.setReg(in.Rd, uint64(c.Mem.Read4(a)))
+		r[in.Rd] = uint64(c.LoadHalf(r[in.Rs1] + uint64(in.Imm)))
 	case OpLd2:
-		a := c.base(in.Rs1) + uint64(in.Imm)
-		c.cycles += c.access(a, 2, false)
-		c.setReg(in.Rd, uint64(c.Mem.Read2(a)))
+		r[in.Rd] = uint64(c.load2(r[in.Rs1] + uint64(in.Imm)))
 	case OpLd1:
-		a := c.base(in.Rs1) + uint64(in.Imm)
-		c.cycles += c.access(a, 1, false)
-		c.setReg(in.Rd, uint64(c.Mem.Read1(a)))
+		r[in.Rd] = uint64(c.load1(r[in.Rs1] + uint64(in.Imm)))
 
 	case OpSt8:
-		a := c.base(in.Rs1) + uint64(in.Imm)
-		c.cycles += c.access(a, 8, true)
-		c.Mem.Write8(a, c.reg(in.Rs2))
+		c.StoreWord(r[in.Rs1]+uint64(in.Imm), r[in.Rs2])
 	case OpStRef:
-		a := c.base(in.Rs1) + uint64(in.Imm)
-		c.cycles += c.access(a, 8, true)
-		v := c.reg(in.Rs2)
-		c.Mem.Write8(a, v)
+		a, v := r[in.Rs1]+uint64(in.Imm), r[in.Rs2]
+		c.StoreWord(a, v)
 		c.cycles += barrierCycles
 		if c.Barrier != nil {
 			c.Barrier(a, v)
 		}
 	case OpSt2:
-		a := c.base(in.Rs1) + uint64(in.Imm)
-		c.cycles += c.access(a, 2, true)
-		c.Mem.Write2(a, uint16(c.reg(in.Rs2)))
+		c.store2(r[in.Rs1]+uint64(in.Imm), uint16(r[in.Rs2]))
 	case OpSt1:
-		a := c.base(in.Rs1) + uint64(in.Imm)
-		c.cycles += c.access(a, 1, true)
-		c.Mem.Write1(a, uint8(c.reg(in.Rs2)))
+		c.store1(r[in.Rs1]+uint64(in.Imm), uint8(r[in.Rs2]))
 
 	case OpEnter:
 		c.SP -= 8
-		c.cycles += c.access(c.SP, 8, true)
-		c.Mem.Write8(c.SP, c.FP)
+		c.StoreWord(c.SP, c.FP)
 		c.FP = c.SP
 		c.SP -= uint64(in.Imm)
 
 	case OpLeave:
 		c.SP = c.FP
-		c.cycles += c.access(c.SP, 8, false)
-		c.FP = c.Mem.Read8(c.SP)
+		c.FP = c.LoadWord(c.SP)
 		c.SP += 8
 
 	case OpCallM:
 		c.cycles += callCycles
 		// Load the target from the method entry table.
-		slot := c.cfg.MethodTableBase + uint64(in.Imm)*8
-		c.cycles += c.access(slot, 8, false)
-		target := c.Mem.Read8(slot)
+		target := c.LoadWord(c.cfg.MethodTableBase + uint64(in.Imm)*8)
 		if target == 0 {
 			c.fault(fmt.Sprintf("call to unresolved method %d", in.Imm))
 		}
@@ -448,24 +472,19 @@ func (c *CPU) Step() bool {
 
 	case OpCallV:
 		c.cycles += callCycles
-		recv := c.reg(in.Rs1)
+		recv := r[in.Rs1]
 		if recv == 0 {
 			c.trap(TrapNullPtr)
 			return !c.Halted()
 		}
 		// Load the class ID from the object header, then the vtable
 		// pointer, then the method entry — all real, cached loads.
-		c.cycles += c.access(recv, 4, false)
-		classID := uint64(c.Mem.Read4(recv))
-		vtSlot := c.cfg.VTableMapBase + classID*8
-		c.cycles += c.access(vtSlot, 8, false)
-		vt := c.Mem.Read8(vtSlot)
+		classID := uint64(c.LoadHalf(recv))
+		vt := c.LoadWord(c.cfg.VTableMapBase + classID*8)
 		if vt == 0 {
 			c.fault(fmt.Sprintf("virtual call on class %d without vtable", classID))
 		}
-		entry := vt + uint64(in.Imm)*8
-		c.cycles += c.access(entry, 8, false)
-		target := c.Mem.Read8(entry)
+		target := c.LoadWord(vt + uint64(in.Imm)*8)
 		if target == 0 {
 			c.fault(fmt.Sprintf("virtual slot %d of class %d unresolved", in.Imm, classID))
 		}
@@ -475,8 +494,7 @@ func (c *CPU) Step() bool {
 
 	case OpRet:
 		c.cycles += callCycles
-		c.cycles += c.access(c.SP, 8, false)
-		target := c.Mem.Read8(c.SP)
+		target := c.LoadWord(c.SP)
 		c.SP += 8
 		if target == 0 {
 			// Return from the entry frame: the program is done.
@@ -492,7 +510,7 @@ func (c *CPU) Step() bool {
 		return !c.Halted()
 
 	case OpBrEQ, OpBrNE, OpBrLT, OpBrLE, OpBrGT, OpBrGE, OpBrUGE:
-		a, b := c.reg(in.Rs1), c.reg(in.Rs2)
+		a, b := r[in.Rs1], r[in.Rs2]
 		var taken bool
 		switch in.Op {
 		case OpBrEQ:
@@ -526,14 +544,14 @@ func (c *CPU) Step() bool {
 		c.fault(fmt.Sprintf("unimplemented opcode %v", in.Op))
 	}
 
+	r[RegZero] = 0 // a write to the zero register is dropped
 	c.PC = next
 	return !c.Halted()
 }
 
 func (c *CPU) pushRet(ret uint64) {
 	c.SP -= 8
-	c.cycles += c.access(c.SP, 8, true)
-	c.Mem.Write8(c.SP, ret)
+	c.StoreWord(c.SP, ret)
 }
 
 func (c *CPU) trap(num int64) {

@@ -82,27 +82,25 @@ func (c *CPU) runLoop(cycleHorizon, budget uint64) uint64 {
 // it cannot retire without a call, with PC at that instruction and
 // nothing of it done. It returns the number of instructions retired.
 func (c *CPU) fastLoop(cycleHorizon, budget uint64) uint64 {
-	code := c.code
-	cbase := c.cfg.CodeBase
+	r := c.file()
 	hitCycles := c.Hier.HitCycles()
-	// Without the fetch hook every PC lies on fetch line 0 (PCs stay
-	// below 2^63), so the line test needs no test of the hook.
-	fetchShift, fetchLine := uint(63), uint64(0)
+	// The loop runs the instructions of one window, from lo: the
+	// installed code or, with the fetch hook, its part on the current
+	// fetch line. One compare of pc-lo against the window is the code
+	// range test, the fetch-line test and code's bounds check.
+	lo, code := c.cfg.CodeBase, c.code
 	if c.ifetch != nil {
-		fetchShift, fetchLine = c.ifetchShift, c.lastFetchLine
+		lo, code = c.fetchWindow()
 	}
 
 	pc, cyc := c.PC, c.cycles
 	left := budget
 run:
 	for cyc < cycleHorizon && left != 0 {
-		// Below the code base pc-cbase wraps to beyond the code.
-		idx := (pc - cbase) / InstrBytes
+		// Below lo pc-lo wraps to beyond the window.
+		idx := (pc - lo) / InstrBytes
 		if idx >= uint64(len(code)) {
-			break // Step faults
-		}
-		if pc>>(fetchShift&63) != fetchLine {
-			break // Step charges the fetch
+			break // Step faults or charges the fetch
 		}
 		in := &code[idx]
 		next := pc + InstrBytes
@@ -111,106 +109,106 @@ run:
 		case OpNop:
 
 		case OpMovImm:
-			c.setReg(in.Rd, uint64(in.Imm))
+			r[in.Rd] = uint64(in.Imm)
 		case OpMov:
-			c.setReg(in.Rd, c.reg(in.Rs1))
+			r[in.Rd] = r[in.Rs1]
 
 		case OpAdd:
-			c.setReg(in.Rd, c.reg(in.Rs1)+c.reg(in.Rs2))
+			r[in.Rd] = r[in.Rs1] + r[in.Rs2]
 		case OpSub:
-			c.setReg(in.Rd, c.reg(in.Rs1)-c.reg(in.Rs2))
+			r[in.Rd] = r[in.Rs1] - r[in.Rs2]
 		case OpMul:
 			cyc += mulCycles
-			c.setReg(in.Rd, uint64(int64(c.reg(in.Rs1))*int64(c.reg(in.Rs2))))
+			r[in.Rd] = uint64(int64(r[in.Rs1]) * int64(r[in.Rs2]))
 		case OpDiv:
-			d := int64(c.reg(in.Rs2))
+			d := int64(r[in.Rs2])
 			if d == 0 {
 				break run // Step traps
 			}
 			cyc += divCycles
-			c.setReg(in.Rd, uint64(int64(c.reg(in.Rs1))/d))
+			r[in.Rd] = uint64(int64(r[in.Rs1]) / d)
 		case OpRem:
-			d := int64(c.reg(in.Rs2))
+			d := int64(r[in.Rs2])
 			if d == 0 {
 				break run // Step traps
 			}
 			cyc += divCycles
-			c.setReg(in.Rd, uint64(int64(c.reg(in.Rs1))%d))
+			r[in.Rd] = uint64(int64(r[in.Rs1]) % d)
 		case OpAnd:
-			c.setReg(in.Rd, c.reg(in.Rs1)&c.reg(in.Rs2))
+			r[in.Rd] = r[in.Rs1] & r[in.Rs2]
 		case OpOr:
-			c.setReg(in.Rd, c.reg(in.Rs1)|c.reg(in.Rs2))
+			r[in.Rd] = r[in.Rs1] | r[in.Rs2]
 		case OpXor:
-			c.setReg(in.Rd, c.reg(in.Rs1)^c.reg(in.Rs2))
+			r[in.Rd] = r[in.Rs1] ^ r[in.Rs2]
 		case OpShl:
-			c.setReg(in.Rd, c.reg(in.Rs1)<<(c.reg(in.Rs2)&63))
+			r[in.Rd] = r[in.Rs1] << (r[in.Rs2] & 63)
 		case OpShr:
-			c.setReg(in.Rd, c.reg(in.Rs1)>>(c.reg(in.Rs2)&63))
+			r[in.Rd] = r[in.Rs1] >> (r[in.Rs2] & 63)
 		case OpSar:
-			c.setReg(in.Rd, uint64(int64(c.reg(in.Rs1))>>(c.reg(in.Rs2)&63)))
+			r[in.Rd] = uint64(int64(r[in.Rs1]) >> (r[in.Rs2] & 63))
 
 		case OpAddImm:
-			c.setReg(in.Rd, c.reg(in.Rs1)+uint64(in.Imm))
+			r[in.Rd] = r[in.Rs1] + uint64(in.Imm)
 		case OpShlImm:
-			c.setReg(in.Rd, c.reg(in.Rs1)<<uint64(in.Imm&63))
+			r[in.Rd] = r[in.Rs1] << uint64(in.Imm&63)
 
 		case OpLd8:
-			a := c.base(in.Rs1) + uint64(in.Imm)
+			a := r[in.Rs1] + uint64(in.Imm)
 			p := c.Mem.Page(a, 8)
 			if p == nil || !c.Hier.HitAt(pc, a, false) {
 				break run
 			}
 			cyc += hitCycles
-			c.setReg(in.Rd, p.Load8(a))
+			r[in.Rd] = p.Load8(a)
 		case OpLd4:
-			a := c.base(in.Rs1) + uint64(in.Imm)
+			a := r[in.Rs1] + uint64(in.Imm)
 			p := c.Mem.Page(a, 4)
 			if p == nil || !c.Hier.HitAt(pc, a, false) {
 				break run
 			}
 			cyc += hitCycles
-			c.setReg(in.Rd, uint64(p.Load4(a)))
+			r[in.Rd] = uint64(p.Load4(a))
 		case OpLd2:
-			a := c.base(in.Rs1) + uint64(in.Imm)
+			a := r[in.Rs1] + uint64(in.Imm)
 			p := c.Mem.Page(a, 2)
 			if p == nil || !c.Hier.HitAt(pc, a, false) {
 				break run
 			}
 			cyc += hitCycles
-			c.setReg(in.Rd, uint64(p.Load2(a)))
+			r[in.Rd] = uint64(p.Load2(a))
 		case OpLd1:
-			a := c.base(in.Rs1) + uint64(in.Imm)
+			a := r[in.Rs1] + uint64(in.Imm)
 			p := c.Mem.Page(a, 1)
 			if p == nil || !c.Hier.HitAt(pc, a, false) {
 				break run
 			}
 			cyc += hitCycles
-			c.setReg(in.Rd, uint64(p.Load1(a)))
+			r[in.Rd] = uint64(p.Load1(a))
 
 		case OpSt8:
-			a := c.base(in.Rs1) + uint64(in.Imm)
+			a := r[in.Rs1] + uint64(in.Imm)
 			p := c.Mem.Page(a, 8)
 			if p == nil || !c.Hier.HitAt(pc, a, true) {
 				break run
 			}
 			cyc += hitCycles
-			p.Store8(a, c.reg(in.Rs2))
+			p.Store8(a, r[in.Rs2])
 		case OpSt2:
-			a := c.base(in.Rs1) + uint64(in.Imm)
+			a := r[in.Rs1] + uint64(in.Imm)
 			p := c.Mem.Page(a, 2)
 			if p == nil || !c.Hier.HitAt(pc, a, true) {
 				break run
 			}
 			cyc += hitCycles
-			p.Store2(a, uint16(c.reg(in.Rs2)))
+			p.Store2(a, uint16(r[in.Rs2]))
 		case OpSt1:
-			a := c.base(in.Rs1) + uint64(in.Imm)
+			a := r[in.Rs1] + uint64(in.Imm)
 			p := c.Mem.Page(a, 1)
 			if p == nil || !c.Hier.HitAt(pc, a, true) {
 				break run
 			}
 			cyc += hitCycles
-			p.Store1(a, uint8(c.reg(in.Rs2)))
+			p.Store1(a, uint8(r[in.Rs2]))
 
 		case OpEnter:
 			a := c.SP - 8
@@ -252,37 +250,37 @@ run:
 			next = uint64(in.Imm)
 
 		case OpBrEQ:
-			if c.reg(in.Rs1) == c.reg(in.Rs2) {
+			if r[in.Rs1] == r[in.Rs2] {
 				cyc += takenBranchCycles
 				next = uint64(in.Imm)
 			}
 		case OpBrNE:
-			if c.reg(in.Rs1) != c.reg(in.Rs2) {
+			if r[in.Rs1] != r[in.Rs2] {
 				cyc += takenBranchCycles
 				next = uint64(in.Imm)
 			}
 		case OpBrLT:
-			if int64(c.reg(in.Rs1)) < int64(c.reg(in.Rs2)) {
+			if int64(r[in.Rs1]) < int64(r[in.Rs2]) {
 				cyc += takenBranchCycles
 				next = uint64(in.Imm)
 			}
 		case OpBrLE:
-			if int64(c.reg(in.Rs1)) <= int64(c.reg(in.Rs2)) {
+			if int64(r[in.Rs1]) <= int64(r[in.Rs2]) {
 				cyc += takenBranchCycles
 				next = uint64(in.Imm)
 			}
 		case OpBrGT:
-			if int64(c.reg(in.Rs1)) > int64(c.reg(in.Rs2)) {
+			if int64(r[in.Rs1]) > int64(r[in.Rs2]) {
 				cyc += takenBranchCycles
 				next = uint64(in.Imm)
 			}
 		case OpBrGE:
-			if int64(c.reg(in.Rs1)) >= int64(c.reg(in.Rs2)) {
+			if int64(r[in.Rs1]) >= int64(r[in.Rs2]) {
 				cyc += takenBranchCycles
 				next = uint64(in.Imm)
 			}
 		case OpBrUGE:
-			if c.reg(in.Rs1) >= c.reg(in.Rs2) {
+			if r[in.Rs1] >= r[in.Rs2] {
 				cyc += takenBranchCycles
 				next = uint64(in.Imm)
 			}
@@ -295,9 +293,24 @@ run:
 		cyc++
 		left--
 		pc = next
+		r[RegZero] = 0 // a write to the zero register is dropped
 	}
 	retired := budget - left
 	c.PC, c.cycles = pc, cyc
 	c.instret += retired
 	return retired
+}
+
+// fetchWindow returns the installed code on the current fetch line and
+// the address of its first instruction. SetIFetch keeps fetch lines
+// whole instructions long on instruction boundaries, so the window
+// holds exactly the instructions whose PC is on the line. Before the
+// first fetch the line is ^0, and the window is empty.
+func (c *CPU) fetchWindow() (uint64, []Instr) {
+	cbase, n := c.cfg.CodeBase, uint64(len(c.code))
+	start := c.lastFetchLine << c.ifetchShift
+	end := start + 1<<c.ifetchShift
+	i := min((max(start, cbase)-cbase)/InstrBytes, n)
+	j := max(min((max(end, cbase)-cbase)/InstrBytes, n), i)
+	return cbase + i*InstrBytes, c.code[i:j]
 }

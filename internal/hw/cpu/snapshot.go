@@ -3,7 +3,7 @@ package cpu
 import "hpmvm/internal/snap"
 
 // Snapshot/Restore implement snap.Checkpointable for the core. Mutable
-// state is the architectural registers, the cycle/instret counters and
+// state is the register file (the GPRs, SP and FP, in that order), the cycle/instret counters and
 // the halt/privilege flags. The code space is deliberately *not*
 // serialized: compiled code is rebuilt deterministically by booting a
 // fresh system from the same Options (plus replaying the recompilation
@@ -17,11 +17,11 @@ const (
 
 // walk is the architectural state's layout.
 func (c *CPU) walk(k *snap.Codec) {
-	for i := range c.Regs {
-		k.U64(&c.Regs[i])
+	r := c.file()
+	for i := range r {
+		k.U64(&r[i])
 	}
-	k.U64(&c.SP)
-	k.U64(&c.FP)
+	k.Check(r[RegZero] == 0, "the zero register holds %#x", r[RegZero])
 	k.U64(&c.PC)
 	k.U64(&c.cycles)
 	k.U64(&c.instret)
