@@ -22,7 +22,9 @@ ci:
 # the simulator's one lane per layer, the cache's Hierarchy.HitAt and
 # mem's page lane (Memory.Page and the eight Page accessors), must
 # still inline — and the call-free gate: the assembly of cpu's fast
-# loop may hold no CALL but a runtime panic or stack growth. A lane
+# loop may hold no CALL but a runtime panic or stack growth, and no
+# DUFFZERO or DUFFCOPY, the calls into runtime.duffzero and
+# runtime.duffcopy that a large block zero or copy compiles to. A lane
 # that grows past Go's inlining budget silently becomes a call, as does
 # any call that creeps into the fast loop, and no test would notice.
 # The inlining gate also covers the timed accessors, which take the
@@ -42,7 +44,7 @@ vet:
 	@asm=$$($(GO) build -gcflags=-S ./internal/hw/cpu 2>&1) || { echo "$$asm"; exit 1; }; \
 		fast=$$(echo "$$asm" | awk '/STEXT/ { f = /^hpmvm\/internal\/hw\/cpu\.\(\*CPU\)\.fastLoop STEXT/ } f'); \
 		test -n "$$fast" || { echo "call-free gate: no listing of (*CPU).fastLoop"; exit 1; }; \
-		calls=$$(echo "$$fast" | grep -P '\tCALL\t' | grep -vP '\tCALL\truntime\.(panic|morestack)'); \
+		calls=$$(echo "$$fast" | grep -P '\t(CALL|DUFFZERO|DUFFCOPY)\t' | grep -vP '\tCALL\truntime\.(panic|morestack)'); \
 		test -z "$$calls" || { echo "call-free gate: (*CPU).fastLoop calls out:"; echo "$$calls"; exit 1; }
 
 build:
