@@ -37,6 +37,9 @@ func (sa *setAssoc) walk(c *snap.Codec, name string) {
 	c.Check(bad < 0, "%s way %d holds state no encoder writes", name, bad)
 }
 
+// encodedLen is the number of bytes walk writes.
+func (sa *setAssoc) encodedLen() int { return 8 + 17*len(sa.keys) + 8 }
+
 // encodable reports whether way i holds what access can leave there: an
 // empty way has stamp 0 and is clean, a resident way has a stamp and a
 // key of its own set that no earlier way of the set holds (access looks
@@ -77,6 +80,8 @@ func walkLines(c *snap.Codec, set **pfSet) {
 // walk is the hierarchy's layout. It decodes into the receiver's
 // arrays, so Restore binds it to blank ones.
 func (h *Hierarchy) walk(c *snap.Codec) {
+	// The tag arrays are nearly all of the bytes.
+	c.Grow(h.l1.encodedLen() + h.l2.encodedLen() + h.tlb.encodedLen())
 	h.l1.walk(c, "l1")
 	h.l2.walk(c, "l2")
 	h.tlb.walk(c, "tlb")

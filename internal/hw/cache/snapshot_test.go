@@ -113,3 +113,16 @@ func TestRestoreRejectsUnencodableWays(t *testing.T) {
 		t.Error("Snapshot after Restore differs from the restored blob")
 	}
 }
+
+// TestEncodedLenExact holds the size the hierarchy's walk reserves to
+// the bytes each tag array's walk writes.
+func TestEncodedLenExact(t *testing.T) {
+	h := New(DefaultP4())
+	h.EnableICache(1024, 2)
+	for _, sa := range []*setAssoc{&h.l1, &h.l2, &h.tlb, h.l1i} {
+		st := snap.Encode("t", 1, func(c *snap.Codec) { sa.walk(c, "t") })
+		if len(st.Data) != sa.encodedLen() {
+			t.Errorf("a %d-way array writes %d bytes, encodedLen says %d", len(sa.keys), len(st.Data), sa.encodedLen())
+		}
+	}
+}

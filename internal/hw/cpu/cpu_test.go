@@ -100,6 +100,61 @@ func TestZeroRegister(t *testing.T) {
 	}
 }
 
+// TestInstallCodeRejectsFields checks that InstallCode faults, at the
+// offending instruction and installing none of the batch, on every
+// register field form the register file cannot serve as its opcode
+// means: a GPR-only field naming SP (16), FP (17) or anything higher,
+// and a memory base above FP. SP, FP and the zero register as a base,
+// and fields an opcode does not read, install.
+func TestInstallCodeRejectsFields(t *testing.T) {
+	var bad []Instr
+	for _, r := range []uint8{BaseSP, BaseFP, BaseFP + 1, 255} {
+		bad = append(bad,
+			Instr{Op: OpMovImm, Rd: r},
+			Instr{Op: OpMov, Rd: 1, Rs1: r},
+			Instr{Op: OpAdd, Rd: r, Rs1: 1, Rs2: 2},
+			Instr{Op: OpSub, Rd: 1, Rs1: r, Rs2: 2},
+			Instr{Op: OpDiv, Rd: 1, Rs1: 2, Rs2: r},
+			Instr{Op: OpAddImm, Rd: 1, Rs1: r},
+			Instr{Op: OpShlImm, Rd: r, Rs1: 1},
+			Instr{Op: OpLd8, Rd: r, Rs1: 1},
+			Instr{Op: OpSt8, Rs1: 1, Rs2: r},
+			Instr{Op: OpStRef, Rs1: BaseFP, Rs2: r},
+			Instr{Op: OpCallV, Rs1: r},
+			Instr{Op: OpBrEQ, Rs1: r, Rs2: 1},
+			Instr{Op: OpBrUGE, Rs1: 1, Rs2: r},
+		)
+	}
+	for _, r := range []uint8{BaseFP + 1, 255} {
+		bad = append(bad,
+			Instr{Op: OpLd1, Rd: 1, Rs1: r},
+			Instr{Op: OpSt2, Rs1: r, Rs2: 1},
+			Instr{Op: OpStRef, Rs1: r, Rs2: 1},
+		)
+	}
+	for _, in := range bad {
+		c := newCPU()
+		first := c.InstallCode([]Instr{{Op: OpNop}})
+		f, ok := faultOf(func() { c.InstallCode([]Instr{{Op: OpNop}, in}) }).(*Fault)
+		if want := first + 2*InstrBytes; !ok || f.PC != want {
+			t.Errorf("installing %v: fault %v, want one at %#x", in, f, want)
+		}
+		if next := c.NextCodeAddr(); next != first+InstrBytes {
+			t.Errorf("installing %v installed %d instructions", in, (next-first)/InstrBytes-1)
+		}
+	}
+	c := newCPU()
+	c.InstallCode([]Instr{
+		{Op: OpLd8, Rd: 1, Rs1: BaseSP},
+		{Op: OpSt1, Rs1: BaseFP, Rs2: RegZero},
+		{Op: OpLd4, Rd: RegZero, Rs1: RegZero},
+		{Op: OpMovImm, Rd: 1, Rs1: 255, Rs2: 255},
+		{Op: OpEnter, Rd: 255, Rs1: 255, Rs2: 255, Imm: 16},
+		{Op: OpCallM, Rd: 255, Rs1: 255, Rs2: 255},
+		{Op: OpTrap, Rd: 255, Rs1: 255, Rs2: 255},
+	})
+}
+
 func TestLoadsAndStores(t *testing.T) {
 	c := newCPU()
 	run(t, c, []Instr{

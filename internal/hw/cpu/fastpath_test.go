@@ -179,6 +179,7 @@ func TestRunLoopStepEquivalence(t *testing.T) {
 			{Op: OpCallM, Imm: 0},                   // loop:
 			{Op: OpSt8, Rs1: 3, Imm: 0, Rs2: 2},
 			{Op: OpLd8, Rd: 14, Rs1: 3, Imm: 0},
+			{Op: OpLd8, Rd: RegZero, Rs1: 3, Imm: 0}, // dropped; zr still reads 0 below
 			{Op: OpAddImm, Rd: 3, Rs1: 3, Imm: 0x2000},
 			{Op: OpAddImm, Rd: 9, Rs1: 9, Imm: 8},
 			{Op: OpAddImm, Rd: 1, Rs1: 1, Imm: -1},
@@ -209,6 +210,9 @@ func TestRunLoopStepEquivalence(t *testing.T) {
 		t.Errorf("fast path retired %d instructions, reference %d", n, steps+1)
 	}
 	requireSameState(t, "program", ref, fast)
+	if ref.Regs[RegZero] != 0 || fast.Regs[RegZero] != 0 {
+		t.Errorf("zero register: ref %#x fast %#x, want 0", ref.Regs[RegZero], fast.Regs[RegZero])
+	}
 	if ref.ExitStatus() != fast.ExitStatus() {
 		t.Errorf("exit status: ref %d fast %d", ref.ExitStatus(), fast.ExitStatus())
 	}
@@ -415,7 +419,11 @@ func buildExitProgram(ifetch, swSite bool, fault string) exitProgram {
 		Instr{Op: OpMovImm, Rd: 9, Imm: 0x1230},
 		Instr{Op: OpMovImm, Rd: 10, Imm: fresh - mem.PageSize})
 	code[0].Imm = int64(main)
-	loop := emit("CallM", Instr{Op: OpCallM, Imm: 0})
+	// The loop's first instruction is one the fast loop retires, so the
+	// fetch of its line, a backward branch away, is the fast loop's to
+	// leave for.
+	loop := emit("", Instr{Op: OpAddImm, Rd: 9, Rs1: 9, Imm: 8})
+	emit("CallM", Instr{Op: OpCallM, Imm: 0})
 	emit("CallV", Instr{Op: OpCallV, Rs1: 5, Imm: 1})
 	emit("", Instr{Op: OpSt8, Rs1: 3, Imm: 0, Rs2: 1})
 	emit("site", Instr{Op: OpLd8, Rd: 6, Rs1: 3, Imm: 0})
@@ -483,6 +491,48 @@ func faultOf(f func()) (v any) {
 	return nil
 }
 
+// stepRef is a Step-only reference run, stepped forward as the checks
+// ask for it: after a number of Step calls, or until the cycles reach
+// a horizon, in increasing order. It stands where a fresh CPU stepped
+// that far would stand, since a halt or a fault ends it as it would end
+// the fresh run.
+type stepRef struct {
+	c     *CPU
+	calls int
+	done  bool
+	fault any
+	hier  string // c.Hier's snapshot in the current state, "" until asked
+}
+
+func (s *stepRef) step() {
+	s.calls++
+	s.hier = ""
+	if s.fault = faultOf(func() { s.done = !s.c.Step() }); s.fault != nil {
+		s.done = true
+	}
+}
+
+// stepTo steps until n Step calls have been made.
+func (s *stepRef) stepTo(n int) {
+	for !s.done && s.calls < n {
+		s.step()
+	}
+}
+
+// runTo steps until the cycles reach h.
+func (s *stepRef) runTo(h uint64) {
+	for !s.done && s.c.cycles < h {
+		s.step()
+	}
+}
+
+func (s *stepRef) hierSnapshot() string {
+	if s.hier == "" {
+		s.hier = string(s.c.Hier.Snapshot().Data)
+	}
+	return s.hier
+}
+
 // TestFastLoopExits runs a program that takes every way out of the
 // fast loop — a lane decline, an unmaterialized page, StRef's barrier,
 // CallM and CallV, a divide by zero, a trap, a fetch-line change, a
@@ -507,19 +557,17 @@ func TestFastLoopExits(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			build := func() *CPU { return buildExitProgram(tc.ifetch, tc.swSite, tc.fault).c }
 
-			// The reference: Step alone, its state after every instruction.
-			ref := build()
+			// The reference: Step alone, the cycles after every instruction.
+			whole := &stepRef{c: build()}
 			var cycles []uint64
-			refFault := faultOf(func() {
-				for ref.Step() {
-					cycles = append(cycles, ref.cycles)
+			for !whole.done {
+				whole.step()
+				if whole.fault == nil {
+					cycles = append(cycles, whole.c.cycles)
 				}
-			})
-			if (refFault != nil) != (tc.fault != "") {
-				t.Fatalf("reference run recovered %v", refFault)
 			}
-			if refFault == nil {
-				cycles = append(cycles, ref.cycles)
+			if (whole.fault != nil) != (tc.fault != "") {
+				t.Fatalf("reference run recovered %v", whole.fault)
 			}
 			steps := len(cycles)
 
@@ -548,55 +596,44 @@ func TestFastLoopExits(t *testing.T) {
 				t.Errorf("the fast loop retired %d of %d instructions", fast, steps)
 			}
 
-			// Every budget, from a fresh start: the instruction budget's
-			// edge falls after every instruction once.
-			// Memory is compared once, after the whole program: its
-			// snapshots would cost this test most of its time.
-			check := func(what string, run func(c *CPU), refRun func(c *CPU)) {
+			// Each check runs a fresh CPU and compares it with the
+			// reference at the same point. Memory is compared once,
+			// after the whole program: its snapshots would cost this
+			// test most of its time.
+			check := func(what string, run func(c *CPU), ref *stepRef) {
 				t.Helper()
-				c, r := build(), build()
-				fastFault := faultOf(func() { run(c) })
-				stepFault := faultOf(func() { refRun(r) })
-				if fastFault != stepFault {
-					t.Fatalf("%s: runLoop recovered %v, Step %v", what, fastFault, stepFault)
+				c, r := build(), ref.c
+				if fault := faultOf(func() { run(c) }); fault != ref.fault {
+					t.Fatalf("%s: runLoop recovered %v, Step %v", what, fault, ref.fault)
 				}
 				if r.PC != c.PC || r.cycles != c.cycles || r.instret != c.instret ||
 					r.Regs != c.Regs || r.SP != c.SP || r.FP != c.FP {
 					t.Fatalf("%s: runLoop pc/cycles/instret %#x/%d/%d sp/fp %#x/%#x regs %v,\nStep %#x/%d/%d sp/fp %#x/%#x regs %v",
 						what, c.PC, c.cycles, c.instret, c.SP, c.FP, c.Regs, r.PC, r.cycles, r.instret, r.SP, r.FP, r.Regs)
 				}
-				if string(r.Hier.Snapshot().Data) != string(c.Hier.Snapshot().Data) {
+				if ref.hierSnapshot() != string(c.Hier.Snapshot().Data) {
 					t.Fatalf("%s: cache hierarchy state diverges between Step and runLoop", what)
 				}
-				if what == "the whole program" {
+				if ref == whole {
 					requireSameState(t, what, r, c)
 				}
 			}
-			check("the whole program", func(c *CPU) { c.Run(^uint64(0)) }, func(c *CPU) {
-				for c.Step() {
-				}
-			})
-			stepN := func(n int) func(c *CPU) {
-				return func(c *CPU) {
-					for i := 0; i < n && c.Step(); i++ {
-					}
-				}
-			}
+			check("the whole program", func(c *CPU) { c.Run(^uint64(0)) }, whole)
+			// Every budget, from a fresh start: the instruction budget's
+			// edge falls after every instruction once.
+			ref := &stepRef{c: build()}
 			for k := 1; k <= steps+1; k++ {
-				check(fmt.Sprintf("Run(%d)", k), func(c *CPU) { c.Run(uint64(k)) }, stepN(k))
+				ref.stepTo(k)
+				check(fmt.Sprintf("Run(%d)", k), func(c *CPU) { c.Run(uint64(k)) }, ref)
 			}
 			// The cycle horizon's edge at and just after the end of every
 			// instruction.
+			ref = &stepRef{c: build()}
 			for _, end := range cycles {
 				for _, h := range []uint64{end, end + 1} {
-					check(fmt.Sprintf("RunCycles(%d)", h), func(c *CPU) { c.RunCycles(h) }, func(c *CPU) {
-						for c.cycles < h && c.Step() {
-						}
-					})
+					ref.runTo(h)
+					check(fmt.Sprintf("RunCycles(%d)", h), func(c *CPU) { c.RunCycles(h) }, ref)
 				}
-			}
-			if tc.fault != "" && refFault == nil {
-				t.Fatal("the faulting program did not fault")
 			}
 		})
 	}

@@ -317,6 +317,15 @@ func Int[T ~int | ~int32 | ~uint | ~uint8](c *Codec, p *T) {
 	}
 }
 
+// Grow, when encoding, makes room for n more bytes, so a walk that
+// knows its length sizes the writer once instead of growing it append
+// by append. Decoding, it does nothing.
+func (c *Codec) Grow(n int) {
+	if c.W != nil {
+		c.W.buf = slices.Grow(c.W.buf, n)
+	}
+}
+
 // Same walks a word both sides must agree on — a region bound, an array
 // length, the installed-code length: written when encoding, compared
 // with the receiver's own v when decoding.
