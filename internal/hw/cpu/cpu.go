@@ -74,7 +74,8 @@ type CPU struct {
 	// that file views them as one array indexed by register encoding,
 	// the GPRs, then SP at BaseSP and FP at BaseFP. InstallCode admits
 	// only register fields that index it as their opcode means, and
-	// Regs[RegZero] stays 0.
+	// every instruction ends by zeroing Regs[RegZero], which drops a
+	// write to the zero register.
 	Regs [NumRegs]uint64
 	SP   uint64
 	FP   uint64

@@ -120,31 +120,6 @@ const (
 	BaseFP = 17 // address base is the frame pointer
 )
 
-// fieldsValid reports whether every register field of the instruction
-// names a register its opcode can: a GPR, or for the base of a load or
-// store also SP or FP. A field its opcode does not read is no register
-// field and is not checked.
-func (i Instr) fieldsValid() bool {
-	gpr := func(r uint8) bool { return r < NumRegs }
-	switch i.Op {
-	case OpMovImm:
-		return gpr(i.Rd)
-	case OpMov, OpAddImm, OpShlImm:
-		return gpr(i.Rd) && gpr(i.Rs1)
-	case OpAdd, OpSub, OpMul, OpDiv, OpRem, OpAnd, OpOr, OpXor, OpShl, OpShr, OpSar:
-		return gpr(i.Rd) && gpr(i.Rs1) && gpr(i.Rs2)
-	case OpLd8, OpLd4, OpLd2, OpLd1:
-		return gpr(i.Rd) && i.Rs1 <= BaseFP
-	case OpSt8, OpStRef, OpSt2, OpSt1:
-		return i.Rs1 <= BaseFP && gpr(i.Rs2)
-	case OpCallV:
-		return gpr(i.Rs1)
-	case OpBrEQ, OpBrNE, OpBrLT, OpBrLE, OpBrGT, OpBrGE, OpBrUGE:
-		return gpr(i.Rs1) && gpr(i.Rs2)
-	}
-	return true
-}
-
 // Instr is one decoded machine instruction. Each instruction occupies
 // InstrBytes of code address space.
 type Instr struct {
@@ -202,6 +177,31 @@ func (i Instr) String() string {
 	default:
 		return fmt.Sprintf("%s rd=%d rs1=%d rs2=%d imm=%d", i.Op, i.Rd, i.Rs1, i.Rs2, i.Imm)
 	}
+}
+
+// fieldsValid reports whether every register field of the instruction
+// names a register its opcode can: a GPR, or for the base of a load or
+// store also SP or FP. A field its opcode does not read is no register
+// field and is not checked.
+func (i Instr) fieldsValid() bool {
+	gpr := func(r uint8) bool { return r < NumRegs }
+	switch i.Op {
+	case OpMovImm:
+		return gpr(i.Rd)
+	case OpMov, OpAddImm, OpShlImm:
+		return gpr(i.Rd) && gpr(i.Rs1)
+	case OpAdd, OpSub, OpMul, OpDiv, OpRem, OpAnd, OpOr, OpXor, OpShl, OpShr, OpSar:
+		return gpr(i.Rd) && gpr(i.Rs1) && gpr(i.Rs2)
+	case OpLd8, OpLd4, OpLd2, OpLd1:
+		return gpr(i.Rd) && i.Rs1 <= BaseFP
+	case OpSt8, OpStRef, OpSt2, OpSt1:
+		return i.Rs1 <= BaseFP && gpr(i.Rs2)
+	case OpCallV:
+		return gpr(i.Rs1)
+	case OpBrEQ, OpBrNE, OpBrLT, OpBrLE, OpBrGT, OpBrGE, OpBrUGE:
+		return gpr(i.Rs1) && gpr(i.Rs2)
+	}
+	return true
 }
 
 // Trap service numbers, handled by the VM runtime (the "trap handler"

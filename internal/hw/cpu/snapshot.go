@@ -3,8 +3,9 @@ package cpu
 import "hpmvm/internal/snap"
 
 // Snapshot/Restore implement snap.Checkpointable for the core. Mutable
-// state is the register file (the GPRs, SP and FP, in that order), the cycle/instret counters and
-// the halt/privilege flags. The code space is deliberately *not*
+// state is the register file (the GPRs, then SP and FP), the
+// cycle/instret counters and the halt/privilege flags. A restored zero
+// register must read 0. The code space is deliberately *not*
 // serialized: compiled code is rebuilt deterministically by booting a
 // fresh system from the same Options (plus replaying the recompilation
 // log, see vm/runtime), so the snapshot only records the installed
