@@ -133,7 +133,7 @@ func main() {
 		fmt.Printf("monitor     %d polls, %d samples (%d dropped), %d cycles\n",
 			ms.Polls, ms.SamplesDecoded, ms.SamplesDropped, ms.MonitorCycles)
 	}
-	if census := cpu.Census(); census != "" {
+	if census := sys.VM.CPU.Census(); census != "" {
 		fmt.Printf("census      %s\n", census)
 	}
 	if *verbose {

@@ -5,16 +5,14 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync/atomic"
 )
 
 // The fast-loop exit census: in a build with `-tags census`, runLoop
 // counts the instructions it retires and, by cause, each one it hands
 // to Step: a change of fetch line when the fetch hook is on, otherwise
 // the instruction's opcode (a load or store there is a lane decline or
-// an unmaterialized page). The counts are process-wide and sum over
-// every CPU, so they describe one run only in a process that runs one,
-// like hpmvm. In the default build census is false and nothing counts.
+// an unmaterialized page). In the default build census is false and
+// nothing counts.
 
 // Exit classes: one per opcode, then a fetch-line change, then a PC
 // outside the installed code.
@@ -24,10 +22,19 @@ const (
 	numExitClasses
 )
 
-var (
-	censusRetired atomic.Uint64
-	censusExits   [numExitClasses]atomic.Uint64
-)
+// exitCensus is one CPU's census.
+type exitCensus struct {
+	retired uint64
+	exits   [numExitClasses]uint64
+}
+
+// tally returns the CPU's census, started on first use.
+func (c *CPU) tally() *exitCensus {
+	if c.exits == nil {
+		c.exits = new(exitCensus)
+	}
+	return c.exits
+}
 
 // countExit records why the instruction at c.PC goes to Step.
 func (c *CPU) countExit() {
@@ -37,27 +44,26 @@ func (c *CPU) countExit() {
 	} else if in, ok := c.InstrAt(c.PC); ok && in.Op < numOps {
 		class = int(in.Op)
 	}
-	censusExits[class].Add(1)
+	c.tally().exits[class]++
 }
 
-// Census returns the exit census as one line: the instructions run
+// Census returns the exit census as one line: the instructions the run
 // loops retired, the share of them handed to Step, and that share by
 // class, largest first, each as a percentage of the retired
 // instructions. It returns "" in the default build.
-func Census() string {
+func (c *CPU) Census() string {
 	if !census {
 		return ""
 	}
-	retired := censusRetired.Load()
-	pct := func(n uint64) string { return fmt.Sprintf("%.2f %%", 100*float64(n)/float64(max(retired, 1))) }
+	k := c.tally()
+	pct := func(n uint64) string { return fmt.Sprintf("%.2f %%", 100*float64(n)/float64(max(k.retired, 1))) }
 	type class struct {
 		name string
 		n    uint64
 	}
 	var classes []class
 	var total uint64
-	for i := range censusExits {
-		n := censusExits[i].Load()
+	for i, n := range k.exits {
 		if n == 0 {
 			continue
 		}
@@ -73,9 +79,9 @@ func Census() string {
 	}
 	slices.SortStableFunc(classes, func(a, b class) int { return cmp.Compare(b.n, a.n) })
 	var b strings.Builder
-	fmt.Fprintf(&b, "retired %d, to Step %d (%s)", retired, total, pct(total))
-	for _, k := range classes {
-		fmt.Fprintf(&b, ", %s %s", k.name, pct(k.n))
+	fmt.Fprintf(&b, "retired %d, to Step %d (%s)", k.retired, total, pct(total))
+	for _, x := range classes {
+		fmt.Fprintf(&b, ", %s %s", x.name, pct(x.n))
 	}
 	return b.String()
 }

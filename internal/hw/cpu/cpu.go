@@ -111,6 +111,10 @@ type CPU struct {
 
 	// exitStatus is set by TrapExit via Halt.
 	exitStatus int64
+
+	// exits is the fast-loop exit census (census.go), nil unless built
+	// with -tags census.
+	exits *exitCensus
 }
 
 // numFile is the register file's length: the GPRs, SP and FP.

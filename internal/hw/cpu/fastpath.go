@@ -72,7 +72,7 @@ func (c *CPU) runLoop(cycleHorizon, budget uint64) uint64 {
 		}
 	}
 	if census {
-		censusRetired.Add(start - budget)
+		c.tally().retired += start - budget
 	}
 	return start - budget
 }
