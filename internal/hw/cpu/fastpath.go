@@ -10,7 +10,8 @@ package cpu
 //   - The fast loop makes no call at all: its lanes (Hierarchy.HitAt,
 //     Memory.Page and the Page accessors) inline, and `make vet` fails
 //     when its listing holds a CALL other than a runtime panic or stack
-//     growth. So no listener, barrier, trap handler or I-fetch hook can
+//     growth, or a block zero or copy (DUFFZERO, DUFFCOPY, calls into
+//     the runtime). So no listener, barrier, trap handler or I-fetch hook can
 //     run while PC, cycles and instret sit in its locals, and nothing
 //     can observe the CPU inside it.
 //   - It retires an instruction only when it can do all of it: ALU ops
@@ -22,6 +23,9 @@ package cpu
 //     stops, having changed nothing for it: every test that can send
 //     an instruction to Step comes before the instruction's first
 //     effect, and the lane itself changes nothing when it declines.
+//   - Both loops read and write the one register file (CPU.file) the
+//     same way: InstallCode admits only fields that index it as their
+//     opcode means, and both end an instruction by zeroing RegZero.
 //   - Step executes the instruction the fast loop stopped at, so every
 //     miss, fault, barrier, call, trap, halt and fetch-line change runs
 //     through the one reference implementation.
