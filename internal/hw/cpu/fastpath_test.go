@@ -456,10 +456,18 @@ func buildExitProgram(ifetch, swSite bool, fault string) exitProgram {
 		emit("", Instr{Op: OpBrNE, Rs1: 1, Rs2: RegZero, Imm: int64(loop)})
 		emit("fault", Instr{Op: OpSt8, Rs1: BaseSP, Imm: 4, Rs2: 1})
 	}
-	// Straight-line code across fetch lines, then the return to 0.
-	for range 40 {
+	// Straight-line code to the last instruction of a fetch line and on
+	// into the next line, whose branch returns to that instruction, one
+	// the fast loop retires, once more.
+	emit("", Instr{Op: OpMovImm, Rd: 0, Imm: 2})
+	perLine := uint64(c.Hier.Config().LineSize) / InstrBytes
+	for (base/InstrBytes+uint64(len(code)))%perLine != perLine-1 {
 		emit("", Instr{Op: OpXor, Rd: 2, Rs1: 2, Rs2: 1})
 	}
+	back := emit("", Instr{Op: OpXor, Rd: 2, Rs1: 2, Rs2: 0})
+	emit("", Instr{Op: OpAddImm, Rd: 0, Rs1: 0, Imm: -1},
+		Instr{Op: OpBrNE, Rs1: 0, Rs2: RegZero, Imm: int64(back)})
+	// Then the return to 0.
 	emit("", Instr{Op: OpBrNE, Rs1: 1, Rs2: RegZero, Imm: int64(loop)})
 	emit("Ret to 0", Instr{Op: OpRet})
 	c.InstallCode(code)
